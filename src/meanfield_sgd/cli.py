@@ -7,7 +7,6 @@ worker count."""
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -23,16 +22,10 @@ from .diagnostics import (
     standard_panel,
     write_report,
 )
-from .dynamics import (
-    IntegratorConfig,
-    NoisePath,
-    run_sgd,
-    sample_initial,
-    simulate,
-    write_trajectory,
-)
+from .dynamics import run_sgd, sample_initial, write_trajectory
 from .harness import (
     ExperimentConfig,
+    Replica,
     ResultTable,
     build_coefficients,
     build_initial_spec,
@@ -43,6 +36,7 @@ from .harness import (
     exp_sgd_compare,
     reference_config,
     sgd_trend_gate,
+    write_run_meta,
 )
 
 
@@ -63,43 +57,15 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> str:
-    out = cfg.out_dir or "out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_meta(cfg: ExperimentConfig, out: str):
-    meta = {
-        "config": json.loads(cfg.to_json()),
-        "config_hash": cfg.config_hash(),
-    }
-    from . import __version__
-
-    meta["code_version"] = __version__
-    with open(os.path.join(out, "run-meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-
-
-def _cmd_simulate(args):
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    coeffs = build_coefficients(cfg)
-    initial = sample_initial(build_initial_spec(cfg), cfg.n_particles, cfg.base_seed)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    eps = cfg.eps_grid[0] if cfg.eps_grid else 0.0
-    noise = NoisePath(cfg.base_seed, cfg.dt, n_steps, coeffs.n_channels) if eps > 0 else None
-    run_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=float(eps),
-                               snapshot_stride=cfg.snapshot_stride)
-    traj = simulate(initial, coeffs, run_cfg, noise)
+def _cmd_simulate(cfg: ExperimentConfig, out: str):
+    eps = float(cfg.eps_grid[0]) if cfg.eps_grid else 0.0
+    traj = Replica(cfg, cfg.base_seed, cfg.snapshot_stride, build_coefficients(cfg)).run(eps)
     write_trajectory(traj, os.path.join(out, "trajectory.txt"))
-    _write_meta(cfg, out)
+    write_run_meta(cfg, out)
     print(f"wrote {traj.n_snapshots} snapshots to {out}/trajectory.txt (eps={eps})")
 
 
-def _cmd_sgd(args):
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
+def _cmd_sgd(cfg: ExperimentConfig, out: str):
     coeffs = build_coefficients(cfg)
     m = cfg.n_particles
     initial = sample_initial(build_initial_spec(cfg), m, cfg.base_seed)
@@ -112,19 +78,13 @@ def _cmd_sgd(args):
             for i in range(m):
                 coords = " ".join(f"{v:.17g}" for v in chain.positions[k, i])
                 fh.write(f"{k} {i} {coords}\n")
-    _write_meta(cfg, out)
+    write_run_meta(cfg, out)
     print(f"wrote SGD chain ({chain.n_steps} steps, {m} particles) to {out}/sgd-chain.txt")
 
 
-def _run_table(args, runner, label: str):
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
+def _run_table(runner, label: str, cfg: ExperimentConfig, out: str) -> ResultTable:
     table = runner(cfg)
     table.write(out)
-    _summary_print(table, label)
-
-
-def _summary_print(table: ResultTable, label: str):
     for entry in table.summary:
         if "slope" in entry:
             ci = ""
@@ -132,35 +92,27 @@ def _summary_print(table: ResultTable, label: str):
                 ci = f" (95% CI [{entry['ci_low']:.3f}, {entry['ci_high']:.3f}])"
             print(f"{label}: {entry.get('metric', 'slope')} = {entry['slope']:.3f}{ci}")
     print(f"{label}: wrote results.csv, summary.csv, run-meta.json")
+    return table
 
 
-def _cmd_sgd_compare(args):
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    table = exp_sgd_compare(cfg)
-    table.write(out)
+def _cmd_sgd_compare(cfg: ExperimentConfig, out: str):
+    table = _run_table(exp_sgd_compare, "sgd-compare", cfg, out)
     ok, intervals = sgd_trend_gate(table, "bump0", [int(m) for m in cfg.m_grid])
     print(f"sgd-compare: sqrt(M) g(M) non-increasing within CI: {ok}")
     for (inc, lo, hi) in intervals:
         print(f"  increment {inc:+.4g}, 90% CI [{lo:+.4g}, {hi:+.4g}]")
-    print("sgd-compare: wrote results.csv, summary.csv, run-meta.json")
 
 
-def _cmd_diagnose(args):
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
+def _cmd_diagnose(cfg: ExperimentConfig, out: str):
     coeffs = build_coefficients(cfg)
-    initial = sample_initial(build_initial_spec(cfg), cfg.n_particles, cfg.base_seed)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    eps = cfg.eps_grid[0] if cfg.eps_grid else 0.0
-    noise = NoisePath(cfg.base_seed, cfg.dt, n_steps, coeffs.n_channels)
-    run_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=float(eps),
-                               snapshot_stride=1)
-    traj = simulate(initial, coeffs, run_cfg, noise if eps > 0 else None)
+    eps = float(cfg.eps_grid[0]) if cfg.eps_grid else 0.0
+    rep = Replica(cfg, cfg.base_seed, 1, coeffs)
+    traj = rep.run(eps)
+    noise = rep.noise if eps > 0 else None
     panel = standard_panel(coeffs.dim)
     rows = []
     for phi in panel:
-        r = smfe_weak_residual(traj, noise if eps > 0 else None, coeffs, float(eps), phi)
+        r = smfe_weak_residual(traj, noise, coeffs, eps, phi)
         rows.append((phi.name, cfg.base_seed, "weak_residual", r))
         if eps > 0:
             realized, predicted = qv_check(traj, coeffs, phi)
@@ -179,7 +131,7 @@ def _cmd_diagnose(args):
         np.concatenate([traj.weights, -traj.weights]),
     )
     write_field(field, os.path.join(out, "field-final.txt"))
-    _write_meta(cfg, out)
+    write_run_meta(cfg, out)
     print(f"diagnose: wrote {len(rows)} rows to {out}/diagnostics.txt "
           f"and the displacement field to {out}/field-final.txt")
 
@@ -193,11 +145,11 @@ def main(argv=None) -> int:
     commands = {
         "simulate": _cmd_simulate,
         "sgd": _cmd_sgd,
-        "lln-rate": lambda a: _run_table(a, exp_lln_rate, "lln-rate"),
-        "particle-rate": lambda a: _run_table(a, exp_particle_rate, "particle-rate"),
-        "clt-rate": lambda a: _run_table(a, exp_clt_rate, "clt-rate"),
+        "lln-rate": lambda cfg, out: _run_table(exp_lln_rate, "lln-rate", cfg, out),
+        "particle-rate": lambda cfg, out: _run_table(exp_particle_rate, "particle-rate", cfg, out),
+        "clt-rate": lambda cfg, out: _run_table(exp_clt_rate, "clt-rate", cfg, out),
         "sgd-compare": _cmd_sgd_compare,
-        "commute": lambda a: _run_table(a, exp_commute, "commute"),
+        "commute": lambda cfg, out: _run_table(exp_commute, "commute", cfg, out),
         "diagnose": _cmd_diagnose,
     }
     for name in commands:
@@ -209,7 +161,10 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes (results are invariant to this)")
     args = parser.parse_args(argv)
-    commands[args.command](args)
+    cfg = _load_config(args)
+    out = cfg.out_dir or "out"
+    os.makedirs(out, exist_ok=True)
+    commands[args.command](cfg, out)
     return 0
 
 

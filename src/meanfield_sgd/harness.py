@@ -3,12 +3,15 @@
 Each experiment follows the same seed hygiene: replica ``r`` uses seed
 ``base_seed + r``; within a replica every coupled run (different noise
 scales, different particle counts, the tangent system) consumes one shared
-NoisePath and one shared initial ensemble.  Experiments emit a long-format
-ResultTable whose rows are reproducible functions of (config, seed).
+NoisePath and one shared initial ensemble.  One runner owns that policy
+(``Replica``) and turns every grid cell into rows, a diverged cell into a
+``failed`` row.  Experiments emit a long-format ResultTable whose rows are
+reproducible functions of (config, seed).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -16,8 +19,8 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import Callable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +31,9 @@ from .dynamics import (
     InitialSpec,
     IntegratorConfig,
     NoisePath,
+    SimulationError,
+    Trajectory,
+    _record_indices,
     run_sgd,
     sample_initial,
     seeded_rng,
@@ -35,10 +41,11 @@ from .dynamics import (
     simulate_transport,
 )
 from .fluctuations import clt_distance, eta_eps, solve_tangent
-from .measures import SpectralGrid, w2
+from .measures import SpectralBoxError, SpectralGrid, w2
 
 __all__ = [
     "ExperimentConfig",
+    "Replica",
     "ResultTable",
     "SlopeFit",
     "fit_slope",
@@ -46,6 +53,7 @@ __all__ = [
     "build_coefficients",
     "build_initial_spec",
     "w2_sq_to_uniform_1d",
+    "write_run_meta",
     "exp_lln_rate",
     "exp_particle_rate",
     "exp_clt_rate",
@@ -209,28 +217,20 @@ class ResultTable:
     def code_version(self) -> str:
         return code_version
 
-    def add_row(self, experiment: str, param, seed, metric: str, value: float):
-        self.rows.append((experiment, str(param), int(seed), metric, float(value)))
-
     def add_summary(self, **fields):
         fields.setdefault("config_hash", self.config_hash)
         fields.setdefault("code_version", self.code_version)
         self.summary.append(fields)
 
+    def _select(self, metric: str, param) -> list:
+        key = None if param is None else str(param)
+        return [r for r in self.rows if r[3] == metric and (key is None or r[1] == key)]
+
     def values(self, metric: str, param=None) -> np.ndarray:
-        out = [
-            r[4]
-            for r in self.rows
-            if r[3] == metric and (param is None or r[1] == str(param))
-        ]
-        return np.asarray(out, dtype=float)
+        return np.asarray([r[4] for r in self._select(metric, param)], dtype=float)
 
     def values_by_seed(self, metric: str, param=None) -> dict:
-        return {
-            r[2]: r[4]
-            for r in self.rows
-            if r[3] == metric and (param is None or r[1] == str(param))
-        }
+        return {r[2]: r[4] for r in self._select(metric, param)}
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -249,14 +249,20 @@ class ResultTable:
             writer.writerow(keys)
             for entry in self.summary:
                 writer.writerow([entry.get(k, "") for k in keys])
-        meta = {
-            "config": json.loads(self.config.to_json()),
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "schema_version": RESULTS_SCHEMA_VERSION,
-        }
-        with open(os.path.join(out_dir, "run-meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+        write_run_meta(self.config, out_dir)
+
+
+def write_run_meta(config: ExperimentConfig, out_dir):
+    """run-meta.json, one schema for every subcommand: the config echo, its
+    hash, and the code and results-schema versions."""
+    meta = {
+        "config": json.loads(config.to_json()),
+        "config_hash": config.config_hash(),
+        "code_version": code_version,
+        "schema_version": RESULTS_SCHEMA_VERSION,
+    }
+    with open(os.path.join(out_dir, "run-meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
 
 
 # --------------------------------------------------------------------------
@@ -311,41 +317,149 @@ def fit_slope(params: Sequence[float], values, n_boot: int = 400, seed: int = 0)
 
 
 # --------------------------------------------------------------------------
-# shared helpers
+# the replica runner
 # --------------------------------------------------------------------------
 
 
-def _parallel(fn: Callable, items: Sequence, threads: int) -> list:
+# what a grid cell may raise and still leave rows: a diverged run, or an atom
+# outside a fixed spectral box
+_CELL_ERRORS = (SimulationError, SpectralBoxError)
+
+
+def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
     if threads <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
 
 
+class Replica:
+    """The coupled runs of one replica.
+
+    Every run consumes the one NoisePath of ``seed``, and runs of the same
+    particle count start from the same atoms: ``seed`` draws the shared
+    ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.  Each
+    run is computed once and kept in ``results``, a failed one as the error
+    it raised, so a base run that several cells share fails each of them.
+    Coefficients and noise are built on first use, in the process that runs
+    the cells.
+    """
+
+    def __init__(self, config: ExperimentConfig, seed: int, stride: int, coeffs=None):
+        self.config = config
+        self.seed = seed
+        self.base = IntegratorConfig(dt=config.dt, horizon=config.horizon, eps=0.0,
+                                     snapshot_stride=stride)
+        self.results: dict = {}
+        if coeffs is not None:
+            self.coeffs = coeffs
+
+    @cached_property
+    def coeffs(self):
+        return build_coefficients(self.config)
+
+    @cached_property
+    def noise(self) -> NoisePath:
+        return NoisePath(self.seed, self.config.dt, self.base.n_steps, self.coeffs.n_channels)
+
+    def shared(self, key, compute: Callable):
+        """``compute()``, evaluated once per key; its failure is raised again
+        at every later call."""
+        if key not in self.results:
+            try:
+                self.results[key] = compute()
+            except _CELL_ERRORS as exc:
+                self.results[key] = exc
+        value = self.results[key]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    def initial(self, n: int | None = None, per_m: bool = False):
+        """n initial atoms (default n_particles): the shared ensemble, or with
+        ``per_m`` the ensemble of the n-particle run."""
+        n = self.config.n_particles if n is None else int(n)
+        seed = self.seed * 1000003 + n if per_m else self.seed
+        return self.shared(("initial", n, per_m),
+                           lambda: sample_initial(build_initial_spec(self.config), n, seed))
+
+    def run(self, eps: float, n: int | None = None, per_m: bool = False) -> Trajectory:
+        """The run at noise scale eps (0: the transport run) from ``initial(n, per_m)``."""
+        n = self.config.n_particles if n is None else int(n)
+
+        def integrate():
+            start = self.initial(n, per_m)
+            if eps == 0:
+                return simulate_transport(start, self.coeffs, self.base)
+            return simulate(start, self.coeffs, replace(self.base, eps=eps), self.noise)
+
+        return self.shared(("run", eps, n, per_m), integrate)
+
+    def tangent(self):
+        """The tangent system along the transport run of the shared ensemble."""
+        return self.shared(("tangent",), lambda: solve_tangent(
+            self.initial().positions, self.coeffs, self.base, self.noise))
+
+
 def _guarded_cell(rows: list, experiment: str, param, seed: int, metric: str, fn):
     """Run one grid cell; a simulation failure or spectral box violation
     becomes a recorded failure row plus a nan metric instead of killing the
     experiment."""
-    from .dynamics import SimulationError
-    from .measures import SpectralBoxError
-
     try:
         rows.append((experiment, str(param), seed, metric, float(fn())))
-    except (SimulationError, SpectralBoxError) as exc:
+    except _CELL_ERRORS as exc:
         warnings.warn(f"{experiment} cell param={param} seed={seed} failed: {exc}")
         rows.append((experiment, str(param), seed, "failed", 1.0))
         rows.append((experiment, str(param), seed, metric, float("nan")))
 
 
-def _replica_matrix(table: "ResultTable", metric: str, grid, replicas: int) -> np.ndarray:
-    """(replicas, len(grid)) matrix of a metric, dropping failed replicas."""
-    matrix = np.array(
-        [[table.values(metric, g)[r] for g in grid] for r in range(replicas)]
-    )
+def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> list:
+    rows = []
+    for param, metric, fn in cells(rep):
+        _guarded_cell(rows, experiment, param, rep.seed, metric, fn)
+    return rows
+
+
+def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
+                  replicas: Iterable[Replica] | None = None) -> "ResultTable":
+    """A table of every replica's rows, in seed order.
+
+    ``cells(rep)`` lists the (param, metric, thunk) grid cells of replica
+    ``rep`` and each becomes rows through _guarded_cell.  Replica r runs on
+    seed base_seed + r, by default with the snapshot stride of the config;
+    the worker count changes no number.
+    """
+    if replicas is None:
+        replicas = (Replica(config, config.base_seed + r, config.snapshot_stride)
+                    for r in range(config.replicas))
+    per_replica = _parallel(partial(_replica_rows, experiment, cells), replicas, config.threads)
+    return ResultTable(config, [row for rows in per_replica for row in rows])
+
+
+def _replica_matrix(table: "ResultTable", metric: str, params) -> np.ndarray:
+    """(replicas, len(params)) matrix of a metric, dropping failed replicas."""
+    matrix = np.column_stack([table.values(metric, p) for p in params])
     bad = np.isnan(matrix).any(axis=1)
     if bad.any():
         warnings.warn(f"excluding {int(bad.sum())} replica(s) with failed cells")
         matrix = matrix[~bad]
+    return matrix
+
+
+def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
+                  fit_row: dict, stderr: bool = True) -> np.ndarray | None:
+    """Per-param mean (and stderr) summary rows over the replicas whose cells
+    all succeeded, returning their (replicas, params) matrix.  When no replica
+    did, ``fit_row`` is written flagged ``all_cells_failed`` and None returned."""
+    matrix = _replica_matrix(table, metric, params)
+    if matrix.shape[0] == 0:
+        table.add_summary(experiment=experiment, **fit_row, all_cells_failed=True)
+        return None
+    for k, param in enumerate(params):
+        column = matrix[:, k]
+        spread = {"stderr": column.std(ddof=1) / np.sqrt(matrix.shape[0])} if stderr else {}
+        table.add_summary(experiment=experiment, param=str(param), metric=metric,
+                          mean=column.mean(), **spread)
     return matrix
 
 
@@ -374,62 +488,38 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def _lln_replica(cfg: ExperimentConfig, seed: int) -> list:
-    from .dynamics import SimulationError
+def _lln_cells(rep: Replica) -> list:
+    def cell(eps: float) -> float:
+        transport = rep.run(0.0)
+        return _sup_w2_sq(rep.run(eps), transport)
 
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    initial = sample_initial(spec, cfg.n_particles, seed)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-    base_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=0.0,
-                                snapshot_stride=cfg.snapshot_stride)
-    try:
-        transport = simulate_transport(initial, coeffs, base_cfg)
-    except SimulationError as exc:
-        # the shared zero-noise run failed: every cell of this replica fails
-        warnings.warn(f"lln-rate transport run seed={seed} failed: {exc}")
-        rows = []
-        for eps in cfg.eps_grid:
-            rows.append(("lln-rate", str(eps), seed, "failed", 1.0))
-            rows.append(("lln-rate", str(eps), seed, "sup_w2_sq", float("nan")))
-        return rows
-    rows = []
-    for eps in cfg.eps_grid:
-        _guarded_cell(
-            rows, "lln-rate", eps, seed, "sup_w2_sq",
-            lambda e=float(eps): _sup_w2_sq(
-                simulate(initial, coeffs, replace(base_cfg, eps=e), noise), transport
-            ),
-        )
-    return rows
+    return [(eps, "sup_w2_sq", partial(cell, float(eps))) for eps in rep.config.eps_grid]
+
+
+def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
+                      **fit_fields) -> ResultTable:
+    """Per-eps mean and stderr rows, then the log-log slope of the means."""
+    eps_grid = table.config.eps_grid
+    matrix = _grid_summary(table, experiment, metric, eps_grid,
+                           dict(metric="slope", slope=float("nan")))
+    if matrix is None:
+        return table
+    if np.all(matrix.mean(axis=0) < 1e-20):
+        # degenerate noise (G = 0 up to rounding): no slope to fit
+        table.add_summary(experiment=experiment, metric="slope", slope=float("nan"),
+                          degenerate=True)
+        return table
+    fit = fit_slope(eps_grid, matrix)
+    table.add_summary(experiment=experiment, metric="slope", slope=fit.slope,
+                      intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high,
+                      **fit_fields)
+    return table
 
 
 def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = ResultTable(config)
-    seeds = [config.base_seed + r for r in range(config.replicas)]
-    all_rows = _parallel(partial(_lln_replica, config), seeds, config.threads)
-    for rows in all_rows:
-        table.rows.extend(rows)
-    matrix = _replica_matrix(table, "sup_w2_sq", config.eps_grid, config.replicas)
-    if matrix.shape[0] == 0:
-        table.add_summary(experiment="lln-rate", metric="slope", slope=float("nan"),
-                          all_cells_failed=True)
-        return table
-    for k, eps in enumerate(config.eps_grid):
-        table.add_summary(experiment="lln-rate", param=str(eps), metric="sup_w2_sq",
-                          mean=matrix[:, k].mean(),
-                          stderr=matrix[:, k].std(ddof=1) / np.sqrt(matrix.shape[0]))
-    if np.all(matrix.mean(axis=0) < 1e-20):
-        # degenerate noise (G = 0 up to rounding): no slope to fit
-        table.add_summary(experiment="lln-rate", metric="slope", slope=float("nan"),
-                          degenerate=True)
-        return table
-    fit = fit_slope(config.eps_grid, matrix)
-    table.add_summary(experiment="lln-rate", metric="slope", slope=fit.slope,
-                      intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high)
-    return table
+    return _eps_rate_summary(_run_replicas("lln-rate", _lln_cells, config),
+                             "lln-rate", "sup_w2_sq")
 
 
 # --------------------------------------------------------------------------
@@ -437,31 +527,25 @@ def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
 # --------------------------------------------------------------------------
 
 
-def _particle_replica(cfg: ExperimentConfig, eps: float, n_ref: int, seed: int) -> list:
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    low, high = float(cfg.mu0_low[0]), float(cfg.mu0_high[0])
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-    run_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=eps,
-                               snapshot_stride=cfg.snapshot_stride)
-    ref_initial = sample_initial(spec, n_ref, seed)
-    ref_traj = simulate(ref_initial, coeffs, run_cfg, noise)
-    rows = []
-    for m in cfg.m_grid:
+def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
+    low, high = float(rep.config.mu0_low[0]), float(rep.config.mu0_high[0])
+    ref = rep.initial(n_ref).as_measure()
+
+    def amplification(m: int, gap: float) -> float:
+        ref_traj = rep.run(eps, n_ref)
+        return _sup_w2_sq(rep.run(eps, m, per_m=True), ref_traj) / gap if gap > 0 else np.nan
+
+    cells = []
+    for m in rep.config.m_grid:
         m = int(m)
-        m_initial = sample_initial(spec, m, seed * 1000003 + m)
-        static = w2_sq_to_uniform_1d(m_initial.positions[:, 0], low, high)
-        rows.append(("particle-rate", str(m), seed, "w2_sq_initial", static))
-        init_gap = w2(m_initial.as_measure(), ref_initial.as_measure()) ** 2
-        rows.append(("particle-rate", str(m), seed, "w2_sq_initial_vs_ref", init_gap))
-        _guarded_cell(
-            rows, "particle-rate", m, seed, "amplification",
-            lambda mi=m_initial, g=init_gap: _sup_w2_sq(
-                simulate(mi, coeffs, run_cfg, noise), ref_traj
-            ) / g if g > 0 else np.nan,
-        )
-    return rows
+        start = rep.initial(m, per_m=True)
+        gap = w2(start.as_measure(), ref) ** 2
+        cells += [
+            (m, "w2_sq_initial", partial(w2_sq_to_uniform_1d, start.positions[:, 0], low, high)),
+            (m, "w2_sq_initial_vs_ref", partial(float, gap)),
+            (m, "amplification", partial(amplification, m, gap)),
+        ]
+    return cells
 
 
 def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTable:
@@ -469,14 +553,9 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
     if config.instance != "synthetic-1d":
         raise ValueError("the particle-rate experiment runs on the 1-d synthetic instance")
     n_ref = 20 * int(max(config.m_grid))
-    table = ResultTable(config)
-    seeds = [config.base_seed + r for r in range(config.replicas)]
-    all_rows = _parallel(partial(_particle_replica, config, float(eps), n_ref), seeds,
-                         config.threads)
-    for rows in all_rows:
-        table.rows.extend(rows)
+    table = _run_replicas("particle-rate", partial(_particle_cells, float(eps), n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
-    static = _replica_matrix(table, "w2_sq_initial", m_grid, config.replicas)
+    static = _replica_matrix(table, "w2_sq_initial", m_grid)
     fit = fit_slope(m_grid, static)
     table.add_summary(experiment="particle-rate", metric="slope_initial", slope=fit.slope,
                       intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high)
@@ -496,83 +575,43 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
 # --------------------------------------------------------------------------
 
 
-def _clt_bbox_replica(cfg: ExperimentConfig, seed: int) -> float:
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    initial = sample_initial(spec, cfg.n_particles, seed)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-    base_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=0.0,
-                                snapshot_stride=cfg.clt_snapshot_stride)
-    transport = simulate_transport(initial, coeffs, base_cfg)
-    maxabs = float(np.max(np.abs(transport.positions)))
-    for eps in cfg.eps_grid:
-        traj = simulate(initial, coeffs, replace(base_cfg, eps=float(eps)), noise)
-        maxabs = max(maxabs, float(np.max(np.abs(traj.positions))))
-    return maxabs
+def _clt_runs(rep: Replica) -> dict:
+    """Every run of one clt-rate replica, kept (or the error it raised) for
+    sizing the spectral box and then taking the norms."""
+    for eps in (0.0, *rep.config.eps_grid):
+        with contextlib.suppress(*_CELL_ERRORS):
+            rep.run(float(eps))
+    with contextlib.suppress(*_CELL_ERRORS):
+        rep.tangent()
+    return rep.results
 
 
-def _clt_replica(cfg: ExperimentConfig, r_box: float, seed: int) -> list:
-    from .dynamics import SimulationError
-
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    initial = sample_initial(spec, cfg.n_particles, seed)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-    base_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=0.0,
-                                snapshot_stride=cfg.clt_snapshot_stride)
-    try:
-        transport = simulate_transport(initial, coeffs, base_cfg)
-        tangent = solve_tangent(initial.positions, coeffs, base_cfg, noise)
-    except SimulationError as exc:
-        warnings.warn(f"clt-rate base runs seed={seed} failed: {exc}")
-        rows = []
-        for eps in cfg.eps_grid:
-            rows.append(("clt-rate", str(eps), seed, "failed", 1.0))
-            rows.append(("clt-rate", str(eps), seed, "sup_hneg_sq", float("nan")))
-        return rows
-    grid = SpectralGrid(r_box=r_box, k_max=cfg.k_max, j=cfg.sobolev_j)
-    rows = []
-
-    def cell(e: float) -> float:
-        traj = simulate(initial, coeffs, replace(base_cfg, eps=e), noise)
-        sup, _ = clt_distance(eta_eps(traj, transport, e), tangent, grid)
+def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
+    def cell(eps: float) -> float:
+        transport, tangent = rep.run(0.0), rep.tangent()
+        sup, _ = clt_distance(eta_eps(rep.run(eps), transport, eps), tangent, grid)
         return sup * sup
 
-    for eps in cfg.eps_grid:
-        _guarded_cell(rows, "clt-rate", eps, seed, "sup_hneg_sq",
-                      lambda e=float(eps): cell(e))
-    return rows
+    return [(eps, "sup_hneg_sq", partial(cell, float(eps))) for eps in rep.config.eps_grid]
 
 
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    seeds = [config.base_seed + r for r in range(config.replicas)]
+    replicas = [Replica(config, config.base_seed + r, config.clt_snapshot_stride)
+                for r in range(config.replicas)]
+    for rep, results in zip(replicas, _parallel(_clt_runs, replicas, config.threads)):
+        rep.results = results
     if config.r_box is not None:
         r_box = float(config.r_box)
     else:
-        # first pass: global bounding box over all trajectories, 20% margin
-        maxima = _parallel(partial(_clt_bbox_replica, config), seeds, config.threads)
-        r_box = 1.2 * max(maxima)
-    table = ResultTable(config)
-    all_rows = _parallel(partial(_clt_replica, config, r_box), seeds, config.threads)
-    for rows in all_rows:
-        table.rows.extend(rows)
-    matrix = _replica_matrix(table, "sup_hneg_sq", config.eps_grid, config.replicas)
-    if matrix.shape[0] == 0:
-        table.add_summary(experiment="clt-rate", metric="slope", slope=float("nan"),
-                          all_cells_failed=True)
-        return table
-    for k, eps in enumerate(config.eps_grid):
-        table.add_summary(experiment="clt-rate", param=str(eps), metric="sup_hneg_sq",
-                          mean=matrix[:, k].mean(),
-                          stderr=matrix[:, k].std(ddof=1) / np.sqrt(matrix.shape[0]))
-    fit = fit_slope(config.eps_grid, matrix)
-    table.add_summary(experiment="clt-rate", metric="slope", slope=fit.slope,
-                      intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high,
-                      r_box=r_box)
-    return table
+        # global bounding box over every kept run, 20% margin; nan when every
+        # run failed, and then no cell reaches the norm
+        r_box = 1.2 * max((float(np.max(np.abs(run.positions)))
+                           for rep in replicas for run in rep.results.values()
+                           if isinstance(run, Trajectory)), default=np.nan)
+    grid = SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
+    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, replicas)
+    return _eps_rate_summary(table, "clt-rate", "sup_hneg_sq", r_box=r_box)
 
 
 # --------------------------------------------------------------------------
@@ -585,72 +624,64 @@ def _sgd_phi_panel(dim: int) -> list[TestFunction]:
             gaussian_bump(np.full(dim, 0.5), 0.75, name="bump1")]
 
 
-def _sgd_compare_replica(cfg: ExperimentConfig, seed: int) -> list:
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    panel = _sgd_phi_panel(coeffs.dim)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    rows = []
-    from .dynamics import SimulationError
+def _sgd_snapshots(config: ExperimentConfig) -> range:
+    return range(_record_indices(int(round(config.horizon / config.dt)),
+                                 config.snapshot_stride).size)
 
-    for m in cfg.m_grid:
+
+def _sgd_values(rep: Replica, m: int, panel: list) -> list:
+    """<phi, mu_t> of the eps = 1/M stochastic mean-field run and <phi, nu_t>
+    of SGD with alpha = 1/M, P = 1 and time embedding floor(M t), both from
+    the same M atoms, per snapshot and phi (smfe first)."""
+    chain = run_sgd(rep.coeffs, m, alpha=1.0 / m, batch_size=1,
+                    n_steps=int(np.ceil(m * rep.config.horizon)), seed=rep.seed,
+                    initial=rep.initial(m, per_m=True).positions)
+    traj = rep.run(1.0 / m, m, per_m=True)
+    values = []
+    for s in range(traj.n_snapshots):
+        nu = chain.measure_at_time(float(traj.times[s]))
+        mu = traj.measure_at(s)
+        for phi in panel:
+            values += [float(mu.weights @ phi.value(mu.atoms)),
+                       float(nu.weights @ phi.value(nu.atoms))]
+    return values
+
+
+def _sgd_cells(rep: Replica) -> list:
+    panel = _sgd_phi_panel(rep.coeffs.dim)
+    metrics = [f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
+               for phi in panel for kind in ("smfe", "sgd")]
+    cells = []
+    for m in rep.config.m_grid:
         m = int(m)
-        initial = sample_initial(spec, m, seed * 1000003 + m)
-        try:
-            # SGD with alpha = 1/M, P = 1, time embedding floor(M t)
-            sgd_steps = int(np.ceil(m * cfg.horizon))
-            chain = run_sgd(coeffs, m, alpha=1.0 / m, batch_size=1, n_steps=sgd_steps,
-                            seed=seed, initial=initial.positions)
-            # stochastic mean-field run with eps = 1/M, same initial atoms
-            noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-            run_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=1.0 / m,
-                                       snapshot_stride=cfg.snapshot_stride)
-            traj = simulate(initial, coeffs, run_cfg, noise)
-        except SimulationError as exc:
-            warnings.warn(f"sgd-compare cell M={m} seed={seed} failed: {exc}")
-            rows.append(("sgd-compare", str(m), seed, "failed", 1.0))
-            continue
-        for s in range(traj.n_snapshots):
-            t = float(traj.times[s])
-            nu = chain.measure_at_time(t)
-            mu = traj.measure_at(s)
-            for phi in panel:
-                smfe_val = float(mu.weights @ phi.value(mu.atoms))
-                sgd_val = float(nu.weights @ phi.value(nu.atoms))
-                rows.append(("sgd-compare", str(m), seed, f"smfe:{phi.name}:{s}", smfe_val))
-                rows.append(("sgd-compare", str(m), seed, f"sgd:{phi.name}:{s}", sgd_val))
-    return rows
+        values = partial(rep.shared, ("sgd", m), partial(_sgd_values, rep, m, panel))
+        cells += [(m, metric, lambda i=i, v=values: v()[i]) for i, metric in enumerate(metrics)]
+    return cells
+
+
+def _sgd_series(table: "ResultTable", phi_name: str, m: int) -> tuple[list, list]:
+    """Seeds and (snapshots, replicas) arrays of <phi, mu_t> and <phi, nu_t>
+    at M, each (metric, M) series read once; replicas whose runs failed
+    (nan cells) drop out."""
+    by_seed = [[table.values_by_seed(f"{kind}:{phi_name}:{s}", m)
+                for s in _sgd_snapshots(table.config)] for kind in ("smfe", "sgd")]
+    seeds = [sd for sd, v in by_seed[0][0].items() if not np.isnan(v)]
+    return seeds, [np.array([[d[sd] for sd in seeds] for d in kind]) for kind in by_seed]
 
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = ResultTable(config)
-    seeds = [config.base_seed + r for r in range(config.replicas)]
-    all_rows = _parallel(partial(_sgd_compare_replica, config), seeds, config.threads)
-    for rows in all_rows:
-        table.rows.extend(rows)
-    coeffs = build_coefficients(config)
-    panel = _sgd_phi_panel(coeffs.dim)
+    table = _run_replicas("sgd-compare", _sgd_cells, config)
     for m in config.m_grid:
         m = int(m)
-        for phi in panel:
-            snaps = sorted(
-                {int(r[3].split(":")[2]) for r in table.rows
-                 if r[1] == str(m) and r[3].startswith(f"smfe:{phi.name}:")}
-            )
-            diffs = []
-            for s in snaps:
-                smfe = table.values(f"smfe:{phi.name}:{s}", m)
-                sgd = table.values(f"sgd:{phi.name}:{s}", m)
-                diffs.append(abs(smfe.mean() - sgd.mean()))
-            g = max(diffs)
+        for phi in _sgd_phi_panel(len(config.mu0_low)):
+            _, (smfe, sgd) = _sgd_series(table, phi.name, m)
+            g = max(abs(a.mean() - b.mean()) for a, b in zip(smfe, sgd))
             table.add_summary(experiment="sgd-compare", param=str(m),
                               metric=f"g:{phi.name}", mean=g,
                               sqrt_m_g=float(np.sqrt(m) * g))
             # distance between the replica distributions of <phi, .> at T
-            s_last = snaps[-1]
-            a = np.sort(table.values(f"smfe:{phi.name}:{s_last}", m))
-            b = np.sort(table.values(f"sgd:{phi.name}:{s_last}", m))
+            a, b = np.sort(smfe[-1]), np.sort(sgd[-1])
             table.add_summary(experiment="sgd-compare", param=str(m),
                               metric=f"w2_replica:{phi.name}",
                               mean=float(np.sqrt(np.mean((a - b) ** 2))))
@@ -662,30 +693,20 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
     """Check sqrt(M) g(M) non-increasing across the grid within a bootstrap CI.
 
     For each adjacent pair the gate fails only when the bootstrap CI of the
-    increment sqrt(M2) g(M2) - sqrt(M1) g(M1) lies entirely above zero.
+    increment sqrt(M2) g(M2) - sqrt(M1) g(M1) lies entirely above zero.  It
+    also fails when no replica ran at every M.
     """
     rng = seeded_rng(seed, "sgd-trend")
     m_grid = [int(m) for m in m_grid]
+    series = {m: _sgd_series(table, phi_name, m) for m in m_grid}
     # align replicas by seed across M (failed cells drop out of every M)
-    seed_sets = []
-    snap_idx: dict[int, list[int]] = {}
-    for m in m_grid:
-        s_idx = sorted({int(r[3].split(":")[2]) for r in table.rows
-                        if r[1] == str(m) and r[3].startswith(f"smfe:{phi_name}:")})
-        snap_idx[m] = s_idx
-        seed_sets.append(set(table.values_by_seed(f"smfe:{phi_name}:{s_idx[0]}", m)))
-    common = sorted(set.intersection(*seed_sets))
-    per_rep: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for m in m_grid:
-        smfe = np.array([
-            [table.values_by_seed(f"smfe:{phi_name}:{s}", m)[sd] for sd in common]
-            for s in snap_idx[m]
-        ])  # (S, R)
-        sgd = np.array([
-            [table.values_by_seed(f"sgd:{phi_name}:{s}", m)[sd] for sd in common]
-            for s in snap_idx[m]
-        ])
-        per_rep[m] = (smfe, sgd)
+    common = sorted(set.intersection(*(set(seeds) for seeds, _ in series.values())))
+    if not common:
+        return False, []
+    per_rep = {}  # M -> (S, R) smfe and sgd over the common replicas
+    for m, (seeds, arrays) in series.items():
+        columns = [seeds.index(sd) for sd in common]
+        per_rep[m] = [values[:, columns] for values in arrays]
     n_rep = len(common)
 
     def stat(idx: np.ndarray) -> np.ndarray:
@@ -715,63 +736,44 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
 # --------------------------------------------------------------------------
 
 
-def _commute_replica(cfg: ExperimentConfig, n_ref: int, seed: int) -> list:
-    coeffs = build_coefficients(cfg)
-    spec = build_initial_spec(cfg)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    noise = NoisePath(seed, cfg.dt, n_steps, coeffs.n_channels)
-    base_cfg = IntegratorConfig(dt=cfg.dt, horizon=cfg.horizon, eps=0.0,
-                                snapshot_stride=cfg.snapshot_stride)
-    ref_initial = sample_initial(spec, n_ref, seed)
-    ref_transport = simulate_transport(ref_initial, coeffs, base_cfg)
-    rows = []
-    for m in cfg.m_grid:
+def _commute_cells(n_ref: int, rep: Replica) -> list:
+    def cell(eps: float, n: int, per_m: bool) -> float:
+        ref = rep.run(0.0, n_ref)
+        return _sup_w2_sq(rep.run(eps, n, per_m), ref)
+
+    cells = []
+    for m in rep.config.m_grid:
         m = int(m)
-        m_initial = sample_initial(spec, m, seed * 1000003 + m)
-        for alpha in cfg.alpha_grid:
-            traj = simulate(m_initial, coeffs, replace(base_cfg, eps=float(alpha)), noise)
-            rows.append(("commute", f"{m}:{alpha}", seed, "sup_w2_sq",
-                         _sup_w2_sq(traj, ref_transport)))
+        cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, float(alpha), m, True))
+                  for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M
-        m_transport = simulate_transport(m_initial, coeffs, base_cfg)
-        rows.append(("commute", f"{m}:0", seed, "sup_w2_sq",
-                     _sup_w2_sq(m_transport, ref_transport)))
+        cells.append((f"{m}:0", "sup_w2_sq", partial(cell, 0.0, m, True)))
     # M -> infinity edge at the smallest noise scale
-    alpha_min = float(min(cfg.alpha_grid))
-    big = simulate(ref_initial, coeffs, replace(base_cfg, eps=alpha_min), noise)
-    rows.append(("commute", f"ref:{alpha_min}", seed, "sup_w2_sq",
-                 _sup_w2_sq(big, ref_transport)))
-    return rows
+    alpha_min = float(min(rep.config.alpha_grid))
+    cells.append((f"ref:{alpha_min}", "sup_w2_sq", partial(cell, alpha_min, n_ref, False)))
+    return cells
 
 
 def exp_commute(config: ExperimentConfig, n_ref: int | None = None) -> ResultTable:
     config.validate_for_rates()
     if n_ref is None:
         n_ref = 5 * int(max(config.m_grid))
-    table = ResultTable(config)
-    seeds = [config.base_seed + r for r in range(config.replicas)]
-    all_rows = _parallel(partial(_commute_replica, config, n_ref), seeds, config.threads)
-    for rows in all_rows:
-        table.rows.extend(rows)
+    table = _run_replicas("commute", partial(_commute_cells, n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
     alphas = [float(a) for a in config.alpha_grid]
-    design, target = [], []
-    for m in m_grid:
-        for alpha in alphas:
-            mean = table.values("sup_w2_sq", f"{m}:{alpha}").mean()
-            table.add_summary(experiment="commute", param=f"{m}:{alpha}",
-                              metric="sup_w2_sq", mean=mean)
-            design.append([alpha, 1.0 / m])
-            target.append(mean)
-    design = np.asarray(design)
-    target = np.asarray(target)
+    matrix = _grid_summary(table, "commute", "sup_w2_sq",
+                           [f"{m}:{alpha}" for m in m_grid for alpha in alphas],
+                           dict(metric="surface_fit"), stderr=False)
+    if matrix is None:
+        return table
+    design = np.array([[alpha, 1.0 / m] for m in m_grid for alpha in alphas])
+    target = np.array([column.mean() for column in matrix.T])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     pred = design @ coef
     residual = float(np.linalg.norm(pred - target) / np.linalg.norm(target))
-    endpoint_a = table.values("sup_w2_sq", f"{max(m_grid)}:0").mean()
-    endpoint_b = table.values("sup_w2_sq", f"ref:{min(alphas)}").mean()
+    edges = _replica_matrix(table, "sup_w2_sq", [f"{max(m_grid)}:0", f"ref:{min(alphas)}"])
     table.add_summary(experiment="commute", metric="surface_fit", c_alpha=float(coef[0]),
                       c_inv_m=float(coef[1]), rel_residual=residual,
-                      endpoint_alpha_then_m=float(endpoint_a),
-                      endpoint_m_then_alpha=float(endpoint_b))
+                      endpoint_alpha_then_m=float(edges[:, 0].mean()),
+                      endpoint_m_then_alpha=float(edges[:, 1].mean()))
     return table

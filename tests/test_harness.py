@@ -10,6 +10,7 @@ import pytest
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.harness import (
     ExperimentConfig,
+    ResultTable,
     build_coefficients,
     exp_clt_rate,
     exp_commute,
@@ -269,6 +270,38 @@ class TestSgdCompareExperiment:
         assert len(g_rows) == 2
         assert all(s["mean"] >= 0 for s in g_rows)
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_failed_run_drops_its_replica(self, monkeypatch):
+        """a diverged SGD chain becomes failed rows; the summary and the trend
+        gate go on over the other replicas."""
+        from meanfield_sgd import harness
+        from meanfield_sgd.dynamics import SimulationError
+
+        real_run_sgd = harness.run_sgd
+
+        failing_seeds = {13}
+
+        def flaky_run_sgd(coeffs, n_particles, *args, seed, **kwargs):
+            if n_particles == 20 and seed in failing_seeds:
+                raise SimulationError("SGD diverged")
+            return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sgd", flaky_run_sgd)
+        cfg = reference_config(m_grid=(10, 20), dt=5e-3, horizon=0.1, snapshot_stride=10,
+                               replicas=10, base_seed=13)
+        with pytest.warns(UserWarning):
+            table = exp_sgd_compare(cfg)
+        assert {(r[1], r[2]) for r in table.rows if r[3] == "failed"} == {("20", 13)}
+        assert all(np.isfinite(s["mean"]) for s in table.summary)
+        _, intervals = sgd_trend_gate(table, "bump0", cfg.m_grid)
+        assert np.all(np.isfinite(intervals))
+        # with no replica left at M = 20 the gate cannot pass
+        failing_seeds.update(range(13, 23))
+        with pytest.warns(UserWarning):
+            table = exp_sgd_compare(cfg)
+        assert sgd_trend_gate(table, "bump0", cfg.m_grid) == (False, [])
+
     def test_frozen_instance_gives_zero_gap(self):
         """f = 0 labels and zero output weights freeze both processes."""
         cfg = reference_config(
@@ -387,6 +420,10 @@ class TestCli:
         meta_a = json.loads((out_a / "run-meta.json").read_text())
         meta_b = json.loads((out_b / "run-meta.json").read_text())
         assert meta_a["config_hash"] != meta_b["config_hash"]
+        # every subcommand writes the run-meta schema of ResultTable.write
+        ResultTable(ExperimentConfig.from_file(cfg_path)).write(tmp_path / "table")
+        meta_table = json.loads((tmp_path / "table" / "run-meta.json").read_text())
+        assert meta_a.keys() == meta_table.keys()
 
     def test_remaining_experiment_subcommands(self, tmp_path):
         """clt-rate, particle-rate, sgd-compare and commute all produce the
@@ -418,7 +455,14 @@ class TestCli:
 
 class TestFailureRecording:
     @pytest.mark.filterwarnings("ignore")
-    def test_diverging_cells_are_recorded_not_fatal(self):
+    @pytest.mark.parametrize("experiment, overrides, fit_metric", [
+        (exp_lln_rate, {}, "slope"),
+        (exp_clt_rate, {}, "slope"),
+        (exp_clt_rate, {"r_box": 4.0}, "slope"),
+        (exp_commute, {}, "surface_fit"),
+        (exp_particle_rate, {}, "amplification"),
+    ], ids=["lln-rate", "clt-rate-auto-box", "clt-rate-fixed-box", "commute", "particle-rate"])
+    def test_diverging_cells_are_recorded_not_fatal(self, experiment, overrides, fit_metric):
         """an exploding synthetic drift turns cells into recorded failures."""
         cfg = ExperimentConfig(
             instance="synthetic-1d",
@@ -427,10 +471,12 @@ class TestFailureRecording:
             n_particles=5,
             eps_grid=(3e-2, 1e-2, 3e-3),
             dt=5e-3, horizon=0.5, snapshot_stride=20,
-            replicas=10, base_seed=40,
+            replicas=10, base_seed=40, **overrides,
         )
-        table = exp_lln_rate(cfg)
+        table = experiment(cfg)
         failed = [r for r in table.rows if r[3] == "failed"]
         assert failed, "expected recorded failure rows"
-        slope_rows = [s for s in table.summary if s.get("metric") == "slope"]
-        assert slope_rows and np.isnan(slope_rows[0]["slope"])
+        fit_rows = [s for s in table.summary if s.get("metric") == fit_metric]
+        assert fit_rows
+        for row in fit_rows:
+            assert row.get("all_cells_failed") or np.isnan(row.get("slope", row.get("mean")))
