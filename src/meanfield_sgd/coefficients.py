@@ -246,16 +246,45 @@ class NetworkCoefficients:
             return c, X[:, 1:-1], X[:, -1]
         return c, X[:, 1:], np.zeros_like(c)
 
-    def _preactivation(self, X: np.ndarray) -> np.ndarray:
+    def _preactivation(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Output weights c (N,) and pre-activations u . theta_p + b (N, P)."""
         c, u, b = self._split(X)
-        return u @ self._theta.T + b[:, None]  # (N, P)
+        return c, u @ self._theta.T + b[:, None]
+
+    def _assemble(self, row_c: np.ndarray, row_u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """sum_p kappa_p (row_c, row_u theta_p, row_u) in (c, u[, bias]) components.
+
+        With row_c = phi and row_u = c phi' this is sum_p kappa_p grad Phi;
+        with the Hessian rows of ``drift_jacobian_apply`` it is the jacobian.
+        """
+        out = np.empty((row_c.shape[0], self.dim))
+        out[:, 0] = row_c @ kappa
+        out[:, 1 : 1 + self.dataset.input_dim] = (row_u * kappa) @ self._theta
+        if self.include_bias:
+            out[:, -1] = row_u @ kappa
+        return out
+
+    def _contract(self, X: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """sum_p kappa_p grad Phi(x_i, theta_p); shape (N, d).
+
+        Every step is this one contraction with its own per-channel weight:
+        the drift has kappa = w r, the common noise r (sqrt(w) dB - w
+        <sqrt(w), dB>), a mini-batch SGD step (alpha / B) count r.
+        """
+        c, z = self._preactivation(X)
+        return self._assemble(self.activation.value(z), c[:, None] * self.activation.d1(z), kappa)
+
+    def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
+        """Per-channel weight of the common noise before the residual factor:
+        sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V."""
+        return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
 
     # --- features and potentials -------------------------------------------
 
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """Phi(x_i, theta_p) for a batch of parameters; shape (N, P)."""
-        c, _, _ = self._split(X)
-        return c[:, None] * self.activation.value(self._preactivation(X))
+        c, z = self._preactivation(X)
+        return c[:, None] * self.activation.value(z)
 
     def feature(self, x: np.ndarray, p: int) -> float:
         if not 0 <= p < self.n_channels:
@@ -264,9 +293,7 @@ class NetworkCoefficients:
 
     def grad_feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """grad_x Phi(x_i, theta_p); shape (N, P, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        c, _, _ = self._split(X)
-        z = self._preactivation(X)
+        c, z = self._preactivation(X)
         phi = self.activation.value(z)
         dphi = self.activation.d1(z)
         N, P = z.shape
@@ -323,23 +350,20 @@ class NetworkCoefficients:
 
     def drift(self, X: np.ndarray, measure) -> np.ndarray:
         """V(x_i, mu) = sum_p w_p (f_p - <Phi(., theta_p), mu>) grad Phi(x_i, theta_p)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        atoms, _ = _as_measure(measure)
-        if atoms.shape[1] != self.dim:
-            raise CoefficientError("measure atoms have wrong dimension")
-        r = self.residuals(measure)
-        c, _, _ = self._split(X)
-        z = self._preactivation(X)
-        phi = self.activation.value(z)
-        dphi = self.activation.d1(z)
-        common = self._w * r
-        out = np.empty((X.shape[0], self.dim))
-        out[:, 0] = phi @ common
-        cd = c[:, None] * dphi
-        out[:, 1 : 1 + self.dataset.input_dim] = (cd * common[None, :]) @ self._theta
-        if self.include_bias:
-            out[:, -1] = cd @ common
-        return out
+        return self._contract(X, self._w * self.residuals(measure))
+
+    def increment(self, X: np.ndarray, measure, dt: float, eps: float,
+                  dB: np.ndarray | None) -> np.ndarray:
+        """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p.
+
+        Drift and noise fold into one contraction with
+        kappa_p = r_p (w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>));
+        ``dB`` is only read when eps > 0.
+        """
+        kappa = self._w * dt
+        if eps > 0.0:
+            kappa = kappa + np.sqrt(eps) * self._noise_kappa(dB)
+        return self._contract(X, self.residuals(measure) * kappa)
 
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
         """G(x_i, mu, theta_p) for all particles and channels; shape (N, P, d)."""
@@ -357,24 +381,10 @@ class NetworkCoefficients:
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
         """sum_p G(x_i, mu, theta_p) sqrt(w_p) dB_p without materializing G.
 
-        Uses G = r_p grad Phi - V, so the sum splits into a channel-weighted
-        feature-gradient contraction and a drift correction.
+        Uses G = r_p grad Phi - V, so the sum is one contraction with
+        kappa_p = r_p (sqrt(w_p) dB_p - w_p <sqrt(w), dB>).
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = self.residuals(measure)
-        kappa = r * self._sqrt_w * dB          # (P,)
-        c, _, _ = self._split(X)
-        z = self._preactivation(X)
-        phi = self.activation.value(z)
-        dphi = self.activation.d1(z)
-        out = np.empty((X.shape[0], self.dim))
-        out[:, 0] = phi @ kappa
-        cd = c[:, None] * dphi
-        out[:, 1 : 1 + self.dataset.input_dim] = (cd * kappa[None, :]) @ self._theta
-        if self.include_bias:
-            out[:, -1] = cd @ kappa
-        V = self.drift(X, measure)
-        return out - V * float(self._sqrt_w @ dB)
+        return self._contract(X, self.residuals(measure) * self._noise_kappa(dB))
 
     def a_tilde(self, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
         """Atilde(x, y, mu) = sum_p w_p G(x, mu, theta_p) (x) G(y, mu, theta_p)."""
@@ -387,54 +397,32 @@ class NetworkCoefficients:
 
     # --- derivatives used by the tangent (fluctuation) system ---------------
 
-    def _hess_feature_apply(self, X: np.ndarray, Y: np.ndarray) -> tuple:
-        """Pieces of D^2 Phi(x_i, theta_p) . Y_i, exploiting the rank structure.
-
-        Returns (hc, hu, hb) with hc (N, P) the c-component, hu the scalar
-        multiplying theta in the u-component (plus a dphi*Y_c part), so the
-        caller can contract against channel weights without (N, P, d, d)
-        storage.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        c, _, _ = self._split(X)
-        yc = Y[:, 0]
-        yu = Y[:, 1 : 1 + self.dataset.input_dim]
-        yb = Y[:, -1] if self.include_bias else np.zeros_like(yc)
-        z = self._preactivation(X)
-        dphi = self.activation.d1(z)
-        ddphi = self.activation.d2(z)
-        s = yu @ self._theta.T + yb[:, None]   # theta . Y_u + Y_b, (N, P)
-        hc = dphi * s                                      # d/dc row
-        hu_scale = dphi * yc[:, None] + c[:, None] * ddphi * s   # multiplies theta
-        hb = hu_scale                                      # bias column equals u-scale
-        return hc, hu_scale, hb
-
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
-        """grad_x V(x_i, mu) . Y_i, with mu held fixed (includes Vbar and Vtilde parts)."""
-        r = self.residuals(measure)
-        common = self._w * r
-        hc, hu_scale, hb = self._hess_feature_apply(X, Y)
-        out = np.empty((np.atleast_2d(X).shape[0], self.dim))
-        out[:, 0] = hc @ common
-        out[:, 1 : 1 + self.dataset.input_dim] = (hu_scale * common[None, :]) @ self._theta
-        if self.include_bias:
-            out[:, -1] = hb @ common
-        return out
+        """grad_x V(x_i, mu) . Y_i, with mu held fixed (includes Vbar and Vtilde parts).
+
+        D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u + Y_b
+        its c-component is phi' s and its u- (and bias) component is
+        (phi' Y_c + c phi'' s) times theta_p (times 1), so the channel sum is
+        an ``_assemble`` without (N, P, d, d) storage.
+        """
+        c, z = self._preactivation(X)
+        yc, s = self._preactivation(Y)
+        dphi = self.activation.d1(z)
+        hu = dphi * yc[:, None] + c[:, None] * self.activation.d2(z) * s
+        return self._assemble(dphi * s, hu, self._w * self.residuals(measure))
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
         """(1/N) sum_j grad_y Vtilde(x_i, base_j) . tangent_j; shape (N, d).
 
         grad_y Vtilde(x, y) = -sum_p w_p grad Phi(x, theta_p) (x) grad Phi(y, theta_p),
-        so the pair sum factorizes through the data channels.
+        so the pair sum factorizes through the data channels: a contraction
+        with kappa_p = -w_p beta_p, beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j.
         """
-        base = np.atleast_2d(np.asarray(base, dtype=float))
-        tangents = np.atleast_2d(np.asarray(tangents, dtype=float))
-        n = base.shape[0]
-        grad_base = self.grad_feature_matrix(base)          # (N0, P, d)
-        beta = np.einsum("jpd,jd->p", grad_base, tangents) / n   # (P,)
-        grad_x = self.grad_feature_matrix(X)                # (N, P, d)
-        return -np.einsum("p,p,npd->nd", self._w, beta, grad_x)
+        c, z = self._preactivation(base)
+        tc, s = self._preactivation(tangents)   # t_c and theta . t_u + t_b
+        beta = (tc @ self.activation.value(z)
+                + np.einsum("j,jp,jp->p", c, self.activation.d1(z), s)) / z.shape[0]
+        return self._contract(X, -self._w * beta)
 
     # --- loss ----------------------------------------------------------------
 
@@ -574,6 +562,14 @@ class SyntheticCoefficients:
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
         G = self.noise_matrix(X, measure)
         return np.einsum("npd,p->nd", G, self._sqrt_w * dB)
+
+    def increment(self, X: np.ndarray, measure, dt: float, eps: float,
+                  dB: np.ndarray | None) -> np.ndarray:
+        """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p."""
+        out = self.drift(X, measure) * dt
+        if eps > 0.0:
+            out = out + np.sqrt(eps) * self.noise_increment(X, measure, dB)
+        return out
 
     def a_tilde(self, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
         gx = self.noise_matrix(np.atleast_2d(x), measure)[0]

@@ -139,10 +139,12 @@ class IntegratorConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite (got {self.dt!r})")
+        if not (np.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be nonnegative and finite (got {self.horizon!r})")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be nonnegative and finite (got {self.eps!r})")
         if self.scheme != "euler-maruyama":
             raise ValueError(f"unknown scheme {self.scheme!r}")
         ratio = self.horizon / self.dt
@@ -195,9 +197,6 @@ def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
                      dB: np.ndarray | None) -> ParticleEnsemble:
     """One Euler-Maruyama step; every particle reads the pre-step ensemble
     and the same increment row (common noise)."""
-    X = ens.positions
-    drift = coeffs.drift(X, ens)
-    newX = X + drift * cfg.dt
     if cfg.eps > 0.0:
         if dB is None:
             raise SimulationError("eps > 0 requires a noise increment row")
@@ -205,7 +204,7 @@ def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
             raise SimulationError(
                 f"increment row has {dB.shape} channels, expected ({coeffs.n_channels},)"
             )
-        newX = newX + np.sqrt(cfg.eps) * coeffs.noise_increment(X, ens, dB)
+    newX = ens.positions + coeffs.increment(ens.positions, ens, cfg.dt, cfg.eps, dB)
     t = ens.time + cfg.dt
     _check_finite(newX, step=int(round(t / cfg.dt)), time=t)
     return ParticleEnsemble(newX, ens.weights, t)
@@ -218,34 +217,50 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return idx
 
 
+def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig) -> np.ndarray:
+    """The increment rows of ``noise``, after checking that it can drive ``cfg``."""
+    if noise is None:
+        raise SimulationError("a noisy run requires a NoisePath")
+    if noise.n_steps < cfg.n_steps:
+        raise SimulationError("noise path shorter than the time horizon")
+    if abs(noise.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
+        raise SimulationError("noise path dt differs from integrator dt")
+    return noise.increments
+
+
+def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.ndarray]:
+    """The integrator loop: ``state = advance(state, step)`` for each step.
+
+    ``snapshot(state)`` is a tuple of arrays (or scalars) recorded at the
+    ``_record_indices`` steps, the initial state included; returns one array
+    per tuple entry with the recorded snapshots along its first axis.
+    """
+    record = _record_indices(n_steps, stride)
+    first = snapshot(state)
+    frames = [np.empty((record.size,) + np.shape(a)) for a in first]
+    for frame, a in zip(frames, first):
+        frame[0] = a
+    out = 1
+    for step in range(n_steps):
+        state = advance(state, step)
+        if record[out] == step + 1:
+            for frame, a in zip(frames, snapshot(state)):
+                frame[out] = a
+            out += 1
+    return frames
+
+
 def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
              noise: NoisePath | None) -> Trajectory:
     """Integrate the interacting system; deterministic in (initial, seed, cfg)."""
-    n_steps = cfg.n_steps
-    if cfg.eps > 0.0:
-        if noise is None:
-            raise SimulationError("eps > 0 requires a NoisePath")
-        if noise.n_steps < n_steps:
-            raise SimulationError("noise path shorter than the time horizon")
-        if abs(noise.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-            raise SimulationError("noise path dt differs from integrator dt")
-    record = _record_indices(n_steps, cfg.snapshot_stride)
-    rec_set = set(int(i) for i in record)
-    positions = np.empty((record.size, initial.n_particles, initial.dim))
-    times = np.empty(record.size)
+    rows = _noise_rows(noise, cfg) if cfg.eps > 0.0 else None
     ens = ParticleEnsemble(initial.positions.copy(), initial.weights.copy(), initial.time)
-    out = 0
-    if 0 in rec_set:
-        positions[out] = ens.positions
-        times[out] = ens.time
-        out += 1
-    for step in range(n_steps):
-        dB = noise.increments[step] if (cfg.eps > 0.0 and noise is not None) else None
-        ens = step_interacting(ens, coeffs, cfg, dB)
-        if (step + 1) in rec_set:
-            positions[out] = ens.positions
-            times[out] = ens.time
-            out += 1
+    # a diverging run raises SimulationError at its first non-finite state;
+    # numpy's overflow warnings on the way there add nothing to that
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions, times = _integrate(
+            ens, lambda e, k: step_interacting(e, coeffs, cfg, None if rows is None else rows[k]),
+            cfg.n_steps, cfg.snapshot_stride, lambda e: (e.positions, e.time))
     return Trajectory(
         times=times,
         positions=positions,
@@ -310,7 +325,9 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     whose data-mean is exactly the drift V(x_i, mu^M) and whose centered part
     is exactly the noise direction G; the fluctuation intensity is alpha / P.
     ``full_batch=True`` replaces the sampled batch by the exact expectation
-    (deterministic gradient descent).
+    (deterministic gradient descent).  Each step is one channel contraction
+    with kappa_p = (alpha / B) count_p r_p, count_p the draws of atom p in
+    the batch of B (alpha w_p r_p for the full batch).
     """
     if alpha <= 0:
         raise ValueError("learning rate must be positive")
@@ -323,23 +340,20 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
         raise ValueError(f"initial parameters must have shape ({n_particles}, {coeffs.dim})")
     rng = seeded_rng(seed, "sgd-batches")
     w = coeffs.channel_weights
-    out = np.empty((n_steps + 1, n_particles, coeffs.dim))
-    out[0] = X
-    for step in range(n_steps):
-        ens = ParticleEnsemble.uniform(X)
+
+    def advance(X, step):
         if full_batch:
-            X = X + alpha * coeffs.drift(X, ens)
+            share = w
         else:
             batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
-            r = coeffs.residuals(ens)
-            grad = coeffs.grad_feature_matrix(X)  # (N, P, d)
-            step_dir = np.zeros_like(X)
-            for p in batch:
-                step_dir += r[p] * grad[:, p, :]
-            X = X + (alpha / batch_size) * step_dir
+            share = np.bincount(batch, minlength=coeffs.n_channels) / batch_size
+        r = coeffs.residuals(ParticleEnsemble.uniform(X))
+        X = X + coeffs._contract(X, alpha * share * r)
         if not np.all(np.isfinite(X)):
             raise SimulationError(f"SGD diverged at step {step + 1}")
-        out[step + 1] = X
+        return X
+
+    (out,) = _integrate(X, advance, n_steps, 1, lambda X: (X,))
     return SgdChain(out, alpha=alpha, batch_size=batch_size, seed=seed,
                     time_embedding=time_embedding)
 
@@ -358,24 +372,17 @@ class PicardResult:
 
 
 def _solve_frozen(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
-                  noise: NoisePath | None, frozen: np.ndarray,
+                  rows: np.ndarray | None, frozen: np.ndarray,
                   frozen_weights: np.ndarray) -> np.ndarray:
     """Linear solve with the measure path frozen to ``frozen[step]``."""
-    n_steps = cfg.n_steps
-    path = np.empty((n_steps + 1, initial.n_particles, initial.dim))
-    X = initial.positions.copy()
-    path[0] = X
-    sqrt_eps = np.sqrt(cfg.eps)
-    for step in range(n_steps):
-        measure = (frozen[step], frozen_weights)
-        drift = coeffs.drift(X, measure)
-        newX = X + drift * cfg.dt
-        if cfg.eps > 0.0:
-            dB = noise.increments[step]
-            newX = newX + sqrt_eps * coeffs.noise_increment(X, measure, dB)
+
+    def advance(X, step):
+        dB = None if rows is None else rows[step]
+        newX = X + coeffs.increment(X, (frozen[step], frozen_weights), cfg.dt, cfg.eps, dB)
         _check_finite(newX, step + 1, (step + 1) * cfg.dt)
-        X = newX
-        path[step + 1] = X
+        return newX
+
+    (path,) = _integrate(initial.positions, advance, cfg.n_steps, 1, lambda X: (X,))
     return path
 
 
@@ -390,15 +397,14 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_steps = cfg.n_steps
-    if cfg.eps > 0 and (noise is None or noise.n_steps < n_steps):
-        raise SimulationError("noise path shorter than the time horizon")
+    rows = _noise_rows(noise, cfg) if cfg.eps > 0.0 else None
     weights = initial.weights.copy()
     prev = np.repeat(initial.positions[None, :, :], n_steps + 1, axis=0)
     gaps: list[float] = []
     converged = False
     current = prev
     for it in range(1, max_iter + 1):
-        current = _solve_frozen(initial, coeffs, cfg, noise, prev, weights)
+        current = _solve_frozen(initial, coeffs, cfg, rows, prev, weights)
         gap = 0.0
         for s in range(n_steps + 1):
             g = w2(EmpiricalMeasure(current[s], weights), EmpiricalMeasure(prev[s], weights))
@@ -461,6 +467,8 @@ class InitialSpec:
 
 def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
     """N i.i.d. draws with uniform weights, deterministic per seed."""
+    if n < 1:
+        raise ValueError(f"n must be a positive number of particles (got {n!r})")
     rng = seeded_rng(seed, "initial")
     if spec.kind == "atoms":
         atoms = np.atleast_2d(np.asarray(spec.atoms, dtype=float))

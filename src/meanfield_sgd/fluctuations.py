@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _record_indices
+from .dynamics import IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _integrate, _noise_rows
 from .measures import SignedAtomicField, SpectralGrid, sobolev_neg_norm_diff
 
 __all__ = [
@@ -97,37 +97,22 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
     inter = coeffs.vtilde_y_apply(X, X, Y)
     forcing = coeffs.noise_increment(X, mu, dB)
     newY = Y + (jac + inter) * cfg.dt + forcing
-    newX = X + coeffs.drift(X, mu) * cfg.dt
+    newX = X + coeffs.increment(X, mu, cfg.dt, 0.0, None)
     return TangentEnsemble(newX, newY, tens.time + cfg.dt)
 
 
 def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
                   noise: NoisePath, initial_tangents: np.ndarray | None = None) -> TangentTrajectory:
     """Integrate the tangent system from zero (or given) initial tangents."""
-    n_steps = cfg.n_steps
-    if noise.n_steps < n_steps:
-        raise SimulationError("noise path shorter than the time horizon")
-    if abs(noise.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-        raise SimulationError("noise path dt differs from integrator dt")
+    rows = _noise_rows(noise, cfg)
     tens = (
         TangentEnsemble.at_rest(initial_base)
         if initial_tangents is None
         else TangentEnsemble(np.array(initial_base, dtype=float), np.array(initial_tangents, dtype=float))
     )
-    record = _record_indices(n_steps, cfg.snapshot_stride)
-    rec_set = set(int(i) for i in record)
-    base = np.empty((record.size, tens.n_particles, tens.base.shape[1]))
-    tangents = np.empty_like(base)
-    times = np.empty(record.size)
-    out = 0
-    if 0 in rec_set:
-        base[out], tangents[out], times[out] = tens.base, tens.tangents, tens.time
-        out += 1
-    for step in range(n_steps):
-        tens = tangent_step(tens, coeffs, cfg, noise.increments[step])
-        if (step + 1) in rec_set:
-            base[out], tangents[out], times[out] = tens.base, tens.tangents, tens.time
-            out += 1
+    base, tangents, times = _integrate(
+        tens, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
+        cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
     return TangentTrajectory(times=times, base=base, tangents=tangents, dt=cfg.dt,
                              snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta)
 

@@ -561,9 +561,11 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
                       intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high)
     for k, m in enumerate(m_grid):
         amps = table.values("amplification", m)
+        n_ok = int(np.count_nonzero(~np.isnan(amps)))   # replicas whose cell ran
         table.add_summary(experiment="particle-rate", param=str(m), metric="amplification",
-                          mean=float(np.nanmean(amps)),
-                          stderr=float(np.nanstd(amps, ddof=1) / np.sqrt(len(amps))))
+                          mean=float(np.nanmean(amps)) if n_ok else np.nan,
+                          stderr=float(np.nanstd(amps, ddof=1) / np.sqrt(len(amps)))
+                          if n_ok > 1 else np.nan)
         table.add_summary(experiment="particle-rate", param=str(m), metric="w2_sq_initial",
                           mean=float(static[:, k].mean()),
                           stderr=float(static[:, k].std(ddof=1) / np.sqrt(static.shape[0])))
@@ -675,16 +677,18 @@ def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     for m in config.m_grid:
         m = int(m)
         for phi in _sgd_phi_panel(len(config.mu0_low)):
-            _, (smfe, sgd) = _sgd_series(table, phi.name, m)
-            g = max(abs(a.mean() - b.mean()) for a, b in zip(smfe, sgd))
+            seeds, (smfe, sgd) = _sgd_series(table, phi.name, m)
+            g = w2_replica = np.nan   # unless some replica ran at this M
+            if seeds:
+                g = max(abs(a.mean() - b.mean()) for a, b in zip(smfe, sgd))
+                # distance between the replica distributions of <phi, .> at T
+                a, b = np.sort(smfe[-1]), np.sort(sgd[-1])
+                w2_replica = float(np.sqrt(np.mean((a - b) ** 2)))
             table.add_summary(experiment="sgd-compare", param=str(m),
                               metric=f"g:{phi.name}", mean=g,
                               sqrt_m_g=float(np.sqrt(m) * g))
-            # distance between the replica distributions of <phi, .> at T
-            a, b = np.sort(smfe[-1]), np.sort(sgd[-1])
             table.add_summary(experiment="sgd-compare", param=str(m),
-                              metric=f"w2_replica:{phi.name}",
-                              mean=float(np.sqrt(np.mean((a - b) ** 2))))
+                              metric=f"w2_replica:{phi.name}", mean=w2_replica)
     return table
 
 

@@ -290,6 +290,15 @@ class TestPicard:
         )
         assert sup < 2 * tol
 
+    def test_noise_dt_mismatch_rejected(self):
+        """a path at twice the step would drive every step with increments at
+        the wrong scale; it is refused like in simulate."""
+        initial = sample_initial(REF_SPEC, 5, 0)
+        noise = NoisePath(0, 2e-2, 20, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=1e-2, horizon=0.1, eps=0.01)
+        with pytest.raises(SimulationError, match="dt"):
+            picard_solve(initial, REF_COEFFS, cfg, noise, tol=1e-6)
+
     def test_failure_reported_with_gap_log(self):
         initial = sample_initial(REF_SPEC, 10, 8)
         noise = NoisePath(8, 1e-2, 20, REF_COEFFS.n_channels)
@@ -297,6 +306,18 @@ class TestPicard:
         result = picard_solve(initial, REF_COEFFS, cfg, noise, tol=1e-15, max_iter=2)
         assert not result.converged
         assert len(result.gaps) == 2
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: IntegratorConfig(dt=1e-2, horizon=-0.1), "horizon"),
+        (lambda: IntegratorConfig(dt=1e-2, horizon=0.1, eps=float("nan")), "eps"),
+        (lambda: IntegratorConfig(dt=float("inf"), horizon=0.1), "dt"),
+        (lambda: sample_initial(REF_SPEC, 0, 0), "n"),
+    ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles"])
+    def test_bad_input_names_its_field(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            make()
 
 
 class TestSampleInitial:
