@@ -49,10 +49,9 @@ for eps in eps_grid:
 grid = SpectralGrid(r_box=1.2 * maxabs, k_max=64, j=5)
 print(f"\nspectral box half-width {grid.r_box:.3f}, J={grid.j}, K_max={grid.k_max}")
 print("eps       sup_t ||eta^eps - eta||^2   <bump, eta^eps_T>")
-values = []
-for eps in eps_grid:
-    sup, _ = clt_distance(paths[eps], tangent, grid)
-    values.append(sup**2)
-    print(f"{eps:7.0e}  {sup**2:.6e}            {pair(paths[eps].fields[-1], phi):+.5f}")
+sups, _ = clt_distance([paths[eps] for eps in eps_grid], tangent, grid)
+values = sups**2
+for eps, value in zip(eps_grid, values):
+    print(f"{eps:7.0e}  {value:.6e}            {pair(paths[eps].fields[-1], phi):+.5f}")
 slope = np.polyfit(np.log(eps_grid), np.log(values), 1)[0]
 print(f"\none-seed slope of the squared distance: {slope:.3f}; theory: 1")

@@ -13,11 +13,14 @@ weak formulation up to time discretization (certified by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _integrate, _noise_rows
-from .measures import SignedAtomicField, SpectralGrid, sobolev_neg_norm_diff
+from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _check_finite,
+                       _integrate, _noise_rows)
+from .measures import HalfLattice, SignedAtomicField, SpectralGrid
+from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
 
 __all__ = [
     "TangentEnsemble",
@@ -98,7 +101,10 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
     forcing = coeffs.noise_increment(X, mu, dB)
     newY = Y + (jac + inter) * cfg.dt + forcing
     newX = X + coeffs.increment(X, mu, cfg.dt, 0.0, None)
-    return TangentEnsemble(newX, newY, tens.time + cfg.dt)
+    t = tens.time + cfg.dt
+    for state in (newX, newY):
+        _check_finite(state, step=int(round(t / cfg.dt)), time=t)
+    return TangentEnsemble(newX, newY, t)
 
 
 def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
@@ -110,9 +116,12 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
         if initial_tangents is None
         else TangentEnsemble(np.array(initial_base, dtype=float), np.array(initial_tangents, dtype=float))
     )
-    base, tangents, times = _integrate(
-        tens, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
-        cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
+    # a diverging run raises SimulationError at its first non-finite base
+    # point or tangent, as in simulate
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, tangents, times = _integrate(
+            tens, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
+            cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
     return TangentTrajectory(times=times, base=base, tangents=tangents, dt=cfg.dt,
                              snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta)
 
@@ -124,14 +133,26 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
 
 @dataclass
 class FluctuationPath:
-    """Snapshot sequence of signed fields (one per recorded time)."""
+    """eta^eps_t = (mu^eps_t - mu^0_t) / sqrt(eps) at each snapshot, kept as
+    the atoms of the two coupled runs (weight 1/N each)."""
 
-    times: np.ndarray
-    fields: list
+    times: np.ndarray      # (S,)
+    positions: np.ndarray  # (S, N, d): the run at noise scale eps
+    reference: np.ndarray  # (S, N, d): the transport run
+    eps: float
 
     @property
     def n_snapshots(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def fields(self) -> list:
+        """The signed 2N-atom field of each snapshot."""
+        n = self.positions.shape[1]
+        scale = 1.0 / np.sqrt(self.eps)
+        signed = np.concatenate([np.full(n, scale / n), np.full(n, -scale / n)])
+        return [SignedAtomicField.atomic(np.concatenate([x, x0], axis=0), signed)
+                for x, x0 in zip(self.positions, self.reference)]
 
 
 def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
@@ -150,31 +171,53 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
         raise ValueError("trajectories use different time steps")
     if not np.array_equal(traj_eps.positions[0], traj_zero.positions[0]):
         raise ValueError("trajectories do not share initial atoms")
-    n = traj_eps.positions.shape[1]
-    scale = 1.0 / np.sqrt(eps)
-    signed = np.concatenate([np.full(n, scale / n), np.full(n, -scale / n)])
-    fields = []
-    for s in range(traj_eps.n_snapshots):
-        atoms = np.concatenate([traj_eps.positions[s], traj_zero.positions[s]], axis=0)
-        fields.append(SignedAtomicField.atomic(atoms, signed))
-    return FluctuationPath(times=traj_eps.times.copy(), fields=fields)
+    return FluctuationPath(times=traj_eps.times.copy(), positions=traj_eps.positions,
+                           reference=traj_zero.positions, eps=float(eps))
 
 
-def clt_distance(eta_path: FluctuationPath, tangent_traj: TangentTrajectory,
-                 grid: SpectralGrid) -> tuple[float, np.ndarray]:
-    """sup over snapshots of || eta^eps_t - eta_t ||_{-J}, plus the full curve."""
-    if eta_path.n_snapshots != tangent_traj.n_snapshots or not np.allclose(
-        eta_path.times, tangent_traj.times, atol=1e-12
-    ):
-        raise ValueError("snapshot grids do not match")
-    dim = tangent_traj.base.shape[2]
+def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: TangentTrajectory,
+                 grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """sup over snapshots of || eta^eps_t - eta_t ||_{-J} for each path, plus
+    the (paths, snapshots) curves.
+
+    The paths share one transport run.  Per snapshot its atoms and the
+    tangent field are transformed once (through one set of phase rows when
+    the tangent base points are the transport atoms, as they are when both
+    follow the same flow), and each eps run once: with C_eps and C_0 the
+    unit-weight coefficients of the eps run and of the transport run and T
+    those of the tangent field, the distance is the norm of
+    (C_eps - C_0) / (N sqrt(eps)) - T, N the atoms per run.
+    """
+    if not eta_paths:
+        raise ValueError("clt_distance needs at least one fluctuation path")
+    reference = eta_paths[0].reference
+    for path in eta_paths:
+        if path.n_snapshots != tangent_traj.n_snapshots or not np.allclose(
+            path.times, tangent_traj.times, atol=1e-12
+        ):
+            raise ValueError("snapshot grids do not match")
+        if not np.array_equal(path.reference, reference):
+            raise ValueError("fluctuation paths do not share their transport run")
+    n, dim = tangent_traj.base.shape[1:]
     min_j = int(np.ceil(dim / 2)) + 4
     if grid.j < min_j:
         raise ValueError(f"sobolev order j={grid.j} below required ceil(d/2)+4={min_j}")
-    curve = np.empty(eta_path.n_snapshots)
-    for s in range(eta_path.n_snapshots):
-        curve[s] = sobolev_neg_norm_diff(eta_path.fields[s], tangent_traj.field_at(s), grid)
-    return float(curve.max()), curve
+    lattice = HalfLattice(grid, dim)
+    lattice.warn_tail()
+    curves = np.empty((len(eta_paths), tangent_traj.n_snapshots))
+    for s in range(tangent_traj.n_snapshots):
+        base, tangents = tangent_traj.base[s], tangent_traj.tangents[s] / n
+        if np.array_equal(base, reference[s]):
+            both = lattice.transform(base, np.column_stack([np.ones(n), tangents]))
+            c_zero, tangent = both[0], lattice.tangent(both[1:])
+        else:
+            c_zero = lattice.transform(reference[s])[0]
+            tangent = lattice.tangent(lattice.transform(base, tangents))
+        for p, path in enumerate(eta_paths):
+            c_eps = lattice.transform(path.positions[s])[0]
+            scale = path.positions.shape[1] * np.sqrt(path.eps)
+            curves[p, s] = lattice.norms((c_eps - c_zero) / scale - tangent)
+    return curves.max(axis=1), curves
 
 
 # --------------------------------------------------------------------------

@@ -121,8 +121,10 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
     def validate_for_rates(self):
-        for grid in (self.eps_grid, self.m_grid, self.alpha_grid):
-            arr = np.asarray(grid, dtype=float)
+        for name in ("eps_grid", "m_grid", "alpha_grid"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.size == 0:
+                raise ValueError(f"{name} must be non-empty")
             if np.any(arr <= 0):
                 raise ValueError("grids must be strictly positive")
             if not (np.all(np.diff(arr) > 0) or np.all(np.diff(arr) < 0)):
@@ -589,12 +591,34 @@ def _clt_runs(rep: Replica) -> dict:
 
 
 def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
-    def cell(eps: float) -> float:
-        transport, tangent = rep.run(0.0), rep.tangent()
-        sup, _ = clt_distance(eta_eps(rep.run(eps), transport, eps), tangent, grid)
-        return sup * sup
+    eps_grid = [float(eps) for eps in rep.config.eps_grid]
 
-    return [(eps, "sup_hneg_sq", partial(cell, float(eps))) for eps in rep.config.eps_grid]
+    def sup_sq() -> dict:
+        """sup_t ||eta^eps - eta||^2_{-J} per eps, in one pass over the
+        snapshots; an eps run that failed or leaves the box maps to the error
+        that fails its cell alone."""
+        transport, tangent = rep.run(0.0), rep.tangent()
+        out, paths = {}, {}
+        for eps in eps_grid:
+            try:
+                run = rep.run(eps)
+                grid.check_inside(run.positions)
+            except _CELL_ERRORS as exc:
+                out[eps] = exc
+            else:
+                paths[eps] = eta_eps(run, transport, eps)
+        if paths:
+            sups, _ = clt_distance(list(paths.values()), tangent, grid)
+            out.update(zip(paths, sups * sups))
+        return out
+
+    def cell(eps: float) -> float:
+        value = rep.shared(("sup_hneg_sq",), sup_sq)[eps]
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return [(eps, "sup_hneg_sq", partial(cell, eps)) for eps in eps_grid]
 
 
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:

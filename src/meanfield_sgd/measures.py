@@ -5,7 +5,8 @@ equal-cardinality uniform measures, quantile coupling in one dimension) and
 falls back to an entropic approximation otherwise.  The negative-order
 Sobolev norm is evaluated spectrally on a periodic box that contains all
 atoms: for an atomic or tangent field the Fourier coefficients are exact
-finite sums, so no meshing is involved.
+finite sums, so no meshing is involved.  ``HalfLattice`` computes them on
+the half of the lattice that real fields need.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "SignedAtomicField",
     "SpectralBoxError",
     "SpectralGrid",
+    "HalfLattice",
     "w2",
     "w2_detailed",
     "moment",
@@ -129,6 +131,14 @@ class SpectralGrid:
             raise ValueError("k_max must be at least 8")
         if self.j < 1:
             raise ValueError("sobolev order j must be a positive integer")
+
+    def check_inside(self, points: np.ndarray):
+        """Raise SpectralBoxError unless every coordinate lies in the open box."""
+        if points.size and np.max(np.abs(points)) >= self.r_box:
+            raise SpectralBoxError(
+                f"atom at |coordinate| {np.max(np.abs(points)):.6g} outside the open box "
+                f"(-{self.r_box:.6g}, {self.r_box:.6g})^d"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -240,22 +250,97 @@ def moment(mu: EmpiricalMeasure, p: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _check_in_box(points: np.ndarray, r_box: float):
-    if points.size and np.max(np.abs(points)) >= r_box:
-        raise SpectralBoxError(
-            f"atom at |coordinate| {np.max(np.abs(points)):.6g} outside the open box "
-            f"(-{r_box:.6g}, {r_box:.6g})^d"
-        )
+class HalfLattice:
+    """Fourier coefficients and the H^{-J} norm of a SpectralGrid in ``dim``
+    dimensions, on the half lattice.
 
+    Every field here is real, so c(-k) = conj(c(k)) and the half k_0 >= 0 of
+    the lattice {-k_max..k_max}^dim carries every coefficient; the norm
+    counts each k_0 > 0 term twice.  Coefficient arrays end in the lattice
+    shape (k_max+1, 2*k_max+1, ..., 2*k_max+1).  The phase rows
+    e^{-i pi k x / R} are cumulative powers of one e^{-i pi x / R} per
+    coordinate.
+    """
 
-def _tail_warning(grid: SpectralGrid, dim: int):
-    tail = (1.0 + (np.pi * grid.k_max / grid.r_box) ** 2) ** (-grid.j + dim / 2.0)
-    if tail > 1e-8:
-        warnings.warn(
-            f"k_max={grid.k_max} leaves a relative spectral tail ~{tail:.2e} (> 1e-8); "
-            "increase k_max or j",
-            stacklevel=3,
-        )
+    def __init__(self, grid: SpectralGrid, dim: int):
+        self.grid = grid
+        self.dim = dim
+        k = np.arange(grid.k_max + 1)
+        modes = [k] + [np.concatenate([-k[:0:-1], k])] * (dim - 1)
+        # pi k_a / R along axis a of the lattice
+        self.wavenumbers = [
+            (np.pi / grid.r_box * m).reshape([-1 if b == a else 1 for b in range(dim)])
+            for a, m in enumerate(modes)
+        ]
+        weights = (1.0 + sum(w**2 for w in self.wavenumbers)) ** (-grid.j)
+        weights[1:] *= 2.0
+        self.shape = weights.shape
+        self._weights = weights.ravel() / (2.0 * grid.r_box) ** dim
+
+    def warn_tail(self):
+        """Warn, at the caller's caller, when k_max leaves a relative
+        spectral tail above 1e-8."""
+        grid = self.grid
+        tail = (1.0 + (np.pi * grid.k_max / grid.r_box) ** 2) ** (-grid.j + self.dim / 2.0)
+        if tail > 1e-8:
+            warnings.warn(
+                f"k_max={grid.k_max} leaves a relative spectral tail ~{tail:.2e} (> 1e-8); "
+                "increase k_max or j",
+                stacklevel=3,
+            )
+
+    def _phases(self, coords: np.ndarray, half: bool) -> np.ndarray:
+        """e^{-i pi k x / R} for each coordinate x, over k in 0..k_max when
+        ``half``, else over -k_max..k_max."""
+        k_max = self.grid.k_max
+        out = np.empty(coords.shape + (k_max + 1 if half else 2 * k_max + 1,), dtype=complex)
+        powers = out[..., out.shape[-1] - k_max - 1:]
+        powers[..., 0] = 1.0
+        powers[..., 1:] = np.exp(-1j * np.pi / self.grid.r_box * coords)[..., None]
+        np.cumprod(powers, axis=-1, out=powers)
+        if not half:
+            np.conjugate(out[..., :k_max:-1], out=out[..., :k_max])
+        return out
+
+    def transform(self, points: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """sum_i w_im e^{-i pi k . x_i / R} for points (..., N, dim) and real
+        weights (..., N, m), by default unit weights (m = 1).
+
+        Returns shape (..., m, *lattice).  Raises SpectralBoxError when a
+        point lies outside the open box.
+        """
+        self.grid.check_inside(points)
+        phases = [self._phases(points[..., a], a == 0) for a in range(self.dim)]
+        rows = points.shape[:-1]
+        acc = phases[0]
+        if weights is not None:
+            acc = (weights[..., None] * acc[..., None, :]).reshape(*rows, -1)
+        for ph in phases[1:-1]:
+            acc = (acc[..., :, None] * ph[..., None, :]).reshape(*rows, -1)
+        out = np.swapaxes(acc, -1, -2) @ phases[-1] if self.dim > 1 else acc.sum(axis=-2)
+        return out.reshape(*points.shape[:-2], -1, *self.shape)
+
+    def tangent(self, parts: np.ndarray) -> np.ndarray:
+        """sum_a (-i pi k_a / R) parts_a: the coefficients of a tangent field
+        from the transforms (..., dim, *lattice) of its tangent components."""
+        return sum(-1j * w * np.take(parts, a, axis=-1 - self.dim)
+                   for a, w in enumerate(self.wavenumbers))
+
+    def coefficients(self, field: SignedAtomicField) -> np.ndarray:
+        """Coefficients of an atomic or a tangent field."""
+        if field.kind == "atomic":
+            return self.transform(field.atoms, field.payload[:, None])[0]
+        return self.tangent(self.transform(field.atoms, field.payload / field.atoms.shape[0]))
+
+    def norms(self, coeffs: np.ndarray) -> np.ndarray:
+        """The truncated H^{-J} norm of coefficients (..., *lattice), over
+        any leading axes."""
+        squares = coeffs.real**2 + coeffs.imag**2
+        return np.sqrt(squares.reshape(*coeffs.shape[:coeffs.ndim - self.dim], -1) @ self._weights)
+
+    def full(self, coeffs: np.ndarray) -> np.ndarray:
+        """The whole lattice {-k_max..k_max}^dim, k_0 < 0 by c(-k) = conj(c(k))."""
+        return np.concatenate([np.flip(coeffs[1:]).conj(), coeffs], axis=0)
 
 
 def spectral_coefficients(field: SignedAtomicField, grid: SpectralGrid) -> np.ndarray:
@@ -265,65 +350,15 @@ def spectral_coefficients(field: SignedAtomicField, grid: SpectralGrid) -> np.nd
     {-k_max..k_max}^dim.  Exact finite sums over atoms; for the tangent
     representation the test function gradient is applied analytically.
     """
-    _check_in_box(field.atoms, grid.r_box)
-    dim = field.dim
-    k = np.arange(-grid.k_max, grid.k_max + 1)
-    # per-axis phase matrices exp(-i pi k x_a / R): (N, n_modes)
-    phases = [
-        np.exp(-1j * np.pi * np.outer(field.atoms[:, a], k) / grid.r_box)
-        for a in range(dim)
-    ]
-    if field.kind == "atomic":
-        return _contract_weighted(phases, field.payload)
-    # tangent: (1/N) sum_i (-i pi k / R) . Y_i e^{-i pi k . X_i / R}
-    n = field.atoms.shape[0]
-    factor = -1j * np.pi / grid.r_box
-    total = None
-    for a in range(dim):
-        coeff_a = _contract_weighted(phases, field.payload[:, a] / n)
-        shape = [1] * dim
-        shape[a] = k.size
-        coeff_a = coeff_a * (factor * k).reshape(shape)
-        total = coeff_a if total is None else total + coeff_a
-    return total
-
-
-def _contract_weighted(phases: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """sum_i s_i prod_a phases[a][i, k_a] via successive matrix products."""
-    dim = len(phases)
-    if dim == 1:
-        return phases[0].T @ weights.astype(complex)
-    if dim == 2:
-        return (phases[0] * weights[:, None]).T @ phases[1]
-    acc = weights.astype(complex)
-    letters = "klmqrs"
-    operands = [acc]
-    spec = ["i"]
-    for a in range(dim):
-        operands.append(phases[a])
-        spec.append(f"i{letters[a]}")
-    out = "".join(letters[:dim])
-    return np.einsum(",".join(spec) + "->" + out, *operands)
-
-
-def _sobolev_weights(grid: SpectralGrid, dim: int) -> np.ndarray:
-    k = np.arange(-grid.k_max, grid.k_max + 1)
-    k2_axes = (np.pi * k / grid.r_box) ** 2
-    total = np.zeros((k.size,) * dim)
-    for a in range(dim):
-        shape = [1] * dim
-        shape[a] = k.size
-        total = total + k2_axes.reshape(shape)
-    return (1.0 + total) ** (-grid.j)
+    lattice = HalfLattice(grid, field.dim)
+    return lattice.full(lattice.coefficients(field))
 
 
 def sobolev_neg_norm(field: SignedAtomicField, grid: SpectralGrid) -> float:
     """Truncated spectral H^{-J} norm of a signed atomic or tangent field."""
-    _tail_warning(grid, field.dim)
-    coeffs = spectral_coefficients(field, grid)
-    weights = _sobolev_weights(grid, field.dim)
-    norm2 = np.sum(np.abs(coeffs) ** 2 * weights) / (2.0 * grid.r_box) ** field.dim
-    return float(np.sqrt(max(norm2, 0.0)))
+    lattice = HalfLattice(grid, field.dim)
+    lattice.warn_tail()
+    return float(lattice.norms(lattice.coefficients(field)))
 
 
 def sobolev_neg_norm_diff(
@@ -332,11 +367,9 @@ def sobolev_neg_norm_diff(
     """H^{-J} norm of field_a - field_b without forming the combined field."""
     if field_a.dim != field_b.dim:
         raise ValueError("field dimension mismatch")
-    _tail_warning(grid, field_a.dim)
-    coeffs = spectral_coefficients(field_a, grid) - spectral_coefficients(field_b, grid)
-    weights = _sobolev_weights(grid, field_a.dim)
-    norm2 = np.sum(np.abs(coeffs) ** 2 * weights) / (2.0 * grid.r_box) ** field_a.dim
-    return float(np.sqrt(max(norm2, 0.0)))
+    lattice = HalfLattice(grid, field_a.dim)
+    lattice.warn_tail()
+    return float(lattice.norms(lattice.coefficients(field_a) - lattice.coefficients(field_b)))
 
 
 # --------------------------------------------------------------------------

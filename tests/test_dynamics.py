@@ -27,7 +27,7 @@ from meanfield_sgd.dynamics import (
     simulate_transport,
     step_interacting,
 )
-from meanfield_sgd.harness import build_coefficients, build_initial_spec, reference_config
+from meanfield_sgd.harness import build_coefficients, build_initial_spec, exp_clt_rate, reference_config
 from meanfield_sgd.measures import w2
 
 
@@ -314,7 +314,11 @@ class TestBoundaryValidation:
         (lambda: IntegratorConfig(dt=1e-2, horizon=0.1, eps=float("nan")), "eps"),
         (lambda: IntegratorConfig(dt=float("inf"), horizon=0.1), "dt"),
         (lambda: sample_initial(REF_SPEC, 0, 0), "n"),
-    ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles"])
+        (lambda: exp_clt_rate(reference_config(eps_grid=(), replicas=10, horizon=0.01)), "eps_grid"),
+        (lambda: reference_config(m_grid=()).validate_for_rates(), "m_grid"),
+        (lambda: reference_config(alpha_grid=()).validate_for_rates(), "alpha_grid"),
+    ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
+            "empty-m-grid", "empty-alpha-grid"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()

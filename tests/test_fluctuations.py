@@ -15,6 +15,7 @@ from meanfield_sgd.diagnostics import gaussian_bump, standard_panel
 from meanfield_sgd.dynamics import IntegratorConfig, NoisePath, sample_initial, simulate, simulate_transport
 from meanfield_sgd.fluctuations import (
     TangentEnsemble,
+    TangentTrajectory,
     clt_distance,
     eta_eps,
     solve_tangent,
@@ -165,13 +166,14 @@ class TestCltDistance:
             f = tangent.field_at(s)
             d = sobolev_neg_norm(SignedAtomicField.tangent(f.atoms, f.payload * 0.0), grid)
             assert d == 0.0
-        # sup || eta - eta || over the path through the public entry point
-        from meanfield_sgd.fluctuations import FluctuationPath
-
-        fields = [tangent.field_at(s) for s in range(tangent.n_snapshots)]
-        path = FluctuationPath(times=tangent.times.copy(), fields=fields)
-        sup, curve = clt_distance(path, tangent, grid)
-        assert sup == pytest.approx(0.0, abs=1e-14)
+        # sup || eta^eps - eta || through the public entry point: the
+        # transport run against itself, and zero tangents on its atoms
+        transport = simulate_transport(initial, REF_COEFFS, cfg)
+        still = TangentTrajectory(times=tangent.times, base=tangent.base,
+                                  tangents=np.zeros_like(tangent.tangents), dt=cfg.dt,
+                                  snapshot_stride=cfg.snapshot_stride)
+        sups, curves = clt_distance([eta_eps(transport, transport, 0.01)], still, grid)
+        assert sups[0] == 0.0 and not curves.any()
 
     def test_doubling_tangents_doubles_the_norm(self):
         rng = np.random.default_rng(10)
@@ -193,7 +195,7 @@ class TestCltDistance:
         transport = simulate_transport(initial, REF_COEFFS, cfg)
         path = eta_eps(traj, transport, 0.01)
         with pytest.raises(ValueError):
-            clt_distance(path, tangent, SpectralGrid(r_box=6.0, k_max=16, j=3))
+            clt_distance([path], tangent, SpectralGrid(r_box=6.0, k_max=16, j=3))
 
 
 class TestWeakResidualLinear:

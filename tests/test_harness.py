@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.harness import (
     ExperimentConfig,
+    Replica,
     ResultTable,
     build_coefficients,
     exp_clt_rate,
@@ -252,6 +254,60 @@ class TestCltExperiment:
         slope_rows = [s for s in table.summary if s.get("metric") == "slope"]
         assert slope_rows[0]["r_box"] == 4.0
 
+    @staticmethod
+    def _extents(cfg) -> dict:
+        """seed -> {eps: largest |coordinate| of that run}, eps 0 the transport run."""
+        extents = {}
+        for r in range(cfg.replicas):
+            rep = Replica(cfg, cfg.base_seed + r, cfg.clt_snapshot_stride)
+            extents[rep.seed] = {eps: float(np.abs(rep.run(eps).positions).max())
+                                 for eps in (0.0, *cfg.eps_grid)}
+        return extents
+
+    @staticmethod
+    def _check_cells(cfg, extents, r_box) -> set:
+        """Run clt-rate in the fixed box ``r_box``: a cell fails exactly when
+        its eps run or its replica's transport run leaves the box, and every
+        other cell is finite.  Returns the failed (seed, eps) cells."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = exp_clt_rate(replace(cfg, r_box=r_box))
+        failed = {(seed, float(param)) for _, param, seed, metric, _ in table.rows
+                  if metric == "failed"}
+        expected = {(seed, eps) for seed, ext in extents.items() for eps in cfg.eps_grid
+                    if max(ext[0.0], ext[eps]) >= r_box}
+        assert failed == expected
+        for _, param, seed, metric, value in table.rows:
+            if metric == "sup_hneg_sq" and (seed, float(param)) not in failed:
+                assert np.isfinite(value) and value > 0
+        return failed
+
+    def test_box_fails_only_the_cells_that_leave_it(self):
+        """The eps cells of a replica share one pass over its snapshots; an
+        eps run outside a fixed box fails its own cell and no other."""
+        cfg = reference_config(n_particles=20, horizon=0.05, clt_snapshot_stride=25,
+                               replicas=10, k_max=16)
+        extents = self._extents(cfg)
+        largest = max(cfg.eps_grid)
+        # a replica whose largest-eps run reaches past its transport run
+        ext = next(e for e in extents.values() if e[largest] > e[0.0])
+        r_box = 0.5 * (ext[0.0] + ext[largest])
+        failed = self._check_cells(cfg, extents, r_box)
+        partial = [seed for seed in extents
+                   if 0 < sum((seed, eps) in failed for eps in cfg.eps_grid) < len(cfg.eps_grid)]
+        assert partial, "no replica with both failed and finite cells"
+
+    def test_box_cutting_the_transport_run_fails_its_replica(self):
+        cfg = reference_config(n_particles=20, horizon=0.05, clt_snapshot_stride=25,
+                               replicas=10, k_max=16)
+        extents = self._extents(cfg)
+        # a replica with an eps run that stays inside its transport run's extent
+        seed, ext = next((s, e) for s, e in extents.items()
+                         if min(e[eps] for eps in cfg.eps_grid) < e[0.0])
+        r_box = 0.5 * (min(ext[eps] for eps in cfg.eps_grid) + ext[0.0])
+        failed = self._check_cells(cfg, extents, r_box)
+        assert {(seed, eps) for eps in cfg.eps_grid} <= failed
+
 
 class TestSgdCompareExperiment:
     def test_small_scale_trend_gate(self):
@@ -475,7 +531,7 @@ class TestFailureRecording:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             table = experiment(cfg)
-        if experiment is exp_particle_rate:
+        if experiment in (exp_clt_rate, exp_particle_rate):
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         failed = [r for r in table.rows if r[3] == "failed"]
         assert failed, "expected recorded failure rows"
