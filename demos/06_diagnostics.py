@@ -18,7 +18,7 @@ from meanfield_sgd import (
     qv_check,
     sample_initial,
     simulate,
-    smfe_weak_residual,
+    smfe_weak_residual_panel,
 )
 from meanfield_sgd.diagnostics import standard_panel
 from meanfield_sgd.harness import build_coefficients, build_initial_spec, reference_config
@@ -32,9 +32,8 @@ noise = NoisePath(5, run.dt, run.n_steps, coeffs.n_channels)
 traj = simulate(initial, coeffs, run, noise)
 
 print("weak-form residuals (order dt, so ~1e-6 at dt=1e-3):")
-for phi in standard_panel(2):
-    r = smfe_weak_residual(traj, noise, coeffs, eps, phi)
-    print(f"  R({phi.name:>8}) = {r:+.3e}")
+for name, r in smfe_weak_residual_panel(traj, noise, coeffs, eps, standard_panel(2)).items():
+    print(f"  R({name:>8}) = {r:+.3e}")
 
 phi = [p for p in standard_panel(2) if p.name == "bump0"][0]
 realized, predicted = qv_check(traj, coeffs, phi)

@@ -26,7 +26,9 @@ from .diagnostics import (
     min_pairwise_distance,
     moment_track,
     qv_check,
+    qv_check_panel,
     smfe_weak_residual,
+    smfe_weak_residual_panel,
     standard_panel,
     trig_wave,
 )

@@ -17,8 +17,8 @@ from .measures import SignedAtomicField, write_field
 from .diagnostics import (
     min_pairwise_distance,
     moment_track,
-    qv_check,
-    smfe_weak_residual,
+    qv_check_panel,
+    smfe_weak_residual_panel,
     standard_panel,
     write_report,
 )
@@ -110,12 +110,13 @@ def _cmd_diagnose(cfg: ExperimentConfig, out: str):
     traj = rep.run(eps)
     noise = rep.noise if eps > 0 else None
     panel = standard_panel(coeffs.dim)
+    residuals = smfe_weak_residual_panel(traj, noise, coeffs, eps, panel)
+    qv = qv_check_panel(traj, coeffs, panel) if eps > 0 else {}
     rows = []
     for phi in panel:
-        r = smfe_weak_residual(traj, noise, coeffs, eps, phi)
-        rows.append((phi.name, cfg.base_seed, "weak_residual", r))
+        rows.append((phi.name, cfg.base_seed, "weak_residual", residuals[phi.name]))
         if eps > 0:
-            realized, predicted = qv_check(traj, coeffs, phi)
+            realized, predicted = qv[phi.name]
             rows.append((phi.name, cfg.base_seed, "qv_realized", realized))
             rows.append((phi.name, cfg.base_seed, "qv_predicted", predicted))
     _, ratio = min_pairwise_distance(traj)

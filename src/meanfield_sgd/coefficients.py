@@ -72,6 +72,9 @@ class Dataset:
             raise CoefficientError("dataset needs at least one atom")
         if weights.shape != (atoms.shape[0],) or labels.shape != (atoms.shape[0],):
             raise CoefficientError("atoms, weights and labels must have matching length")
+        for name, values in (("atoms", atoms), ("weights", weights), ("labels", labels)):
+            if not np.all(np.isfinite(values)):
+                raise CoefficientError(f"{name} must be finite")
         if np.any(weights <= 0):
             raise CoefficientError("data weights must be strictly positive")
         if abs(weights.sum() - 1.0) > _WEIGHT_TOL:

@@ -22,6 +22,7 @@ __all__ = [
     "smfe_weak_residual",
     "smfe_weak_residual_panel",
     "qv_check",
+    "qv_check_panel",
     "f_n_functional",
     "min_pairwise_distance",
     "moment_track",
@@ -150,12 +151,55 @@ def standard_panel(d: int, include_unbounded: bool = True) -> list[TestFunction]
 
 
 # --------------------------------------------------------------------------
-# weak-form residual of the stochastic mean-field equation
+# stacked panel: every test function's pairings through one contraction
 # --------------------------------------------------------------------------
 
 
-def _pairing(phi_vals: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights @ phi_vals)
+def stack_panel(phis: Sequence[TestFunction], X: np.ndarray,
+                hessians: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradients (F, N, d) and, unless ``hessians`` is False, Hessians
+    (F, N, d, d) of every panel member at the points X."""
+    grads = np.stack([phi.grad(X) for phi in phis])
+    return grads, np.stack([phi.hess(X) for phi in phis]) if hessians else None
+
+
+def pair_panel(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """One value per panel member: the sum over points of grad phi . v for an
+    (N, d) field v, or of D2 phi : M for an (N, d, d) field M; one matmul."""
+    return stack.reshape(stack.shape[0], -1) @ field.reshape(-1)
+
+
+def _panel_values(phis: Sequence[TestFunction], X: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """<phi, mu> for every panel member, mu = (X, omega)."""
+    return np.stack([phi.value(X) for phi in phis]) @ omega
+
+
+def _step_pairings(coeffs, X: np.ndarray, omega: np.ndarray, eps: float,
+                   phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weak-form pairings of a whole panel at one step, mu_s = (X, omega).
+
+    Returns the drift <grad phi . V, mu_s> + (eps/2) <D2 phi : A, mu_s> of
+    every member, shape (F,), and for eps > 0 the channel pairings
+    <grad phi . G_p, mu_s>, shape (F, P) (None at eps = 0).  The Ito term
+    uses A_i = sum_p w_p G_ip G_ip^T, formed once per step, so every pairing
+    is one matmul over the stacked panel.
+    """
+    mu = (X, omega)
+    grads, hess = stack_panel(phis, X, hessians=eps > 0.0)
+    drift = pair_panel(grads, omega[:, None] * coeffs.drift(X, mu))
+    if eps == 0.0:
+        return drift, None
+    G = coeffs.noise_matrix(X, mu)                                 # (N, P, d)
+    scaled = G * np.sqrt(coeffs.channel_weights)[None, :, None]
+    A = np.matmul(scaled.transpose(0, 2, 1), scaled)              # (N, d, d)
+    drift = drift + 0.5 * eps * pair_panel(hess, omega[:, None, None] * A)
+    channels = np.tensordot(grads, omega[:, None, None] * G, axes=([1, 2], [0, 2]))
+    return drift, channels
+
+
+# --------------------------------------------------------------------------
+# weak-form residual of the stochastic mean-field equation
+# --------------------------------------------------------------------------
 
 
 def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
@@ -165,40 +209,28 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
     R(phi) = <phi, mu_T> - <phi, mu_0>
              - sum_s [ <grad phi . V(., mu_s), mu_s> + (eps/2) <D2 phi : A(., mu_s), mu_s> ] dt
              - sqrt(eps) sum_s sum_p <grad phi . G(., mu_s, theta_p), mu_s> sqrt(w_p) dB_p.
+
+    ``eps`` must be the noise scale the trajectory was run at.
     """
     if not traj.is_full_resolution:
         raise ValueError("weak residual needs a full-resolution trajectory")
+    if eps != traj.eps:
+        raise ValueError(f"eps={eps!r} does not match the trajectory's eps={traj.eps!r}")
     if eps > 0.0:
         if noise is None or traj.noise_meta != noise.meta:
             raise ValueError("noise does not match the trajectory provenance")
     phis = list(panel)
     omega = traj.weights
-    n_steps = traj.n_snapshots - 1
-    dt = traj.dt
     sqrt_w = np.sqrt(coeffs.channel_weights)
-    out = {
-        phi.name: _pairing(phi.value(traj.positions[-1]), omega)
-        - _pairing(phi.value(traj.positions[0]), omega)
-        for phi in phis
-    }
-    for s in range(n_steps):
-        X = traj.positions[s]
-        mu = (X, omega)
-        V = coeffs.drift(X, mu)
-        G = coeffs.noise_matrix(X, mu) if eps > 0.0 else None
-        for phi in phis:
-            grads = phi.grad(X)
-            drift_term = float(omega @ np.einsum("nd,nd->n", grads, V))
-            if eps > 0.0:
-                hess = phi.hess(X)
-                # A(x_i) = sum_p w_p G_ip (x) G_ip against D2 phi(x_i)
-                hg = np.einsum("nij,npj->npi", hess, G)
-                ito = float(omega @ np.einsum("p,npi,npi->n", coeffs.channel_weights, hg, G))
-                drift_term += 0.5 * eps * ito
-                gpair = np.einsum("n,nd,npd->p", omega, grads, G)
-                out[phi.name] -= np.sqrt(eps) * float((gpair * sqrt_w) @ noise.increments[s])
-            out[phi.name] -= drift_term * dt
-    return out
+    integral = np.zeros(len(phis))
+    for s in range(traj.n_snapshots - 1):
+        drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+        integral += drift * traj.dt
+        if channels is not None:
+            integral += np.sqrt(eps) * (channels @ (sqrt_w * noise.increments[s]))
+    res = (_panel_values(phis, traj.positions[-1], omega)
+           - _panel_values(phis, traj.positions[0], omega) - integral)
+    return {phi.name: float(r) for phi, r in zip(phis, res)}
 
 
 def smfe_weak_residual(traj: Trajectory, noise: NoisePath | None, coeffs,
@@ -212,9 +244,10 @@ def smfe_weak_residual(traj: Trajectory, noise: NoisePath | None, coeffs,
 # --------------------------------------------------------------------------
 
 
-def qv_check(traj: Trajectory, coeffs, phi: TestFunction,
-             window: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Realized vs predicted quadratic variation of <phi, mu_t> on a window.
+def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
+                   window: tuple[float, float] | None = None) -> dict:
+    """Realized vs predicted quadratic variation of <phi, mu_t> on a window,
+    as a (realized, predicted) pair per panel member.
 
     realized:  sum over steps of (Delta<phi, mu> - drift dt)^2
     predicted: eps * sum over steps of sum_p w_p <grad phi . G(., mu_s, theta_p), mu_s>^2 dt
@@ -222,34 +255,33 @@ def qv_check(traj: Trajectory, coeffs, phi: TestFunction,
     """
     if not traj.is_full_resolution:
         raise ValueError("qv check needs a full-resolution trajectory")
+    phis = list(panel)
     eps = traj.eps
     omega = traj.weights
     dt = traj.dt
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
-    realized = 0.0
-    predicted = 0.0
-    vals = np.array([_pairing(phi.value(traj.positions[s]), omega)
-                     for s in range(traj.n_snapshots)])
+    realized = np.zeros(len(phis))
+    predicted = np.zeros(len(phis))
+    before = None
     for s in range(traj.n_snapshots - 1):
         t = traj.times[s]
         if t < lo - 1e-12 or t > hi - dt + 1e-12:
             continue
-        X = traj.positions[s]
-        mu = (X, omega)
-        grads = phi.grad(X)
-        V = coeffs.drift(X, mu)
-        drift = float(omega @ np.einsum("nd,nd->n", grads, V))
-        if eps > 0.0:
-            G = coeffs.noise_matrix(X, mu)
-            hess = phi.hess(X)
-            hg = np.einsum("nij,npj->npi", hess, G)
-            drift += 0.5 * eps * float(
-                omega @ np.einsum("p,npi,npi->n", coeffs.channel_weights, hg, G)
-            )
-            gpair = np.einsum("n,nd,npd->p", omega, grads, G)
-            predicted += eps * float(coeffs.channel_weights @ gpair**2) * dt
-        realized += (vals[s + 1] - vals[s] - drift * dt) ** 2
-    return realized, predicted
+        if before is None:
+            before = _panel_values(phis, traj.positions[s], omega)
+        after = _panel_values(phis, traj.positions[s + 1], omega)
+        drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+        if channels is not None:
+            predicted += eps * (channels**2 @ coeffs.channel_weights) * dt
+        realized += (after - before - drift * dt) ** 2
+        before = after
+    return {phi.name: (float(r), float(p)) for phi, r, p in zip(phis, realized, predicted)}
+
+
+def qv_check(traj: Trajectory, coeffs, phi: TestFunction,
+             window: tuple[float, float] | None = None) -> tuple[float, float]:
+    """Single-test-function form of :func:`qv_check_panel`."""
+    return qv_check_panel(traj, coeffs, [phi], window)[phi.name]
 
 
 # --------------------------------------------------------------------------

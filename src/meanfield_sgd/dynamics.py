@@ -465,6 +465,10 @@ class InitialSpec:
         raise ValueError(f"unknown initial spec kind {self.kind!r}")
 
 
+# the truncated Gaussian draws at most this many batches of n before giving up
+_MAX_REJECTION_BATCHES = 1000
+
+
 def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
     """N i.i.d. draws with uniform weights, deterministic per seed."""
     if n < 1:
@@ -486,12 +490,19 @@ def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
         box = spec.box if spec.box is not None else np.inf
         pts = np.empty((n, d))
         filled = 0
-        while filled < n:
+        for _ in range(_MAX_REJECTION_BATCHES):
+            if filled == n:
+                break
             draw = rng.multivariate_normal(mean, cov, size=n)
             keep = draw[np.all(np.abs(draw) < box, axis=1)]
             take = min(n - filled, keep.shape[0])
             pts[filled : filled + take] = keep[:take]
             filled += take
+        if filled < n:
+            raise ValueError(
+                f"box must keep enough of the gaussian mass: box={spec.box!r} kept {filled} of "
+                f"{_MAX_REJECTION_BATCHES * n} draws, short of n={n}"
+            )
         return ParticleEnsemble.uniform(pts)
     raise ValueError(f"unknown initial spec kind {spec.kind!r}")
 

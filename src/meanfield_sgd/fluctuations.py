@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _check_finite,
                        _integrate, _noise_rows)
+from .diagnostics import pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
 from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
 
@@ -242,37 +243,28 @@ def weak_residual_linear(tangent_traj: TangentTrajectory, coeffs, noise: NoisePa
         raise ValueError("noise does not match the trajectory provenance")
     n_steps = tangent_traj.n_snapshots - 1
     dt = tangent_traj.dt
-    sqrt_w = np.sqrt(coeffs.channel_weights)
     phis = list(panel)
-    residuals = {phi.name: 0.0 for phi in phis}
-    n = tangent_traj.base.shape[1]
-    for phi in phis:
-        # boundary terms of the weak identity
-        grads_T = phi.grad(tangent_traj.base[n_steps])
-        grads_0 = phi.grad(tangent_traj.base[0])
-        r = float(np.einsum("nd,nd->", grads_T, tangent_traj.tangents[n_steps]) / n)
-        r -= float(np.einsum("nd,nd->", grads_0, tangent_traj.tangents[0]) / n)
-        residuals[phi.name] = r
+    base, tangents = tangent_traj.base, tangent_traj.tangents
+
+    def pairing(s):
+        # <phi, eta_s> = sum_i grad phi(x_i) . y_i, before the 1/N
+        return pair_panel(stack_panel(phis, base[s], hessians=False)[0], tangents[s])
+
+    # boundary terms of the weak identity
+    residuals = pairing(n_steps) - pairing(0)
     for s in range(n_steps):
-        X = tangent_traj.base[s]
-        Y = tangent_traj.tangents[s]
+        X = base[s]
+        Y = tangents[s]
         mu = ParticleEnsemble.uniform(X)
         v = coeffs.drift(X, mu)                      # (N, d)
         jac_v_y = coeffs.drift_jacobian_apply(X, Y, mu)
         inter = coeffs.vtilde_y_apply(X, X, Y)
-        G = coeffs.noise_matrix(X, mu)               # (N, P, d)
-        dB = noise.increments[s]
-        for phi in phis:
-            grads = phi.grad(X)                      # (N, d)
-            hess = phi.hess(X)                       # (N, d, d)
-            # <grad phi . v, eta_s> through tangents: grad(grad phi . v) . Y
-            hv = np.einsum("nij,nj->ni", hess, v)
-            term_v = float(np.einsum("nd,nd->", hv, Y) / n)
-            term_v += float(np.einsum("nd,nd->", grads, jac_v_y) / n)
-            # interaction pairing <grad phi(x) . <Vtilde(x,.), eta_s>, mu0_s>
-            term_i = float(np.einsum("nd,nd->", grads, inter) / n)
-            # martingale forcing
-            gpair = np.einsum("nd,npd->p", grads, G) / n
-            term_m = float((gpair * sqrt_w) @ dB)
-            residuals[phi.name] -= (term_v + term_i) * dt + term_m
-    return residuals
+        grads, hess = stack_panel(phis, X)           # (F, N, d), (F, N, d, d)
+        # <grad phi . v, eta_s> through tangents: D2 phi : (Y (x) v) + grad phi . (Dv Y),
+        # plus the interaction pairing <grad phi(x) . <Vtilde(x,.), eta_s>, mu0_s>
+        drift = pair_panel(hess, Y[:, :, None] * v[:, None, :]) + pair_panel(grads, jac_v_y + inter)
+        # martingale forcing, through sum_p G_p sqrt(w_p) dB_p
+        forcing = pair_panel(grads, coeffs.noise_increment(X, mu, noise.increments[s]))
+        residuals -= drift * dt + forcing
+    n = base.shape[1]
+    return {phi.name: float(r / n) for phi, r in zip(phis, residuals)}

@@ -11,6 +11,7 @@ the half of the lattice that real fields need.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
@@ -53,10 +54,17 @@ class EmpiricalMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must match the number of atoms")
+        # a sum is finite only if every entry is (one that overflows is
+        # rejected too); a measure is built per W2 call, so this stays cheap
+        if not math.isfinite(atoms.sum()):
+            raise ValueError("atoms must be finite")
+        total = weights.sum()
+        if not math.isfinite(total):
+            raise ValueError("weights must be finite")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 (got {weights.sum()!r})")
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise ValueError(f"weights must sum to 1 (got {total!r})")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 

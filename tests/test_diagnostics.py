@@ -111,6 +111,14 @@ class TestWeakResidual:
         with pytest.raises(ValueError):
             smfe_weak_residual(traj, other, REF_COEFFS, 0.05, phi)
 
+    @pytest.mark.parametrize("eps, matching_noise", [(0.2, True), (0.0, False), (0.05 + 1e-12, True)])
+    def test_eps_mismatch_rejected(self, eps, matching_noise):
+        """A run at eps = 0.05 scored as another equation raises, naming eps."""
+        traj, noise = full_run(0.05, seed=2)
+        phi = gaussian_bump([0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="eps"):
+            smfe_weak_residual(traj, noise if matching_noise else None, REF_COEFFS, eps, phi)
+
     def test_needs_full_resolution(self):
         initial = sample_initial(REF_SPEC, 10, 3)
         noise = NoisePath(3, 0.01, 20, REF_COEFFS.n_channels)

@@ -7,6 +7,7 @@ import pytest
 
 from meanfield_sgd.coefficients import (
     ACTIVATIONS,
+    CoefficientError,
     Dataset,
     NetworkCoefficients,
     SyntheticCoefficients,
@@ -23,12 +24,15 @@ from meanfield_sgd.dynamics import (
     picard_solve,
     run_sgd,
     sample_initial,
+    seeded_rng,
     simulate,
     simulate_transport,
     step_interacting,
 )
 from meanfield_sgd.harness import build_coefficients, build_initial_spec, exp_clt_rate, reference_config
-from meanfield_sgd.measures import w2
+from meanfield_sgd.measures import EmpiricalMeasure, w2
+
+nan, inf = float("nan"), float("inf")
 
 
 REF = reference_config()
@@ -322,6 +326,57 @@ class TestBoundaryValidation:
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()
+
+    @pytest.mark.parametrize("atoms, weights, labels, field", [
+        ([[0.1], [0.2]], [nan, 1.0], [0.1, 0.2], "weights"),
+        ([[0.1], [0.2]], [0.5, inf], [0.1, 0.2], "weights"),
+        ([[nan], [0.2]], [0.5, 0.5], [0.1, 0.2], "atoms"),
+        ([[0.1], [-inf]], [0.5, 0.5], [0.1, 0.2], "atoms"),
+        ([[0.1], [0.2]], [0.5, 0.5], [nan, 0.2], "labels"),
+        ([[0.1], [0.2]], [0.5, 0.5], [0.1, inf], "labels"),
+    ], ids=["nan-weight", "inf-weight", "nan-atom", "inf-atom", "nan-label", "inf-label"])
+    def test_non_finite_dataset_names_its_field(self, atoms, weights, labels, field):
+        with pytest.raises(CoefficientError, match=rf"^{field} must be finite"):
+            Dataset(atoms=atoms, weights=weights, labels=labels)
+
+    @pytest.mark.parametrize("atoms, weights, field", [
+        ([[nan, 0.0], [1.0, 1.0]], [0.5, 0.5], "atoms"),
+        ([[0.0, inf], [1.0, 1.0]], [0.5, 0.5], "atoms"),
+        ([[0.0, 0.0], [1.0, 1.0]], [nan, 1.0], "weights"),
+        ([[0.0, 0.0], [1.0, 1.0]], [inf, 0.5], "weights"),
+    ], ids=["nan-atom", "inf-atom", "nan-weight", "inf-weight"])
+    def test_non_finite_measure_names_its_field(self, atoms, weights, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            EmpiricalMeasure(np.array(atoms), np.array(weights))
+
+    def test_box_without_mass_names_box(self):
+        """A box that keeps (almost) none of the Gaussian mass fails in bounded time."""
+        spec = InitialSpec(kind="gaussian", mean=[10, 10], cov=1.0, box=1.0)
+        with pytest.raises(ValueError, match=r"^box must"):
+            sample_initial(spec, 5, 0)
+
+    @pytest.mark.parametrize("spec", [
+        InitialSpec(kind="gaussian", mean=[0.0, 0.0], cov=4.0, box=1.5),
+        InitialSpec(kind="gaussian", mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.5]], box=1.0),
+        InitialSpec(kind="gaussian", mean=[0.0], cov=1.0),
+    ], ids=["wide-cov", "shifted", "no-box"])
+    def test_truncated_gaussian_stream_unchanged(self, spec):
+        """The bounded rejection loop draws the same batches as the unbounded one."""
+        for n, seed in ((1, 0), (7, 3), (300, 11)):
+            rng = seeded_rng(seed, "initial")
+            mean = np.asarray(spec.mean, dtype=float)
+            cov = spec.cov
+            cov = np.eye(mean.size) * float(cov) if np.isscalar(cov) else np.asarray(cov, dtype=float)
+            box = spec.box if spec.box is not None else np.inf
+            pts = np.empty((n, mean.size))
+            filled = 0
+            while filled < n:
+                draw = rng.multivariate_normal(mean, cov, size=n)
+                keep = draw[np.all(np.abs(draw) < box, axis=1)]
+                take = min(n - filled, keep.shape[0])
+                pts[filled : filled + take] = keep[:take]
+                filled += take
+            np.testing.assert_array_equal(sample_initial(spec, n, seed).positions, pts)
 
 
 class TestSampleInitial:
