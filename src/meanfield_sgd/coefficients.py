@@ -12,8 +12,11 @@ in the package:
   ``A(x, mu) = Atilde(x, x, mu)``.
 
 All expectations over the data measure are exact finite sums.  A synthetic
-coefficient set with user-supplied evaluators realizes the degenerate cases
-(``G = 0``, constant drift, ...) needed by tests and rate experiments.
+coefficient set realizes the degenerate cases (``G = 0``, constant drift,
+...) needed by tests and rate experiments from one user-supplied batch
+evaluator per term: ``v_bar_batch``, ``v_tilde_mean_batch``, ``g_batch``
+and the two linearisations ``drift_jacobian_apply`` and ``vtilde_y_apply``
+(shapes in ``SyntheticCoefficients``).
 """
 
 from __future__ import annotations
@@ -376,11 +379,6 @@ class NetworkCoefficients:
         mean = np.einsum("p,npd->nd", self._w, raw)
         return raw - mean[:, None, :]
 
-    def noise_g(self, x: np.ndarray, measure, p: int) -> np.ndarray:
-        if not 0 <= p < self.n_channels:
-            raise IndexError(f"data index {p} out of range")
-        return self.noise_matrix(np.atleast_2d(x), measure)[0, p]
-
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
         """sum_p G(x_i, mu, theta_p) sqrt(w_p) dB_p without materializing G.
 
@@ -451,16 +449,26 @@ class NetworkCoefficients:
 
 
 class SyntheticCoefficients:
-    """User-supplied coefficient evaluators for degenerate or analytic cases.
+    """User-supplied batch evaluators for degenerate or analytic cases.
 
-    ``v_bar``, ``v_tilde`` and the per-channel noise ``g`` default to zero.
-    The additive structure ``V(x, mu) = v_bar(x) + <v_tilde(x, .), mu>`` is
-    built in; ``g(x, measure, p)`` must already be centered under the channel
-    weights (checked by the diagnostics, not here).  Point evaluators are
-    enough for small tests; batch overrides (``v_bar_batch(X)``,
-    ``v_tilde_mean_batch(X, atoms, weights)``, ``g_batch(X, atoms, weights)``)
-    keep large-ensemble experiments vectorized.  Network-only operations
-    (potential, kernel, loss) are rejected.
+    A synthetic instance is five optional batch hooks, each zero when left
+    out, for N particles ``X`` (N, d) in an environment with ``atoms``
+    (M, d) and ``weights`` (M,):
+
+    * ``v_bar_batch(X)`` -- Vbar at every particle, (N, d);
+    * ``v_tilde_mean_batch(X, atoms, weights)`` -- <Vtilde(x_i, .), mu>,
+      (N, d); the drift is the sum of the two;
+    * ``g_batch(X, atoms, weights)`` -- the per-channel noise G, (N, P, d),
+      already centered under the channel weights (checked by the
+      diagnostics, not here);
+    * ``drift_jacobian_apply(X, Y, atoms, weights)`` -- grad_x V(x_i, mu) . Y_i
+      with mu held fixed, (N, d);
+    * ``vtilde_y_apply(X, base, tangents)`` -- (1/N) sum_j
+      grad_y Vtilde(x_i, base_j) . tangent_j, (N, d).
+
+    The last two are the linearisations the tangent system needs; the
+    methods of the same names only turn the measure into (atoms, weights).
+    Network-only operations (potential, kernel, loss) are rejected.
     """
 
     mode = "synthetic"
@@ -470,15 +478,11 @@ class SyntheticCoefficients:
         dim: int,
         n_channels: int = 1,
         channel_weights: np.ndarray | None = None,
-        v_bar: Callable | None = None,
-        v_tilde: Callable | None = None,
-        g: Callable | None = None,
-        v_bar_jacobian: Callable | None = None,
-        v_tilde_jacobian_x: Callable | None = None,
-        v_tilde_jacobian_y: Callable | None = None,
         v_bar_batch: Callable | None = None,
         v_tilde_mean_batch: Callable | None = None,
         g_batch: Callable | None = None,
+        drift_jacobian_apply: Callable | None = None,
+        vtilde_y_apply: Callable | None = None,
     ):
         self._dim = int(dim)
         self._n_channels = int(n_channels)
@@ -491,15 +495,11 @@ class SyntheticCoefficients:
             raise CoefficientError("channel_weights must be a probability vector")
         self._weights = channel_weights
         self._sqrt_w = np.sqrt(channel_weights)
-        self._v_bar = v_bar
-        self._v_tilde = v_tilde
-        self._g = g
-        self._v_bar_jac = v_bar_jacobian
-        self._v_tilde_jac_x = v_tilde_jacobian_x
-        self._v_tilde_jac_y = v_tilde_jacobian_y
         self._v_bar_batch = v_bar_batch
         self._v_tilde_mean_batch = v_tilde_mean_batch
         self._g_batch = g_batch
+        self._drift_jacobian_apply = drift_jacobian_apply
+        self._vtilde_y_apply = vtilde_y_apply
 
     @property
     def dim(self) -> int:
@@ -513,54 +513,21 @@ class SyntheticCoefficients:
     def channel_weights(self) -> np.ndarray:
         return self._weights
 
-    def v_bar(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._v_bar is not None:
-            return np.asarray(self._v_bar(x), dtype=float)
-        if self._v_bar_batch is not None:
-            return np.asarray(self._v_bar_batch(x[None, :]), dtype=float)[0]
-        return np.zeros(self._dim)
-
-    def v_tilde(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self._v_tilde is None:
-            return np.zeros(self._dim)
-        return np.asarray(self._v_tilde(np.asarray(x, float), np.asarray(y, float)), dtype=float)
-
     def drift(self, X: np.ndarray, measure) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        atoms, weights = _as_measure(measure)
         out = np.zeros((X.shape[0], self._dim))
         if self._v_bar_batch is not None:
             out += np.asarray(self._v_bar_batch(X), dtype=float)
-        elif self._v_bar is not None:
-            for i, x in enumerate(X):
-                out[i] += np.asarray(self._v_bar(x), dtype=float)
         if self._v_tilde_mean_batch is not None:
+            atoms, weights = _as_measure(measure)
             out += np.asarray(self._v_tilde_mean_batch(X, atoms, weights), dtype=float)
-        elif self._v_tilde is not None:
-            for i, x in enumerate(X):
-                acc = np.zeros(self._dim)
-                for y, wy in zip(atoms, weights):
-                    acc += wy * np.asarray(self._v_tilde(x, y), dtype=float)
-                out[i] += acc
         return out
 
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        atoms, weights = _as_measure(measure)
-        if self._g_batch is not None:
-            return np.asarray(self._g_batch(X, atoms, weights), dtype=float)
-        out = np.zeros((X.shape[0], self._n_channels, self._dim))
-        if self._g is not None:
-            for i, x in enumerate(X):
-                for p in range(self._n_channels):
-                    out[i, p] = np.asarray(self._g(x, measure, p), dtype=float)
-        return out
-
-    def noise_g(self, x: np.ndarray, measure, p: int) -> np.ndarray:
-        if not 0 <= p < self._n_channels:
-            raise IndexError(f"data index {p} out of range")
-        return self.noise_matrix(np.atleast_2d(x), measure)[0, p]
+        if self._g_batch is None:
+            return np.zeros((X.shape[0], self._n_channels, self._dim))
+        return np.asarray(self._g_batch(X, *_as_measure(measure)), dtype=float)
 
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
         G = self.noise_matrix(X, measure)
@@ -574,44 +541,20 @@ class SyntheticCoefficients:
             out = out + np.sqrt(eps) * self.noise_increment(X, measure, dB)
         return out
 
-    def a_tilde(self, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
-        gx = self.noise_matrix(np.atleast_2d(x), measure)[0]
-        gy = self.noise_matrix(np.atleast_2d(y), measure)[0]
-        return np.einsum("p,pi,pj->ij", self._weights, gx, gy)
-
-    def a(self, x: np.ndarray, measure) -> np.ndarray:
-        return self.a_tilde(x, x, measure)
-
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        atoms, weights = _as_measure(measure)
-        out = np.zeros_like(Y)
-        if self._v_bar_jac is not None:
-            for i, (x, y) in enumerate(zip(X, Y)):
-                out[i] += np.asarray(self._v_bar_jac(x), dtype=float) @ y
-        if self._v_tilde_jac_x is not None:
-            for i, (x, yv) in enumerate(zip(X, Y)):
-                acc = np.zeros(self._dim)
-                for a, wa in zip(atoms, weights):
-                    acc += wa * (np.asarray(self._v_tilde_jac_x(x, a), dtype=float) @ yv)
-                out[i] += acc
-        return out
+        if self._drift_jacobian_apply is None:
+            return np.zeros_like(Y)
+        return np.asarray(self._drift_jacobian_apply(X, Y, *_as_measure(measure)), dtype=float)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._vtilde_y_apply is None:
+            return np.zeros((X.shape[0], self._dim))
         base = np.atleast_2d(np.asarray(base, dtype=float))
         tangents = np.atleast_2d(np.asarray(tangents, dtype=float))
-        out = np.zeros((X.shape[0], self._dim))
-        if self._v_tilde_jac_y is None:
-            return out
-        n = base.shape[0]
-        for i, x in enumerate(X):
-            acc = np.zeros(self._dim)
-            for yj, tj in zip(base, tangents):
-                acc += np.asarray(self._v_tilde_jac_y(x, yj), dtype=float) @ tj
-            out[i] = acc / n
-        return out
+        return np.asarray(self._vtilde_y_apply(X, base, tangents), dtype=float)
 
     # Network-only surface.
 

@@ -135,7 +135,6 @@ class IntegratorConfig:
     dt: float
     horizon: float
     eps: float = 0.0
-    scheme: str = "euler-maruyama"
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class IntegratorConfig:
             raise ValueError(f"horizon must be nonnegative and finite (got {self.horizon!r})")
         if not (np.isfinite(self.eps) and self.eps >= 0):
             raise ValueError(f"eps must be nonnegative and finite (got {self.eps!r})")
-        if self.scheme != "euler-maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         ratio = self.horizon / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -173,9 +170,6 @@ class Trajectory:
     @property
     def n_snapshots(self) -> int:
         return self.times.shape[0]
-
-    def ensemble_at(self, index: int) -> ParticleEnsemble:
-        return ParticleEnsemble(self.positions[index].copy(), self.weights, float(self.times[index]))
 
     def measure_at(self, index: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.positions[index], self.weights)
@@ -287,15 +281,13 @@ class SgdChain:
     """Discrete parameter chain with its measure-path embedding.
 
     ``positions[k]`` is the parameter state after k steps; the embedded
-    measure path evaluates the chain at step floor(M t) (enabled when the
-    chain was produced with time_embedding=True).
+    measure path evaluates the chain at step floor(M t).
     """
 
     positions: np.ndarray  # (steps+1, M, d)
     alpha: float
     batch_size: int
     seed: int
-    time_embedding: bool = True
 
     @property
     def n_steps(self) -> int:
@@ -309,15 +301,12 @@ class SgdChain:
         return self.positions[min(max(k, 0), self.n_steps)]
 
     def measure_at_time(self, t: float) -> EmpiricalMeasure:
-        if not self.time_embedding:
-            raise ValueError("chain was not built with the time embedding")
         k = int(np.floor(self.n_particles * t))
         return EmpiricalMeasure.uniform(self.state_at_step(k))
 
 
 def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: int,
-            seed: int, initial: np.ndarray, full_batch: bool = False,
-            time_embedding: bool = True) -> SgdChain:
+            seed: int, initial: np.ndarray, full_batch: bool = False) -> SgdChain:
     """Mini-batch SGD on the empirical risk in the mean-field normalization.
 
     The per-sample update for particle i is
@@ -354,8 +343,7 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
         return X
 
     (out,) = _integrate(X, advance, n_steps, 1, lambda X: (X,))
-    return SgdChain(out, alpha=alpha, batch_size=batch_size, seed=seed,
-                    time_embedding=time_embedding)
+    return SgdChain(out, alpha=alpha, batch_size=batch_size, seed=seed)
 
 
 # --------------------------------------------------------------------------

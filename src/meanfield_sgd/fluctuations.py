@@ -78,9 +78,6 @@ class TangentTrajectory:
     def field_at(self, index: int) -> SignedAtomicField:
         return SignedAtomicField.tangent(self.base[index], self.tangents[index])
 
-    def base_ensemble_at(self, index: int) -> ParticleEnsemble:
-        return ParticleEnsemble.uniform(self.base[index].copy(), time=float(self.times[index]))
-
 
 def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
                  dB: np.ndarray) -> TangentEnsemble:

@@ -15,10 +15,11 @@ import contextlib
 import csv
 import hashlib
 import json
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
@@ -67,9 +68,14 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+_BOUNDED_ACTIVATIONS = tuple(name for name, act in ACTIVATIONS.items() if not act.unbounded_derivative)
+_SYNTHETIC_PARAMS = ("kappa", "gamma", "g_amp", "g_freq")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Instance, grids and replication plan for one experiment family."""
+    """Instance, grids and replication plan for one experiment family; a bad
+    field raises ValueError naming it when the config is built."""
 
     # instance
     instance: str = "network"                  # "network" | "synthetic-1d"
@@ -98,6 +104,23 @@ class ExperimentConfig:
     threads: int = 1
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name, allowed in (("instance", ("network", "synthetic-1d")),
+                              ("activation", _BOUNDED_ACTIVATIONS), ("mu0_kind", ("uniform",))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {list(allowed)} (got {getattr(self, name)!r})")
+        for key in dict(self.synthetic_params):
+            if key not in _SYNTHETIC_PARAMS:
+                raise ValueError(f"synthetic_params must be named from {list(_SYNTHETIC_PARAMS)} "
+                                 f"(got {key!r})")
+        for name, low in (("n_particles", 1), ("replicas", 1), ("threads", 1), ("snapshot_stride", 1),
+                          ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
+        if not (isinstance(self.dt, numbers.Real) and np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite (got {self.dt!r})")
+
     def to_json(self) -> str:
         payload = asdict(self)
         return json.dumps(payload, sort_keys=True)
@@ -105,6 +128,10 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object (got {type(data).__name__})")
+        for key in sorted(set(data) - {f.name for f in fields(cls)}):
+            raise ValueError(f"{key} must be an ExperimentConfig field")
         for key in ("dataset_rows", "eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
             if key in data and data[key] is not None:
                 data[key] = tuple(tuple(v) if isinstance(v, list) else v for v in data[key])
@@ -145,48 +172,38 @@ def reference_config(**overrides) -> ExperimentConfig:
 
 
 def build_coefficients(cfg: ExperimentConfig):
-    if cfg.instance == "network":
-        if cfg.dataset_file:
-            data = Dataset.from_file(cfg.dataset_file)
-        else:
-            data = Dataset.from_rows(np.asarray(cfg.dataset_rows, dtype=float))
-        return NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
     if cfg.instance == "synthetic-1d":
-        params = dict(cfg.synthetic_params)
-        kappa = float(params.get("kappa", 0.5))
-        gamma = float(params.get("gamma", 0.5))
-        g_amp = float(params.get("g_amp", 0.5))
-        g_freq = float(params.get("g_freq", 1.0))
-        signs = np.array([1.0, -1.0])
+        return _synthetic_1d(**dict(cfg.synthetic_params))
+    if cfg.dataset_file:
+        data = Dataset.from_file(cfg.dataset_file)
+    else:
+        data = Dataset.from_rows(np.asarray(cfg.dataset_rows, dtype=float))
+    return NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
 
-        def v_bar_batch(X):
-            return -kappa * X
 
-        def v_tilde_mean_batch(X, atoms, weights):
-            mean = weights @ atoms
-            return gamma * (mean[None, :] - X)
+def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoefficients:
+    """V(x, mu) = -kappa x + gamma (<y, mu> - x), G_p = +-g_amp sin(g_freq x)
+    on two equal channels, with the exact linearisations of V."""
+    kappa, gamma, g_amp, g_freq = (float(v) for v in (kappa, gamma, g_amp, g_freq))
+    signs = np.array([1.0, -1.0])
 
-        def g_batch(X, atoms, weights):
-            vals = g_amp * np.sin(g_freq * X[:, 0])
-            return vals[:, None, None] * signs[None, :, None]
+    def g_batch(X, atoms, weights):
+        vals = g_amp * np.sin(g_freq * X[:, 0])
+        return vals[:, None, None] * signs[None, :, None]
 
-        return SyntheticCoefficients(
-            dim=1,
-            n_channels=2,
-            v_bar=lambda x: -kappa * x,
-            v_tilde=lambda x, y: gamma * (y - x),
-            g=lambda x, m, p: np.array([signs[p] * g_amp * np.sin(g_freq * x[0])]),
-            v_bar_batch=v_bar_batch,
-            v_tilde_mean_batch=v_tilde_mean_batch,
-            g_batch=g_batch,
-        )
-    raise ValueError(f"unknown instance kind {cfg.instance!r}")
+    return SyntheticCoefficients(
+        dim=1,
+        n_channels=2,
+        v_bar_batch=lambda X: -kappa * X,
+        v_tilde_mean_batch=lambda X, atoms, weights: gamma * ((weights @ atoms)[None, :] - X),
+        g_batch=g_batch,
+        drift_jacobian_apply=lambda X, Y, atoms, weights: -(kappa + gamma) * Y,
+        vtilde_y_apply=lambda X, base, tangents: np.full(X.shape, gamma * tangents.mean(axis=0)),
+    )
 
 
 def build_initial_spec(cfg: ExperimentConfig) -> InitialSpec:
-    if cfg.mu0_kind == "uniform":
-        return InitialSpec(kind="uniform", low=cfg.mu0_low, high=cfg.mu0_high)
-    raise ValueError(f"unsupported mu0 kind {cfg.mu0_kind!r}")
+    return InitialSpec(kind=cfg.mu0_kind, low=cfg.mu0_low, high=cfg.mu0_high)
 
 
 # --------------------------------------------------------------------------

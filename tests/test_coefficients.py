@@ -7,6 +7,9 @@ direct re-summation written differently from the library path).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from meanfield_sgd.coefficients import (
     ACTIVATIONS,
@@ -17,6 +20,7 @@ from meanfield_sgd.coefficients import (
     pack_param,
 )
 from meanfield_sgd.dynamics import ParticleEnsemble
+from meanfield_sgd.harness import build_coefficients, reference_config
 
 
 def single_atom_identity():
@@ -301,6 +305,29 @@ class TestTangentDerivatives:
 
         fd = (mean_vtilde(h) - mean_vtilde(-h)) / (2 * h)
         np.testing.assert_allclose(coeffs.vtilde_y_apply(X, base, tang), fd, atol=1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        data=st.data(),
+        kappa=st.floats(-2.0, 2.0),
+        gamma=st.floats(-2.0, 2.0),
+    )
+    def test_synthetic_1d_matches_finite_differences(self, n, data, kappa, gamma):
+        """synthetic-1d: grad_x V . Y and the interaction derivative against
+        central differences of ``drift`` (exact up to rounding, V is linear)."""
+        coeffs = build_coefficients(reference_config(
+            instance="synthetic-1d", synthetic_params=(("kappa", kappa), ("gamma", gamma))))
+        points = arrays(float, (n, 1), elements=st.floats(-3.0, 3.0))
+        X, Y, base, tang = (data.draw(points) for _ in range(4))
+        mu = ParticleEnsemble.uniform(X)
+        h = 1e-3
+        fd_jac = (coeffs.drift(X + h * Y, mu) - coeffs.drift(X - h * Y, mu)) / (2 * h)
+        np.testing.assert_allclose(coeffs.drift_jacobian_apply(X, Y, mu), fd_jac, rtol=1e-7, atol=1e-9)
+        fd_inter = (coeffs.drift(X, ParticleEnsemble.uniform(base + h * tang))
+                    - coeffs.drift(X, ParticleEnsemble.uniform(base - h * tang))) / (2 * h)
+        np.testing.assert_allclose(coeffs.vtilde_y_apply(X, base, tang), fd_inter,
+                                   rtol=1e-7, atol=1e-9)
 
 
 class TestLoss:

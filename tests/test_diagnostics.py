@@ -80,8 +80,7 @@ class TestWeakResidual:
     def test_constant_drift_linear_phi_exact(self):
         """eps=0, linear phi, constant Vbar: Euler is exact, residual 0."""
         v = np.array([0.4, -0.1])
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: v,
-                                       v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
         initial = ParticleEnsemble.uniform(np.random.default_rng(1).normal(size=(5, 2)))
         cfg = IntegratorConfig(dt=0.05, horizon=0.5, snapshot_stride=1)
         traj = simulate_transport(initial, coeffs, cfg)
@@ -241,8 +240,7 @@ class TestCollisionMonitor:
 
     def test_rigid_translation_ratio_one(self):
         v = np.array([0.5, 0.5])
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: v,
-                                       v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
         initial = ParticleEnsemble.uniform(np.array([[0.0, 0.0], [1.0, 0.0]]))
         cfg = IntegratorConfig(dt=0.1, horizon=1.0, snapshot_stride=1)
         traj = simulate_transport(initial, coeffs, cfg)
@@ -280,8 +278,7 @@ class TestMomentTrack:
 
     def test_rigid_translation_geometry_bound(self):
         v = np.array([0.25, 0.0])
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: v,
-                                       v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
         initial = ParticleEnsemble.uniform(np.array([[0.5, 0.5], [-0.5, 0.0]]))
         cfg = IntegratorConfig(dt=0.05, horizon=1.0, snapshot_stride=1)
         traj = simulate_transport(initial, coeffs, cfg)

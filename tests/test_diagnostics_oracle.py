@@ -167,9 +167,8 @@ def synthetic():
         v_bar_batch=lambda X: -X @ _K.T,
         v_tilde_mean_batch=lambda X, atoms, weights: _GAMMA * (weights @ atoms - X),
         g_batch=g_batch,
-        v_bar_jacobian=lambda x: -_K,
-        v_tilde_jacobian_x=lambda x, y: -_GAMMA * np.eye(2),
-        v_tilde_jacobian_y=lambda x, y: _GAMMA * np.eye(2),
+        drift_jacobian_apply=lambda X, Y, atoms, weights: -Y @ _K.T - _GAMMA * Y,
+        vtilde_y_apply=lambda X, base, tangents: np.full(X.shape, _GAMMA * tangents.mean(axis=0)),
     )
 
 

@@ -29,7 +29,8 @@ from meanfield_sgd.dynamics import (
     simulate_transport,
     step_interacting,
 )
-from meanfield_sgd.harness import build_coefficients, build_initial_spec, exp_clt_rate, reference_config
+from meanfield_sgd.harness import (ExperimentConfig, build_coefficients, build_initial_spec, exp_clt_rate,
+                                   reference_config)
 from meanfield_sgd.measures import EmpiricalMeasure, w2
 
 nan, inf = float("nan"), float("inf")
@@ -105,8 +106,7 @@ class TestStep:
             step_interacting(ens, REF_COEFFS, cfg, np.zeros(2))
 
     def test_nonfinite_state_aborts_with_diagnostic(self):
-        blow = SyntheticCoefficients(dim=1, v_bar=lambda x: x * np.inf,
-                                     v_bar_batch=lambda X: X * np.inf)
+        blow = SyntheticCoefficients(dim=1, v_bar_batch=lambda X: X * np.inf)
         ens = ParticleEnsemble.uniform(np.ones((2, 1)))
         cfg = IntegratorConfig(dt=0.1, horizon=0.1)
         with pytest.raises(SimulationError, match="non-finite"):
@@ -203,8 +203,7 @@ class TestTransport:
 
     def test_constant_drift_translates_rigidly(self):
         v = np.array([0.3, -0.2])
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: v,
-                                       v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: np.broadcast_to(v, X.shape))
         rng = np.random.default_rng(5)
         initial = ParticleEnsemble.uniform(rng.normal(size=(6, 2)))
         cfg = IntegratorConfig(dt=0.125, horizon=1.0)
@@ -264,7 +263,6 @@ class TestPicard:
         """Vtilde = 0 and G independent of mu: iterate 2 reproduces iterate 1."""
         coeffs = SyntheticCoefficients(
             dim=1, n_channels=2,
-            v_bar=lambda x: -0.5 * x,
             v_bar_batch=lambda X: -0.5 * X,
             g_batch=lambda X, atoms, w: np.stack(
                 [np.ones_like(X), -np.ones_like(X)], axis=1) * 0.3,
@@ -321,8 +319,37 @@ class TestBoundaryValidation:
         (lambda: exp_clt_rate(reference_config(eps_grid=(), replicas=10, horizon=0.01)), "eps_grid"),
         (lambda: reference_config(m_grid=()).validate_for_rates(), "m_grid"),
         (lambda: reference_config(alpha_grid=()).validate_for_rates(), "alpha_grid"),
+        (lambda: ExperimentConfig.from_json("[1, 2]"), "config"),
+        (lambda: ExperimentConfig.from_json('{"n_partcles": 100}'), "n_partcles"),
+        (lambda: ExperimentConfig.from_json(
+            '{"n_particles": "abc", "dt": -1, "instance": "nope", "threads": 0}'), "instance"),
+        (lambda: reference_config(instance="nope"), "instance"),
+        (lambda: reference_config(activation="relu"), "activation"),
+        (lambda: reference_config(activation="identity"), "activation"),
+        (lambda: reference_config(mu0_kind="gaussian"), "mu0_kind"),
+        (lambda: reference_config(synthetic_params=(("kappa", 0.5), ("beta", 1.0))),
+         "synthetic_params"),
+        (lambda: reference_config(n_particles="abc"), "n_particles"),
+        (lambda: reference_config(n_particles=0), "n_particles"),
+        (lambda: reference_config(replicas=-3), "replicas"),
+        (lambda: reference_config(replicas=10.0), "replicas"),
+        (lambda: reference_config(threads=0), "threads"),
+        (lambda: reference_config(snapshot_stride=0), "snapshot_stride"),
+        (lambda: reference_config(clt_snapshot_stride=True), "clt_snapshot_stride"),
+        (lambda: reference_config(sobolev_j=0), "sobolev_j"),
+        (lambda: reference_config(k_max=7), "k_max"),
+        (lambda: reference_config(dt=-1), "dt"),
+        (lambda: reference_config(dt=0.0), "dt"),
+        (lambda: reference_config(dt=float("nan")), "dt"),
+        (lambda: reference_config(dt="1e-3"), "dt"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
-            "empty-m-grid", "empty-alpha-grid"])
+            "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
+            "config-instance", "config-activation", "config-unbounded-activation",
+            "config-mu0-kind", "config-synthetic-params", "config-string-particles",
+            "config-zero-particles", "config-negative-replicas", "config-float-replicas",
+            "config-zero-threads", "config-zero-stride", "config-bool-clt-stride",
+            "config-zero-sobolev-j", "config-small-k-max", "config-negative-dt", "config-zero-dt",
+            "config-nan-dt", "config-string-dt"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()

@@ -45,8 +45,8 @@ def noise_only_coeffs(amp=0.4):
 
 class TestTangentStep:
     def test_zero_forcing_zero_tangents_forever(self):
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: -x, v_bar_batch=lambda X: -X,
-                                       v_bar_jacobian=lambda x: -np.eye(2))
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: -X,
+                                       drift_jacobian_apply=lambda X, Y, atoms, weights: -Y)
         rng = np.random.default_rng(0)
         tens = TangentEnsemble.at_rest(rng.normal(size=(6, 2)))
         cfg = IntegratorConfig(dt=0.01, horizon=0.2)
@@ -118,7 +118,7 @@ class TestEtaEps:
 
     def test_coinciding_trajectories_give_null_field(self):
         """G = 0 coefficients: the two runs coincide, every pairing is zero."""
-        coeffs = SyntheticCoefficients(dim=2, v_bar=lambda x: -x, v_bar_batch=lambda X: -X)
+        coeffs = SyntheticCoefficients(dim=2, v_bar_batch=lambda X: -X)
         initial = sample_initial(REF_SPEC, 10, 7)
         noise = NoisePath(7, 0.01, 20, 1)
         cfg = IntegratorConfig(dt=0.01, horizon=0.2, eps=0.01, snapshot_stride=5)

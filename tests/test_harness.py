@@ -238,6 +238,17 @@ class TestCltExperiment:
         assert abs(slope_rows[0]["slope"] - 1.0) < 0.35
         assert slope_rows[0]["r_box"] > 0
 
+    def test_synthetic_1d_slope(self):
+        """The synthetic instance's tangent runs see its linearised drift, so
+        its CLT distance falls like eps too (without it the slope is ~0)."""
+        cfg = ExperimentConfig(
+            instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,), n_particles=50,
+            eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.5, clt_snapshot_stride=10,
+            replicas=10, base_seed=3, k_max=32, r_box=4.0,
+        )
+        fit = [s for s in exp_clt_rate(cfg).summary if s.get("metric") == "slope"][0]
+        assert abs(fit["slope"] - 1.0) < 0.35
+
     def test_fixed_box_skips_the_sizing_pass(self):
         cfg = reference_config(
             n_particles=10,
