@@ -1,7 +1,8 @@
 """Metrics tour: exact Wasserstein backends and the spectral H^{-J} norm.
 
-The assignment backend is exact for equal-cardinality uniform measures, the
-quantile backend is exact in one dimension for arbitrary weights, and signed
+The assignment backend is exact for uniform measures (of unequal
+cardinalities too, replicated to their lcm), the quantile backend is exact in
+one dimension for arbitrary weights, the LP backend covers the rest, and signed
 atomic fields get their negative-Sobolev norm from exact Fourier sums on a
 periodic box.
 """

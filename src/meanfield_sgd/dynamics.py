@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, w2
+from .measures import EmpiricalMeasure, SortedAtoms, w2_stack
 
 __all__ = [
     "NoisePath",
@@ -388,18 +388,17 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     rows = _noise_rows(noise, cfg) if cfg.eps > 0.0 else None
     weights = initial.weights.copy()
     prev = np.repeat(initial.positions[None, :, :], n_steps + 1, axis=0)
+    prev_sorted = SortedAtoms.of(prev, weights)
     gaps: list[float] = []
     converged = False
     current = prev
     for it in range(1, max_iter + 1):
         current = _solve_frozen(initial, coeffs, cfg, rows, prev, weights)
-        gap = 0.0
-        for s in range(n_steps + 1):
-            g = w2(EmpiricalMeasure(current[s], weights), EmpiricalMeasure(prev[s], weights))
-            if g > gap:
-                gap = g
+        # each iterate is sorted once and compared with its successor too
+        current_sorted = SortedAtoms.of(current, weights)
+        gap = float(w2_stack(current_sorted, prev_sorted)[0].max())
         gaps.append(gap)
-        prev = current
+        prev, prev_sorted = current, current_sorted
         if gap < tol:
             converged = True
             break

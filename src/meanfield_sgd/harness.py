@@ -18,6 +18,7 @@ import json
 import numbers
 import os
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
@@ -42,7 +43,7 @@ from .dynamics import (
     simulate_transport,
 )
 from .fluctuations import clt_distance, eta_eps, solve_tangent
-from .measures import SpectralBoxError, SpectralGrid, w2
+from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_stack
 
 __all__ = [
     "ExperimentConfig",
@@ -113,6 +114,14 @@ class ExperimentConfig:
             if key not in _SYNTHETIC_PARAMS:
                 raise ValueError(f"synthetic_params must be named from {list(_SYNTHETIC_PARAMS)} "
                                  f"(got {key!r})")
+        if self.instance == "network" and not (self.dataset_rows or self.dataset_file):
+            raise ValueError("dataset_rows must be non-empty, or dataset_file given, "
+                             "for a network instance")
+        for name in ("eps_grid", "m_grid", "alpha_grid"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (tuple, list))
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid)):
+                raise ValueError(f"{name} must be a sequence of numbers (got {grid!r})")
         for name, low in (("n_particles", 1), ("replicas", 1), ("threads", 1), ("snapshot_stride", 1),
                           ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8)):
             value = getattr(self, name)
@@ -222,11 +231,13 @@ class ResultTable:
     Every row is stamped with the config hash and code version of the run
     (exposed on the table and written to summary.csv / run-meta.json; the
     results.csv header stays fixed to experiment,param,seed,metric,value).
+    ``w2_backends`` counts the W2 cells each backend served.
     """
 
     config: ExperimentConfig
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
+    w2_backends: Counter = field(default_factory=Counter)
 
     @property
     def config_hash(self) -> str:
@@ -240,6 +251,10 @@ class ResultTable:
         fields.setdefault("config_hash", self.config_hash)
         fields.setdefault("code_version", self.code_version)
         self.summary.append(fields)
+
+    def w2_backend_counts(self) -> str:
+        """Each W2 backend with the cells it served, e.g. ``assignment:150``."""
+        return " ".join(f"{name}:{count}" for name, count in sorted(self.w2_backends.items()))
 
     def _select(self, metric: str, param) -> list:
         key = None if param is None else str(param)
@@ -370,6 +385,7 @@ class Replica:
         self.base = IntegratorConfig(dt=config.dt, horizon=config.horizon, eps=0.0,
                                      snapshot_stride=stride)
         self.results: dict = {}
+        self.w2_backends: Counter = Counter()
         if coeffs is not None:
             self.coeffs = coeffs
 
@@ -414,6 +430,21 @@ class Replica:
 
         return self.shared(("run", eps, n, per_m), integrate)
 
+    def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
+        """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
+        every W2 cell of the replica that compares against them."""
+        n = self.config.n_particles if n is None else int(n)
+        run = self.run(eps, n, per_m)
+        return self.shared(("snapshots", eps, n, per_m), lambda: SortedAtoms.of(run.positions, run.weights))
+
+    def sup_w2_sq(self, a: tuple, b: tuple) -> float:
+        """sup_t W2^2 between the runs ``run(*a)`` and ``run(*b)``, counting the
+        backend that served it in ``w2_backends``."""
+        dists, backend = w2_stack(self.snapshots(*a), self.snapshots(*b))
+        self.w2_backends[backend] += 1
+        sup = float(dists.max())
+        return sup * sup
+
     def tangent(self):
         """The tangent system along the transport run of the shared ensemble."""
         return self.shared(("tangent",), lambda: solve_tangent(
@@ -432,11 +463,11 @@ def _guarded_cell(rows: list, experiment: str, param, seed: int, metric: str, fn
         rows.append((experiment, str(param), seed, metric, float("nan")))
 
 
-def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> list:
+def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> tuple[list, Counter]:
     rows = []
     for param, metric, fn in cells(rep):
         _guarded_cell(rows, experiment, param, rep.seed, metric, fn)
-    return rows
+    return rows, rep.w2_backends
 
 
 def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
@@ -452,7 +483,8 @@ def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
         replicas = (Replica(config, config.base_seed + r, config.snapshot_stride)
                     for r in range(config.replicas))
     per_replica = _parallel(partial(_replica_rows, experiment, cells), replicas, config.threads)
-    return ResultTable(config, [row for rows in per_replica for row in rows])
+    return ResultTable(config, [row for rows, _ in per_replica for row in rows],
+                       w2_backends=sum((backends for _, backends in per_replica), Counter()))
 
 
 def _replica_matrix(table: "ResultTable", metric: str, params) -> np.ndarray:
@@ -482,14 +514,6 @@ def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
     return matrix
 
 
-def _sup_w2_sq(traj_a, traj_b) -> float:
-    sup = 0.0
-    for s in range(traj_a.n_snapshots):
-        d = w2(traj_a.measure_at(s), traj_b.measure_at(s))
-        sup = max(sup, d * d)
-    return sup
-
-
 def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
     """Exact squared W2 between an empirical measure and Uniform[low, high]."""
     x = np.sort(np.asarray(samples, dtype=float).ravel())
@@ -508,11 +532,8 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 
 
 def _lln_cells(rep: Replica) -> list:
-    def cell(eps: float) -> float:
-        transport = rep.run(0.0)
-        return _sup_w2_sq(rep.run(eps), transport)
-
-    return [(eps, "sup_w2_sq", partial(cell, float(eps))) for eps in rep.config.eps_grid]
+    return [(eps, "sup_w2_sq", partial(rep.sup_w2_sq, (float(eps),), (0.0,)))
+            for eps in rep.config.eps_grid]
 
 
 def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
@@ -537,8 +558,8 @@ def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
 
 def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    return _eps_rate_summary(_run_replicas("lln-rate", _lln_cells, config),
-                             "lln-rate", "sup_w2_sq")
+    table = _run_replicas("lln-rate", _lln_cells, config)
+    return _eps_rate_summary(table, "lln-rate", "sup_w2_sq", w2_backends=table.w2_backend_counts())
 
 
 # --------------------------------------------------------------------------
@@ -551,8 +572,7 @@ def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
     ref = rep.initial(n_ref).as_measure()
 
     def amplification(m: int, gap: float) -> float:
-        ref_traj = rep.run(eps, n_ref)
-        return _sup_w2_sq(rep.run(eps, m, per_m=True), ref_traj) / gap if gap > 0 else np.nan
+        return rep.sup_w2_sq((eps, m, True), (eps, n_ref)) / gap if gap > 0 else np.nan
 
     cells = []
     for m in rep.config.m_grid:
@@ -782,20 +802,17 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
 
 
 def _commute_cells(n_ref: int, rep: Replica) -> list:
-    def cell(eps: float, n: int, per_m: bool) -> float:
-        ref = rep.run(0.0, n_ref)
-        return _sup_w2_sq(rep.run(eps, n, per_m), ref)
-
+    cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
     cells = []
     for m in rep.config.m_grid:
         m = int(m)
-        cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, float(alpha), m, True))
+        cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M
-        cells.append((f"{m}:0", "sup_w2_sq", partial(cell, 0.0, m, True)))
+        cells.append((f"{m}:0", "sup_w2_sq", partial(cell, (0.0, m, True))))
     # M -> infinity edge at the smallest noise scale
     alpha_min = float(min(rep.config.alpha_grid))
-    cells.append((f"ref:{alpha_min}", "sup_w2_sq", partial(cell, alpha_min, n_ref, False)))
+    cells.append((f"ref:{alpha_min}", "sup_w2_sq", partial(cell, (alpha_min, n_ref, False))))
     return cells
 
 
@@ -820,5 +837,6 @@ def exp_commute(config: ExperimentConfig, n_ref: int | None = None) -> ResultTab
     table.add_summary(experiment="commute", metric="surface_fit", c_alpha=float(coef[0]),
                       c_inv_m=float(coef[1]), rel_residual=residual,
                       endpoint_alpha_then_m=float(edges[:, 0].mean()),
-                      endpoint_m_then_alpha=float(edges[:, 1].mean()))
+                      endpoint_m_then_alpha=float(edges[:, 1].mean()),
+                      w2_backends=table.w2_backend_counts())
     return table

@@ -1,8 +1,11 @@
 """Measure containers and the two metrics the convergence rates live in.
 
-``w2`` is exact where the experiments need it (optimal assignment for
-equal-cardinality uniform measures, quantile coupling in one dimension) and
-falls back to an entropic approximation otherwise.  The negative-order
+``w2`` is exact on every input, through one of three backends: the quantile
+coupling in one dimension, an optimal assignment for uniform measures (of
+unequal cardinalities m and n too, replicated to lcm(m, n) atoms), and the
+transport linear program otherwise.  ``SortedAtoms.of`` checks and sorts the
+snapshots of a run once, and ``w2_stack`` compares two runs snapshot by
+snapshot without checking or sorting again.  The negative-order
 Sobolev norm is evaluated spectrally on a periodic box that contains all
 atoms: for an atomic or tangent field the Fourier coefficients are exact
 finite sums, so no meshing is involved.  ``HalfLattice`` computes them on
@@ -14,8 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "EmpiricalMeasure",
@@ -23,8 +30,10 @@ __all__ = [
     "SpectralBoxError",
     "SpectralGrid",
     "HalfLattice",
+    "SortedAtoms",
     "w2",
     "w2_detailed",
+    "w2_stack",
     "moment",
     "sobolev_neg_norm",
     "spectral_coefficients",
@@ -40,6 +49,27 @@ class SpectralBoxError(ValueError):
     """An atom or base point lies outside the open spectral box."""
 
 
+def _checked(atoms: np.ndarray, weights) -> np.ndarray:
+    """The weights of atoms (..., N, d) as floats, once the atoms are checked
+    finite and the weights a probability vector over the N atoms."""
+    if atoms.shape[-2] == 0:
+        raise ValueError("empirical measure needs at least one atom")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (atoms.shape[-2],):
+        raise ValueError("weights must match the number of atoms")
+    # a sum is finite only if every entry is (one that overflows is rejected too)
+    if not math.isfinite(atoms.sum()):
+        raise ValueError("atoms must be finite")
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError("weights must be finite")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be strictly positive")
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights must sum to 1 (got {total!r})")
+    return weights
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Weighted atoms in R^d representing a probability measure."""
@@ -49,22 +79,7 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        if atoms.shape[0] == 0:
-            raise ValueError("empirical measure needs at least one atom")
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (atoms.shape[0],):
-            raise ValueError("weights must match the number of atoms")
-        # a sum is finite only if every entry is (one that overflows is
-        # rejected too); a measure is built per W2 call, so this stays cheap
-        if not math.isfinite(atoms.sum()):
-            raise ValueError("atoms must be finite")
-        total = weights.sum()
-        if not math.isfinite(total):
-            raise ValueError("weights must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
+        weights = _checked(atoms, self.weights)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -73,10 +88,6 @@ class EmpiricalMeasure:
         atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         n = atoms.shape[0]
         return cls(atoms, np.full(n, 1.0 / n))
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
 
     @property
     def n_atoms(self) -> int:
@@ -156,12 +167,32 @@ class SpectralGrid:
 _ASSIGNMENT_MAX = 2000
 
 
+class SortedAtoms(NamedTuple):
+    """Measures on N atoms made ready for W2 once: one measure (N, d), or a
+    run's snapshots (S, N, d) with ``at(s)`` the s-th.  Atoms are checked
+    finite and each measure's atoms sorted, lexicographically so that the
+    coupling is fixed when costs tie; weights are checked and kept in the
+    order of the atoms."""
+
+    atoms: np.ndarray    # (..., N, d)
+    weights: np.ndarray  # (..., N)
+    uniform: bool        # every weight is 1/N
+
+    @classmethod
+    def of(cls, atoms: np.ndarray, weights: np.ndarray) -> "SortedAtoms":
+        atoms = np.asarray(atoms, dtype=float)
+        weights = _checked(atoms, weights)
+        order = np.lexsort(np.moveaxis(atoms, -1, 0)[::-1], axis=-1)
+        return cls(np.take_along_axis(atoms, order[..., None], axis=-2), weights[order],
+                   bool(np.allclose(weights, 1.0 / weights.size, atol=1e-12)))
+
+    def at(self, s: int) -> "SortedAtoms":
+        return SortedAtoms(self.atoms[s], self.weights[s], self.uniform)
+
+
 def _w2_quantile_1d(xa, wa, xb, wb) -> float:
-    """Exact squared W2 between weighted 1-d measures via CDF coupling."""
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], wa[ia]
-    xb, wb = xb[ib], wb[ib]
+    """Exact squared W2 between weighted 1-d measures on sorted atoms via
+    CDF coupling."""
     ca = np.cumsum(wa)
     cb = np.cumsum(wb)
     # merge the two sets of CDF breakpoints; between consecutive levels both
@@ -176,73 +207,70 @@ def _w2_quantile_1d(xa, wa, xb, wb) -> float:
 
 
 def _w2_assignment(xa: np.ndarray, xb: np.ndarray) -> float:
-    """Exact squared W2 for equal-cardinality uniform measures."""
-    # lexicographic presort fixes the coupling when costs tie
-    xa = xa[np.lexsort(xa.T[::-1])]
-    xb = xb[np.lexsort(xb.T[::-1])]
-    diff = xa[:, None, :] - xb[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
+    """Exact squared W2 between uniform measures on m and n sorted atoms:
+    each atom replicated to lcm(m, n) equal atoms, one optimal assignment."""
+    size = math.lcm(xa.shape[0], xb.shape[0])
+    cost = cdist(xa, xb, "sqeuclidean")
+    if cost.shape != (size, size):
+        cost = np.repeat(np.repeat(cost, size // xa.shape[0], axis=0), size // xb.shape[0], axis=1)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum() / xa.shape[0])
+    return float(cost[rows, cols].sum() / size)
 
 
-def _w2_sinkhorn(xa, wa, xb, wb, reg_scale: float = 1e-3, max_iter: int = 5000,
-                 tol: float = 1e-10) -> tuple[float, dict]:
-    diff = xa[:, None, :] - xb[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    diameter2 = cost.max()
-    if diameter2 == 0.0:
-        return 0.0, {"backend": "sinkhorn", "reg": 0.0, "marginal_error": 0.0}
-    reg = reg_scale * diameter2
-    log_k = -cost / reg
-    log_u = np.zeros(len(wa))
-    log_v = np.zeros(len(wb))
-    log_wa = np.log(wa)
-    log_wb = np.log(wb)
-    err = np.inf
-    for _ in range(max_iter):
-        log_u = log_wa - _logsumexp_rows(log_k + log_v[None, :])
-        log_v = log_wb - _logsumexp_rows((log_k + log_u[:, None]).T)
-        plan = np.exp(log_u[:, None] + log_k + log_v[None, :])
-        err = abs(plan.sum(axis=1) - wa).max()
-        if err < tol:
-            break
-    value = float(np.sum(plan * cost))
-    return value, {"backend": "sinkhorn", "reg": reg, "marginal_error": float(err)}
+def _w2_lp(xa, wa, xb, wb) -> float:
+    """Exact squared W2 between weighted measures: the transport linear
+    program over the (m, n) plan, solved by HiGHS."""
+    m, n = xa.shape[0], xb.shape[0]
+    marginals = sparse.vstack([sparse.kron(sparse.identity(m), np.ones((1, n))),
+                               sparse.kron(np.ones((1, m)), sparse.identity(n))])
+    res = linprog(cdist(xa, xb, "sqeuclidean").ravel(), A_eq=marginals,
+                  b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"W2 transport program failed: {res.message}")
+    return float(res.fun)
 
 
-def _logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    mx = m.max(axis=1)
-    return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+def w2_detailed(mu, nu) -> tuple[float, dict]:
+    """Exact Wasserstein-2 distance plus the backend that computed it.
 
+    ``mu`` and ``nu`` are EmpiricalMeasures, or SortedAtoms of one measure
+    (checked and sorted once per run).  The backends, all exact:
 
-def w2_detailed(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[float, dict]:
-    """Wasserstein-2 distance plus backend information.
-
-    Equal-cardinality uniform measures (up to 2000 atoms) use exact optimal
-    assignment; one-dimensional measures use exact quantile coupling;
-    everything else uses entropic regularization with the regularization and
-    marginal error reported alongside.
+    * ``quantile``: one dimension, any weights, by the quantile coupling;
+    * ``assignment``: uniform weights on m and n atoms with lcm(m, n) <= 2000;
+      a uniform measure is unchanged when each atom is replicated to
+      lcm(m, n) / m equal atoms, and between two uniform measures of equal
+      cardinality an optimal assignment is an optimal plan
+      (Birkhoff-von Neumann);
+    * ``lp``: everything else, general weights in d >= 2 or a larger lcm,
+      by the transport linear program.
     """
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.dim == 1:
-        val = _w2_quantile_1d(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights)
-        return float(np.sqrt(max(val, 0.0))), {"backend": "quantile"}
-    uniform = (
-        mu.n_atoms == nu.n_atoms
-        and np.allclose(mu.weights, 1.0 / mu.n_atoms, atol=1e-12)
-        and np.allclose(nu.weights, 1.0 / nu.n_atoms, atol=1e-12)
-    )
-    if uniform and mu.n_atoms <= _ASSIGNMENT_MAX:
-        val = _w2_assignment(mu.atoms, nu.atoms)
-        return float(np.sqrt(max(val, 0.0))), {"backend": "assignment"}
-    val, info = _w2_sinkhorn(mu.atoms, mu.weights, nu.atoms, nu.weights)
-    return float(np.sqrt(max(val, 0.0))), info
+    a, b = (m if isinstance(m, SortedAtoms) else SortedAtoms.of(m.atoms, m.weights) for m in (mu, nu))
+    dim = a.atoms.shape[1]
+    if dim != b.atoms.shape[1]:
+        raise ValueError(f"dimension mismatch: {dim} vs {b.atoms.shape[1]}")
+    if dim == 1:
+        val, backend = _w2_quantile_1d(a.atoms[:, 0], a.weights, b.atoms[:, 0], b.weights), "quantile"
+    elif a.uniform and b.uniform and math.lcm(a.atoms.shape[0], b.atoms.shape[0]) <= _ASSIGNMENT_MAX:
+        val, backend = _w2_assignment(a.atoms, b.atoms), "assignment"
+    else:
+        val, backend = _w2_lp(a.atoms, a.weights, b.atoms, b.weights), "lp"
+    return float(np.sqrt(max(val, 0.0))), {"backend": backend}
 
 
 def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return w2_detailed(mu, nu)[0]
+
+
+def w2_stack(a: SortedAtoms, b: SortedAtoms) -> tuple[np.ndarray, str]:
+    """W2 between snapshot s of ``a`` and snapshot s of ``b`` (S >= 1), for
+    every s, and the one backend that served them all."""
+    if a.atoms.shape[0] != b.atoms.shape[0]:
+        raise ValueError(f"snapshot count mismatch: {a.atoms.shape[0]} vs {b.atoms.shape[0]}")
+    dists = np.empty(a.atoms.shape[0])
+    for s in range(dists.size):
+        dists[s], info = w2_detailed(a.at(s), b.at(s))
+    return dists, info["backend"]
 
 
 def moment(mu: EmpiricalMeasure, p: int) -> float:

@@ -342,6 +342,9 @@ class TestBoundaryValidation:
         (lambda: reference_config(dt=0.0), "dt"),
         (lambda: reference_config(dt=float("nan")), "dt"),
         (lambda: reference_config(dt="1e-3"), "dt"),
+        (lambda: ExperimentConfig(), "dataset_rows"),
+        (lambda: reference_config(eps_grid=(0.1, "x")), "eps_grid"),
+        (lambda: reference_config(m_grid=(50, None)), "m_grid"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -349,7 +352,8 @@ class TestBoundaryValidation:
             "config-zero-particles", "config-negative-replicas", "config-float-replicas",
             "config-zero-threads", "config-zero-stride", "config-bool-clt-stride",
             "config-zero-sobolev-j", "config-small-k-max", "config-negative-dt", "config-zero-dt",
-            "config-nan-dt", "config-string-dt"])
+            "config-nan-dt", "config-string-dt", "config-network-without-dataset",
+            "config-string-grid-entry", "config-none-grid-entry"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()

@@ -421,6 +421,18 @@ class TestCommuteExperiment:
         scale = fit_rows[0]["c_alpha"] * 0.005 + fit_rows[0]["c_inv_m"] / 200
         assert abs(e_a - e_b) <= 3.0 * scale
 
+    def test_network_instance_stays_exact(self):
+        """d = 2, M-particle runs against an n_ref = 40 reference: every cell
+        is served by the exact assignment (M divides n_ref) and reported."""
+        cfg = reference_config(m_grid=(4, 8), dt=5e-3, horizon=0.05, snapshot_stride=5,
+                               replicas=10, base_seed=16)
+        table = exp_commute(cfg, n_ref=40)
+        assert table.values("failed").size == 0
+        fit = [s for s in table.summary if s.get("metric") == "surface_fit"][0]
+        # 10 replicas x (2 M x (3 alphas + the alpha -> 0 edge) + the M -> infinity edge)
+        assert fit["w2_backends"] == "assignment:90"
+        assert np.isfinite(fit["rel_residual"])
+
 
 class TestCli:
     def write_cfg(self, tmp_path, **overrides):

@@ -4,13 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from meanfield_sgd import measures
 from meanfield_sgd.diagnostics import gaussian_bump
 from meanfield_sgd.measures import (
     EmpiricalMeasure,
     SignedAtomicField,
     SpectralGrid,
     _w2_assignment,
+    _w2_lp,
     moment,
     pair,
     read_field,
@@ -105,21 +110,68 @@ class TestW2:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.zeros((0, 2)), np.zeros(0))
 
-    def test_sinkhorn_close_to_exact(self):
-        """entropic fallback (unequal cardinality, d=2) lands near the exact value."""
-        rng = np.random.default_rng(6)
-        xa = rng.normal(size=(6, 2))
-        xb = rng.normal(size=(9, 2))
-        mu = EmpiricalMeasure.uniform(xa)
-        nu = EmpiricalMeasure.uniform(xb)
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 6), (2, 3), (1, 5)])
+    def test_unequal_cardinality_is_exact(self, m, n):
+        """uniform m vs n atoms in d = 2: lcm replication, the transport LP and
+        brute force over the replicated matchings give one value."""
+        rng = np.random.default_rng(6 + m * n)
+        xa = rng.normal(size=(m, 2))
+        xb = rng.normal(size=(n, 2))
+        val, info = w2_detailed(EmpiricalMeasure.uniform(xa), EmpiricalMeasure.uniform(xb))
+        assert info["backend"] == "assignment"
+        size = np.lcm(m, n)
+        brute = brute_force_w2_sq(np.repeat(xa, size // m, axis=0), np.repeat(xb, size // n, axis=0))
+        lp = _w2_lp(xa, np.full(m, 1.0 / m), xb, np.full(n, 1.0 / n))
+        assert val**2 == pytest.approx(brute, rel=1e-12)
+        assert lp == pytest.approx(brute, rel=1e-9)
+
+    def test_lp_past_the_assignment_cap(self, monkeypatch):
+        """an lcm above the cap goes to the LP, which agrees with the assignment."""
+        rng = np.random.default_rng(8)
+        xa = rng.normal(size=(4, 2))
+        xb = rng.normal(size=(6, 2))
+        monkeypatch.setattr(measures, "_ASSIGNMENT_MAX", 10)
+        val, info = w2_detailed(EmpiricalMeasure.uniform(xa), EmpiricalMeasure.uniform(xb))
+        assert info["backend"] == "lp"
+        assert val**2 == pytest.approx(_w2_assignment(xa, xb), rel=1e-9)
+
+    def test_weighted_2d_goes_to_the_lp(self):
+        """general weights in d = 2 use the LP, checked against atom splitting."""
+        mu = EmpiricalMeasure(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([0.75, 0.25]))
+        mu_split = EmpiricalMeasure.uniform(np.array([[0.0, 0.0]] * 3 + [[1.0, 2.0]]))
+        nu = EmpiricalMeasure.uniform(np.array([[-1.0, 0.5], [0.5, 0.0], [2.0, 1.0], [3.0, -1.0]]))
         val, info = w2_detailed(mu, nu)
-        assert info["backend"] == "sinkhorn"
-        assert "reg" in info and "marginal_error" in info
-        # oracle: refine both to equal cardinality 18 and use assignment
-        xa18 = np.repeat(xa, 3, axis=0)
-        xb18 = np.repeat(xb, 2, axis=0)
-        exact = np.sqrt(_w2_assignment(xa18, xb18))
-        assert val == pytest.approx(exact, rel=0.05, abs=0.02)
+        assert info["backend"] == "lp"
+        assert val == pytest.approx(w2(mu_split, nu), rel=1e-9)
+
+
+_POINTS = st.floats(-3.0, 3.0)
+
+
+def _uniform_measures(data, dim: int, sizes=st.integers(1, 6)):
+    return [EmpiricalMeasure.uniform(data.draw(arrays(float, (data.draw(sizes), dim), elements=_POINTS)))
+            for _ in range(3)]
+
+
+class TestW2Properties:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_metric_axioms(self, dim, data):
+        a, b, c = _uniform_measures(data, dim)
+        assert w2(a, a) == pytest.approx(0.0, abs=1e-7)
+        assert w2(a, b) >= 0.0
+        assert w2(a, b) == pytest.approx(w2(b, a), rel=1e-9, abs=1e-12)
+        assert w2(a, c) <= w2(a, b) + w2(b, c) + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_exact_backends_agree(self, dim, data):
+        """quantile (1-d), assignment and LP give one squared W2."""
+        a, b, _ = _uniform_measures(data, dim)
+        val = w2(a, b) ** 2
+        assert _w2_assignment(a.atoms, b.atoms) == pytest.approx(val, rel=1e-9, abs=1e-12)
+        lp = _w2_lp(a.atoms, a.weights, b.atoms, b.weights)
+        assert lp == pytest.approx(val, rel=1e-7, abs=1e-9)
 
 
 class TestMoment:
