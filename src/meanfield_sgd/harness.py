@@ -117,22 +117,39 @@ class ExperimentConfig:
         if self.instance == "network" and not (self.dataset_rows or self.dataset_file):
             raise ValueError("dataset_rows must be non-empty, or dataset_file given, "
                              "for a network instance")
-        for name in ("eps_grid", "m_grid", "alpha_grid"):
+        for name in ("eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
             grid = getattr(self, name)
             if not (isinstance(grid, (tuple, list))
                     and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid)):
                 raise ValueError(f"{name} must be a sequence of numbers (got {grid!r})")
+        if not all(float(m).is_integer() for m in self.m_grid):
+            raise ValueError(f"m_grid must be whole particle counts (got {self.m_grid!r})")
         for name, low in (("n_particles", 1), ("replicas", 1), ("threads", 1), ("snapshot_stride", 1),
-                          ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8)):
+                          ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8), ("base_seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
-        if not (isinstance(self.dt, numbers.Real) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite (got {self.dt!r})")
+        for name in ("dt", "r_box") if self.r_box is not None else ("dt",):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite (got {value!r})")
+        shapes = {np.shape(row) for row in self.dataset_rows}
+        if len(shapes) > 1 or any(len(shape) != 1 or shape[0] < 3 for shape in shapes):
+            raise ValueError("dataset_rows must be rows of one length >= 3: theta.., weight, label")
+        low, high = np.asarray(self.mu0_low, dtype=float), np.asarray(self.mu0_high, dtype=float)
+        if low.size == 0 or not np.all(np.isfinite(low)):
+            raise ValueError(f"mu0_low must be non-empty and finite (got {self.mu0_low!r})")
+        if high.size != low.size or not np.all(np.isfinite(high)):
+            raise ValueError(f"mu0_high must be finite and as long as mu0_low (got {self.mu0_high!r})")
+        # the parameter dimension, where the config fixes it
+        dim = 1 if self.instance == "synthetic-1d" else None if self.dataset_file else shapes.pop()[0] - 1
+        if dim not in (None, low.size):
+            raise ValueError(f"mu0_low must be of length {dim}, the parameter dimension (got {low.size})")
+        if np.any(low > high):
+            raise ValueError(f"mu0_high must be >= mu0_low in every coordinate (got {self.mu0_high!r})")
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -162,9 +179,9 @@ class ExperimentConfig:
             if arr.size == 0:
                 raise ValueError(f"{name} must be non-empty")
             if np.any(arr <= 0):
-                raise ValueError("grids must be strictly positive")
+                raise ValueError(f"{name} must be strictly positive (got {arr.tolist()})")
             if not (np.all(np.diff(arr) > 0) or np.all(np.diff(arr) < 0)):
-                raise ValueError("grids must be sorted")
+                raise ValueError(f"{name} must be sorted without repeats (got {arr.tolist()})")
         if self.replicas < 10:
             raise ValueError("rate experiments need at least 10 replicas")
 
@@ -266,6 +283,30 @@ class ResultTable:
     def values_by_seed(self, metric: str, param=None) -> dict:
         return {r[2]: r[4] for r in self._select(metric, param)}
 
+    def matrix(self, cells: Sequence[tuple]) -> np.ndarray:
+        """(replicas, len(cells)) matrix of the distinct ``(metric, param)``
+        cells, replicas in row (seed) order, from one pass over the rows.  A
+        replica with a failed (nan) or absent cell is dropped with a warning;
+        a cell with no rows raises KeyError."""
+        column = {(metric, str(param)): k for k, (metric, param) in enumerate(cells)}
+        seeds, where, values = {}, [], []
+        for _, param, seed, metric, value in self.rows:
+            k = column.get((metric, param))
+            if k is not None:
+                where.append((seeds.setdefault(seed, len(seeds)), k))
+                values.append(value)
+        missing = sorted(set(range(len(cells))) - {k for _, k in where})
+        if missing:
+            names = ", ".join(f"{cells[k][0]} at param {cells[k][1]}" for k in missing)
+            raise KeyError(f"no rows for {names}")
+        matrix = np.full((len(seeds), len(cells)), np.nan)
+        matrix[tuple(zip(*where))] = values
+        bad = np.isnan(matrix).any(axis=1)
+        if bad.any():
+            warnings.warn(f"excluding {int(bad.sum())} replica(s) with failed cells")
+            matrix = matrix[~bad]
+        return matrix
+
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -273,11 +314,7 @@ class ResultTable:
             writer.writerow(RESULTS_HEADER)
             for row in self.rows:
                 writer.writerow([row[0], row[1], row[2], row[3], f"{row[4]:.17g}"])
-        keys: list[str] = []
-        for entry in self.summary:
-            for k in entry:
-                if k not in keys:
-                    keys.append(k)
+        keys = list(dict.fromkeys(k for entry in self.summary for k in entry))
         with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(keys)
@@ -319,8 +356,7 @@ def fit_slope(params: Sequence[float], values, n_boot: int = 400, seed: int = 0)
     n_params) matrix; nonpositive means are excluded with a warning.
     """
     params = np.asarray(params, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    matrix = vals if vals.ndim == 2 else vals[None, :]
+    matrix = np.atleast_2d(np.asarray(values, dtype=float))
     if matrix.shape[1] != params.size:
         raise ValueError("values do not match the parameter grid")
     means = matrix.mean(axis=0)
@@ -334,16 +370,13 @@ def fit_slope(params: Sequence[float], values, n_boot: int = 400, seed: int = 0)
     ci_low = ci_high = None
     if matrix.shape[0] > 1:
         rng = seeded_rng(seed, "slope-bootstrap")
-        boot = np.empty(n_boot)
         n_rep = matrix.shape[0]
+        boot = np.full(n_boot, np.nan)
         for b in range(n_boot):
-            idx = rng.integers(0, n_rep, size=n_rep)
-            bm = matrix[idx].mean(axis=0)
+            bm = matrix[rng.integers(0, n_rep, size=n_rep)].mean(axis=0)
             ok = mask & (bm > 0)
-            if ok.sum() < 3:
-                boot[b] = np.nan
-                continue
-            boot[b] = np.polyfit(np.log(params[ok]), np.log(bm[ok]), 1)[0]
+            if ok.sum() >= 3:
+                boot[b] = np.polyfit(np.log(params[ok]), np.log(bm[ok]), 1)[0]
         boot = boot[np.isfinite(boot)]
         if boot.size:
             ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
@@ -487,22 +520,12 @@ def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
                        w2_backends=sum((backends for _, backends in per_replica), Counter()))
 
 
-def _replica_matrix(table: "ResultTable", metric: str, params) -> np.ndarray:
-    """(replicas, len(params)) matrix of a metric, dropping failed replicas."""
-    matrix = np.column_stack([table.values(metric, p) for p in params])
-    bad = np.isnan(matrix).any(axis=1)
-    if bad.any():
-        warnings.warn(f"excluding {int(bad.sum())} replica(s) with failed cells")
-        matrix = matrix[~bad]
-    return matrix
-
-
 def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
                   fit_row: dict, stderr: bool = True) -> np.ndarray | None:
     """Per-param mean (and stderr) summary rows over the replicas whose cells
     all succeeded, returning their (replicas, params) matrix.  When no replica
     did, ``fit_row`` is written flagged ``all_cells_failed`` and None returned."""
-    matrix = _replica_matrix(table, metric, params)
+    matrix = table.matrix([(metric, p) for p in params])
     if matrix.shape[0] == 0:
         table.add_summary(experiment=experiment, **fit_row, all_cells_failed=True)
         return None
@@ -575,8 +598,7 @@ def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
         return rep.sup_w2_sq((eps, m, True), (eps, n_ref)) / gap if gap > 0 else np.nan
 
     cells = []
-    for m in rep.config.m_grid:
-        m = int(m)
+    for m in map(int, rep.config.m_grid):
         start = rep.initial(m, per_m=True)
         gap = w2(start.as_measure(), ref) ** 2
         cells += [
@@ -594,17 +616,15 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
     n_ref = 20 * int(max(config.m_grid))
     table = _run_replicas("particle-rate", partial(_particle_cells, float(eps), n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
-    static = _replica_matrix(table, "w2_sq_initial", m_grid)
+    static = table.matrix([("w2_sq_initial", m) for m in m_grid])
     fit = fit_slope(m_grid, static)
     table.add_summary(experiment="particle-rate", metric="slope_initial", slope=fit.slope,
                       intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high)
     for k, m in enumerate(m_grid):
-        amps = table.values("amplification", m)
-        n_ok = int(np.count_nonzero(~np.isnan(amps)))   # replicas whose cell ran
+        amps = table.matrix([("amplification", m)])[:, 0]   # the replicas whose cell ran
         table.add_summary(experiment="particle-rate", param=str(m), metric="amplification",
-                          mean=float(np.nanmean(amps)) if n_ok else np.nan,
-                          stderr=float(np.nanstd(amps, ddof=1) / np.sqrt(len(amps)))
-                          if n_ok > 1 else np.nan)
+                          mean=float(amps.mean()) if amps.size else np.nan,
+                          stderr=float(amps.std(ddof=1) / np.sqrt(amps.size)) if amps.size > 1 else np.nan)
         table.add_summary(experiment="particle-rate", param=str(m), metric="w2_sq_initial",
                           mean=float(static[:, k].mean()),
                           stderr=float(static[:, k].std(ddof=1) / np.sqrt(static.shape[0])))
@@ -692,7 +712,7 @@ def _sgd_snapshots(config: ExperimentConfig) -> range:
                                  config.snapshot_stride).size)
 
 
-def _sgd_values(rep: Replica, m: int, panel: list) -> list:
+def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
     """<phi, mu_t> of the eps = 1/M stochastic mean-field run and <phi, nu_t>
     of SGD with alpha = 1/M, P = 1 and time embedding floor(M t), both from
     the same M atoms, per snapshot and phi (smfe first)."""
@@ -700,14 +720,12 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> list:
                     n_steps=int(np.ceil(m * rep.config.horizon)), seed=rep.seed,
                     initial=rep.initial(m, per_m=True).positions)
     traj = rep.run(1.0 / m, m, per_m=True)
-    values = []
-    for s in range(traj.n_snapshots):
-        nu = chain.measure_at_time(float(traj.times[s]))
-        mu = traj.measure_at(s)
-        for phi in panel:
-            values += [float(mu.weights @ phi.value(mu.atoms)),
-                       float(nu.weights @ phi.value(nu.atoms))]
-    return values
+    steps = np.minimum(np.floor(m * traj.times).astype(int), chain.n_steps)
+    positions = np.stack([traj.positions, chain.positions[steps]])    # (2, S, M, d)
+    atoms = positions.reshape(-1, positions.shape[-1])
+    values = np.stack([phi.value(atoms).reshape(positions.shape[:-1]) @ traj.weights
+                       for phi in panel])                              # (phi, 2, S)
+    return values.transpose(2, 0, 1).ravel()
 
 
 def _sgd_cells(rep: Replica) -> list:
@@ -715,32 +733,29 @@ def _sgd_cells(rep: Replica) -> list:
     metrics = [f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
                for phi in panel for kind in ("smfe", "sgd")]
     cells = []
-    for m in rep.config.m_grid:
-        m = int(m)
+    for m in map(int, rep.config.m_grid):
         values = partial(rep.shared, ("sgd", m), partial(_sgd_values, rep, m, panel))
         cells += [(m, metric, lambda i=i, v=values: v()[i]) for i, metric in enumerate(metrics)]
     return cells
 
 
-def _sgd_series(table: "ResultTable", phi_name: str, m: int) -> tuple[list, list]:
-    """Seeds and (snapshots, replicas) arrays of <phi, mu_t> and <phi, nu_t>
-    at M, each (metric, M) series read once; replicas whose runs failed
-    (nan cells) drop out."""
-    by_seed = [[table.values_by_seed(f"{kind}:{phi_name}:{s}", m)
-                for s in _sgd_snapshots(table.config)] for kind in ("smfe", "sgd")]
-    seeds = [sd for sd, v in by_seed[0][0].items() if not np.isnan(v)]
-    return seeds, [np.array([[d[sd] for sd in seeds] for d in kind]) for kind in by_seed]
+def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> np.ndarray:
+    """(M, smfe|sgd, snapshots, replicas) array of <phi, mu_t> and <phi, nu_t>
+    over the replicas that ran at every M of ``m_grid``, in one table read."""
+    snapshots = _sgd_snapshots(table.config)
+    matrix = table.matrix([(f"{kind}:{phi_name}:{s}", m) for m in m_grid
+                           for kind in ("smfe", "sgd") for s in snapshots])
+    return matrix.T.reshape(len(m_grid), 2, len(snapshots), matrix.shape[0])
 
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
     table = _run_replicas("sgd-compare", _sgd_cells, config)
-    for m in config.m_grid:
-        m = int(m)
+    for m in map(int, config.m_grid):
         for phi in _sgd_phi_panel(len(config.mu0_low)):
-            seeds, (smfe, sgd) = _sgd_series(table, phi.name, m)
+            ((smfe, sgd),) = _sgd_series(table, phi.name, [m])
             g = w2_replica = np.nan   # unless some replica ran at this M
-            if seeds:
+            if smfe.shape[1]:
                 g = max(abs(a.mean() - b.mean()) for a, b in zip(smfe, sgd))
                 # distance between the replica distributions of <phi, .> at T
                 a, b = np.sort(smfe[-1]), np.sort(sgd[-1])
@@ -759,41 +774,26 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
 
     For each adjacent pair the gate fails only when the bootstrap CI of the
     increment sqrt(M2) g(M2) - sqrt(M1) g(M1) lies entirely above zero.  It
-    also fails when no replica ran at every M.
+    also fails when no replica ran at every M.  An unknown ``phi_name`` or an
+    M that is not in the table raises KeyError.
     """
     rng = seeded_rng(seed, "sgd-trend")
     m_grid = [int(m) for m in m_grid]
-    series = {m: _sgd_series(table, phi_name, m) for m in m_grid}
-    # align replicas by seed across M (failed cells drop out of every M)
-    common = sorted(set.intersection(*(set(seeds) for seeds, _ in series.values())))
-    if not common:
+    series = _sgd_series(table, phi_name, m_grid)
+    n_rep = series.shape[-1]
+    if n_rep == 0:
         return False, []
-    per_rep = {}  # M -> (S, R) smfe and sgd over the common replicas
-    for m, (seeds, arrays) in series.items():
-        columns = [seeds.index(sd) for sd in common]
-        per_rep[m] = [values[:, columns] for values in arrays]
-    n_rep = len(common)
+    sqrt_m = np.sqrt(m_grid)
 
     def stat(idx: np.ndarray) -> np.ndarray:
-        out = np.empty(len(m_grid))
-        for k, m in enumerate(m_grid):
-            smfe, sgd = per_rep[m]
-            g = np.abs(smfe[:, idx].mean(axis=1) - sgd[:, idx].mean(axis=1)).max()
-            out[k] = np.sqrt(m) * g
-        return out
+        means = series[..., idx].mean(axis=-1)    # (M, smfe|sgd, S)
+        return sqrt_m * np.abs(means[:, 0] - means[:, 1]).max(axis=-1)
 
     base = stat(np.arange(n_rep))
     boots = np.array([stat(rng.integers(0, n_rep, size=n_rep)) for _ in range(n_boot)])
-    ok = True
-    intervals = []
     lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
-    for k in range(len(m_grid) - 1):
-        inc = boots[:, k + 1] - boots[:, k]
-        lo, hi = np.percentile(inc, [lo_q, hi_q])
-        intervals.append((float(base[k + 1] - base[k]), float(lo), float(hi)))
-        if lo > 0:
-            ok = False
-    return ok, intervals
+    lo, hi = np.percentile(np.diff(boots, axis=1), [lo_q, hi_q], axis=0)
+    return not np.any(lo > 0), [tuple(map(float, v)) for v in zip(np.diff(base), lo, hi)]
 
 
 # --------------------------------------------------------------------------
@@ -804,8 +804,7 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
 def _commute_cells(n_ref: int, rep: Replica) -> list:
     cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
     cells = []
-    for m in rep.config.m_grid:
-        m = int(m)
+    for m in map(int, rep.config.m_grid):
         cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M
@@ -831,9 +830,8 @@ def exp_commute(config: ExperimentConfig, n_ref: int | None = None) -> ResultTab
     design = np.array([[alpha, 1.0 / m] for m in m_grid for alpha in alphas])
     target = np.array([column.mean() for column in matrix.T])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    pred = design @ coef
-    residual = float(np.linalg.norm(pred - target) / np.linalg.norm(target))
-    edges = _replica_matrix(table, "sup_w2_sq", [f"{max(m_grid)}:0", f"ref:{min(alphas)}"])
+    residual = float(np.linalg.norm(design @ coef - target) / np.linalg.norm(target))
+    edges = table.matrix([("sup_w2_sq", f"{max(m_grid)}:0"), ("sup_w2_sq", f"ref:{min(alphas)}")])
     table.add_summary(experiment="commute", metric="surface_fit", c_alpha=float(coef[0]),
                       c_inv_m=float(coef[1]), rel_residual=residual,
                       endpoint_alpha_then_m=float(edges[:, 0].mean()),

@@ -317,7 +317,8 @@ class TestTangentDerivatives:
         """synthetic-1d: grad_x V . Y and the interaction derivative against
         central differences of ``drift`` (exact up to rounding, V is linear)."""
         coeffs = build_coefficients(reference_config(
-            instance="synthetic-1d", synthetic_params=(("kappa", kappa), ("gamma", gamma))))
+            instance="synthetic-1d", synthetic_params=(("kappa", kappa), ("gamma", gamma)),
+            mu0_low=(-1.0,), mu0_high=(1.0,)))
         points = arrays(float, (n, 1), elements=st.floats(-3.0, 3.0))
         X, Y, base, tang = (data.draw(points) for _ in range(4))
         mu = ParticleEnsemble.uniform(X)

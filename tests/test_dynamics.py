@@ -345,6 +345,22 @@ class TestBoundaryValidation:
         (lambda: ExperimentConfig(), "dataset_rows"),
         (lambda: reference_config(eps_grid=(0.1, "x")), "eps_grid"),
         (lambda: reference_config(m_grid=(50, None)), "m_grid"),
+        (lambda: reference_config(m_grid=(10.5, 20)), "m_grid"),
+        (lambda: reference_config(base_seed=-1), "base_seed"),
+        (lambda: reference_config(r_box=0.0), "r_box"),
+        (lambda: reference_config(r_box=-2.0), "r_box"),
+        (lambda: reference_config(r_box=inf), "r_box"),
+        (lambda: reference_config(r_box=nan), "r_box"),
+        (lambda: reference_config(dataset_rows=((0.5, 1.0),)), "dataset_rows"),
+        (lambda: reference_config(dataset_rows=((0.5, 0.5, 0.1), (0.5, 0.5))), "dataset_rows"),
+        (lambda: reference_config(mu0_low=(-1.0, -1.0), mu0_high=(1.0,)), "mu0_high"),
+        (lambda: reference_config(mu0_low=(-1.0,), mu0_high=(1.0,)), "mu0_low"),
+        (lambda: ExperimentConfig(instance="synthetic-1d"), "mu0_low"),
+        (lambda: reference_config(mu0_low=(1.0, -1.0), mu0_high=(-1.0, 1.0)), "mu0_high"),
+        (lambda: reference_config(mu0_low=(nan, -1.0)), "mu0_low"),
+        (lambda: reference_config(mu0_high=(1.0, inf)), "mu0_high"),
+        (lambda: reference_config(eps_grid=(0.1, -0.2)).validate_for_rates(), "eps_grid"),
+        (lambda: reference_config(alpha_grid=(0.1, 0.3, 0.2)).validate_for_rates(), "alpha_grid"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -353,7 +369,12 @@ class TestBoundaryValidation:
             "config-zero-threads", "config-zero-stride", "config-bool-clt-stride",
             "config-zero-sobolev-j", "config-small-k-max", "config-negative-dt", "config-zero-dt",
             "config-nan-dt", "config-string-dt", "config-network-without-dataset",
-            "config-string-grid-entry", "config-none-grid-entry"])
+            "config-string-grid-entry", "config-none-grid-entry", "config-fractional-m",
+            "config-negative-seed", "config-zero-r-box", "config-negative-r-box", "config-infinite-r-box",
+            "config-nan-r-box", "config-short-dataset-rows", "config-ragged-dataset-rows",
+            "config-unequal-mu0-box", "config-mu0-box-below-dimension", "config-synthetic-default-box",
+            "config-mu0-low-above-high", "config-nan-mu0-low", "config-infinite-mu0-high",
+            "rates-negative-grid", "rates-unsorted-grid"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()

@@ -66,6 +66,26 @@ class TestFitSlope:
         assert fit.ci_low <= 1.5 <= fit.ci_high
 
 
+class TestResultTableMatrix:
+    ROWS = [("e", "1", 7, "a", 1.0), ("e", "2", 7, "a", 2.0), ("e", "1", 7, "failed", 1.0),
+            ("e", "1", 5, "a", 3.0), ("e", "2", 5, "a", float("nan")),
+            ("e", "1", 9, "a", 4.0), ("e", "2", 9, "a", 5.0), ("e", "1", 9, "b", 6.0)]
+
+    def test_replicas_in_row_order_and_failed_ones_dropped(self):
+        table = ResultTable(reference_config(), list(self.ROWS))
+        with pytest.warns(UserWarning, match="excluding 1 replica"):
+            matrix = table.matrix([("a", 2), ("a", "1")])
+        np.testing.assert_array_equal(matrix, [[2.0, 1.0], [5.0, 4.0]])
+        # a replica without a row in some cell counts as failed too
+        with pytest.warns(UserWarning, match="excluding 2 replica"):
+            np.testing.assert_array_equal(table.matrix([("a", 1), ("b", 1)]), [[4.0, 6.0]])
+
+    def test_cell_without_rows_raises(self):
+        table = ResultTable(reference_config(), list(self.ROWS))
+        with pytest.raises(KeyError, match="b at param 2, c at param 1"):
+            table.matrix([("a", 1), ("b", 2), ("c", 1)])
+
+
 class TestUniformQuantileOracle:
     def test_single_sample_at_midpoint(self):
         assert w2_sq_to_uniform_1d(np.array([0.5]), 0.0, 1.0) == pytest.approx(1 / 12)
@@ -360,13 +380,26 @@ class TestSgdCompareExperiment:
             table = exp_sgd_compare(cfg)
         assert {(r[1], r[2]) for r in table.rows if r[3] == "failed"} == {("20", 13)}
         assert all(np.isfinite(s["mean"]) for s in table.summary)
-        _, intervals = sgd_trend_gate(table, "bump0", cfg.m_grid)
+        with pytest.warns(UserWarning, match="excluding 1 replica"):
+            _, intervals = sgd_trend_gate(table, "bump0", cfg.m_grid)
         assert np.all(np.isfinite(intervals))
         # with no replica left at M = 20 the gate cannot pass
         failing_seeds.update(range(13, 23))
         with pytest.warns(UserWarning):
             table = exp_sgd_compare(cfg)
-        assert sgd_trend_gate(table, "bump0", cfg.m_grid) == (False, [])
+        with pytest.warns(UserWarning, match="excluding 10 replica"):
+            assert sgd_trend_gate(table, "bump0", cfg.m_grid) == (False, [])
+
+    def test_missing_cell_raises(self):
+        """an unknown test function or an M the table does not hold names the
+        missing cell instead of reading as a gate over no replicas."""
+        cfg = reference_config(m_grid=(10, 20), dt=5e-3, horizon=0.1, snapshot_stride=10,
+                               replicas=10, base_seed=13)
+        table = exp_sgd_compare(cfg)
+        with pytest.raises(KeyError, match="smfe:bmp0:0 at param 10"):
+            sgd_trend_gate(table, "bmp0", cfg.m_grid)
+        with pytest.raises(KeyError, match="smfe:bump0:0 at param 30"):
+            sgd_trend_gate(table, "bump0", (10, 30))
 
     def test_frozen_instance_gives_zero_gap(self):
         """f = 0 labels and zero output weights freeze both processes."""
