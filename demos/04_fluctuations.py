@@ -2,7 +2,8 @@
 
 eta^eps = (mu^eps - mu^0)/sqrt(eps) is an atomic signed field; its limit
 solves a linear equation driven by the same noise and is represented here by
-tangent vectors riding on the transport flow.  Coupling everything to one
+tangent vectors riding on the transport flow: the tangent solve returns the
+transport run itself, carrying those vectors.  Coupling everything to one
 Brownian path makes ||eta^eps - eta||^2 shrink linearly in eps, which is the
 quantified central limit behavior.
 """
@@ -19,7 +20,6 @@ from meanfield_sgd import (
     eta_eps,
     sample_initial,
     simulate,
-    simulate_transport,
     solve_tangent,
 )
 from meanfield_sgd.diagnostics import gaussian_bump
@@ -33,18 +33,17 @@ initial = sample_initial(build_initial_spec(cfg), cfg.n_particles, seed=3)
 run = IntegratorConfig(dt=1e-3, horizon=0.5, snapshot_stride=50)
 noise = NoisePath(seed=3, dt=run.dt, n_steps=run.n_steps, n_channels=coeffs.n_channels)
 
-transport = simulate_transport(initial, coeffs, run)
 tangent = solve_tangent(initial.positions, coeffs, run, noise)
 phi = gaussian_bump([0.0, 0.0], 1.0)
 print(f"<bump, eta_T> from the tangent solver: {pair(tangent.field_at(-1), phi):+.5f}")
 
 eps_grid = (3e-2, 1e-2, 3e-3, 1e-3)
-maxabs = np.abs(transport.positions).max()
+maxabs = np.abs(tangent.positions).max()
 paths = {}
 for eps in eps_grid:
     traj = simulate(initial, coeffs, replace(run, eps=eps), noise)
     maxabs = max(maxabs, np.abs(traj.positions).max())
-    paths[eps] = eta_eps(traj, transport, eps)
+    paths[eps] = eta_eps(traj, tangent, eps)
 
 grid = SpectralGrid(r_box=1.2 * maxabs, k_max=64, j=5)
 print(f"\nspectral box half-width {grid.r_box:.3f}, J={grid.j}, K_max={grid.k_max}")

@@ -52,7 +52,6 @@ from .dynamics import (
 from .fluctuations import (
     FluctuationPath,
     TangentEnsemble,
-    TangentTrajectory,
     clt_distance,
     eta_eps,
     solve_tangent,

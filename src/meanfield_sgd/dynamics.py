@@ -15,13 +15,14 @@ frozen-measure linear equation until the measure path stops moving.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, SortedAtoms, w2_stack
+from .measures import EmpiricalMeasure, SignedAtomicField, SortedAtoms, w2_stack
 
 __all__ = [
     "NoisePath",
@@ -47,6 +48,12 @@ class SimulationError(RuntimeError):
     pass
 
 
+def _check_integer(name: str, value, low: int):
+    """ValueError naming ``name`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
+
+
 def seeded_rng(seed: int, tag: str = "") -> np.random.Generator:
     """Deterministic generator for (seed, role); stable across platforms."""
     if tag:
@@ -64,6 +71,10 @@ class NoisePath:
 
     def __init__(self, seed: int, dt: float, n_steps: int, n_channels: int,
                  _increments: np.ndarray | None = None):
+        if not (np.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite (got {dt!r})")
+        _check_integer("n_steps", n_steps, 0)
+        _check_integer("n_channels", n_channels, 1)
         self.seed = int(seed)
         self.dt = float(dt)
         self.n_steps = int(n_steps)
@@ -84,6 +95,7 @@ class NoisePath:
 
     def coarsened(self, factor: int) -> "NoisePath":
         """Sum consecutive increments in groups of ``factor`` (same Brownian path)."""
+        _check_integer("factor", factor, 1)
         if self.n_steps % factor != 0:
             raise ValueError("coarsening factor must divide the number of steps")
         agg = self.increments.reshape(self.n_steps // factor, factor, self.n_channels).sum(axis=1)
@@ -147,8 +159,7 @@ class IntegratorConfig:
         ratio = self.horizon / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+        _check_integer("snapshot_stride", self.snapshot_stride, 1)
 
     @property
     def n_steps(self) -> int:
@@ -166,10 +177,17 @@ class Trajectory:
     eps: float
     snapshot_stride: int
     noise_meta: dict | None = None
+    tangents: np.ndarray | None = None  # (S, N, d), set on the run solve_tangent returns only
 
     @property
     def n_snapshots(self) -> int:
         return self.times.shape[0]
+
+    def field_at(self, index: int) -> SignedAtomicField:
+        """The tangent field phi -> (1/N) sum_i grad phi(x_i) . y_i of a snapshot."""
+        if self.tangents is None:
+            raise ValueError("tangents must be set for a tangent field: this run is not a tangent solve")
+        return SignedAtomicField.tangent(self.positions[index], self.tangents[index])
 
     def measure_at(self, index: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.positions[index], self.weights)
@@ -324,6 +342,7 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
         raise ValueError("batch size must be >= 1")
     if coeffs.mode != "network":
         raise ValueError("run_sgd needs network-mode coefficients")
+    _check_integer("n_steps", n_steps, 0)
     X = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
     if X.shape != (n_particles, coeffs.dim):
         raise ValueError(f"initial parameters must have shape ({n_particles}, {coeffs.dim})")
@@ -499,9 +518,10 @@ def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
 # --------------------------------------------------------------------------
 
 
-def write_trajectory(traj: Trajectory, path, tangents: np.ndarray | None = None):
-    """Columnar text: step, time, particle id, coordinates (and optional
-    tangent columns).  The noise is referenced by metadata only."""
+def write_trajectory(traj: Trajectory, path):
+    """Columnar text: step, time, particle id, coordinates (and the tangent
+    columns of a tangent solve).  The noise is referenced by metadata only."""
+    tangents = traj.tangents
     with open(path, "w", encoding="utf-8") as fh:
         if traj.noise_meta is not None:
             m = traj.noise_meta

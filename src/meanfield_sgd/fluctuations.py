@@ -3,11 +3,11 @@
 The finite-noise fluctuation field is the rescaled measure difference
 ``(mu^eps - mu^0) / sqrt(eps)``; its limit solves a linear SPDE driven by
 the same noise.  That limit is solved here by a tangent-particle system:
-base points follow the transport flow, tangent vectors follow the
-linearization of the interacting dynamics with the noise forcing at unit
-intensity, so that ``phi -> (1/N) sum grad phi(X_i) . Y_i`` satisfies the
-weak formulation up to time discretization (certified by
-``weak_residual_linear``).
+``solve_tangent`` returns the transport run with, in its ``tangents``,
+vectors that follow the linearization of the interacting dynamics with the
+noise forcing at unit intensity, so that ``phi -> (1/N) sum grad phi(X_i)
+. Y_i`` satisfies the weak formulation up to time discretization
+(certified by ``weak_residual_linear``).
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, _check_finite,
-                       _integrate, _noise_rows)
+from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, Trajectory,
+                       _check_finite, _integrate, _noise_rows)
 from .diagnostics import pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
 from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
 
 __all__ = [
     "TangentEnsemble",
-    "TangentTrajectory",
     "tangent_step",
     "solve_tangent",
     "eta_eps",
@@ -54,29 +53,8 @@ class TangentEnsemble:
         base = np.atleast_2d(np.asarray(base, dtype=float))
         return cls(base, np.zeros_like(base))
 
-    @property
-    def n_particles(self) -> int:
-        return self.base.shape[0]
-
     def field(self) -> SignedAtomicField:
         return SignedAtomicField.tangent(self.base, self.tangents)
-
-
-@dataclass
-class TangentTrajectory:
-    times: np.ndarray      # (S,)
-    base: np.ndarray       # (S, N, d)
-    tangents: np.ndarray   # (S, N, d)
-    dt: float
-    snapshot_stride: int
-    noise_meta: dict | None = None
-
-    @property
-    def n_snapshots(self) -> int:
-        return self.times.shape[0]
-
-    def field_at(self, index: int) -> SignedAtomicField:
-        return SignedAtomicField.tangent(self.base[index], self.tangents[index])
 
 
 def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
@@ -106,8 +84,9 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
 
 
 def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
-                  noise: NoisePath, initial_tangents: np.ndarray | None = None) -> TangentTrajectory:
-    """Integrate the tangent system from zero (or given) initial tangents."""
+                  noise: NoisePath, initial_tangents: np.ndarray | None = None) -> Trajectory:
+    """Integrate the tangent system from zero (or given) initial tangents: the
+    transport run from ``initial_base``, bit for bit, with its ``tangents``."""
     rows = _noise_rows(noise, cfg)
     tens = (
         TangentEnsemble.at_rest(initial_base)
@@ -120,8 +99,9 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
         base, tangents, times = _integrate(
             tens, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
             cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
-    return TangentTrajectory(times=times, base=base, tangents=tangents, dt=cfg.dt,
-                             snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta)
+    n = base.shape[1]
+    return Trajectory(times=times, positions=base, weights=np.full(n, 1.0 / n), dt=cfg.dt, eps=0.0,
+                      snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta, tangents=tangents)
 
 
 # --------------------------------------------------------------------------
@@ -173,30 +153,31 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
                            reference=traj_zero.positions, eps=float(eps))
 
 
-def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: TangentTrajectory,
+def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
                  grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """sup over snapshots of || eta^eps_t - eta_t ||_{-J} for each path, plus
     the (paths, snapshots) curves.
 
-    The paths share one transport run.  Per snapshot its atoms and the
-    tangent field are transformed once (through one set of phase rows when
-    the tangent base points are the transport atoms, as they are when both
-    follow the same flow), and each eps run once: with C_eps and C_0 the
-    unit-weight coefficients of the eps run and of the transport run and T
-    those of the tangent field, the distance is the norm of
-    (C_eps - C_0) / (N sqrt(eps)) - T, N the atoms per run.
+    Every path's reference must be the transport run ``tangent_traj`` carries
+    its tangents on.  Per snapshot its atoms and the tangent field are
+    transformed once, through one set of phase rows, and each eps run once:
+    with C_eps and C_0 the unit-weight coefficients of the eps run and of the
+    transport run and T those of the tangent field, the distance is the norm
+    of (C_eps - C_0) / (N sqrt(eps)) - T, N the atoms per run.
     """
     if not eta_paths:
         raise ValueError("clt_distance needs at least one fluctuation path")
-    reference = eta_paths[0].reference
+    transport, tangents = tangent_traj.positions, tangent_traj.tangents
+    if tangents is None:
+        raise ValueError("tangents must be set: clt_distance reads a solve_tangent trajectory")
     for path in eta_paths:
         if path.n_snapshots != tangent_traj.n_snapshots or not np.allclose(
             path.times, tangent_traj.times, atol=1e-12
         ):
             raise ValueError("snapshot grids do not match")
-        if not np.array_equal(path.reference, reference):
-            raise ValueError("fluctuation paths do not share their transport run")
-    n, dim = tangent_traj.base.shape[1:]
+        if not np.array_equal(path.reference, transport):
+            raise ValueError("fluctuation paths must be taken against the tangent trajectory's transport run")
+    n, dim = transport.shape[1:]
     min_j = int(np.ceil(dim / 2)) + 4
     if grid.j < min_j:
         raise ValueError(f"sobolev order j={grid.j} below required ceil(d/2)+4={min_j}")
@@ -204,13 +185,8 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: TangentTraj
     lattice.warn_tail()
     curves = np.empty((len(eta_paths), tangent_traj.n_snapshots))
     for s in range(tangent_traj.n_snapshots):
-        base, tangents = tangent_traj.base[s], tangent_traj.tangents[s] / n
-        if np.array_equal(base, reference[s]):
-            both = lattice.transform(base, np.column_stack([np.ones(n), tangents]))
-            c_zero, tangent = both[0], lattice.tangent(both[1:])
-        else:
-            c_zero = lattice.transform(reference[s])[0]
-            tangent = lattice.tangent(lattice.transform(base, tangents))
+        both = lattice.transform(transport[s], np.column_stack([np.ones(n), tangents[s] / n]))
+        c_zero, tangent = both[0], lattice.tangent(both[1:])
         for p, path in enumerate(eta_paths):
             c_eps = lattice.transform(path.positions[s])[0]
             scale = path.positions.shape[1] * np.sqrt(path.eps)
@@ -223,7 +199,7 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: TangentTraj
 # --------------------------------------------------------------------------
 
 
-def weak_residual_linear(tangent_traj: TangentTrajectory, coeffs, noise: NoisePath,
+def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
                          panel) -> dict:
     """Residual of the linear fluctuation equation in weak form, per test function.
 
@@ -234,6 +210,8 @@ def weak_residual_linear(tangent_traj: TangentTrajectory, coeffs, noise: NoisePa
     all pairings through the tangent representation, left-point quadrature.
     Requires a full-resolution tangent trajectory driven by ``noise``.
     """
+    if tangent_traj.tangents is None:
+        raise ValueError("tangents must be set: weak_residual_linear reads a solve_tangent trajectory")
     if tangent_traj.snapshot_stride != 1:
         raise ValueError("weak residual needs a full-resolution tangent trajectory")
     if tangent_traj.noise_meta != noise.meta:
@@ -241,7 +219,7 @@ def weak_residual_linear(tangent_traj: TangentTrajectory, coeffs, noise: NoisePa
     n_steps = tangent_traj.n_snapshots - 1
     dt = tangent_traj.dt
     phis = list(panel)
-    base, tangents = tangent_traj.base, tangent_traj.tangents
+    base, tangents = tangent_traj.positions, tangent_traj.tangents
 
     def pairing(s):
         # <phi, eta_s> = sum_i grad phi(x_i) . y_i, before the 1/N

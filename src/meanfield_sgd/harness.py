@@ -35,6 +35,7 @@ from .dynamics import (
     NoisePath,
     SimulationError,
     Trajectory,
+    _check_integer,
     _record_indices,
     run_sgd,
     sample_initial,
@@ -126,9 +127,7 @@ class ExperimentConfig:
             raise ValueError(f"m_grid must be whole particle counts (got {self.m_grid!r})")
         for name, low in (("n_particles", 1), ("replicas", 1), ("threads", 1), ("snapshot_stride", 1),
                           ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8), ("base_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
+            _check_integer(name, getattr(self, name), low)
         for name in ("dt", "r_box") if self.r_box is not None else ("dt",):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
@@ -141,12 +140,18 @@ class ExperimentConfig:
             raise ValueError(f"mu0_low must be non-empty and finite (got {self.mu0_low!r})")
         if high.size != low.size or not np.all(np.isfinite(high)):
             raise ValueError(f"mu0_high must be finite and as long as mu0_low (got {self.mu0_high!r})")
-        # the parameter dimension, where the config fixes it
-        dim = 1 if self.instance == "synthetic-1d" else None if self.dataset_file else shapes.pop()[0] - 1
-        if dim not in (None, low.size):
-            raise ValueError(f"mu0_low must be of length {dim}, the parameter dimension (got {low.size})")
+        # the parameter dimension, where the config fixes it; a dataset_file
+        # fixes it when build_coefficients reads the file
+        if self.instance == "synthetic-1d" or not self.dataset_file:
+            self.check_box_dimension(1 if self.instance == "synthetic-1d" else shapes.pop()[0] - 1)
         if np.any(low > high):
             raise ValueError(f"mu0_high must be >= mu0_low in every coordinate (got {self.mu0_high!r})")
+
+    def check_box_dimension(self, dim: int):
+        """ValueError naming mu0_low unless the initial box is ``dim``-dimensional."""
+        if len(self.mu0_low) != dim:
+            raise ValueError(f"mu0_low must be of length {dim}, the parameter dimension "
+                             f"(got {len(self.mu0_low)})")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -204,7 +209,9 @@ def build_coefficients(cfg: ExperimentConfig):
         data = Dataset.from_file(cfg.dataset_file)
     else:
         data = Dataset.from_rows(np.asarray(cfg.dataset_rows, dtype=float))
-    return NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
+    coeffs = NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
+    cfg.check_box_dimension(coeffs.dim)
+    return coeffs
 
 
 def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoefficients:
@@ -478,8 +485,8 @@ class Replica:
         sup = float(dists.max())
         return sup * sup
 
-    def tangent(self):
-        """The tangent system along the transport run of the shared ensemble."""
+    def tangent(self) -> Trajectory:
+        """The transport run of the shared ensemble, with its tangents."""
         return self.shared(("tangent",), lambda: solve_tangent(
             self.initial().positions, self.coeffs, self.base, self.noise))
 
@@ -637,9 +644,9 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
 
 
 def _clt_runs(rep: Replica) -> dict:
-    """Every run of one clt-rate replica, kept (or the error it raised) for
-    sizing the spectral box and then taking the norms."""
-    for eps in (0.0, *rep.config.eps_grid):
+    """The eps runs and the tangent solve (the transport run) of one clt-rate
+    replica, each kept, or the error it raised, for the box and then the norms."""
+    for eps in rep.config.eps_grid:
         with contextlib.suppress(*_CELL_ERRORS):
             rep.run(float(eps))
     with contextlib.suppress(*_CELL_ERRORS):
@@ -654,7 +661,7 @@ def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
         """sup_t ||eta^eps - eta||^2_{-J} per eps, in one pass over the
         snapshots; an eps run that failed or leaves the box maps to the error
         that fails its cell alone."""
-        transport, tangent = rep.run(0.0), rep.tangent()
+        tangent = rep.tangent()
         out, paths = {}, {}
         for eps in eps_grid:
             try:
@@ -663,7 +670,7 @@ def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
             except _CELL_ERRORS as exc:
                 out[eps] = exc
             else:
-                paths[eps] = eta_eps(run, transport, eps)
+                paths[eps] = eta_eps(run, tangent, eps)
         if paths:
             sups, _ = clt_distance(list(paths.values()), tangent, grid)
             out.update(zip(paths, sups * sups))
@@ -687,8 +694,8 @@ def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     if config.r_box is not None:
         r_box = float(config.r_box)
     else:
-        # global bounding box over every kept run, 20% margin; nan when every
-        # run failed, and then no cell reaches the norm
+        # global bounding box over every kept run, the tangent solve included,
+        # 20% margin; nan when every run failed, and then no cell reaches the norm
         r_box = 1.2 * max((float(np.max(np.abs(run.positions)))
                            for rep in replicas for run in rep.results.values()
                            if isinstance(run, Trajectory)), default=np.nan)

@@ -103,15 +103,15 @@ def oracle_weak_residual_linear(tangent_traj, coeffs, noise, panel):
     dt = tangent_traj.dt
     sqrt_w = np.sqrt(coeffs.channel_weights)
     phis = list(panel)
-    n = tangent_traj.base.shape[1]
+    n = tangent_traj.positions.shape[1]
     residuals = {}
     for phi in phis:
-        r = float(np.einsum("nd,nd->", phi.grad(tangent_traj.base[n_steps]),
+        r = float(np.einsum("nd,nd->", phi.grad(tangent_traj.positions[n_steps]),
                             tangent_traj.tangents[n_steps]) / n)
-        r -= float(np.einsum("nd,nd->", phi.grad(tangent_traj.base[0]), tangent_traj.tangents[0]) / n)
+        r -= float(np.einsum("nd,nd->", phi.grad(tangent_traj.positions[0]), tangent_traj.tangents[0]) / n)
         residuals[phi.name] = r
     for s in range(n_steps):
-        X = tangent_traj.base[s]
+        X = tangent_traj.positions[s]
         Y = tangent_traj.tangents[s]
         mu = ParticleEnsemble.uniform(X)
         v = coeffs.drift(X, mu)

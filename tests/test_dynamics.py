@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from meanfield_sgd import harness
 from meanfield_sgd.coefficients import (
     ACTIVATIONS,
     CoefficientError,
@@ -16,7 +17,6 @@ from meanfield_sgd.coefficients import (
 from meanfield_sgd.diagnostics import gaussian_bump
 from meanfield_sgd.dynamics import (
     InitialSpec,
-    Trajectory,
     IntegratorConfig,
     NoisePath,
     ParticleEnsemble,
@@ -30,7 +30,7 @@ from meanfield_sgd.dynamics import (
     step_interacting,
 )
 from meanfield_sgd.harness import (ExperimentConfig, build_coefficients, build_initial_spec, exp_clt_rate,
-                                   reference_config)
+                                   exp_lln_rate, reference_config)
 from meanfield_sgd.measures import EmpiricalMeasure, w2
 
 nan, inf = float("nan"), float("inf")
@@ -361,6 +361,15 @@ class TestBoundaryValidation:
         (lambda: reference_config(mu0_high=(1.0, inf)), "mu0_high"),
         (lambda: reference_config(eps_grid=(0.1, -0.2)).validate_for_rates(), "eps_grid"),
         (lambda: reference_config(alpha_grid=(0.1, 0.3, 0.2)).validate_for_rates(), "alpha_grid"),
+        (lambda: IntegratorConfig(dt=1e-2, horizon=0.1, snapshot_stride=2.5), "snapshot_stride"),
+        (lambda: NoisePath(0, -1.0, 10, 2), "dt"),
+        (lambda: NoisePath(0, 0.0, 10, 2), "dt"),
+        (lambda: NoisePath(0, nan, 10, 2), "dt"),
+        (lambda: NoisePath(0, 1e-2, -1, 2), "n_steps"),
+        (lambda: NoisePath(0, 1e-2, 10, 0), "n_channels"),
+        (lambda: NoisePath(0, 1e-2, 10, 2).coarsened(0), "factor"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=0.1, batch_size=1, n_steps=-1, seed=0,
+                         initial=np.zeros((3, 2))), "n_steps"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -374,7 +383,9 @@ class TestBoundaryValidation:
             "config-nan-r-box", "config-short-dataset-rows", "config-ragged-dataset-rows",
             "config-unequal-mu0-box", "config-mu0-box-below-dimension", "config-synthetic-default-box",
             "config-mu0-low-above-high", "config-nan-mu0-low", "config-infinite-mu0-high",
-            "rates-negative-grid", "rates-unsorted-grid"])
+            "rates-negative-grid", "rates-unsorted-grid", "fractional-snapshot-stride",
+            "noise-negative-dt", "noise-zero-dt", "noise-nan-dt", "noise-negative-steps",
+            "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()
@@ -400,6 +411,22 @@ class TestBoundaryValidation:
     def test_non_finite_measure_names_its_field(self, atoms, weights, field):
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             EmpiricalMeasure(np.array(atoms), np.array(weights))
+
+    def test_dataset_file_box_names_mu0_low(self, tmp_path, monkeypatch):
+        """A 2-input dataset file makes 3-d parameters: the default 2-d box is
+        refused where the file is read, before any run is integrated."""
+        path = tmp_path / "data.txt"
+        path.write_text("0.0 1.0 0.5 0.1\n1.0 -1.0 0.5 -0.2\n")
+        cfg = ExperimentConfig(dataset_file=str(path), replicas=10, horizon=0.01)
+        runs = []
+        for name in ("simulate", "simulate_transport"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
+        for make in (lambda: build_coefficients(cfg), lambda: exp_lln_rate(cfg)):
+            with pytest.raises(ValueError, match=r"^mu0_low must be of length 3"):
+                make()
+        assert runs == []
+        box = replace(cfg, mu0_low=(-1.0,) * 3, mu0_high=(1.0,) * 3)
+        assert build_coefficients(box).dim == 3
 
     def test_box_without_mass_names_box(self):
         """A box that keeps (almost) none of the Gaussian mass fails in bounded time."""
@@ -532,11 +559,8 @@ class TestTrajectorySerialization:
         noise = NoisePath(2, 0.01, 10, REF_COEFFS.n_channels)
         cfg = IntegratorConfig(dt=0.01, horizon=0.1, snapshot_stride=5)
         tang = solve_tangent(initial.positions, REF_COEFFS, cfg, noise)
-        traj = Trajectory(times=tang.times, positions=tang.base,
-                          weights=np.full(3, 1 / 3), dt=cfg.dt, eps=0.0,
-                          snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta)
         path = tmp_path / "tangent.txt"
-        write_trajectory(traj, path, tangents=tang.tangents)
+        write_trajectory(tang, path)
         rows = [l.split() for l in path.read_text().splitlines() if not l.startswith("#")]
         assert all(len(row) == 3 + 2 + 2 for row in rows)
         # the tangent columns reproduce the recorded tangents

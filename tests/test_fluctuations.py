@@ -15,7 +15,6 @@ from meanfield_sgd.diagnostics import gaussian_bump, standard_panel
 from meanfield_sgd.dynamics import IntegratorConfig, NoisePath, sample_initial, simulate, simulate_transport
 from meanfield_sgd.fluctuations import (
     TangentEnsemble,
-    TangentTrajectory,
     clt_distance,
     eta_eps,
     solve_tangent,
@@ -62,7 +61,7 @@ class TestTangentStep:
         noise = NoisePath(2, 0.01, 40, 2)
         cfg = IntegratorConfig(dt=0.01, horizon=0.4)
         traj = solve_tangent(base, coeffs, cfg, noise)
-        np.testing.assert_array_equal(traj.base[-1], base)  # base frozen
+        np.testing.assert_array_equal(traj.positions[-1], base)  # base frozen
         # hand accumulation of the same increments
         g = coeffs.noise_matrix(base, (base, np.full(5, 0.2)))
         acc = np.zeros((5, 2))
@@ -92,6 +91,23 @@ class TestTangentStep:
         b = solve_tangent(initial.positions, REF_COEFFS, cfg, doubled,
                           initial_tangents=2.0 * y0)
         np.testing.assert_array_equal(b.tangents, 2.0 * a.tangents)
+
+    def test_solve_returns_the_transport_run(self):
+        """The tangent solve is the transport run (uniform weights, eps 0,
+        positions bit for bit) with its tangents; no other run has tangents."""
+        initial = sample_initial(REF_SPEC, 7, 6)
+        noise = NoisePath(6, 0.01, 20, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.2, eps=0.05, snapshot_stride=4)
+        tangent = solve_tangent(initial.positions, REF_COEFFS, cfg, noise)
+        transport = simulate_transport(initial, REF_COEFFS, cfg)
+        np.testing.assert_array_equal(tangent.positions, transport.positions)
+        np.testing.assert_array_equal(tangent.times, transport.times)
+        np.testing.assert_array_equal(tangent.weights, transport.weights)
+        assert tangent.eps == 0.0 and tangent.noise_meta == noise.meta
+        assert tangent.tangents.shape == tangent.positions.shape
+        assert transport.tangents is None
+        with pytest.raises(ValueError, match="^tangents must be set"):
+            transport.field_at(-1)
 
     def test_increment_shape_mismatch(self):
         tens = TangentEnsemble.at_rest(np.zeros((2, 2)))
@@ -169,11 +185,17 @@ class TestCltDistance:
         # sup || eta^eps - eta || through the public entry point: the
         # transport run against itself, and zero tangents on its atoms
         transport = simulate_transport(initial, REF_COEFFS, cfg)
-        still = TangentTrajectory(times=tangent.times, base=tangent.base,
-                                  tangents=np.zeros_like(tangent.tangents), dt=cfg.dt,
-                                  snapshot_stride=cfg.snapshot_stride)
+        still = replace(tangent, tangents=np.zeros_like(tangent.tangents))
         sups, curves = clt_distance([eta_eps(transport, transport, 0.01)], still, grid)
         assert sups[0] == 0.0 and not curves.any()
+
+    def test_run_without_tangents_rejected(self):
+        initial = sample_initial(REF_SPEC, 5, 11)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.1, snapshot_stride=5)
+        transport = simulate_transport(initial, REF_COEFFS, cfg)
+        with pytest.raises(ValueError, match="^tangents must be set"):
+            clt_distance([eta_eps(transport, transport, 0.01)], transport,
+                         SpectralGrid(r_box=6.0, k_max=16, j=5))
 
     def test_doubling_tangents_doubles_the_norm(self):
         rng = np.random.default_rng(10)
@@ -237,6 +259,11 @@ class TestWeakResidualLinear:
                 sums[dt] += sum(abs(v) for v in res.values())
         ratio = sums[0.01] / sums[0.02]
         assert 0.5 * 0.65 <= ratio <= 0.5 * 1.35
+
+    def test_trajectory_without_tangents_rejected(self):
+        traj, noise = self.run_tangent()
+        with pytest.raises(ValueError, match="^tangents must be set"):
+            weak_residual_linear(replace(traj, tangents=None), REF_COEFFS, noise, standard_panel(2))
 
     def test_provenance_mismatch_rejected(self):
         traj, noise = self.run_tangent()

@@ -28,7 +28,7 @@ import pytest
 from meanfield_sgd.coefficients import NetworkCoefficients
 from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, sample_initial, simulate,
                                    simulate_transport)
-from meanfield_sgd.fluctuations import TangentTrajectory, clt_distance, eta_eps, solve_tangent
+from meanfield_sgd.fluctuations import clt_distance, eta_eps, solve_tangent
 from meanfield_sgd.harness import build_coefficients, reference_config
 from meanfield_sgd.measures import (
     SignedAtomicField,
@@ -153,7 +153,7 @@ def test_tangent_base_points_are_the_transport_run(dim):
     """Both integrate the same transport Euler step, bit for bit, so the
     CLT distance transforms them through one set of phase rows."""
     transport, tangent, _ = coupled_runs(dim, eps_grid=())
-    np.testing.assert_array_equal(tangent.base, transport.positions)
+    np.testing.assert_array_equal(tangent.positions, transport.positions)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -174,20 +174,14 @@ def test_clt_distance_matches_the_per_path_oracle(dim, k_max):
         assert sups[p] == pytest.approx(sup, rel=CLT_RTOL)
 
 
-def test_clt_distance_with_a_separate_tangent_base():
-    """A tangent field on other base points than the transport atoms is
-    transformed through its own phase rows."""
+def test_tangent_trajectory_off_the_transport_run_rejected():
+    """Tangents carried on other points than the transport atoms the paths
+    are taken against are refused, not transformed separately."""
     transport, tangent, runs = coupled_runs(2)
-    moved = TangentTrajectory(times=tangent.times, base=0.9 * tangent.base,
-                              tangents=tangent.tangents, dt=tangent.dt,
-                              snapshot_stride=tangent.snapshot_stride)
-    grid = SpectralGrid(r_box=3.0, k_max=64, j=5)
+    moved = replace(tangent, positions=0.9 * tangent.positions)
     paths = [eta_eps(run, transport, eps) for eps, run in runs.items()]
-    _, curves = clt_distance(paths, moved, grid)
-    for p, path in enumerate(paths):
-        curve = oracle_clt_distance(path, moved, grid)[1]
-        np.testing.assert_allclose(curves[p, 1:], curve[1:], rtol=CLT_RTOL)
-        assert curves[p, 0] == 0.0 and curve[0] < T0_ORACLE_ATOL
+    with pytest.raises(ValueError, match="transport run"):
+        clt_distance(paths, moved, SpectralGrid(r_box=3.0, k_max=64, j=5))
 
 
 def test_paths_on_different_transport_runs_rejected():
