@@ -133,56 +133,50 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Activation:
-    """Scalar activation with exact first and second derivatives."""
+    """Scalar activation with exact first and second derivatives.
+
+    ``jet(z, order)`` evaluates it once at the pre-activations z and returns
+    (phi, phi', phi'') cut after the ``order``-th derivative.
+    """
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
     unbounded_derivative: bool = False
 
 
-def _tanh_d1(z):
+def _tanh_jet(z, order):
     t = np.tanh(z)
-    return 1.0 - t * t
+    if order == 0:
+        return (t,)
+    d1 = 1.0 - t * t
+    return (t, d1) if order == 1 else (t, d1, -2.0 * t * d1)
 
 
-def _tanh_d2(z):
-    t = np.tanh(z)
-    return -2.0 * t * (1.0 - t * t)
+def _sigmoid_jet(z, order):
+    s = 1.0 / (1.0 + np.exp(-z))
+    if order == 0:
+        return (s,)
+    d1 = s * (1.0 - s)
+    return (s, d1) if order == 1 else (s, d1, d1 * (1.0 - 2.0 * s))
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _softplus_jet(z, order):
+    # numerically stable log(1 + e^z); its derivatives are the sigmoid's jet
+    value = np.logaddexp(0.0, z)
+    return (value, *_sigmoid_jet(z, order - 1)) if order else (value,)
 
 
-def _sigmoid_d1(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
-def _sigmoid_d2(z):
-    s = _sigmoid(z)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
-def _softplus(z):
-    # numerically stable log(1 + e^z)
-    return np.logaddexp(0.0, z)
+def _identity_jet(z, order):
+    z = np.asarray(z, dtype=float)
+    return (z, np.ones_like(z), np.zeros_like(z))[: order + 1]
 
 
 ACTIVATIONS: dict[str, Activation] = {
-    "tanh": Activation("tanh", np.tanh, _tanh_d1, _tanh_d2),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_d1, _sigmoid_d2),
+    "tanh": Activation("tanh", _tanh_jet),
+    "sigmoid": Activation("sigmoid", _sigmoid_jet),
     # softplus, a smooth stand-in for relu
-    "smoothed-relu": Activation("smoothed-relu", _softplus, _sigmoid, _sigmoid_d1),
-    "identity": Activation(
-        "identity",
-        lambda z: np.asarray(z, dtype=float),
-        lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        unbounded_derivative=True,
-    ),
+    "smoothed-relu": Activation("smoothed-relu", _softplus_jet),
+    "identity": Activation("identity", _identity_jet, unbounded_derivative=True),
 }
 
 
@@ -278,7 +272,8 @@ class NetworkCoefficients:
         <sqrt(w), dB>), a mini-batch SGD step (alpha / B) count r.
         """
         c, z = self._preactivation(X)
-        return self._assemble(self.activation.value(z), c[:, None] * self.activation.d1(z), kappa)
+        phi, dphi = self.activation.jet(z, 1)
+        return self._assemble(phi, c[:, None] * dphi, kappa)
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:
@@ -290,7 +285,7 @@ class NetworkCoefficients:
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """Phi(x_i, theta_p) for a batch of parameters; shape (N, P)."""
         c, z = self._preactivation(X)
-        return c[:, None] * self.activation.value(z)
+        return c[:, None] * self.activation.jet(z, 0)[0]
 
     def feature(self, x: np.ndarray, p: int) -> float:
         if not 0 <= p < self.n_channels:
@@ -300,8 +295,7 @@ class NetworkCoefficients:
     def grad_feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """grad_x Phi(x_i, theta_p); shape (N, P, d)."""
         c, z = self._preactivation(X)
-        phi = self.activation.value(z)
-        dphi = self.activation.d1(z)
+        phi, dphi = self.activation.jet(z, 1)
         N, P = z.shape
         out = np.empty((N, P, self.dim))
         out[:, :, 0] = phi
@@ -408,8 +402,8 @@ class NetworkCoefficients:
         """
         c, z = self._preactivation(X)
         yc, s = self._preactivation(Y)
-        dphi = self.activation.d1(z)
-        hu = dphi * yc[:, None] + c[:, None] * self.activation.d2(z) * s
+        _, dphi, d2phi = self.activation.jet(z, 2)
+        hu = dphi * yc[:, None] + c[:, None] * d2phi * s
         return self._assemble(dphi * s, hu, self._w * self.residuals(measure))
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -421,8 +415,8 @@ class NetworkCoefficients:
         """
         c, z = self._preactivation(base)
         tc, s = self._preactivation(tangents)   # t_c and theta . t_u + t_b
-        beta = (tc @ self.activation.value(z)
-                + np.einsum("j,jp,jp->p", c, self.activation.d1(z), s)) / z.shape[0]
+        phi, dphi = self.activation.jet(z, 1)
+        beta = (tc @ phi + np.einsum("j,jp,jp->p", c, dphi, s)) / z.shape[0]
         return self._contract(X, -self._w * beta)
 
     # --- loss ----------------------------------------------------------------

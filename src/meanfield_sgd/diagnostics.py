@@ -39,24 +39,41 @@ class BudgetExceeded(ValueError):
 class TestFunction:
     """Smooth test function with exact gradient and Hessian, batch-evaluated.
 
-    ``value``: (N, d) -> (N,);  ``grad``: (N, d) -> (N, d);
-    ``hess``: (N, d) -> (N, d, d).
+    ``jet(X, order)`` evaluates the function once at the points X (N, d) and
+    returns the tuple (value (N,), grad (N, d), hess (N, d, d)) cut after the
+    ``order``-th derivative; ``value``, ``grad`` and ``hess`` each read one
+    entry of it.
     """
 
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
     bounded: bool = True
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        return self.jet(X, 0)[0]
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        return self.jet(X, 1)[1]
+
+    def hess(self, X: np.ndarray) -> np.ndarray:
+        return self.jet(X, 2)[2]
+
+
+def _jet(order: int, value: np.ndarray, *derivatives: Callable[[], np.ndarray]) -> tuple:
+    """The value, then the first ``order`` derivatives; each derivative is a
+    closure over what the jet computed for the value, called only if asked."""
+    return (value, *(d() for d in derivatives[:order]))
+
+
+def _zero_hess(X: np.ndarray) -> np.ndarray:
+    return np.zeros((X.shape[0], X.shape[1], X.shape[1]))
 
 
 def _constant(d: int) -> TestFunction:
-    return TestFunction(
-        "const",
-        lambda X: np.ones(X.shape[0]),
-        lambda X: np.zeros_like(X),
-        lambda X: np.zeros((X.shape[0], X.shape[1], X.shape[1])),
-    )
+    def jet(X, order):
+        return _jet(order, np.ones(X.shape[0]), lambda: np.zeros_like(X), lambda: _zero_hess(X))
+
+    return TestFunction("const", jet)
 
 
 def _coordinate(k: int, d: int) -> TestFunction:
@@ -65,19 +82,13 @@ def _coordinate(k: int, d: int) -> TestFunction:
         g[:, k] = 1.0
         return g
 
-    return TestFunction(
-        f"x{k + 1}",
-        lambda X: X[:, k].copy(),
-        grad,
-        lambda X: np.zeros((X.shape[0], X.shape[1], X.shape[1])),
-        bounded=False,
-    )
+    def jet(X, order):
+        return _jet(order, X[:, k].copy(), lambda: grad(X), lambda: _zero_hess(X))
+
+    return TestFunction(f"x{k + 1}", jet, bounded=False)
 
 
 def _product(k: int, l: int, d: int) -> TestFunction:
-    def value(X):
-        return X[:, k] * X[:, l]
-
     def grad(X):
         g = np.zeros_like(X)
         g[:, k] += X[:, l]
@@ -85,12 +96,15 @@ def _product(k: int, l: int, d: int) -> TestFunction:
         return g
 
     def hess(X):
-        h = np.zeros((X.shape[0], X.shape[1], X.shape[1]))
+        h = _zero_hess(X)
         h[:, k, l] += 1.0
         h[:, l, k] += 1.0
         return h
 
-    return TestFunction(f"x{k + 1}x{l + 1}", value, grad, hess, bounded=False)
+    def jet(X, order):
+        return _jet(order, X[:, k] * X[:, l], lambda: grad(X), lambda: hess(X))
+
+    return TestFunction(f"x{k + 1}x{l + 1}", jet, bounded=False)
 
 
 def gaussian_bump(center: Sequence[float], width: float, name: str | None = None) -> TestFunction:
@@ -98,23 +112,17 @@ def gaussian_bump(center: Sequence[float], width: float, name: str | None = None
     c = np.asarray(center, dtype=float)
     s2 = float(width) ** 2
 
-    def value(X):
+    def jet(X, order):
         diff = X - c
-        return np.exp(-np.einsum("nd,nd->n", diff, diff) / (2 * s2))
+        v = np.exp(-np.einsum("nd,nd->n", diff, diff) / (2 * s2))
 
-    def grad(X):
-        diff = X - c
-        return -value(X)[:, None] * diff / s2
+        def hess():
+            outer = np.einsum("ni,nj->nij", diff, diff) / s2**2
+            return v[:, None, None] * (outer - np.eye(c.size)[None, :, :] / s2)
 
-    def hess(X):
-        diff = X - c
-        v = value(X)
-        outer = np.einsum("ni,nj->nij", diff, diff) / s2**2
-        eye = np.eye(c.size)[None, :, :] / s2
-        return v[:, None, None] * (outer - eye)
+        return _jet(order, v, lambda: -v[:, None] * diff / s2, hess)
 
-    return TestFunction(name or f"bump({','.join(f'{x:g}' for x in c)};{width:g})",
-                        value, grad, hess)
+    return TestFunction(name or f"bump({','.join(f'{x:g}' for x in c)};{width:g})", jet)
 
 
 def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) -> TestFunction:
@@ -123,18 +131,14 @@ def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) 
     if np.max(np.abs(k)) > 3:
         raise ValueError("trig wave frequency must be <= 3 per axis")
     fn, dfn = (np.sin, np.cos) if phase == "sin" else (np.cos, lambda z: -np.sin(z))
-    sign2 = -1.0
 
-    def value(X):
-        return fn(X @ k)
+    def jet(X, order):
+        z = X @ k
+        v = fn(z)
+        return _jet(order, v, lambda: dfn(z)[:, None] * k[None, :],
+                    lambda: -v[:, None, None] * np.einsum("i,j->ij", k, k)[None, :, :])
 
-    def grad(X):
-        return dfn(X @ k)[:, None] * k[None, :]
-
-    def hess(X):
-        return sign2 * fn(X @ k)[:, None, None] * np.einsum("i,j->ij", k, k)[None, :, :]
-
-    return TestFunction(name or f"{phase}({','.join(f'{x:g}' for x in k)})", value, grad, hess)
+    return TestFunction(name or f"{phase}({','.join(f'{x:g}' for x in k)})", jet)
 
 
 def standard_panel(d: int, include_unbounded: bool = True) -> list[TestFunction]:
@@ -156,11 +160,11 @@ def standard_panel(d: int, include_unbounded: bool = True) -> list[TestFunction]
 
 
 def stack_panel(phis: Sequence[TestFunction], X: np.ndarray,
-                hessians: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradients (F, N, d) and, unless ``hessians`` is False, Hessians
-    (F, N, d, d) of every panel member at the points X."""
-    grads = np.stack([phi.grad(X) for phi in phis])
-    return grads, np.stack([phi.hess(X) for phi in phis]) if hessians else None
+                order: int) -> tuple[np.ndarray, ...]:
+    """The stacked jet of a panel at the points X: values (F, N), then up to
+    ``order`` gradients (F, N, d) and Hessians (F, N, d, d), from one jet
+    call per panel member."""
+    return tuple(map(np.stack, zip(*(phi.jet(X, order) for phi in phis))))
 
 
 def pair_panel(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -169,32 +173,28 @@ def pair_panel(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], -1) @ field.reshape(-1)
 
 
-def _panel_values(phis: Sequence[TestFunction], X: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """<phi, mu> for every panel member, mu = (X, omega)."""
-    return np.stack([phi.value(X) for phi in phis]) @ omega
-
-
 def _step_pairings(coeffs, X: np.ndarray, omega: np.ndarray, eps: float,
-                   phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray | None]:
+                   phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The weak-form pairings of a whole panel at one step, mu_s = (X, omega).
 
-    Returns the drift <grad phi . V, mu_s> + (eps/2) <D2 phi : A, mu_s> of
-    every member, shape (F,), and for eps > 0 the channel pairings
-    <grad phi . G_p, mu_s>, shape (F, P) (None at eps = 0).  The Ito term
-    uses A_i = sum_p w_p G_ip G_ip^T, formed once per step, so every pairing
-    is one matmul over the stacked panel.
+    Returns <phi, mu_s> of every member, shape (F,), its drift
+    <grad phi . V, mu_s> + (eps/2) <D2 phi : A, mu_s>, shape (F,), and for
+    eps > 0 the channel pairings <grad phi . G_p, mu_s>, shape (F, P) (None at
+    eps = 0), all from one panel jet.  The Ito term uses
+    A_i = sum_p w_p G_ip G_ip^T, formed once per step, so every pairing is one
+    matmul over the stacked panel.
     """
     mu = (X, omega)
-    grads, hess = stack_panel(phis, X, hessians=eps > 0.0)
+    values, grads, *hess = stack_panel(phis, X, 2 if eps > 0.0 else 1)
     drift = pair_panel(grads, omega[:, None] * coeffs.drift(X, mu))
     if eps == 0.0:
-        return drift, None
+        return values @ omega, drift, None
     G = coeffs.noise_matrix(X, mu)                                 # (N, P, d)
     scaled = G * np.sqrt(coeffs.channel_weights)[None, :, None]
     A = np.matmul(scaled.transpose(0, 2, 1), scaled)              # (N, d, d)
-    drift = drift + 0.5 * eps * pair_panel(hess, omega[:, None, None] * A)
+    drift = drift + 0.5 * eps * pair_panel(hess[0], omega[:, None, None] * A)
     channels = np.tensordot(grads, omega[:, None, None] * G, axes=([1, 2], [0, 2]))
-    return drift, channels
+    return values @ omega, drift, channels
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +210,8 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
              - sum_s [ <grad phi . V(., mu_s), mu_s> + (eps/2) <D2 phi : A(., mu_s), mu_s> ] dt
              - sqrt(eps) sum_s sum_p <grad phi . G(., mu_s, theta_p), mu_s> sqrt(w_p) dB_p.
 
-    ``eps`` must be the noise scale the trajectory was run at.
+    ``eps`` must be the noise scale the trajectory was run at.  Each member's
+    jet runs once per snapshot: <phi, mu_0> comes with step 0's derivatives.
     """
     if not traj.is_full_resolution:
         raise ValueError("weak residual needs a full-resolution trajectory")
@@ -223,13 +224,15 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
     omega = traj.weights
     sqrt_w = np.sqrt(coeffs.channel_weights)
     integral = np.zeros(len(phis))
+    # <phi, mu_T>; <phi, mu_0> comes with step 0, or is <phi, mu_T> on a run of no steps
+    end = start = stack_panel(phis, traj.positions[-1], 0)[0] @ omega
     for s in range(traj.n_snapshots - 1):
-        drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+        values, drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+        start = values if s == 0 else start
         integral += drift * traj.dt
         if channels is not None:
             integral += np.sqrt(eps) * (channels @ (sqrt_w * noise.increments[s]))
-    res = (_panel_values(phis, traj.positions[-1], omega)
-           - _panel_values(phis, traj.positions[0], omega) - integral)
+    res = end - start - integral
     return {phi.name: float(r) for phi, r in zip(phis, res)}
 
 
@@ -260,21 +263,21 @@ def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
     omega = traj.weights
     dt = traj.dt
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
-    realized = np.zeros(len(phis))
+    steps = [s for s in range(traj.n_snapshots - 1)
+             if lo - 1e-12 <= traj.times[s] <= hi - dt + 1e-12]
     predicted = np.zeros(len(phis))
-    before = None
-    for s in range(traj.n_snapshots - 1):
-        t = traj.times[s]
-        if t < lo - 1e-12 or t > hi - dt + 1e-12:
-            continue
-        if before is None:
-            before = _panel_values(phis, traj.positions[s], omega)
-        after = _panel_values(phis, traj.positions[s + 1], omega)
-        drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+    values, drifts = [], []
+    for s in steps:
+        v, drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
+        values.append(v)
+        drifts.append(drift)
         if channels is not None:
             predicted += eps * (channels**2 @ coeffs.channel_weights) * dt
+    if steps:
+        values.append(stack_panel(phis, traj.positions[steps[-1] + 1], 0)[0] @ omega)
+    realized = np.zeros(len(phis))
+    for before, after, drift in zip(values, values[1:], drifts):
         realized += (after - before - drift * dt) ** 2
-        before = after
     return {phi.name: (float(r), float(p)) for phi, r, p in zip(phis, realized, predicted)}
 
 

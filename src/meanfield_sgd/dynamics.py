@@ -71,6 +71,7 @@ class NoisePath:
 
     def __init__(self, seed: int, dt: float, n_steps: int, n_channels: int,
                  _increments: np.ndarray | None = None):
+        _check_integer("seed", seed, 0)
         if not (np.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be positive and finite (got {dt!r})")
         _check_integer("n_steps", n_steps, 0)
@@ -482,6 +483,8 @@ def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
     rng = seeded_rng(seed, "initial")
     if spec.kind == "atoms":
         atoms = np.atleast_2d(np.asarray(spec.atoms, dtype=float))
+        if atoms.size == 0:
+            raise ValueError(f"atoms must be at least one point (got shape {atoms.shape})")
         return ParticleEnsemble.uniform(atoms.copy())
     if spec.kind == "uniform":
         lo = np.asarray(spec.low, dtype=float)

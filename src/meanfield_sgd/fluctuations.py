@@ -223,7 +223,7 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
 
     def pairing(s):
         # <phi, eta_s> = sum_i grad phi(x_i) . y_i, before the 1/N
-        return pair_panel(stack_panel(phis, base[s], hessians=False)[0], tangents[s])
+        return pair_panel(stack_panel(phis, base[s], 1)[1], tangents[s])
 
     # boundary terms of the weak identity
     residuals = pairing(n_steps) - pairing(0)
@@ -234,7 +234,7 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
         v = coeffs.drift(X, mu)                      # (N, d)
         jac_v_y = coeffs.drift_jacobian_apply(X, Y, mu)
         inter = coeffs.vtilde_y_apply(X, X, Y)
-        grads, hess = stack_panel(phis, X)           # (F, N, d), (F, N, d, d)
+        _, grads, hess = stack_panel(phis, X, 2)     # (F, N, d), (F, N, d, d)
         # <grad phi . v, eta_s> through tangents: D2 phi : (Y (x) v) + grad phi . (Dv Y),
         # plus the interaction pairing <grad phi(x) . <Vtilde(x,.), eta_s>, mu0_s>
         drift = pair_panel(hess, Y[:, :, None] * v[:, None, :]) + pair_panel(grads, jac_v_y + inter)

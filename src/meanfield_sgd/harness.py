@@ -178,7 +178,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
-    def validate_for_rates(self):
+    def validate_for_rates(self, slope_grid: str | None = None):
+        """Check the grids of a replicated experiment before any run; the
+        experiment that fits a log-log slope over ``slope_grid`` needs three
+        points on it."""
         for name in ("eps_grid", "m_grid", "alpha_grid"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size == 0:
@@ -187,6 +190,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be strictly positive (got {arr.tolist()})")
             if not (np.all(np.diff(arr) > 0) or np.all(np.diff(arr) < 0)):
                 raise ValueError(f"{name} must be sorted without repeats (got {arr.tolist()})")
+        if slope_grid is not None and len(getattr(self, slope_grid)) < 3:
+            raise ValueError(f"{slope_grid} must be at least 3 points to fit a slope "
+                             f"(got {list(getattr(self, slope_grid))})")
         if self.replicas < 10:
             raise ValueError("rate experiments need at least 10 replicas")
 
@@ -587,7 +593,7 @@ def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
 
 
 def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
-    config.validate_for_rates()
+    config.validate_for_rates("eps_grid")
     table = _run_replicas("lln-rate", _lln_cells, config)
     return _eps_rate_summary(table, "lln-rate", "sup_w2_sq", w2_backends=table.w2_backend_counts())
 
@@ -617,7 +623,7 @@ def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
 
 
 def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTable:
-    config.validate_for_rates()
+    config.validate_for_rates("m_grid")
     if config.instance != "synthetic-1d":
         raise ValueError("the particle-rate experiment runs on the 1-d synthetic instance")
     n_ref = 20 * int(max(config.m_grid))
@@ -686,7 +692,7 @@ def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
 
 
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
-    config.validate_for_rates()
+    config.validate_for_rates("eps_grid")
     replicas = [Replica(config, config.base_seed + r, config.clt_snapshot_stride)
                 for r in range(config.replicas)]
     for rep, results in zip(replicas, _parallel(_clt_runs, replicas, config.threads)):

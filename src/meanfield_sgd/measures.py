@@ -417,7 +417,7 @@ def pair(field: SignedAtomicField, phi) -> float:
     """<phi, f>: atomic fields pair by values, tangent fields by gradients.
 
     ``phi`` must expose ``value(points)`` and, for tangent fields,
-    ``grad(points)`` (see diagnostics.TestFunction).
+    ``grad(points)``, as diagnostics.TestFunction does from one jet call.
     """
     if field.kind == "atomic":
         vals = np.asarray(phi.value(field.atoms), dtype=float)

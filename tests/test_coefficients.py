@@ -80,10 +80,32 @@ class TestActivationGate:
 
     @pytest.mark.parametrize("name", ["tanh", "sigmoid", "smoothed-relu"])
     def test_builtin_derivatives_finite(self, name):
-        act = ACTIVATIONS[name]
         z = np.linspace(-20, 20, 401)
-        for fn in (act.value, act.d1, act.d2):
-            assert np.all(np.isfinite(fn(z)))
+        for entry in ACTIVATIONS[name].jet(z, 2):
+            assert np.all(np.isfinite(entry))
+
+
+class TestActivationJet:
+    @pytest.mark.parametrize("name", list(ACTIVATIONS))
+    @settings(max_examples=50, deadline=None)
+    @given(z=st.floats(-8.0, 8.0))
+    def test_derivatives_match_central_differences(self, name, z):
+        """phi' and phi'' against central differences of phi and of phi'."""
+        jet = ACTIVATIONS[name].jet
+        h = 1e-5
+        _, d1, d2 = jet(np.array([z]), 2)
+        (v_hi, d1_hi), (v_lo, d1_lo) = jet(np.array([z + h]), 1), jet(np.array([z - h]), 1)
+        assert d1[0] == pytest.approx((v_hi[0] - v_lo[0]) / (2 * h), abs=1e-8)
+        assert d2[0] == pytest.approx((d1_hi[0] - d1_lo[0]) / (2 * h), abs=1e-8)
+
+    @pytest.mark.parametrize("name", list(ACTIVATIONS))
+    def test_orders_agree_bit_for_bit(self, name):
+        z = np.random.default_rng(3).normal(0.0, 3.0, size=(7, 5))
+        jets = [ACTIVATIONS[name].jet(z, order) for order in range(3)]
+        for order, jet in enumerate(jets):
+            assert len(jet) == order + 1
+            for low, high in zip(jet, jets[2]):
+                assert np.array_equal(low, high)
 
 
 class TestFeature:

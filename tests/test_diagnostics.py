@@ -1,5 +1,6 @@
 """Diagnostics: panel calculus, weak residuals, QV, atomic functional, collisions."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,9 @@ from meanfield_sgd.diagnostics import (
     min_pairwise_distance,
     moment_track,
     qv_check,
+    qv_check_panel,
     smfe_weak_residual,
+    smfe_weak_residual_panel,
     standard_panel,
     trig_wave,
     write_report,
@@ -52,6 +55,15 @@ class TestPanelCalculus:
             fd_h = (phi.grad(X + e) - phi.grad(X - e)) / (2 * h)
             np.testing.assert_allclose(hess[:, :, k], fd_h, atol=1e-6)
 
+    @pytest.mark.parametrize("phi", standard_panel(2), ids=lambda p: p.name)
+    def test_jet_orders_agree_bit_for_bit(self, phi):
+        X = np.random.default_rng(1).normal(0, 1, size=(6, 2))
+        jets = [phi.jet(X, order) for order in range(3)]
+        for order, jet in enumerate(jets):
+            assert len(jet) == order + 1
+            for low, high in zip(jet, jets[2]):
+                assert np.array_equal(low, high)
+
     def test_trig_frequency_capped(self):
         with pytest.raises(ValueError):
             trig_wave([4, 0])
@@ -69,6 +81,41 @@ def full_run(eps, seed=0, n=30, dt=0.01, horizon=0.3, coeffs=REF_COEFFS):
     cfg = IntegratorConfig(dt=dt, horizon=horizon, eps=eps, snapshot_stride=1)
     traj = simulate(initial, coeffs, cfg, noise if eps > 0 else None)
     return traj, noise
+
+
+def counting_panel(d):
+    """standard_panel(d) with each member's jet calls recorded (by order)."""
+    panel, calls = [], {}
+    for phi in standard_panel(d):
+        calls[phi.name] = record = []
+
+        def jet(X, order, base=phi.jet, record=record):
+            record.append(order)
+            return base(X, order)
+
+        panel.append(dataclasses.replace(phi, jet=jet))
+    return panel, calls
+
+
+class TestJetCalls:
+    """One jet per panel member per point set: the value at a snapshot comes
+    with the derivatives of the step that starts there."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_weak_residual_runs_each_jet_once_per_snapshot(self, eps):
+        traj, noise = full_run(eps, seed=5)
+        panel, calls = counting_panel(2)
+        smfe_weak_residual_panel(traj, noise if eps > 0 else None, REF_COEFFS, eps, panel)
+        assert traj.n_snapshots == 31
+        assert {name: len(c) for name, c in calls.items()} == {p.name: 31 for p in panel}
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_qv_runs_each_jet_once_per_window_point(self, eps):
+        traj, _ = full_run(eps, seed=6)
+        panel, calls = counting_panel(2)
+        qv_check_panel(traj, REF_COEFFS, panel, window=(0.1, 0.25))
+        # 15 steps, from t = 0.10 to t = 0.24, and the snapshot at t = 0.25
+        assert {name: len(c) for name, c in calls.items()} == {p.name: 16 for p in panel}
 
 
 class TestWeakResidual:

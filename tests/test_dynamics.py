@@ -30,7 +30,7 @@ from meanfield_sgd.dynamics import (
     step_interacting,
 )
 from meanfield_sgd.harness import (ExperimentConfig, build_coefficients, build_initial_spec, exp_clt_rate,
-                                   exp_lln_rate, reference_config)
+                                   exp_lln_rate, exp_particle_rate, reference_config)
 from meanfield_sgd.measures import EmpiricalMeasure, w2
 
 nan, inf = float("nan"), float("inf")
@@ -370,6 +370,12 @@ class TestBoundaryValidation:
         (lambda: NoisePath(0, 1e-2, 10, 2).coarsened(0), "factor"),
         (lambda: run_sgd(REF_COEFFS, 3, alpha=0.1, batch_size=1, n_steps=-1, seed=0,
                          initial=np.zeros((3, 2))), "n_steps"),
+        (lambda: exp_lln_rate(reference_config(replicas=10, eps_grid=(0.1, 0.01))), "eps_grid"),
+        (lambda: exp_clt_rate(reference_config(replicas=10, eps_grid=(0.1, 0.01))), "eps_grid"),
+        (lambda: exp_particle_rate(reference_config(replicas=10, m_grid=(10, 20))), "m_grid"),
+        (lambda: sample_initial(InitialSpec(kind="atoms", atoms=np.zeros((0, 2))), 2, 0), "atoms"),
+        (lambda: NoisePath(-1, 0.01, 10, 2), "seed"),
+        (lambda: NoisePath(1.5, 0.01, 10, 2), "seed"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -385,7 +391,9 @@ class TestBoundaryValidation:
             "config-mu0-low-above-high", "config-nan-mu0-low", "config-infinite-mu0-high",
             "rates-negative-grid", "rates-unsorted-grid", "fractional-snapshot-stride",
             "noise-negative-dt", "noise-zero-dt", "noise-nan-dt", "noise-negative-steps",
-            "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps"])
+            "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps",
+            "lln-two-point-eps-grid", "clt-two-point-eps-grid", "particle-two-point-m-grid",
+            "empty-initial-atoms", "noise-negative-seed", "noise-fractional-seed"])
     def test_bad_input_names_its_field(self, make, field):
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()

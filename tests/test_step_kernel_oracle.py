@@ -49,8 +49,7 @@ def oracle_drift(coeffs, X, measure):
     r = coeffs.residuals(measure)
     c, _, _ = coeffs._split(X)
     z = _z(coeffs, X)
-    phi = coeffs.activation.value(z)
-    dphi = coeffs.activation.d1(z)
+    phi, dphi = coeffs.activation.jet(z, 1)
     common = coeffs._w * r
     out = np.empty((X.shape[0], coeffs.dim))
     out[:, 0] = phi @ common
@@ -67,8 +66,7 @@ def oracle_noise_increment(coeffs, X, measure, dB):
     kappa = r * coeffs._sqrt_w * dB
     c, _, _ = coeffs._split(X)
     z = _z(coeffs, X)
-    phi = coeffs.activation.value(z)
-    dphi = coeffs.activation.d1(z)
+    phi, dphi = coeffs.activation.jet(z, 1)
     out = np.empty((X.shape[0], coeffs.dim))
     out[:, 0] = phi @ kappa
     cd = c[:, None] * dphi
@@ -187,31 +185,30 @@ def test_batch_of_eight_repeats_a_channel():
 
 
 def counting_activation(name):
+    """The built-in activation with a jet that records each call's order."""
     base = ACTIVATIONS[name]
     calls = []
 
-    def counted(fn):
-        def wrapper(z):
-            calls.append(fn)
-            return fn(z)
-        return wrapper
+    def jet(z, order):
+        calls.append(order)
+        return base.jet(z, order)
 
-    return Activation(base.name, counted(base.value), counted(base.d1), counted(base.d2)), calls
+    return Activation(base.name, jet), calls
 
 
 class TestActivationCalls:
-    def test_noisy_step_makes_three(self):
+    def test_noisy_step_makes_two(self):
         activation, calls = counting_activation("tanh")
         coeffs = make_coeffs(activation, False)
         ens = ensemble(coeffs, 20)
         dB = np.random.default_rng(10).normal(0, 0.1, size=coeffs.n_channels)
         step_interacting(ens, coeffs, IntegratorConfig(dt=0.01, horizon=0.01, eps=0.05), dB)
-        assert len(calls) <= 3
+        assert len(calls) <= 2
 
-    def test_tangent_step_makes_fewer_than_sixteen(self):
+    def test_tangent_step_makes_eight(self):
         activation, calls = counting_activation("tanh")
         coeffs = make_coeffs(activation, False)
         X = ensemble(coeffs, 20).positions
         dB = np.random.default_rng(11).normal(0, 0.1, size=coeffs.n_channels)
         tangent_step(TangentEnsemble(X, 0.1 * X), coeffs, IntegratorConfig(dt=0.01, horizon=0.01), dB)
-        assert len(calls) < 16
+        assert len(calls) <= 8
