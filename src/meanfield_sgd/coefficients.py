@@ -280,17 +280,12 @@ class NetworkCoefficients:
         sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V."""
         return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
 
-    # --- features and potentials -------------------------------------------
+    # --- features ----------------------------------------------------------
 
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """Phi(x_i, theta_p) for a batch of parameters; shape (N, P)."""
         c, z = self._preactivation(X)
         return c[:, None] * self.activation.jet(z, 0)[0]
-
-    def feature(self, x: np.ndarray, p: int) -> float:
-        if not 0 <= p < self.n_channels:
-            raise IndexError(f"data index {p} out of range")
-        return float(self.feature_matrix(np.atleast_2d(x))[0, p])
 
     def grad_feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """grad_x Phi(x_i, theta_p); shape (N, P, d)."""
@@ -304,38 +299,6 @@ class NetworkCoefficients:
         if self.include_bias:
             out[:, :, -1] = cd
         return out
-
-    def grad_feature(self, x: np.ndarray, p: int) -> np.ndarray:
-        if not 0 <= p < self.n_channels:
-            raise IndexError(f"data index {p} out of range")
-        return self.grad_feature_matrix(np.atleast_2d(x))[0, p]
-
-    def potential(self, x: np.ndarray) -> float:
-        """F(x) = sum_p w_p f_p Phi(x, theta_p)."""
-        return float(self.feature_matrix(np.atleast_2d(x))[0] @ (self._w * self._f))
-
-    def grad_potential(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad_feature_matrix(np.atleast_2d(x))[0]  # (P, d)
-        return (self._w * self._f) @ g
-
-    def kernel(self, x: np.ndarray, y: np.ndarray) -> float:
-        """K(x, y) = sum_p w_p Phi(x, theta_p) Phi(y, theta_p)."""
-        fx = self.feature_matrix(np.atleast_2d(x))[0]
-        fy = self.feature_matrix(np.atleast_2d(y))[0]
-        return float((self._w * fx) @ fy)
-
-    def grad_kernel_x(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        gx = self.grad_feature_matrix(np.atleast_2d(x))[0]  # (P, d)
-        fy = self.feature_matrix(np.atleast_2d(y))[0]
-        return (self._w * fy) @ gx
-
-    def v_bar(self, x: np.ndarray) -> np.ndarray:
-        """Mean-field-free part of the drift: grad F."""
-        return self.grad_potential(x)
-
-    def v_tilde(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Interaction kernel of the drift: -grad_x K(x, y)."""
-        return -self.grad_kernel_x(x, y)
 
     # --- measure-dependent coefficients -------------------------------------
 
@@ -381,15 +344,6 @@ class NetworkCoefficients:
         """
         return self._contract(X, self.residuals(measure) * self._noise_kappa(dB))
 
-    def a_tilde(self, x: np.ndarray, y: np.ndarray, measure) -> np.ndarray:
-        """Atilde(x, y, mu) = sum_p w_p G(x, mu, theta_p) (x) G(y, mu, theta_p)."""
-        gx = self.noise_matrix(np.atleast_2d(x), measure)[0]  # (P, d)
-        gy = self.noise_matrix(np.atleast_2d(y), measure)[0]
-        return np.einsum("p,pi,pj->ij", self._w, gx, gy)
-
-    def a(self, x: np.ndarray, measure) -> np.ndarray:
-        return self.a_tilde(x, x, measure)
-
     # --- derivatives used by the tangent (fluctuation) system ---------------
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
@@ -429,19 +383,6 @@ class NetworkCoefficients:
         preds = self.feature_matrix(params).mean(axis=0)
         return float(self._w @ (self._f - preds) ** 2)
 
-    def loss_kernel_form(self, params: np.ndarray) -> float:
-        """Same risk via C_f - (2/M) sum_i F(x_i) + (1/M^2) sum_ij K(x_i, x_j)."""
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        if params.shape[0] == 0:
-            raise CoefficientError("loss of an empty parameter list")
-        M = params.shape[0]
-        feats = self.feature_matrix(params)  # (M, P)
-        c_f = float(self._w @ self._f**2)
-        f_sum = float((feats @ (self._w * self._f)).sum())
-        k_sum = float(np.einsum("ip,p,jp->", feats, self._w, feats))
-        return c_f - 2.0 * f_sum / M + k_sum / M**2
-
-
 class SyntheticCoefficients:
     """User-supplied batch evaluators for degenerate or analytic cases.
 
@@ -462,7 +403,7 @@ class SyntheticCoefficients:
 
     The last two are the linearisations the tangent system needs; the
     methods of the same names only turn the measure into (atoms, weights).
-    Network-only operations (potential, kernel, loss) are rejected.
+    ``loss`` needs a network and is rejected.
     """
 
     mode = "synthetic"
@@ -550,25 +491,5 @@ class SyntheticCoefficients:
         tangents = np.atleast_2d(np.asarray(tangents, dtype=float))
         return np.asarray(self._vtilde_y_apply(X, base, tangents), dtype=float)
 
-    # Network-only surface.
-
-    def _reject(self, op: str):
-        raise CoefficientError(f"{op} requires network mode coefficients")
-
-    def potential(self, x):
-        self._reject("potential")
-
-    def kernel(self, x, y):
-        self._reject("kernel")
-
-    def grad_potential(self, x):
-        self._reject("grad_potential")
-
-    def grad_kernel_x(self, x, y):
-        self._reject("grad_kernel_x")
-
     def loss(self, params):
-        self._reject("loss")
-
-    def loss_kernel_form(self, params):
-        self._reject("loss_kernel_form")
+        raise CoefficientError("loss requires network mode coefficients")

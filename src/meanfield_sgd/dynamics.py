@@ -452,25 +452,6 @@ class InitialSpec:
     box: float | None = None       # half-width of the truncation box
     atoms: np.ndarray | None = None
 
-    def second_moment(self) -> float:
-        """<|x|^2> of the spec (ignoring Gaussian truncation, valid for wide boxes)."""
-        if self.kind == "uniform":
-            lo = np.asarray(self.low, float)
-            hi = np.asarray(self.high, float)
-            return float(np.sum((hi**2 + hi * lo + lo**2) / 3.0))
-        if self.kind == "gaussian":
-            mean = np.asarray(self.mean, float)
-            cov = self.cov
-            if np.isscalar(cov):
-                tr = float(cov) * mean.size
-            else:
-                tr = float(np.trace(np.asarray(cov, float)))
-            return float(mean @ mean + tr)
-        if self.kind == "atoms":
-            atoms = np.atleast_2d(np.asarray(self.atoms, float))
-            return float(np.mean(np.einsum("nd,nd->n", atoms, atoms)))
-        raise ValueError(f"unknown initial spec kind {self.kind!r}")
-
 
 # the truncated Gaussian draws at most this many batches of n before giving up
 _MAX_REJECTION_BATCHES = 1000

@@ -153,6 +153,14 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
                            reference=traj_zero.positions, eps=float(eps))
 
 
+def _check_sobolev_order(name: str, j: int, dim: int):
+    """ValueError naming ``name`` unless j >= ceil(d/2)+4, the order the CLT
+    distance needs in d dimensions."""
+    min_j = int(np.ceil(dim / 2)) + 4
+    if j < min_j:
+        raise ValueError(f"{name} must be at least ceil(d/2)+4={min_j} for d={dim} (got {j})")
+
+
 def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
                  grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """sup over snapshots of || eta^eps_t - eta_t ||_{-J} for each path, plus
@@ -178,9 +186,7 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
         if not np.array_equal(path.reference, transport):
             raise ValueError("fluctuation paths must be taken against the tangent trajectory's transport run")
     n, dim = transport.shape[1:]
-    min_j = int(np.ceil(dim / 2)) + 4
-    if grid.j < min_j:
-        raise ValueError(f"sobolev order j={grid.j} below required ceil(d/2)+4={min_j}")
+    _check_sobolev_order("sobolev order j", grid.j, dim)
     lattice = HalfLattice(grid, dim)
     lattice.warn_tail()
     curves = np.empty((len(eta_paths), tangent_traj.n_snapshots))
@@ -221,12 +227,10 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
     phis = list(panel)
     base, tangents = tangent_traj.positions, tangent_traj.tangents
 
-    def pairing(s):
-        # <phi, eta_s> = sum_i grad phi(x_i) . y_i, before the 1/N
-        return pair_panel(stack_panel(phis, base[s], 1)[1], tangents[s])
-
-    # boundary terms of the weak identity
-    residuals = pairing(n_steps) - pairing(0)
+    # boundary terms of the weak identity, <phi, eta_s> = sum_i grad phi(x_i) . y_i
+    # before the 1/N: <phi, eta_0> comes with step 0's jet (zero on a run of no steps)
+    end = pair_panel(stack_panel(phis, base[-1], 1)[1], tangents[-1])
+    residuals = np.zeros_like(end)
     for s in range(n_steps):
         X = base[s]
         Y = tangents[s]
@@ -235,6 +239,8 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
         jac_v_y = coeffs.drift_jacobian_apply(X, Y, mu)
         inter = coeffs.vtilde_y_apply(X, X, Y)
         _, grads, hess = stack_panel(phis, X, 2)     # (F, N, d), (F, N, d, d)
+        if s == 0:
+            residuals = end - pair_panel(grads, Y)
         # <grad phi . v, eta_s> through tangents: D2 phi : (Y (x) v) + grad phi . (Dv Y),
         # plus the interaction pairing <grad phi(x) . <Vtilde(x,.), eta_s>, mu0_s>
         drift = pair_panel(hess, Y[:, :, None] * v[:, None, :]) + pair_panel(grads, jac_v_y + inter)

@@ -43,7 +43,7 @@ from .dynamics import (
     simulate,
     simulate_transport,
 )
-from .fluctuations import clt_distance, eta_eps, solve_tangent
+from .fluctuations import _check_sobolev_order, clt_distance, eta_eps, solve_tangent
 from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_stack
 
 __all__ = [
@@ -552,6 +552,8 @@ def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
 
 def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
     """Exact squared W2 between an empirical measure and Uniform[low, high]."""
+    if not high > low:
+        raise ValueError(f"high must be > low for a uniform law (got low={low!r}, high={high!r})")
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     m = x.size
     c = high - low
@@ -626,6 +628,9 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
     config.validate_for_rates("m_grid")
     if config.instance != "synthetic-1d":
         raise ValueError("the particle-rate experiment runs on the 1-d synthetic instance")
+    if np.any(np.asarray(config.mu0_high) <= np.asarray(config.mu0_low)):
+        raise ValueError(f"mu0_high must be > mu0_low: the initial law is compared with a "
+                         f"uniform one (got mu0_low={config.mu0_low!r}, mu0_high={config.mu0_high!r})")
     n_ref = 20 * int(max(config.m_grid))
     table = _run_replicas("particle-rate", partial(_particle_cells, float(eps), n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
@@ -693,6 +698,7 @@ def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
 
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
+    _check_sobolev_order("sobolev_j", config.sobolev_j, len(config.mu0_low))
     replicas = [Replica(config, config.base_seed + r, config.clt_snapshot_stride)
                 for r in range(config.replicas)]
     for rep, results in zip(replicas, _parallel(_clt_runs, replicas, config.threads)):

@@ -39,7 +39,6 @@ __all__ = [
     "spectral_coefficients",
     "pair",
     "write_field",
-    "read_field",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -130,9 +129,6 @@ class SignedAtomicField:
     @property
     def dim(self) -> int:
         return self.atoms.shape[1]
-
-    def scaled(self, c: float) -> "SignedAtomicField":
-        return SignedAtomicField(self.kind, self.atoms, c * self.payload)
 
 
 @dataclass(frozen=True)
@@ -444,14 +440,3 @@ def write_field(field: SignedAtomicField, path):
                 tang = " ".join(f"{v:.17g}" for v in field.payload[i])
                 fh.write(f"{coords} {tang}\n")
 
-
-def read_field(path) -> SignedAtomicField:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        rows = np.loadtxt(fh, ndmin=2)
-    tags = dict(part.split("=") for part in header.lstrip("# ").split() if "=" in part)
-    kind = tags["kind"]
-    dim = int(tags["dim"])
-    atoms = rows[:, :dim]
-    payload = rows[:, dim] if kind == "atomic" else rows[:, dim:]
-    return SignedAtomicField(kind, atoms, payload)

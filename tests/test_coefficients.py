@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import paper_forms as pf
 from meanfield_sgd.coefficients import (
     ACTIVATIONS,
     CoefficientError,
@@ -113,13 +114,13 @@ class TestFeature:
         """identity phi, theta=1, x=(c=1,u=1): Phi=1 and grad=(1,1)."""
         coeffs = single_atom_identity()
         x = pack_param(1.0, [1.0])
-        assert coeffs.feature(x, 0) == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(coeffs.grad_feature(x, 0), [1.0, 1.0], atol=1e-15)
+        assert pf.feature(coeffs, x, 0)[0] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(pf.feature(coeffs, x, 0)[1:], [1.0, 1.0], atol=1e-15)
 
     def test_zero_output_weight_kills_u_gradient(self):
         coeffs = reference_like()
         x = pack_param(0.0, [0.7])
-        g = coeffs.grad_feature(x, 2)
+        g = pf.feature(coeffs, x, 2)[1:]
         assert g[0] == pytest.approx(np.tanh(0.7 * coeffs.dataset.atoms[2, 0]), abs=1e-14)
         np.testing.assert_allclose(g[1:], 0.0, atol=1e-15)
 
@@ -133,14 +134,9 @@ class TestFeature:
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            fd[k] = (coeffs.feature(x + e, 0) - coeffs.feature(x - e, 0)) / (2 * h)
-        g = coeffs.grad_feature(x, 0)
+            fd[k] = (pf.feature(coeffs, x + e, 0)[0] - pf.feature(coeffs, x - e, 0)[0]) / (2 * h)
+        g = pf.feature(coeffs, x, 0)[1:]
         np.testing.assert_allclose(g, fd, rtol=1e-6)
-
-    def test_bad_index_raises(self):
-        coeffs = reference_like()
-        with pytest.raises(IndexError):
-            coeffs.feature(pack_param(1.0, [0.0]), 99)
 
 
 class TestPotentialAndKernel:
@@ -149,7 +145,7 @@ class TestPotentialAndKernel:
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(0, 2, size=2)
-            assert coeffs.kernel(x, x) >= 0.0
+            assert pf.kernel(coeffs, x, x)[0] >= 0.0
 
     def test_single_atom_unit_values(self):
         """single atom, identity phi, f=1, x=(1,1), theta=1: F=1 and K(x,x)=1."""
@@ -157,20 +153,18 @@ class TestPotentialAndKernel:
         x = pack_param(1.0, [1.0])
         # oracle: direct summation over the (single) data atom
         phi_val = 1.0 * (1.0 * 1.0)
-        assert coeffs.potential(x) == pytest.approx(1.0 * 1.0 * phi_val, abs=1e-15)
-        assert coeffs.kernel(x, x) == pytest.approx(phi_val * phi_val, abs=1e-15)
+        assert pf.potential(coeffs, x)[0] == pytest.approx(1.0 * 1.0 * phi_val, abs=1e-15)
+        assert pf.kernel(coeffs, x, x)[0] == pytest.approx(phi_val * phi_val, abs=1e-15)
 
     def test_zero_labels_zero_potential(self):
         data = Dataset(atoms=[[0.3], [-0.2]], weights=[0.5, 0.5], labels=[0.0, 0.0])
         coeffs = NetworkCoefficients(data, ACTIVATIONS["tanh"])
         rng = np.random.default_rng(2)
         for _ in range(5):
-            assert coeffs.potential(rng.normal(size=2)) == 0.0
+            assert pf.potential(coeffs, rng.normal(size=2))[0] == 0.0
 
     def test_synthetic_mode_rejects_network_ops(self):
         syn = SyntheticCoefficients(dim=2)
-        with pytest.raises(CoefficientError):
-            syn.potential(np.zeros(2))
         with pytest.raises(CoefficientError):
             syn.loss(np.zeros((1, 2)))
 
@@ -182,8 +176,8 @@ class TestPotentialAndKernel:
         y = rng.normal(0, 1, size=2)
         h = 1e-5
         for target, grad in (
-            (lambda z: coeffs.potential(z), coeffs.grad_potential(x)),
-            (lambda z: coeffs.kernel(z, y), coeffs.grad_kernel_x(x, y)),
+            (lambda z: pf.potential(coeffs, z)[0], pf.potential(coeffs, x)[1:]),
+            (lambda z: pf.kernel(coeffs, z, y)[0], pf.kernel(coeffs, x, y)[1:]),
         ):
             fd = np.empty(2)
             for k in range(2):
@@ -216,8 +210,8 @@ class TestDrift:
         for _ in range(10):
             x = rng.normal(0, 1.5, size=2)
             residual_form = coeffs.drift(x[None, :], mu)[0]
-            additive = coeffs.v_bar(x) + sum(
-                w * coeffs.v_tilde(x, y) for y, w in zip(mu.positions, mu.weights)
+            additive = pf.v_bar(coeffs, x) + sum(
+                w * pf.v_tilde(coeffs, x, y) for y, w in zip(mu.positions, mu.weights)
             )
             np.testing.assert_allclose(residual_form, additive, atol=1e-12)
 
@@ -236,7 +230,8 @@ class TestNoise:
         X = rng.normal(size=(4, 2))
         G = coeffs.noise_matrix(X, mu)
         np.testing.assert_allclose(G, 0.0, atol=1e-15)
-        np.testing.assert_allclose(coeffs.a(X[0], mu), 0.0, atol=1e-15)
+        A = pf.a_tilde(coeffs, X[0], X[0], mu.positions, mu.weights)
+        np.testing.assert_allclose(A, 0.0, atol=1e-15)
 
     def test_centering(self):
         """sum_p w_p G(x, mu, theta_p) = 0 by construction (<= 1e-10)."""
@@ -253,18 +248,7 @@ class TestNoise:
         rng = np.random.default_rng(11)
         mu = random_measure(rng, 6, 2)
         x = rng.normal(size=2)
-        preds = np.array(
-            [
-                sum(
-                    wgt * coeffs.feature(pos, p)
-                    for pos, wgt in zip(mu.positions, mu.weights)
-                )
-                for p in range(coeffs.n_channels)
-            ]
-        )
-        res = coeffs.dataset.labels - preds
-        raw = np.array([res[p] * coeffs.grad_feature(x, p) for p in range(coeffs.n_channels)])
-        oracle = raw - coeffs.dataset.weights @ raw
+        oracle = pf.noise(coeffs, x, mu.positions, mu.weights)
         lib = coeffs.noise_matrix(x[None, :], mu)[0]
         np.testing.assert_allclose(lib, oracle, atol=1e-12)
 
@@ -274,11 +258,12 @@ class TestNoise:
         mu = random_measure(rng, 5, 2)
         x = rng.normal(size=2)
         y = rng.normal(size=2)
-        A = coeffs.a(x, mu)
+        env = (mu.positions, mu.weights)
+        A = pf.a_tilde(coeffs, x, x, *env)
         assert np.min(np.linalg.eigvalsh(A)) >= -1e-10
-        np.testing.assert_array_equal(A, coeffs.a_tilde(x, x, mu))
+        np.testing.assert_array_equal(A, A.T)
         np.testing.assert_allclose(
-            coeffs.a_tilde(x, y, mu), coeffs.a_tilde(y, x, mu).T, atol=0.0
+            pf.a_tilde(coeffs, x, y, *env), pf.a_tilde(coeffs, y, x, *env).T, atol=0.0
         )
 
     def test_noise_increment_matches_matrix_contraction(self):
@@ -320,7 +305,7 @@ class TestTangentDerivatives:
             pts = base + shift * tang
             return np.array(
                 [
-                    np.mean([coeffs.v_tilde(x, y) for y in pts], axis=0)
+                    np.mean([pf.v_tilde(coeffs, x, y) for y in pts], axis=0)
                     for x in X
                 ]
             )
@@ -370,12 +355,38 @@ class TestLoss:
         coeffs = reference_like(seed=20)
         rng = np.random.default_rng(21)
         params = rng.normal(0, 1, size=(9, 2))
-        assert abs(coeffs.loss(params) - coeffs.loss_kernel_form(params)) < 1e-10
+        assert abs(coeffs.loss(params) - pf.loss_kernel_form(coeffs, params)) < 1e-10
 
     def test_empty_parameter_list_rejected(self):
         coeffs = reference_like()
         with pytest.raises(CoefficientError):
             coeffs.loss(np.zeros((0, 2)))
+
+
+class TestPaperFormIdentities:
+    """The shipped batch evaluators against the point forms of tests/paper_forms.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 6), n0=st.integers(1, 3), bias=st.booleans(),
+           name=st.sampled_from(["tanh", "sigmoid", "smoothed-relu"]), data=st.data())
+    def test_drift_noise_and_loss(self, n_atoms, n0, bias, name, data):
+        """drift = Vbar + <Vtilde, mu>, noise_matrix = G and loss = the kernel-form loss."""
+        def draw(shape, elements=st.floats(-2.0, 2.0)):
+            return data.draw(arrays(float, shape, elements=elements))
+
+        mass = draw(n_atoms, st.floats(0.1, 1.0))
+        dataset = Dataset(draw((n_atoms, n0)), mass / mass.sum(), draw(n_atoms))
+        coeffs = NetworkCoefficients(dataset, ACTIVATIONS[name], include_bias=bias)
+        X, atoms = draw((3, coeffs.dim)), draw((data.draw(st.integers(1, 4)), coeffs.dim))
+        mu = ParticleEnsemble.uniform(atoms)
+        drift, G = coeffs.drift(X, mu), coeffs.noise_matrix(X, mu)
+        for i, x in enumerate(X):
+            additive = pf.v_bar(coeffs, x) + sum(
+                w * pf.v_tilde(coeffs, x, y) for y, w in zip(mu.positions, mu.weights)
+            )
+            np.testing.assert_allclose(drift[i], additive, atol=1e-12)
+            np.testing.assert_allclose(G[i], pf.noise(coeffs, x, mu.positions, mu.weights), atol=1e-12)
+        assert abs(coeffs.loss(atoms) - pf.loss_kernel_form(coeffs, atoms)) < 1e-10
 
 
 class TestBiasFlag:
@@ -389,5 +400,5 @@ class TestBiasFlag:
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (coeffs.feature(x + e, 0) - coeffs.feature(x - e, 0)) / (2 * h)
-        np.testing.assert_allclose(coeffs.grad_feature(x, 0), fd, rtol=1e-6)
+            fd[k] = (pf.feature(coeffs, x + e, 0)[0] - pf.feature(coeffs, x - e, 0)[0]) / (2 * h)
+        np.testing.assert_allclose(pf.feature(coeffs, x, 0)[1:], fd, rtol=1e-6)

@@ -29,6 +29,7 @@ from meanfield_sgd.dynamics import (
     simulate,
     simulate_transport,
 )
+from meanfield_sgd.fluctuations import solve_tangent, weak_residual_linear
 from meanfield_sgd.harness import build_coefficients, build_initial_spec, reference_config
 from meanfield_sgd.measures import EmpiricalMeasure
 
@@ -116,6 +117,16 @@ class TestJetCalls:
         qv_check_panel(traj, REF_COEFFS, panel, window=(0.1, 0.25))
         # 15 steps, from t = 0.10 to t = 0.24, and the snapshot at t = 0.25
         assert {name: len(c) for name, c in calls.items()} == {p.name: 16 for p in panel}
+
+    def test_linear_residual_runs_each_jet_once_per_snapshot(self):
+        """<phi, eta_0> comes with step 0's jet: 31 calls on a 30-step tangent run."""
+        _, noise = full_run(0.0, seed=7)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.3, snapshot_stride=1)
+        tangent = solve_tangent(sample_initial(REF_SPEC, 30, 7).positions, REF_COEFFS, cfg, noise)
+        panel, calls = counting_panel(2)
+        weak_residual_linear(tangent, REF_COEFFS, noise, panel)
+        assert tangent.n_snapshots == 31
+        assert {name: len(c) for name, c in calls.items()} == {p.name: 31 for p in panel}
 
 
 class TestWeakResidual:

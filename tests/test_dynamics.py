@@ -376,6 +376,12 @@ class TestBoundaryValidation:
         (lambda: sample_initial(InitialSpec(kind="atoms", atoms=np.zeros((0, 2))), 2, 0), "atoms"),
         (lambda: NoisePath(-1, 0.01, 10, 2), "seed"),
         (lambda: NoisePath(1.5, 0.01, 10, 2), "seed"),
+        (lambda: exp_clt_rate(reference_config(replicas=10, n_particles=20, horizon=0.02,
+                                               clt_snapshot_stride=10, k_max=16, sobolev_j=2)),
+         "sobolev_j"),
+        (lambda: exp_particle_rate(ExperimentConfig(
+            instance="synthetic-1d", mu0_low=(0.5,), mu0_high=(0.5,), m_grid=(10, 20, 40),
+            replicas=10, horizon=0.02, dt=0.01)), "mu0_high"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -393,10 +399,16 @@ class TestBoundaryValidation:
             "noise-negative-dt", "noise-zero-dt", "noise-nan-dt", "noise-negative-steps",
             "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps",
             "lln-two-point-eps-grid", "clt-two-point-eps-grid", "particle-two-point-m-grid",
-            "empty-initial-atoms", "noise-negative-seed", "noise-fractional-seed"])
-    def test_bad_input_names_its_field(self, make, field):
+            "empty-initial-atoms", "noise-negative-seed", "noise-fractional-seed",
+            "clt-low-sobolev-j", "particle-point-mass-box"])
+    def test_bad_input_names_its_field(self, make, field, monkeypatch):
+        """Each bad input is refused, naming its field, before any run is integrated."""
+        runs = []
+        for name in ("simulate", "simulate_transport", "solve_tangent"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()
+        assert runs == []
 
     @pytest.mark.parametrize("atoms, weights, labels, field", [
         ([[0.1], [0.2]], [nan, 1.0], [0.1, 0.2], "weights"),
@@ -488,7 +500,8 @@ class TestSampleInitial:
         spec = InitialSpec(kind="uniform", low=[-1.0, -1.0], high=[1.0, 1.0])
         ens = sample_initial(spec, 10_000, 7)
         emp = float(np.mean(np.einsum("nd,nd->n", ens.positions, ens.positions)))
-        target = spec.second_moment()  # 2/3 for the unit square
+        lo, hi = np.asarray(spec.low), np.asarray(spec.high)
+        target = float(np.sum((hi**2 + hi * lo + lo**2) / 3.0))  # 2/3 for the unit square
         assert target == pytest.approx(2.0 / 3.0, abs=1e-12)
         # var of |x|^2 for the square: E|x|^4 - (E|x|^2)^2
         x4 = 2 * (1 / 5) + 2 * (1 / 3) ** 2  # E x1^4 + 2 E x1^2 x2^2 ... per axis sums

@@ -3,12 +3,16 @@
 import csv
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import paper_forms
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.harness import (
     ExperimentConfig,
@@ -86,9 +90,33 @@ class TestResultTableMatrix:
             table.matrix([("a", 1), ("b", 2), ("c", 1)])
 
 
+class TestResultsCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(), st.text(), st.integers(0, 2**63), st.text(),
+        st.floats(allow_nan=True, allow_infinity=True)), max_size=8))
+    def test_round_trip_is_exact(self, rows):
+        """results.csv gives back every row: text fields, seeds, and values to
+        17 significant digits, nan and infinities included."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ResultTable(reference_config(), list(rows)).write(tmp)
+            with open(os.path.join(tmp, "results.csv"), newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                assert next(reader) == ["experiment", "param", "seed", "metric", "value"]
+                back = list(reader)
+        assert [tuple(r[:2]) + (int(r[2]), r[3]) for r in back] == [r[:4] for r in rows]
+        values = np.array([float(r[4]) for r in back])
+        np.testing.assert_array_equal(values, np.array([r[4] for r in rows], dtype=float))
+
+
 class TestUniformQuantileOracle:
     def test_single_sample_at_midpoint(self):
         assert w2_sq_to_uniform_1d(np.array([0.5]), 0.0, 1.0) == pytest.approx(1 / 12)
+
+    @pytest.mark.parametrize("low, high", [(0.5, 0.5), (1.0, -1.0)])
+    def test_empty_interval_rejected(self, low, high):
+        with pytest.raises(ValueError, match=r"^high must be > low"):
+            w2_sq_to_uniform_1d(np.array([0.5]), low, high)
 
     def test_against_dense_discretization(self):
         rng = np.random.default_rng(2)
@@ -516,9 +544,7 @@ class TestCli:
         lines = (out / "diagnostics.txt").read_text().splitlines()
         assert lines[0] == "phi seed metric value"
         assert any("weak_residual" in line for line in lines)
-        from meanfield_sgd.measures import read_field
-
-        field = read_field(out / "field-final.txt")
+        field = paper_forms.read_field(out / "field-final.txt")
         assert field.kind == "atomic"
         assert abs(field.payload.sum()) < 1e-12
 

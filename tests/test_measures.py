@@ -1,6 +1,8 @@
 """Wasserstein-2 backends, moments, the spectral H^{-J} surrogate and pairings."""
 
 import itertools
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import paper_forms
 from meanfield_sgd import measures
 from meanfield_sgd.diagnostics import gaussian_bump
 from meanfield_sgd.measures import (
@@ -18,7 +21,6 @@ from meanfield_sgd.measures import (
     _w2_lp,
     moment,
     pair,
-    read_field,
     sobolev_neg_norm,
     spectral_coefficients,
     w2,
@@ -229,7 +231,8 @@ class TestSobolevNorm:
         g = SpectralGrid(r_box=2.0, k_max=16, j=4)
         base = sobolev_neg_norm(f, g)
         for c in (-2.5, 0.25, 7.0):
-            assert sobolev_neg_norm(f.scaled(c), g) == pytest.approx(abs(c) * base, rel=1e-12)
+            scaled = SignedAtomicField.atomic(f.atoms, c * f.payload)
+            assert sobolev_neg_norm(scaled, g) == pytest.approx(abs(c) * base, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_monotone_in_j(self):
@@ -325,16 +328,32 @@ class TestSerialization:
         f = SignedAtomicField.atomic(rng.normal(size=(5, 3)), rng.normal(size=5))
         path = tmp_path / "field.txt"
         write_field(f, path)
-        g = read_field(path)
+        g = paper_forms.read_field(path)
         assert g.kind == "atomic"
         np.testing.assert_array_equal(g.atoms, f.atoms)
         np.testing.assert_array_equal(g.payload, f.payload)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["atomic", "tangent"]), n=st.integers(1, 6), dim=st.integers(1, 3),
+           data=st.data())
+    def test_round_trip_is_exact(self, kind, n, dim, data):
+        """17 significant digits bring back every float64, whatever its size."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        atoms = data.draw(arrays(float, (n, dim), elements=finite))
+        payload = data.draw(arrays(float, (n,) if kind == "atomic" else (n, dim), elements=finite))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.txt")
+            write_field(SignedAtomicField(kind, atoms, payload), path)
+            g = paper_forms.read_field(path)
+        assert g.kind == kind
+        np.testing.assert_array_equal(g.atoms, atoms)
+        np.testing.assert_array_equal(g.payload, payload)
 
     def test_tangent_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         f = SignedAtomicField.tangent(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
         path = tmp_path / "field.txt"
         write_field(f, path)
-        g = read_field(path)
+        g = paper_forms.read_field(path)
         assert g.kind == "tangent"
         np.testing.assert_array_equal(g.payload, f.payload)
