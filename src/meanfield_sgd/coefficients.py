@@ -237,35 +237,38 @@ class NetworkCoefficients:
 
     def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dim:
+        if X.shape[-1] != self.dim:
             raise CoefficientError(
-                f"parameter dimension {X.shape[1]} != expected {self.dim}"
+                f"parameter dimension {X.shape[-1]} != expected {self.dim}"
             )
-        c = X[:, 0]
+        c = X[..., 0]
         if self.include_bias:
-            return c, X[:, 1:-1], X[:, -1]
-        return c, X[:, 1:], np.zeros_like(c)
+            return c, X[..., 1:-1], X[..., -1]
+        return c, X[..., 1:], np.zeros_like(c)
 
     def _preactivation(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Output weights c (N,) and pre-activations u . theta_p + b (N, P)."""
+        """Output weights c (..., N) and pre-activations u . theta_p + b (..., N, P)."""
         c, u, b = self._split(X)
-        return c, u @ self._theta.T + b[:, None]
+        return c, u @ self._theta.T + b[..., None]
 
     def _assemble(self, row_c: np.ndarray, row_u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """sum_p kappa_p (row_c, row_u theta_p, row_u) in (c, u[, bias]) components.
 
         With row_c = phi and row_u = c phi' this is sum_p kappa_p grad Phi;
         with the Hessian rows of ``drift_jacobian_apply`` it is the jacobian.
+        Rows (..., N, P) may lead with a run axis, with one kappa (..., P) per
+        run: each run's sums are the stacked slices of the same products.
         """
-        out = np.empty((row_c.shape[0], self.dim))
-        out[:, 0] = row_c @ kappa
-        out[:, 1 : 1 + self.dataset.input_dim] = (row_u * kappa) @ self._theta
+        out = np.empty(row_c.shape[:-1] + (self.dim,))
+        column = kappa[..., None]
+        out[..., 0] = (row_c @ column)[..., 0]
+        out[..., 1 : 1 + self.dataset.input_dim] = (row_u * kappa[..., None, :]) @ self._theta
         if self.include_bias:
-            out[:, -1] = row_u @ kappa
+            out[..., -1] = (row_u @ column)[..., 0]
         return out
 
     def _contract(self, X: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """sum_p kappa_p grad Phi(x_i, theta_p); shape (N, d).
+        """sum_p kappa_p grad Phi(x_i, theta_p); shape (..., N, d).
 
         Every step is this one contraction with its own per-channel weight:
         the drift has kappa = w r, the common noise r (sqrt(w) dB - w
@@ -273,12 +276,24 @@ class NetworkCoefficients:
         """
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        return self._assemble(phi, c[:, None] * dphi, kappa)
+        return self._assemble(phi, c[..., None] * dphi, kappa)
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:
         sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V."""
         return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
+
+    def _step_kappa(self, dt: float, eps: Sequence[float], dB: np.ndarray | None) -> np.ndarray:
+        """w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>), one row per
+        noise scale of ``eps``; a run at eps = 0 keeps w dt and reads no noise."""
+        base, noise, rows = self._w * dt, None, []
+        for e in eps:
+            if e > 0.0:
+                noise = self._noise_kappa(dB) if noise is None else noise
+                rows.append(base + np.sqrt(e) * noise)
+            else:
+                rows.append(base)
+        return np.array(rows)
 
     # --- features ----------------------------------------------------------
 
@@ -317,16 +332,45 @@ class NetworkCoefficients:
 
     def increment(self, X: np.ndarray, measure, dt: float, eps: float,
                   dB: np.ndarray | None) -> np.ndarray:
-        """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p.
+        """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p
+        in the environment ``measure`` (a frozen measure path reads it).
 
         Drift and noise fold into one contraction with
         kappa_p = r_p (w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>));
         ``dB`` is only read when eps > 0.
         """
-        kappa = self._w * dt
-        if eps > 0.0:
-            kappa = kappa + np.sqrt(eps) * self._noise_kappa(dB)
+        kappa = self._step_kappa(dt, [eps], dB)[0]
         return self._contract(X, self.residuals(measure) * kappa)
+
+    def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
+                     dB: np.ndarray | None, Y: np.ndarray | None = None):
+        """One Euler-Maruyama step of B coupled runs; returns the new X (and Y).
+
+        ``X`` (B, N, d) holds B runs on the same particle ``weights``, each
+        its own environment, at the B noise scales ``eps``, all driven
+        by the one row ``dB`` (read only where eps > 0).  Run b moves by the
+        ``increment`` in its own measure; one pre-activation and one jet
+        serve the residuals and the contraction of every run.
+
+        With tangent vectors ``Y`` (N, d) the last run must be the transport
+        run (eps 0): Y moves by (grad_x V . Y + (1/N) sum_j grad_y Vtilde . Y_j)
+        dt + sum_p G_p sqrt(w_p) dB_p, read at that run from the same jet,
+        here of order 2.  Every run's sums are those of its own step.
+        """
+        c, z = self._preactivation(X)
+        jet = self.activation.jet(z, 1 if Y is None else 2)
+        phi, dphi = jet[0], jet[1]
+        r = self._f - weights @ (c[..., None] * phi)       # (B, P) residuals
+        row_u = c[..., None] * dphi
+        newX = X + self._assemble(phi, row_u, r * self._step_kappa(dt, eps, dB))
+        if Y is None:
+            return newX
+        c, phi, dphi, d2phi, r, row_u = c[-1], phi[-1], dphi[-1], jet[2][-1], r[-1], row_u[-1]
+        yc, s = self._preactivation(Y)
+        jac = self._jacobian(c, dphi, d2phi, yc, s, r)
+        inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
+        forcing = self._assemble(phi, row_u, r * self._noise_kappa(dB))
+        return newX, Y + (jac + inter) * dt + forcing
 
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
         """G(x_i, mu, theta_p) for all particles and channels; shape (N, P, d)."""
@@ -347,18 +391,23 @@ class NetworkCoefficients:
     # --- derivatives used by the tangent (fluctuation) system ---------------
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
-        """grad_x V(x_i, mu) . Y_i, with mu held fixed (includes Vbar and Vtilde parts).
+        """grad_x V(x_i, mu) . Y_i, with mu held fixed (includes Vbar and Vtilde parts)."""
+        c, z = self._preactivation(X)
+        yc, s = self._preactivation(Y)
+        _, dphi, d2phi = self.activation.jet(z, 2)
+        return self._jacobian(c, dphi, d2phi, yc, s, self.residuals(measure))
+
+    def _jacobian(self, c, dphi, d2phi, yc, s, r) -> np.ndarray:
+        """sum_p w_p r_p D^2 Phi(x_i, theta_p) . Y_i from the jet at X and Y's
+        (t_c, theta . t_u + t_b).
 
         D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u + Y_b
         its c-component is phi' s and its u- (and bias) component is
         (phi' Y_c + c phi'' s) times theta_p (times 1), so the channel sum is
         an ``_assemble`` without (N, P, d, d) storage.
         """
-        c, z = self._preactivation(X)
-        yc, s = self._preactivation(Y)
-        _, dphi, d2phi = self.activation.jet(z, 2)
         hu = dphi * yc[:, None] + c[:, None] * d2phi * s
-        return self._assemble(dphi * s, hu, self._w * self.residuals(measure))
+        return self._assemble(dphi * s, hu, self._w * r)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
         """(1/N) sum_j grad_y Vtilde(x_i, base_j) . tangent_j; shape (N, d).
@@ -370,8 +419,12 @@ class NetworkCoefficients:
         c, z = self._preactivation(base)
         tc, s = self._preactivation(tangents)   # t_c and theta . t_u + t_b
         phi, dphi = self.activation.jet(z, 1)
-        beta = (tc @ phi + np.einsum("j,jp,jp->p", c, dphi, s)) / z.shape[0]
-        return self._contract(X, -self._w * beta)
+        return self._contract(X, -self._w * self._beta(c, phi, dphi, tc, s))
+
+    @staticmethod
+    def _beta(c, phi, dphi, tc, s) -> np.ndarray:
+        """beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j from the jet at the base."""
+        return (tc @ phi + np.einsum("j,jp,jp->p", c, dphi, s)) / phi.shape[0]
 
     # --- loss ----------------------------------------------------------------
 
@@ -475,6 +528,18 @@ class SyntheticCoefficients:
         if eps > 0.0:
             out = out + np.sqrt(eps) * self.noise_increment(X, measure, dB)
         return out
+
+    def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
+                     dB: np.ndarray | None, Y: np.ndarray | None = None):
+        """``NetworkCoefficients.coupled_step`` one run at a time through the hooks."""
+        newX = np.stack([x + self.increment(x, (x, weights), dt, e, dB) for x, e in zip(X, eps)])
+        if Y is None:
+            return newX
+        x = X[-1]
+        mu = (x, weights)
+        jac = self.drift_jacobian_apply(x, Y, mu)
+        inter = self.vtilde_y_apply(x, x, Y)
+        return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB)
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

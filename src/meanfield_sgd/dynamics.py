@@ -33,6 +33,7 @@ __all__ = [
     "step_interacting",
     "simulate",
     "simulate_transport",
+    "simulate_coupled",
     "run_sgd",
     "SgdChain",
     "picard_solve",
@@ -198,26 +199,36 @@ class Trajectory:
         return self.snapshot_stride == 1
 
 
+def _divergence(X: np.ndarray, step: int, time: float) -> SimulationError | None:
+    """The error of a run whose state X went non-finite at ``step``, else None."""
+    if np.isfinite(X).all():
+        return None
+    finite = np.isfinite(X).all(axis=-1)
+    return SimulationError(
+        f"non-finite state at step {step} (t={time:.6g}): "
+        f"{int(np.count_nonzero(~finite))} particle(s) diverged"
+    )
+
+
 def _check_finite(X: np.ndarray, step: int, time: float):
-    if not np.all(np.isfinite(X)):
-        bad = int(np.count_nonzero(~np.isfinite(X).all(axis=1)))
-        raise SimulationError(
-            f"non-finite state at step {step} (t={time:.6g}): {bad} particle(s) diverged"
-        )
+    error = _divergence(X, step, time)
+    if error is not None:
+        raise error
 
 
 def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
                      dB: np.ndarray | None) -> ParticleEnsemble:
     """One Euler-Maruyama step; every particle reads the pre-step ensemble
-    and the same increment row (common noise)."""
+    and the same increment row (common noise).  A one-run ``coupled_step``."""
     if cfg.eps > 0.0:
         if dB is None:
             raise SimulationError("eps > 0 requires a noise increment row")
+        dB = np.asarray(dB, dtype=float)
         if dB.shape != (coeffs.n_channels,):
             raise SimulationError(
                 f"increment row has {dB.shape} channels, expected ({coeffs.n_channels},)"
             )
-    newX = ens.positions + coeffs.increment(ens.positions, ens, cfg.dt, cfg.eps, dB)
+    (newX,) = coeffs.coupled_step(ens.positions[None], ens.weights, cfg.dt, [cfg.eps], dB)
     t = ens.time + cfg.dt
     _check_finite(newX, step=int(round(t / cfg.dt)), time=t)
     return ParticleEnsemble(newX, ens.weights, t)
@@ -230,10 +241,15 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig) -> np.ndarray:
-    """The increment rows of ``noise``, after checking that it can drive ``cfg``."""
+def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig, coeffs) -> np.ndarray:
+    """The increment rows of ``noise``, after checking that it can drive ``cfg``
+    on the channels of ``coeffs``."""
     if noise is None:
         raise SimulationError("a noisy run requires a NoisePath")
+    if noise.n_channels != coeffs.n_channels:
+        raise SimulationError(
+            f"noise path has {noise.n_channels} channels, expected {coeffs.n_channels}"
+        )
     if noise.n_steps < cfg.n_steps:
         raise SimulationError("noise path shorter than the time horizon")
     if abs(noise.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
@@ -266,7 +282,7 @@ def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.n
 def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
              noise: NoisePath | None) -> Trajectory:
     """Integrate the interacting system; deterministic in (initial, seed, cfg)."""
-    rows = _noise_rows(noise, cfg) if cfg.eps > 0.0 else None
+    rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
     ens = ParticleEnsemble(initial.positions.copy(), initial.weights.copy(), initial.time)
     # a diverging run raises SimulationError at its first non-finite state;
     # numpy's overflow warnings on the way there add nothing to that
@@ -288,6 +304,73 @@ def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
 def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig) -> Trajectory:
     """The eps = 0 limit; consumes no noise."""
     return simulate(initial, coeffs, replace(cfg, eps=0.0), noise=None)
+
+
+def simulate_coupled(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
+                     eps: Sequence[float], noise: NoisePath | None,
+                     tangent: bool = False) -> list:
+    """The coupled runs of ``initial`` at the noise scales ``eps``, integrated
+    as one batch under the one increment row per step.
+
+    Run b is bit for bit ``simulate(initial, coeffs, replace(cfg, eps=eps[b]),
+    noise)`` (``noise_meta`` None at eps 0).  With ``tangent`` the last scale
+    must be 0 and that run is the one ``solve_tangent`` returns for the same
+    particle weights: the transport run with its tangents, from zero.  A run
+    that goes non-finite drops out of the batch there, and its entry is the
+    SimulationError its own run raises; the others go on.  Returns one
+    Trajectory or SimulationError per scale.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if tangent and eps[-1] != 0.0:
+        raise ValueError(f"eps must end in 0 to carry the tangents (got {eps.tolist()})")
+    rows = _noise_rows(noise, cfg, coeffs) if tangent or np.any(eps > 0.0) else None
+    weights = initial.weights
+    out: list = [None] * eps.size
+
+    def advance(state, step):
+        X, Y, t, live = state
+        if not live.size:
+            return state
+        t = t + cfg.dt
+        moved = coeffs.coupled_step(X, weights, cfg.dt, eps[live].tolist(),
+                                    None if rows is None else rows[step], Y)
+        X, Y = moved if Y is not None else (moved, None)
+        keep = np.isfinite(X).all(axis=(1, 2))
+        if Y is not None and keep[-1]:
+            keep[-1] = np.isfinite(Y).all()
+        if not keep.all():
+            at = int(round(t / cfg.dt))
+            for b in np.flatnonzero(~keep):
+                out[live[b]] = _divergence(X[b], at, t) or _divergence(Y, at, t)
+            if Y is not None and not keep[-1]:
+                Y = None
+            X, live = X[keep], live[keep]
+        return X, Y, t, live
+
+    def snapshot(state):
+        X, Y, t, live = state
+        if live.size < eps.size:   # a dropped run's rows are nan
+            X = np.full((eps.size,) + X.shape[1:], np.nan)
+            X[live] = state[0]
+        return (X, t, zero if Y is None else Y) if tangent else (X, t)
+
+    zero = np.zeros_like(initial.positions)
+    state = (np.repeat(initial.positions[None], eps.size, axis=0), zero if tangent else None,
+             initial.time, np.arange(eps.size))
+    # a diverging run drops out at its first non-finite state; numpy's
+    # overflow warnings on the way there add nothing to its error
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions, times, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
+                                                 snapshot)
+    for b, e in enumerate(eps):
+        if out[b] is None:
+            carries = tangent and b == eps.size - 1
+            out[b] = Trajectory(
+                times=times.copy(), positions=np.ascontiguousarray(positions[:, b]),
+                weights=weights.copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
+                noise_meta=noise.meta if e > 0.0 or carries else None,
+                tangents=tangents[0] if carries else None)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +488,7 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_steps = cfg.n_steps
-    rows = _noise_rows(noise, cfg) if cfg.eps > 0.0 else None
+    rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
     weights = initial.weights.copy()
     prev = np.repeat(initial.positions[None, :, :], n_steps + 1, axis=0)
     prev_sorted = SortedAtoms.of(prev, weights)

@@ -61,8 +61,9 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
                  dB: np.ndarray) -> TangentEnsemble:
     """Advance base (transport Euler) and tangents (linearized dynamics).
 
-    All coefficients are read at the pre-step base ensemble; the increment
-    row must be the one driving the coupled noisy run.
+    All coefficients are read at the pre-step base ensemble, through one
+    jet: the transport run of a one-run ``coupled_step``.  The increment row
+    must be the one driving the coupled noisy run.
     """
     dB = np.asarray(dB, dtype=float)
     if dB.shape != (coeffs.n_channels,):
@@ -70,13 +71,10 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
             f"increment row has shape {dB.shape}, expected ({coeffs.n_channels},)"
         )
     X = tens.base
-    Y = tens.tangents
-    mu = ParticleEnsemble.uniform(X)
-    jac = coeffs.drift_jacobian_apply(X, Y, mu)
-    inter = coeffs.vtilde_y_apply(X, X, Y)
-    forcing = coeffs.noise_increment(X, mu, dB)
-    newY = Y + (jac + inter) * cfg.dt + forcing
-    newX = X + coeffs.increment(X, mu, cfg.dt, 0.0, None)
+    n = X.shape[0]
+    newX, newY = coeffs.coupled_step(X[None], np.full(n, 1.0 / n), cfg.dt, [0.0], dB,
+                                     tens.tangents)
+    newX = newX[0]
     t = tens.time + cfg.dt
     for state in (newX, newY):
         _check_finite(state, step=int(round(t / cfg.dt)), time=t)
@@ -87,7 +85,7 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
                   noise: NoisePath, initial_tangents: np.ndarray | None = None) -> Trajectory:
     """Integrate the tangent system from zero (or given) initial tangents: the
     transport run from ``initial_base``, bit for bit, with its ``tangents``."""
-    rows = _noise_rows(noise, cfg)
+    rows = _noise_rows(noise, cfg, coeffs)
     tens = (
         TangentEnsemble.at_rest(initial_base)
         if initial_tangents is None

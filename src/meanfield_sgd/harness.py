@@ -11,7 +11,6 @@ reproducible functions of (config, seed).
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
@@ -25,6 +24,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__ as code_version
 from .coefficients import ACTIVATIONS, Dataset, NetworkCoefficients, SyntheticCoefficients
@@ -41,6 +41,7 @@ from .dynamics import (
     sample_initial,
     seeded_rng,
     simulate,
+    simulate_coupled,
     simulate_transport,
 )
 from .fluctuations import _check_sobolev_order, clt_distance, eta_eps, solve_tangent
@@ -261,13 +262,15 @@ class ResultTable:
     Every row is stamped with the config hash and code version of the run
     (exposed on the table and written to summary.csv / run-meta.json; the
     results.csv header stays fixed to experiment,param,seed,metric,value).
-    ``w2_backends`` counts the W2 cells each backend served.
+    ``w2_backends`` counts the W2 cells each backend served; ``failures``
+    names each failed cell and the error that failed it.
     """
 
     config: ExperimentConfig
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
     w2_backends: Counter = field(default_factory=Counter)
+    failures: list = field(default_factory=list)
 
     @property
     def config_hash(self) -> str:
@@ -333,17 +336,21 @@ class ResultTable:
             writer.writerow(keys)
             for entry in self.summary:
                 writer.writerow([entry.get(k, "") for k in keys])
-        write_run_meta(self.config, out_dir)
+        write_run_meta(self.config, out_dir, self.failures)
 
 
-def write_run_meta(config: ExperimentConfig, out_dir):
+def write_run_meta(config: ExperimentConfig, out_dir, failures: Sequence[dict] = ()):
     """run-meta.json, one schema for every subcommand: the config echo, its
-    hash, and the code and results-schema versions."""
+    hash, the code, numpy, scipy and results-schema versions, and one entry
+    (experiment, param, seed, error) per failed cell."""
     meta = {
         "config": json.loads(config.to_json()),
         "config_hash": config.config_hash(),
         "code_version": code_version,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "schema_version": RESULTS_SCHEMA_VERSION,
+        "failures": list(failures),
     }
     with open(os.path.join(out_dir, "run-meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -421,6 +428,8 @@ class Replica:
     ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.  Each
     run is computed once and kept in ``results``, a failed one as the error
     it raised, so a base run that several cells share fails each of them.
+    Runs that share initial atoms are integrated as one batch by ``coupled``
+    when an experiment names them together; any other run on its own.
     Coefficients and noise are built on first use, in the process that runs
     the cells.
     """
@@ -476,6 +485,27 @@ class Replica:
 
         return self.shared(("run", eps, n, per_m), integrate)
 
+    def coupled(self, eps_values: Iterable[float], n: int | None = None, per_m: bool = False,
+                tangent: bool = False):
+        """Integrate the runs ``run(eps, n, per_m)`` for every eps of
+        ``eps_values`` not yet kept, and with ``tangent`` the tangent solve,
+        as one batch (``simulate_coupled``).  Each is kept under the key that
+        ``run`` / ``tangent`` read, equal bit for bit to the run integrated
+        alone; a diverged one as its own error."""
+        n = self.config.n_particles if n is None else int(n)
+        keys = {("run", float(eps), n, per_m): float(eps) for eps in eps_values}
+        if tangent:
+            keys[("tangent",)] = 0.0
+        keys = {key: eps for key, eps in keys.items() if key not in self.results}
+        if not keys:
+            return
+        try:
+            runs = simulate_coupled(self.initial(n, per_m), self.coeffs, self.base, list(keys.values()),
+                                    self.noise, tangent=("tangent",) in keys)
+        except _CELL_ERRORS as exc:
+            runs = [exc] * len(keys)
+        self.results.update(zip(keys, runs))
+
     def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
         """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
         every W2 cell of the replica that compares against them."""
@@ -497,23 +527,24 @@ class Replica:
             self.initial().positions, self.coeffs, self.base, self.noise))
 
 
-def _guarded_cell(rows: list, experiment: str, param, seed: int, metric: str, fn):
+def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric: str, fn):
     """Run one grid cell; a simulation failure or spectral box violation
-    becomes a recorded failure row plus a nan metric instead of killing the
-    experiment."""
+    becomes a recorded failure row plus a nan metric, and an entry of
+    ``failures`` with its error, instead of killing the experiment."""
     try:
         rows.append((experiment, str(param), seed, metric, float(fn())))
     except _CELL_ERRORS as exc:
         warnings.warn(f"{experiment} cell param={param} seed={seed} failed: {exc}")
+        failures.append({"experiment": experiment, "param": str(param), "seed": seed, "error": str(exc)})
         rows.append((experiment, str(param), seed, "failed", 1.0))
         rows.append((experiment, str(param), seed, metric, float("nan")))
 
 
-def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> tuple[list, Counter]:
-    rows = []
+def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> tuple[list, Counter, list]:
+    rows, failures = [], []
     for param, metric, fn in cells(rep):
-        _guarded_cell(rows, experiment, param, rep.seed, metric, fn)
-    return rows, rep.w2_backends
+        _guarded_cell(rows, failures, experiment, param, rep.seed, metric, fn)
+    return rows, rep.w2_backends, failures
 
 
 def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
@@ -529,8 +560,9 @@ def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
         replicas = (Replica(config, config.base_seed + r, config.snapshot_stride)
                     for r in range(config.replicas))
     per_replica = _parallel(partial(_replica_rows, experiment, cells), replicas, config.threads)
-    return ResultTable(config, [row for rows, _ in per_replica for row in rows],
-                       w2_backends=sum((backends for _, backends in per_replica), Counter()))
+    return ResultTable(config, [row for rows, _, _ in per_replica for row in rows],
+                       w2_backends=sum((backends for _, backends, _ in per_replica), Counter()),
+                       failures=[f for _, _, failures in per_replica for f in failures])
 
 
 def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
@@ -570,6 +602,7 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 
 
 def _lln_cells(rep: Replica) -> list:
+    rep.coupled([*rep.config.eps_grid, 0.0])
     return [(eps, "sup_w2_sq", partial(rep.sup_w2_sq, (float(eps),), (0.0,)))
             for eps in rep.config.eps_grid]
 
@@ -656,12 +689,9 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
 
 def _clt_runs(rep: Replica) -> dict:
     """The eps runs and the tangent solve (the transport run) of one clt-rate
-    replica, each kept, or the error it raised, for the box and then the norms."""
-    for eps in rep.config.eps_grid:
-        with contextlib.suppress(*_CELL_ERRORS):
-            rep.run(float(eps))
-    with contextlib.suppress(*_CELL_ERRORS):
-        rep.tangent()
+    replica, one batch, each kept, or the error it raised, for the box and
+    then the norms."""
+    rep.coupled(rep.config.eps_grid, tangent=True)
     return rep.results
 
 
@@ -822,14 +852,16 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
 
 def _commute_cells(n_ref: int, rep: Replica) -> list:
     cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
+    alpha_min = float(min(rep.config.alpha_grid))
+    rep.coupled([alpha_min, 0.0], n_ref)
     cells = []
     for m in map(int, rep.config.m_grid):
+        rep.coupled([*rep.config.alpha_grid, 0.0], m, per_m=True)
         cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M
         cells.append((f"{m}:0", "sup_w2_sq", partial(cell, (0.0, m, True))))
     # M -> infinity edge at the smallest noise scale
-    alpha_min = float(min(rep.config.alpha_grid))
     cells.append((f"ref:{alpha_min}", "sup_w2_sq", partial(cell, (alpha_min, n_ref, False))))
     return cells
 

@@ -26,9 +26,11 @@ from meanfield_sgd.dynamics import (
     sample_initial,
     seeded_rng,
     simulate,
+    simulate_coupled,
     simulate_transport,
     step_interacting,
 )
+from meanfield_sgd.fluctuations import solve_tangent
 from meanfield_sgd.harness import (ExperimentConfig, build_coefficients, build_initial_spec, exp_clt_rate,
                                    exp_lln_rate, exp_particle_rate, reference_config)
 from meanfield_sgd.measures import EmpiricalMeasure, w2
@@ -448,6 +450,47 @@ class TestBoundaryValidation:
         box = replace(cfg, mu0_low=(-1.0,) * 3, mu0_high=(1.0,) * 3)
         assert build_coefficients(box).dim == 3
 
+    def test_list_increment_row_is_an_array(self):
+        """step_interacting reads a list row as the array it lists, as tangent_step does."""
+        ens = sample_initial(REF_SPEC, 6, 0)
+        cfg = IntegratorConfig(dt=1e-2, horizon=1e-2, eps=0.05)
+        row = [0.1, -0.05, 0.02, 0.0, 0.07]
+        np.testing.assert_array_equal(step_interacting(ens, REF_COEFFS, cfg, row).positions,
+                                      step_interacting(ens, REF_COEFFS, cfg, np.array(row)).positions)
+
+    @pytest.mark.parametrize("row", [[0.1, 0.2], [[0.1] * 5], 0.3], ids=["short", "nested", "scalar"])
+    def test_misshapen_list_increment_row_names_channels(self, row):
+        ens = sample_initial(REF_SPEC, 6, 0)
+        cfg = IntegratorConfig(dt=1e-2, horizon=1e-2, eps=0.05)
+        with pytest.raises(SimulationError, match=r"^increment row has .* channels, expected \(5,\)"):
+            step_interacting(ens, REF_COEFFS, cfg, row)
+
+    @pytest.mark.parametrize("integrate", [
+        lambda ini, cfg, noise: simulate(ini, REF_COEFFS, cfg, noise),
+        lambda ini, cfg, noise: simulate_coupled(ini, REF_COEFFS, cfg, [0.05, 0.0], noise),
+        lambda ini, cfg, noise: solve_tangent(ini.positions, REF_COEFFS, cfg, noise),
+        lambda ini, cfg, noise: picard_solve(ini, REF_COEFFS, cfg, noise, tol=1e-6),
+    ], ids=["simulate", "simulate_coupled", "solve_tangent", "picard_solve"])
+    def test_noise_path_channel_count_checked_before_any_step(self, integrate, monkeypatch):
+        """A NoisePath with the wrong channel count is refused up front,
+        naming both counts, before the first step."""
+        steps = []
+        monkeypatch.setattr(REF_COEFFS, "coupled_step", lambda *a, **k: steps.append(a))
+        monkeypatch.setattr(REF_COEFFS, "increment", lambda *a, **k: steps.append(a))
+        ini = sample_initial(REF_SPEC, 6, 0)
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, eps=0.05)
+        noise = NoisePath(0, 1e-2, 5, 3)
+        with pytest.raises(SimulationError, match=r"^noise path has 3 channels, expected 5$"):
+            integrate(ini, cfg, noise)
+        assert steps == []
+
+    def test_coupled_tangent_needs_a_last_transport_run(self):
+        ini = sample_initial(REF_SPEC, 6, 0)
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2)
+        noise = NoisePath(0, 1e-2, 5, REF_COEFFS.n_channels)
+        with pytest.raises(ValueError, match=r"^eps must end in 0"):
+            simulate_coupled(ini, REF_COEFFS, cfg, [0.0, 0.05], noise, tangent=True)
+
     def test_box_without_mass_names_box(self):
         """A box that keeps (almost) none of the Gaussian mass fails in bounded time."""
         spec = InitialSpec(kind="gaussian", mean=[10, 10], cov=1.0, box=1.0)
@@ -476,6 +519,59 @@ class TestBoundaryValidation:
                 pts[filled : filled + take] = keep[:take]
                 filled += take
             np.testing.assert_array_equal(sample_initial(spec, n, seed).positions, pts)
+
+
+def _diverging_noise():
+    """Zero drift and a per-particle noise G_p = +-50 x^2: a run blows up
+    within a few steps at eps = 10 and stays bounded at small eps."""
+    def g_batch(X, atoms, weights):
+        return 50.0 * X[:, None, :] ** 2 * np.array([1.0, -1.0])[None, :, None]
+
+    return SyntheticCoefficients(dim=1, n_channels=2, g_batch=g_batch)
+
+
+class TestCoupledRuns:
+    """simulate_coupled is the runs it batches, bit for bit."""
+
+    @pytest.mark.parametrize("coeffs, n, init", [
+        (REF_COEFFS, 40, REF_SPEC),
+        (harness.build_coefficients(ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,),
+                                                     mu0_high=(1.0,))),
+         25, InitialSpec(kind="uniform", low=[-1.0], high=[1.0])),
+    ], ids=["network", "synthetic-1d"])
+    def test_members_equal_their_own_runs(self, coeffs, n, init):
+        initial = sample_initial(init, n, 3)
+        cfg = IntegratorConfig(dt=1e-2, horizon=0.2, snapshot_stride=3)
+        noise = NoisePath(3, 1e-2, 20, coeffs.n_channels)
+        eps = [0.1, 0.01, 0.0, 1e-3]
+        for run, e in zip(simulate_coupled(initial, coeffs, cfg, eps, noise), eps):
+            want = (simulate(initial, coeffs, replace(cfg, eps=e), noise) if e
+                    else simulate_transport(initial, coeffs, cfg))
+            np.testing.assert_array_equal(run.positions, want.positions)
+            np.testing.assert_array_equal(run.times, want.times)
+            assert (run.eps, run.noise_meta, run.snapshot_stride) == (want.eps, want.noise_meta, 3)
+        *_, carrier = simulate_coupled(initial, coeffs, cfg, [0.1, 0.0], noise, tangent=True)
+        want = solve_tangent(initial.positions, coeffs, cfg, noise)
+        np.testing.assert_array_equal(carrier.positions, want.positions)
+        np.testing.assert_array_equal(carrier.tangents, want.tangents)
+        assert carrier.noise_meta == want.noise_meta
+
+    def test_a_diverged_run_fails_alone(self):
+        """The largest eps blows up: its entry is the error its own run
+        raises, and the runs beside it are unchanged."""
+        coeffs = _diverging_noise()
+        initial = ParticleEnsemble.uniform(np.linspace(-0.5, 0.5, 8)[:, None])
+        cfg = IntegratorConfig(dt=1e-2, horizon=0.2, snapshot_stride=5)
+        noise = NoisePath(1, 1e-2, 20, 2)
+        eps = [10.0, 1e-4, 0.0]
+        with pytest.raises(SimulationError) as alone:
+            simulate(initial, coeffs, replace(cfg, eps=10.0), noise)
+        runs = simulate_coupled(initial, coeffs, cfg, eps, noise, tangent=True)
+        assert isinstance(runs[0], SimulationError) and str(runs[0]) == str(alone.value)
+        np.testing.assert_array_equal(
+            runs[1].positions, simulate(initial, coeffs, replace(cfg, eps=1e-4), noise).positions)
+        np.testing.assert_array_equal(
+            runs[2].tangents, solve_tangent(initial.positions, coeffs, cfg, noise).tangents)
 
 
 class TestSampleInitial:

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paper_forms
+from meanfield_sgd import harness
 from meanfield_sgd.cli import main as cli_main
+from meanfield_sgd.coefficients import SyntheticCoefficients
 from meanfield_sgd.harness import (
     ExperimentConfig,
     Replica,
@@ -621,3 +623,40 @@ class TestFailureRecording:
         assert fit_rows
         for row in fit_rows:
             assert row.get("all_cells_failed") or np.isnan(row.get("slope", row.get("mean")))
+
+    @pytest.mark.parametrize("experiment", [exp_lln_rate, exp_clt_rate], ids=["lln-rate", "clt-rate"])
+    def test_a_diverged_member_fails_only_its_cells(self, experiment, monkeypatch, tmp_path):
+        """Only the largest eps run blows up (G = +-50 x^2, no drift): its cells
+        alone fail, with the error text of its own run, and every other row
+        is the one the runs integrated one at a time give."""
+        def g_batch(X, atoms, weights):
+            return 50.0 * X[:, None, :] ** 2 * np.array([1.0, -1.0])[None, :, None]
+
+        monkeypatch.setattr(harness, "build_coefficients",
+                            lambda cfg: SyntheticCoefficients(dim=1, n_channels=2, g_batch=g_batch))
+        cfg = ExperimentConfig(
+            instance="synthetic-1d", mu0_low=(-0.5,), mu0_high=(0.5,), n_particles=8,
+            eps_grid=(10.0, 1e-3, 1e-4), dt=1e-2, horizon=0.2, snapshot_stride=5,
+            clt_snapshot_stride=5, replicas=10, base_seed=3, k_max=16, r_box=4.0,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = experiment(cfg)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        failed = {(r[1], r[2]) for r in table.rows if r[3] == "failed"}
+        assert failed == {("10.0", cfg.base_seed + r) for r in range(cfg.replicas)}
+        with monkeypatch.context() as m, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m.setattr(Replica, "coupled", lambda *args, **kwargs: None)
+            sequential = experiment(cfg)
+        assert [r[:4] for r in table.rows] == [r[:4] for r in sequential.rows]
+        for got, want in zip(table.rows, sequential.rows):
+            assert got[4] == want[4] or (np.isnan(got[4]) and np.isnan(want[4]))
+        assert table.failures == sequential.failures
+        assert [(f["param"], f["seed"]) for f in table.failures] == sorted(failed, key=lambda c: c[1])
+        assert all(f["error"].startswith("non-finite state at step") for f in table.failures)
+        table.write(tmp_path)
+        meta = json.loads((tmp_path / "run-meta.json").read_text())
+        assert meta["failures"] == table.failures
+        assert meta["numpy_version"] == np.__version__
+

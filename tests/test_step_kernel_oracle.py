@@ -7,10 +7,18 @@ loop and the ``vtilde_y_apply`` einsum as they were written before, kept
 here verbatim (up to reading the coefficient internals from outside) as
 the reference.  The kernel only reassociates sums, so it must agree with
 them to 1e-13.
+
+The batched step (``coupled_step``: B coupled runs on one leading axis, and
+the tangent system fused onto the transport run) is checked against the
+per-run ``increment``, ``step_interacting`` and ``tangent_step`` as they
+were before it, ``oracle_step`` and ``oracle_tangent_step``: it follows
+their operation order, so it must agree with them bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfield_sgd.coefficients import ACTIVATIONS, Activation, Dataset, NetworkCoefficients
 from meanfield_sgd.dynamics import (
@@ -108,6 +116,54 @@ def oracle_run_sgd(coeffs, alpha, batch_size, n_steps, seed, initial, full_batch
     return np.array(out)
 
 
+def oracle_assemble(coeffs, row_c, row_u, kappa):
+    """The per-run ``_assemble``: one run's rows (N, P), kappa (P,)."""
+    out = np.empty((row_c.shape[0], coeffs.dim))
+    out[:, 0] = row_c @ kappa
+    out[:, 1 : 1 + coeffs.dataset.input_dim] = (row_u * kappa) @ coeffs._theta
+    if coeffs.include_bias:
+        out[:, -1] = row_u @ kappa
+    return out
+
+
+def oracle_contract(coeffs, X, kappa):
+    c, _, _ = coeffs._split(X)
+    phi, dphi = coeffs.activation.jet(_z(coeffs, X), 1)
+    return oracle_assemble(coeffs, phi, c[:, None] * dphi, kappa)
+
+
+def oracle_increment(coeffs, X, measure, dt, eps, dB):
+    """The per-run ``increment`` (two jets: the residuals' and the contraction's)."""
+    kappa = coeffs._w * dt
+    if eps > 0.0:
+        kappa = kappa + np.sqrt(eps) * coeffs._noise_kappa(dB)
+    return oracle_contract(coeffs, X, coeffs.residuals(measure) * kappa)
+
+
+def oracle_step(X, weights, coeffs, dt, eps, dB):
+    """The per-run ``step_interacting``: X + its increment in its own measure."""
+    return X + oracle_increment(coeffs, X, ParticleEnsemble(X, weights), dt, eps, dB)
+
+
+def oracle_tangent_step(X, Y, coeffs, dt, dB):
+    """The per-run ``tangent_step``: the jacobian, interaction, forcing and
+    transport terms each from their own evaluator calls (eight jets)."""
+    mu = ParticleEnsemble.uniform(X)
+    r = coeffs.residuals(mu)
+    c, _, _ = coeffs._split(X)
+    yc, _, _ = coeffs._split(Y)
+    s = _z(coeffs, Y)
+    _, dphi, d2phi = coeffs.activation.jet(_z(coeffs, X), 2)
+    hu = dphi * yc[:, None] + c[:, None] * d2phi * s
+    jac = oracle_assemble(coeffs, dphi * s, hu, coeffs._w * r)
+    phi, dphi = coeffs.activation.jet(_z(coeffs, X), 1)
+    beta = (yc @ phi + np.einsum("j,jp,jp->p", c, dphi, s)) / X.shape[0]
+    inter = oracle_contract(coeffs, X, -coeffs._w * beta)
+    forcing = oracle_contract(coeffs, X, coeffs.residuals(mu) * coeffs._noise_kappa(dB))
+    newY = Y + (jac + inter) * dt + forcing
+    return X + oracle_increment(coeffs, X, mu, dt, 0.0, None), newY
+
+
 kernel_cases = pytest.mark.parametrize("n", [1, 7, 200])
 activation_cases = pytest.mark.parametrize("activation", ACTS)
 bias_cases = pytest.mark.parametrize("include_bias", [False, True], ids=["no-bias", "bias"])
@@ -197,18 +253,91 @@ def counting_activation(name):
 
 
 class TestActivationCalls:
-    def test_noisy_step_makes_two(self):
+    def test_noisy_step_makes_one(self):
         activation, calls = counting_activation("tanh")
         coeffs = make_coeffs(activation, False)
         ens = ensemble(coeffs, 20)
         dB = np.random.default_rng(10).normal(0, 0.1, size=coeffs.n_channels)
         step_interacting(ens, coeffs, IntegratorConfig(dt=0.01, horizon=0.01, eps=0.05), dB)
-        assert len(calls) <= 2
+        assert len(calls) <= 1
 
-    def test_tangent_step_makes_eight(self):
+    def test_tangent_step_makes_one(self):
         activation, calls = counting_activation("tanh")
         coeffs = make_coeffs(activation, False)
         X = ensemble(coeffs, 20).positions
         dB = np.random.default_rng(11).normal(0, 0.1, size=coeffs.n_channels)
         tangent_step(TangentEnsemble(X, 0.1 * X), coeffs, IntegratorConfig(dt=0.01, horizon=0.01), dB)
-        assert len(calls) <= 8
+        assert len(calls) <= 1
+
+    def test_coupled_batch_with_tangents_makes_one(self):
+        """six runs and the tangent system on the last: one jet per step."""
+        activation, calls = counting_activation("tanh")
+        coeffs = make_coeffs(activation, False)
+        X = np.repeat(ensemble(coeffs, 20).positions[None], 6, axis=0)
+        dB = np.random.default_rng(12).normal(0, 0.1, size=coeffs.n_channels)
+        coeffs.coupled_step(X, np.full(20, 1 / 20), 0.01, np.array([0.1, 0.03, 0.01, 3e-3, 1e-3, 0.0]),
+                            dB, 0.1 * X[-1])
+        assert len(calls) == 1
+
+
+@st.composite
+def coupled_batches(draw):
+    """A random batch: activation, bias, B runs of N particles with their
+    own positions, noise scales with a 0 among them, and one increment row."""
+    b = draw(st.integers(1, 6))
+    eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=b - 1, max_size=b - 1))
+    eps.insert(draw(st.integers(0, b - 1)), 0.0)
+    return dict(activation=draw(st.sampled_from(ACTS)), include_bias=draw(st.booleans()),
+                n=draw(st.integers(1, 40)), eps=np.array(eps), seed=draw(st.integers(0, 2**16)))
+
+
+class TestCoupledStepMatchesPerRunSteps:
+    """The batched step is the per-run steps, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=coupled_batches())
+    def test_batch_equals_sequential_steps(self, case):
+        coeffs = make_coeffs(case["activation"], case["include_bias"], seed=case["seed"])
+        rng = np.random.default_rng(case["seed"])
+        eps, n = case["eps"], case["n"]
+        X = rng.normal(size=(eps.size, n, coeffs.dim))
+        weights = rng.uniform(0.5, 1.5, size=n)
+        weights /= weights.sum()
+        dB = rng.normal(0, 0.1, size=coeffs.n_channels)
+        got = coeffs.coupled_step(X, weights, 0.01, eps, dB)
+        want = np.stack([oracle_step(x, weights, coeffs, 0.01, e, dB) for x, e in zip(X, eps)])
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=coupled_batches())
+    def test_fused_tangent_step_equals_the_per_run_one(self, case):
+        coeffs = make_coeffs(case["activation"], case["include_bias"], seed=case["seed"])
+        rng = np.random.default_rng(case["seed"])
+        eps, n = np.append(case["eps"][case["eps"] > 0], 0.0), case["n"]
+        X = rng.normal(size=(eps.size, n, coeffs.dim))
+        Y = rng.normal(size=(n, coeffs.dim))
+        dB = rng.normal(0, 0.1, size=coeffs.n_channels)
+        newX, newY = coeffs.coupled_step(X, np.full(n, 1.0 / n), 0.01, eps, dB, Y)
+        base, tangents = oracle_tangent_step(X[-1], Y, coeffs, 0.01, dB)
+        np.testing.assert_array_equal(newY, tangents)
+        np.testing.assert_array_equal(newX[-1], base)
+        for x, e, got in zip(X[:-1], eps[:-1], newX[:-1]):
+            np.testing.assert_array_equal(got, oracle_step(x, np.full(n, 1.0 / n), coeffs, 0.01, e, dB))
+
+    @activation_cases
+    @bias_cases
+    def test_single_run_entry_points(self, activation, include_bias):
+        """step_interacting and tangent_step are the one-run batch, and so the
+        per-run steps they were."""
+        coeffs = make_coeffs(activation, include_bias)
+        ens = ensemble(coeffs, 30)
+        Y = ensemble(coeffs, 30, seed=13).positions
+        dB = np.random.default_rng(14).normal(0, 0.1, size=coeffs.n_channels)
+        for eps in (0.0, 0.05):
+            cfg = IntegratorConfig(dt=0.01, horizon=0.01, eps=eps)
+            np.testing.assert_array_equal(step_interacting(ens, coeffs, cfg, dB).positions,
+                                          oracle_step(ens.positions, ens.weights, coeffs, 0.01, eps, dB))
+        new = tangent_step(TangentEnsemble(ens.positions, Y), coeffs, cfg, dB)
+        base, tangents = oracle_tangent_step(ens.positions, Y, coeffs, 0.01, dB)
+        np.testing.assert_array_equal(new.base, base)
+        np.testing.assert_array_equal(new.tangents, tangents)
