@@ -180,21 +180,17 @@ ACTIVATIONS: dict[str, Activation] = {
 }
 
 
-def pack_param(c: float, u: Sequence[float], b: float | None = None) -> np.ndarray:
-    """Pack (output weight, input weights[, bias]) into one parameter vector."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    parts = [np.array([float(c)]), u]
-    if b is not None:
-        parts.append(np.array([float(b)]))
-    return np.concatenate(parts)
+def pack_param(c: float, u: Sequence[float]) -> np.ndarray:
+    """Pack (output weight, input weights) into one parameter vector."""
+    return np.concatenate([[float(c)], np.atleast_1d(np.asarray(u, dtype=float))])
 
 
 class NetworkCoefficients:
     """Coefficients derived from a shallow network and a finite data measure.
 
-    Parameters are packed as ``x = (c, u)`` with ``d = n0 + 1`` (the bias is
-    fixed to zero unless ``include_bias`` is set, in which case ``d = n0 + 2``
-    and ``x = (c, u, b)``).
+    Parameters are packed as ``x = (c, u)`` with ``d = n0 + 1``.  A bias b
+    is the input weight of a constant data coordinate: atoms (theta, 1) give
+    Phi = c phi(u . theta + b) with ``x = (c, u, b)``.
     """
 
     mode = "network"
@@ -203,7 +199,6 @@ class NetworkCoefficients:
         self,
         dataset: Dataset,
         activation: Activation | str = "tanh",
-        include_bias: bool = False,
         allow_unbounded: bool = False,
     ):
         if isinstance(activation, str):
@@ -215,7 +210,6 @@ class NetworkCoefficients:
             )
         self.dataset = dataset
         self.activation = activation
-        self.include_bias = include_bias
         self._theta = dataset.atoms          # (P, n0)
         self._w = dataset.weights            # (P,)
         self._f = dataset.labels             # (P,)
@@ -225,7 +219,7 @@ class NetworkCoefficients:
 
     @property
     def dim(self) -> int:
-        return self.dataset.input_dim + (2 if self.include_bias else 1)
+        return self.dataset.input_dim + 1
 
     @property
     def n_channels(self) -> int:
@@ -235,24 +229,21 @@ class NetworkCoefficients:
     def channel_weights(self) -> np.ndarray:
         return self._w
 
-    def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != self.dim:
             raise CoefficientError(
                 f"parameter dimension {X.shape[-1]} != expected {self.dim}"
             )
-        c = X[..., 0]
-        if self.include_bias:
-            return c, X[..., 1:-1], X[..., -1]
-        return c, X[..., 1:], np.zeros_like(c)
+        return X[..., 0], X[..., 1:]
 
     def _preactivation(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Output weights c (..., N) and pre-activations u . theta_p + b (..., N, P)."""
-        c, u, b = self._split(X)
-        return c, u @ self._theta.T + b[..., None]
+        """Output weights c (..., N) and pre-activations u . theta_p (..., N, P)."""
+        c, u = self._split(X)
+        return c, u @ self._theta.T
 
     def _assemble(self, row_c: np.ndarray, row_u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """sum_p kappa_p (row_c, row_u theta_p, row_u) in (c, u[, bias]) components.
+        """sum_p kappa_p (row_c, row_u theta_p) in (c, u) components.
 
         With row_c = phi and row_u = c phi' this is sum_p kappa_p grad Phi;
         with the Hessian rows of ``drift_jacobian_apply`` it is the jacobian.
@@ -260,11 +251,8 @@ class NetworkCoefficients:
         run: each run's sums are the stacked slices of the same products.
         """
         out = np.empty(row_c.shape[:-1] + (self.dim,))
-        column = kappa[..., None]
-        out[..., 0] = (row_c @ column)[..., 0]
-        out[..., 1 : 1 + self.dataset.input_dim] = (row_u * kappa[..., None, :]) @ self._theta
-        if self.include_bias:
-            out[..., -1] = (row_u @ column)[..., 0]
+        out[..., 0] = (row_c @ kappa[..., None])[..., 0]
+        out[..., 1:] = (row_u * kappa[..., None, :]) @ self._theta
         return out
 
     def _contract(self, X: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -309,10 +297,7 @@ class NetworkCoefficients:
         N, P = z.shape
         out = np.empty((N, P, self.dim))
         out[:, :, 0] = phi
-        cd = c[:, None] * dphi
-        out[:, :, 1 : 1 + self.dataset.input_dim] = cd[:, :, None] * self._theta[None, :, :]
-        if self.include_bias:
-            out[:, :, -1] = cd
+        out[:, :, 1:] = (c[:, None] * dphi)[:, :, None] * self._theta[None, :, :]
         return out
 
     # --- measure-dependent coefficients -------------------------------------
@@ -399,11 +384,11 @@ class NetworkCoefficients:
 
     def _jacobian(self, c, dphi, d2phi, yc, s, r) -> np.ndarray:
         """sum_p w_p r_p D^2 Phi(x_i, theta_p) . Y_i from the jet at X and Y's
-        (t_c, theta . t_u + t_b).
+        (t_c, theta . t_u).
 
-        D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u + Y_b
-        its c-component is phi' s and its u- (and bias) component is
-        (phi' Y_c + c phi'' s) times theta_p (times 1), so the channel sum is
+        D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u
+        its c-component is phi' s and its u-component is
+        (phi' Y_c + c phi'' s) times theta_p, so the channel sum is
         an ``_assemble`` without (N, P, d, d) storage.
         """
         hu = dphi * yc[:, None] + c[:, None] * d2phi * s
@@ -417,7 +402,7 @@ class NetworkCoefficients:
         with kappa_p = -w_p beta_p, beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j.
         """
         c, z = self._preactivation(base)
-        tc, s = self._preactivation(tangents)   # t_c and theta . t_u + t_b
+        tc, s = self._preactivation(tangents)   # t_c and theta . t_u
         phi, dphi = self.activation.jet(z, 1)
         return self._contract(X, -self._w * self._beta(c, phi, dphi, tc, s))
 

@@ -130,6 +130,8 @@ def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) 
     k = np.asarray(freq, dtype=float)
     if np.max(np.abs(k)) > 3:
         raise ValueError("trig wave frequency must be <= 3 per axis")
+    if phase not in ("sin", "cos"):
+        raise ValueError(f"phase must be 'sin' or 'cos' (got {phase!r})")
     fn, dfn = (np.sin, np.cos) if phase == "sin" else (np.cos, lambda z: -np.sin(z))
 
     def jet(X, order):
@@ -265,6 +267,9 @@ def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
     steps = [s for s in range(traj.n_snapshots - 1)
              if lo - 1e-12 <= traj.times[s] <= hi - dt + 1e-12]
+    if window is not None and not steps:
+        raise ValueError(f"window must be an interval holding a step of the run on "
+                         f"[{traj.times[0]:g}, {traj.times[-1]:g}] (got {window!r})")
     predicted = np.zeros(len(phis))
     values, drifts = [], []
     for s in steps:

@@ -122,6 +122,8 @@ class ParticleEnsemble:
     @classmethod
     def uniform(cls, positions: np.ndarray, time: float = 0.0) -> "ParticleEnsemble":
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        if positions.size == 0:
+            raise ValueError(f"positions must be at least one point (got shape {positions.shape})")
         n = positions.shape[0]
         return cls(positions, np.full(n, 1.0 / n), time)
 
@@ -408,22 +410,20 @@ class SgdChain:
 
 
 def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: int,
-            seed: int, initial: np.ndarray, full_batch: bool = False) -> SgdChain:
+            seed: int, initial: np.ndarray) -> SgdChain:
     """Mini-batch SGD on the empirical risk in the mean-field normalization.
 
     The per-sample update for particle i is
     ``x_i += (alpha / P) * sum_{p in batch} (f_p - f^M(x, theta_p)) grad Phi(x_i, theta_p)``,
     whose data-mean is exactly the drift V(x_i, mu^M) and whose centered part
     is exactly the noise direction G; the fluctuation intensity is alpha / P.
-    ``full_batch=True`` replaces the sampled batch by the exact expectation
-    (deterministic gradient descent).  Each step is one channel contraction
-    with kappa_p = (alpha / B) count_p r_p, count_p the draws of atom p in
-    the batch of B (alpha w_p r_p for the full batch).
+    Each step is one channel contraction with kappa_p = (alpha / B) count_p r_p,
+    count_p the draws of atom p in the batch of B.  Full-batch gradient
+    descent is the transport run: ``simulate_transport`` at dt = alpha.
     """
-    if alpha <= 0:
-        raise ValueError("learning rate must be positive")
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite (got {alpha!r})")
+    _check_integer("batch_size", batch_size, 1)
     if coeffs.mode != "network":
         raise ValueError("run_sgd needs network-mode coefficients")
     _check_integer("n_steps", n_steps, 0)
@@ -434,11 +434,8 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     w = coeffs.channel_weights
 
     def advance(X, step):
-        if full_batch:
-            share = w
-        else:
-            batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
-            share = np.bincount(batch, minlength=coeffs.n_channels) / batch_size
+        batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
+        share = np.bincount(batch, minlength=coeffs.n_channels) / batch_size
         r = coeffs.residuals(ParticleEnsemble.uniform(X))
         X = X + coeffs._contract(X, alpha * share * r)
         if not np.all(np.isfinite(X)):
@@ -485,8 +482,9 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     n-1 (same noise); the gap is sup over steps of W2 between consecutive
     measure paths.  Starts from the constant-in-time initial measure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive (got {tol!r})")
+    _check_integer("max_iter", max_iter, 1)
     n_steps = cfg.n_steps
     rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
     weights = initial.weights.copy()
@@ -525,15 +523,14 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
 
 @dataclass(frozen=True)
 class InitialSpec:
-    """Initial law: uniform box, box-truncated Gaussian, or explicit atoms."""
+    """Initial law: uniform box or box-truncated Gaussian."""
 
-    kind: str                      # "uniform" | "gaussian" | "atoms"
+    kind: str                      # "uniform" | "gaussian"
     low: Sequence[float] | None = None
     high: Sequence[float] | None = None
     mean: Sequence[float] | None = None
     cov: Sequence[Sequence[float]] | float | None = None
     box: float | None = None       # half-width of the truncation box
-    atoms: np.ndarray | None = None
 
 
 # the truncated Gaussian draws at most this many batches of n before giving up
@@ -541,15 +538,10 @@ _MAX_REJECTION_BATCHES = 1000
 
 
 def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
-    """N i.i.d. draws with uniform weights, deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"n must be a positive number of particles (got {n!r})")
+    """N i.i.d. draws with uniform weights, deterministic per seed (an
+    ensemble on given atoms is ``ParticleEnsemble.uniform(atoms)``)."""
+    _check_integer("n", n, 1)
     rng = seeded_rng(seed, "initial")
-    if spec.kind == "atoms":
-        atoms = np.atleast_2d(np.asarray(spec.atoms, dtype=float))
-        if atoms.size == 0:
-            raise ValueError(f"atoms must be at least one point (got shape {atoms.shape})")
-        return ParticleEnsemble.uniform(atoms.copy())
     if spec.kind == "uniform":
         lo = np.asarray(spec.low, dtype=float)
         hi = np.asarray(spec.high, dtype=float)

@@ -137,8 +137,8 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     Both trajectories must share initial atoms, dt and snapshot grid (this is
     the zero-initial-fluctuation coupling).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite (got {eps!r})")
     if traj_eps.n_snapshots != traj_zero.n_snapshots or not np.allclose(
         traj_eps.times, traj_zero.times, atol=1e-12
     ):

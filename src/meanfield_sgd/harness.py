@@ -44,7 +44,8 @@ from .dynamics import (
     simulate_coupled,
     simulate_transport,
 )
-from .fluctuations import _check_sobolev_order, clt_distance, eta_eps, solve_tangent
+from .fluctuations import _check_sobolev_order, clt_distance, eta_eps
+from .fluctuations import solve_tangent  # noqa: F401  perfbench/tracer.py traces it at this name
 from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_stack
 
 __all__ = [
@@ -522,9 +523,10 @@ class Replica:
         return sup * sup
 
     def tangent(self) -> Trajectory:
-        """The transport run of the shared ensemble, with its tangents."""
-        return self.shared(("tangent",), lambda: solve_tangent(
-            self.initial().positions, self.coeffs, self.base, self.noise))
+        """The transport run of the shared ensemble, with its tangents: the
+        tangent member of ``coupled``."""
+        self.coupled([], tangent=True)   # keeps the run, or its error, under ("tangent",)
+        return self.shared(("tangent",), None)
 
 
 def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric: str, fn):

@@ -1,23 +1,32 @@
 """The paper's point forms of the network coefficients: a test oracle written
 from the formulas, one point and one data atom at a time, from ``coeffs.dataset``
-and ``coeffs.activation.jet`` alone. x = (c, u[, b]); Phi, F, K are [value, grad_x]:
-    Phi_p(x) = c sigma(u . theta_p + b),  F = sum_p w_p f_p Phi_p,  K = sum_p w_p Phi_p (x) Phi_p
+and ``coeffs.activation.jet`` alone. x = (c, u); Phi, F, K are [value, grad_x]:
+    Phi_p(x) = c sigma(u . theta_p),  F = sum_p w_p f_p Phi_p,  K = sum_p w_p Phi_p (x) Phi_p
     V(x, mu) = Vbar(x) + <Vtilde(x, .), mu>,  Vbar = grad F,  Vtilde = -grad_x K
     G_p(x, mu) = r_p grad Phi_p - sum_q w_q r_q grad Phi_q,  r_p = f_p - <Phi_p, mu>
     Atilde(x, y, mu) = sum_p w_p G_p(x, mu) (x) G_p(y, mu)
+A bias b is the weight on a constant data coordinate: ``with_bias`` appends a
+column of ones to the atoms, so that Phi_p(c, u, b) = c sigma(u . theta_p + b).
 """
 
 import numpy as np
 
+from meanfield_sgd.coefficients import Dataset, NetworkCoefficients
 from meanfield_sgd.measures import SignedAtomicField
 
 
+def with_bias(coeffs):
+    """The network of ``coeffs`` on atoms (theta, 1): parameters (c, u, b)."""
+    data = coeffs.dataset
+    atoms = np.hstack([data.atoms, np.ones((data.n_atoms, 1))])
+    return NetworkCoefficients(Dataset(atoms, data.weights, data.labels), coeffs.activation)
+
+
 def feature(coeffs, x, p):
-    """[Phi_p(x), grad Phi_p(x)] = [c sigma, sigma, c sigma' theta_p(, c sigma')]."""
-    x, theta, bias = np.asarray(x, dtype=float), coeffs.dataset.atoms[p], coeffs.include_bias
-    z = x[1 : 1 + theta.size] @ theta + (x[-1] if bias else 0.0)
-    c, (sigma, ds) = x[0], map(float, coeffs.activation.jet(np.asarray(z), 1))
-    return np.array([c * sigma, sigma, *(c * ds * theta), *([c * ds] if bias else [])])
+    """[Phi_p(x), grad Phi_p(x)] = [c sigma, sigma, c sigma' theta_p]."""
+    x, theta = np.asarray(x, dtype=float), coeffs.dataset.atoms[p]
+    c, (sigma, ds) = x[0], map(float, coeffs.activation.jet(np.asarray(x[1:] @ theta), 1))
+    return np.array([c * sigma, sigma, *(c * ds * theta)])
 
 
 def _channel_sum(coeffs, term):

@@ -2,7 +2,9 @@
 
 Each test prints a single PASS/FAIL line with the measured quantities before
 asserting, so `pytest -s tests/test_acceptance.py` doubles as the acceptance
-report.  Tolerances and replica counts are pinned here and nowhere else.
+report.  Each line ends with its margin: how far the measured value sits
+inside its gate (negative outside), so a change that moves a gate shows
+before it breaks.  Tolerances and replica counts are pinned here and nowhere else.
 Expected wall-clock is a few minutes on two cores.
 """
 
@@ -51,8 +53,8 @@ REF_SPEC = build_initial_spec(REF)
 REF_EPS = 1e-2
 
 
-def report(k: int, name: str, ok: bool, detail: str):
-    print(f"\n[criterion {k:2d}] {'PASS' if ok else 'FAIL'}  {name}: {detail}")
+def report(k: int, name: str, ok: bool, detail: str, margin: str):
+    print(f"\n[criterion {k:2d}] {'PASS' if ok else 'FAIL'}  {name}: {detail}, {margin}")
 
 
 # Criteria 1, 2 (at dt = 1e-3), 3 and 8 all read the same run of a seed: N =
@@ -90,7 +92,8 @@ def test_criterion_01_mass_conservation():
         ok &= traj.weights.sum() == w0.sum()
     report(1, "mass conservation", ok,
            f"weights bit-identical across {noisy.n_snapshots} snapshots; "
-           f"<1, mu_t> constant at {w0.sum()!r}")
+           f"<1, mu_t> constant at {w0.sum()!r}",
+           f"margin {1e-12 - abs(w0.sum() - 1.0):.4g} to |<1, mu_0> - 1| <= 1e-12")
     assert ok
 
 
@@ -111,7 +114,8 @@ def test_criterion_02_weak_residual_order():
     slope = float(np.polyfit(np.log(dts), np.log(means), 1)[0])
     ok = 0.7 <= slope <= 1.3
     report(2, "weak-form residual order", ok,
-           f"slope {slope:.3f} in [0.7, 1.3]; mean |R| = {means}")
+           f"slope {slope:.3f} in [0.7, 1.3]; mean |R| = {means}",
+           f"margin {min(slope - 0.7, 1.3 - slope):.3f}")
     assert ok
 
 
@@ -125,7 +129,8 @@ def test_criterion_03_quadratic_variation():
     mean_ratio = float(np.mean(ratios))
     ok = abs(mean_ratio - 1.0) < 0.2
     report(3, "quadratic-variation identity", ok,
-           f"mean realized/predicted = {mean_ratio:.4f} (gate 1 +- 0.2, 50 seeds)")
+           f"mean realized/predicted = {mean_ratio:.4f} (gate 1 +- 0.2, 50 seeds)",
+           f"margin {0.2 - abs(mean_ratio - 1.0):.4f}")
     assert ok
 
 
@@ -136,7 +141,8 @@ def test_criterion_04_lln_rate():
     ok = abs(fit["slope"] - 1.0) <= 0.25
     report(4, "LLN rate in eps", ok,
            f"slope {fit['slope']:.4f} (gate 1 +- 0.25), "
-           f"bootstrap CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}]")
+           f"bootstrap CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}]",
+           f"margin {0.25 - abs(fit['slope'] - 1.0):.4f}")
     assert ok
 
 
@@ -158,7 +164,9 @@ def test_criterion_05_sampling_rate_and_amplification():
     ok = slope_ok and amp_ok
     report(5, "sampling rate and dynamic amplification", ok,
            f"slope {fit['slope']:.4f} (gate -1 +- 0.2); "
-           f"amplification range [{min(amps):.3f}, {max(amps):.3f}] within x3")
+           f"amplification range [{min(amps):.3f}, {max(amps):.3f}] within x3",
+           f"margins: slope {0.2 - abs(fit['slope'] + 1.0):.4f}, "
+           f"amplification {3.0 * min(amps) - max(amps):.3f} (3 min - max)")
     assert ok
 
 
@@ -170,7 +178,8 @@ def test_criterion_06_clt_rate():
     ok = abs(fit["slope"] - 1.0) <= 0.3
     report(6, "quantified CLT rate", ok,
            f"slope {fit['slope']:.4f} (gate 1 +- 0.3), "
-           f"CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}], box {fit['r_box']:.3f}")
+           f"CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}], box {fit['r_box']:.3f}",
+           f"margin {0.3 - abs(fit['slope'] - 1.0):.4f}")
     assert ok
 
 
@@ -212,6 +221,7 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
             samples[p.name][r] = pair(field, p)
     ok = True
     lines = []
+    margins = {"|z|": np.inf, "skew": np.inf, "exkurt": np.inf}
     for p in panel:
         s = samples[p.name]
         v_emp = s.var(ddof=1)
@@ -220,8 +230,11 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
         sk = stats.skew(s)
         ku = stats.kurtosis(s)
         ok &= abs(z) < 3 and abs(sk) <= 0.35 and abs(ku) <= 0.7
+        for key, gap in (("|z|", 3 - abs(z)), ("skew", 0.35 - abs(sk)), ("exkurt", 0.7 - abs(ku))):
+            margins[key] = min(margins[key], gap)
         lines.append(f"{p.name}: z={z:+.2f} skew={sk:+.3f} exkurt={ku:+.3f}")
-    report(7, "fluctuation Gaussianity and variance", ok, "; ".join(lines))
+    report(7, "fluctuation Gaussianity and variance", ok, "; ".join(lines),
+           "margins: " + ", ".join(f"{key} {gap:.3f}" for key, gap in margins.items()))
     assert ok
 
 
@@ -241,7 +254,8 @@ def test_criterion_08_no_collision_and_atomic_invariance():
         f3_ok &= f_n_functional(mu, 3) == 0.0
     ok = worst > 1e-6 and f3_ok
     report(8, "no collision and atomic invariance", ok,
-           f"worst min-distance ratio {worst:.3e} > 1e-6; F_3(2 atoms) == 0: {f3_ok}")
+           f"worst min-distance ratio {worst:.3e} > 1e-6; F_3(2 atoms) == 0: {f3_ok}",
+           f"margin {worst - 1e-6:.3e}")
     assert ok
 
 
@@ -262,7 +276,8 @@ def test_criterion_09_picard_contraction():
     ok = result.converged and all(r < 0.9 for r in ratios) and sup < 2 * tol
     report(9, "Picard contraction", ok,
            f"gaps {['%.2e' % g for g in result.gaps]}, ratios {['%.3f' % r for r in ratios]}, "
-           f"fixed point vs direct sup W2 = {sup:.2e} < {2 * tol:.0e}")
+           f"fixed point vs direct sup W2 = {sup:.2e} < {2 * tol:.0e}",
+           f"margins: ratio {0.9 - max(ratios, default=0.0):.3f}, sup W2 {2 * tol - sup:.2e}")
     assert ok
 
 
@@ -274,11 +289,16 @@ def test_criterion_10_sgd_approximation_trend():
     table = exp_sgd_compare(cfg)
     ok = True
     details = []
+    lows = []
     for phi_name in ("bump0", "bump1"):
         gate_ok, intervals = sgd_trend_gate(table, phi_name, cfg.m_grid)
         ok &= gate_ok
+        lows += [lo for _, lo, _ in intervals]
         seq = [s["sqrt_m_g"] for s in table.summary
                if s.get("metric") == f"g:{phi_name}"]
         details.append(f"{phi_name}: sqrt(M)g = {[f'{v:.4f}' for v in seq]} gate={gate_ok}")
-    report(10, "SGD approximation trend", ok, "; ".join(details))
+    # the gate fails when an increment's CI lies above zero: the margin is
+    # how far the highest lower CI end sits below zero
+    report(10, "SGD approximation trend", ok, "; ".join(details),
+           f"margin {-max(lows, default=np.nan):.4f} (0 - highest CI lower end)")
     assert ok

@@ -376,7 +376,8 @@ class TestPaperFormIdentities:
 
         mass = draw(n_atoms, st.floats(0.1, 1.0))
         dataset = Dataset(draw((n_atoms, n0)), mass / mass.sum(), draw(n_atoms))
-        coeffs = NetworkCoefficients(dataset, ACTIVATIONS[name], include_bias=bias)
+        coeffs = NetworkCoefficients(dataset, ACTIVATIONS[name])
+        coeffs = pf.with_bias(coeffs) if bias else coeffs
         X, atoms = draw((3, coeffs.dim)), draw((data.draw(st.integers(1, 4)), coeffs.dim))
         mu = ParticleEnsemble.uniform(atoms)
         drift, G = coeffs.drift(X, mu), coeffs.noise_matrix(X, mu)
@@ -391,14 +392,21 @@ class TestPaperFormIdentities:
 
 class TestBiasFlag:
     def test_bias_dimension_and_gradient(self):
-        data = Dataset(atoms=[[0.5]], weights=[1.0], labels=[0.3])
-        coeffs = NetworkCoefficients(data, ACTIVATIONS["tanh"], include_bias=True)
+        """A constant data coordinate carries the bias: on atoms (theta, 1) the
+        parameters (c, u, b) give Phi = c tanh(u theta + b), whose gradient
+        matches central differences of that closed form."""
+        theta = 0.5
+        coeffs = NetworkCoefficients(Dataset(atoms=[[theta, 1.0]], weights=[1.0], labels=[0.3]),
+                                     ACTIVATIONS["tanh"])
         assert coeffs.dim == 3
-        x = pack_param(1.5, [0.4], b=0.2)
+        x = pack_param(1.5, [0.4, 0.2])
         h = 1e-6
         fd = np.empty(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (pf.feature(coeffs, x + e, 0)[0] - pf.feature(coeffs, x - e, 0)[0]) / (2 * h)
+            plus, minus = x + e, x - e
+            fd[k] = (plus[0] * np.tanh(plus[1] * theta + plus[2])
+                     - minus[0] * np.tanh(minus[1] * theta + minus[2])) / (2 * h)
+        np.testing.assert_allclose(coeffs.grad_feature_matrix(x)[0, 0], fd, rtol=1e-6)
         np.testing.assert_allclose(pf.feature(coeffs, x, 0)[1:], fd, rtol=1e-6)

@@ -22,6 +22,7 @@ the 1/2 eps factor of the Ito term or a sqrt(w_p) weight fails these checks.
 import numpy as np
 import pytest
 
+import paper_forms as pf
 from meanfield_sgd.coefficients import Dataset, NetworkCoefficients, SyntheticCoefficients
 from meanfield_sgd.diagnostics import (
     gaussian_bump,
@@ -135,9 +136,10 @@ def oracle_weak_residual_linear(tangent_traj, coeffs, noise, panel):
 # --------------------------------------------------------------------------
 
 
-def network(include_bias):
+def network(bias):
+    """The reference network; with ``bias``, on atoms with a constant coordinate."""
     base = build_coefficients(REF)
-    return NetworkCoefficients(base.dataset, base.activation, include_bias=include_bias)
+    return pf.with_bias(base) if bias else base
 
 
 def wide_network():

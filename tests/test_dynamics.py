@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from meanfield_sgd import harness
 from meanfield_sgd.coefficients import (
@@ -14,13 +17,14 @@ from meanfield_sgd.coefficients import (
     SyntheticCoefficients,
     pack_param,
 )
-from meanfield_sgd.diagnostics import gaussian_bump
+from meanfield_sgd.diagnostics import gaussian_bump, qv_check, trig_wave
 from meanfield_sgd.dynamics import (
     InitialSpec,
     IntegratorConfig,
     NoisePath,
     ParticleEnsemble,
     SimulationError,
+    Trajectory,
     picard_solve,
     run_sgd,
     sample_initial,
@@ -29,8 +33,9 @@ from meanfield_sgd.dynamics import (
     simulate_coupled,
     simulate_transport,
     step_interacting,
+    write_trajectory,
 )
-from meanfield_sgd.fluctuations import solve_tangent
+from meanfield_sgd.fluctuations import eta_eps, solve_tangent
 from meanfield_sgd.harness import (ExperimentConfig, build_coefficients, build_initial_spec, exp_clt_rate,
                                    exp_lln_rate, exp_particle_rate, reference_config)
 from meanfield_sgd.measures import EmpiricalMeasure, w2
@@ -47,6 +52,13 @@ def frozen_coeffs(dim=2):
     return SyntheticCoefficients(dim=dim)
 
 
+def short_run(eps=0.01):
+    """A full-resolution run of length 0.1: 10 steps of 5 particles."""
+    cfg = IntegratorConfig(dt=1e-2, horizon=0.1, eps=eps)
+    noise = NoisePath(0, 1e-2, 10, REF_COEFFS.n_channels)
+    return simulate(sample_initial(REF_SPEC, 5, 0), REF_COEFFS, cfg, noise)
+
+
 class TestNoisePath:
     def test_reproducible_from_seed(self):
         a = NoisePath(11, 0.01, 50, 3)
@@ -60,6 +72,18 @@ class TestNoisePath:
         assert abs(flat.var() - 0.5) < 0.05
         corr = np.corrcoef(n.increments[:, 0], n.increments[:, 1])[0, 1]
         assert abs(corr) < 0.05
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), dt=st.floats(1e-4, 1.0), factor=st.integers(1, 6),
+           groups=st.integers(0, 8), channels=st.integers(1, 5))
+    def test_coarsened_sums_the_fine_increments(self, seed, dt, factor, groups, channels):
+        """coarsened(k) holds the fine increments summed k at a time, in order,
+        bit for bit, and the meta of the coarse path."""
+        fine = NoisePath(seed, dt, factor * groups, channels)
+        coarse = fine.coarsened(factor)
+        summed = [sum(fine.increments[g * factor + i] for i in range(factor)) for g in range(groups)]
+        np.testing.assert_array_equal(coarse.increments, np.reshape(summed, (groups, channels)))
+        assert coarse.meta == {"seed": seed, "dt": factor * dt, "n_steps": groups, "n_channels": channels}
 
     def test_coarsened_sums_the_same_path(self):
         n = NoisePath(13, 0.01, 100, 2)
@@ -222,12 +246,6 @@ class TestRunSgd:
         chain = run_sgd(coeffs, 2, alpha=0.1, batch_size=1, n_steps=25, seed=1, initial=init)
         np.testing.assert_array_equal(chain.positions[-1], init)
 
-    def test_full_batch_is_seed_independent(self):
-        initial = sample_initial(REF_SPEC, 10, 6).positions
-        a = run_sgd(REF_COEFFS, 10, 0.05, 1, 30, seed=1, initial=initial, full_batch=True)
-        b = run_sgd(REF_COEFFS, 10, 0.05, 1, 30, seed=2, initial=initial, full_batch=True)
-        np.testing.assert_array_equal(a.positions, b.positions)
-
     def test_one_step_hand_gradient(self):
         """1 data atom, 1 particle, identity activation: symbolic update."""
         theta, label = 2.0, 1.0
@@ -257,7 +275,7 @@ class TestRunSgd:
         coeffs = NetworkCoefficients(data, ACTIVATIONS["identity"], allow_unbounded=True)
         with pytest.raises(SimulationError):
             run_sgd(coeffs, 1, alpha=1e6, batch_size=1, n_steps=200, seed=0,
-                    initial=np.array([[5.0, 5.0]]), full_batch=True)
+                    initial=np.array([[5.0, 5.0]]))
 
 
 class TestPicard:
@@ -375,7 +393,7 @@ class TestBoundaryValidation:
         (lambda: exp_lln_rate(reference_config(replicas=10, eps_grid=(0.1, 0.01))), "eps_grid"),
         (lambda: exp_clt_rate(reference_config(replicas=10, eps_grid=(0.1, 0.01))), "eps_grid"),
         (lambda: exp_particle_rate(reference_config(replicas=10, m_grid=(10, 20))), "m_grid"),
-        (lambda: sample_initial(InitialSpec(kind="atoms", atoms=np.zeros((0, 2))), 2, 0), "atoms"),
+        (lambda: ParticleEnsemble.uniform(np.zeros((0, 2))), "positions"),
         (lambda: NoisePath(-1, 0.01, 10, 2), "seed"),
         (lambda: NoisePath(1.5, 0.01, 10, 2), "seed"),
         (lambda: exp_clt_rate(reference_config(replicas=10, n_particles=20, horizon=0.02,
@@ -384,6 +402,31 @@ class TestBoundaryValidation:
         (lambda: exp_particle_rate(ExperimentConfig(
             instance="synthetic-1d", mu0_low=(0.5,), mu0_high=(0.5,), m_grid=(10, 20, 40),
             replicas=10, horizon=0.02, dt=0.01)), "mu0_high"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=nan, batch_size=1, n_steps=2, seed=0,
+                         initial=np.zeros((3, 2))), "alpha"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=inf, batch_size=1, n_steps=2, seed=0,
+                         initial=np.zeros((3, 2))), "alpha"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=0.0, batch_size=1, n_steps=2, seed=0,
+                         initial=np.zeros((3, 2))), "alpha"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=0.1, batch_size=1.5, n_steps=2, seed=0,
+                         initial=np.zeros((3, 2))), "batch_size"),
+        (lambda: run_sgd(REF_COEFFS, 3, alpha=0.1, batch_size=0, n_steps=2, seed=0,
+                         initial=np.zeros((3, 2))), "batch_size"),
+        (lambda: sample_initial(REF_SPEC, 2.5, 0), "n"),
+        (lambda: picard_solve(sample_initial(REF_SPEC, 4, 0), REF_COEFFS,
+                              IntegratorConfig(dt=1e-2, horizon=0.05), None, tol=1e-6, max_iter=0),
+         "max_iter"),
+        (lambda: picard_solve(sample_initial(REF_SPEC, 4, 0), REF_COEFFS,
+                              IntegratorConfig(dt=1e-2, horizon=0.05), None, tol=1e-6, max_iter=1.5),
+         "max_iter"),
+        (lambda: picard_solve(sample_initial(REF_SPEC, 4, 0), REF_COEFFS,
+                              IntegratorConfig(dt=1e-2, horizon=0.05), None, tol=nan), "tol"),
+        (lambda: qv_check(short_run(), REF_COEFFS, gaussian_bump([0.0, 0.0], 1.0), window=(5.0, 6.0)),
+         "window"),
+        (lambda: qv_check(short_run(), REF_COEFFS, gaussian_bump([0.0, 0.0], 1.0), window=(0.08, 0.02)),
+         "window"),
+        (lambda: trig_wave([1, 0], "tan"), "phase"),
+        (lambda: eta_eps(short_run(), short_run(0.0), nan), "eps"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -402,11 +445,14 @@ class TestBoundaryValidation:
             "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps",
             "lln-two-point-eps-grid", "clt-two-point-eps-grid", "particle-two-point-m-grid",
             "empty-initial-atoms", "noise-negative-seed", "noise-fractional-seed",
-            "clt-low-sobolev-j", "particle-point-mass-box"])
+            "clt-low-sobolev-j", "particle-point-mass-box", "sgd-nan-alpha", "sgd-infinite-alpha",
+            "sgd-zero-alpha", "sgd-fractional-batch", "sgd-zero-batch", "fractional-particles",
+            "picard-zero-iterations", "picard-fractional-iterations", "picard-nan-tol",
+            "qv-window-after-run", "qv-reversed-window", "trig-unknown-phase", "eta-nan-eps"])
     def test_bad_input_names_its_field(self, make, field, monkeypatch):
         """Each bad input is refused, naming its field, before any run is integrated."""
         runs = []
-        for name in ("simulate", "simulate_transport", "solve_tangent"):
+        for name in ("simulate", "simulate_transport", "simulate_coupled", "solve_tangent"):
             monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             make()
@@ -577,8 +623,9 @@ class TestCoupledRuns:
 class TestSampleInitial:
     def test_explicit_atoms(self):
         atoms = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ens = sample_initial(InitialSpec(kind="atoms", atoms=atoms), 2, 0)
+        ens = ParticleEnsemble.uniform(atoms)
         np.testing.assert_array_equal(ens.positions, atoms)
+        np.testing.assert_array_equal(ens.weights, [0.5, 0.5])
 
     def test_gaussian_truncation(self):
         spec = InitialSpec(kind="gaussian", mean=[0.0, 0.0], cov=4.0, box=1.5)
@@ -651,10 +698,57 @@ class TestMomentPreservation:
         assert np.max(np.abs(np.array(ratios) - center)) <= 0.25 * center
 
 
-class TestTrajectorySerialization:
-    def test_columnar_text_with_noise_metadata(self, tmp_path):
-        from meanfield_sgd.dynamics import write_trajectory
+def read_trajectory(path):
+    """A ``write_trajectory`` file: (noise header or None, steps, times,
+    positions (S, N, d), tangents (S, N, d) or None)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = None
+    if lines[0].startswith("# noise "):
+        tags = dict(part.split("=") for part in lines.pop(0).split()[2:])
+        header = {"seed": int(tags["seed"]), "dt": float(tags["dt"]), "n_steps": int(tags["steps"])}
+    columns = lines.pop(0)
+    rows = [line.split() for line in lines]
+    n = 1 + max(int(row[2]) for row in rows)
+    s = len(rows) // n
+    values = np.array([[float(v) for v in row[3:]] for row in rows]).reshape(s, n, -1)
+    steps = np.array([int(row[0]) for row in rows[::n]])
+    times = np.array([float(row[1]) for row in rows[::n]])
+    if columns.endswith(" y1..yd"):
+        d = values.shape[-1] // 2
+        return header, steps, times, values[..., :d], values[..., d:]
+    return header, steps, times, values, None
 
+
+class TestTrajectorySerialization:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+           stride=st.integers(1, 3), with_noise=st.booleans(), with_tangents=st.booleans())
+    def test_round_trip(self, tmp_path_factory, data, shape, stride, with_noise, with_tangents):
+        """Positions and tangents come back bit for bit from %.17g; the tangent
+        columns appear exactly when tangents are set; the noise header is the
+        path's (seed, dt, n_steps)."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        n_snap, n, d = shape
+        dt = 0.01
+        noise = NoisePath(data.draw(st.integers(0, 2**32)), dt, (n_snap - 1) * stride, 2)
+        traj = Trajectory(
+            times=np.arange(n_snap) * stride * dt, positions=data.draw(arrays(float, shape, elements=finite)),
+            weights=np.full(n, 1.0 / n), dt=dt, eps=0.01 if with_noise else 0.0, snapshot_stride=stride,
+            noise_meta=noise.meta if with_noise else None,
+            tangents=data.draw(arrays(float, shape, elements=finite)) if with_tangents else None)
+        path = tmp_path_factory.mktemp("traj") / "traj.txt"
+        write_trajectory(traj, path)
+        header, steps, times, positions, tangents = read_trajectory(path)
+        np.testing.assert_array_equal(positions, traj.positions)
+        np.testing.assert_array_equal(times, traj.times)
+        np.testing.assert_array_equal(steps, np.arange(n_snap) * stride)
+        assert (tangents is None) == (traj.tangents is None)
+        if with_tangents:
+            np.testing.assert_array_equal(tangents, traj.tangents)
+        assert header == ({k: noise.meta[k] for k in ("seed", "dt", "n_steps")} if with_noise else None)
+
+    def test_columnar_text_with_noise_metadata(self, tmp_path):
         initial = sample_initial(REF_SPEC, 4, 1)
         noise = NoisePath(1, 0.01, 10, REF_COEFFS.n_channels)
         cfg = IntegratorConfig(dt=0.01, horizon=0.1, eps=0.02, snapshot_stride=5)
@@ -669,9 +763,6 @@ class TestTrajectorySerialization:
         assert all(len(row) == 3 + 2 for row in data)
 
     def test_tangent_column_group(self, tmp_path):
-        from meanfield_sgd.dynamics import write_trajectory
-        from meanfield_sgd.fluctuations import solve_tangent
-
         initial = sample_initial(REF_SPEC, 3, 2)
         noise = NoisePath(2, 0.01, 10, REF_COEFFS.n_channels)
         cfg = IntegratorConfig(dt=0.01, horizon=0.1, snapshot_stride=5)

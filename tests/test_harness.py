@@ -16,6 +16,8 @@ import paper_forms
 from meanfield_sgd import harness
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import SyntheticCoefficients
+from meanfield_sgd.dynamics import simulate, simulate_transport
+from meanfield_sgd.fluctuations import solve_tangent
 from meanfield_sgd.harness import (
     ExperimentConfig,
     Replica,
@@ -645,9 +647,24 @@ class TestFailureRecording:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         failed = {(r[1], r[2]) for r in table.rows if r[3] == "failed"}
         assert failed == {("10.0", cfg.base_seed + r) for r in range(cfg.replicas)}
+
+        def one_at_a_time(initial, coeffs, base, eps, noise, tangent=False):
+            runs = []
+            for b, e in enumerate(eps):
+                try:
+                    if tangent and b == len(eps) - 1:
+                        runs.append(solve_tangent(initial.positions, coeffs, base, noise))
+                    elif e:
+                        runs.append(simulate(initial, coeffs, replace(base, eps=e), noise))
+                    else:
+                        runs.append(simulate_transport(initial, coeffs, base))
+                except harness._CELL_ERRORS as exc:
+                    runs.append(exc)
+            return runs
+
         with monkeypatch.context() as m, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            m.setattr(Replica, "coupled", lambda *args, **kwargs: None)
+            m.setattr(harness, "simulate_coupled", one_at_a_time)
             sequential = experiment(cfg)
         assert [r[:4] for r in table.rows] == [r[:4] for r in sequential.rows]
         for got, want in zip(table.rows, sequential.rows):

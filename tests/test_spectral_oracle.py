@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanfield_sgd.coefficients import NetworkCoefficients
+import paper_forms as pf
 from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, sample_initial, simulate,
                                    simulate_transport)
 from meanfield_sgd.fluctuations import clt_distance, eta_eps, solve_tangent
@@ -106,14 +106,14 @@ def random_field(kind: str, dim: int, n: int, r_box: float, seed: int) -> Signed
 def coupled_runs(dim: int, n: int = 12, eps_grid=(1e-1, 1e-2, 1e-3)):
     """Transport, tangent and eps runs of one seed in dimension ``dim``:
     the synthetic 1-d instance, the reference network, and the reference
-    network with its bias on."""
+    network with a bias (its atoms with a constant coordinate)."""
     if dim == 1:
         cfg = reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,))
         coeffs = build_coefficients(cfg)
     else:
         coeffs = build_coefficients(reference_config())
         if dim == 3:
-            coeffs = NetworkCoefficients(coeffs.dataset, coeffs.activation, include_bias=True)
+            coeffs = pf.with_bias(coeffs)
     spec = InitialSpec(kind="uniform", low=[-1.0] * dim, high=[1.0] * dim)
     initial = sample_initial(spec, n, 5)
     cfg = IntegratorConfig(dt=1e-2, horizon=0.3, snapshot_stride=10)

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paper_forms as pf
 from meanfield_sgd.coefficients import ACTIVATIONS, Activation, Dataset, NetworkCoefficients
 from meanfield_sgd.dynamics import (
     IntegratorConfig,
     ParticleEnsemble,
     run_sgd,
     seeded_rng,
+    simulate_transport,
     step_interacting,
 )
 from meanfield_sgd.fluctuations import TangentEnsemble, tangent_step
@@ -34,13 +36,16 @@ TOL = dict(rtol=1e-13, atol=1e-13)
 ACTS = ["tanh", "sigmoid", "smoothed-relu"]
 
 
-def make_coeffs(activation, include_bias, n_atoms=5, seed=0):
+def make_coeffs(activation, bias, n_atoms=5, seed=0):
+    """A random 2-input network; with ``bias`` its atoms gain a constant
+    coordinate, whose input weight is the bias (d = n0 + 2)."""
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-1, 1, size=(n_atoms, 2))
     w = rng.uniform(0.5, 1.5, size=n_atoms)
     w /= w.sum()
     labels = np.sin(np.pi * thetas[:, 0]) * 0.5
-    return NetworkCoefficients(Dataset(thetas, w, labels), activation, include_bias=include_bias)
+    coeffs = NetworkCoefficients(Dataset(thetas, w, labels), activation)
+    return pf.with_bias(coeffs) if bias else coeffs
 
 
 def ensemble(coeffs, n, seed=1):
@@ -48,23 +53,20 @@ def ensemble(coeffs, n, seed=1):
 
 
 def _z(coeffs, X):
-    c, u, b = coeffs._split(X)
-    return u @ coeffs._theta.T + b[:, None]
+    return coeffs._split(X)[1] @ coeffs._theta.T
 
 
 def oracle_drift(coeffs, X, measure):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = coeffs.residuals(measure)
-    c, _, _ = coeffs._split(X)
+    c, _ = coeffs._split(X)
     z = _z(coeffs, X)
     phi, dphi = coeffs.activation.jet(z, 1)
     common = coeffs._w * r
     out = np.empty((X.shape[0], coeffs.dim))
     out[:, 0] = phi @ common
     cd = c[:, None] * dphi
-    out[:, 1 : 1 + coeffs.dataset.input_dim] = (cd * common[None, :]) @ coeffs._theta
-    if coeffs.include_bias:
-        out[:, -1] = cd @ common
+    out[:, 1:] = (cd * common[None, :]) @ coeffs._theta
     return out
 
 
@@ -72,15 +74,13 @@ def oracle_noise_increment(coeffs, X, measure, dB):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = coeffs.residuals(measure)
     kappa = r * coeffs._sqrt_w * dB
-    c, _, _ = coeffs._split(X)
+    c, _ = coeffs._split(X)
     z = _z(coeffs, X)
     phi, dphi = coeffs.activation.jet(z, 1)
     out = np.empty((X.shape[0], coeffs.dim))
     out[:, 0] = phi @ kappa
     cd = c[:, None] * dphi
-    out[:, 1 : 1 + coeffs.dataset.input_dim] = (cd * kappa[None, :]) @ coeffs._theta
-    if coeffs.include_bias:
-        out[:, -1] = cd @ kappa
+    out[:, 1:] = (cd * kappa[None, :]) @ coeffs._theta
     V = oracle_drift(coeffs, X, measure)
     return out - V * float(coeffs._sqrt_w @ dB)
 
@@ -95,23 +95,43 @@ def oracle_vtilde_y_apply(coeffs, X, base, tangents):
     return -np.einsum("p,p,npd->nd", coeffs._w, beta, grad_x)
 
 
-def oracle_run_sgd(coeffs, alpha, batch_size, n_steps, seed, initial, full_batch=False):
+def oracle_run_sgd(coeffs, alpha, batch_size, n_steps, seed, initial):
     rng = seeded_rng(seed, "sgd-batches")
     w = coeffs.channel_weights
     X = np.array(initial, dtype=float)
     out = [X]
     for step in range(n_steps):
         ens = ParticleEnsemble.uniform(X)
-        if full_batch:
-            X = X + alpha * oracle_drift(coeffs, X, ens)
-        else:
-            batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
-            r = coeffs.residuals(ens)
-            grad = coeffs.grad_feature_matrix(X)  # (N, P, d)
-            step_dir = np.zeros_like(X)
-            for p in batch:
-                step_dir += r[p] * grad[:, p, :]
-            X = X + (alpha / batch_size) * step_dir
+        batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
+        r = coeffs.residuals(ens)
+        grad = coeffs.grad_feature_matrix(X)  # (N, P, d)
+        step_dir = np.zeros_like(X)
+        for p in batch:
+            step_dir += r[p] * grad[:, p, :]
+        X = X + (alpha / batch_size) * step_dir
+        out.append(X)
+    return np.array(out)
+
+
+def oracle_gradient_descent(coeffs, alpha, n_steps, initial):
+    """The full-batch SGD chain (the sampled batch replaced by its
+    expectation): each step x += alpha V(x, mu)."""
+    X = np.array(initial, dtype=float)
+    out = [X]
+    for step in range(n_steps):
+        X = X + alpha * oracle_drift(coeffs, X, ParticleEnsemble.uniform(X))
+        out.append(X)
+    return np.array(out)
+
+
+def oracle_gradient_descent_contraction(coeffs, alpha, n_steps, initial):
+    """The full-batch branch ``run_sgd`` had before that option went: each
+    step one contraction with kappa_p = alpha w_p r_p."""
+    X = np.array(initial, dtype=float)
+    out = [X]
+    for _ in range(n_steps):
+        r = coeffs.residuals(ParticleEnsemble.uniform(X))
+        X = X + coeffs._contract(X, alpha * coeffs.channel_weights * r)
         out.append(X)
     return np.array(out)
 
@@ -120,14 +140,12 @@ def oracle_assemble(coeffs, row_c, row_u, kappa):
     """The per-run ``_assemble``: one run's rows (N, P), kappa (P,)."""
     out = np.empty((row_c.shape[0], coeffs.dim))
     out[:, 0] = row_c @ kappa
-    out[:, 1 : 1 + coeffs.dataset.input_dim] = (row_u * kappa) @ coeffs._theta
-    if coeffs.include_bias:
-        out[:, -1] = row_u @ kappa
+    out[:, 1:] = (row_u * kappa) @ coeffs._theta
     return out
 
 
 def oracle_contract(coeffs, X, kappa):
-    c, _, _ = coeffs._split(X)
+    c, _ = coeffs._split(X)
     phi, dphi = coeffs.activation.jet(_z(coeffs, X), 1)
     return oracle_assemble(coeffs, phi, c[:, None] * dphi, kappa)
 
@@ -150,8 +168,8 @@ def oracle_tangent_step(X, Y, coeffs, dt, dB):
     transport terms each from their own evaluator calls (eight jets)."""
     mu = ParticleEnsemble.uniform(X)
     r = coeffs.residuals(mu)
-    c, _, _ = coeffs._split(X)
-    yc, _, _ = coeffs._split(Y)
+    c, _ = coeffs._split(X)
+    yc, _ = coeffs._split(Y)
     s = _z(coeffs, Y)
     _, dphi, d2phi = coeffs.activation.jet(_z(coeffs, X), 2)
     hu = dphi * yc[:, None] + c[:, None] * d2phi * s
@@ -166,15 +184,15 @@ def oracle_tangent_step(X, Y, coeffs, dt, dB):
 
 kernel_cases = pytest.mark.parametrize("n", [1, 7, 200])
 activation_cases = pytest.mark.parametrize("activation", ACTS)
-bias_cases = pytest.mark.parametrize("include_bias", [False, True], ids=["no-bias", "bias"])
+bias_cases = pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
 
 
 @activation_cases
 @bias_cases
 @kernel_cases
 class TestKernelMatchesOracle:
-    def test_drift_and_noise_increment(self, activation, include_bias, n):
-        coeffs = make_coeffs(activation, include_bias)
+    def test_drift_and_noise_increment(self, activation, bias, n):
+        coeffs = make_coeffs(activation, bias)
         ens = ensemble(coeffs, n)
         X = ens.positions
         dB = np.random.default_rng(2).normal(0, 0.1, size=coeffs.n_channels)
@@ -182,8 +200,8 @@ class TestKernelMatchesOracle:
         np.testing.assert_allclose(coeffs.noise_increment(X, ens, dB),
                                    oracle_noise_increment(coeffs, X, ens, dB), **TOL)
 
-    def test_noisy_step_and_frozen_increment(self, activation, include_bias, n):
-        coeffs = make_coeffs(activation, include_bias)
+    def test_noisy_step_and_frozen_increment(self, activation, bias, n):
+        coeffs = make_coeffs(activation, bias)
         ens = ensemble(coeffs, n)
         frozen = ensemble(coeffs, 9, seed=3)
         dB = np.random.default_rng(4).normal(0, 0.1, size=coeffs.n_channels)
@@ -199,16 +217,16 @@ class TestKernelMatchesOracle:
         np.testing.assert_allclose(coeffs.increment(X, measure, cfg.dt, 0.0, None),
                                    oracle_drift(coeffs, X, measure) * cfg.dt, **TOL)
 
-    def test_vtilde_y_apply(self, activation, include_bias, n):
-        coeffs = make_coeffs(activation, include_bias)
+    def test_vtilde_y_apply(self, activation, bias, n):
+        coeffs = make_coeffs(activation, bias)
         X = ensemble(coeffs, n).positions
         base = ensemble(coeffs, 11, seed=5).positions
         tangents = ensemble(coeffs, 11, seed=6).positions
         np.testing.assert_allclose(coeffs.vtilde_y_apply(X, base, tangents),
                                    oracle_vtilde_y_apply(coeffs, X, base, tangents), **TOL)
 
-    def test_tangent_step(self, activation, include_bias, n):
-        coeffs = make_coeffs(activation, include_bias)
+    def test_tangent_step(self, activation, bias, n):
+        coeffs = make_coeffs(activation, bias)
         X = ensemble(coeffs, n).positions
         Y = ensemble(coeffs, n, seed=7).positions
         dB = np.random.default_rng(8).normal(0, 0.1, size=coeffs.n_channels)
@@ -221,16 +239,26 @@ class TestKernelMatchesOracle:
         np.testing.assert_allclose(new.tangents, expected_y, **TOL)
         np.testing.assert_allclose(new.base, X + oracle_drift(coeffs, X, mu) * cfg.dt, **TOL)
 
-    @pytest.mark.parametrize("batch_size, full_batch", [(1, False), (8, False), (1, True)],
-                             ids=["batch1", "batch8-repeats", "full-batch"])
-    def test_run_sgd(self, activation, include_bias, n, batch_size, full_batch):
+    @pytest.mark.parametrize("batch_size", [1, 8], ids=["batch1", "batch8-repeats"])
+    def test_run_sgd(self, activation, bias, n, batch_size):
         # 3 channels and a batch of 8 draws some channel more than once
-        coeffs = make_coeffs(activation, include_bias, n_atoms=3)
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
         initial = ensemble(coeffs, n).positions
-        chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial,
-                        full_batch=full_batch)
-        oracle = oracle_run_sgd(coeffs, 0.1, batch_size, 6, 9, initial, full_batch)
+        chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
+        oracle = oracle_run_sgd(coeffs, 0.1, batch_size, 6, 9, initial)
         np.testing.assert_allclose(chain.positions, oracle, **TOL)
+
+    def test_gradient_descent_is_the_transport_run(self, activation, bias, n):
+        """Deterministic gradient descent at rate alpha is simulate_transport
+        at dt = alpha: bit for bit the full-batch run_sgd it replaces, and the
+        full-batch formula to the kernel tolerance."""
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
+        initial = ensemble(coeffs, n)
+        run = simulate_transport(initial, coeffs, IntegratorConfig(dt=0.1, horizon=0.6))
+        np.testing.assert_array_equal(
+            run.positions, oracle_gradient_descent_contraction(coeffs, 0.1, 6, initial.positions))
+        np.testing.assert_allclose(run.positions, oracle_gradient_descent(coeffs, 0.1, 6, initial.positions),
+                                   **TOL)
 
 
 def test_batch_of_eight_repeats_a_channel():
@@ -287,7 +315,7 @@ def coupled_batches(draw):
     b = draw(st.integers(1, 6))
     eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=b - 1, max_size=b - 1))
     eps.insert(draw(st.integers(0, b - 1)), 0.0)
-    return dict(activation=draw(st.sampled_from(ACTS)), include_bias=draw(st.booleans()),
+    return dict(activation=draw(st.sampled_from(ACTS)), bias=draw(st.booleans()),
                 n=draw(st.integers(1, 40)), eps=np.array(eps), seed=draw(st.integers(0, 2**16)))
 
 
@@ -297,7 +325,7 @@ class TestCoupledStepMatchesPerRunSteps:
     @settings(max_examples=60, deadline=None)
     @given(case=coupled_batches())
     def test_batch_equals_sequential_steps(self, case):
-        coeffs = make_coeffs(case["activation"], case["include_bias"], seed=case["seed"])
+        coeffs = make_coeffs(case["activation"], case["bias"], seed=case["seed"])
         rng = np.random.default_rng(case["seed"])
         eps, n = case["eps"], case["n"]
         X = rng.normal(size=(eps.size, n, coeffs.dim))
@@ -311,7 +339,7 @@ class TestCoupledStepMatchesPerRunSteps:
     @settings(max_examples=60, deadline=None)
     @given(case=coupled_batches())
     def test_fused_tangent_step_equals_the_per_run_one(self, case):
-        coeffs = make_coeffs(case["activation"], case["include_bias"], seed=case["seed"])
+        coeffs = make_coeffs(case["activation"], case["bias"], seed=case["seed"])
         rng = np.random.default_rng(case["seed"])
         eps, n = np.append(case["eps"][case["eps"] > 0], 0.0), case["n"]
         X = rng.normal(size=(eps.size, n, coeffs.dim))
@@ -326,10 +354,10 @@ class TestCoupledStepMatchesPerRunSteps:
 
     @activation_cases
     @bias_cases
-    def test_single_run_entry_points(self, activation, include_bias):
+    def test_single_run_entry_points(self, activation, bias):
         """step_interacting and tangent_step are the one-run batch, and so the
         per-run steps they were."""
-        coeffs = make_coeffs(activation, include_bias)
+        coeffs = make_coeffs(activation, bias)
         ens = ensemble(coeffs, 30)
         Y = ensemble(coeffs, 30, seed=13).positions
         dB = np.random.default_rng(14).normal(0, 0.1, size=coeffs.n_channels)
