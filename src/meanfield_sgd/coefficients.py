@@ -357,6 +357,49 @@ class NetworkCoefficients:
         forcing = self._assemble(phi, row_u, r * self._noise_kappa(dB))
         return newX, Y + (jac + inter) * dt + forcing
 
+    def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
+                      hess: np.ndarray | None = None):
+        """The pairings of a test-function panel with the coefficients on S snapshots.
+
+        ``X`` (S, N, d) holds the snapshots on the particle ``weights`` (N,),
+        each its own environment mu_s; ``grads`` (F, S, N, d) and ``hess``
+        (F, S, N, d, d) are the panel's derivatives at those points.  Returns
+        the drift pairings <grad phi . V, mu_s> (S, F) and, with ``hess``, the
+        channel pairings <grad phi . G_p, mu_s> (S, F, P) and the Ito pairings
+        <D2 phi : A, mu_s> (S, F) (else None and None).
+
+        One jet on the (S, N, P) rows serves all three.  With
+        q_p = r_p <grad phi . grad Phi_p, mu_s>, the drift is sum_p w_p q_p and
+        the channels are q_p minus it (G_p = r_p grad Phi_p - V).
+        A = sum_p w_p r_p^2 grad Phi_p grad Phi_p^T - V V^T is assembled from
+        the rows as matmuls against theta; no (., P, d) tensor is built.
+        """
+        c, z = self._preactivation(X)
+        phi, dphi = self.activation.jet(z, 1)
+        r = self._f - weights @ (c[..., None] * phi)       # (S, P) residuals
+        row_u = c[..., None] * dphi
+        # <grad phi . grad Phi_p, mu_s>: the c-component against phi, the
+        # u-components against row_u, then theta_p
+        pair_c = np.matmul(grads[..., 0].transpose(1, 0, 2), weights[:, None] * phi)
+        pair_u = np.matmul(grads[..., 1:].transpose(1, 0, 3, 2), (weights[:, None] * row_u)[:, None])
+        q = r[:, None, :] * (pair_c + (pair_u * self._theta.T).sum(-2))     # (S, F, P)
+        drift = q @ self._w
+        if hess is None:
+            return drift, None, None
+        rho = (self._w * r * r)[..., None]                 # w_p r_p^2, (S, P, 1)
+        outer = (self._theta[:, :, None] * self._theta[:, None, :]).reshape(self.n_channels, -1)
+        V = self._assemble(phi, row_u, self._w * r)        # (S, N, d)
+        A = -V[..., :, None] * V[..., None, :]
+        A[..., 0, 0] += ((phi * phi) @ rho)[..., 0]
+        cross = (phi * row_u) @ (rho * self._theta)
+        A[..., 0, 1:] += cross
+        A[..., 1:, 0] += cross
+        A[..., 1:, 1:] += ((row_u * row_u) @ (rho * outer)).reshape(A[..., 1:, 1:].shape)
+        S, N, d = X.shape
+        ito = np.einsum("fsk,sk->sf", hess.reshape(-1, S, N * d * d),
+                        (weights[:, None, None] * A).reshape(S, -1))
+        return drift, q - drift[..., None], ito
+
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
         """G(x_i, mu, theta_p) for all particles and channels; shape (N, P, d)."""
         r = self.residuals(measure)
@@ -525,6 +568,23 @@ class SyntheticCoefficients:
         jac = self.drift_jacobian_apply(x, Y, mu)
         inter = self.vtilde_y_apply(x, x, Y)
         return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB)
+
+    def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
+                      hess: np.ndarray | None = None):
+        """``NetworkCoefficients.weak_pairings`` one snapshot at a time through
+        the hooks, the Ito term against A_i = sum_p w_p G_ip G_ip^T."""
+        F, S, N, d = grads.shape
+        drift, channels, ito = np.empty((S, F)), np.empty((S, F, self._n_channels)), np.empty((S, F))
+        for s, x in enumerate(X):
+            mu = (x, weights)
+            drift[s] = grads[:, s].reshape(F, -1) @ (weights[:, None] * self.drift(x, mu)).reshape(-1)
+            if hess is None:
+                continue
+            G = self.noise_matrix(x, mu)                                    # (N, P, d)
+            wG = weights[:, None, None] * G
+            channels[s] = np.tensordot(grads[:, s], wG, axes=([1, 2], [0, 2]))
+            ito[s] = hess[:, s].reshape(F, -1) @ np.einsum("npk,p,npl->nkl", wG, self._weights, G).reshape(-1)
+        return (drift, None, None) if hess is None else (drift, channels, ito)
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -108,8 +108,11 @@ def _product(k: int, l: int, d: int) -> TestFunction:
 
 
 def gaussian_bump(center: Sequence[float], width: float, name: str | None = None) -> TestFunction:
-    """exp(-|x - c|^2 / (2 s^2)) with exact derivatives."""
+    """exp(-|x - c|^2 / (2 s^2)) with exact derivatives; the width s must be
+    positive and finite."""
     c = np.asarray(center, dtype=float)
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"width must be positive and finite (got {width!r})")
     s2 = float(width) ** 2
 
     def jet(X, order):
@@ -157,7 +160,7 @@ def standard_panel(d: int, include_unbounded: bool = True) -> list[TestFunction]
 
 
 # --------------------------------------------------------------------------
-# stacked panel: every test function's pairings through one contraction
+# stacked panel: every test function's pairings, chunk by chunk of snapshots
 # --------------------------------------------------------------------------
 
 
@@ -165,8 +168,15 @@ def stack_panel(phis: Sequence[TestFunction], X: np.ndarray,
                 order: int) -> tuple[np.ndarray, ...]:
     """The stacked jet of a panel at the points X: values (F, N), then up to
     ``order`` gradients (F, N, d) and Hessians (F, N, d, d), from one jet
-    call per panel member."""
-    return tuple(map(np.stack, zip(*(phi.jet(X, order) for phi in phis))))
+    call per panel member, each written into the stack as it comes."""
+    stacks = None
+    for f, phi in enumerate(phis):
+        jet = phi.jet(X, order)
+        if stacks is None:
+            stacks = tuple(np.empty((len(phis),) + part.shape) for part in jet)
+        for stack, part in zip(stacks, jet):
+            stack[f] = part
+    return stacks
 
 
 def pair_panel(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -175,28 +185,58 @@ def pair_panel(stack: np.ndarray, field: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], -1) @ field.reshape(-1)
 
 
-def _step_pairings(coeffs, X: np.ndarray, omega: np.ndarray, eps: float,
-                   phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The weak-form pairings of a whole panel at one step, mu_s = (X, omega).
+# a chunk of snapshots holds about this many points: 20 snapshots at N = 200
+_CHUNK_POINTS = 4096
 
-    Returns <phi, mu_s> of every member, shape (F,), its drift
-    <grad phi . V, mu_s> + (eps/2) <D2 phi : A, mu_s>, shape (F,), and for
-    eps > 0 the channel pairings <grad phi . G_p, mu_s>, shape (F, P) (None at
-    eps = 0), all from one panel jet.  The Ito term uses
-    A_i = sum_p w_p G_ip G_ip^T, formed once per step, so every pairing is one
-    matmul over the stacked panel.
+
+def chunk_length(n_particles: int) -> int:
+    """Snapshots per chunk of the weak-form pairings at N = ``n_particles``."""
+    return max(1, _CHUNK_POINTS // n_particles)
+
+
+def check_panel(panel: Iterable[TestFunction]) -> list[TestFunction]:
+    """The panel as a list, one member per name: a residual is reported by
+    name, so an empty panel or a repeated name is refused."""
+    phis = list(panel)
+    if not phis:
+        raise ValueError("panel must hold at least one test function")
+    names = [phi.name for phi in phis]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"panel must name each member once (repeated: {', '.join(repeated)})")
+    return phis
+
+
+def _pairings(coeffs, positions: np.ndarray, omega: np.ndarray, eps: float,
+              phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The weak-form pairings of a whole panel over K + 1 snapshots
+    ``positions`` (K + 1, N, d) on the weights ``omega``, mu_s = (X_s, omega).
+
+    Returns <phi, mu_s> at every snapshot, shape (K + 1, F); the drift
+    <grad phi . V, mu_s> + (eps/2) <D2 phi : A, mu_s> of the K steps, shape
+    (K, F); and for eps > 0 their channel pairings <grad phi . G_p, mu_s>,
+    shape (K, F, P) (None at eps = 0).  The snapshots go in chunks of about
+    ``_CHUNK_POINTS`` points: one stacked panel jet on a chunk's points and one
+    ``coeffs.weak_pairings`` call, so each point's jet runs once.  The
+    pairings at the last snapshot are not used.
     """
-    mu = (X, omega)
-    values, grads, *hess = stack_panel(phis, X, 2 if eps > 0.0 else 1)
-    drift = pair_panel(grads, omega[:, None] * coeffs.drift(X, mu))
-    if eps == 0.0:
-        return values @ omega, drift, None
-    G = coeffs.noise_matrix(X, mu)                                 # (N, P, d)
-    scaled = G * np.sqrt(coeffs.channel_weights)[None, :, None]
-    A = np.matmul(scaled.transpose(0, 2, 1), scaled)              # (N, d, d)
-    drift = drift + 0.5 * eps * pair_panel(hess[0], omega[:, None, None] * A)
-    channels = np.tensordot(grads, omega[:, None, None] * G, axes=([1, 2], [0, 2]))
-    return values @ omega, drift, channels
+    n_snapshots, n, d = positions.shape
+    F, length = len(phis), chunk_length(n)
+    values, drift, channels = [], [], []
+    for lo in range(0, n_snapshots, length):
+        X = positions[lo:lo + length]
+        S = X.shape[0]
+        v, grads, *hess = stack_panel(phis, X.reshape(-1, d), 2 if eps > 0.0 else 1)
+        hess = hess[0].reshape(F, S, n, d, d) if hess else None
+        dr, ch, ito = coeffs.weak_pairings(X, omega, grads.reshape(F, S, n, d), hess)
+        # a pairwise sum along each row: accurate, and one order for every
+        # snapshot, so the constant's value is the same float at each
+        values.append((v.reshape(F, S, n) * omega).sum(-1).T)
+        drift.append(dr if ito is None else dr + 0.5 * eps * ito)
+        channels.append(ch)
+    drift = np.concatenate(drift)[:-1]
+    channels = np.concatenate(channels)[:-1] if eps > 0.0 else None
+    return np.concatenate(values), drift, channels
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +252,8 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
              - sum_s [ <grad phi . V(., mu_s), mu_s> + (eps/2) <D2 phi : A(., mu_s), mu_s> ] dt
              - sqrt(eps) sum_s sum_p <grad phi . G(., mu_s, theta_p), mu_s> sqrt(w_p) dB_p.
 
-    ``eps`` must be the noise scale the trajectory was run at.  Each member's
-    jet runs once per snapshot: <phi, mu_0> comes with step 0's derivatives.
+    ``eps`` must be the noise scale the trajectory was run at.  The pairings
+    of every step come from ``_pairings``, chunk by chunk of snapshots.
     """
     if not traj.is_full_resolution:
         raise ValueError("weak residual needs a full-resolution trajectory")
@@ -222,19 +262,13 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
     if eps > 0.0:
         if noise is None or traj.noise_meta != noise.meta:
             raise ValueError("noise does not match the trajectory provenance")
-    phis = list(panel)
-    omega = traj.weights
-    sqrt_w = np.sqrt(coeffs.channel_weights)
-    integral = np.zeros(len(phis))
-    # <phi, mu_T>; <phi, mu_0> comes with step 0, or is <phi, mu_T> on a run of no steps
-    end = start = stack_panel(phis, traj.positions[-1], 0)[0] @ omega
-    for s in range(traj.n_snapshots - 1):
-        values, drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
-        start = values if s == 0 else start
-        integral += drift * traj.dt
-        if channels is not None:
-            integral += np.sqrt(eps) * (channels @ (sqrt_w * noise.increments[s]))
-    res = end - start - integral
+    phis = check_panel(panel)
+    values, drift, channels = _pairings(coeffs, traj.positions, traj.weights, eps, phis)
+    integral = drift.sum(0) * traj.dt
+    if channels is not None:
+        dB = np.sqrt(coeffs.channel_weights) * noise.increments[:len(drift)]
+        integral += np.sqrt(eps) * np.einsum("sfp,sp->f", channels, dB)
+    res = values[-1] - values[0] - integral
     return {phi.name: float(r) for phi, r in zip(phis, res)}
 
 
@@ -256,33 +290,25 @@ def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
 
     realized:  sum over steps of (Delta<phi, mu> - drift dt)^2
     predicted: eps * sum over steps of sum_p w_p <grad phi . G(., mu_s, theta_p), mu_s>^2 dt
-    (the channel form of the double integral against Atilde).
+    (the channel form of the double integral against Atilde).  The window
+    (the whole run by default) must hold a step.
     """
     if not traj.is_full_resolution:
         raise ValueError("qv check needs a full-resolution trajectory")
-    phis = list(panel)
-    eps = traj.eps
-    omega = traj.weights
+    phis = check_panel(panel)
     dt = traj.dt
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
-    steps = [s for s in range(traj.n_snapshots - 1)
-             if lo - 1e-12 <= traj.times[s] <= hi - dt + 1e-12]
-    if window is not None and not steps:
+    starts = traj.times[:-1]
+    steps = np.flatnonzero((lo - 1e-12 <= starts) & (starts <= hi - dt + 1e-12))
+    if not steps.size:
         raise ValueError(f"window must be an interval holding a step of the run on "
                          f"[{traj.times[0]:g}, {traj.times[-1]:g}] (got {window!r})")
+    values, drift, channels = _pairings(coeffs, traj.positions[steps[0]:steps[-1] + 2],
+                                        traj.weights, traj.eps, phis)
+    realized = ((np.diff(values, axis=0) - drift * dt) ** 2).sum(0)
     predicted = np.zeros(len(phis))
-    values, drifts = [], []
-    for s in steps:
-        v, drift, channels = _step_pairings(coeffs, traj.positions[s], omega, eps, phis)
-        values.append(v)
-        drifts.append(drift)
-        if channels is not None:
-            predicted += eps * (channels**2 @ coeffs.channel_weights) * dt
-    if steps:
-        values.append(stack_panel(phis, traj.positions[steps[-1] + 1], 0)[0] @ omega)
-    realized = np.zeros(len(phis))
-    for before, after, drift in zip(values, values[1:], drifts):
-        realized += (after - before - drift * dt) ** 2
+    if channels is not None:
+        predicted = traj.eps * ((channels**2 @ coeffs.channel_weights).sum(0) * dt)
     return {phi.name: (float(r), float(p)) for phi, r, p in zip(phis, realized, predicted)}
 
 

@@ -579,12 +579,14 @@ def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
 
 def write_trajectory(traj: Trajectory, path):
     """Columnar text: step, time, particle id, coordinates (and the tangent
-    columns of a tangent solve).  The noise is referenced by metadata only."""
+    columns of a tangent solve).  The noise is referenced by metadata only:
+    the seed, dt, step count and channel count that rebuild its NoisePath."""
     tangents = traj.tangents
     with open(path, "w", encoding="utf-8") as fh:
         if traj.noise_meta is not None:
             m = traj.noise_meta
-            fh.write(f"# noise seed={m['seed']} dt={m['dt']:.17g} steps={m['n_steps']}\n")
+            fh.write(f"# noise seed={m['seed']} dt={m['dt']:.17g} steps={m['n_steps']} "
+                     f"channels={m['n_channels']}\n")
         fh.write("# columns: step time pid x1..xd" + (" y1..yd" if tangents is not None else "") + "\n")
         for s in range(traj.n_snapshots):
             step = int(round(traj.times[s] / traj.dt))

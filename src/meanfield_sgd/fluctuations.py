@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, Trajectory,
                        _check_finite, _integrate, _noise_rows)
-from .diagnostics import pair_panel, stack_panel
+from .diagnostics import check_panel, pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
 from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
 
@@ -222,7 +222,7 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
         raise ValueError("noise does not match the trajectory provenance")
     n_steps = tangent_traj.n_snapshots - 1
     dt = tangent_traj.dt
-    phis = list(panel)
+    phis = check_panel(panel)
     base, tangents = tangent_traj.positions, tangent_traj.tangents
 
     # boundary terms of the weak identity, <phi, eta_s> = sum_i grad phi(x_i) . y_i

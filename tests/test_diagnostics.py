@@ -9,6 +9,7 @@ import pytest
 from meanfield_sgd.coefficients import SyntheticCoefficients
 from meanfield_sgd.diagnostics import (
     BudgetExceeded,
+    chunk_length,
     f_n_functional,
     gaussian_bump,
     min_pairwise_distance,
@@ -85,13 +86,13 @@ def full_run(eps, seed=0, n=30, dt=0.01, horizon=0.3, coeffs=REF_COEFFS):
 
 
 def counting_panel(d):
-    """standard_panel(d) with each member's jet calls recorded (by order)."""
+    """standard_panel(d) with the points of each member's jet calls recorded."""
     panel, calls = [], {}
     for phi in standard_panel(d):
         calls[phi.name] = record = []
 
         def jet(X, order, base=phi.jet, record=record):
-            record.append(order)
+            record.append(X.copy())
             return base(X, order)
 
         panel.append(dataclasses.replace(phi, jet=jet))
@@ -99,24 +100,30 @@ def counting_panel(d):
 
 
 class TestJetCalls:
-    """One jet per panel member per point set: the value at a snapshot comes
-    with the derivatives of the step that starts there."""
+    """Each panel member's jet runs once per chunk of snapshots and sees every
+    point once: the value at a snapshot comes with the derivatives of the
+    step that starts there.  At N = 500 a chunk holds 8 snapshots."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_weak_residual_runs_each_jet_once_per_snapshot(self, eps):
-        traj, noise = full_run(eps, seed=5)
+    def test_weak_residual_evaluates_each_snapshot_once(self, eps):
+        traj, noise = full_run(eps, seed=5, n=500)
         panel, calls = counting_panel(2)
         smfe_weak_residual_panel(traj, noise if eps > 0 else None, REF_COEFFS, eps, panel)
-        assert traj.n_snapshots == 31
-        assert {name: len(c) for name, c in calls.items()} == {p.name: 31 for p in panel}
+        # 31 snapshots: 3 chunks of 8 and a remainder of 7
+        assert traj.n_snapshots == 31 and chunk_length(500) == 8
+        for points in calls.values():
+            assert len(points) == 4
+            np.testing.assert_array_equal(np.concatenate(points), traj.positions.reshape(-1, 2))
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_qv_runs_each_jet_once_per_window_point(self, eps):
-        traj, _ = full_run(eps, seed=6)
+    def test_qv_evaluates_each_window_point_once(self, eps):
+        traj, _ = full_run(eps, seed=6, n=500)
         panel, calls = counting_panel(2)
         qv_check_panel(traj, REF_COEFFS, panel, window=(0.1, 0.25))
-        # 15 steps, from t = 0.10 to t = 0.24, and the snapshot at t = 0.25
-        assert {name: len(c) for name, c in calls.items()} == {p.name: 16 for p in panel}
+        # 15 steps, from t = 0.10 to t = 0.24, and the snapshot at t = 0.25: 2 chunks
+        for points in calls.values():
+            assert len(points) == 2
+            np.testing.assert_array_equal(np.concatenate(points), traj.positions[10:26].reshape(-1, 2))
 
     def test_linear_residual_runs_each_jet_once_per_snapshot(self):
         """<phi, eta_0> comes with step 0's jet: 31 calls on a 30-step tangent run."""
@@ -134,6 +141,16 @@ class TestWeakResidual:
         traj, noise = full_run(0.05)
         phi = [p for p in standard_panel(2) if p.name == "const"][0]
         assert smfe_weak_residual(traj, noise, REF_COEFFS, 0.05, phi) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_run_of_no_step_has_zero_residual(self, eps):
+        initial = sample_initial(REF_SPEC, 10, 4)
+        noise = NoisePath(4, 0.01, 5, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.0, eps=eps, snapshot_stride=1)
+        traj = simulate(initial, REF_COEFFS, cfg, noise if eps > 0 else None)
+        panel = standard_panel(2)
+        res = smfe_weak_residual_panel(traj, noise if eps > 0 else None, REF_COEFFS, eps, panel)
+        assert res == {phi.name: 0.0 for phi in panel}
 
     def test_constant_drift_linear_phi_exact(self):
         """eps=0, linear phi, constant Vbar: Euler is exact, residual 0."""
@@ -221,6 +238,53 @@ class TestQvCheck:
         r_b, p_b = qv_check(traj, REF_COEFFS, phi, window=(0.15, 0.3))
         assert r_a + r_b == pytest.approx(r_full, rel=1e-12)
         assert p_a + p_b == pytest.approx(p_full, rel=1e-12)
+
+
+class TestBoundary:
+    """A panel, a window or a test function that cannot give a result is
+    refused with an error that names it."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        traj, noise = full_run(0.05, seed=8, n=10, horizon=0.05)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.05, snapshot_stride=1)
+        tangent = solve_tangent(sample_initial(REF_SPEC, 10, 8).positions, REF_COEFFS, cfg, noise)
+        return traj, noise, tangent
+
+    def checks(self, runs):
+        traj, noise, tangent = runs
+        return [
+            lambda panel: smfe_weak_residual_panel(traj, noise, REF_COEFFS, 0.05, panel),
+            lambda panel: qv_check_panel(traj, REF_COEFFS, panel),
+            lambda panel: weak_residual_linear(tangent, REF_COEFFS, noise, panel),
+        ]
+
+    def test_empty_panel_rejected(self, runs):
+        for check in self.checks(runs):
+            with pytest.raises(ValueError, match="panel"):
+                check([])
+
+    def test_repeated_name_rejected(self, runs):
+        """Two members named alike would leave one residual in the result."""
+        twice = standard_panel(2) + [gaussian_bump([1.0, 0.0], 0.5, name="bump0")]
+        for check in self.checks(runs):
+            with pytest.raises(ValueError, match="panel"):
+                check(twice)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_qv_on_a_run_of_no_step_rejected(self, eps):
+        initial = sample_initial(REF_SPEC, 10, 9)
+        noise = NoisePath(9, 0.01, 5, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.0, eps=eps, snapshot_stride=1)
+        traj = simulate(initial, REF_COEFFS, cfg, noise if eps > 0 else None)
+        assert traj.n_snapshots == 1
+        with pytest.raises(ValueError, match="window"):
+            qv_check(traj, REF_COEFFS, gaussian_bump([0.0, 0.0], 1.0))
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bump_width_must_be_positive_and_finite(self, width):
+        with pytest.raises(ValueError, match="width"):
+            gaussian_bump([0.0, 0.0], width)
 
 
 class TestAtomicFunctional:

@@ -6,25 +6,34 @@ The oracles are the previous implementation, kept verbatim in substance:
 step and every test function, its gradient and Hessian and three einsums over
 the (N, P, d) noise matrix (the Ito term through the (N, P, d) product
 D2 phi G_p); ``oracle_weak_residual_linear`` does the same per test function
-for the linear fluctuation equation.  The new path stacks the panel and pairs
-it once per step, the Ito term against A = sum_p w_p G_p G_p^T, so the two
-agree up to floating-point reassociation.
+for the linear fluctuation equation.  The weak residual and the QV check now
+evaluate the stacked panel once per chunk of snapshots and pair it through
+``weak_pairings``: for a network, on the (S, N, P) rows of one activation jet,
+the channels as r_p <grad phi . grad Phi_p, mu> minus the drift pairing and
+the Ito term against A = sum_p w_p r_p^2 grad Phi_p grad Phi_p^T - V V^T.  The
+two paths agree up to floating-point reassociation.
 
 Tolerance: rtol 1e-9 with an absolute floor of 1e-15.  A weak residual is
 the small remainder of sums of O(1) terms (the coordinate residuals are pure
 cancellation, around 1e-17), so it is compared with an absolute floor.
-Measured over the cases below and three seeds each: weak residuals differ by
-at most 2.2e-16 absolute (2.3e-9 relative over |R| > 1e-12), QV by 3.5e-11
-relative, linear residuals by 8.1e-17 absolute (1.1e-11 relative).  Dropping
-the 1/2 eps factor of the Ito term or a sqrt(w_p) weight fails these checks.
+Measured over the fixed cases below (the 40-step runs at eps 0 and 0.05 and
+the chunked 28-step run at N = 500) and three seeds each: weak residuals
+differ by at most 3.3e-16 absolute (2.2e-9 relative over |R| > 1e-12), QV by
+3.7e-10 relative over values above the floor, linear residuals by 8.1e-17
+absolute (1.1e-11 relative).  Over 300 draws of the random-network property
+the largest deviation used 0.24 of the tolerance.  Dropping the 1/2 eps
+factor of the Ito term or a sqrt(w_p) weight fails these checks.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paper_forms as pf
-from meanfield_sgd.coefficients import Dataset, NetworkCoefficients, SyntheticCoefficients
+from meanfield_sgd.coefficients import ACTIVATIONS, Dataset, NetworkCoefficients, SyntheticCoefficients
 from meanfield_sgd.diagnostics import (
+    chunk_length,
     gaussian_bump,
     qv_check,
     qv_check_panel,
@@ -254,6 +263,51 @@ class TestQvOracle:
         traj, _ = run(coeffs, 0.0, seed=4)
         for realized, predicted in qv_check_panel(traj, coeffs, standard_panel(2)).values():
             assert predicted == 0.0
+
+
+class TestChunkedPairings:
+    """The pairings run chunk by chunk of snapshots; runs that span several
+    chunks and a remainder match the per-step oracles."""
+
+    @instances
+    def test_run_of_three_chunks_and_a_remainder(self, make):
+        coeffs = make()
+        n, steps = 500, 28
+        assert chunk_length(n) == 8        # 29 snapshots: 3 chunks of 8 and 5
+        panel = standard_panel(coeffs.dim)
+        traj, noise = run(coeffs, 0.05, seed=6, n=n, steps=steps)
+        assert_matches(smfe_weak_residual_panel(traj, noise, coeffs, 0.05, panel),
+                       oracle_weak_residual_panel(traj, noise, coeffs, 0.05, panel))
+        got = qv_check_panel(traj, coeffs, panel)
+        for phi in panel:
+            assert got[phi.name] == pytest.approx(oracle_qv_check(traj, coeffs, phi),
+                                                  rel=RTOL, abs=ATOL), phi.name
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_atoms=st.integers(1, 7), input_dim=st.integers(1, 2),
+           activation=st.sampled_from(["tanh", "sigmoid", "smoothed-relu"]),
+           n=st.integers(150, 600), steps=st.integers(0, 30), eps=st.sampled_from([0.0, 0.05]))
+    def test_random_networks_match_the_oracles(self, seed, n_atoms, input_dim, activation,
+                                               n, steps, eps):
+        """Random data measures (unequal weights), dimensions, activations,
+        particle counts and run lengths, at the file's tolerance."""
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.5, 1.5, size=n_atoms)
+        data = Dataset(rng.normal(size=(n_atoms, input_dim)), w / w.sum(), rng.normal(size=n_atoms))
+        coeffs = NetworkCoefficients(data, ACTIVATIONS[activation])
+        initial = ParticleEnsemble.uniform(rng.uniform(-1.0, 1.0, size=(n, coeffs.dim)))
+        noise = NoisePath(seed, 0.01, steps, n_atoms)
+        cfg = IntegratorConfig(dt=0.01, horizon=steps * 0.01, eps=eps, snapshot_stride=1)
+        traj = simulate(initial, coeffs, cfg, noise if eps > 0 else None)
+        noise = noise if eps > 0 else None
+        panel = standard_panel(coeffs.dim)
+        assert_matches(smfe_weak_residual_panel(traj, noise, coeffs, eps, panel),
+                       oracle_weak_residual_panel(traj, noise, coeffs, eps, panel))
+        if steps:
+            got = qv_check_panel(traj, coeffs, panel)
+            for phi in panel:
+                assert got[phi.name] == pytest.approx(oracle_qv_check(traj, coeffs, phi),
+                                                      rel=RTOL, abs=ATOL), phi.name
 
 
 class TestWeakResidualLinearOracle:

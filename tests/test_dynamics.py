@@ -706,7 +706,8 @@ def read_trajectory(path):
     header = None
     if lines[0].startswith("# noise "):
         tags = dict(part.split("=") for part in lines.pop(0).split()[2:])
-        header = {"seed": int(tags["seed"]), "dt": float(tags["dt"]), "n_steps": int(tags["steps"])}
+        header = {"seed": int(tags["seed"]), "dt": float(tags["dt"]), "n_steps": int(tags["steps"]),
+                  "n_channels": int(tags["channels"])}
     columns = lines.pop(0)
     rows = [line.split() for line in lines]
     n = 1 + max(int(row[2]) for row in rows)
@@ -727,7 +728,7 @@ class TestTrajectorySerialization:
     def test_round_trip(self, tmp_path_factory, data, shape, stride, with_noise, with_tangents):
         """Positions and tangents come back bit for bit from %.17g; the tangent
         columns appear exactly when tangents are set; the noise header is the
-        path's (seed, dt, n_steps)."""
+        path's meta, all four fields."""
         finite = st.floats(allow_nan=False, allow_infinity=False)
         n_snap, n, d = shape
         dt = 0.01
@@ -746,7 +747,7 @@ class TestTrajectorySerialization:
         assert (tangents is None) == (traj.tangents is None)
         if with_tangents:
             np.testing.assert_array_equal(tangents, traj.tangents)
-        assert header == ({k: noise.meta[k] for k in ("seed", "dt", "n_steps")} if with_noise else None)
+        assert header == (noise.meta if with_noise else None)
 
     def test_columnar_text_with_noise_metadata(self, tmp_path):
         initial = sample_initial(REF_SPEC, 4, 1)
@@ -756,7 +757,7 @@ class TestTrajectorySerialization:
         path = tmp_path / "traj.txt"
         write_trajectory(traj, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "# noise seed=1 dt=0.01 steps=10"
+        assert lines[0] == f"# noise seed=1 dt=0.01 steps=10 channels={REF_COEFFS.n_channels}"
         assert lines[1].startswith("# columns: step time pid x1..xd")
         data = [l.split() for l in lines[2:]]
         assert len(data) == traj.n_snapshots * 4
