@@ -24,6 +24,8 @@ from .diagnostics import (
 )
 from .dynamics import run_sgd, sample_initial, write_trajectory
 from .harness import (
+    SLOPE_LEVEL,
+    TREND_LEVEL,
     ExperimentConfig,
     Replica,
     ResultTable,
@@ -89,7 +91,7 @@ def _run_table(runner, label: str, cfg: ExperimentConfig, out: str) -> ResultTab
         if "slope" in entry:
             ci = ""
             if entry.get("ci_low") is not None:
-                ci = f" (95% CI [{entry['ci_low']:.3f}, {entry['ci_high']:.3f}])"
+                ci = f" ({SLOPE_LEVEL:.0%} CI [{entry['ci_low']:.3f}, {entry['ci_high']:.3f}])"
             print(f"{label}: {entry.get('metric', 'slope')} = {entry['slope']:.3f}{ci}")
     print(f"{label}: wrote results.csv, summary.csv, run-meta.json")
     return table
@@ -100,7 +102,7 @@ def _cmd_sgd_compare(cfg: ExperimentConfig, out: str):
     ok, intervals = sgd_trend_gate(table, "bump0", [int(m) for m in cfg.m_grid])
     print(f"sgd-compare: sqrt(M) g(M) non-increasing within CI: {ok}")
     for (inc, lo, hi) in intervals:
-        print(f"  increment {inc:+.4g}, 90% CI [{lo:+.4g}, {hi:+.4g}]")
+        print(f"  increment {inc:+.4g}, {TREND_LEVEL:.0%} CI [{lo:+.4g}, {hi:+.4g}]")
 
 
 def _cmd_diagnose(cfg: ExperimentConfig, out: str):

@@ -146,17 +146,12 @@ def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) 
     return TestFunction(name or f"{phase}({','.join(f'{x:g}' for x in k)})", jet)
 
 
-def standard_panel(d: int, include_unbounded: bool = True) -> list[TestFunction]:
+def standard_panel(d: int) -> list[TestFunction]:
     """Constant, coordinates, one quadratic, two bumps and two waves."""
-    panel = [_constant(d)]
-    if include_unbounded:
-        panel.extend(_coordinate(k, d) for k in range(d))
-        panel.append(_product(0, min(1, d - 1), d))
-    panel.append(gaussian_bump(np.zeros(d), 1.0, name="bump0"))
-    panel.append(gaussian_bump(np.full(d, 0.5), 0.75, name="bump1"))
-    panel.append(trig_wave([1] * d, "sin"))
-    panel.append(trig_wave([2] + [1] * (d - 1), "cos"))
-    return panel
+    return [_constant(d), *(_coordinate(k, d) for k in range(d)), _product(0, min(1, d - 1), d),
+            gaussian_bump(np.zeros(d), 1.0, name="bump0"),
+            gaussian_bump(np.full(d, 0.5), 0.75, name="bump1"),
+            trig_wave([1] * d, "sin"), trig_wave([2] + [1] * (d - 1), "cos")]
 
 
 # --------------------------------------------------------------------------

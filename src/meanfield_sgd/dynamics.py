@@ -55,11 +55,26 @@ def _check_integer(name: str, value, low: int):
         raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
 
 
-def seeded_rng(seed: int, tag: str = "") -> np.random.Generator:
-    """Deterministic generator for (seed, role); stable across platforms."""
-    if tag:
-        return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(tag.encode()))))
-    return np.random.default_rng(np.random.SeedSequence(seed))
+def _check_box(low, high, names: tuple = ("low", "high")):
+    """ValueError naming the bound at fault unless [low, high] is a box:
+    non-empty finite vectors of one length with low <= high in every
+    coordinate (low == high is a point mass there)."""
+    bounds = []
+    for name, value in zip(names, (low, high)):
+        try:
+            bounds.append(np.asarray(value, dtype=float))
+        except (TypeError, ValueError):
+            bounds.append(np.empty(0))
+        if not (bounds[-1].ndim == 1 and bounds[-1].size and np.all(np.isfinite(bounds[-1]))):
+            raise ValueError(f"{name} must be a non-empty sequence of finite numbers (got {value!r})")
+    if bounds[1].size != bounds[0].size or np.any(bounds[0] > bounds[1]):
+        raise ValueError(f"{names[1]} must be as long as {names[0]} and >= it in every coordinate "
+                         f"(got {names[0]}={low!r}, {names[1]}={high!r})")
+
+
+def seeded_rng(seed: int, tag: str) -> np.random.Generator:
+    """Deterministic generator for (seed, role ``tag``); stable across platforms."""
+    return np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(tag.encode()))))
 
 
 class NoisePath:
@@ -120,12 +135,12 @@ class ParticleEnsemble:
             raise ValueError("one weight per particle required")
 
     @classmethod
-    def uniform(cls, positions: np.ndarray, time: float = 0.0) -> "ParticleEnsemble":
+    def uniform(cls, positions: np.ndarray) -> "ParticleEnsemble":
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         if positions.size == 0:
             raise ValueError(f"positions must be at least one point (got shape {positions.shape})")
         n = positions.shape[0]
-        return cls(positions, np.full(n, 1.0 / n), time)
+        return cls(positions, np.full(n, 1.0 / n))
 
     @property
     def n_particles(self) -> int:
@@ -523,53 +538,23 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
 
 @dataclass(frozen=True)
 class InitialSpec:
-    """Initial law: uniform box or box-truncated Gaussian."""
+    """Initial law: the uniform law on the box [low, high], checked when built."""
 
-    kind: str                      # "uniform" | "gaussian"
-    low: Sequence[float] | None = None
-    high: Sequence[float] | None = None
-    mean: Sequence[float] | None = None
-    cov: Sequence[Sequence[float]] | float | None = None
-    box: float | None = None       # half-width of the truncation box
+    low: Sequence[float]
+    high: Sequence[float]
 
-
-# the truncated Gaussian draws at most this many batches of n before giving up
-_MAX_REJECTION_BATCHES = 1000
+    def __post_init__(self):
+        _check_box(self.low, self.high)
 
 
 def sample_initial(spec: InitialSpec, n: int, seed: int) -> ParticleEnsemble:
     """N i.i.d. draws with uniform weights, deterministic per seed (an
     ensemble on given atoms is ``ParticleEnsemble.uniform(atoms)``)."""
     _check_integer("n", n, 1)
-    rng = seeded_rng(seed, "initial")
-    if spec.kind == "uniform":
-        lo = np.asarray(spec.low, dtype=float)
-        hi = np.asarray(spec.high, dtype=float)
-        pts = rng.uniform(lo, hi, size=(n, lo.size))
-        return ParticleEnsemble.uniform(pts)
-    if spec.kind == "gaussian":
-        mean = np.asarray(spec.mean, dtype=float)
-        d = mean.size
-        cov = spec.cov
-        cov = np.eye(d) * float(cov) if np.isscalar(cov) else np.asarray(cov, dtype=float)
-        box = spec.box if spec.box is not None else np.inf
-        pts = np.empty((n, d))
-        filled = 0
-        for _ in range(_MAX_REJECTION_BATCHES):
-            if filled == n:
-                break
-            draw = rng.multivariate_normal(mean, cov, size=n)
-            keep = draw[np.all(np.abs(draw) < box, axis=1)]
-            take = min(n - filled, keep.shape[0])
-            pts[filled : filled + take] = keep[:take]
-            filled += take
-        if filled < n:
-            raise ValueError(
-                f"box must keep enough of the gaussian mass: box={spec.box!r} kept {filled} of "
-                f"{_MAX_REJECTION_BATCHES * n} draws, short of n={n}"
-            )
-        return ParticleEnsemble.uniform(pts)
-    raise ValueError(f"unknown initial spec kind {spec.kind!r}")
+    lo = np.asarray(spec.low, dtype=float)
+    hi = np.asarray(spec.high, dtype=float)
+    pts = seeded_rng(seed, "initial").uniform(lo, hi, size=(n, lo.size))
+    return ParticleEnsemble.uniform(pts)
 
 
 # --------------------------------------------------------------------------

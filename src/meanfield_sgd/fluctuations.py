@@ -82,20 +82,17 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
 
 
 def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
-                  noise: NoisePath, initial_tangents: np.ndarray | None = None) -> Trajectory:
-    """Integrate the tangent system from zero (or given) initial tangents: the
-    transport run from ``initial_base``, bit for bit, with its ``tangents``."""
+                  noise: NoisePath) -> Trajectory:
+    """Integrate the tangent system from rest (the zero initial fluctuation of
+    coupled runs on the same atoms): the transport run from ``initial_base``,
+    bit for bit, with its ``tangents``; the one-run
+    ``simulate_coupled([0.0], tangent=True)``."""
     rows = _noise_rows(noise, cfg, coeffs)
-    tens = (
-        TangentEnsemble.at_rest(initial_base)
-        if initial_tangents is None
-        else TangentEnsemble(np.array(initial_base, dtype=float), np.array(initial_tangents, dtype=float))
-    )
     # a diverging run raises SimulationError at its first non-finite base
     # point or tangent, as in simulate
     with np.errstate(over="ignore", invalid="ignore"):
         base, tangents, times = _integrate(
-            tens, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
+            TangentEnsemble.at_rest(initial_base), lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
             cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
     n = base.shape[1]
     return Trajectory(times=times, positions=base, weights=np.full(n, 1.0 / n), dt=cfg.dt, eps=0.0,

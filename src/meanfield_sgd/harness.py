@@ -35,6 +35,7 @@ from .dynamics import (
     NoisePath,
     SimulationError,
     Trajectory,
+    _check_box,
     _check_integer,
     _record_indices,
     run_sgd,
@@ -74,6 +75,15 @@ __all__ = [
 
 _BOUNDED_ACTIVATIONS = tuple(name for name, act in ACTIVATIONS.items() if not act.unbounded_derivative)
 _SYNTHETIC_PARAMS = ("kappa", "gamma", "g_amp", "g_freq")
+# fixed statistics: the bootstrap resamples, seed and interval level of
+# fit_slope and of the sgd-compare trend gate, and the particle-rate noise scale
+_SLOPE_BOOT, _SLOPE_SEED, SLOPE_LEVEL = 400, 0, 0.95
+_TREND_BOOT, _TREND_SEED, TREND_LEVEL = 500, 7, 0.9
+_PARTICLE_RATE_EPS = 0.05
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -113,17 +123,19 @@ class ExperimentConfig:
                               ("activation", _BOUNDED_ACTIVATIONS), ("mu0_kind", ("uniform",))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {list(allowed)} (got {getattr(self, name)!r})")
-        for key in dict(self.synthetic_params):
-            if key not in _SYNTHETIC_PARAMS:
-                raise ValueError(f"synthetic_params must be named from {list(_SYNTHETIC_PARAMS)} "
-                                 f"(got {key!r})")
+        params = self.synthetic_params
+        if not (isinstance(params, (tuple, list))
+                and all(isinstance(kv, (tuple, list)) and len(kv) == 2 and kv[0] in _SYNTHETIC_PARAMS
+                        and _is_number(kv[1]) for kv in params)
+                and len({kv[0] for kv in params}) == len(params)):
+            raise ValueError(f"synthetic_params must be (name, number) pairs with distinct names "
+                             f"from {list(_SYNTHETIC_PARAMS)} (got {params!r})")
         if self.instance == "network" and not (self.dataset_rows or self.dataset_file):
             raise ValueError("dataset_rows must be non-empty, or dataset_file given, "
                              "for a network instance")
         for name in ("eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
             grid = getattr(self, name)
-            if not (isinstance(grid, (tuple, list))
-                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in grid)):
+            if not (isinstance(grid, (tuple, list)) and all(map(_is_number, grid))):
                 raise ValueError(f"{name} must be a sequence of numbers (got {grid!r})")
         if not all(float(m).is_integer() for m in self.m_grid):
             raise ValueError(f"m_grid must be whole particle counts (got {self.m_grid!r})")
@@ -134,20 +146,18 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite (got {value!r})")
-        shapes = {np.shape(row) for row in self.dataset_rows}
-        if len(shapes) > 1 or any(len(shape) != 1 or shape[0] < 3 for shape in shapes):
+        rows = self.dataset_rows
+        if not (isinstance(rows, (tuple, list))
+                and all(isinstance(row, (tuple, list)) and all(map(_is_number, row)) for row in rows)):
+            raise ValueError(f"dataset_rows must be a sequence of rows of numbers (got {rows!r})")
+        lengths = {len(row) for row in rows}
+        if len(lengths) > 1 or min(lengths, default=3) < 3:
             raise ValueError("dataset_rows must be rows of one length >= 3: theta.., weight, label")
-        low, high = np.asarray(self.mu0_low, dtype=float), np.asarray(self.mu0_high, dtype=float)
-        if low.size == 0 or not np.all(np.isfinite(low)):
-            raise ValueError(f"mu0_low must be non-empty and finite (got {self.mu0_low!r})")
-        if high.size != low.size or not np.all(np.isfinite(high)):
-            raise ValueError(f"mu0_high must be finite and as long as mu0_low (got {self.mu0_high!r})")
+        _check_box(self.mu0_low, self.mu0_high, ("mu0_low", "mu0_high"))
         # the parameter dimension, where the config fixes it; a dataset_file
         # fixes it when build_coefficients reads the file
         if self.instance == "synthetic-1d" or not self.dataset_file:
-            self.check_box_dimension(1 if self.instance == "synthetic-1d" else shapes.pop()[0] - 1)
-        if np.any(low > high):
-            raise ValueError(f"mu0_high must be >= mu0_low in every coordinate (got {self.mu0_high!r})")
+            self.check_box_dimension(1 if self.instance == "synthetic-1d" else lengths.pop() - 1)
 
     def check_box_dimension(self, dim: int):
         """ValueError naming mu0_low unless the initial box is ``dim``-dimensional."""
@@ -165,11 +175,12 @@ class ExperimentConfig:
             raise ValueError(f"config must be a JSON object (got {type(data).__name__})")
         for key in sorted(set(data) - {f.name for f in fields(cls)}):
             raise ValueError(f"{key} must be an ExperimentConfig field")
-        for key in ("dataset_rows", "eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
-            if key in data and data[key] is not None:
+        # JSON arrays become the tuples the fields hold; any other value is
+        # left for the field's own check
+        for key in ("dataset_rows", "synthetic_params", "eps_grid", "m_grid", "alpha_grid",
+                    "mu0_low", "mu0_high"):
+            if isinstance(data.get(key), list):
                 data[key] = tuple(tuple(v) if isinstance(v, list) else v for v in data[key])
-        if "synthetic_params" in data:
-            data["synthetic_params"] = tuple(tuple(kv) for kv in data["synthetic_params"])
         return cls(**data)
 
     @classmethod
@@ -244,7 +255,7 @@ def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoeff
 
 
 def build_initial_spec(cfg: ExperimentConfig) -> InitialSpec:
-    return InitialSpec(kind=cfg.mu0_kind, low=cfg.mu0_low, high=cfg.mu0_high)
+    return InitialSpec(low=cfg.mu0_low, high=cfg.mu0_high)
 
 
 # --------------------------------------------------------------------------
@@ -304,8 +315,11 @@ class ResultTable:
         """(replicas, len(cells)) matrix of the distinct ``(metric, param)``
         cells, replicas in row (seed) order, from one pass over the rows.  A
         replica with a failed (nan) or absent cell is dropped with a warning;
-        a cell with no rows raises KeyError."""
+        a repeated cell raises ValueError and a cell with no rows KeyError."""
         column = {(metric, str(param)): k for k, (metric, param) in enumerate(cells)}
+        if len(column) < len(cells):
+            metric, param = next(c for k, c in enumerate(cells) if column[c[0], str(c[1])] != k)
+            raise ValueError(f"cells must be distinct (got {metric} at param {param} more than once)")
         seeds, where, values = {}, [], []
         for _, param, seed, metric, value in self.rows:
             k = column.get((metric, param))
@@ -370,8 +384,9 @@ class SlopeFit:
     ci_high: float | None = None
 
 
-def fit_slope(params: Sequence[float], values, n_boot: int = 400, seed: int = 0) -> SlopeFit:
-    """Ordinary least squares on log-log, bootstrap CI over replicas.
+def fit_slope(params: Sequence[float], values) -> SlopeFit:
+    """Ordinary least squares on log-log, bootstrap CI (level SLOPE_LEVEL)
+    over replicas.
 
     ``values`` is either a vector of per-parameter means or a (replicas,
     n_params) matrix; nonpositive means are excluded with a warning.
@@ -390,17 +405,17 @@ def fit_slope(params: Sequence[float], values, n_boot: int = 400, seed: int = 0)
     slope, intercept = np.polyfit(logx, np.log(means[mask]), 1)
     ci_low = ci_high = None
     if matrix.shape[0] > 1:
-        rng = seeded_rng(seed, "slope-bootstrap")
+        rng = seeded_rng(_SLOPE_SEED, "slope-bootstrap")
         n_rep = matrix.shape[0]
-        boot = np.full(n_boot, np.nan)
-        for b in range(n_boot):
+        boot = np.full(_SLOPE_BOOT, np.nan)
+        for b in range(_SLOPE_BOOT):
             bm = matrix[rng.integers(0, n_rep, size=n_rep)].mean(axis=0)
             ok = mask & (bm > 0)
             if ok.sum() >= 3:
                 boot[b] = np.polyfit(np.log(params[ok]), np.log(bm[ok]), 1)[0]
         boot = boot[np.isfinite(boot)]
         if boot.size:
-            ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
+            ci_low, ci_high = np.percentile(boot, [50 - 50 * SLOPE_LEVEL, 50 + 50 * SLOPE_LEVEL])
     return SlopeFit(float(slope), float(intercept), ci_low, ci_high)
 
 
@@ -659,7 +674,7 @@ def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
     return cells
 
 
-def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTable:
+def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("m_grid")
     if config.instance != "synthetic-1d":
         raise ValueError("the particle-rate experiment runs on the 1-d synthetic instance")
@@ -667,7 +682,7 @@ def exp_particle_rate(config: ExperimentConfig, eps: float = 0.05) -> ResultTabl
         raise ValueError(f"mu0_high must be > mu0_low: the initial law is compared with a "
                          f"uniform one (got mu0_low={config.mu0_low!r}, mu0_high={config.mu0_high!r})")
     n_ref = 20 * int(max(config.m_grid))
-    table = _run_replicas("particle-rate", partial(_particle_cells, float(eps), n_ref), config)
+    table = _run_replicas("particle-rate", partial(_particle_cells, _PARTICLE_RATE_EPS, n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
     static = table.matrix([("w2_sq_initial", m) for m in m_grid])
     fit = fit_slope(m_grid, static)
@@ -819,17 +834,19 @@ def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
-                   n_boot: int = 500, level: float = 0.9, seed: int = 7) -> tuple[bool, list]:
-    """Check sqrt(M) g(M) non-increasing across the grid within a bootstrap CI.
+def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int]) -> tuple[bool, list]:
+    """Check sqrt(M) g(M) non-increasing in M within a bootstrap CI.
 
-    For each adjacent pair the gate fails only when the bootstrap CI of the
-    increment sqrt(M2) g(M2) - sqrt(M1) g(M1) lies entirely above zero.  It
-    also fails when no replica ran at every M.  An unknown ``phi_name`` or an
-    M that is not in the table raises KeyError.
+    For each adjacent pair M1 < M2 of the grid, in ascending order, the gate
+    fails only when the bootstrap CI of the increment sqrt(M2) g(M2) -
+    sqrt(M1) g(M1) lies entirely above zero.  It also fails when no replica
+    ran at every M.  Fewer than two distinct M, or a repeated one, raise
+    ValueError; an unknown ``phi_name`` or an M not in the table KeyError.
     """
-    rng = seeded_rng(seed, "sgd-trend")
-    m_grid = [int(m) for m in m_grid]
+    m_grid = sorted(int(m) for m in m_grid)
+    if len(set(m_grid)) < 2:
+        raise ValueError(f"m_grid must hold at least two distinct M for a trend (got {m_grid})")
+    rng = seeded_rng(_TREND_SEED, "sgd-trend")
     series = _sgd_series(table, phi_name, m_grid)
     n_rep = series.shape[-1]
     if n_rep == 0:
@@ -841,8 +858,8 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int],
         return sqrt_m * np.abs(means[:, 0] - means[:, 1]).max(axis=-1)
 
     base = stat(np.arange(n_rep))
-    boots = np.array([stat(rng.integers(0, n_rep, size=n_rep)) for _ in range(n_boot)])
-    lo_q, hi_q = 100 * (1 - level) / 2, 100 * (1 + level) / 2
+    boots = np.array([stat(rng.integers(0, n_rep, size=n_rep)) for _ in range(_TREND_BOOT)])
+    lo_q, hi_q = 100 * (1 - TREND_LEVEL) / 2, 100 * (1 + TREND_LEVEL) / 2
     lo, hi = np.percentile(np.diff(boots, axis=1), [lo_q, hi_q], axis=0)
     return not np.any(lo > 0), [tuple(map(float, v)) for v in zip(np.diff(base), lo, hi)]
 
@@ -868,10 +885,9 @@ def _commute_cells(n_ref: int, rep: Replica) -> list:
     return cells
 
 
-def exp_commute(config: ExperimentConfig, n_ref: int | None = None) -> ResultTable:
+def exp_commute(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    if n_ref is None:
-        n_ref = 5 * int(max(config.m_grid))
+    n_ref = 5 * int(max(config.m_grid))
     table = _run_replicas("commute", partial(_commute_cells, n_ref), config)
     m_grid = [int(m) for m in config.m_grid]
     alphas = [float(a) for a in config.alpha_grid]

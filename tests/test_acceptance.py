@@ -201,7 +201,7 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
         return out
 
     coeffs = SyntheticCoefficients(dim=2, n_channels=4, g_batch=g_batch)
-    spec = InitialSpec(kind="uniform", low=[-1.0, -1.0], high=[1.0, 1.0])
+    spec = InitialSpec(low=[-1.0, -1.0], high=[1.0, 1.0])
     base = sample_initial(spec, 100, seed=555)
     dt, horizon = 2e-3, 0.5
     cfg = IntegratorConfig(dt=dt, horizon=horizon, snapshot_stride=int(horizon / dt))

@@ -28,7 +28,6 @@ from meanfield_sgd.dynamics import (
     picard_solve,
     run_sgd,
     sample_initial,
-    seeded_rng,
     simulate,
     simulate_coupled,
     simulate_transport,
@@ -427,6 +426,25 @@ class TestBoundaryValidation:
          "window"),
         (lambda: trig_wave([1, 0], "tan"), "phase"),
         (lambda: eta_eps(short_run(), short_run(0.0), nan), "eps"),
+        (lambda: ExperimentConfig.from_json('{"dataset_rows": [[0.5, 1.0, 0.3]], "eps_grid": 0.1}'),
+         "eps_grid"),
+        (lambda: ExperimentConfig.from_json('{"dataset_rows": 5}'), "dataset_rows"),
+        (lambda: ExperimentConfig.from_json('{"dataset_rows": [0.5, 1.0, 0.3]}'), "dataset_rows"),
+        (lambda: ExperimentConfig.from_json('{"instance": "synthetic-1d", "mu0_low": [-1], '
+                                            '"mu0_high": [1], "synthetic_params": null}'),
+         "synthetic_params"),
+        (lambda: ExperimentConfig.from_json('{"instance": "synthetic-1d", "mu0_low": [-1], '
+                                            '"mu0_high": [1], "synthetic_params": [["kappa"]]}'),
+         "synthetic_params"),
+        (lambda: ExperimentConfig.from_json('{"instance": "synthetic-1d", "mu0_low": [-1], '
+                                            '"mu0_high": [1], "synthetic_params": [["kappa", "x"]]}'),
+         "synthetic_params"),
+        (lambda: reference_config(synthetic_params=(("kappa", 0.5), ("kappa", 1.0))), "synthetic_params"),
+        (lambda: InitialSpec(low=[0.0, 0.0], high=[1.0]), "high"),
+        (lambda: InitialSpec(low=[nan, 0.0], high=[1.0, 1.0]), "low"),
+        (lambda: InitialSpec(low=None, high=[1.0, 1.0]), "low"),
+        (lambda: InitialSpec(low=[0.0, 0.0], high=[1.0, None]), "high"),
+        (lambda: InitialSpec(low=[0.0, 1.0], high=[1.0, 0.0]), "high"),
     ], ids=["negative-horizon", "nan-eps", "infinite-dt", "zero-particles", "empty-eps-grid",
             "empty-m-grid", "empty-alpha-grid", "config-not-an-object", "config-unknown-key", "config-json",
             "config-instance", "config-activation", "config-unbounded-activation",
@@ -448,7 +466,11 @@ class TestBoundaryValidation:
             "clt-low-sobolev-j", "particle-point-mass-box", "sgd-nan-alpha", "sgd-infinite-alpha",
             "sgd-zero-alpha", "sgd-fractional-batch", "sgd-zero-batch", "fractional-particles",
             "picard-zero-iterations", "picard-fractional-iterations", "picard-nan-tol",
-            "qv-window-after-run", "qv-reversed-window", "trig-unknown-phase", "eta-nan-eps"])
+            "qv-window-after-run", "qv-reversed-window", "trig-unknown-phase", "eta-nan-eps",
+            "json-scalar-eps-grid", "json-scalar-dataset-rows", "json-flat-dataset-rows",
+            "json-null-synthetic-params", "json-unpaired-synthetic-param",
+            "json-string-synthetic-param", "config-repeated-synthetic-param", "initial-short-high", "initial-nan-low", "initial-none-low",
+            "initial-none-high", "initial-inverted-box"])
     def test_bad_input_names_its_field(self, make, field, monkeypatch):
         """Each bad input is refused, naming its field, before any run is integrated."""
         runs = []
@@ -537,35 +559,6 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match=r"^eps must end in 0"):
             simulate_coupled(ini, REF_COEFFS, cfg, [0.0, 0.05], noise, tangent=True)
 
-    def test_box_without_mass_names_box(self):
-        """A box that keeps (almost) none of the Gaussian mass fails in bounded time."""
-        spec = InitialSpec(kind="gaussian", mean=[10, 10], cov=1.0, box=1.0)
-        with pytest.raises(ValueError, match=r"^box must"):
-            sample_initial(spec, 5, 0)
-
-    @pytest.mark.parametrize("spec", [
-        InitialSpec(kind="gaussian", mean=[0.0, 0.0], cov=4.0, box=1.5),
-        InitialSpec(kind="gaussian", mean=[1.0, -0.5], cov=[[1.0, 0.3], [0.3, 0.5]], box=1.0),
-        InitialSpec(kind="gaussian", mean=[0.0], cov=1.0),
-    ], ids=["wide-cov", "shifted", "no-box"])
-    def test_truncated_gaussian_stream_unchanged(self, spec):
-        """The bounded rejection loop draws the same batches as the unbounded one."""
-        for n, seed in ((1, 0), (7, 3), (300, 11)):
-            rng = seeded_rng(seed, "initial")
-            mean = np.asarray(spec.mean, dtype=float)
-            cov = spec.cov
-            cov = np.eye(mean.size) * float(cov) if np.isscalar(cov) else np.asarray(cov, dtype=float)
-            box = spec.box if spec.box is not None else np.inf
-            pts = np.empty((n, mean.size))
-            filled = 0
-            while filled < n:
-                draw = rng.multivariate_normal(mean, cov, size=n)
-                keep = draw[np.all(np.abs(draw) < box, axis=1)]
-                take = min(n - filled, keep.shape[0])
-                pts[filled : filled + take] = keep[:take]
-                filled += take
-            np.testing.assert_array_equal(sample_initial(spec, n, seed).positions, pts)
-
 
 def _diverging_noise():
     """Zero drift and a per-particle noise G_p = +-50 x^2: a run blows up
@@ -583,7 +576,7 @@ class TestCoupledRuns:
         (REF_COEFFS, 40, REF_SPEC),
         (harness.build_coefficients(ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,),
                                                      mu0_high=(1.0,))),
-         25, InitialSpec(kind="uniform", low=[-1.0], high=[1.0])),
+         25, InitialSpec(low=[-1.0], high=[1.0])),
     ], ids=["network", "synthetic-1d"])
     def test_members_equal_their_own_runs(self, coeffs, n, init):
         initial = sample_initial(init, n, 3)
@@ -627,20 +620,15 @@ class TestSampleInitial:
         np.testing.assert_array_equal(ens.positions, atoms)
         np.testing.assert_array_equal(ens.weights, [0.5, 0.5])
 
-    def test_gaussian_truncation(self):
-        spec = InitialSpec(kind="gaussian", mean=[0.0, 0.0], cov=4.0, box=1.5)
-        ens = sample_initial(spec, 500, 1)
-        assert np.all(np.abs(ens.positions) < 1.5)
-
     def test_deterministic_per_seed(self):
-        spec = InitialSpec(kind="uniform", low=[-1, -1], high=[1, 1])
+        spec = InitialSpec(low=[-1, -1], high=[1, 1])
         a = sample_initial(spec, 50, 3)
         b = sample_initial(spec, 50, 3)
         np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_second_moment_matches_spec(self):
         """empirical <|x|^2> within 3 standard errors at N = 10^4."""
-        spec = InitialSpec(kind="uniform", low=[-1.0, -1.0], high=[1.0, 1.0])
+        spec = InitialSpec(low=[-1.0, -1.0], high=[1.0, 1.0])
         ens = sample_initial(spec, 10_000, 7)
         emp = float(np.mean(np.einsum("nd,nd->n", ens.positions, ens.positions)))
         lo, hi = np.asarray(spec.low), np.asarray(spec.high)

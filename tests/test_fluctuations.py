@@ -79,17 +79,15 @@ class TestTangentStep:
         np.testing.assert_allclose(traj.tangents, 0.0, atol=1e-14)
 
     def test_linearity_bitwise_under_doubling(self):
-        """doubling initial tangents and the forcing doubles Y_t bitwise."""
+        """from rest, doubling the forcing doubles Y_t bitwise."""
         initial = sample_initial(REF_SPEC, 12, 4)
         noise = NoisePath(4, 0.01, 25, REF_COEFFS.n_channels)
         doubled = NoisePath(4, 0.01, 25, REF_COEFFS.n_channels,
                             _increments=2.0 * noise.increments)
         cfg = IntegratorConfig(dt=0.01, horizon=0.25)
-        rng = np.random.default_rng(5)
-        y0 = rng.normal(size=(12, 2))
-        a = solve_tangent(initial.positions, REF_COEFFS, cfg, noise, initial_tangents=y0)
-        b = solve_tangent(initial.positions, REF_COEFFS, cfg, doubled,
-                          initial_tangents=2.0 * y0)
+        a = solve_tangent(initial.positions, REF_COEFFS, cfg, noise)
+        b = solve_tangent(initial.positions, REF_COEFFS, cfg, doubled)
+        assert np.any(a.tangents[-1] != 0.0)
         np.testing.assert_array_equal(b.tangents, 2.0 * a.tangents)
 
     def test_solve_returns_the_transport_run(self):

@@ -93,6 +93,13 @@ class TestResultTableMatrix:
         with pytest.raises(KeyError, match="b at param 2, c at param 1"):
             table.matrix([("a", 1), ("b", 2), ("c", 1)])
 
+    def test_repeated_cell_raises(self):
+        """a cell named twice (its param as a number or a string) is refused,
+        not read as a cell without rows."""
+        table = ResultTable(reference_config(), list(self.ROWS))
+        with pytest.raises(ValueError, match=r"^cells must be distinct \(got a at param 1 more than once\)"):
+            table.matrix([("a", 1), ("a", 2), ("a", "1")])
+
 
 class TestResultsCsv:
     @settings(max_examples=40, deadline=None)
@@ -433,6 +440,22 @@ class TestSgdCompareExperiment:
         with pytest.raises(KeyError, match="smfe:bump0:0 at param 30"):
             sgd_trend_gate(table, "bump0", (10, 30))
 
+    def test_gate_reads_m_in_ascending_order(self):
+        """the gate tests the trend in increasing M whatever the grid's order,
+        refuses a grid of fewer than two distinct M, and names a repeated M
+        as a repeated cell."""
+        cfg = reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.1, snapshot_stride=10,
+                               replicas=10, base_seed=13)
+        table = exp_sgd_compare(cfg)
+        ascending = sgd_trend_gate(table, "bump0", (10, 20, 40))
+        assert sgd_trend_gate(table, "bump0", (40, 20, 10)) == ascending
+        assert sgd_trend_gate(table, "bump0", (20, 40, 10)) == ascending
+        for grid in ((), (20,), (20, 20)):
+            with pytest.raises(ValueError, match="^m_grid must hold at least two distinct M"):
+                sgd_trend_gate(table, "bump0", grid)
+        with pytest.raises(ValueError, match="^cells must be distinct"):
+            sgd_trend_gate(table, "bump0", (10, 20, 10))
+
     def test_frozen_instance_gives_zero_gap(self):
         """f = 0 labels and zero output weights freeze both processes."""
         cfg = reference_config(
@@ -487,11 +510,12 @@ class TestCommuteExperiment:
         assert abs(e_a - e_b) <= 3.0 * scale
 
     def test_network_instance_stays_exact(self):
-        """d = 2, M-particle runs against an n_ref = 40 reference: every cell
-        is served by the exact assignment (M divides n_ref) and reported."""
+        """d = 2, M-particle runs against the n_ref = 5 max(M) = 40 reference:
+        every cell is served by the exact assignment (M divides n_ref) and
+        reported."""
         cfg = reference_config(m_grid=(4, 8), dt=5e-3, horizon=0.05, snapshot_stride=5,
                                replicas=10, base_seed=16)
-        table = exp_commute(cfg, n_ref=40)
+        table = exp_commute(cfg)
         assert table.values("failed").size == 0
         fit = [s for s in table.summary if s.get("metric") == "surface_fit"][0]
         # 10 replicas x (2 M x (3 alphas + the alpha -> 0 edge) + the M -> infinity edge)
@@ -539,7 +563,8 @@ class TestCli:
         assert rc == 0
         assert (out / "results.csv").exists()
         assert (out / "summary.csv").exists()
-        assert "slope" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "slope" in printed and "(95% CI [" in printed
 
     def test_diagnose_report(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)

@@ -114,7 +114,7 @@ def coupled_runs(dim: int, n: int = 12, eps_grid=(1e-1, 1e-2, 1e-3)):
         coeffs = build_coefficients(reference_config())
         if dim == 3:
             coeffs = pf.with_bias(coeffs)
-    spec = InitialSpec(kind="uniform", low=[-1.0] * dim, high=[1.0] * dim)
+    spec = InitialSpec(low=[-1.0] * dim, high=[1.0] * dim)
     initial = sample_initial(spec, n, 5)
     cfg = IntegratorConfig(dt=1e-2, horizon=0.3, snapshot_stride=10)
     noise = NoisePath(5, cfg.dt, cfg.n_steps, coeffs.n_channels)
