@@ -249,8 +249,13 @@ class NetworkCoefficients:
         with the Hessian rows of ``drift_jacobian_apply`` it is the jacobian.
         Rows (..., N, P) may lead with a run axis, with one kappa (..., P) per
         run: each run's sums are the stacked slices of the same products.
+        Rows (T, P) of a segmented batch take one kappa row per particle.
         """
         out = np.empty(row_c.shape[:-1] + (self.dim,))
+        if kappa.ndim == row_c.ndim:
+            out[:, 0] = np.einsum("tp,tp->t", row_c, kappa)
+            out[:, 1:] = (row_u * kappa) @ self._theta
+            return out
         out[..., 0] = (row_c @ kappa[..., None])[..., 0]
         out[..., 1:] = (row_u * kappa[..., None, :]) @ self._theta
         return out
@@ -328,29 +333,48 @@ class NetworkCoefficients:
         return self._contract(X, self.residuals(measure) * kappa)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
-                     dB: np.ndarray | None, Y: np.ndarray | None = None):
+                     dB: np.ndarray | None, Y: np.ndarray | None = None,
+                     offsets: np.ndarray | None = None):
         """One Euler-Maruyama step of B coupled runs; returns the new X (and Y).
 
-        ``X`` (B, N, d) holds B runs on the same particle ``weights``, each
-        its own environment, at the B noise scales ``eps``, all driven
-        by the one row ``dB`` (read only where eps > 0).  Run b moves by the
-        ``increment`` in its own measure; one pre-activation and one jet
-        serve the residuals and the contraction of every run.
+        The runs form a segmented batch: ``X`` (T, d) concatenates them on the
+        particle axis, run b on rows ``offsets[b]:offsets[b + 1]`` (B + 1
+        offsets, the last T), each on its own particle ``weights`` (T,) and
+        its own environment, at the B noise scales ``eps``, all driven by the
+        one row ``dB`` (read only where eps > 0).  Run b moves by the
+        ``increment`` in its own measure; one pre-activation and one jet serve
+        the residuals and the contraction of every run.  Its residuals are a segment sum
+        (``np.add.reduceat``) and each particle's kappa is its run's row, so
+        a run agrees with its own step to rounding: the segment sums
+        reassociate its dot products, which moves it by at most 1e-15 of its
+        largest coordinate per step.
+
+        Runs of one size N on one weight vector come as the (B, N, d)
+        reshape of the same arrays, on ``weights`` (N,) and without
+        ``offsets``: their sums are then per-run matmuls, in the order of the
+        one-run step, and every run is its own step bit for bit.
 
         With tangent vectors ``Y`` (N, d) the last run must be the transport
         run (eps 0): Y moves by (grad_x V . Y + (1/N) sum_j grad_y Vtilde . Y_j)
         dt + sum_p G_p sqrt(w_p) dB_p, read at that run from the same jet,
-        here of order 2.  Every run's sums are those of its own step.
+        here of order 2.
         """
         c, z = self._preactivation(X)
         jet = self.activation.jet(z, 1 if Y is None else 2)
         phi, dphi = jet[0], jet[1]
-        r = self._f - weights @ (c[..., None] * phi)       # (B, P) residuals
         row_u = c[..., None] * dphi
-        newX = X + self._assemble(phi, row_u, r * self._step_kappa(dt, eps, dB))
+        kappa = self._step_kappa(dt, eps, dB)
+        if offsets is None:
+            r = self._f - weights @ (c[..., None] * phi)    # (B, P) residuals
+            kappa, last = r * kappa, -1
+        else:
+            r = self._f - np.add.reduceat((weights * c)[:, None] * phi, offsets[:-1])
+            kappa = np.repeat(r * kappa, offsets[1:] - offsets[:-1], axis=0)
+            last = slice(offsets[-2], None)
+        newX = X + self._assemble(phi, row_u, kappa)
         if Y is None:
             return newX
-        c, phi, dphi, d2phi, r, row_u = c[-1], phi[-1], dphi[-1], jet[2][-1], r[-1], row_u[-1]
+        c, phi, dphi, d2phi, r, row_u = c[last], phi[last], dphi[last], jet[2][last], r[-1], row_u[last]
         yc, s = self._preactivation(Y)
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
         inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
@@ -558,13 +582,36 @@ class SyntheticCoefficients:
         return out
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
-                     dB: np.ndarray | None, Y: np.ndarray | None = None):
-        """``NetworkCoefficients.coupled_step`` one run at a time through the hooks."""
-        newX = np.stack([x + self.increment(x, (x, weights), dt, e, dB) for x, e in zip(X, eps)])
+                     dB: np.ndarray | None, Y: np.ndarray | None = None,
+                     offsets: np.ndarray | None = None):
+        """``NetworkCoefficients.coupled_step`` through the hooks, one segment
+        per run: ``v_bar_batch`` once on every particle of the batch, then
+        ``v_tilde_mean_batch`` and ``g_batch`` once per run in its own
+        environment.  A (B, N, d) batch is read as its (B N, d) reshape.
+        With a pointwise ``v_bar_batch`` every run is its own ``increment``
+        bit for bit."""
+        shape = X.shape
+        if offsets is None:
+            B, N = shape[:2]
+            X, weights, offsets = X.reshape(B * N, -1), np.tile(weights, B), range(0, B * N + 1, N)
+        drift = np.zeros(X.shape)
+        if self._v_bar_batch is not None:
+            drift += np.asarray(self._v_bar_batch(X), dtype=float)
+        newX = np.empty(X.shape)
+        for b, e in enumerate(eps):
+            rows = slice(offsets[b], offsets[b + 1])
+            x, mu = X[rows], (X[rows], weights[rows])
+            if self._v_tilde_mean_batch is not None:
+                drift[rows] += np.asarray(self._v_tilde_mean_batch(x, *mu), dtype=float)
+            step = drift[rows] * dt
+            if e > 0.0:
+                step = step + np.sqrt(e) * self.noise_increment(x, mu, dB)
+            newX[rows] = x + step
+        newX = newX.reshape(shape)
         if Y is None:
             return newX
-        x = X[-1]
-        mu = (x, weights)
+        x = X[offsets[-2]:]
+        mu = (x, weights[offsets[-2]:])
         jac = self.drift_jacobian_apply(x, Y, mu)
         inter = self.vtilde_y_apply(x, x, Y)
         return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB)

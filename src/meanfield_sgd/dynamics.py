@@ -323,68 +323,91 @@ def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig)
     return simulate(initial, coeffs, replace(cfg, eps=0.0), noise=None)
 
 
-def simulate_coupled(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
-                     eps: Sequence[float], noise: NoisePath | None,
-                     tangent: bool = False) -> list:
-    """The coupled runs of ``initial`` at the noise scales ``eps``, integrated
-    as one batch under the one increment row per step.
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Where each run starts, and the last ends, in a concatenation of runs of ``sizes``."""
+    return np.concatenate([[0], np.cumsum(sizes)])
 
-    Run b is bit for bit ``simulate(initial, coeffs, replace(cfg, eps=eps[b]),
-    noise)`` (``noise_meta`` None at eps 0).  With ``tangent`` the last scale
-    must be 0 and that run is the one ``solve_tangent`` returns for the same
-    particle weights: the transport run with its tangents, from zero.  A run
-    that goes non-finite drops out of the batch there, and its entry is the
-    SimulationError its own run raises; the others go on.  Returns one
-    Trajectory or SimulationError per scale.
+
+def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg: IntegratorConfig,
+                     noise: NoisePath | None, tangent: bool = False) -> list:
+    """The coupled ``runs``, (initial, eps) pairs, integrated as one batch
+    under the one increment row per step.
+
+    Run b is ``simulate(initial_b, coeffs, replace(cfg, eps=eps_b), noise)``
+    (``noise_meta`` None at eps 0).  Runs of one size on one weight vector
+    step as the (B, N, d) reshape of the batch and equal their own runs bit
+    for bit; runs of different sizes step as one segmented batch (see
+    ``coupled_step``) and equal them to rounding.  With ``tangent`` the
+    last run must be at eps 0, and it is the one ``solve_tangent`` returns
+    for the same particle weights: the transport run with its tangents,
+    from zero.  A run that goes non-finite drops out of the batch there, and
+    its entry is the SimulationError its own run raises; the others go on.
+    Returns one Trajectory or SimulationError per run.
     """
-    eps = np.asarray(eps, dtype=float)
+    if not runs:
+        return []
+    eps = np.array([float(e) for _, e in runs])
     if tangent and eps[-1] != 0.0:
         raise ValueError(f"eps must end in 0 to carry the tangents (got {eps.tolist()})")
     rows = _noise_rows(noise, cfg, coeffs) if tangent or np.any(eps > 0.0) else None
-    weights = initial.weights
+    weights = [initial.weights for initial, _ in runs]
+    sizes = np.array([w.size for w in weights])
+    # runs of one size on one weight vector keep the per-run sums of a (B, N, d) batch
+    shared = all(np.array_equal(w, weights[0]) for w in weights)
     out: list = [None] * eps.size
 
     def advance(state, step):
-        X, Y, t, live = state
+        X, W, Y, t, live, offsets = state
         if not live.size:
             return state
         t = t + cfg.dt
-        moved = coeffs.coupled_step(X, weights, cfg.dt, eps[live].tolist(),
-                                    None if rows is None else rows[step], Y)
+        dB = None if rows is None else rows[step]
+        if shared:
+            moved = coeffs.coupled_step(X.reshape(live.size, -1, X.shape[-1]), weights[0], cfg.dt,
+                                        eps[live].tolist(), dB, Y)
+        else:
+            moved = coeffs.coupled_step(X, W, cfg.dt, eps[live].tolist(), dB, Y, offsets)
         X, Y = moved if Y is not None else (moved, None)
-        keep = np.isfinite(X).all(axis=(1, 2))
+        X = X.reshape(W.size, -1)
+        if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):
+            return X, W, Y, t, live, offsets
+        keep = np.logical_and.reduceat(np.isfinite(X).all(axis=1), offsets[:-1])
         if Y is not None and keep[-1]:
             keep[-1] = np.isfinite(Y).all()
-        if not keep.all():
-            at = int(round(t / cfg.dt))
-            for b in np.flatnonzero(~keep):
-                out[live[b]] = _divergence(X[b], at, t) or _divergence(Y, at, t)
-            if Y is not None and not keep[-1]:
-                Y = None
-            X, live = X[keep], live[keep]
-        return X, Y, t, live
+        at = int(round(t / cfg.dt))
+        for b in np.flatnonzero(~keep):
+            run = X[offsets[b]:offsets[b + 1]]
+            out[live[b]] = _divergence(run, at, t) or _divergence(Y, at, t)
+        if Y is not None and not keep[-1]:
+            Y = None
+        particles = np.repeat(keep, sizes[live])
+        live = live[keep]
+        return X[particles], W[particles], Y, t, live, _offsets(sizes[live])
 
     def snapshot(state):
-        X, Y, t, live = state
+        X, _, Y, t, live, _ = state
         if live.size < eps.size:   # a dropped run's rows are nan
-            X = np.full((eps.size,) + X.shape[1:], np.nan)
-            X[live] = state[0]
+            X = np.full((sizes.sum(), X.shape[-1]), np.nan)
+            X[np.repeat(np.isin(np.arange(eps.size), live), sizes)] = state[0]
         return (X, t, zero if Y is None else Y) if tangent else (X, t)
 
-    zero = np.zeros_like(initial.positions)
-    state = (np.repeat(initial.positions[None], eps.size, axis=0), zero if tangent else None,
-             initial.time, np.arange(eps.size))
+    # the tangents ride on the last run, from zero
+    zero = np.zeros_like(runs[-1][0].positions) if tangent else None
+    state = (np.concatenate([initial.positions for initial, _ in runs]), np.concatenate(weights), zero,
+             runs[0][0].time, np.arange(eps.size), _offsets(sizes))
     # a diverging run drops out at its first non-finite state; numpy's
     # overflow warnings on the way there add nothing to its error
     with np.errstate(over="ignore", invalid="ignore"):
         positions, times, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
                                                  snapshot)
+    offsets = _offsets(sizes)
     for b, e in enumerate(eps):
         if out[b] is None:
             carries = tangent and b == eps.size - 1
             out[b] = Trajectory(
-                times=times.copy(), positions=np.ascontiguousarray(positions[:, b]),
-                weights=weights.copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
+                times=times.copy(),
+                positions=np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]]),
+                weights=weights[b].copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
                 noise_meta=noise.meta if e > 0.0 or carries else None,
                 tangents=tangents[0] if carries else None)
     return out

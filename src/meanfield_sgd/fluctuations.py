@@ -86,7 +86,7 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
     """Integrate the tangent system from rest (the zero initial fluctuation of
     coupled runs on the same atoms): the transport run from ``initial_base``,
     bit for bit, with its ``tangents``; the one-run
-    ``simulate_coupled([0.0], tangent=True)``."""
+    ``simulate_coupled([(initial, 0.0)], tangent=True)``."""
     rows = _noise_rows(noise, cfg, coeffs)
     # a diverging run raises SimulationError at its first non-finite base
     # point or tangent, as in simulate

@@ -41,10 +41,9 @@ from .dynamics import (
     run_sgd,
     sample_initial,
     seeded_rng,
-    simulate,
     simulate_coupled,
-    simulate_transport,
 )
+from .dynamics import simulate, simulate_transport  # noqa: F401  perfbench/tracer.py traces them at these names
 from .fluctuations import _check_sobolev_order, clt_distance, eta_eps
 from .fluctuations import solve_tangent  # noqa: F401  perfbench/tracer.py traces it at this name
 from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_stack
@@ -126,9 +125,9 @@ class ExperimentConfig:
         params = self.synthetic_params
         if not (isinstance(params, (tuple, list))
                 and all(isinstance(kv, (tuple, list)) and len(kv) == 2 and kv[0] in _SYNTHETIC_PARAMS
-                        and _is_number(kv[1]) for kv in params)
+                        and _is_number(kv[1]) and np.isfinite(kv[1]) for kv in params)
                 and len({kv[0] for kv in params}) == len(params)):
-            raise ValueError(f"synthetic_params must be (name, number) pairs with distinct names "
+            raise ValueError(f"synthetic_params must be (name, finite number) pairs with distinct names "
                              f"from {list(_SYNTHETIC_PARAMS)} (got {params!r})")
         if self.instance == "network" and not (self.dataset_rows or self.dataset_file):
             raise ValueError("dataset_rows must be non-empty, or dataset_file given, "
@@ -144,8 +143,10 @@ class ExperimentConfig:
             _check_integer(name, getattr(self, name), low)
         for name in ("dt", "r_box") if self.r_box is not None else ("dt",):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value > 0):
+            if not (_is_number(value) and np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite (got {value!r})")
+        if not (_is_number(self.horizon) and np.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be nonnegative and finite (got {self.horizon!r})")
         rows = self.dataset_rows
         if not (isinstance(rows, (tuple, list))
                 and all(isinstance(row, (tuple, list)) and all(map(_is_number, row)) for row in rows)):
@@ -441,13 +442,16 @@ class Replica:
 
     Every run consumes the one NoisePath of ``seed``, and runs of the same
     particle count start from the same atoms: ``seed`` draws the shared
-    ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.  Each
-    run is computed once and kept in ``results``, a failed one as the error
-    it raised, so a base run that several cells share fails each of them.
-    Runs that share initial atoms are integrated as one batch by ``coupled``
-    when an experiment names them together; any other run on its own.
-    Coefficients and noise are built on first use, in the process that runs
-    the cells.
+    ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.  A
+    run is named by the arguments of ``run``, a tuple (eps, n, per_m) whose
+    tail may be left out.  Each run is computed once and kept in
+    ``results``, a failed one as the error it raised, so a base run that
+    several cells share fails each of them.  The runs an experiment names
+    together in ``coupled`` are integrated as one batch, whatever their
+    sizes: runs of one size as its (B, N, d) reshape, bit for bit their
+    own runs, and runs of different sizes as one segmented batch, equal to
+    their own runs to rounding (``coupled_step``).  Coefficients and noise
+    are built on first use, in the process that runs the cells.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int, stride: int, coeffs=None):
@@ -489,45 +493,41 @@ class Replica:
         return self.shared(("initial", n, per_m),
                            lambda: sample_initial(build_initial_spec(self.config), n, seed))
 
+    def _key(self, eps: float, n: int | None = None, per_m: bool = False) -> tuple:
+        return ("run", float(eps), self.config.n_particles if n is None else int(n), bool(per_m))
+
     def run(self, eps: float, n: int | None = None, per_m: bool = False) -> Trajectory:
-        """The run at noise scale eps (0: the transport run) from ``initial(n, per_m)``."""
-        n = self.config.n_particles if n is None else int(n)
+        """The run at noise scale eps (0: the transport run) from
+        ``initial(n, per_m)``, integrated alone unless ``coupled`` kept it."""
+        self.coupled([(eps, n, per_m)])
+        return self.shared(self._key(eps, n, per_m), None)
 
-        def integrate():
-            start = self.initial(n, per_m)
-            if eps == 0:
-                return simulate_transport(start, self.coeffs, self.base)
-            return simulate(start, self.coeffs, replace(self.base, eps=eps), self.noise)
-
-        return self.shared(("run", eps, n, per_m), integrate)
-
-    def coupled(self, eps_values: Iterable[float], n: int | None = None, per_m: bool = False,
-                tangent: bool = False):
-        """Integrate the runs ``run(eps, n, per_m)`` for every eps of
-        ``eps_values`` not yet kept, and with ``tangent`` the tangent solve,
-        as one batch (``simulate_coupled``).  Each is kept under the key that
-        ``run`` / ``tangent`` read, equal bit for bit to the run integrated
-        alone; a diverged one as its own error."""
-        n = self.config.n_particles if n is None else int(n)
-        keys = {("run", float(eps), n, per_m): float(eps) for eps in eps_values}
+    def coupled(self, runs: Iterable[tuple], tangent: bool = False):
+        """Integrate the runs ``run(*a)`` for every ``a`` of ``runs`` not yet
+        kept, and with ``tangent`` the tangent solve, as one batch
+        (``simulate_coupled``), whatever their sizes.  Each is kept under
+        the key that ``run`` / ``tangent`` read; a diverged one as its own
+        error."""
+        keys = {self._key(*a): a for a in runs}
         if tangent:
-            keys[("tangent",)] = 0.0
-        keys = {key: eps for key, eps in keys.items() if key not in self.results}
+            keys[("tangent",)] = (0.0,)
+        keys = {key: a for key, a in keys.items() if key not in self.results}
         if not keys:
             return
         try:
-            runs = simulate_coupled(self.initial(n, per_m), self.coeffs, self.base, list(keys.values()),
-                                    self.noise, tangent=("tangent",) in keys)
+            integrated = simulate_coupled([(self.initial(*a[1:]), a[0]) for a in keys.values()],
+                                          self.coeffs, self.base, self.noise,
+                                          tangent=("tangent",) in keys)
         except _CELL_ERRORS as exc:
-            runs = [exc] * len(keys)
-        self.results.update(zip(keys, runs))
+            integrated = [exc] * len(keys)
+        self.results.update(zip(keys, integrated))
 
     def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
         """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
         every W2 cell of the replica that compares against them."""
-        n = self.config.n_particles if n is None else int(n)
         run = self.run(eps, n, per_m)
-        return self.shared(("snapshots", eps, n, per_m), lambda: SortedAtoms.of(run.positions, run.weights))
+        return self.shared(("snapshots", *self._key(eps, n, per_m)[1:]),
+                           lambda: SortedAtoms.of(run.positions, run.weights))
 
     def sup_w2_sq(self, a: tuple, b: tuple) -> float:
         """sup_t W2^2 between the runs ``run(*a)`` and ``run(*b)``, counting the
@@ -619,7 +619,7 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 
 
 def _lln_cells(rep: Replica) -> list:
-    rep.coupled([*rep.config.eps_grid, 0.0])
+    rep.coupled([(eps,) for eps in (*rep.config.eps_grid, 0.0)])
     return [(eps, "sup_w2_sq", partial(rep.sup_w2_sq, (float(eps),), (0.0,)))
             for eps in rep.config.eps_grid]
 
@@ -657,6 +657,7 @@ def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
 
 def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
     low, high = float(rep.config.mu0_low[0]), float(rep.config.mu0_high[0])
+    rep.coupled([*((eps, m, True) for m in map(int, rep.config.m_grid)), (eps, n_ref)])
     ref = rep.initial(n_ref).as_measure()
 
     def amplification(m: int, gap: float) -> float:
@@ -708,7 +709,7 @@ def _clt_runs(rep: Replica) -> dict:
     """The eps runs and the tangent solve (the transport run) of one clt-rate
     replica, one batch, each kept, or the error it raised, for the box and
     then the norms."""
-    rep.coupled(rep.config.eps_grid, tangent=True)
+    rep.coupled([(eps,) for eps in rep.config.eps_grid], tangent=True)
     return rep.results
 
 
@@ -795,6 +796,7 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
 
 
 def _sgd_cells(rep: Replica) -> list:
+    rep.coupled([(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
     panel = _sgd_phi_panel(rep.coeffs.dim)
     metrics = [f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
                for phi in panel for kind in ("smfe", "sgd")]
@@ -872,10 +874,10 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int]) -> 
 def _commute_cells(n_ref: int, rep: Replica) -> list:
     cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
     alpha_min = float(min(rep.config.alpha_grid))
-    rep.coupled([alpha_min, 0.0], n_ref)
+    rep.coupled([(alpha_min, n_ref), (0.0, n_ref)])
     cells = []
     for m in map(int, rep.config.m_grid):
-        rep.coupled([*rep.config.alpha_grid, 0.0], m, per_m=True)
+        rep.coupled([(alpha, m, True) for alpha in (*rep.config.alpha_grid, 0.0)])
         cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M

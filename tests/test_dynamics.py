@@ -361,6 +361,10 @@ class TestBoundaryValidation:
         (lambda: reference_config(dt=0.0), "dt"),
         (lambda: reference_config(dt=float("nan")), "dt"),
         (lambda: reference_config(dt="1e-3"), "dt"),
+        (lambda: reference_config(dt=True), "dt"),
+        (lambda: reference_config(horizon="x"), "horizon"),
+        (lambda: reference_config(horizon=-1.0), "horizon"),
+        (lambda: reference_config(horizon=nan), "horizon"),
         (lambda: ExperimentConfig(), "dataset_rows"),
         (lambda: reference_config(eps_grid=(0.1, "x")), "eps_grid"),
         (lambda: reference_config(m_grid=(50, None)), "m_grid"),
@@ -440,6 +444,8 @@ class TestBoundaryValidation:
                                             '"mu0_high": [1], "synthetic_params": [["kappa", "x"]]}'),
          "synthetic_params"),
         (lambda: reference_config(synthetic_params=(("kappa", 0.5), ("kappa", 1.0))), "synthetic_params"),
+        (lambda: ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,),
+                                  synthetic_params=(("kappa", nan),)), "synthetic_params"),
         (lambda: InitialSpec(low=[0.0, 0.0], high=[1.0]), "high"),
         (lambda: InitialSpec(low=[nan, 0.0], high=[1.0, 1.0]), "low"),
         (lambda: InitialSpec(low=None, high=[1.0, 1.0]), "low"),
@@ -452,7 +458,8 @@ class TestBoundaryValidation:
             "config-zero-particles", "config-negative-replicas", "config-float-replicas",
             "config-zero-threads", "config-zero-stride", "config-bool-clt-stride",
             "config-zero-sobolev-j", "config-small-k-max", "config-negative-dt", "config-zero-dt",
-            "config-nan-dt", "config-string-dt", "config-network-without-dataset",
+            "config-nan-dt", "config-string-dt", "config-bool-dt", "config-string-horizon",
+            "config-negative-horizon", "config-nan-horizon", "config-network-without-dataset",
             "config-string-grid-entry", "config-none-grid-entry", "config-fractional-m",
             "config-negative-seed", "config-zero-r-box", "config-negative-r-box", "config-infinite-r-box",
             "config-nan-r-box", "config-short-dataset-rows", "config-ragged-dataset-rows",
@@ -469,7 +476,8 @@ class TestBoundaryValidation:
             "qv-window-after-run", "qv-reversed-window", "trig-unknown-phase", "eta-nan-eps",
             "json-scalar-eps-grid", "json-scalar-dataset-rows", "json-flat-dataset-rows",
             "json-null-synthetic-params", "json-unpaired-synthetic-param",
-            "json-string-synthetic-param", "config-repeated-synthetic-param", "initial-short-high", "initial-nan-low", "initial-none-low",
+            "json-string-synthetic-param", "config-repeated-synthetic-param", "config-nan-kappa",
+            "initial-short-high", "initial-nan-low", "initial-none-low",
             "initial-none-high", "initial-inverted-box"])
     def test_bad_input_names_its_field(self, make, field, monkeypatch):
         """Each bad input is refused, naming its field, before any run is integrated."""
@@ -535,7 +543,7 @@ class TestBoundaryValidation:
 
     @pytest.mark.parametrize("integrate", [
         lambda ini, cfg, noise: simulate(ini, REF_COEFFS, cfg, noise),
-        lambda ini, cfg, noise: simulate_coupled(ini, REF_COEFFS, cfg, [0.05, 0.0], noise),
+        lambda ini, cfg, noise: simulate_coupled([(ini, 0.05), (ini, 0.0)], REF_COEFFS, cfg, noise),
         lambda ini, cfg, noise: solve_tangent(ini.positions, REF_COEFFS, cfg, noise),
         lambda ini, cfg, noise: picard_solve(ini, REF_COEFFS, cfg, noise, tol=1e-6),
     ], ids=["simulate", "simulate_coupled", "solve_tangent", "picard_solve"])
@@ -557,7 +565,7 @@ class TestBoundaryValidation:
         cfg = IntegratorConfig(dt=1e-2, horizon=5e-2)
         noise = NoisePath(0, 1e-2, 5, REF_COEFFS.n_channels)
         with pytest.raises(ValueError, match=r"^eps must end in 0"):
-            simulate_coupled(ini, REF_COEFFS, cfg, [0.0, 0.05], noise, tangent=True)
+            simulate_coupled([(ini, 0.0), (ini, 0.05)], REF_COEFFS, cfg, noise, tangent=True)
 
 
 def _diverging_noise():
@@ -569,8 +577,89 @@ def _diverging_noise():
     return SyntheticCoefficients(dim=1, n_channels=2, g_batch=g_batch)
 
 
+SYNTHETIC_1D = harness.build_coefficients(ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,),
+                                                           mu0_high=(1.0,)))
+# a run of a segmented batch moves within 1e-15 of the largest |x| per step
+# of its own run (coupled_step); over the few steps below, within this
+SEGMENT_TOL = 1e-13
+
+
+@st.composite
+def segmented_batches(draw):
+    """Runs of 1 to 40 particles on their own weights, each at its own eps
+    (0 among the choices), on the network or the synthetic instance; with
+    ``tangent`` the last run is at eps 0, on uniform weights, and carries the
+    tangents."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    eps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+                        min_size=len(sizes), max_size=len(sizes)))
+    tangent = draw(st.booleans())
+    if tangent:
+        eps[-1] = 0.0
+    return dict(sizes=sizes, eps=eps, tangent=tangent, network=draw(st.booleans()),
+                uniform=draw(st.booleans()), seed=draw(st.integers(0, 2**16)))
+
+
+def _own_run(initial, coeffs, cfg, eps, noise, carries=False):
+    """The run a member of a coupled batch must equal: simulate, the
+    transport run, or the tangent solve."""
+    if carries:
+        return solve_tangent(initial.positions, coeffs, cfg, noise)
+    if eps:
+        return simulate(initial, coeffs, replace(cfg, eps=eps), noise)
+    return simulate_transport(initial, coeffs, cfg)
+
+
 class TestCoupledRuns:
-    """simulate_coupled is the runs it batches, bit for bit."""
+    """simulate_coupled is the runs it batches: bit for bit on one size and
+    weight vector, to rounding on runs of different sizes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=segmented_batches())
+    def test_segmented_batch_equals_its_runs(self, case):
+        coeffs = REF_COEFFS if case["network"] else SYNTHETIC_1D
+        rng = np.random.default_rng(case["seed"])
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, snapshot_stride=2)
+        noise = NoisePath(case["seed"], 1e-2, 5, coeffs.n_channels)
+        runs = []
+        for b, (n, e) in enumerate(zip(case["sizes"], case["eps"])):
+            weights = np.full(n, 1.0 / n)
+            if not case["uniform"] and not (case["tangent"] and b == len(case["sizes"]) - 1):
+                weights = rng.uniform(0.5, 1.5, size=n)
+                weights /= weights.sum()
+            runs.append((ParticleEnsemble(rng.uniform(-1, 1, size=(n, coeffs.dim)), weights), e))
+        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=case["tangent"])
+        for b, ((initial, e), run) in enumerate(zip(runs, got)):
+            carries = case["tangent"] and b == len(runs) - 1
+            want = _own_run(initial, coeffs, cfg, e, noise, carries)
+            for field in ("positions", "tangents") if carries else ("positions",):
+                value = getattr(want, field)
+                np.testing.assert_allclose(getattr(run, field), value, rtol=0,
+                                           atol=SEGMENT_TOL * max(np.abs(value).max(), 1.0))
+            np.testing.assert_array_equal(run.weights, initial.weights)
+            np.testing.assert_array_equal(run.times, want.times)
+            assert (run.eps, run.noise_meta) == (want.eps, want.noise_meta)
+
+    def test_a_diverged_segment_fails_alone(self):
+        """Runs of 8, 5 and 13 particles, the first at eps = 10, which blows
+        up: its entry is the error its own run raises, and the segments
+        beside it, the tangent carrier among them, are their own runs and
+        the batch without it, bit for bit."""
+        coeffs = _diverging_noise()
+        runs = [(ParticleEnsemble.uniform(np.linspace(-0.5, 0.5, n)[:, None]), e)
+                for n, e in ((8, 10.0), (5, 1e-4), (13, 0.0))]
+        cfg = IntegratorConfig(dt=1e-2, horizon=0.2, snapshot_stride=5)
+        noise = NoisePath(1, 1e-2, 20, 2)
+        with pytest.raises(SimulationError) as alone:
+            simulate(runs[0][0], coeffs, replace(cfg, eps=10.0), noise)
+        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=True)
+        assert isinstance(got[0], SimulationError) and str(got[0]) == str(alone.value)
+        without = simulate_coupled(runs[1:], coeffs, cfg, noise, tangent=True)
+        for run, other, (initial, e), carries in zip(got[1:], without, runs[1:], (False, True)):
+            want = _own_run(initial, coeffs, cfg, e, noise, carries)
+            for field in ("positions", "tangents") if carries else ("positions",):
+                np.testing.assert_array_equal(getattr(run, field), getattr(want, field))
+                np.testing.assert_array_equal(getattr(run, field), getattr(other, field))
 
     @pytest.mark.parametrize("coeffs, n, init", [
         (REF_COEFFS, 40, REF_SPEC),
@@ -583,13 +672,13 @@ class TestCoupledRuns:
         cfg = IntegratorConfig(dt=1e-2, horizon=0.2, snapshot_stride=3)
         noise = NoisePath(3, 1e-2, 20, coeffs.n_channels)
         eps = [0.1, 0.01, 0.0, 1e-3]
-        for run, e in zip(simulate_coupled(initial, coeffs, cfg, eps, noise), eps):
+        for run, e in zip(simulate_coupled([(initial, e) for e in eps], coeffs, cfg, noise), eps):
             want = (simulate(initial, coeffs, replace(cfg, eps=e), noise) if e
                     else simulate_transport(initial, coeffs, cfg))
             np.testing.assert_array_equal(run.positions, want.positions)
             np.testing.assert_array_equal(run.times, want.times)
             assert (run.eps, run.noise_meta, run.snapshot_stride) == (want.eps, want.noise_meta, 3)
-        *_, carrier = simulate_coupled(initial, coeffs, cfg, [0.1, 0.0], noise, tangent=True)
+        *_, carrier = simulate_coupled([(initial, 0.1), (initial, 0.0)], coeffs, cfg, noise, tangent=True)
         want = solve_tangent(initial.positions, coeffs, cfg, noise)
         np.testing.assert_array_equal(carrier.positions, want.positions)
         np.testing.assert_array_equal(carrier.tangents, want.tangents)
@@ -605,7 +694,7 @@ class TestCoupledRuns:
         eps = [10.0, 1e-4, 0.0]
         with pytest.raises(SimulationError) as alone:
             simulate(initial, coeffs, replace(cfg, eps=10.0), noise)
-        runs = simulate_coupled(initial, coeffs, cfg, eps, noise, tangent=True)
+        runs = simulate_coupled([(initial, e) for e in eps], coeffs, cfg, noise, tangent=True)
         assert isinstance(runs[0], SimulationError) and str(runs[0]) == str(alone.value)
         np.testing.assert_array_equal(
             runs[1].positions, simulate(initial, coeffs, replace(cfg, eps=1e-4), noise).positions)

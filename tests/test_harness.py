@@ -191,10 +191,15 @@ class TestLlnExperiment:
         assert a.rows == b.rows
 
     def test_threads_do_not_change_results(self):
+        """lln-rate, and sgd-compare, whose runs of three sizes step as one
+        segmented batch inside each pool worker."""
         cfg = tiny_lln_config()
         a = exp_lln_rate(cfg)
         b = exp_lln_rate(tiny_lln_config(threads=2))
         assert a.rows == b.rows
+        sgd = reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.1, snapshot_stride=10,
+                               replicas=10, base_seed=13)
+        assert exp_sgd_compare(sgd).rows == exp_sgd_compare(replace(sgd, threads=2)).rows
 
     def test_slope_near_one_even_at_small_scale(self):
         table = exp_lln_rate(tiny_lln_config())
@@ -673,11 +678,11 @@ class TestFailureRecording:
         failed = {(r[1], r[2]) for r in table.rows if r[3] == "failed"}
         assert failed == {("10.0", cfg.base_seed + r) for r in range(cfg.replicas)}
 
-        def one_at_a_time(initial, coeffs, base, eps, noise, tangent=False):
+        def one_at_a_time(pairs, coeffs, base, noise, tangent=False):
             runs = []
-            for b, e in enumerate(eps):
+            for b, (initial, e) in enumerate(pairs):
                 try:
-                    if tangent and b == len(eps) - 1:
+                    if tangent and b == len(pairs) - 1:
                         runs.append(solve_tangent(initial.positions, coeffs, base, noise))
                     elif e:
                         runs.append(simulate(initial, coeffs, replace(base, eps=e), noise))
