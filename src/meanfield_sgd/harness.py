@@ -46,7 +46,7 @@ from .dynamics import (
 from .dynamics import simulate, simulate_transport  # noqa: F401  perfbench/tracer.py traces them at these names
 from .fluctuations import _check_sobolev_order, clt_distance, eta_eps
 from .fluctuations import solve_tangent  # noqa: F401  perfbench/tracer.py traces it at this name
-from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_stack
+from .measures import SortedAtoms, SpectralBoxError, SpectralGrid, w2, w2_sup
 
 __all__ = [
     "ExperimentConfig",
@@ -200,6 +200,8 @@ class ExperimentConfig:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size == 0:
                 raise ValueError(f"{name} must be non-empty")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite (got {arr.tolist()})")
             if np.any(arr <= 0):
                 raise ValueError(f"{name} must be strictly positive (got {arr.tolist()})")
             if not (np.all(np.diff(arr) > 0) or np.all(np.diff(arr) < 0)):
@@ -531,10 +533,11 @@ class Replica:
 
     def sup_w2_sq(self, a: tuple, b: tuple) -> float:
         """sup_t W2^2 between the runs ``run(*a)`` and ``run(*b)``, counting the
-        backend that served it in ``w2_backends``."""
-        dists, backend = w2_stack(self.snapshots(*a), self.snapshots(*b))
+        backend that served it in ``w2_backends``.  ``w2_sup`` solves only the
+        snapshots that the particle-index coupling bound leaves open: runs of
+        one ensemble are coupled, and one solve usually settles the sup."""
+        sup, backend = w2_sup(self.snapshots(*a), self.snapshots(*b))
         self.w2_backends[backend] += 1
-        sup = float(dists.max())
         return sup * sup
 
     def tangent(self) -> Trajectory:

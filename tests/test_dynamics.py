@@ -384,6 +384,11 @@ class TestBoundaryValidation:
         (lambda: reference_config(mu0_high=(1.0, inf)), "mu0_high"),
         (lambda: reference_config(eps_grid=(0.1, -0.2)).validate_for_rates(), "eps_grid"),
         (lambda: reference_config(alpha_grid=(0.1, 0.3, 0.2)).validate_for_rates(), "alpha_grid"),
+        (lambda: exp_lln_rate(reference_config(eps_grid=(0.01, 0.1, inf), replicas=10)), "eps_grid"),
+        (lambda: exp_lln_rate(reference_config(eps_grid=(0.01, nan, 0.1), replicas=10)), "eps_grid"),
+        (lambda: harness.exp_commute(reference_config(alpha_grid=(0.01, 0.1, inf), replicas=10)),
+         "alpha_grid"),
+        (lambda: reference_config(alpha_grid=(nan,)).validate_for_rates(), "alpha_grid"),
         (lambda: IntegratorConfig(dt=1e-2, horizon=0.1, snapshot_stride=2.5), "snapshot_stride"),
         (lambda: NoisePath(0, -1.0, 10, 2), "dt"),
         (lambda: NoisePath(0, 0.0, 10, 2), "dt"),
@@ -465,7 +470,8 @@ class TestBoundaryValidation:
             "config-nan-r-box", "config-short-dataset-rows", "config-ragged-dataset-rows",
             "config-unequal-mu0-box", "config-mu0-box-below-dimension", "config-synthetic-default-box",
             "config-mu0-low-above-high", "config-nan-mu0-low", "config-infinite-mu0-high",
-            "rates-negative-grid", "rates-unsorted-grid", "fractional-snapshot-stride",
+            "rates-negative-grid", "rates-unsorted-grid", "lln-infinite-eps", "lln-nan-eps",
+            "commute-infinite-alpha", "rates-nan-alpha", "fractional-snapshot-stride",
             "noise-negative-dt", "noise-zero-dt", "noise-nan-dt", "noise-negative-steps",
             "noise-no-channels", "noise-zero-coarsening", "sgd-negative-steps",
             "lln-two-point-eps-grid", "clt-two-point-eps-grid", "particle-two-point-m-grid",
@@ -509,6 +515,16 @@ class TestBoundaryValidation:
     def test_non_finite_measure_names_its_field(self, atoms, weights, field):
         with pytest.raises(ValueError, match=rf"^{field} must be finite"):
             EmpiricalMeasure(np.array(atoms), np.array(weights))
+
+    @pytest.mark.parametrize("grid, values", [
+        ("eps_grid", (0.01, 0.1, inf)),
+        ("eps_grid", (0.01, nan, 0.1)),
+        ("alpha_grid", (nan, 0.1)),
+    ], ids=["inf-eps", "nan-eps", "nan-alpha"])
+    def test_non_finite_grid_entry_is_refused_as_such(self, grid, values):
+        """a NaN entry is named as not finite, not as out of order."""
+        with pytest.raises(ValueError, match=rf"^{grid} must be finite \(got "):
+            reference_config(**{grid: values}).validate_for_rates()
 
     def test_dataset_file_box_names_mu0_low(self, tmp_path, monkeypatch):
         """A 2-input dataset file makes 3-d parameters: the default 2-d box is
