@@ -468,14 +468,16 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     X = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
     if X.shape != (n_particles, coeffs.dim):
         raise ValueError(f"initial parameters must have shape ({n_particles}, {coeffs.dim})")
-    rng = seeded_rng(seed, "sgd-batches")
-    w = coeffs.channel_weights
+    # every step's batch in one draw, the stream of one draw per step
+    n_ch = coeffs.n_channels
+    batches = seeded_rng(seed, "sgd-batches").choice(n_ch, size=(n_steps, batch_size),
+                                                     p=coeffs.channel_weights)
+    counts = np.bincount((batches + n_ch * np.arange(n_steps)[:, None]).ravel(),
+                         minlength=n_steps * n_ch).reshape(n_steps, n_ch)
+    scales = alpha * (counts / batch_size)
 
     def advance(X, step):
-        batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
-        share = np.bincount(batch, minlength=coeffs.n_channels) / batch_size
-        r = coeffs.residuals(ParticleEnsemble.uniform(X))
-        X = X + coeffs._contract(X, alpha * share * r)
+        X = coeffs.sgd_step(X, scales[step])
         if not np.all(np.isfinite(X)):
             raise SimulationError(f"SGD diverged at step {step + 1}")
         return X

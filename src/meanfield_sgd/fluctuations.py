@@ -166,7 +166,10 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
     transformed once, through one set of phase rows, and each eps run once:
     with C_eps and C_0 the unit-weight coefficients of the eps run and of the
     transport run and T those of the tangent field, the distance is the norm
-    of (C_eps - C_0) / (N sqrt(eps)) - T, N the atoms per run.
+    of (C_eps - C_0) / (N sqrt(eps)) - T, N the atoms per run.  A path whose
+    atoms equal the transport run's bit for bit while every tangent is zero
+    is at distance exactly 0 and is not transformed: at t = 0 every path is,
+    since the coupled runs share their atoms and the tangents start at rest.
     """
     if not eta_paths:
         raise ValueError("clt_distance needs at least one fluctuation path")
@@ -184,11 +187,20 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
     _check_sobolev_order("sobolev order j", grid.j, dim)
     lattice = HalfLattice(grid, dim)
     lattice.warn_tail()
-    curves = np.empty((len(eta_paths), tangent_traj.n_snapshots))
+    curves = np.zeros((len(eta_paths), tangent_traj.n_snapshots))
     for s in range(tangent_traj.n_snapshots):
+        # a path that coincides with the transport run is not transformed:
+        # this is its box check
+        grid.check_inside(transport[s])
+        at_rest = not tangents[s].any()
+        live = [p for p, path in enumerate(eta_paths)
+                if not (at_rest and np.array_equal(path.positions[s], transport[s]))]
+        if not live:
+            continue
         both = lattice.transform(transport[s], np.column_stack([np.ones(n), tangents[s] / n]))
         c_zero, tangent = both[0], lattice.tangent(both[1:])
-        for p, path in enumerate(eta_paths):
+        for p in live:
+            path = eta_paths[p]
             c_eps = lattice.transform(path.positions[s])[0]
             scale = path.positions.shape[1] * np.sqrt(path.eps)
             curves[p, s] = lattice.norms((c_eps - c_zero) / scale - tangent)

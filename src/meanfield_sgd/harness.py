@@ -387,6 +387,15 @@ class SlopeFit:
     ci_high: float | None = None
 
 
+def _ols_slopes(x: np.ndarray, y: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The least-squares slope of each row of y (B, n) on x (n,), over the
+    points where ``ok`` (B, n) holds, at least 2 of them per row."""
+    n = ok.sum(axis=1, keepdims=True)
+    dx = np.where(ok, x - np.where(ok, x, 0.0).sum(axis=1, keepdims=True) / n, 0.0)
+    dy = np.where(ok, y - np.where(ok, y, 0.0).sum(axis=1, keepdims=True) / n, 0.0)
+    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+
+
 def fit_slope(params: Sequence[float], values) -> SlopeFit:
     """Ordinary least squares on log-log, bootstrap CI (level SLOPE_LEVEL)
     over replicas.
@@ -408,14 +417,16 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
     slope, intercept = np.polyfit(logx, np.log(means[mask]), 1)
     ci_low = ci_high = None
     if matrix.shape[0] > 1:
-        rng = seeded_rng(_SLOPE_SEED, "slope-bootstrap")
         n_rep = matrix.shape[0]
-        boot = np.full(_SLOPE_BOOT, np.nan)
-        for b in range(_SLOPE_BOOT):
-            bm = matrix[rng.integers(0, n_rep, size=n_rep)].mean(axis=0)
-            ok = mask & (bm > 0)
-            if ok.sum() >= 3:
-                boot[b] = np.polyfit(np.log(params[ok]), np.log(bm[ok]), 1)[0]
+        # one draw of every resample's replicas, the stream of one draw per resample
+        picks = seeded_rng(_SLOPE_SEED, "slope-bootstrap").integers(0, n_rep, size=(_SLOPE_BOOT, n_rep))
+        # resample means (resamples, points), summed replica by replica as
+        # ``mean`` sums them, without the (resamples, replicas, points) gather
+        columns = matrix[:, mask]
+        resampled = sum(columns[picks[:, r]] for r in range(n_rep)) / n_rep
+        ok = resampled > 0
+        fits = ok.sum(axis=1) >= 3
+        boot = _ols_slopes(logx, np.log(np.where(ok, resampled, 1.0))[fits], ok[fits])
         boot = boot[np.isfinite(boot)]
         if boot.size:
             ci_low, ci_high = np.percentile(boot, [50 - 50 * SLOPE_LEVEL, 50 + 50 * SLOPE_LEVEL])

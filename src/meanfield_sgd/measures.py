@@ -3,14 +3,15 @@
 ``w2`` is exact on every input, through one of three backends: the quantile
 coupling in one dimension, an optimal assignment for uniform measures (of
 unequal cardinalities m and n too, replicated to lcm(m, n) atoms), and the
-transport linear program otherwise.  ``SortedAtoms.of`` checks and sorts the
-snapshots of a run once, and ``w2_sup`` takes the sup over snapshots of W2
-between two runs without checking or sorting again, solving only the
-snapshots that a coupling bound cannot rule out.  The negative-order
-Sobolev norm is evaluated spectrally on a periodic box that contains all
-atoms: for an atomic or tangent field the Fourier coefficients are exact
-finite sums, so no meshing is involved.  ``HalfLattice`` computes them on
-the half of the lattice that real fields need.
+transport linear program otherwise.  ``SortedAtoms.of`` checks the
+snapshots of a run once and sorts each at most once, and ``w2_sup`` takes
+the sup over snapshots of W2 between two runs without checking again,
+solving (and sorting) only the snapshots that a coupling bound cannot rule
+out.  The negative-order Sobolev norm is evaluated spectrally on a periodic
+box that contains all atoms: for an atomic or tangent field the Fourier
+coefficients are exact finite sums, so no meshing is involved.
+``HalfLattice`` computes them on the half of the lattice that real fields
+need, as one real product per point set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -164,30 +164,38 @@ class SpectralGrid:
 _ASSIGNMENT_MAX = 2000
 
 
-class SortedAtoms(NamedTuple):
-    """Measures on N atoms made ready for W2 once: one measure (N, d), or a
-    run's snapshots (S, N, d) with ``at(s)`` the s-th.  Atoms are checked
-    finite and each measure's atoms sorted, lexicographically so that the
-    coupling is fixed when costs tie; weights are checked and kept in the
-    order of the atoms.  ``given`` is the caller's array itself, in the
-    caller's particle order (a reference, not a copy): ``w2_sup`` bounds W2
-    by the coupling of equal particle indices on it."""
+class SortedAtoms:
+    """Measures on N atoms made ready for W2: one measure (N, d), or a run's
+    snapshots (S, N, d) with ``at(s)`` the s-th.  Atoms are checked finite
+    and weights checked once, for the whole stack.  A measure's atoms are
+    sorted, lexicographically so that the coupling is fixed when costs tie,
+    with its weights in the same order: one measure at once, a snapshot of a
+    stack when ``at`` first reads it, and each at most once (``w2_sup``
+    solves few of a run's snapshots).  ``given`` is the caller's array
+    itself, in the caller's particle order (a reference, not a copy), and a
+    stack keeps its ``weights`` (N,) in that order: ``w2_sup`` bounds W2 by
+    the coupling of equal particle indices on them."""
 
-    atoms: np.ndarray    # (..., N, d)
-    weights: np.ndarray  # (..., N)
-    uniform: bool        # every weight is 1/N
-    given: np.ndarray    # (..., N, d), the atoms in the caller's order
+    def __init__(self, given: np.ndarray, weights: np.ndarray, uniform: bool):
+        self.given = given      # (..., N, d), the atoms in the caller's order
+        self.uniform = uniform  # every weight is 1/N
+        if given.ndim == 2:
+            order = np.lexsort(given.T[::-1])
+            self.atoms, self.weights = given[order], weights[order]
+        else:
+            self.weights = weights
+            self._sorted: list = [None] * given.shape[0]
 
     @classmethod
     def of(cls, atoms: np.ndarray, weights: np.ndarray) -> "SortedAtoms":
         atoms = np.asarray(atoms, dtype=float)
         weights = _checked(atoms, weights)
-        order = np.lexsort(np.moveaxis(atoms, -1, 0)[::-1], axis=-1)
-        return cls(np.take_along_axis(atoms, order[..., None], axis=-2), weights[order],
-                   bool(np.allclose(weights, 1.0 / weights.size, atol=1e-12)), atoms)
+        return cls(atoms, weights, bool(np.allclose(weights, 1.0 / weights.size, atol=1e-12)))
 
     def at(self, s: int) -> "SortedAtoms":
-        return SortedAtoms(self.atoms[s], self.weights[s], self.uniform, self.given[s])
+        if self._sorted[s] is None:
+            self._sorted[s] = SortedAtoms(self.given[s], self.weights, self.uniform)
+        return self._sorted[s]
 
 
 def _w2_quantile_1d(xa, wa, xb, wb) -> float:
@@ -292,9 +300,9 @@ def w2_sup(a: SortedAtoms, b: SortedAtoms) -> tuple[float, str]:
     can beat the best, so the sup is the float the exhaustive max returns.
     Otherwise U_s is +inf and every snapshot is solved, in order.
     """
-    n_snap = a.atoms.shape[0]
-    if n_snap != b.atoms.shape[0]:
-        raise ValueError(f"snapshot count mismatch: {n_snap} vs {b.atoms.shape[0]}")
+    n_snap = a.given.shape[0]
+    if n_snap != b.given.shape[0]:
+        raise ValueError(f"snapshot count mismatch: {n_snap} vs {b.given.shape[0]}")
     if n_snap == 0:
         raise ValueError("w2_sup needs at least one snapshot")
     bound = _index_bound(a, b)
@@ -322,28 +330,49 @@ def moment(mu: EmpiricalMeasure, p: int) -> float:
 
 class HalfLattice:
     """Fourier coefficients and the H^{-J} norm of a SpectralGrid in ``dim``
-    dimensions, on the half lattice.
+    dimensions, as one real product per point set.
 
-    Every field here is real, so c(-k) = conj(c(k)) and the half k_0 >= 0 of
-    the lattice {-k_max..k_max}^dim carries every coefficient; the norm
-    counts each k_0 > 0 term twice.  Coefficient arrays end in the lattice
-    shape (k_max+1, 2*k_max+1, ..., 2*k_max+1).  The phase rows
-    e^{-i pi k x / R} are cumulative powers of one e^{-i pi x / R} per
-    coordinate.
+    With the lattice axes split into the leading axes 0..dim-2 and the last
+    axis, a coefficient is c(k', k) = sum_i w_i A_i(k') B_i(k), where A_i is
+    the product of the phase rows e^{-i pi k_a x_ia / R} of the leading axes
+    and B_i that of the last.  Every field here is real, so c(-k) = conj(c(k)):
+    axis 0 runs over k_0 >= 0 when dim >= 2, the other leading axes over
+    -k_max..k_max, and the last axis over its half row k >= 0 only.  The
+    product P = sum_i (w_i A_i) (x) B_i of the complex rows viewed as (re, im)
+    pairs of floats is one real matmul, of shape (m, *lead, 2, k_max+1, 2)
+    over the (re, im) part of A, the last axis and the (re, im) part of B.
+    Its four entries per lattice point give both signs of the last axis,
+
+        c(k', +k) = (P_rr - P_ii) + i (P_ri + P_ir),
+        c(k', -k) = (P_rr + P_ii) + i (P_ir - P_ri),
+
+    so |c(k', +k)|^2 + |c(k', -k)|^2 = 2 (P_rr^2 + P_ri^2 + P_ir^2 + P_ii^2)
+    (at k = 0, B is real and P_ri = P_ii = 0), and the norm is a weighted sum
+    of P^2 that doubles k_0 > 0 and k > 0.  The phase rows are cumulative
+    powers of one e^{-i pi x / R} per coordinate.  In dim 1 there is no
+    leading axis and the product is a sum over points.
     """
 
     def __init__(self, grid: SpectralGrid, dim: int):
         self.grid = grid
         self.dim = dim
         k = np.arange(grid.k_max + 1)
-        modes = [k] + [np.concatenate([-k[:0:-1], k])] * (dim - 1)
-        # pi k_a / R along axis a of the lattice
-        self.wavenumbers = [
-            (np.pi / grid.r_box * m).reshape([-1 if b == a else 1 for b in range(dim)])
-            for a, m in enumerate(modes)
-        ]
-        weights = (1.0 + sum(w**2 for w in self.wavenumbers)) ** (-grid.j)
-        weights[1:] *= 2.0
+        lead = ([k] + [np.concatenate([-k[:0:-1], k])] * (dim - 2)) if dim > 1 else []
+        self.lead = len(lead)
+        # k_a along axis a of a product (*lead, 2, k_max+1, 2)
+        modes = [m.reshape([-1 if b == a else 1 for b in range(self.lead)] + [1, 1, 1])
+                 for a, m in enumerate(lead)] + [k.reshape([1] * self.lead + [1, -1, 1])]
+        waves = [np.pi / grid.r_box * m for m in modes]
+        # -i w maps (re, im) to w (im, -re): a turn of the (re, im) pairs of A
+        # (axis -3) for a leading axis, of those of B (axis -1) for the last
+        sign = np.array([1.0, -1.0])
+        self._turns = [(-3, w * sign[:, None, None]) for w in waves[:-1]] + [(-1, waves[-1] * sign)]
+        weights = (1.0 + sum(w**2 for w in waves)) ** (-grid.j)
+        # a k > 0 of the last axis holds -k too, and so does a k_0 > 0 of axis 0
+        weights = weights * np.where(modes[-1] > 0, 2.0, 1.0)
+        if dim > 1:
+            weights = weights * np.where(modes[0] > 0, 2.0, 1.0)
+        weights = np.broadcast_to(weights, tuple(m.size for m in lead) + (2, k.size, 2))
         self.shape = weights.shape
         self._weights = weights.ravel() / (2.0 * grid.r_box) ** dim
 
@@ -373,43 +402,56 @@ class HalfLattice:
         return out
 
     def transform(self, points: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """sum_i w_im e^{-i pi k . x_i / R} for points (..., N, dim) and real
-        weights (..., N, m), by default unit weights (m = 1).
+        """The real product P that holds sum_i w_im e^{-i pi k . x_i / R},
+        for points (..., N, dim) and real weights (..., N, m), by default
+        unit weights (m = 1).
 
-        Returns shape (..., m, *lattice).  Raises SpectralBoxError when a
+        Returns shape (..., m, *self.shape).  Raises SpectralBoxError when a
         point lies outside the open box.
         """
         self.grid.check_inside(points)
-        phases = [self._phases(points[..., a], a == 0) for a in range(self.dim)]
         rows = points.shape[:-1]
-        acc = phases[0]
-        if weights is not None:
-            acc = (weights[..., None] * acc[..., None, :]).reshape(*rows, -1)
-        for ph in phases[1:-1]:
-            acc = (acc[..., :, None] * ph[..., None, :]).reshape(*rows, -1)
-        out = np.swapaxes(acc, -1, -2) @ phases[-1] if self.dim > 1 else acc.sum(axis=-2)
+        acc = weights
+        for a in range(self.lead):
+            ph = self._phases(points[..., a], a == 0)
+            acc = ph if acc is None else (acc[..., :, None] * ph[..., None, :]).reshape(*rows, -1)
+        if self.lead == 0:
+            acc = (np.ones(rows + (1,)) if acc is None else acc).astype(complex)
+        half = self._phases(points[..., -1], True)
+        out = np.swapaxes(acc.view(float), -1, -2) @ half.view(float)
         return out.reshape(*points.shape[:-2], -1, *self.shape)
 
     def tangent(self, parts: np.ndarray) -> np.ndarray:
-        """sum_a (-i pi k_a / R) parts_a: the coefficients of a tangent field
-        from the transforms (..., dim, *lattice) of its tangent components."""
-        return sum(-1j * w * np.take(parts, a, axis=-1 - self.dim)
-                   for a, w in enumerate(self.wavenumbers))
+        """sum_a (-i pi k_a / R) parts_a: the product of a tangent field from
+        the products (..., dim, *self.shape) of its tangent components, each
+        part's (re, im) pairs turned along axis a."""
+        return sum(turn * np.flip(np.take(parts, a, axis=-1 - len(self.shape)), axis)
+                   for a, (axis, turn) in enumerate(self._turns))
 
     def coefficients(self, field: SignedAtomicField) -> np.ndarray:
-        """Coefficients of an atomic or a tangent field."""
+        """The product of an atomic or a tangent field."""
         if field.kind == "atomic":
             return self.transform(field.atoms, field.payload[:, None])[0]
         return self.tangent(self.transform(field.atoms, field.payload / field.atoms.shape[0]))
 
-    def norms(self, coeffs: np.ndarray) -> np.ndarray:
-        """The truncated H^{-J} norm of coefficients (..., *lattice), over
+    def norms(self, products: np.ndarray) -> np.ndarray:
+        """The truncated H^{-J} norm of products (..., *self.shape), over
         any leading axes."""
-        squares = coeffs.real**2 + coeffs.imag**2
-        return np.sqrt(squares.reshape(*coeffs.shape[:coeffs.ndim - self.dim], -1) @ self._weights)
+        squares = products * products
+        return np.sqrt(squares.reshape(*products.shape[:products.ndim - len(self.shape)], -1)
+                       @ self._weights)
 
-    def full(self, coeffs: np.ndarray) -> np.ndarray:
-        """The whole lattice {-k_max..k_max}^dim, k_0 < 0 by c(-k) = conj(c(k))."""
+    def full(self, product: np.ndarray) -> np.ndarray:
+        """The complex coefficients of one product on the whole lattice
+        {-k_max..k_max}^dim: the last axis by the +-k identities, then, in
+        dim >= 2, k_0 < 0 by c(-k) = conj(c(k))."""
+        rr, ri = product[..., 0, :, 0], product[..., 0, :, 1]
+        ir, ii = product[..., 1, :, 0], product[..., 1, :, 1]
+        plus = (rr - ii) + 1j * (ri + ir)
+        minus = (rr + ii) + 1j * (ir - ri)
+        coeffs = np.concatenate([minus[..., :0:-1], plus], axis=-1)
+        if self.dim == 1:
+            return coeffs
         return np.concatenate([np.flip(coeffs[1:]).conj(), coeffs], axis=0)
 
 

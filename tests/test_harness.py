@@ -74,6 +74,73 @@ class TestFitSlope:
         assert fit.ci_low <= 1.5 <= fit.ci_high
 
 
+def oracle_fit_slope(params, values):
+    """``fit_slope`` as it was before the bootstrap became one array pass:
+    one index draw and one ``np.polyfit`` per resample."""
+    params = np.asarray(params, dtype=float)
+    matrix = np.atleast_2d(np.asarray(values, dtype=float))
+    means = matrix.mean(axis=0)
+    mask = means > 0
+    slope, intercept = np.polyfit(np.log(params[mask]), np.log(means[mask]), 1)
+    rng = harness.seeded_rng(harness._SLOPE_SEED, "slope-bootstrap")
+    n_rep = matrix.shape[0]
+    boot = np.full(harness._SLOPE_BOOT, np.nan)
+    for b in range(harness._SLOPE_BOOT):
+        bm = matrix[rng.integers(0, n_rep, size=n_rep)].mean(axis=0)
+        ok = mask & (bm > 0)
+        if ok.sum() >= 3:
+            boot[b] = np.polyfit(np.log(params[ok]), np.log(bm[ok]), 1)[0]
+    boot = boot[np.isfinite(boot)]
+    level = harness.SLOPE_LEVEL
+    ci_low, ci_high = np.percentile(boot, [50 - 50 * level, 50 + 50 * level])
+    return float(slope), float(intercept), ci_low, ci_high
+
+
+def _mixed_sign_replicas(n_rep, seed):
+    """Rate-like replicas on 6 grid points: the last column's mean is
+    negative, and columns 2 to 4 have one replica so negative that a
+    resample drawing it twice leaves fewer than 3 positive points."""
+    rng = np.random.default_rng(seed)
+    x = np.geomspace(1e-3, 1e-1, 6)
+    reps = x ** 1.2 * np.exp(0.3 * rng.normal(size=(n_rep, 6)))
+    reps[:, 5] = -reps[:, 5]
+    reps[0, 2:5] = -0.8 * (n_rep - 1) * reps[1:, 2:5].mean(axis=0)
+    return x, reps
+
+
+class TestFitSlopeBootstrap:
+    """The bootstrap as one array pass against the per-resample loop.
+    Slope and intercept are the same ``np.polyfit``; the CI comes from a
+    closed-form slope per resample instead of ``np.polyfit``, which moves
+    it by at most 1.7e-15 relative over these cases."""
+
+    @pytest.mark.parametrize("n_rep", [3, 7, 10, 20])
+    def test_one_draw_is_the_per_resample_stream(self, n_rep):
+        rng = harness.seeded_rng(harness._SLOPE_SEED, "slope-bootstrap")
+        per_resample = [rng.integers(0, n_rep, size=n_rep) for _ in range(harness._SLOPE_BOOT)]
+        at_once = harness.seeded_rng(harness._SLOPE_SEED, "slope-bootstrap").integers(
+            0, n_rep, size=(harness._SLOPE_BOOT, n_rep))
+        np.testing.assert_array_equal(at_once, per_resample)
+
+    @pytest.mark.parametrize("n_rep", [3, 7, 10, 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_resample_loop(self, n_rep, seed):
+        x, reps = _mixed_sign_replicas(n_rep, seed)
+        with pytest.warns(UserWarning, match="nonpositive"):
+            fit = fit_slope(x, reps)
+        slope, intercept, ci_low, ci_high = oracle_fit_slope(x, reps)
+        assert (fit.slope, fit.intercept) == (slope, intercept)
+        np.testing.assert_allclose([fit.ci_low, fit.ci_high], [ci_low, ci_high], rtol=1e-14, atol=0)
+
+    def test_the_cases_exclude_resamples(self):
+        """the cases above do drop resamples with fewer than 3 positive points."""
+        x, reps = _mixed_sign_replicas(7, 0)
+        picks = harness.seeded_rng(harness._SLOPE_SEED, "slope-bootstrap").integers(
+            0, 7, size=(harness._SLOPE_BOOT, 7))
+        positive = (reps[picks].mean(axis=1)[:, :5] > 0).sum(axis=1)
+        assert 0 < np.sum(positive < 3) < harness._SLOPE_BOOT
+
+
 class TestResultTableMatrix:
     ROWS = [("e", "1", 7, "a", 1.0), ("e", "2", 7, "a", 2.0), ("e", "1", 7, "failed", 1.0),
             ("e", "1", 5, "a", 3.0), ("e", "2", 5, "a", float("nan")),

@@ -113,6 +113,23 @@ def oracle_run_sgd(coeffs, alpha, batch_size, n_steps, seed, initial):
     return np.array(out)
 
 
+def oracle_run_sgd_two_jets(coeffs, alpha, batch_size, n_steps, seed, initial):
+    """``run_sgd`` as it was before one jet served each step: per step one
+    batch draw, the residuals from an order-0 jet and the contraction from
+    an order-1 jet."""
+    rng = seeded_rng(seed, "sgd-batches")
+    w = coeffs.channel_weights
+    X = np.array(initial, dtype=float)
+    out = [X]
+    for _ in range(n_steps):
+        batch = rng.choice(coeffs.n_channels, size=batch_size, p=w)
+        share = np.bincount(batch, minlength=coeffs.n_channels) / batch_size
+        r = coeffs.residuals(ParticleEnsemble.uniform(X))
+        X = X + coeffs._contract(X, alpha * share * r)
+        out.append(X)
+    return np.array(out)
+
+
 def oracle_gradient_descent(coeffs, alpha, n_steps, initial):
     """The full-batch SGD chain (the sampled batch replaced by its
     expectation): each step x += alpha V(x, mu)."""
@@ -248,6 +265,16 @@ class TestKernelMatchesOracle:
         oracle = oracle_run_sgd(coeffs, 0.1, batch_size, 6, 9, initial)
         np.testing.assert_allclose(chain.positions, oracle, **TOL)
 
+    @pytest.mark.parametrize("batch_size", [1, 8], ids=["batch1", "batch8-repeats"])
+    def test_run_sgd_is_the_two_jet_chain(self, activation, bias, n, batch_size):
+        """one jet per step and one batch draw per chain: bit for bit the
+        chain of two jets and one draw per step."""
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
+        initial = ensemble(coeffs, n).positions
+        chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
+        np.testing.assert_array_equal(
+            chain.positions, oracle_run_sgd_two_jets(coeffs, 0.1, batch_size, 6, 9, initial))
+
     def test_gradient_descent_is_the_transport_run(self, activation, bias, n):
         """Deterministic gradient descent at rate alpha is simulate_transport
         at dt = alpha: bit for bit the full-batch run_sgd it replaces, and the
@@ -296,6 +323,12 @@ class TestActivationCalls:
         dB = np.random.default_rng(11).normal(0, 0.1, size=coeffs.n_channels)
         tangent_step(TangentEnsemble(X, 0.1 * X), coeffs, IntegratorConfig(dt=0.01, horizon=0.01), dB)
         assert len(calls) <= 1
+
+    def test_sgd_step_makes_one(self):
+        activation, calls = counting_activation("tanh")
+        coeffs = make_coeffs(activation, False)
+        run_sgd(coeffs, 20, 0.1, 4, 10, seed=3, initial=ensemble(coeffs, 20).positions)
+        assert calls == [1] * 10
 
     def test_coupled_batch_with_tangents_makes_one(self):
         """six runs and the tangent system on the last: one jet per step."""

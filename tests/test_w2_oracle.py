@@ -202,7 +202,7 @@ def test_picard_gaps_are_the_exhaustive_per_step_max(config, n, tol, max_iter, m
     result = picard_solve(initial, coeffs, cfg, noise, tol=tol, max_iter=max_iter)
 
     def exhaustive(a, b):   # caller-order atoms; every weight here is 1/n
-        return oracle_sup(a.given, a.weights[0], b.given, b.weights[0]), "oracle"
+        return oracle_sup(a.given, a.weights, b.given, b.weights), "oracle"
 
     monkeypatch.setattr(dynamics, "w2_sup", exhaustive)
     expected = picard_solve(initial, coeffs, cfg, noise, tol=tol, max_iter=max_iter)
