@@ -593,29 +593,19 @@ class SyntheticCoefficients:
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray | None, Y: np.ndarray | None = None,
                      offsets: np.ndarray | None = None):
-        """``NetworkCoefficients.coupled_step`` through the hooks, one segment
-        per run: ``v_bar_batch`` once on every particle of the batch, then
-        ``v_tilde_mean_batch`` and ``g_batch`` once per run in its own
-        environment.  A (B, N, d) batch is read as its (B N, d) reshape.
-        With a pointwise ``v_bar_batch`` every run is its own ``increment``
-        bit for bit."""
+        """``NetworkCoefficients.coupled_step`` through the hooks: run b
+        moves by its own ``increment`` in its own environment, so every run
+        is its own step bit for bit.  A (B, N, d) batch is read as its
+        (B N, d) reshape."""
         shape = X.shape
         if offsets is None:
             B, N = shape[:2]
             X, weights, offsets = X.reshape(B * N, -1), np.tile(weights, B), range(0, B * N + 1, N)
-        drift = np.zeros(X.shape)
-        if self._v_bar_batch is not None:
-            drift += np.asarray(self._v_bar_batch(X), dtype=float)
         newX = np.empty(X.shape)
         for b, e in enumerate(eps):
             rows = slice(offsets[b], offsets[b + 1])
-            x, mu = X[rows], (X[rows], weights[rows])
-            if self._v_tilde_mean_batch is not None:
-                drift[rows] += np.asarray(self._v_tilde_mean_batch(x, *mu), dtype=float)
-            step = drift[rows] * dt
-            if e > 0.0:
-                step = step + np.sqrt(e) * self.noise_increment(x, mu, dB)
-            newX[rows] = x + step
+            x = X[rows]
+            newX[rows] = x + self.increment(x, (x, weights[rows]), dt, e, dB)
         newX = newX.reshape(shape)
         if Y is None:
             return newX

@@ -111,6 +111,8 @@ def gaussian_bump(center: Sequence[float], width: float, name: str | None = None
     """exp(-|x - c|^2 / (2 s^2)) with exact derivatives; the width s must be
     positive and finite."""
     c = np.asarray(center, dtype=float)
+    if not (c.ndim == 1 and c.size and np.all(np.isfinite(c))):
+        raise ValueError(f"center must be a non-empty vector of finite numbers (got {center!r})")
     if not (np.isfinite(width) and width > 0):
         raise ValueError(f"width must be positive and finite (got {width!r})")
     s2 = float(width) ** 2
@@ -131,8 +133,8 @@ def gaussian_bump(center: Sequence[float], width: float, name: str | None = None
 def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) -> TestFunction:
     """sin/cos(k . x) for an integer frequency vector with |k_j| <= 3."""
     k = np.asarray(freq, dtype=float)
-    if np.max(np.abs(k)) > 3:
-        raise ValueError("trig wave frequency must be <= 3 per axis")
+    if not (k.ndim == 1 and k.size and np.all(np.abs(k) <= 3) and np.all(k == np.round(k))):
+        raise ValueError(f"freq must be a non-empty vector of integers with |k_j| <= 3 (got {freq!r})")
     if phase not in ("sin", "cos"):
         raise ValueError(f"phase must be 'sin' or 'cos' (got {phase!r})")
     fn, dfn = (np.sin, np.cos) if phase == "sin" else (np.cos, lambda z: -np.sin(z))
@@ -362,14 +364,10 @@ def moment_track(traj: Trajectory, p: int) -> tuple[float, float]:
     """sup over snapshots of <|x|^p, mu_t> and its ratio to 1 + initial."""
     if p not in (2, 4):
         raise ValueError("moment order p must be 2 or 4")
-    sup = 0.0
-    for s in range(traj.n_snapshots):
-        norms2 = np.einsum("nd,nd->n", traj.positions[s], traj.positions[s])
-        m = float(traj.weights @ (norms2 if p == 2 else norms2**2))
-        sup = max(sup, m)
-    norms2 = np.einsum("nd,nd->n", traj.positions[0], traj.positions[0])
-    m0 = float(traj.weights @ (norms2 if p == 2 else norms2**2))
-    return sup, sup / (1.0 + m0)
+    norms2 = np.einsum("snd,snd->sn", traj.positions, traj.positions)
+    moments = (norms2 if p == 2 else norms2**2) @ traj.weights     # (S,)
+    sup = float(moments.max())
+    return sup, sup / (1.0 + float(moments[0]))
 
 
 def write_report(rows: Iterable[tuple], path):

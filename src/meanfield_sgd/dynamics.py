@@ -323,11 +323,6 @@ def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig)
     return simulate(initial, coeffs, replace(cfg, eps=0.0), noise=None)
 
 
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Where each run starts, and the last ends, in a concatenation of runs of ``sizes``."""
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
 def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg: IntegratorConfig,
                      noise: NoisePath | None, tangent: bool = False) -> list:
     """The coupled ``runs``, (initial, eps) pairs, integrated as one batch
@@ -340,8 +335,8 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     ``coupled_step``) and equal them to rounding.  With ``tangent`` the
     last run must be at eps 0, and it is the one ``solve_tangent`` returns
     for the same particle weights: the transport run with its tangents,
-    from zero.  A run that goes non-finite drops out of the batch there, and
-    its entry is the SimulationError its own run raises; the others go on.
+    from zero.  A run that goes non-finite stays in the batch as nan rows
+    and its entry is the SimulationError its own run raises; no sum mixes runs.
     Returns one Trajectory or SimulationError per run.
     """
     if not runs:
@@ -351,56 +346,46 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
         raise ValueError(f"eps must end in 0 to carry the tangents (got {eps.tolist()})")
     rows = _noise_rows(noise, cfg, coeffs) if tangent or np.any(eps > 0.0) else None
     weights = [initial.weights for initial, _ in runs]
-    sizes = np.array([w.size for w in weights])
+    offsets = np.concatenate([[0], np.cumsum([w.size for w in weights])])
     # runs of one size on one weight vector keep the per-run sums of a (B, N, d) batch
-    shared = all(np.array_equal(w, weights[0]) for w in weights)
+    if all(np.array_equal(w, weights[0]) for w in weights):
+        shape, W, segments = (eps.size, weights[0].size, -1), weights[0], None
+    else:
+        shape, W, segments = (offsets[-1], -1), np.concatenate(weights), offsets
     out: list = [None] * eps.size
 
     def advance(state, step):
-        X, W, Y, t, live, offsets = state
-        if not live.size:
+        X, Y, t = state
+        if None not in out:   # every run has failed
             return state
         t = t + cfg.dt
-        dB = None if rows is None else rows[step]
-        if shared:
-            moved = coeffs.coupled_step(X.reshape(live.size, -1, X.shape[-1]), weights[0], cfg.dt,
-                                        eps[live].tolist(), dB, Y)
-        else:
-            moved = coeffs.coupled_step(X, W, cfg.dt, eps[live].tolist(), dB, Y, offsets)
-        X, Y = moved if Y is not None else (moved, None)
-        X = X.reshape(W.size, -1)
+        moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps.tolist(),
+                                    None if rows is None else rows[step], Y, segments)
+        X, Y = moved if tangent else (moved, None)
+        X = X.reshape(offsets[-1], -1)
         if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):
-            return X, W, Y, t, live, offsets
-        keep = np.logical_and.reduceat(np.isfinite(X).all(axis=1), offsets[:-1])
-        if Y is not None and keep[-1]:
-            keep[-1] = np.isfinite(Y).all()
+            return X, Y, t
         at = int(round(t / cfg.dt))
-        for b in np.flatnonzero(~keep):
+        for b in range(eps.size):
             run = X[offsets[b]:offsets[b + 1]]
-            out[live[b]] = _divergence(run, at, t) or _divergence(Y, at, t)
-        if Y is not None and not keep[-1]:
-            Y = None
-        particles = np.repeat(keep, sizes[live])
-        live = live[keep]
-        return X[particles], W[particles], Y, t, live, _offsets(sizes[live])
+            out[b] = out[b] or _divergence(run, at, t) or (
+                _divergence(Y, at, t) if tangent and b == eps.size - 1 else None)
+            if out[b] is not None:   # a failed run stays in the batch as nan rows
+                run[:] = np.nan
+        return X, Y, t
 
     def snapshot(state):
-        X, _, Y, t, live, _ = state
-        if live.size < eps.size:   # a dropped run's rows are nan
-            X = np.full((sizes.sum(), X.shape[-1]), np.nan)
-            X[np.repeat(np.isin(np.arange(eps.size), live), sizes)] = state[0]
-        return (X, t, zero if Y is None else Y) if tangent else (X, t)
+        X, Y, t = state
+        return (X, t, Y) if tangent else (X, t)
 
     # the tangents ride on the last run, from zero
-    zero = np.zeros_like(runs[-1][0].positions) if tangent else None
-    state = (np.concatenate([initial.positions for initial, _ in runs]), np.concatenate(weights), zero,
-             runs[0][0].time, np.arange(eps.size), _offsets(sizes))
-    # a diverging run drops out at its first non-finite state; numpy's
-    # overflow warnings on the way there add nothing to its error
+    state = (np.concatenate([initial.positions for initial, _ in runs]),
+             np.zeros_like(runs[-1][0].positions) if tangent else None, runs[0][0].time)
+    # a diverging run fails at its first non-finite state; numpy's overflow
+    # warnings on the way there add nothing to its error
     with np.errstate(over="ignore", invalid="ignore"):
         positions, times, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
                                                  snapshot)
-    offsets = _offsets(sizes)
     for b, e in enumerate(eps):
         if out[b] is None:
             carries = tangent and b == eps.size - 1

@@ -727,7 +727,7 @@ def _clt_runs(rep: Replica) -> dict:
     return rep.results
 
 
-def _clt_cells(grid: SpectralGrid, rep: Replica) -> list:
+def _clt_cells(grid: SpectralGrid | None, rep: Replica) -> list:
     eps_grid = [float(eps) for eps in rep.config.eps_grid]
 
     def sup_sq() -> dict:
@@ -769,11 +769,11 @@ def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
         r_box = float(config.r_box)
     else:
         # global bounding box over every kept run, the tangent solve included,
-        # 20% margin; nan when every run failed, and then no cell reaches the norm
+        # 20% margin; nan when every run failed, and then no cell reaches the grid
         r_box = 1.2 * max((float(np.max(np.abs(run.positions)))
                            for rep in replicas for run in rep.results.values()
                            if isinstance(run, Trajectory)), default=np.nan)
-    grid = SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
+    grid = None if np.isnan(r_box) else SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
     table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, replicas)
     return _eps_rate_summary(table, "clt-rate", "sup_hneg_sq", r_box=r_box)
 

@@ -17,6 +17,7 @@ need, as one real product per point set.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -141,12 +142,12 @@ class SpectralGrid:
     j: int
 
     def __post_init__(self):
-        if self.r_box <= 0:
-            raise ValueError("r_box must be positive")
-        if self.k_max < 8:
-            raise ValueError("k_max must be at least 8")
-        if self.j < 1:
-            raise ValueError("sobolev order j must be a positive integer")
+        if not (isinstance(self.r_box, numbers.Real) and math.isfinite(self.r_box) and self.r_box > 0):
+            raise ValueError(f"r_box must be positive and finite (got {self.r_box!r})")
+        for name, low in (("k_max", 8), ("j", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
 
     def check_inside(self, points: np.ndarray):
         """Raise SpectralBoxError unless every coordinate lies in the open box."""

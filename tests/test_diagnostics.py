@@ -67,8 +67,13 @@ class TestPanelCalculus:
                 assert np.array_equal(low, high)
 
     def test_trig_frequency_capped(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="freq"):
             trig_wave([4, 0])
+
+    @pytest.mark.parametrize("freq", [[float("nan"), 1], [0.5, 1], [float("inf"), 0], []])
+    def test_trig_frequency_must_be_an_integer_vector(self, freq):
+        with pytest.raises(ValueError, match="freq"):
+            trig_wave(freq)
 
     def test_unbounded_members_flagged(self):
         panel = standard_panel(2)
@@ -285,6 +290,11 @@ class TestBoundary:
     def test_bump_width_must_be_positive_and_finite(self, width):
         with pytest.raises(ValueError, match="width"):
             gaussian_bump([0.0, 0.0], width)
+
+    @pytest.mark.parametrize("center", [[float("nan"), 0.0], [0.0, float("inf")], [], [[0.0, 0.0]]])
+    def test_bump_center_must_be_a_finite_vector(self, center):
+        with pytest.raises(ValueError, match="center"):
+            gaussian_bump(center, 1.0)
 
 
 class TestAtomicFunctional:

@@ -677,6 +677,34 @@ class TestCoupledRuns:
                 np.testing.assert_array_equal(getattr(run, field), getattr(want, field))
                 np.testing.assert_array_equal(getattr(run, field), getattr(other, field))
 
+    @pytest.mark.parametrize("sizes, tangent", [((8, 8, 8), False), ((8, 5, 13), True)],
+                             ids=["reshape", "segmented"])
+    def test_a_diverged_network_run_fails_alone(self, sizes, tangent):
+        """The bounded network stays finite from any finite atom, so the
+        first run starts from an atom at inf: its entry is the error its own
+        run raises, and the runs beside it are the batch without it bit for
+        bit, and their own runs (to rounding in a segmented batch)."""
+        rng = np.random.default_rng(5)
+        eps = (0.1, 1e-2, 0.0)
+        runs = [(ParticleEnsemble.uniform(rng.uniform(-1, 1, size=(n, REF_COEFFS.dim))), e)
+                for n, e in zip(sizes, eps)]
+        runs[0][0].positions[3] = inf
+        cfg = IntegratorConfig(dt=1e-2, horizon=0.1, snapshot_stride=3)
+        noise = NoisePath(2, 1e-2, 10, REF_COEFFS.n_channels)
+        with pytest.raises(SimulationError) as alone:
+            simulate(runs[0][0], REF_COEFFS, replace(cfg, eps=eps[0]), noise)
+        got = simulate_coupled(runs, REF_COEFFS, cfg, noise, tangent=tangent)
+        assert isinstance(got[0], SimulationError) and str(got[0]) == str(alone.value)
+        without = simulate_coupled(runs[1:], REF_COEFFS, cfg, noise, tangent=tangent)
+        for b, (run, other, (initial, e)) in enumerate(zip(got[1:], without, runs[1:]), start=1):
+            carries = tangent and b == len(runs) - 1
+            want = _own_run(initial, REF_COEFFS, cfg, e, noise, carries)
+            for field in ("positions", "tangents") if carries else ("positions",):
+                value = getattr(want, field)
+                tol = SEGMENT_TOL * max(np.abs(value).max(), 1.0) if tangent else 0.0
+                np.testing.assert_allclose(getattr(run, field), value, rtol=0, atol=tol)
+                np.testing.assert_array_equal(getattr(run, field), getattr(other, field))
+
     @pytest.mark.parametrize("coeffs, n, init", [
         (REF_COEFFS, 40, REF_SPEC),
         (harness.build_coefficients(ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,),

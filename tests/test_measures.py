@@ -205,6 +205,17 @@ class TestSobolevNorm:
     def grid(self, r=np.pi, k=64, j=5):
         return SpectralGrid(r_box=r, k_max=k, j=j)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_box", float("nan")), ("r_box", float("inf")), ("r_box", 0.0), ("r_box", "2"),
+        ("k_max", 16.5), ("k_max", 4), ("j", 5.5), ("j", 0), ("j", True),
+    ])
+    def test_grid_rejects_what_no_caller_means(self, field, value):
+        """A grid that would give a nan or zero norm, or a fractional cutoff
+        or order, fails when built, naming its field."""
+        args = {"r_box": 2.0, "k_max": 16, "j": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SpectralGrid(**args)
+
     def test_zero_field(self):
         f = SignedAtomicField.atomic(np.array([[0.1]]), np.array([0.0]))
         assert sobolev_neg_norm(f, self.grid()) == 0.0
