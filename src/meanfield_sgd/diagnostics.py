@@ -8,6 +8,7 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,8 +70,16 @@ def _zero_hess(X: np.ndarray) -> np.ndarray:
     return np.zeros((X.shape[0], X.shape[1], X.shape[1]))
 
 
+def _check_dim(name: str, d: int, X: np.ndarray) -> None:
+    """Refuse points of another dimension than the test function's, naming both."""
+    if X.shape[1] != d:
+        raise ValueError(f"test function {name} is {d}-dimensional but the points are "
+                         f"{X.shape[1]}-dimensional")
+
+
 def _constant(d: int) -> TestFunction:
     def jet(X, order):
+        _check_dim("const", d, X)
         return _jet(order, np.ones(X.shape[0]), lambda: np.zeros_like(X), lambda: _zero_hess(X))
 
     return TestFunction("const", jet)
@@ -82,10 +91,13 @@ def _coordinate(k: int, d: int) -> TestFunction:
         g[:, k] = 1.0
         return g
 
+    name = f"x{k + 1}"
+
     def jet(X, order):
+        _check_dim(name, d, X)
         return _jet(order, X[:, k].copy(), lambda: grad(X), lambda: _zero_hess(X))
 
-    return TestFunction(f"x{k + 1}", jet, bounded=False)
+    return TestFunction(name, jet, bounded=False)
 
 
 def _product(k: int, l: int, d: int) -> TestFunction:
@@ -101,33 +113,53 @@ def _product(k: int, l: int, d: int) -> TestFunction:
         h[:, l, k] += 1.0
         return h
 
+    name = f"x{k + 1}x{l + 1}"
+
     def jet(X, order):
+        _check_dim(name, d, X)
         return _jet(order, X[:, k] * X[:, l], lambda: grad(X), lambda: hess(X))
 
-    return TestFunction(f"x{k + 1}x{l + 1}", jet, bounded=False)
+    return TestFunction(name, jet, bounded=False)
 
 
 def gaussian_bump(center: Sequence[float], width: float, name: str | None = None) -> TestFunction:
-    """exp(-|x - c|^2 / (2 s^2)) with exact derivatives; the width s must be
-    positive and finite."""
+    """exp(-|x - c|^2 / (2 s^2)) with exact derivatives; the width s must be a
+    positive finite real."""
     c = np.asarray(center, dtype=float)
     if not (c.ndim == 1 and c.size and np.all(np.isfinite(c))):
         raise ValueError(f"center must be a non-empty vector of finite numbers (got {center!r})")
-    if not (np.isfinite(width) and width > 0):
-        raise ValueError(f"width must be positive and finite (got {width!r})")
+    if isinstance(width, bool) or not isinstance(width, Real) or not (np.isfinite(width) and width > 0):
+        raise ValueError(f"width must be a positive finite real (got {width!r})")
     s2 = float(width) ** 2
+    d = c.size
+    name = name or f"bump({','.join(f'{x:g}' for x in c)};{width:g})"
 
     def jet(X, order):
+        _check_dim(name, d, X)
         diff = X - c
         v = np.exp(-np.einsum("nd,nd->n", diff, diff) / (2 * s2))
 
+        # the derivatives one coordinate column at a time, each element by
+        # the same operations as the broadcast -v diff / s2 and
+        # v (diff diff^T / s2^2 - I / s2): an off-diagonal x - 0.0 is x, and
+        # the outer product's einsum summed into zeros (-0.0 reads +0.0)
+        def grad():
+            g, minus_v = np.empty_like(diff), -v
+            for a in range(d):
+                g[:, a] = minus_v * diff[:, a] / s2
+            return g
+
         def hess():
-            outer = np.einsum("ni,nj->nij", diff, diff) / s2**2
-            return v[:, None, None] * (outer - np.eye(c.size)[None, :, :] / s2)
+            h = np.empty((X.shape[0], d, d))
+            for a in range(d):
+                h[:, a, a] = v * (diff[:, a] * diff[:, a] / s2**2 - 1.0 / s2)
+                for b in range(a):
+                    h[:, a, b] = h[:, b, a] = v * ((0.0 + diff[:, a] * diff[:, b]) / s2**2)
+            return h
 
-        return _jet(order, v, lambda: -v[:, None] * diff / s2, hess)
+        return _jet(order, v, grad, hess)
 
-    return TestFunction(name or f"bump({','.join(f'{x:g}' for x in c)};{width:g})", jet)
+    return TestFunction(name, jet)
 
 
 def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) -> TestFunction:
@@ -138,18 +170,38 @@ def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) 
     if phase not in ("sin", "cos"):
         raise ValueError(f"phase must be 'sin' or 'cos' (got {phase!r})")
     fn, dfn = (np.sin, np.cos) if phase == "sin" else (np.cos, lambda z: -np.sin(z))
+    d, kk = k.size, np.einsum("i,j->ij", k, k)
+    name = name or f"{phase}({','.join(f'{x:g}' for x in k)})"
 
     def jet(X, order):
+        _check_dim(name, d, X)
         z = X @ k
         v = fn(z)
-        return _jet(order, v, lambda: dfn(z)[:, None] * k[None, :],
-                    lambda: -v[:, None, None] * np.einsum("i,j->ij", k, k)[None, :, :])
 
-    return TestFunction(name or f"{phase}({','.join(f'{x:g}' for x in k)})", jet)
+        # column a of the gradient is dfn(z) k_a, entry (a, b) of the
+        # Hessian -v (k k^T)_ab: the broadcast products, column by column
+        def grad():
+            dz, g = dfn(z), np.empty((X.shape[0], d))
+            for a in range(d):
+                g[:, a] = dz * k[a]
+            return g
+
+        def hess():
+            h, minus_v = np.empty((X.shape[0], d, d)), -v
+            for a in range(d):
+                for b in range(a + 1):
+                    h[:, a, b] = h[:, b, a] = minus_v * kk[a, b]
+            return h
+
+        return _jet(order, v, grad, hess)
+
+    return TestFunction(name, jet)
 
 
 def standard_panel(d: int) -> list[TestFunction]:
     """Constant, coordinates, one quadratic, two bumps and two waves."""
+    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
+        raise ValueError(f"d must be a positive integer (got {d!r})")
     return [_constant(d), *(_coordinate(k, d) for k in range(d)), _product(0, min(1, d - 1), d),
             gaussian_bump(np.zeros(d), 1.0, name="bump0"),
             gaussian_bump(np.full(d, 0.5), 0.75, name="bump1"),
@@ -347,16 +399,66 @@ def f_n_functional(mu: EmpiricalMeasure, n: int) -> float:
     return float(total)
 
 
+# the candidate pairs of a chunk may be at most this share of the pairs;
+# beyond it every snapshot of the chunk takes its own pdist
+_CANDIDATE_SHARE = 0.125
+
+
+def _pair_rows(n: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, at the indices ``flat`` of a condensed
+    distance vector over n points (pdist's order)."""
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2    # pair (i, i + 1)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    return i, flat - starts[i] + i + 1
+
+
+def _pair_distances(X: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|X[:, i] - X[:, j]| for snapshots X (S, N, d), the squares summed one
+    coordinate after the other: pdist's operations, bit for bit."""
+    sq = 0.0
+    for a in range(X.shape[2]):
+        c = X[:, i, a] - X[:, j, a]
+        sq = sq + c * c
+    return np.sqrt(sq)
+
+
 def min_pairwise_distance(traj: Trajectory) -> tuple[np.ndarray, float]:
-    """Per-step minimum distance over initially distinct pairs, plus the
-    global-min / initial-min ratio."""
-    d0 = pdist(traj.positions[0])
+    """Per-snapshot minimum distance over initially distinct pairs, plus the
+    global-min / initial-min ratio.
+
+    The snapshots go in chunks of ``chunk_length(N)``.  At a chunk's first
+    snapshot a one ``pdist`` gives the minimum m_a; with delta the largest
+    displacement |x_i(s) - x_i(a)| in the chunk, a pair farther apart than
+    m_a + 4 delta at a stays farther than m_a + 2 delta, and the pair at m_a
+    nearer, so only the pairs within m_a + 4 delta (and a relative margin
+    for rounding) are measured at the chunk's snapshots, by pdist's
+    operations.  A chunk with a non-finite displacement, or with candidates
+    for more than an eighth of the pairs, takes one ``pdist`` per snapshot.
+    """
+    positions = traj.positions
+    n_snapshots, n = positions.shape[:2]
+    d0 = pdist(positions[0])
     mask = d0 > 0.0
     if not np.any(mask):
         raise ValueError("no initially distinct pairs to monitor")
-    curve = np.empty(traj.n_snapshots)
-    for s in range(traj.n_snapshots):
-        curve[s] = pdist(traj.positions[s])[mask].min()
+    curve = np.empty(n_snapshots)
+    length = chunk_length(n)
+    for lo in range(0, n_snapshots, length):
+        X = positions[lo:lo + length]
+        anchor = d0 if lo == 0 else pdist(X[0])
+        # a coordinate at inf or out of range reads nan or inf, as in pdist,
+        # without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            disp = X - X[0]
+            delta = np.sqrt(np.einsum("snd,snd->sn", disp, disp).max())
+            if np.isfinite(delta):
+                near = anchor <= (anchor[mask].min() + 4.0 * delta) * (1.0 + 1e-12)
+                flat = np.flatnonzero(near & mask)
+                if flat.size <= _CANDIDATE_SHARE * anchor.size:
+                    curve[lo:lo + len(X)] = _pair_distances(X, *_pair_rows(n, flat)).min(axis=1)
+                    continue
+        for s in range(len(X)):
+            curve[lo + s] = pdist(X[s])[mask].min()
     return curve, float(curve.min() / d0[mask].min())
 
 

@@ -2,10 +2,13 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from meanfield_sgd import diagnostics
 from meanfield_sgd.coefficients import SyntheticCoefficients
 from meanfield_sgd.diagnostics import (
     BudgetExceeded,
@@ -26,6 +29,7 @@ from meanfield_sgd.dynamics import (
     IntegratorConfig,
     NoisePath,
     ParticleEnsemble,
+    Trajectory,
     sample_initial,
     simulate,
     simulate_transport,
@@ -296,6 +300,48 @@ class TestBoundary:
         with pytest.raises(ValueError, match="center"):
             gaussian_bump(center, 1.0)
 
+    @pytest.mark.parametrize("width", ["x", None, [1.0], True, np.bool_(True)],
+                             ids=["str", "none", "list", "bool", "numpy-bool"])
+    def test_bump_width_must_be_a_real_number(self, width):
+        with pytest.raises(ValueError, match="width"):
+            gaussian_bump([0.0, 0.0], width)
+
+    @pytest.mark.parametrize("width", [1, np.float32(0.5), np.int64(2)])
+    def test_bump_width_takes_any_real_number(self, width):
+        phi = gaussian_bump([0.0, 0.0], width)
+        assert phi.value(np.zeros((1, 2)))[0] == 1.0
+
+    @pytest.mark.parametrize("d", [0, -1, 1.5, True, "2"])
+    def test_standard_panel_needs_a_positive_integer_dimension(self, d):
+        with pytest.raises(ValueError, match="d must"):
+            standard_panel(d)
+
+    @pytest.mark.parametrize("phi, d", [(gaussian_bump([0.0, 0.0, 0.0], 1.0), 3), (trig_wave([1, 1, 1]), 3),
+                                        (gaussian_bump([0.5], 0.5, name="narrow"), 1),
+                                        (trig_wave([2], "cos"), 1)],
+                             ids=["bump-3d", "sin-3d", "bump-1d", "cos-1d"])
+    def test_test_function_of_another_dimension_rejected(self, runs, phi, d):
+        """Each check names the test function and both dimensions, where
+        numpy would fail on a broadcast or a matmul, or a column-wise jet
+        would read only the first columns."""
+        message = rf"{re.escape(phi.name)} is {d}-dimensional.* 2-dimensional"
+        for check in self.checks(runs):
+            with pytest.raises(ValueError, match=message):
+                check([phi])
+        for order in range(3):
+            with pytest.raises(ValueError, match="dimensional"):
+                phi.jet(np.zeros((4, 2)), order)
+
+    def test_panel_of_another_dimension_rejected(self, runs):
+        """Every member of standard_panel(3) refuses 2-d points, the first one
+        (const) in each check."""
+        for check in self.checks(runs):
+            with pytest.raises(ValueError, match="const is 3-dimensional.* 2-dimensional"):
+                check(standard_panel(3))
+        for phi in standard_panel(3):
+            with pytest.raises(ValueError, match=rf"{re.escape(phi.name)} is 3-dimensional"):
+                phi.jet(np.zeros((4, 2)), 2)
+
 
 class TestAtomicFunctional:
     def brute_force(self, mu, n):
@@ -397,6 +443,68 @@ class TestCollisionMonitor:
         traj = simulate_transport(initial, coeffs, cfg)
         with pytest.raises(ValueError):
             min_pairwise_distance(traj)
+
+
+def slow_walk(n=100, n_snapshots=121, seed=0):
+    """n particles on the unit square moving by steps of 1e-4."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, 1e-4, size=(n_snapshots, n, 2))
+    steps[0] = rng.uniform(size=(n, 2))
+    return np.cumsum(steps, axis=0)
+
+
+class TestCollisionChunks:
+    """The collision curve takes one pdist per chunk of snapshots, and one per
+    snapshot in a chunk its displacement bound cannot serve."""
+
+    @staticmethod
+    def run(positions):
+        n = positions.shape[1]
+        return Trajectory(times=np.arange(len(positions), dtype=float), positions=positions,
+                          weights=np.full(n, 1.0 / n), dt=1.0, eps=0.0, snapshot_stride=1)
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def counting(X):
+            calls.append(len(X))
+            return pdist(X)
+
+        monkeypatch.setattr(diagnostics, "pdist", counting)
+        return calls
+
+    @staticmethod
+    def per_snapshot(positions):
+        mask = pdist(positions[0]) > 0.0
+        return np.array([pdist(X)[mask].min() for X in positions])
+
+    def test_one_pdist_per_chunk(self, monkeypatch):
+        positions = slow_walk()
+        assert chunk_length(100) == 40           # 121 snapshots: chunks at 0, 40, 80 and 120
+        calls = self.counted(monkeypatch)
+        curve, _ = min_pairwise_distance(self.run(positions))
+        assert len(calls) == 4
+        assert np.array_equal(curve, self.per_snapshot(positions))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
+    def test_a_chunk_with_a_far_or_non_finite_point_takes_pdist_per_snapshot(self, monkeypatch, bad):
+        positions = slow_walk()
+        positions[50, 7, 1] = bad
+        calls = self.counted(monkeypatch)
+        curve, ratio = min_pairwise_distance(self.run(positions))
+        assert len(calls) == 4 + 40
+        want = self.per_snapshot(positions)
+        assert np.array_equal(curve, want, equal_nan=True)
+        assert np.isnan(ratio) == np.isnan(bad) and np.isnan(curve[50]) == np.isnan(bad)
+
+    def test_a_chunk_of_fast_particles_takes_pdist_per_snapshot(self, monkeypatch):
+        positions = slow_walk()
+        positions[80:] += np.random.default_rng(1).normal(0.0, 0.5, size=positions[80:].shape)
+        calls = self.counted(monkeypatch)
+        curve, _ = min_pairwise_distance(self.run(positions))
+        assert len(calls) == 4 + 40
+        assert np.array_equal(curve, self.per_snapshot(positions))
 
 
 class TestMomentTrack:

@@ -23,24 +23,44 @@ differ by at most 3.3e-16 absolute (2.2e-9 relative over |R| > 1e-12), QV by
 absolute (1.1e-11 relative).  Over 300 draws of the random-network property
 the largest deviation used 0.24 of the tolerance.  Dropping the 1/2 eps
 factor of the Ito term or a sqrt(w_p) weight fails these checks.
+
+The collision curve and the test-function jets are checked bit for bit
+against their previous implementations, kept verbatim below:
+``oracle_min_pairwise_distance`` takes one ``pdist`` per snapshot, where
+``min_pairwise_distance`` takes one per chunk of snapshots and measures only
+the pairs a displacement bound leaves as candidates; ``oracle_bump_jet`` and
+``oracle_wave_jet`` broadcast the gradient and Hessian over trailing axes,
+where the jets now fill them one coordinate column at a time by the same
+operations per element.  Tolerance: none (``np.array_equal``, nan-aware, and
+the jets' bit patterns).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 import paper_forms as pf
 from meanfield_sgd.coefficients import ACTIVATIONS, Dataset, NetworkCoefficients, SyntheticCoefficients
 from meanfield_sgd.diagnostics import (
     chunk_length,
     gaussian_bump,
+    min_pairwise_distance,
     qv_check,
     qv_check_panel,
     smfe_weak_residual_panel,
     standard_panel,
+    trig_wave,
 )
-from meanfield_sgd.dynamics import IntegratorConfig, NoisePath, ParticleEnsemble, sample_initial, simulate
+from meanfield_sgd.dynamics import (
+    IntegratorConfig,
+    NoisePath,
+    ParticleEnsemble,
+    Trajectory,
+    sample_initial,
+    simulate,
+)
 from meanfield_sgd.fluctuations import solve_tangent, weak_residual_linear
 from meanfield_sgd.harness import build_coefficients, build_initial_spec, reference_config
 
@@ -138,6 +158,51 @@ def oracle_weak_residual_linear(tangent_traj, coeffs, noise, panel):
             gpair = np.einsum("nd,npd->p", grads, G) / n
             residuals[phi.name] -= (term_v + term_i) * dt + float((gpair * sqrt_w) @ dB)
     return residuals
+
+
+def oracle_min_pairwise_distance(traj):
+    d0 = pdist(traj.positions[0])
+    mask = d0 > 0.0
+    if not np.any(mask):
+        raise ValueError("no initially distinct pairs to monitor")
+    curve = np.empty(traj.n_snapshots)
+    for s in range(traj.n_snapshots):
+        curve[s] = pdist(traj.positions[s])[mask].min()
+    return curve, float(curve.min() / d0[mask].min())
+
+
+def _oracle_jet(order, value, *derivatives):
+    return (value, *(d() for d in derivatives[:order]))
+
+
+def oracle_bump_jet(center, width):
+    c = np.asarray(center, dtype=float)
+    s2 = float(width) ** 2
+
+    def jet(X, order):
+        diff = X - c
+        v = np.exp(-np.einsum("nd,nd->n", diff, diff) / (2 * s2))
+
+        def hess():
+            outer = np.einsum("ni,nj->nij", diff, diff) / s2**2
+            return v[:, None, None] * (outer - np.eye(c.size)[None, :, :] / s2)
+
+        return _oracle_jet(order, v, lambda: -v[:, None] * diff / s2, hess)
+
+    return jet
+
+
+def oracle_wave_jet(freq, phase):
+    k = np.asarray(freq, dtype=float)
+    fn, dfn = (np.sin, np.cos) if phase == "sin" else (np.cos, lambda z: -np.sin(z))
+
+    def jet(X, order):
+        z = X @ k
+        v = fn(z)
+        return _oracle_jet(order, v, lambda: dfn(z)[:, None] * k[None, :],
+                           lambda: -v[:, None, None] * np.einsum("i,j->ij", k, k)[None, :, :])
+
+    return jet
 
 
 # --------------------------------------------------------------------------
@@ -323,3 +388,113 @@ class TestWeakResidualLinearOracle:
         panel = standard_panel(coeffs.dim)
         assert_matches(weak_residual_linear(tangent, coeffs, noise, panel),
                        oracle_weak_residual_linear(tangent, coeffs, noise, panel))
+
+
+def bits(a):
+    """The bit pattern of a float array: equal bits, including signed zeros and nan payloads."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestJetOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 64),
+           phase=st.sampled_from(["sin", "cos"]))
+    def test_jets_match_the_broadcast_oracle_bit_for_bit(self, seed, d, n, phase):
+        """Value, gradient and Hessian at every order, on random points (some
+        coordinates on the centre's), centres, widths and frequencies (some
+        zero)."""
+        rng = np.random.default_rng(seed)
+        center, width = rng.normal(size=d), float(rng.uniform(0.1, 3.0))
+        X = rng.normal(0.0, 2.0, size=(n, d))
+        # some coordinates on the centre's, where the products of the
+        # Hessian are signed zeros
+        on_center = rng.random(size=(n, d)) < 0.3
+        X[on_center] = np.broadcast_to(center, (n, d))[on_center]
+        freq = rng.integers(-3, 4, size=d)
+        for phi, oracle in ((gaussian_bump(center, width), oracle_bump_jet(center, width)),
+                            (trig_wave(freq, phase), oracle_wave_jet(freq, phase))):
+            for order in range(3):
+                got, want = phi.jet(X, order), oracle(X, order)
+                assert len(got) == len(want) == order + 1
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.array_equal(bits(g), bits(w)), (phi.name, order)
+
+
+def random_walk(seed, d, n, n_snapshots, log_step, n_duplicates, meet, nan):
+    """n particles uniform on the unit cube, some initially coincident, moving
+    by Gaussian steps of 10**log_step times the mean spacing; optionally two
+    particles meet exactly at one snapshot and one coordinate is nan."""
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(size=(n, d))
+    for _ in range(n_duplicates):
+        X0[rng.integers(n)] = X0[rng.integers(n)]
+    step = n ** (-1.0 / d) * 10.0**log_step
+    walk = np.cumsum(rng.normal(size=(n_snapshots - 1, n, d)) * step, axis=0)
+    positions = np.concatenate([X0[None], X0 + walk])
+    if meet and n_snapshots > 1:
+        s = rng.integers(1, n_snapshots)
+        positions[s, 1] = positions[s, 0]
+    if nan:
+        positions[rng.integers(n_snapshots), rng.integers(n), rng.integers(d)] = np.nan
+    return Trajectory(times=np.arange(n_snapshots, dtype=float), positions=positions,
+                      weights=np.full(n, 1.0 / n), dt=1.0, eps=0.0, snapshot_stride=1)
+
+
+class TestCollisionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(2, 60),
+           chunks=st.floats(0.0, 3.0), log_step=st.floats(-8.0, 1.0),
+           n_duplicates=st.integers(0, 3), meet=st.booleans(), nan=st.booleans())
+    def test_curve_and_ratio_match_the_oracle(self, seed, d, n, chunks, log_step,
+                                              n_duplicates, meet, nan):
+        """Dimensions 1 to 3, runs of up to three chunks and a remainder, steps
+        from 1e-8 to 10 spacings (from one candidate pair to every pair),
+        coincident initial atoms, an exact meeting and a nan snapshot."""
+        n_snapshots = 1 + int(chunks * chunk_length(n))
+        traj = random_walk(seed, d, n, n_snapshots, log_step, n_duplicates, meet, nan)
+        try:
+            want = oracle_min_pairwise_distance(traj)
+        except ValueError:
+            with pytest.raises(ValueError, match="distinct"):
+                min_pairwise_distance(traj)
+            return
+        curve, ratio = min_pairwise_distance(traj)
+        assert np.array_equal(curve, want[0], equal_nan=True)
+        assert np.array_equal(ratio, want[1], equal_nan=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_just_inside_the_bound_takes_the_minimum(self, d):
+        """The bound is tight: over the first chunk the nearest pair moves
+        apart by 2 delta while a pair 4 delta (less 0.1%) farther closes by
+        2 delta and ends the chunk as the nearest.  A bound of less than
+        about 4 delta would drop that pair."""
+        n = 60
+        length, m, delta = chunk_length(n), 0.01, 0.02
+        ramp = np.linspace(0.0, delta, length)
+        positions = np.zeros((2 * length + 1, n, d))
+        positions[:, 4:, 0] = 10.0 * np.arange(4, n)                 # far from each other
+        gap = m + 4.0 * delta * (1.0 - 1e-3)
+        positions[:, :4, 0] = [-m / 2 - delta, m / 2 + delta, 5.0 - gap / 2 + delta, 5.0 + gap / 2 - delta]
+        positions[:length, 0, 0] = -m / 2 - ramp
+        positions[:length, 1, 0] = m / 2 + ramp
+        positions[:length, 2, 0] = 5.0 - gap / 2 + ramp
+        positions[:length, 3, 0] = 5.0 + gap / 2 - ramp
+        traj = Trajectory(times=np.arange(2 * length + 1, dtype=float), positions=positions,
+                          weights=np.full(n, 1.0 / n), dt=1.0, eps=0.0, snapshot_stride=1)
+        curve, ratio = min_pairwise_distance(traj)
+        want = oracle_min_pairwise_distance(traj)
+        assert want[0][length - 1] < m + 2 * delta - 1e-5           # the closing pair
+        assert np.array_equal(curve, want[0]) and ratio == want[1]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_structural_run_matches_the_oracle(self, seed):
+        """The reference network at N = 200 over 501 snapshots, as the
+        structural benchmark reads it."""
+        coeffs = build_coefficients(REF)
+        noise = NoisePath(seed, 1e-3, 500, coeffs.n_channels)
+        run = IntegratorConfig(dt=1e-3, horizon=0.5, eps=1e-2, snapshot_stride=1)
+        traj = simulate(sample_initial(REF_SPEC, 200, seed), coeffs, run, noise)
+        curve, ratio = min_pairwise_distance(traj)
+        want = oracle_min_pairwise_distance(traj)
+        assert np.array_equal(curve, want[0]) and ratio == want[1]
