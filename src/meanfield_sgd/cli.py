@@ -61,7 +61,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str):
     eps = float(cfg.eps_grid[0]) if cfg.eps_grid else 0.0
-    traj = Replica(cfg, cfg.base_seed, cfg.snapshot_stride, build_coefficients(cfg)).run(eps)
+    traj = Replica(cfg, cfg.base_seed, cfg.snapshot_stride).run(eps)
     write_trajectory(traj, os.path.join(out, "trajectory.txt"))
     write_run_meta(cfg, out)
     print(f"wrote {traj.n_snapshots} snapshots to {out}/trajectory.txt (eps={eps})")
@@ -106,10 +106,9 @@ def _cmd_sgd_compare(cfg: ExperimentConfig, out: str):
 
 
 def _cmd_diagnose(cfg: ExperimentConfig, out: str):
-    coeffs = build_coefficients(cfg)
     eps = float(cfg.eps_grid[0]) if cfg.eps_grid else 0.0
-    rep = Replica(cfg, cfg.base_seed, 1, coeffs)
-    traj = rep.run(eps)
+    rep = Replica(cfg, cfg.base_seed, 1)
+    traj, coeffs = rep.run(eps), rep.coeffs
     noise = rep.noise if eps > 0 else None
     panel = standard_panel(coeffs.dim)
     residuals = smfe_weak_residual_panel(traj, noise, coeffs, eps, panel)

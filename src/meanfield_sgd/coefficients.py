@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._checks import WEIGHT_TOL, check_integer, check_vector, check_weights
+
 __all__ = [
     "Dataset",
     "Activation",
@@ -37,8 +39,6 @@ __all__ = [
     "SyntheticCoefficients",
     "CoefficientError",
 ]
-
-_WEIGHT_TOL = 1e-12
 
 
 class CoefficientError(ValueError):
@@ -69,19 +69,12 @@ class Dataset:
 
     def __post_init__(self):
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if atoms.shape[0] == 0:
-            raise CoefficientError("dataset needs at least one atom")
-        if weights.shape != (atoms.shape[0],) or labels.shape != (atoms.shape[0],):
-            raise CoefficientError("atoms, weights and labels must have matching length")
-        for name, values in (("atoms", atoms), ("weights", weights), ("labels", labels)):
-            if not np.all(np.isfinite(values)):
-                raise CoefficientError(f"{name} must be finite")
-        if np.any(weights <= 0):
-            raise CoefficientError("data weights must be strictly positive")
-        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise CoefficientError(f"data weights must sum to 1 (got {weights.sum()!r})")
+        if not (atoms.ndim == 2 and atoms.shape[0] and np.all(np.isfinite(atoms))):
+            raise CoefficientError(f"atoms must be finite, a table of at least one row (got {self.atoms!r})")
+        weights = check_weights("weights", self.weights, atoms.shape[0], CoefficientError)
+        labels = check_vector("labels", self.labels, CoefficientError)
+        if labels.size != atoms.shape[0]:
+            raise CoefficientError(f"labels must be one per atom (got {labels.size} for {atoms.shape[0]})")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", labels)
@@ -102,24 +95,23 @@ class Dataset:
         [0.99, 1.01] are renormalized with a warning; anything else is
         rejected.
         """
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] < 3:
-            raise CoefficientError("rows need at least 3 columns: theta, weight, label")
+        try:
+            rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            rows = np.empty(0)
+        if not (rows.ndim == 2 and rows.shape[0] and rows.shape[1] >= 3):
+            raise CoefficientError("rows must be a table of rows (theta.., weight, label) of numbers")
         atoms = rows[:, :-2]
         weights = rows[:, -2]
         labels = rows[:, -1]
-        total = weights.sum()
-        if abs(total - 1.0) > _WEIGHT_TOL:
+        with np.errstate(over="ignore"):   # a sum that overflows is refused below
+            total = weights.sum()
+        if abs(total - 1.0) > WEIGHT_TOL:
             if 0.99 <= total <= 1.01:
-                warnings.warn(
-                    f"data weights sum to {total:.6f}; renormalizing to 1",
-                    stacklevel=2,
-                )
+                warnings.warn(f"data weights sum to {total:.6f}; renormalizing to 1", stacklevel=2)
                 weights = weights / total
             else:
-                raise CoefficientError(
-                    f"data weights sum to {total!r}, outside the accepted [0.99, 1.01]"
-                )
+                raise CoefficientError(f"weights must sum to 1, or to within [0.99, 1.01] (got {total!r})")
         return cls(atoms=atoms, weights=weights, labels=labels)
 
     @classmethod
@@ -508,8 +500,8 @@ class SyntheticCoefficients:
     * ``v_tilde_mean_batch(X, atoms, weights)`` -- <Vtilde(x_i, .), mu>,
       (N, d); the drift is the sum of the two;
     * ``g_batch(X, atoms, weights)`` -- the per-channel noise G, (N, P, d),
-      already centered under the channel weights (checked by the
-      diagnostics, not here);
+      centered under the channel weights: that is the caller's contract,
+      and nothing checks it;
     * ``drift_jacobian_apply(X, Y, atoms, weights)`` -- grad_x V(x_i, mu) . Y_i
       with mu held fixed, (N, d);
     * ``vtilde_y_apply(X, base, tangents)`` -- (1/N) sum_j
@@ -533,17 +525,12 @@ class SyntheticCoefficients:
         drift_jacobian_apply: Callable | None = None,
         vtilde_y_apply: Callable | None = None,
     ):
-        self._dim = int(dim)
-        self._n_channels = int(n_channels)
+        self._dim = check_integer("dim", dim, 1)
+        self._n_channels = check_integer("n_channels", n_channels, 1)
         if channel_weights is None:
             channel_weights = np.full(self._n_channels, 1.0 / self._n_channels)
-        channel_weights = np.asarray(channel_weights, dtype=float)
-        if channel_weights.shape != (self._n_channels,):
-            raise CoefficientError("channel_weights has wrong shape")
-        if abs(channel_weights.sum() - 1.0) > _WEIGHT_TOL or np.any(channel_weights <= 0):
-            raise CoefficientError("channel_weights must be a probability vector")
-        self._weights = channel_weights
-        self._sqrt_w = np.sqrt(channel_weights)
+        self._weights = check_weights("channel_weights", channel_weights, self._n_channels, CoefficientError)
+        self._sqrt_w = np.sqrt(self._weights)
         self._v_bar_batch = v_bar_batch
         self._v_tilde_mean_batch = v_tilde_mean_batch
         self._g_batch = g_batch

@@ -8,12 +8,12 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from ._checks import check_integer, check_real, check_vector
 from .dynamics import NoisePath, Trajectory
 from .measures import EmpiricalMeasure
 
@@ -124,12 +124,10 @@ def _product(k: int, l: int, d: int) -> TestFunction:
 
 def gaussian_bump(center: Sequence[float], width: float, name: str | None = None) -> TestFunction:
     """exp(-|x - c|^2 / (2 s^2)) with exact derivatives; the width s must be a
-    positive finite real."""
-    c = np.asarray(center, dtype=float)
-    if not (c.ndim == 1 and c.size and np.all(np.isfinite(c))):
-        raise ValueError(f"center must be a non-empty vector of finite numbers (got {center!r})")
-    if isinstance(width, bool) or not isinstance(width, Real) or not (np.isfinite(width) and width > 0):
-        raise ValueError(f"width must be a positive finite real (got {width!r})")
+    real in (1e-75, 1e75), so that s^4 is a normal float."""
+    c = check_vector("center", center)
+    if check_real("width", width, low=1e-75) >= 1e75:
+        raise ValueError(f"width must be a finite real < 1e75 (got {width!r})")
     s2 = float(width) ** 2
     d = c.size
     name = name or f"bump({','.join(f'{x:g}' for x in c)};{width:g})"
@@ -164,8 +162,8 @@ def gaussian_bump(center: Sequence[float], width: float, name: str | None = None
 
 def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) -> TestFunction:
     """sin/cos(k . x) for an integer frequency vector with |k_j| <= 3."""
-    k = np.asarray(freq, dtype=float)
-    if not (k.ndim == 1 and k.size and np.all(np.abs(k) <= 3) and np.all(k == np.round(k))):
+    k = check_vector("freq", freq)
+    if not (np.all(np.abs(k) <= 3) and np.all(k == np.round(k))):
         raise ValueError(f"freq must be a non-empty vector of integers with |k_j| <= 3 (got {freq!r})")
     if phase not in ("sin", "cos"):
         raise ValueError(f"phase must be 'sin' or 'cos' (got {phase!r})")
@@ -200,8 +198,7 @@ def trig_wave(freq: Sequence[int], phase: str = "sin", name: str | None = None) 
 
 def standard_panel(d: int) -> list[TestFunction]:
     """Constant, coordinates, one quadratic, two bumps and two waves."""
-    if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
-        raise ValueError(f"d must be a positive integer (got {d!r})")
+    check_integer("d", d, 1)
     return [_constant(d), *(_coordinate(k, d) for k in range(d)), _product(0, min(1, d - 1), d),
             gaussian_bump(np.zeros(d), 1.0, name="bump0"),
             gaussian_bump(np.full(d, 0.5), 0.75, name="bump1"),
@@ -378,8 +375,8 @@ def f_n_functional(mu: EmpiricalMeasure, n: int) -> float:
     Vanishes exactly iff the measure has at most n - 1 distinct atoms.
     Cost is O(N^n); n = 4 is capped at N <= 200.
     """
-    if n < 2 or n > 4:
-        raise BudgetExceeded("n must be between 2 and 4")
+    if check_integer("n", n, 2) > 4:
+        raise BudgetExceeded(f"n must be at most 4 (got {n})")
     N = mu.n_atoms
     if n == 4 and N > 200:
         raise BudgetExceeded(f"n = 4 allows at most 200 atoms (got {N})")

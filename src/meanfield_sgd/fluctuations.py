@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import check_real
 from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, Trajectory,
                        _check_finite, _integrate, _noise_rows)
 from .diagnostics import check_panel, pair_panel, stack_panel
@@ -134,8 +135,7 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     Both trajectories must share initial atoms, dt and snapshot grid (this is
     the zero-initial-fluctuation coupling).
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite (got {eps!r})")
+    eps = check_real("eps", eps)
     if traj_eps.n_snapshots != traj_zero.n_snapshots or not np.allclose(
         traj_eps.times, traj_zero.times, atol=1e-12
     ):
@@ -145,7 +145,7 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     if not np.array_equal(traj_eps.positions[0], traj_zero.positions[0]):
         raise ValueError("trajectories do not share initial atoms")
     return FluctuationPath(times=traj_eps.times.copy(), positions=traj_eps.positions,
-                           reference=traj_zero.positions, eps=float(eps))
+                           reference=traj_zero.positions, eps=eps)
 
 
 def _check_sobolev_order(name: str, j: int, dim: int):

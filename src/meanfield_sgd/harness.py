@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import os
 import warnings
 from collections import Counter
@@ -27,6 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__ as code_version
+from ._checks import check_box, check_integer, check_real, is_real
 from .coefficients import ACTIVATIONS, Dataset, NetworkCoefficients, SyntheticCoefficients
 from .diagnostics import TestFunction, gaussian_bump
 from .dynamics import (
@@ -35,8 +35,6 @@ from .dynamics import (
     NoisePath,
     SimulationError,
     Trajectory,
-    _check_box,
-    _check_integer,
     _record_indices,
     run_sgd,
     sample_initial,
@@ -81,10 +79,6 @@ _TREND_BOOT, _TREND_SEED, TREND_LEVEL = 500, 7, 0.9
 _PARTICLE_RATE_EPS = 0.05
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Instance, grids and replication plan for one experiment family; a bad
@@ -122,10 +116,13 @@ class ExperimentConfig:
                               ("activation", _BOUNDED_ACTIVATIONS), ("mu0_kind", ("uniform",))):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {list(allowed)} (got {getattr(self, name)!r})")
+        for name in ("dataset_file", "out_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a path or null (got {getattr(self, name)!r})")
         params = self.synthetic_params
         if not (isinstance(params, (tuple, list))
                 and all(isinstance(kv, (tuple, list)) and len(kv) == 2 and kv[0] in _SYNTHETIC_PARAMS
-                        and _is_number(kv[1]) and np.isfinite(kv[1]) for kv in params)
+                        and is_real(kv[1], finite=True) for kv in params)
                 and len({kv[0] for kv in params}) == len(params)):
             raise ValueError(f"synthetic_params must be (name, finite number) pairs with distinct names "
                              f"from {list(_SYNTHETIC_PARAMS)} (got {params!r})")
@@ -134,27 +131,24 @@ class ExperimentConfig:
                              "for a network instance")
         for name in ("eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
             grid = getattr(self, name)
-            if not (isinstance(grid, (tuple, list)) and all(map(_is_number, grid))):
+            if not (isinstance(grid, (tuple, list)) and all(map(is_real, grid))):
                 raise ValueError(f"{name} must be a sequence of numbers (got {grid!r})")
         if not all(float(m).is_integer() for m in self.m_grid):
             raise ValueError(f"m_grid must be whole particle counts (got {self.m_grid!r})")
         for name, low in (("n_particles", 1), ("replicas", 1), ("threads", 1), ("snapshot_stride", 1),
                           ("clt_snapshot_stride", 1), ("sobolev_j", 1), ("k_max", 8), ("base_seed", 0)):
-            _check_integer(name, getattr(self, name), low)
-        for name in ("dt", "r_box") if self.r_box is not None else ("dt",):
-            value = getattr(self, name)
-            if not (_is_number(value) and np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite (got {value!r})")
-        if not (_is_number(self.horizon) and np.isfinite(self.horizon) and self.horizon >= 0):
-            raise ValueError(f"horizon must be nonnegative and finite (got {self.horizon!r})")
+            check_integer(name, getattr(self, name), low)
+        IntegratorConfig(self.dt, self.horizon)   # dt, horizon and a whole number of steps
+        if self.r_box is not None:
+            check_real("r_box", self.r_box)
         rows = self.dataset_rows
         if not (isinstance(rows, (tuple, list))
-                and all(isinstance(row, (tuple, list)) and all(map(_is_number, row)) for row in rows)):
+                and all(isinstance(row, (tuple, list)) and all(map(is_real, row)) for row in rows)):
             raise ValueError(f"dataset_rows must be a sequence of rows of numbers (got {rows!r})")
         lengths = {len(row) for row in rows}
         if len(lengths) > 1 or min(lengths, default=3) < 3:
             raise ValueError("dataset_rows must be rows of one length >= 3: theta.., weight, label")
-        _check_box(self.mu0_low, self.mu0_high, ("mu0_low", "mu0_high"))
+        check_box(self.mu0_low, self.mu0_high, ("mu0_low", "mu0_high"))
         # the parameter dimension, where the config fixes it; a dataset_file
         # fixes it when build_coefficients reads the file
         if self.instance == "synthetic-1d" or not self.dataset_file:
@@ -467,15 +461,13 @@ class Replica:
     are built on first use, in the process that runs the cells.
     """
 
-    def __init__(self, config: ExperimentConfig, seed: int, stride: int, coeffs=None):
+    def __init__(self, config: ExperimentConfig, seed: int, stride: int):
         self.config = config
         self.seed = seed
         self.base = IntegratorConfig(dt=config.dt, horizon=config.horizon, eps=0.0,
                                      snapshot_stride=stride)
         self.results: dict = {}
         self.w2_backends: Counter = Counter()
-        if coeffs is not None:
-            self.coeffs = coeffs
 
     @cached_property
     def coeffs(self):

@@ -17,7 +17,6 @@ need, as one real product per point set.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
+
+from ._checks import check_integer, check_real, check_weights
 
 __all__ = [
     "EmpiricalMeasure",
@@ -43,31 +44,16 @@ __all__ = [
     "write_field",
 ]
 
-_WEIGHT_TOL = 1e-12
-
-
 class SpectralBoxError(ValueError):
     """An atom or base point lies outside the open spectral box."""
 
 
 def _checked(atoms: np.ndarray, weights) -> np.ndarray:
     """The weights of atoms (..., N, d) as floats, once the atoms are checked
-    finite and the weights a probability vector over the N atoms."""
-    if atoms.shape[-2] == 0:
-        raise ValueError("empirical measure needs at least one atom")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (atoms.shape[-2],):
-        raise ValueError("weights must match the number of atoms")
-    # a sum is finite only if every entry is (one that overflows is rejected too)
-    if not math.isfinite(atoms.sum()):
+    finite and the weights a probability vector over the N >= 1 atoms."""
+    weights = check_weights("weights", weights, atoms.shape[-2])
+    if not np.isfinite(atoms).all():
         raise ValueError("atoms must be finite")
-    total = weights.sum()
-    if not math.isfinite(total):
-        raise ValueError("weights must be finite")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be strictly positive")
-    if abs(total - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"weights must sum to 1 (got {total!r})")
     return weights
 
 
@@ -142,12 +128,9 @@ class SpectralGrid:
     j: int
 
     def __post_init__(self):
-        if not (isinstance(self.r_box, numbers.Real) and math.isfinite(self.r_box) and self.r_box > 0):
-            raise ValueError(f"r_box must be positive and finite (got {self.r_box!r})")
-        for name, low in (("k_max", 8), ("j", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low} (got {value!r})")
+        check_real("r_box", self.r_box)
+        check_integer("k_max", self.k_max, 8)
+        check_integer("j", self.j, 1)
 
     def check_inside(self, points: np.ndarray):
         """Raise SpectralBoxError unless every coordinate lies in the open box."""

@@ -1,0 +1,297 @@
+"""The argument boundary: every bad value fails where it enters, as a
+ValueError whose message starts with the name of what it was given for.
+
+Two hypothesis properties draw arguments of wrong type, sign, finiteness and
+shape (bools, strings, None, nan, inf, nested lists, fractional counts,
+integers beyond the float range) among valid ones: one over the JSON config
+and the run it builds, one over the direct constructors and the scalar
+arguments of the integrators.  Each draw either succeeds, raises such a
+ValueError, or, valid but diverging, raises SimulationError; anything else
+(a TypeError, IndexError, ZeroDivisionError, OverflowError or numpy
+RuntimeWarning) fails the property.  Valid draws are
+tiny, and a config's run goes through ``Replica.run``, which starts no
+worker process whatever ``threads`` says.  The faults these properties were
+written against are kept below as explicit examples.
+"""
+
+import json
+import re
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from meanfield_sgd.cli import main as cli_main
+from meanfield_sgd.coefficients import CoefficientError, Dataset, SyntheticCoefficients
+from meanfield_sgd.diagnostics import f_n_functional, gaussian_bump, standard_panel, trig_wave
+from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, SimulationError, picard_solve,
+                                    run_sgd, sample_initial, simulate, simulate_coupled)
+from meanfield_sgd.fluctuations import eta_eps
+from meanfield_sgd.harness import (ExperimentConfig, Replica, build_coefficients, build_initial_spec,
+                                   reference_config)
+from meanfield_sgd.measures import EmpiricalMeasure, SpectralGrid
+
+nan, inf = float("nan"), float("inf")
+
+REF = reference_config()
+COEFFS = build_coefficients(REF)
+ENS = sample_initial(build_initial_spec(REF), 3, 0)
+CFG = IntegratorConfig(dt=0.01, horizon=0.02)
+NOISE = NoisePath(0, 0.01, 2, COEFFS.n_channels)
+RUN = simulate(ENS, COEFFS, replace(CFG, eps=0.01), NOISE)
+RUN0 = simulate(ENS, COEFFS, CFG, None)
+MU = EmpiricalMeasure.uniform(np.arange(6.0).reshape(3, 2))
+
+# wrong in type, sign, finiteness or shape for every argument drawn here
+WRONG = [True, False, "x", "0.1", None, nan, inf, -inf, -1, 0, -0.5, 2.5, 1e308, [], [0.5], [[1, 2]],
+         ["x"], [None], [True], [nan], [10**400], {"a": 1}]
+# also wrong for a real-valued argument; a valid count, too large to run, for an integer one
+BEYOND_FLOAT = 10**400
+
+
+def _named(exc: Exception, names) -> bool:
+    """Whether the message of ``exc`` starts with '<one of names> must'."""
+    return re.match(rf"^({'|'.join(map(re.escape, names))}) must\b", str(exc)) is not None
+
+
+# --------------------------------------------------------------------------
+# the config and its run
+# --------------------------------------------------------------------------
+
+FIELDS = [f.name for f in fields(ExperimentConfig)]
+ROWS_2D = [[-1.0, 0.5, 0.1], [1.0, 0.5, -0.2]]
+VALID_CONFIG = {
+    "instance": ["network", "synthetic-1d"],
+    "dataset_rows": [ROWS_2D, [[0.0, 1.0, 0.6, 0.3], [1.0, -1.0, 0.4, -0.1]]],
+    "dataset_file": [None],
+    "activation": ["tanh", "sigmoid", "smoothed-relu"],
+    "synthetic_params": [[["kappa", 0.5]], [["gamma", -0.2], ["g_freq", 2]]],
+    "mu0_kind": ["uniform"],
+    "mu0_low": [[-1.0, -1.0], [-1.0], [0.5, 0.5]],
+    "mu0_high": [[1.0, 1.0], [1.0], [0.5, 0.5]],
+    "n_particles": [1, 3],
+    "eps_grid": [[0.1, 0.01], [0.0], []],
+    "m_grid": [[2, 4], [3.0]],
+    "alpha_grid": [[0.1]],
+    "dt": [0.01, 0.02],
+    "horizon": [0.0, 0.02, 0.04],
+    "sobolev_j": [1, 5],
+    "k_max": [8, 16],
+    "r_box": [None, 2.0],
+    "snapshot_stride": [1, 2],
+    "clt_snapshot_stride": [1, 3],
+    "replicas": [1, 10],
+    "base_seed": [0, 7],
+    "threads": [1, 2],
+    "out_dir": [None, "out"],
+}
+assert sorted(VALID_CONFIG) == sorted(FIELDS)
+# a string is a valid path to these two: reading a missing file fails as open does
+PATHS = ("dataset_file", "out_dir")
+REALS = ("dt", "horizon", "r_box")
+# what a config's run names when it refuses it: the run's eps, or a part of
+# the dataset that dataset_rows spells out
+RUN_NAMES = FIELDS + ["eps", "rows", "atoms", "weights", "labels"]
+
+
+def _config_value(key: str):
+    wrong = [v for v in WRONG if not (key in PATHS and isinstance(v, str))]
+    if key in REALS:
+        wrong.append(BEYOND_FLOAT)
+    return st.sampled_from(VALID_CONFIG[key] + wrong)
+
+
+config_objects = st.lists(st.sampled_from(sorted(FIELDS)), max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _config_value(key) for key in keys}))
+
+
+def check_config(overrides: dict):
+    """Build the tiny config ``overrides`` changes and run its first eps."""
+    obj = {"dataset_rows": ROWS_2D, "n_particles": 3, "dt": 0.01, "horizon": 0.02, **overrides}
+    try:
+        cfg = ExperimentConfig.from_json(json.dumps(obj))
+    except ValueError as exc:
+        assert _named(exc, FIELDS), f"{obj}: {exc}"
+        return
+    eps = cfg.eps_grid[0] if cfg.eps_grid else 0.0
+    try:
+        traj = Replica(cfg, cfg.base_seed, 1).run(eps)
+    except SimulationError:
+        return   # a valid config may describe a run that diverges
+    except ValueError as exc:
+        assert _named(exc, RUN_NAMES), f"{obj}: {exc}"
+        return
+    assert traj.positions.shape[1:] == (cfg.n_particles, len(cfg.mu0_low))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_objects)
+def test_config_builds_and_runs_or_names_its_field(overrides):
+    check_config(overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"instance": "synthetic-1d", "mu0_low": [-1.0], "mu0_high": [1.0]},
+    {"eps_grid": [-0.5]}, {"eps_grid": [nan]}, {"eps_grid": [BEYOND_FLOAT]},
+    {"dt": 0.3, "horizon": 1.0}, {"dt": 1e-300, "horizon": 1e300}, {"dt": True}, {"horizon": None},
+    {"dataset_file": 5}, {"dataset_file": True}, {"out_dir": 5},
+    {"dataset_rows": [[0.0, 2.0, 0.0], [1.0, -1.0, 0.0]]},
+    {"dataset_rows": [[0.0, 1e308, 0.0], [1.0, 1e308, 0.0]]},
+    {"m_grid": [BEYOND_FLOAT]}, {"synthetic_params": [["kappa", BEYOND_FLOAT]]},
+], ids=["valid", "synthetic", "negative-eps", "nan-eps", "eps-beyond-float", "horizon-off-the-grid",
+        "step-count-overflow", "bool-dt", "none-horizon", "int-dataset-file", "bool-dataset-file",
+        "int-out-dir", "negative-data-weight", "overflowing-data-weights", "m-beyond-float",
+        "kappa-beyond-float"])
+def test_config_examples(overrides):
+    check_config(overrides)
+
+
+# --------------------------------------------------------------------------
+# direct calls
+# --------------------------------------------------------------------------
+
+
+def _jets(phis, d):
+    for phi in phis:
+        phi.jet(np.zeros((2, d)), 2)
+
+
+def _bump(center, width):
+    _jets([gaussian_bump(center, width)], len(center))
+
+
+def _wave(freq, phase):
+    _jets([trig_wave(freq, phase)], len(freq))
+
+
+def _panel(d):
+    _jets(standard_panel(d), d)
+
+
+# target -> (call, {argument: valid values}, names a refusal may start with,
+# the arguments that are real numbers)
+TARGETS = {
+    "IntegratorConfig": (IntegratorConfig, {"dt": [0.01, 0.02], "horizon": [0.0, 0.02, 0.04],
+                                            "eps": [0.0, 0.1], "snapshot_stride": [1, 2]},
+                         (), ("dt", "horizon", "eps")),
+    "NoisePath": (NoisePath, {"seed": [0, 3], "dt": [0.01], "n_steps": [0, 2], "n_channels": [1, 3]},
+                  (), ("dt",)),
+    "SpectralGrid": (SpectralGrid, {"r_box": [2.0], "k_max": [8, 16], "j": [1, 5]}, (), ("r_box",)),
+    "InitialSpec": (InitialSpec, {"low": [[-1.0, -1.0], [0]], "high": [[1.0, 1.0], [0.5]]}, (), ()),
+    "Dataset.from_rows": (Dataset.from_rows, {"rows": [ROWS_2D, [[0.3, 1.0, 0.0]]]},
+                          ("atoms", "weights", "labels"), ()),
+    "SyntheticCoefficients": (SyntheticCoefficients, {"dim": [1, 2], "n_channels": [1, 2],
+                                                      "channel_weights": [None, [0.5, 0.5], [1.0]]}, (), ()),
+    "gaussian_bump": (_bump, {"center": [[0.0, 0.0], [0.5]], "width": [0.5, 1, 2.0]}, (), ("width",)),
+    "trig_wave": (_wave, {"freq": [[1, 2], [-3]], "phase": ["sin", "cos"]}, (), ()),
+    "standard_panel": (_panel, {"d": [1, 2, 3]}, (), ()),
+    "f_n_functional": (lambda n: f_n_functional(MU, n), {"n": [2, 3, 4]}, (), ()),
+    "run_sgd": (lambda **kw: run_sgd(COEFFS, initial=ENS.positions, **kw),
+                {"n_particles": [3], "alpha": [0.01, 0.1], "batch_size": [1, 2], "n_steps": [0, 2],
+                 "seed": [0, 5]}, (), ("alpha",)),
+    "picard_solve": (lambda **kw: picard_solve(ENS, COEFFS, CFG, None, **kw),
+                     {"tol": [1e-6, 1.0], "max_iter": [1, 2]}, (), ("tol",)),
+    "eta_eps": (lambda eps: eta_eps(RUN, RUN0, eps), {"eps": [0.01, 1.0]}, (), ("eps",)),
+    "simulate_coupled": (lambda eps: simulate_coupled([(ENS, 0.01), (ENS, eps)], COEFFS, CFG, NOISE),
+                         {"eps": [0.0, 0.01]}, (), ("eps",)),
+}
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    _, valid, _, reals = TARGETS[name]
+    kwargs = {arg: draw(st.sampled_from(values + WRONG + ([BEYOND_FLOAT] if arg in reals else [])))
+              for arg, values in valid.items()}
+    return name, kwargs
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(calls())
+def test_direct_call_succeeds_or_names_its_argument(call):
+    name, kwargs = call
+    fn, valid, names, _ = TARGETS[name]
+    try:
+        fn(**kwargs)
+    except SimulationError:
+        pass   # valid arguments may describe a run that diverges
+    except ValueError as exc:
+        assert _named(exc, [*valid, *names]), f"{name}({kwargs}): {exc}"
+
+
+# --------------------------------------------------------------------------
+# the faults the properties were written against
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, field, error", [
+    (lambda: simulate_coupled([(ENS, -0.5)], COEFFS, CFG, NOISE), "eps", ValueError),
+    (lambda: simulate_coupled([(ENS, nan)], COEFFS, CFG, NOISE), "eps", ValueError),
+    (lambda: SyntheticCoefficients(dim=1, n_channels=2, channel_weights=[nan, nan]), "channel_weights",
+     CoefficientError),
+    (lambda: SyntheticCoefficients(dim=1, n_channels=0), "n_channels", ValueError),
+    (lambda: SyntheticCoefficients(dim=2.5), "dim", ValueError),
+    (lambda: SyntheticCoefficients(dim=True), "dim", ValueError),
+    (lambda: f_n_functional(MU, 2.5), "n", ValueError),
+    (lambda: IntegratorConfig(dt=True, horizon=1.0), "dt", ValueError),
+    (lambda: NoisePath(0, True, 1, 1), "dt", ValueError),
+    (lambda: SpectralGrid(r_box=True, k_max=8, j=1), "r_box", ValueError),
+    (lambda: eta_eps(RUN, RUN0, True), "eps", ValueError),
+    (lambda: run_sgd(COEFFS, 3, True, 1, 2, 0, ENS.positions), "alpha", ValueError),
+    (lambda: picard_solve(ENS, COEFFS, CFG, None, tol=True), "tol", ValueError),
+    (lambda: IntegratorConfig(dt="x", horizon=1.0), "dt", ValueError),
+    (lambda: IntegratorConfig(dt=0.1, horizon=None), "horizon", ValueError),
+    (lambda: NoisePath(0, "0.1", 1, 1), "dt", ValueError),
+    (lambda: run_sgd(COEFFS, 3, "x", 1, 2, 0, ENS.positions), "alpha", ValueError),
+    (lambda: picard_solve(ENS, COEFFS, CFG, None, tol="x"), "tol", ValueError),
+    (lambda: IntegratorConfig(dt=1e-300, horizon=1e300), "horizon", ValueError),
+    (lambda: reference_config(dt=0.3, horizon=1.0), "horizon", ValueError),
+    (lambda: reference_config(dataset_file=5), "dataset_file", ValueError),
+    (lambda: run_sgd(COEFFS, 3, 0.1, 1, 2, -1, ENS.positions), "seed", ValueError),
+    (lambda: Dataset.from_rows([[0.0, 0.5], [1.0]]), "rows", CoefficientError),
+    (lambda: EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5])), "weights", ValueError),
+    (lambda: Dataset.from_rows([BEYOND_FLOAT]), "rows", CoefficientError),
+    (lambda: gaussian_bump([0.0, 0.0], 1e308), "width", ValueError),
+    (lambda: gaussian_bump([0.0, 0.0], 1e-200), "width", ValueError),
+], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
+        "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
+        "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
+        "integrator-string-dt", "integrator-none-horizon", "noise-string-dt", "sgd-string-alpha",
+        "picard-string-tol", "integrator-step-count-overflow", "config-horizon-off-the-grid",
+        "config-int-dataset-file", "sgd-negative-seed", "ragged-rows", "weight-above-one",
+        "rows-beyond-float", "bump-width-squared-overflows", "bump-width-squared-underflows"])
+def test_fault_is_refused_naming_its_argument(make, field, error):
+    with pytest.raises(error, match=rf"^{field} must"):
+        make()
+
+
+def test_diverging_sgd_chain_fails_without_numpy_warnings():
+    """Under the suite's error::RuntimeWarning, an overflow on the way to a
+    non-finite state would escape as a RuntimeWarning."""
+    with pytest.raises(SimulationError, match="^SGD diverged"):
+        run_sgd(COEFFS, 3, 1e100, 1, 5, 0, ENS.positions)
+
+
+def test_coupled_eps_checked_before_any_step(monkeypatch):
+    """A bad eps anywhere in the batch is refused before the first step."""
+    steps = []
+    monkeypatch.setattr(COEFFS, "coupled_step", lambda *a, **k: steps.append(a))
+    with pytest.raises(ValueError, match=r"^eps must be a finite real >= 0 \(got -0.5\)"):
+        simulate_coupled([(ENS, 0.01), (ENS, 0.0), (ENS, -0.5)], COEFFS, CFG, NOISE)
+    assert steps == []
+
+
+def test_cli_simulate_refuses_a_negative_eps(tmp_path):
+    """``simulate`` with eps_grid [-0.5] fails naming eps and writes no
+    trajectory, where it used to write a transport run labelled eps=-0.5."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_rows": ROWS_2D, "n_particles": 3, "horizon": 0.01,
+                                "eps_grid": [-0.5]}))
+    with pytest.raises(ValueError, match="^eps must"):
+        cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / "trajectory.txt").exists()
