@@ -2,7 +2,8 @@
 diagnostics.  Every subcommand reads a JSON config (all keys optional, see
 ExperimentConfig) and writes results.csv / summary.csv / run-meta.json into
 the output directory; results depend only on (config, seeds), never on the
-worker count."""
+worker count.  A refused config or an unreadable file exits with status 2
+and one ``meanfield-sgd <command>: error: <message>`` line on stderr."""
 
 from __future__ import annotations
 
@@ -163,10 +164,16 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes (results are invariant to this)")
     args = parser.parse_args(argv)
-    cfg = _load_config(args)
-    out = cfg.out_dir or "out"
-    os.makedirs(out, exist_ok=True)
-    commands[args.command](cfg, out)
+    # a refused config or argument (ValueError, JSONDecodeError among them)
+    # or a file that cannot be read or written ends the run with one line
+    try:
+        cfg = _load_config(args)
+        out = cfg.out_dir or "out"
+        os.makedirs(out, exist_ok=True)
+        commands[args.command](cfg, out)
+    except (ValueError, OSError) as exc:
+        print(f"meanfield-sgd {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -149,6 +149,8 @@ class IntegratorConfig:
         ratio = self.horizon / self.dt
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ValueError(f"horizon must be a whole multiple of dt (got {self.horizon!r}, dt {self.dt!r})")
+        if self.horizon > 0 and round(ratio) == 0:
+            raise ValueError(f"horizon must be 0 or at least one step dt (got {self.horizon!r}, dt {self.dt!r})")
         check_integer("snapshot_stride", self.snapshot_stride, 1)
 
     @property

@@ -76,6 +76,7 @@ _SYNTHETIC_PARAMS = ("kappa", "gamma", "g_amp", "g_freq")
 # fit_slope and of the sgd-compare trend gate, and the particle-rate noise scale
 _SLOPE_BOOT, _SLOPE_SEED, SLOPE_LEVEL = 400, 0, 0.95
 _TREND_BOOT, _TREND_SEED, TREND_LEVEL = 500, 7, 0.9
+_TREND_CHUNK = 50   # trend-gate resamples averaged per gather
 _PARTICLE_RATE_EPS = 0.05
 
 
@@ -149,13 +150,14 @@ class ExperimentConfig:
         if len(lengths) > 1 or min(lengths, default=3) < 3:
             raise ValueError("dataset_rows must be rows of one length >= 3: theta.., weight, label")
         check_box(self.mu0_low, self.mu0_high, ("mu0_low", "mu0_high"))
-        # the parameter dimension, where the config fixes it; a dataset_file
-        # fixes it when build_coefficients reads the file
-        if self.instance == "synthetic-1d" or not self.dataset_file:
-            self.check_box_dimension(1 if self.instance == "synthetic-1d" else lengths.pop() - 1)
-
-    def check_box_dimension(self, dim: int):
-        """ValueError naming mu0_low unless the initial box is ``dim``-dimensional."""
+        # the parameter dimension: 1, or the data's width minus its weight and
+        # label columns, plus the output weight
+        if self.instance == "synthetic-1d":
+            dim = 1
+        elif self.dataset_file:
+            dim = _read_dataset_file(self.dataset_file).input_dim + 1
+        else:
+            dim = lengths.pop() - 1
         if len(self.mu0_low) != dim:
             raise ValueError(f"mu0_low must be of length {dim}, the parameter dimension "
                              f"(got {len(self.mu0_low)})")
@@ -218,16 +220,25 @@ def reference_config(**overrides) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _read_dataset_file(path: str) -> Dataset:
+    """The dataset of a delimited text file; one that cannot be read, or is
+    no table of (theta.., weight, label) rows, raises ValueError naming
+    dataset_file."""
+    try:
+        return Dataset.from_file(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"dataset_file must be a readable table of rows (theta.., weight, label) "
+                         f"of numbers (got {path!r}: {exc})") from exc
+
+
 def build_coefficients(cfg: ExperimentConfig):
     if cfg.instance == "synthetic-1d":
         return _synthetic_1d(**dict(cfg.synthetic_params))
     if cfg.dataset_file:
-        data = Dataset.from_file(cfg.dataset_file)
+        data = _read_dataset_file(cfg.dataset_file)
     else:
         data = Dataset.from_rows(np.asarray(cfg.dataset_rows, dtype=float))
-    coeffs = NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
-    cfg.check_box_dimension(coeffs.dim)
-    return coeffs
+    return NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
 
 
 def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoefficients:
@@ -281,7 +292,7 @@ class ResultTable:
     w2_backends: Counter = field(default_factory=Counter)
     failures: list = field(default_factory=list)
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
         return self.config.config_hash()
 
@@ -550,17 +561,24 @@ class Replica:
         return self.shared(("tangent",), None)
 
 
-def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric: str, fn):
-    """Run one grid cell; a simulation failure or spectral box violation
-    becomes a recorded failure row plus a nan metric, and an entry of
-    ``failures`` with its error, instead of killing the experiment."""
+def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric, fn):
+    """Run one grid cell, which names one metric, or a tuple of them and gives
+    one value per name.  A simulation failure or spectral box violation
+    becomes, for each name, a recorded failure row plus a nan metric, and an
+    entry of ``failures`` with its error, instead of killing the experiment."""
+    names = (metric,) if isinstance(metric, str) else metric
+    param = str(param)
     try:
-        rows.append((experiment, str(param), seed, metric, float(fn())))
+        values = fn()
     except _CELL_ERRORS as exc:
-        warnings.warn(f"{experiment} cell param={param} seed={seed} failed: {exc}")
-        failures.append({"experiment": experiment, "param": str(param), "seed": seed, "error": str(exc)})
-        rows.append((experiment, str(param), seed, "failed", 1.0))
-        rows.append((experiment, str(param), seed, metric, float("nan")))
+        for name in names:
+            warnings.warn(f"{experiment} cell param={param} seed={seed} failed: {exc}")
+            failures.append({"experiment": experiment, "param": param, "seed": seed, "error": str(exc)})
+            rows.append((experiment, param, seed, "failed", 1.0))
+            rows.append((experiment, param, seed, name, float("nan")))
+        return
+    values = [float(values)] if isinstance(metric, str) else np.asarray(values, dtype=float).tolist()
+    rows.extend((experiment, param, seed, name, value) for name, value in zip(names, values, strict=True))
 
 
 def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> tuple[list, Counter, list]:
@@ -575,7 +593,8 @@ def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
     """A table of every replica's rows, in seed order.
 
     ``cells(rep)`` lists the (param, metric, thunk) grid cells of replica
-    ``rep`` and each becomes rows through _guarded_cell.  Replica r runs on
+    ``rep``, a cell of several metrics as a tuple of names, and each becomes
+    rows through _guarded_cell.  Replica r runs on
     seed base_seed + r, by default with the snapshot stride of the config;
     the worker count changes no number.
     """
@@ -802,43 +821,49 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
 
 
 def _sgd_cells(rep: Replica) -> list:
+    """One cell per M, naming its metrics ``kind:phi:snapshot`` in the order
+    of _sgd_values."""
     rep.coupled([(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
     panel = _sgd_phi_panel(rep.coeffs.dim)
-    metrics = [f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
-               for phi in panel for kind in ("smfe", "sgd")]
-    cells = []
-    for m in map(int, rep.config.m_grid):
-        values = partial(rep.shared, ("sgd", m), partial(_sgd_values, rep, m, panel))
-        cells += [(m, metric, lambda i=i, v=values: v()[i]) for i, metric in enumerate(metrics)]
-    return cells
+    metrics = tuple(f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
+                    for phi in panel for kind in ("smfe", "sgd"))
+    return [(m, metrics, partial(_sgd_values, rep, m, panel)) for m in map(int, rep.config.m_grid)]
+
+
+def _sgd_read(table: "ResultTable", phi_names: Sequence[str], m_grid: Sequence[int]) -> np.ndarray:
+    """(phi, M, smfe|sgd, snapshots, replicas) array of <phi, mu_t> and
+    <phi, nu_t>, replicas on the contiguous last axis, over the replicas that
+    ran at every M of ``m_grid``, in one table read."""
+    snapshots = _sgd_snapshots(table.config)
+    matrix = table.matrix([(f"{kind}:{phi}:{s}", m) for phi in phi_names for m in m_grid
+                           for kind in ("smfe", "sgd") for s in snapshots])
+    return np.ascontiguousarray(matrix.T).reshape(len(phi_names), len(m_grid), 2, len(snapshots),
+                                                   matrix.shape[0])
 
 
 def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> np.ndarray:
-    """(M, smfe|sgd, snapshots, replicas) array of <phi, mu_t> and <phi, nu_t>
-    over the replicas that ran at every M of ``m_grid``, in one table read."""
-    snapshots = _sgd_snapshots(table.config)
-    matrix = table.matrix([(f"{kind}:{phi_name}:{s}", m) for m in m_grid
-                           for kind in ("smfe", "sgd") for s in snapshots])
-    return matrix.T.reshape(len(m_grid), 2, len(snapshots), matrix.shape[0])
+    """(M, smfe|sgd, snapshots, replicas) array of ``phi_name`` (_sgd_read)."""
+    return _sgd_read(table, [phi_name], m_grid)[0]
 
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
     table = _run_replicas("sgd-compare", _sgd_cells, config)
+    names = [phi.name for phi in _sgd_phi_panel(len(config.mu0_low))]
     for m in map(int, config.m_grid):
-        for phi in _sgd_phi_panel(len(config.mu0_low)):
-            ((smfe, sgd),) = _sgd_series(table, phi.name, [m])
+        # one read per M, so a replica that failed at this M drops out here only
+        for name, ((smfe, sgd),) in zip(names, _sgd_read(table, names, [m])):
             g = w2_replica = np.nan   # unless some replica ran at this M
             if smfe.shape[1]:
-                g = max(abs(a.mean() - b.mean()) for a, b in zip(smfe, sgd))
+                g = np.abs(smfe.mean(axis=1) - sgd.mean(axis=1)).max()
                 # distance between the replica distributions of <phi, .> at T
                 a, b = np.sort(smfe[-1]), np.sort(sgd[-1])
                 w2_replica = float(np.sqrt(np.mean((a - b) ** 2)))
             table.add_summary(experiment="sgd-compare", param=str(m),
-                              metric=f"g:{phi.name}", mean=g,
+                              metric=f"g:{name}", mean=g,
                               sqrt_m_g=float(np.sqrt(m) * g))
             table.add_summary(experiment="sgd-compare", param=str(m),
-                              metric=f"w2_replica:{phi.name}", mean=w2_replica)
+                              metric=f"w2_replica:{name}", mean=w2_replica)
     return table
 
 
@@ -854,19 +879,22 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int]) -> 
     m_grid = sorted(int(m) for m in m_grid)
     if len(set(m_grid)) < 2:
         raise ValueError(f"m_grid must hold at least two distinct M for a trend (got {m_grid})")
-    rng = seeded_rng(_TREND_SEED, "sgd-trend")
     series = _sgd_series(table, phi_name, m_grid)
     n_rep = series.shape[-1]
     if n_rep == 0:
         return False, []
-    sqrt_m = np.sqrt(m_grid)
+    sqrt_m = np.sqrt(m_grid)[:, None]
 
     def stat(idx: np.ndarray) -> np.ndarray:
-        means = series[..., idx].mean(axis=-1)    # (M, smfe|sgd, S)
-        return sqrt_m * np.abs(means[:, 0] - means[:, 1]).max(axis=-1)
+        """sqrt(M) g(M) of each resample, a row of ``idx``: (resamples, M)."""
+        means = series[..., idx].mean(axis=-1)    # (M, smfe|sgd, S, resamples)
+        return (sqrt_m * np.abs(means[:, 0] - means[:, 1]).max(axis=1)).T
 
-    base = stat(np.arange(n_rep))
-    boots = np.array([stat(rng.integers(0, n_rep, size=n_rep)) for _ in range(_TREND_BOOT)])
+    base = stat(np.arange(n_rep)[None])[0]
+    # one draw of every resample's replicas, the stream of one draw per
+    # resample; their means in chunks of _TREND_CHUNK resamples, near 1 MB each
+    picks = seeded_rng(_TREND_SEED, "sgd-trend").integers(0, n_rep, size=(_TREND_BOOT, n_rep))
+    boots = np.concatenate([stat(picks[k:k + _TREND_CHUNK]) for k in range(0, _TREND_BOOT, _TREND_CHUNK)])
     lo_q, hi_q = 100 * (1 - TREND_LEVEL) / 2, 100 * (1 + TREND_LEVEL) / 2
     lo, hi = np.percentile(np.diff(boots, axis=1), [lo_q, hi_q], axis=0)
     return not np.any(lo > 0), [tuple(map(float, v)) for v in zip(np.diff(base), lo, hi)]

@@ -16,6 +16,7 @@ written against are kept below as explicit examples.
 
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -88,7 +89,7 @@ VALID_CONFIG = {
     "out_dir": [None, "out"],
 }
 assert sorted(VALID_CONFIG) == sorted(FIELDS)
-# a string is a valid path to these two: reading a missing file fails as open does
+# a string is a valid type for these two, so none is drawn for them as a wrong value
 PATHS = ("dataset_file", "out_dir")
 REALS = ("dt", "horizon", "r_box")
 # what a config's run names when it refuses it: the run's eps, or a part of
@@ -258,13 +259,16 @@ def test_direct_call_succeeds_or_names_its_argument(call):
     (lambda: Dataset.from_rows([BEYOND_FLOAT]), "rows", CoefficientError),
     (lambda: gaussian_bump([0.0, 0.0], 1e308), "width", ValueError),
     (lambda: gaussian_bump([0.0, 0.0], 1e-200), "width", ValueError),
+    (lambda: IntegratorConfig(dt=0.01, horizon=1e-12), "horizon", ValueError),
+    (lambda: IntegratorConfig(dt=1e308, horizon=0.02), "horizon", ValueError),
 ], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
         "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
         "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
         "integrator-string-dt", "integrator-none-horizon", "noise-string-dt", "sgd-string-alpha",
         "picard-string-tol", "integrator-step-count-overflow", "config-horizon-off-the-grid",
         "config-int-dataset-file", "sgd-negative-seed", "ragged-rows", "weight-above-one",
-        "rows-beyond-float", "bump-width-squared-overflows", "bump-width-squared-underflows"])
+        "rows-beyond-float", "bump-width-squared-overflows", "bump-width-squared-underflows",
+        "integrator-horizon-below-one-step", "integrator-dt-beyond-the-horizon"])
 def test_fault_is_refused_naming_its_argument(make, field, error):
     with pytest.raises(error, match=rf"^{field} must"):
         make()
@@ -286,12 +290,44 @@ def test_coupled_eps_checked_before_any_step(monkeypatch):
     assert steps == []
 
 
-def test_cli_simulate_refuses_a_negative_eps(tmp_path):
+def test_cli_simulate_refuses_a_negative_eps(tmp_path, capsys):
     """``simulate`` with eps_grid [-0.5] fails naming eps and writes no
     trajectory, where it used to write a transport run labelled eps=-0.5."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset_rows": ROWS_2D, "n_particles": 3, "horizon": 0.01,
                                 "eps_grid": [-0.5]}))
-    with pytest.raises(ValueError, match="^eps must"):
-        cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("meanfield-sgd simulate: error: eps must")
     assert not (tmp_path / "out" / "trajectory.txt").exists()
+
+
+def test_positive_horizon_of_zero_steps_is_refused():
+    """a horizon of 0 is a run of its initial snapshot; a positive one must
+    hold at least one step, where it used to be read as 0 steps."""
+    assert IntegratorConfig(dt=0.01, horizon=0.0).n_steps == 0
+    assert IntegratorConfig(dt=0.01, horizon=0.01).n_steps == 1
+    with pytest.raises(ValueError, match="^horizon must"):
+        reference_config(dt=0.01, horizon=1e-12)
+
+
+@pytest.mark.parametrize("text", [None, "", "1 2 x\n", "-1 0.5\n1 0.5 0.5\n", "-1 0.3 0\n1 0.3 0.5\n"],
+                         ids=["missing", "empty", "not-numbers", "ragged", "weights-off"])
+def test_dataset_file_is_read_when_the_config_is_built(tmp_path, text):
+    """A missing or malformed dataset_file is refused naming it when the
+    config is built, not by the first replica's open or loadtxt."""
+    path = tmp_path / "data.txt"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match="^dataset_file must"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # loadtxt warns on an empty file
+        ExperimentConfig(dataset_file=str(path), n_particles=3, horizon=0.01)
+
+
+def test_dataset_file_fixes_the_box_dimension(tmp_path):
+    """the box must have the file's width minus 1 coordinates."""
+    path = tmp_path / "data.txt"
+    path.write_text("-1 0.5 0.0\n1 0.5 0.5\n")
+    cfg = ExperimentConfig(dataset_file=str(path), n_particles=3, horizon=0.01)
+    assert Replica(cfg, 0, 1).run(0.0).positions.shape[1:] == (3, 2)
+    with pytest.raises(ValueError, match="^mu0_low must be of length 2"):
+        replace(cfg, mu0_low=(-1.0,), mu0_high=(1.0,))

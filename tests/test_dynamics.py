@@ -526,20 +526,15 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match=rf"^{grid} must be finite \(got "):
             reference_config(**{grid: values}).validate_for_rates()
 
-    def test_dataset_file_box_names_mu0_low(self, tmp_path, monkeypatch):
+    def test_dataset_file_box_names_mu0_low(self, tmp_path):
         """A 2-input dataset file makes 3-d parameters: the default 2-d box is
-        refused where the file is read, before any run is integrated."""
+        refused where the file is read, when the config is built."""
         path = tmp_path / "data.txt"
         path.write_text("0.0 1.0 0.5 0.1\n1.0 -1.0 0.5 -0.2\n")
-        cfg = ExperimentConfig(dataset_file=str(path), replicas=10, horizon=0.01)
-        runs = []
-        for name in ("simulate", "simulate_transport"):
-            monkeypatch.setattr(harness, name, lambda *args, **kwargs: runs.append(args))
-        for make in (lambda: build_coefficients(cfg), lambda: exp_lln_rate(cfg)):
-            with pytest.raises(ValueError, match=r"^mu0_low must be of length 3"):
-                make()
-        assert runs == []
-        box = replace(cfg, mu0_low=(-1.0,) * 3, mu0_high=(1.0,) * 3)
+        with pytest.raises(ValueError, match=r"^mu0_low must be of length 3"):
+            ExperimentConfig(dataset_file=str(path), replicas=10, horizon=0.01)
+        box = ExperimentConfig(dataset_file=str(path), mu0_low=(-1.0,) * 3, mu0_high=(1.0,) * 3,
+                               replicas=10, horizon=0.01)
         assert build_coefficients(box).dim == 3
 
     def test_list_increment_row_is_an_array(self):

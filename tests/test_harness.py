@@ -6,6 +6,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import paper_forms
 from meanfield_sgd import harness
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import SyntheticCoefficients
-from meanfield_sgd.dynamics import simulate, simulate_transport
+from meanfield_sgd.dynamics import SimulationError, simulate, simulate_transport
 from meanfield_sgd.fluctuations import solve_tangent
 from meanfield_sgd.harness import (
     ExperimentConfig,
@@ -33,6 +34,8 @@ from meanfield_sgd.harness import (
     sgd_trend_gate,
     w2_sq_to_uniform_1d,
 )
+from test_read_oracle import CFG as FAILING_CFG
+from test_read_oracle import FAILING
 
 
 class TestFitSlope:
@@ -528,6 +531,45 @@ class TestSgdCompareExperiment:
         with pytest.raises(ValueError, match="^cells must be distinct"):
             sgd_trend_gate(table, "bump0", (10, 20, 10))
 
+    def test_one_read_per_m_and_per_gate(self, monkeypatch):
+        """The summary reads the table once per M, each gate once, and the gate
+        draws all its resamples in one call."""
+        reads, draws = [], []
+        real_matrix, real_rng = ResultTable.matrix, harness.seeded_rng
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                draws.append(kwargs.get("size"))
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(ResultTable, "matrix", lambda table, cells: reads.append(len(cells))
+                            or real_matrix(table, cells))
+        monkeypatch.setattr(harness, "seeded_rng", lambda *args: CountingRng(real_rng(*args)))
+        cfg = reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.1, snapshot_stride=10,
+                               replicas=10, base_seed=13)
+        table = exp_sgd_compare(cfg)
+        # both test functions, both kinds and the 3 snapshots of each M
+        assert reads == [2 * 2 * 3] * len(cfg.m_grid)
+        for phi in ("bump0", "bump1"):
+            reads.clear()
+            draws.clear()
+            sgd_trend_gate(table, phi, cfg.m_grid)
+            assert reads == [len(cfg.m_grid) * 2 * 3]
+            assert draws == [(harness._TREND_BOOT, cfg.replicas)]
+
+    def test_one_draw_is_the_per_resample_stream(self):
+        """the gate's (resamples, replicas) draw is its old stream of one draw
+        per resample, at every replica count up to 100."""
+        for n_rep in range(1, 101):
+            rng = harness.seeded_rng(harness._TREND_SEED, "sgd-trend")
+            per_resample = [rng.integers(0, n_rep, size=n_rep) for _ in range(harness._TREND_BOOT)]
+            at_once = harness.seeded_rng(harness._TREND_SEED, "sgd-trend").integers(
+                0, n_rep, size=(harness._TREND_BOOT, n_rep))
+            np.testing.assert_array_equal(at_once, per_resample)
+
     def test_frozen_instance_gives_zero_gap(self):
         """f = 0 labels and zero output weights freeze both processes."""
         cfg = reference_config(
@@ -545,6 +587,49 @@ class TestSgdCompareExperiment:
         for s in table.summary:
             if s.get("metric", "").startswith("g:"):
                 assert s["mean"] == pytest.approx(0.0, abs=1e-12)
+
+
+def oracle_sgd_cells(rep: Replica) -> list:
+    """The sgd-compare cells as one cell per (replica, M, metric), each
+    reading its value from the replica's shared (replica, M) result."""
+    rep.coupled([(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
+    panel = harness._sgd_phi_panel(rep.coeffs.dim)
+    metrics = [f"{kind}:{phi.name}:{s}" for s in harness._sgd_snapshots(rep.config)
+               for phi in panel for kind in ("smfe", "sgd")]
+    cells = []
+    for m in map(int, rep.config.m_grid):
+        values = partial(rep.shared, ("sgd", m), partial(harness._sgd_values, rep, m, panel))
+        cells += [(m, metric, lambda i=i, v=values: v()[i]) for i, metric in enumerate(metrics)]
+    return cells
+
+
+class TestSgdCellsOracle:
+    """One cell per (replica, M) naming its metrics against one cell per
+    metric, on the table of test_read_oracle.py where replicas fail at
+    different M."""
+
+    def test_rows_failures_and_warnings_match(self, monkeypatch):
+        real_run_sgd = harness.run_sgd
+
+        def flaky_run_sgd(coeffs, n_particles, *args, seed, **kwargs):
+            if seed in FAILING[n_particles]:
+                raise SimulationError("SGD diverged")
+            return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sgd", flaky_run_sgd)
+        tables, caught = [], []
+        for cells in (oracle_sgd_cells, harness._sgd_cells):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                tables.append(harness._run_replicas("sgd-compare", cells, FAILING_CFG))
+            caught.append([str(w.message) for w in record])
+        want, got = tables
+        assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
+        assert all(a[4] == b[4] or (np.isnan(a[4]) and np.isnan(b[4])) for a, b in zip(got.rows, want.rows))
+        assert got.failures == want.failures
+        assert caught[1] == caught[0]
+        # every metric of each failed (replica, M) cell: 2 test functions x 2 kinds x 3 snapshots
+        assert len(got.failures) == 12 * sum(map(len, FAILING.values()))
 
 
 class TestCommuteExperiment:
@@ -689,6 +774,48 @@ class TestCli:
             assert (out / "results.csv").exists()
             assert (out / "summary.csv").exists()
             assert (out / "run-meta.json").exists()
+
+
+class TestCliErrors:
+    def test_refused_config_is_one_line_and_status_2(self, tmp_path, capsys):
+        """a config the experiment refuses ends the run with one line on
+        stderr naming the field, and exit status 2, not a traceback."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset_rows": [[-1.0, 0.5, 0.0], [1.0, 0.5, 0.5]],
+                                    "n_particles": 5, "dt": 0.01, "horizon": 0.05,
+                                    "eps_grid": [-0.5]}))
+        assert cli_main(["lln-rate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("meanfield-sgd lln-rate: error: eps_grid must")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        (json.dumps({"dataset_file": "no-such-dataset.txt"}), "dataset_file must"),
+        (None, "No such file or directory"),
+    ], ids=["malformed-json", "missing-dataset-file", "missing-config"])
+    def test_unreadable_input_is_one_line_and_status_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("meanfield-sgd simulate: error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_other_errors_propagate(self, tmp_path, monkeypatch):
+        """only refusals and file errors become an exit status; a fault in the
+        code still raises."""
+        from meanfield_sgd import cli
+
+        def broken(cfg):
+            raise RuntimeError("not a refusal")
+
+        monkeypatch.setattr(cli, "exp_lln_rate", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(reference_config(eps_grid=(3e-2, 1e-2, 3e-3), replicas=10).to_json())
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            cli_main(["lln-rate", "--config", str(path), "--out", str(tmp_path / "out")])
 
 
 class TestFailureRecording:
