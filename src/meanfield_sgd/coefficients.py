@@ -277,17 +277,18 @@ class NetworkCoefficients:
         sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V."""
         return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
 
-    def _step_kappa(self, dt: float, eps: Sequence[float], dB: np.ndarray | None) -> np.ndarray:
+    def _step_kappa(self, dt: float, eps: Sequence[float], dB: np.ndarray | None,
+                    paths: np.ndarray | None = None) -> np.ndarray:
         """w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>), one row per
-        noise scale of ``eps``; a run at eps = 0 keeps w dt and reads no noise."""
-        base, noise, rows = self._w * dt, None, []
-        for e in eps:
-            if e > 0.0:
-                noise = self._noise_kappa(dB) if noise is None else noise
-                rows.append(base + np.sqrt(e) * noise)
-            else:
-                rows.append(base)
-        return np.array(rows)
+        noise scale of ``eps``, dB the run's increment row (see ``coupled_step``),
+        one ``_noise_kappa`` per row; a run at eps = 0 keeps w dt and reads no noise."""
+        eps, base = np.asarray(eps, dtype=float), self._w * dt
+        if not eps.any():
+            return np.array([base] * eps.size)
+        noise = self._noise_kappa(dB) if paths is None else np.array([self._noise_kappa(row) for row in dB])[paths]
+        kappa = base + np.sqrt(eps)[:, None] * noise
+        kappa[eps == 0.0] = base
+        return kappa
 
     # --- features ----------------------------------------------------------
 
@@ -335,16 +336,18 @@ class NetworkCoefficients:
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None):
+                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None):
         """One Euler-Maruyama step of B coupled runs; returns the new X (and Y).
 
         The runs form a segmented batch: ``X`` (T, d) concatenates them on the
         particle axis, run b on rows ``offsets[b]:offsets[b + 1]`` (B + 1
         offsets, the last T), each on its own particle ``weights`` (T,) and
-        its own environment, at the B noise scales ``eps``, all driven by the
-        one row ``dB`` (read only where eps > 0).  Run b moves by the
-        ``increment`` in its own measure; one pre-activation and one jet serve
-        the residuals and the contraction of every run.  Its residuals are a segment sum
+        its own environment, at the B noise scales ``eps``, each driven by one
+        increment row (read only where eps > 0): the one row ``dB`` (P,), or
+        with ``paths`` (B,) row ``paths[b]`` of the rows ``dB`` (R, P) of R
+        noise paths.  Run b moves by the ``increment`` in its own measure; one
+        pre-activation and one jet serve the residuals and the contraction of
+        every run.  Its residuals are a segment sum
         (``np.add.reduceat``) and each particle's kappa is its run's row, so
         a run agrees with its own step to rounding: the segment sums
         reassociate its dot products, which moves it by at most 1e-15 of its
@@ -364,7 +367,7 @@ class NetworkCoefficients:
         jet = self.activation.jet(z, 1 if Y is None else 2)
         phi, dphi = jet[0], jet[1]
         row_u = c[..., None] * dphi
-        kappa = self._step_kappa(dt, eps, dB)
+        kappa = self._step_kappa(dt, eps, dB, paths)
         if offsets is None:
             r = self._f - weights @ (c[..., None] * phi)    # (B, P) residuals
             kappa, last = r * kappa, -1
@@ -379,7 +382,7 @@ class NetworkCoefficients:
         yc, s = self._preactivation(Y)
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
         inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
-        forcing = self._assemble(phi, row_u, r * self._noise_kappa(dB))
+        forcing = self._assemble(phi, row_u, r * self._noise_kappa(dB if paths is None else dB[paths[-1]]))
         return newX, Y + (jac + inter) * dt + forcing
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
@@ -579,20 +582,21 @@ class SyntheticCoefficients:
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None):
+                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None):
         """``NetworkCoefficients.coupled_step`` through the hooks: run b
-        moves by its own ``increment`` in its own environment, so every run
-        is its own step bit for bit.  A (B, N, d) batch is read as its
-        (B N, d) reshape."""
+        moves by its own ``increment`` in its own environment, on its own
+        increment row, so every run is its own step bit for bit.  A
+        (B, N, d) batch is read as its (B N, d) reshape."""
         shape = X.shape
         if offsets is None:
             B, N = shape[:2]
             X, weights, offsets = X.reshape(B * N, -1), np.tile(weights, B), range(0, B * N + 1, N)
+        dB = [dB] * len(eps) if paths is None else dB[paths]   # one row per run
         newX = np.empty(X.shape)
         for b, e in enumerate(eps):
             rows = slice(offsets[b], offsets[b + 1])
             x = X[rows]
-            newX[rows] = x + self.increment(x, (x, weights[rows]), dt, e, dB)
+            newX[rows] = x + self.increment(x, (x, weights[rows]), dt, e, dB[b])
         newX = newX.reshape(shape)
         if Y is None:
             return newX
@@ -600,7 +604,7 @@ class SyntheticCoefficients:
         mu = (x, weights[offsets[-2]:])
         jac = self.drift_jacobian_apply(x, Y, mu)
         inter = self.vtilde_y_apply(x, x, Y)
-        return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB)
+        return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB[-1])
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
                       hess: np.ndarray | None = None):

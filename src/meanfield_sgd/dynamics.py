@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import check_box, check_integer, check_real
+from ._checks import check_box, check_integer, check_real, check_weights
 from .measures import EmpiricalMeasure, SignedAtomicField, SortedAtoms, w2_sup
 
 __all__ = [
@@ -247,6 +247,17 @@ def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig, coeffs) -> np.nd
     return noise.increments
 
 
+def _check_runs(initials: Sequence[ParticleEnsemble], coeffs):
+    """Refuse, once before the first step, runs that cannot step together."""
+    for initial in initials:
+        shape = initial.positions.shape
+        if len(shape) != 2 or shape[0] == 0 or shape[1] != coeffs.dim:
+            raise ValueError(f"positions must be at least one point of dimension {coeffs.dim} (got shape {shape})")
+        check_weights("weights", initial.weights, shape[0])
+    if len({initial.time for initial in initials}) > 1:
+        raise ValueError(f"time must be one start time for every coupled run (got {[i.time for i in initials]})")
+
+
 def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.ndarray]:
     """The integrator loop: ``state = advance(state, step)`` for each step.
 
@@ -272,6 +283,7 @@ def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.n
 def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
              noise: NoisePath | None) -> Trajectory:
     """Integrate the interacting system; deterministic in (initial, seed, cfg)."""
+    _check_runs([initial], coeffs)
     rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
     ens = ParticleEnsemble(initial.positions.copy(), initial.weights.copy(), initial.time)
     # a diverging run raises SimulationError at its first non-finite state;
@@ -297,11 +309,12 @@ def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig)
 
 
 def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg: IntegratorConfig,
-                     noise: NoisePath | None, tangent: bool = False) -> list:
-    """The coupled ``runs``, (initial, eps) pairs, integrated as one batch
-    under the one increment row per step.
+                     noise: NoisePath | None | Sequence[NoisePath | None], tangent: bool = False) -> list:
+    """The coupled ``runs``, (initial, eps) pairs, integrated as one batch.
 
-    Run b is ``simulate(initial_b, coeffs, replace(cfg, eps=eps_b), noise)``
+    ``noise`` is the one NoisePath of every run, or one per run: runs of
+    several replicas (a pack) share a step, each on its own path's row.  Run
+    b is ``simulate(initial_b, coeffs, replace(cfg, eps=eps_b), noise_b)``
     (``noise_meta`` None at eps 0).  Runs of one size on one weight vector
     step as the (B, N, d) reshape of the batch and equal their own runs bit
     for bit; runs of different sizes step as one segmented batch (see
@@ -317,7 +330,20 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     eps = np.array([check_real("eps", e, strict=False) for _, e in runs])
     if tangent and eps[-1] != 0.0:
         raise ValueError(f"eps must end in 0 to carry the tangents (got {eps.tolist()})")
-    rows = _noise_rows(noise, cfg, coeffs) if tangent or np.any(eps > 0.0) else None
+    _check_runs([initial for initial, _ in runs], coeffs)
+    noises = list(noise) if isinstance(noise, Sequence) else [noise] * eps.size
+    if len(noises) != eps.size:
+        raise ValueError(f"noise must be one NoisePath, or one per run (got {len(noises)} for {eps.size} runs)")
+    reads = eps > 0.0   # the runs that read their path: the noisy ones and the tangents
+    reads[-1] |= tangent
+    # the distinct paths read: one's rows, or several stacked (steps, R, P), run b on row paths[b]
+    distinct = list({id(noises[b]): noises[b] for b in np.flatnonzero(reads)}.values())
+    rows, paths = None, None
+    if len(distinct) == 1:
+        rows = _noise_rows(distinct[0], cfg, coeffs)
+    elif distinct:
+        rows = np.stack([_noise_rows(p, cfg, coeffs)[:cfg.n_steps] for p in distinct], axis=1)
+        paths = np.array([next((r for r, p in enumerate(distinct) if p is path), 0) for path in noises])
     weights = [initial.weights for initial, _ in runs]
     offsets = np.concatenate([[0], np.cumsum([w.size for w in weights])])
     # runs of one size on one weight vector keep the per-run sums of a (B, N, d) batch
@@ -332,8 +358,8 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
         if None not in out:   # every run has failed
             return state
         t = t + cfg.dt
-        moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps.tolist(),
-                                    None if rows is None else rows[step], Y, segments)
+        moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps, None if rows is None else rows[step],
+                                    Y, segments, paths)
         X, Y = moved if tangent else (moved, None)
         X = X.reshape(offsets[-1], -1)
         if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):
@@ -366,7 +392,7 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
                 times=times.copy(),
                 positions=np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]]),
                 weights=weights[b].copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
-                noise_meta=noise.meta if e > 0.0 or carries else None,
+                noise_meta=noises[b].meta if reads[b] else None,
                 tangents=tangents[0] if carries else None)
     return out
 

@@ -446,6 +446,10 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
 # what a grid cell may raise and still leave rows: a diverged run, or an atom
 # outside a fixed spectral box
 _CELL_ERRORS = (SimulationError, SpectralBoxError)
+# particle rows a pack of replicas integrates as one batch: a step of one
+# sgd-compare replica's 350 rows is mostly call overhead, 57-97 us alone and
+# 28-42 us a replica when 5 to 11 share it (2-core Xeon host)
+_PACK_ROWS = 4096
 
 
 def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
@@ -453,6 +457,10 @@ def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
+
+
+def _run_key(config: ExperimentConfig, eps: float, n: int | None = None, per_m: bool = False) -> tuple:
+    return ("run", float(eps), config.n_particles if n is None else int(n), bool(per_m))
 
 
 class Replica:
@@ -465,10 +473,13 @@ class Replica:
     tail may be left out.  Each run is computed once and kept in
     ``results``, a failed one as the error it raised, so a base run that
     several cells share fails each of them.  The runs an experiment names
-    together in ``coupled`` are integrated as one batch, whatever their
-    sizes: runs of one size as its (B, N, d) reshape, bit for bit their
-    own runs, and runs of different sizes as one segmented batch, equal to
-    their own runs to rounding (``coupled_step``).  Coefficients and noise
+    together in ``coupled`` are integrated as one batch (the one-replica
+    pack of ``_couple``), whatever their sizes: runs of one size as its
+    (B, N, d) reshape, bit for bit their own runs, and runs of different
+    sizes as one segmented batch, equal to their own runs to rounding
+    (``coupled_step``); the runner first integrates the runs an experiment
+    declares for a pack of consecutive replicas as one batch, each run on
+    its replica's noise path (``_run_replicas``).  Coefficients and noise
     are built on first use, in the process that runs the cells.
     """
 
@@ -509,40 +520,21 @@ class Replica:
         return self.shared(("initial", n, per_m),
                            lambda: sample_initial(build_initial_spec(self.config), n, seed))
 
-    def _key(self, eps: float, n: int | None = None, per_m: bool = False) -> tuple:
-        return ("run", float(eps), self.config.n_particles if n is None else int(n), bool(per_m))
-
     def run(self, eps: float, n: int | None = None, per_m: bool = False) -> Trajectory:
         """The run at noise scale eps (0: the transport run) from
         ``initial(n, per_m)``, integrated alone unless ``coupled`` kept it."""
         self.coupled([(eps, n, per_m)])
-        return self.shared(self._key(eps, n, per_m), None)
+        return self.shared(_run_key(self.config, eps, n, per_m), None)
 
     def coupled(self, runs: Iterable[tuple], tangent: bool = False):
-        """Integrate the runs ``run(*a)`` for every ``a`` of ``runs`` not yet
-        kept, and with ``tangent`` the tangent solve, as one batch
-        (``simulate_coupled``), whatever their sizes.  Each is kept under
-        the key that ``run`` / ``tangent`` read; a diverged one as its own
-        error."""
-        keys = {self._key(*a): a for a in runs}
-        if tangent:
-            keys[("tangent",)] = (0.0,)
-        keys = {key: a for key, a in keys.items() if key not in self.results}
-        if not keys:
-            return
-        try:
-            integrated = simulate_coupled([(self.initial(*a[1:]), a[0]) for a in keys.values()],
-                                          self.coeffs, self.base, self.noise,
-                                          tangent=("tangent",) in keys)
-        except _CELL_ERRORS as exc:
-            integrated = [exc] * len(keys)
-        self.results.update(zip(keys, integrated))
+        """``_couple`` of this replica alone."""
+        _couple([self], runs, tangent)
 
     def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
         """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
         every W2 cell of the replica that compares against them."""
         run = self.run(eps, n, per_m)
-        return self.shared(("snapshots", *self._key(eps, n, per_m)[1:]),
+        return self.shared(("snapshots", *_run_key(self.config, eps, n, per_m)[1:]),
                            lambda: SortedAtoms.of(run.positions, run.weights))
 
     def sup_w2_sq(self, a: tuple, b: tuple) -> float:
@@ -559,6 +551,30 @@ class Replica:
         tangent member of ``coupled``."""
         self.coupled([], tangent=True)   # keeps the run, or its error, under ("tangent",)
         return self.shared(("tangent",), None)
+
+
+def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = False):
+    """Integrate as one batch (``simulate_coupled``) the runs ``run(*a)``
+    for every ``a`` of ``runs`` that a replica of ``pack`` has not kept, each
+    on its replica's noise path, and with ``tangent`` the tangent solve of
+    the last replica.  Each is kept under the key that ``run`` / ``tangent``
+    read, a diverged one as its own error."""
+    runs, todo = list(runs), []   # todo: (replica, key, run arguments)
+    for rep in pack:
+        keys = {_run_key(rep.config, *a): a for a in runs}
+        if tangent and rep is pack[-1]:
+            keys[("tangent",)] = (0.0,)
+        todo += [(rep, key, a) for key, a in keys.items() if key not in rep.results]
+    if not todo:
+        return
+    try:
+        integrated = simulate_coupled([(rep.initial(*a[1:]), a[0]) for rep, _, a in todo],
+                                      pack[0].coeffs, pack[0].base, [rep.noise for rep, _, _ in todo],
+                                      tangent=todo[-1][1] == ("tangent",))
+    except _CELL_ERRORS as exc:
+        integrated = [exc] * len(todo)
+    for (rep, key, _), result in zip(todo, integrated):
+        rep.results[key] = result
 
 
 def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric, fn):
@@ -581,30 +597,45 @@ def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int,
     rows.extend((experiment, param, seed, name, value) for name, value in zip(names, values, strict=True))
 
 
-def _replica_rows(experiment: str, cells: Callable, rep: Replica) -> tuple[list, Counter, list]:
-    rows, failures = [], []
-    for param, metric, fn in cells(rep):
-        _guarded_cell(rows, failures, experiment, param, rep.seed, metric, fn)
-    return rows, rep.w2_backends, failures
+def _pack_rows(experiment: str, cells: Callable, runs: Callable | None, pack: list) -> tuple[list, Counter, list]:
+    """The rows, W2 backends and failures of the replicas of ``pack``, once
+    the runs ``runs(config)`` of them all are integrated as one batch."""
+    if runs is not None:
+        _couple(pack, runs(pack[0].config))
+    rows, backends, failures = [], Counter(), []
+    for rep in pack:
+        for param, metric, fn in cells(rep):
+            _guarded_cell(rows, failures, experiment, param, rep.seed, metric, fn)
+        backends += rep.w2_backends
+    return rows, backends, failures
 
 
 def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
-                  replicas: Iterable[Replica] | None = None) -> "ResultTable":
+                  runs: Callable | None = None, replicas: Iterable[Replica] | None = None) -> "ResultTable":
     """A table of every replica's rows, in seed order.
 
     ``cells(rep)`` lists the (param, metric, thunk) grid cells of replica
     ``rep``, a cell of several metrics as a tuple of names, and each becomes
-    rows through _guarded_cell.  Replica r runs on
-    seed base_seed + r, by default with the snapshot stride of the config;
-    the worker count changes no number.
+    rows through _guarded_cell.  ``runs(config)`` lists the runs the cells
+    name first in ``coupled``.  Consecutive replicas pack as many as keep
+    those runs within _PACK_ROWS particle rows and give every worker a pack
+    (given ``replicas``, or without ``runs``, one a pack); a pack integrates
+    its runs as one batch and runs its cells before the next is made.
+    Replica r runs on seed base_seed + r, by default with the snapshot
+    stride of the config; neither the packs nor the worker count change a number.
     """
     if replicas is None:
-        replicas = (Replica(config, config.base_seed + r, config.snapshot_stride)
-                    for r in range(config.replicas))
-    per_replica = _parallel(partial(_replica_rows, experiment, cells), replicas, config.threads)
-    return ResultTable(config, [row for rows, _, _ in per_replica for row in rows],
-                       w2_backends=sum((backends for _, backends, _ in per_replica), Counter()),
-                       failures=[f for _, _, failures in per_replica for f in failures])
+        rows = sum(_run_key(config, *a)[2] for a in runs(config)) if runs is not None else _PACK_ROWS
+        size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
+        packs = ([Replica(config, config.base_seed + r, config.snapshot_stride)
+                  for r in range(start, min(start + size, config.replicas))]
+                 for start in range(0, config.replicas, size))
+    else:
+        packs = ([rep] for rep in replicas)
+    per_pack = _parallel(partial(_pack_rows, experiment, cells, runs), packs, config.threads)
+    return ResultTable(config, [row for rows, _, _ in per_pack for row in rows],
+                       w2_backends=sum((backends for _, backends, _ in per_pack), Counter()),
+                       failures=[f for _, _, failures in per_pack for f in failures])
 
 
 def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
@@ -643,8 +674,12 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 # --------------------------------------------------------------------------
 
 
+def _lln_runs(config: ExperimentConfig) -> list:
+    return [(eps,) for eps in (*config.eps_grid, 0.0)]
+
+
 def _lln_cells(rep: Replica) -> list:
-    rep.coupled([(eps,) for eps in (*rep.config.eps_grid, 0.0)])
+    rep.coupled(_lln_runs(rep.config))
     return [(eps, "sup_w2_sq", partial(rep.sup_w2_sq, (float(eps),), (0.0,)))
             for eps in rep.config.eps_grid]
 
@@ -671,7 +706,7 @@ def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
 
 def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
-    table = _run_replicas("lln-rate", _lln_cells, config)
+    table = _run_replicas("lln-rate", _lln_cells, config, _lln_runs)
     return _eps_rate_summary(table, "lln-rate", "sup_w2_sq", w2_backends=table.w2_backend_counts())
 
 
@@ -680,9 +715,13 @@ def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
 # --------------------------------------------------------------------------
 
 
+def _particle_runs(eps: float, n_ref: int, config: ExperimentConfig) -> list:
+    return [*((eps, m, True) for m in map(int, config.m_grid)), (eps, n_ref)]
+
+
 def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
     low, high = float(rep.config.mu0_low[0]), float(rep.config.mu0_high[0])
-    rep.coupled([*((eps, m, True) for m in map(int, rep.config.m_grid)), (eps, n_ref)])
+    rep.coupled(_particle_runs(eps, n_ref, rep.config))
     ref = rep.initial(n_ref).as_measure()
 
     def amplification(m: int, gap: float) -> float:
@@ -708,7 +747,8 @@ def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
         raise ValueError(f"mu0_high must be > mu0_low: the initial law is compared with a "
                          f"uniform one (got mu0_low={config.mu0_low!r}, mu0_high={config.mu0_high!r})")
     n_ref = 20 * int(max(config.m_grid))
-    table = _run_replicas("particle-rate", partial(_particle_cells, _PARTICLE_RATE_EPS, n_ref), config)
+    table = _run_replicas("particle-rate", partial(_particle_cells, _PARTICLE_RATE_EPS, n_ref), config,
+                          partial(_particle_runs, _PARTICLE_RATE_EPS, n_ref))
     m_grid = [int(m) for m in config.m_grid]
     static = table.matrix([("w2_sq_initial", m) for m in m_grid])
     fit = fit_slope(m_grid, static)
@@ -785,7 +825,7 @@ def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
                            for rep in replicas for run in rep.results.values()
                            if isinstance(run, Trajectory)), default=np.nan)
     grid = None if np.isnan(r_box) else SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
-    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, replicas)
+    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, replicas=replicas)
     return _eps_rate_summary(table, "clt-rate", "sup_hneg_sq", r_box=r_box)
 
 
@@ -820,10 +860,14 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
     return values.transpose(2, 0, 1).ravel()
 
 
+def _sgd_runs(config: ExperimentConfig) -> list:
+    return [(1.0 / m, m, True) for m in map(int, config.m_grid)]
+
+
 def _sgd_cells(rep: Replica) -> list:
     """One cell per M, naming its metrics ``kind:phi:snapshot`` in the order
     of _sgd_values."""
-    rep.coupled([(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
+    rep.coupled(_sgd_runs(rep.config))
     panel = _sgd_phi_panel(rep.coeffs.dim)
     metrics = tuple(f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
                     for phi in panel for kind in ("smfe", "sgd"))
@@ -848,7 +892,7 @@ def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> n
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = _run_replicas("sgd-compare", _sgd_cells, config)
+    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs)
     names = [phi.name for phi in _sgd_phi_panel(len(config.mu0_low))]
     for m in map(int, config.m_grid):
         # one read per M, so a replica that failed at this M drops out here only
@@ -905,10 +949,14 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int]) -> 
 # --------------------------------------------------------------------------
 
 
+def _commute_runs(n_ref: int, config: ExperimentConfig) -> list:
+    return [(float(min(config.alpha_grid)), n_ref), (0.0, n_ref)]
+
+
 def _commute_cells(n_ref: int, rep: Replica) -> list:
     cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
     alpha_min = float(min(rep.config.alpha_grid))
-    rep.coupled([(alpha_min, n_ref), (0.0, n_ref)])
+    rep.coupled(_commute_runs(n_ref, rep.config))
     cells = []
     for m in map(int, rep.config.m_grid):
         rep.coupled([(alpha, m, True) for alpha in (*rep.config.alpha_grid, 0.0)])
@@ -924,7 +972,7 @@ def _commute_cells(n_ref: int, rep: Replica) -> list:
 def exp_commute(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
     n_ref = 5 * int(max(config.m_grid))
-    table = _run_replicas("commute", partial(_commute_cells, n_ref), config)
+    table = _run_replicas("commute", partial(_commute_cells, n_ref), config, partial(_commute_runs, n_ref))
     m_grid = [int(m) for m in config.m_grid]
     alphas = [float(a) for a in config.alpha_grid]
     matrix = _grid_summary(table, "commute", "sup_w2_sq",

@@ -24,11 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from meanfield_sgd import dynamics
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import CoefficientError, Dataset, SyntheticCoefficients
 from meanfield_sgd.diagnostics import f_n_functional, gaussian_bump, standard_panel, trig_wave
-from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, SimulationError, picard_solve,
-                                    run_sgd, sample_initial, simulate, simulate_coupled)
+from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError,
+                                    picard_solve, run_sgd, sample_initial, simulate, simulate_coupled)
 from meanfield_sgd.fluctuations import eta_eps
 from meanfield_sgd.harness import (ExperimentConfig, Replica, build_coefficients, build_initial_spec,
                                    reference_config)
@@ -288,6 +289,36 @@ def test_coupled_eps_checked_before_any_step(monkeypatch):
     with pytest.raises(ValueError, match=r"^eps must be a finite real >= 0 \(got -0.5\)"):
         simulate_coupled([(ENS, 0.01), (ENS, 0.0), (ENS, -0.5)], COEFFS, CFG, NOISE)
     assert steps == []
+
+
+# runs a batch cannot step: no particle, another dimension than the
+# coefficients', weights that are not a probability vector, a later start
+BAD_RUNS = {
+    "zero-particles": (ParticleEnsemble(np.empty((0, 2)), np.empty(0)), "positions"),
+    "other-dimension": (ParticleEnsemble(np.zeros((3, 3)), np.full(3, 1 / 3)), "positions"),
+    "weights-not-a-probability-vector": (ParticleEnsemble(np.zeros((10, 2)), np.full(10, 0.5)), "weights"),
+    "later-start": (ParticleEnsemble(ENS.positions, ENS.weights, time=0.5), "time"),
+}
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["simulate_coupled", "simulate"])
+@pytest.mark.parametrize("bad", sorted(BAD_RUNS))
+def test_bad_runs_refused_once_before_any_step(monkeypatch, coupled, bad):
+    """Each run is checked once per call, before the first step, and a bad
+    one is refused naming its field; a lone run starts at its own time."""
+    run, field = BAD_RUNS[bad]
+    if field == "time" and not coupled:
+        np.testing.assert_allclose(simulate(run, COEFFS, CFG, None).times, [0.5, 0.51, 0.52])
+        return
+    steps, checks, check_weights = [], [], dynamics.check_weights
+    monkeypatch.setattr(COEFFS, "coupled_step", lambda *a, **k: steps.append(a))
+    monkeypatch.setattr(dynamics, "check_weights", lambda *a: checks.append(a) or check_weights(*a))
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        if coupled:
+            simulate_coupled([(ENS, 0.01), (run, 0.0)], COEFFS, CFG, NOISE)
+        else:
+            simulate(run, COEFFS, replace(CFG, eps=0.01), NOISE)
+    assert steps == [] and len(checks) <= 2
 
 
 def test_cli_simulate_refuses_a_negative_eps(tmp_path, capsys):

@@ -741,6 +741,53 @@ class TestCoupledRuns:
             runs[2].tangents, solve_tangent(initial.positions, coeffs, cfg, noise).tangents)
 
 
+@st.composite
+def replica_packs(draw):
+    """1 to 12 replicas, each with the same run set on uniform weights (as
+    the replica runner makes them): runs of one size or of mixed sizes, at
+    noise scales with a 0 among them, on the network or the synthetic
+    instance; one run of one replica starts from an atom at inf."""
+    n_runs = draw(st.integers(1, 4))
+    sizes = (draw(st.lists(st.integers(1, 30), min_size=n_runs, max_size=n_runs)) if draw(st.booleans())
+             else [draw(st.integers(1, 30))] * n_runs)
+    eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=n_runs - 1, max_size=n_runs - 1))
+    eps.insert(draw(st.integers(0, n_runs - 1)), 0.0)
+    n_rep = draw(st.integers(1, 12))
+    return dict(sizes=sizes, eps=eps, n_rep=n_rep, network=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+                diverging=(draw(st.integers(0, n_rep - 1)), draw(st.integers(0, n_runs - 1))))
+
+
+class TestReplicaPacks:
+    @settings(max_examples=40, deadline=None)
+    @given(case=replica_packs())
+    def test_a_packed_run_is_its_replicas_run(self, case):
+        """Each run of a pack, on its own replica's noise path, is the same
+        run of its replica's own batch bit for bit: positions, times,
+        noise_meta and the error text of the diverging run."""
+        coeffs = REF_COEFFS if case["network"] else SYNTHETIC_1D
+        rng = np.random.default_rng(case["seed"])
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, snapshot_stride=2)
+        replicas = []
+        for r in range(case["n_rep"]):
+            runs = [(ParticleEnsemble.uniform(rng.uniform(-1, 1, size=(n, coeffs.dim))), e)
+                    for n, e in zip(case["sizes"], case["eps"])]
+            replicas.append((runs, NoisePath(case["seed"] + r, 1e-2, 5, coeffs.n_channels)))
+        r, b = case["diverging"]
+        replicas[r][0][b][0].positions[0] = inf
+        packed = simulate_coupled([run for runs, _ in replicas for run in runs], coeffs, cfg,
+                                  [noise for runs, noise in replicas for _ in runs])
+        own = [run for runs, noise in replicas for run in simulate_coupled(runs, coeffs, cfg, noise)]
+        assert isinstance(own[r * len(case["sizes"]) + b], SimulationError)
+        for got, want in zip(packed, own, strict=True):
+            assert type(got) is type(want)
+            if isinstance(want, SimulationError):
+                assert str(got) == str(want)
+                continue
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.times, want.times)
+            assert (got.eps, got.noise_meta) == (want.eps, want.noise_meta)
+
+
 class TestSampleInitial:
     def test_explicit_atoms(self):
         atoms = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -262,14 +262,24 @@ class TestLlnExperiment:
 
     def test_threads_do_not_change_results(self):
         """lln-rate, and sgd-compare, whose runs of three sizes step as one
-        segmented batch inside each pool worker."""
+        segmented batch inside each pool worker, on one pack or on packs
+        split among 2 or 3 workers (3 take uneven shares of 10 replicas);
+        and particle-rate, whose 20 max(M) reference run is beyond the pack
+        budget, so each replica packs alone."""
         cfg = tiny_lln_config()
         a = exp_lln_rate(cfg)
-        b = exp_lln_rate(tiny_lln_config(threads=2))
-        assert a.rows == b.rows
+        for threads in (2, 3):
+            assert exp_lln_rate(tiny_lln_config(threads=threads)).rows == a.rows
         sgd = reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.1, snapshot_stride=10,
                                replicas=10, base_seed=13)
-        assert exp_sgd_compare(sgd).rows == exp_sgd_compare(replace(sgd, threads=2)).rows
+        a = exp_sgd_compare(sgd)
+        for threads in (2, 3):
+            assert exp_sgd_compare(replace(sgd, threads=threads)).rows == a.rows
+        particle = ExperimentConfig(instance="synthetic-1d", mu0_kind="uniform", mu0_low=(-1.0,), mu0_high=(1.0,),
+                                    m_grid=(10, 40, 210), dt=5e-3, horizon=0.05, snapshot_stride=5,
+                                    replicas=10, base_seed=15)
+        assert 20 * max(particle.m_grid) > harness._PACK_ROWS
+        assert exp_particle_rate(particle).rows == exp_particle_rate(replace(particle, threads=2)).rows
 
     def test_slope_near_one_even_at_small_scale(self):
         table = exp_lln_rate(tiny_lln_config())
@@ -872,9 +882,9 @@ class TestFailureRecording:
         failed = {(r[1], r[2]) for r in table.rows if r[3] == "failed"}
         assert failed == {("10.0", cfg.base_seed + r) for r in range(cfg.replicas)}
 
-        def one_at_a_time(pairs, coeffs, base, noise, tangent=False):
+        def one_at_a_time(pairs, coeffs, base, noises, tangent=False):
             runs = []
-            for b, (initial, e) in enumerate(pairs):
+            for b, ((initial, e), noise) in enumerate(zip(pairs, noises, strict=True)):
                 try:
                     if tangent and b == len(pairs) - 1:
                         runs.append(solve_tangent(initial.positions, coeffs, base, noise))
