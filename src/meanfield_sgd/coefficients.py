@@ -274,18 +274,22 @@ class NetworkCoefficients:
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:
-        sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V."""
-        return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
+        sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V, for one
+        increment row (P,) or rows (R, P).  The rows' dot products are one
+        stacked (1, P) @ (P, 1) product, which rounds each as the one-row dot
+        does (``dB @ sqrt_w`` and its sum and einsum forms do not)."""
+        if dB.ndim == 1:
+            return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
+        return self._sqrt_w * dB - self._w * (dB[..., None, :] @ self._sqrt_w[:, None])[..., 0]
 
-    def _step_kappa(self, dt: float, eps: Sequence[float], dB: np.ndarray | None,
-                    paths: np.ndarray | None = None) -> np.ndarray:
-        """w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>), one row per
-        noise scale of ``eps``, dB the run's increment row (see ``coupled_step``),
-        one ``_noise_kappa`` per row; a run at eps = 0 keeps w dt and reads no noise."""
+    def _step_kappa(self, dt: float, eps: Sequence[float], noise: np.ndarray | None) -> np.ndarray:
+        """w_p dt + sqrt(eps) noise_p, one row per noise scale of ``eps``, with
+        ``noise`` the ``_noise_kappa`` of each run's increment row (B, P) or of
+        the one row every run reads (P,); a run at eps = 0 keeps w dt and
+        reads no noise."""
         eps, base = np.asarray(eps, dtype=float), self._w * dt
         if not eps.any():
             return np.array([base] * eps.size)
-        noise = self._noise_kappa(dB) if paths is None else np.array([self._noise_kappa(row) for row in dB])[paths]
         kappa = base + np.sqrt(eps)[:, None] * noise
         kappa[eps == 0.0] = base
         return kappa
@@ -331,12 +335,13 @@ class NetworkCoefficients:
         kappa_p = r_p (w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>));
         ``dB`` is only read when eps > 0.
         """
-        kappa = self._step_kappa(dt, [eps], dB)[0]
+        kappa = self._step_kappa(dt, [eps], self._noise_kappa(dB) if eps > 0.0 else None)[0]
         return self._contract(X, self.residuals(measure) * kappa)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None):
+                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None,
+                     carriers: Sequence[int] | None = None):
         """One Euler-Maruyama step of B coupled runs; returns the new X (and Y).
 
         The runs form a segmented batch: ``X`` (T, d) concatenates them on the
@@ -358,32 +363,45 @@ class NetworkCoefficients:
         ``offsets``: their sums are then per-run matmuls, in the order of the
         one-run step, and every run is its own step bit for bit.
 
-        With tangent vectors ``Y`` (N, d) the last run must be the transport
-        run (eps 0): Y moves by (grad_x V . Y + (1/N) sum_j grad_y Vtilde . Y_j)
-        dt + sum_p G_p sqrt(w_p) dB_p, read at that run from the same jet,
-        here of order 2.
+        With tangent vectors ``Y`` (K, N, d) the runs ``carriers`` (K,
+        indices, by default the last run, whose tangents may then come as one
+        (N, d) array) must be transport runs (eps 0) of N particles: Y_k moves
+        by (grad_x V . Y_k + (1/N) sum_j grad_y Vtilde . Y_kj) dt +
+        sum_p G_p sqrt(w_p) dB_p, read at carrier k from the same jet, here of
+        order 2, on the carrier's own residuals and increment row.  The
+        carriers' terms are stacked (K, ...) products, each carrier's slice
+        the one-carrier product bit for bit.
         """
         c, z = self._preactivation(X)
         jet = self.activation.jet(z, 1 if Y is None else 2)
         phi, dphi = jet[0], jet[1]
         row_u = c[..., None] * dphi
-        kappa = self._step_kappa(dt, eps, dB, paths)
+        eps = np.asarray(eps, dtype=float)
+        # the noise rows, made once: (P,) the one row of every run, or (B, P) a run's own
+        noise = None
+        if Y is not None or eps.any():
+            noise = self._noise_kappa(dB) if paths is None else self._noise_kappa(dB)[paths]
+        kappa = self._step_kappa(dt, eps, noise)
         if offsets is None:
             r = self._f - weights @ (c[..., None] * phi)    # (B, P) residuals
-            kappa, last = r * kappa, -1
+            kappa = r * kappa
         else:
             r = self._f - np.add.reduceat((weights * c)[:, None] * phi, offsets[:-1])
             kappa = np.repeat(r * kappa, offsets[1:] - offsets[:-1], axis=0)
-            last = slice(offsets[-2], None)
         newX = X + self._assemble(phi, row_u, kappa)
         if Y is None:
             return newX
-        c, phi, dphi, d2phi, r, row_u = c[last], phi[last], dphi[last], jet[2][last], r[-1], row_u[last]
-        yc, s = self._preactivation(Y)
+        carriers = [eps.size - 1] if carriers is None else list(carriers)
+        Ys = Y.reshape(len(carriers), *Y.shape[-2:])
+        # each carrier's rows of the batch, (K, N) leading axes
+        rows = carriers if offsets is None else offsets[carriers][:, None] + np.arange(Ys.shape[1])
+        c, phi, dphi, d2phi, row_u = c[rows], phi[rows], dphi[rows], jet[2][rows], row_u[rows]
+        r = r[carriers]
+        yc, s = self._preactivation(Ys)
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
         inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
-        forcing = self._assemble(phi, row_u, r * self._noise_kappa(dB if paths is None else dB[paths[-1]]))
-        return newX, Y + (jac + inter) * dt + forcing
+        forcing = self._assemble(phi, row_u, r * (noise if paths is None else noise[carriers]))
+        return newX, (Ys + (jac + inter) * dt + forcing).reshape(Y.shape)
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
                       hess: np.ndarray | None = None):
@@ -460,9 +478,10 @@ class NetworkCoefficients:
         D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u
         its c-component is phi' s and its u-component is
         (phi' Y_c + c phi'' s) times theta_p, so the channel sum is
-        an ``_assemble`` without (N, P, d, d) storage.
+        an ``_assemble`` without (N, P, d, d) storage.  The jet (..., N, P)
+        may lead with a carrier axis, one residual row r (..., P) per carrier.
         """
-        hu = dphi * yc[:, None] + c[:, None] * d2phi * s
+        hu = dphi * yc[..., None] + c[..., None] * d2phi * s
         return self._assemble(dphi * s, hu, self._w * r)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -479,8 +498,10 @@ class NetworkCoefficients:
 
     @staticmethod
     def _beta(c, phi, dphi, tc, s) -> np.ndarray:
-        """beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j from the jet at the base."""
-        return (tc @ phi + np.einsum("j,jp,jp->p", c, dphi, s)) / phi.shape[0]
+        """beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j from the jet at the base,
+        (..., P) from a jet (..., N, P) that may lead with a carrier axis."""
+        return ((tc[..., None, :] @ phi)[..., 0, :]
+                + np.einsum("...j,...jp,...jp->...p", c, dphi, s)) / phi.shape[-2]
 
     # --- loss ----------------------------------------------------------------
 
@@ -582,11 +603,13 @@ class SyntheticCoefficients:
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None):
+                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None,
+                     carriers: Sequence[int] | None = None):
         """``NetworkCoefficients.coupled_step`` through the hooks: run b
         moves by its own ``increment`` in its own environment, on its own
-        increment row, so every run is its own step bit for bit.  A
-        (B, N, d) batch is read as its (B N, d) reshape."""
+        increment row, and so does the tangent of each carrier, so every run
+        is its own step bit for bit.  A (B, N, d) batch is read as its
+        (B N, d) reshape."""
         shape = X.shape
         if offsets is None:
             B, N = shape[:2]
@@ -600,11 +623,16 @@ class SyntheticCoefficients:
         newX = newX.reshape(shape)
         if Y is None:
             return newX
-        x = X[offsets[-2]:]
-        mu = (x, weights[offsets[-2]:])
-        jac = self.drift_jacobian_apply(x, Y, mu)
-        inter = self.vtilde_y_apply(x, x, Y)
-        return newX, Y + (jac + inter) * dt + self.noise_increment(x, mu, dB[-1])
+        carriers = [len(eps) - 1] if carriers is None else list(carriers)
+        Ys = Y.reshape(len(carriers), *Y.shape[-2:])
+        newY = np.empty(Ys.shape)
+        for k, b in enumerate(carriers):
+            x = X[offsets[b]:offsets[b + 1]]
+            mu = (x, weights[offsets[b]:offsets[b + 1]])
+            jac = self.drift_jacobian_apply(x, Ys[k], mu)
+            inter = self.vtilde_y_apply(x, x, Ys[k])
+            newY[k] = Ys[k] + (jac + inter) * dt + self.noise_increment(x, mu, dB[b])
+        return newX, newY.reshape(Y.shape)
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
                       hess: np.ndarray | None = None):

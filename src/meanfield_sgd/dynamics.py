@@ -309,7 +309,8 @@ def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig)
 
 
 def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg: IntegratorConfig,
-                     noise: NoisePath | None | Sequence[NoisePath | None], tangent: bool = False) -> list:
+                     noise: NoisePath | None | Sequence[NoisePath | None],
+                     tangent: Sequence[int] = ()) -> list:
     """The coupled ``runs``, (initial, eps) pairs, integrated as one batch.
 
     ``noise`` is the one NoisePath of every run, or one per run: runs of
@@ -318,24 +319,32 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     (``noise_meta`` None at eps 0).  Runs of one size on one weight vector
     step as the (B, N, d) reshape of the batch and equal their own runs bit
     for bit; runs of different sizes step as one segmented batch (see
-    ``coupled_step``) and equal them to rounding.  With ``tangent`` the
-    last run must be at eps 0, and it is the one ``solve_tangent`` returns
-    for the same particle weights: the transport run with its tangents,
-    from zero.  A run that goes non-finite stays in the batch as nan rows
-    and its entry is the SimulationError its own run raises; no sum mixes runs.
+    ``coupled_step``) and equal them to rounding.  ``tangent`` names the
+    runs, by index, that carry tangents: each must be at eps 0, all of one
+    size, and each is the one ``solve_tangent`` returns on its own path for
+    the same particle weights, the transport run with its tangents, from
+    zero; a pack carries one per replica.  A run that goes non-finite, a
+    carrier's tangents included, stays in the batch as nan rows and its
+    entry is the SimulationError its own run raises; no sum mixes runs.
     Returns one Trajectory or SimulationError per run.
     """
     if not runs:
         return []
     eps = np.array([check_real("eps", e, strict=False) for _, e in runs])
-    if tangent and eps[-1] != 0.0:
-        raise ValueError(f"eps must end in 0 to carry the tangents (got {eps.tolist()})")
+    carriers = [int(b) for b in tangent]
+    if len(set(carriers)) != len(carriers) or not all(0 <= b < eps.size for b in carriers):
+        raise ValueError(f"tangent must be distinct run indices below {eps.size} (got {list(tangent)})")
+    if carriers and eps[carriers].any():
+        raise ValueError(f"eps must be 0 at the runs that carry the tangents (got {eps[carriers].tolist()})")
     _check_runs([initial for initial, _ in runs], coeffs)
+    if len({runs[b][0].positions.shape for b in carriers}) > 1:
+        raise ValueError(f"positions must be of one shape on the runs that carry the tangents "
+                         f"(got {[runs[b][0].positions.shape for b in carriers]})")
     noises = list(noise) if isinstance(noise, Sequence) else [noise] * eps.size
     if len(noises) != eps.size:
         raise ValueError(f"noise must be one NoisePath, or one per run (got {len(noises)} for {eps.size} runs)")
-    reads = eps > 0.0   # the runs that read their path: the noisy ones and the tangents
-    reads[-1] |= tangent
+    reads = eps > 0.0   # the runs that read their path: the noisy ones and the carriers
+    reads[carriers] = True
     # the distinct paths read: one's rows, or several stacked (steps, R, P), run b on row paths[b]
     distinct = list({id(noises[b]): noises[b] for b in np.flatnonzero(reads)}.values())
     rows, paths = None, None
@@ -352,6 +361,7 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     else:
         shape, W, segments = (offsets[-1], -1), np.concatenate(weights), offsets
     out: list = [None] * eps.size
+    carried = dict(zip(carriers, range(len(carriers))))   # run -> its tangents' row of Y
 
     def advance(state, step):
         X, Y, t = state
@@ -359,27 +369,29 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
             return state
         t = t + cfg.dt
         moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps, None if rows is None else rows[step],
-                                    Y, segments, paths)
-        X, Y = moved if tangent else (moved, None)
+                                    Y, segments, paths, carriers or None)
+        X, Y = moved if carriers else (moved, None)
         X = X.reshape(offsets[-1], -1)
         if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):
             return X, Y, t
         at = int(round(t / cfg.dt))
         for b in range(eps.size):
-            run = X[offsets[b]:offsets[b + 1]]
-            out[b] = out[b] or _divergence(run, at, t) or (
-                _divergence(Y, at, t) if tangent and b == eps.size - 1 else None)
+            run, k = X[offsets[b]:offsets[b + 1]], carried.get(b)
+            out[b] = out[b] or _divergence(run, at, t) or (None if k is None else _divergence(Y[k], at, t))
             if out[b] is not None:   # a failed run stays in the batch as nan rows
                 run[:] = np.nan
+                if k is not None:
+                    Y[k] = np.nan
         return X, Y, t
 
     def snapshot(state):
         X, Y, t = state
-        return (X, t, Y) if tangent else (X, t)
+        return (X, t, Y) if carriers else (X, t)
 
-    # the tangents ride on the last run, from zero
+    # the tangents ride on their carriers, from zero
     state = (np.concatenate([initial.positions for initial, _ in runs]),
-             np.zeros_like(runs[-1][0].positions) if tangent else None, runs[0][0].time)
+             np.zeros((len(carriers), *runs[carriers[0]][0].positions.shape)) if carriers else None,
+             runs[0][0].time)
     # a diverging run fails at its first non-finite state; numpy's overflow
     # warnings on the way there add nothing to its error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -387,13 +399,13 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
                                                  snapshot)
     for b, e in enumerate(eps):
         if out[b] is None:
-            carries = tangent and b == eps.size - 1
+            k = carried.get(b)
             out[b] = Trajectory(
                 times=times.copy(),
                 positions=np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]]),
                 weights=weights[b].copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
                 noise_meta=noises[b].meta if reads[b] else None,
-                tangents=tangents[0] if carries else None)
+                tangents=None if k is None else np.ascontiguousarray(tangents[0][:, k]))
     return out
 
 

@@ -87,7 +87,8 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
     """Integrate the tangent system from rest (the zero initial fluctuation of
     coupled runs on the same atoms): the transport run from ``initial_base``,
     bit for bit, with its ``tangents``; the one-run
-    ``simulate_coupled([(initial, 0.0)], tangent=True)``."""
+    ``simulate_coupled([(initial, 0.0)], tangent=[0])``, the one-carrier
+    case of a batch that carries a tangent system on several transport runs."""
     rows = _noise_rows(noise, cfg, coeffs)
     # a diverging run raises SimulationError at its first non-finite base
     # point or tangent, as in simulate
@@ -137,7 +138,7 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     """
     eps = check_real("eps", eps)
     if traj_eps.n_snapshots != traj_zero.n_snapshots or not np.allclose(
-        traj_eps.times, traj_zero.times, atol=1e-12
+        traj_eps.times, traj_zero.times, rtol=0, atol=1e-12
     ):
         raise ValueError("snapshot grids of the two trajectories do not match")
     if abs(traj_eps.dt - traj_zero.dt) > 1e-15:
@@ -178,7 +179,7 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
         raise ValueError("tangents must be set: clt_distance reads a solve_tangent trajectory")
     for path in eta_paths:
         if path.n_snapshots != tangent_traj.n_snapshots or not np.allclose(
-            path.times, tangent_traj.times, atol=1e-12
+            path.times, tangent_traj.times, rtol=0, atol=1e-12
         ):
             raise ValueError("snapshot grids do not match")
         if not np.array_equal(path.reference, transport):

@@ -12,6 +12,8 @@ reproducible functions of (config, seed).
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -452,10 +454,24 @@ _CELL_ERRORS = (SimulationError, SpectralBoxError)
 _PACK_ROWS = 4096
 
 
+def _one_blas_thread():
+    """Pin numpy's bundled OpenBLAS to one thread in this process, if it has
+    one: workers that each run a threaded BLAS oversubscribe the cores.
+    Without the library or its setter this does nothing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_(1)
+    except (IndexError, OSError, AttributeError):
+        pass
+
+
 def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
+    """``fn`` of every item, in order: in this process, or with ``threads`` > 1
+    in a pool of that many workers, each with one BLAS thread."""
     if threads <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as ex:
         return list(ex.map(fn, items))
 
 
@@ -479,8 +495,10 @@ class Replica:
     sizes as one segmented batch, equal to their own runs to rounding
     (``coupled_step``); the runner first integrates the runs an experiment
     declares for a pack of consecutive replicas as one batch, each run on
-    its replica's noise path (``_run_replicas``).  Coefficients and noise
-    are built on first use, in the process that runs the cells.
+    its replica's noise path (``_run_replicas``), and clt-rate the eps runs
+    and tangent solves of a pack, one tangent system per replica.
+    Coefficients and noise are built on first use, in the process that
+    runs the cells.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int, stride: int):
@@ -557,12 +575,12 @@ def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = Fals
     """Integrate as one batch (``simulate_coupled``) the runs ``run(*a)``
     for every ``a`` of ``runs`` that a replica of ``pack`` has not kept, each
     on its replica's noise path, and with ``tangent`` the tangent solve of
-    the last replica.  Each is kept under the key that ``run`` / ``tangent``
-    read, a diverged one as its own error."""
+    every replica, each carrying its own tangent system.  Each is kept under
+    the key that ``run`` / ``tangent`` read, a diverged one as its own error."""
     runs, todo = list(runs), []   # todo: (replica, key, run arguments)
     for rep in pack:
         keys = {_run_key(rep.config, *a): a for a in runs}
-        if tangent and rep is pack[-1]:
+        if tangent:
             keys[("tangent",)] = (0.0,)
         todo += [(rep, key, a) for key, a in keys.items() if key not in rep.results]
     if not todo:
@@ -570,7 +588,7 @@ def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = Fals
     try:
         integrated = simulate_coupled([(rep.initial(*a[1:]), a[0]) for rep, _, a in todo],
                                       pack[0].coeffs, pack[0].base, [rep.noise for rep, _, _ in todo],
-                                      tangent=todo[-1][1] == ("tangent",))
+                                      tangent=[b for b, (_, key, _) in enumerate(todo) if key == ("tangent",)])
     except _CELL_ERRORS as exc:
         integrated = [exc] * len(todo)
     for (rep, key, _), result in zip(todo, integrated):
@@ -610,6 +628,19 @@ def _pack_rows(experiment: str, cells: Callable, runs: Callable | None, pack: li
     return rows, backends, failures
 
 
+def _replica_packs(config: ExperimentConfig, stride: int, runs: list | None):
+    """Replica r on seed base_seed + r and snapshot ``stride``, consecutive
+    replicas in packs: as many as keep the particle rows of ``runs`` within
+    _PACK_ROWS, and at least one pack per worker; without ``runs``, one a
+    pack."""
+    size = 1
+    if runs is not None:
+        rows = sum(_run_key(config, *a)[2] for a in runs)
+        size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
+    return ([Replica(config, config.base_seed + r, stride) for r in range(start, min(start + size, config.replicas))]
+            for start in range(0, config.replicas, size))
+
+
 def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
                   runs: Callable | None = None, replicas: Iterable[Replica] | None = None) -> "ResultTable":
     """A table of every replica's rows, in seed order.
@@ -617,19 +648,13 @@ def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
     ``cells(rep)`` lists the (param, metric, thunk) grid cells of replica
     ``rep``, a cell of several metrics as a tuple of names, and each becomes
     rows through _guarded_cell.  ``runs(config)`` lists the runs the cells
-    name first in ``coupled``.  Consecutive replicas pack as many as keep
-    those runs within _PACK_ROWS particle rows and give every worker a pack
-    (given ``replicas``, or without ``runs``, one a pack); a pack integrates
-    its runs as one batch and runs its cells before the next is made.
-    Replica r runs on seed base_seed + r, by default with the snapshot
-    stride of the config; neither the packs nor the worker count change a number.
+    name first in ``coupled``.  Replicas pack as ``_replica_packs`` makes
+    them, with the snapshot stride of the config (given ``replicas``, one a
+    pack); a pack integrates its runs as one batch and runs its cells before
+    the next is made.  Neither the packs nor the worker count change a number.
     """
     if replicas is None:
-        rows = sum(_run_key(config, *a)[2] for a in runs(config)) if runs is not None else _PACK_ROWS
-        size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
-        packs = ([Replica(config, config.base_seed + r, config.snapshot_stride)
-                  for r in range(start, min(start + size, config.replicas))]
-                 for start in range(0, config.replicas, size))
+        packs = _replica_packs(config, config.snapshot_stride, None if runs is None else runs(config))
     else:
         packs = ([rep] for rep in replicas)
     per_pack = _parallel(partial(_pack_rows, experiment, cells, runs), packs, config.threads)
@@ -770,12 +795,13 @@ def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
 # --------------------------------------------------------------------------
 
 
-def _clt_runs(rep: Replica) -> dict:
-    """The eps runs and the tangent solve (the transport run) of one clt-rate
-    replica, one batch, each kept, or the error it raised, for the box and
-    then the norms."""
-    rep.coupled([(eps,) for eps in rep.config.eps_grid], tangent=True)
-    return rep.results
+def _clt_pack(runs: list, pack: list) -> list:
+    """The ``results`` of each replica of a clt-rate ``pack`` once its eps
+    ``runs`` and tangent solves (the transport runs) are integrated as one
+    batch, each run kept, or the error it raised, for the box and then the
+    norms."""
+    _couple(pack, runs, tangent=True)
+    return [rep.results for rep in pack]
 
 
 def _clt_cells(grid: SpectralGrid | None, rep: Replica) -> list:
@@ -812,10 +838,13 @@ def _clt_cells(grid: SpectralGrid | None, rep: Replica) -> list:
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
     _check_sobolev_order("sobolev_j", config.sobolev_j, len(config.mu0_low))
-    replicas = [Replica(config, config.base_seed + r, config.clt_snapshot_stride)
-                for r in range(config.replicas)]
-    for rep, results in zip(replicas, _parallel(_clt_runs, replicas, config.threads)):
-        rep.results = results
+    runs = [(eps,) for eps in config.eps_grid]
+    # the tangent solve is a transport run: it packs as the rows of run (0.0,)
+    packs = list(_replica_packs(config, config.clt_snapshot_stride, [*runs, (0.0,)]))
+    for pack, kept in zip(packs, _parallel(partial(_clt_pack, runs), packs, config.threads)):
+        for rep, results in zip(pack, kept):
+            rep.results = results
+    replicas = [rep for pack in packs for rep in pack]
     if config.r_box is not None:
         r_box = float(config.r_box)
     else:

@@ -174,7 +174,7 @@ class SortedAtoms:
     def of(cls, atoms: np.ndarray, weights: np.ndarray) -> "SortedAtoms":
         atoms = np.asarray(atoms, dtype=float)
         weights = _checked(atoms, weights)
-        return cls(atoms, weights, bool(np.allclose(weights, 1.0 / weights.size, atol=1e-12)))
+        return cls(atoms, weights, bool(np.allclose(weights, 1.0 / weights.size, rtol=0, atol=1e-12)))
 
     def at(self, s: int) -> "SortedAtoms":
         if self._sorted[s] is None:

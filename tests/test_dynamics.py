@@ -571,12 +571,22 @@ class TestBoundaryValidation:
             integrate(ini, cfg, noise)
         assert steps == []
 
-    def test_coupled_tangent_needs_a_last_transport_run(self):
+    @pytest.mark.parametrize("carriers, message", [
+        ([1], r"^eps must be 0 at the runs that carry the tangents \(got \[0.05\]\)$"),
+        ([0, 0], r"^tangent must be distinct run indices below 3 \(got \[0, 0\]\)$"),
+        ([3], r"^tangent must be distinct run indices below 3 \(got \[3\]\)$"),
+        ([-1], r"^tangent must be distinct run indices below 3 \(got \[-1\]\)$"),
+        ([0, 2], r"^positions must be of one shape on the runs that carry the tangents"),
+    ], ids=["noisy", "repeated", "past-the-end", "negative", "two-sizes"])
+    def test_coupled_tangents_need_transport_runs_of_one_size(self, carriers, message):
+        """The runs named to carry tangents are distinct runs of the batch,
+        at eps 0 and of one size; anything else is refused before a step."""
         ini = sample_initial(REF_SPEC, 6, 0)
         cfg = IntegratorConfig(dt=1e-2, horizon=5e-2)
         noise = NoisePath(0, 1e-2, 5, REF_COEFFS.n_channels)
-        with pytest.raises(ValueError, match=r"^eps must end in 0"):
-            simulate_coupled([(ini, 0.0), (ini, 0.05)], REF_COEFFS, cfg, noise, tangent=True)
+        runs = [(ini, 0.0), (ini, 0.05), (sample_initial(REF_SPEC, 4, 1), 0.0)]
+        with pytest.raises(ValueError, match=message):
+            simulate_coupled(runs, REF_COEFFS, cfg, noise, tangent=carriers)
 
 
 def _diverging_noise():
@@ -639,7 +649,7 @@ class TestCoupledRuns:
                 weights = rng.uniform(0.5, 1.5, size=n)
                 weights /= weights.sum()
             runs.append((ParticleEnsemble(rng.uniform(-1, 1, size=(n, coeffs.dim)), weights), e))
-        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=case["tangent"])
+        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=[len(runs) - 1] if case["tangent"] else [])
         for b, ((initial, e), run) in enumerate(zip(runs, got)):
             carries = case["tangent"] and b == len(runs) - 1
             want = _own_run(initial, coeffs, cfg, e, noise, carries)
@@ -663,9 +673,9 @@ class TestCoupledRuns:
         noise = NoisePath(1, 1e-2, 20, 2)
         with pytest.raises(SimulationError) as alone:
             simulate(runs[0][0], coeffs, replace(cfg, eps=10.0), noise)
-        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=True)
+        got = simulate_coupled(runs, coeffs, cfg, noise, tangent=[2])
         assert isinstance(got[0], SimulationError) and str(got[0]) == str(alone.value)
-        without = simulate_coupled(runs[1:], coeffs, cfg, noise, tangent=True)
+        without = simulate_coupled(runs[1:], coeffs, cfg, noise, tangent=[1])
         for run, other, (initial, e), carries in zip(got[1:], without, runs[1:], (False, True)):
             want = _own_run(initial, coeffs, cfg, e, noise, carries)
             for field in ("positions", "tangents") if carries else ("positions",):
@@ -688,9 +698,9 @@ class TestCoupledRuns:
         noise = NoisePath(2, 1e-2, 10, REF_COEFFS.n_channels)
         with pytest.raises(SimulationError) as alone:
             simulate(runs[0][0], REF_COEFFS, replace(cfg, eps=eps[0]), noise)
-        got = simulate_coupled(runs, REF_COEFFS, cfg, noise, tangent=tangent)
+        got = simulate_coupled(runs, REF_COEFFS, cfg, noise, tangent=[2] if tangent else [])
         assert isinstance(got[0], SimulationError) and str(got[0]) == str(alone.value)
-        without = simulate_coupled(runs[1:], REF_COEFFS, cfg, noise, tangent=tangent)
+        without = simulate_coupled(runs[1:], REF_COEFFS, cfg, noise, tangent=[1] if tangent else [])
         for b, (run, other, (initial, e)) in enumerate(zip(got[1:], without, runs[1:]), start=1):
             carries = tangent and b == len(runs) - 1
             want = _own_run(initial, REF_COEFFS, cfg, e, noise, carries)
@@ -717,7 +727,7 @@ class TestCoupledRuns:
             np.testing.assert_array_equal(run.positions, want.positions)
             np.testing.assert_array_equal(run.times, want.times)
             assert (run.eps, run.noise_meta, run.snapshot_stride) == (want.eps, want.noise_meta, 3)
-        *_, carrier = simulate_coupled([(initial, 0.1), (initial, 0.0)], coeffs, cfg, noise, tangent=True)
+        *_, carrier = simulate_coupled([(initial, 0.1), (initial, 0.0)], coeffs, cfg, noise, tangent=[1])
         want = solve_tangent(initial.positions, coeffs, cfg, noise)
         np.testing.assert_array_equal(carrier.positions, want.positions)
         np.testing.assert_array_equal(carrier.tangents, want.tangents)
@@ -733,7 +743,7 @@ class TestCoupledRuns:
         eps = [10.0, 1e-4, 0.0]
         with pytest.raises(SimulationError) as alone:
             simulate(initial, coeffs, replace(cfg, eps=10.0), noise)
-        runs = simulate_coupled([(initial, e) for e in eps], coeffs, cfg, noise, tangent=True)
+        runs = simulate_coupled([(initial, e) for e in eps], coeffs, cfg, noise, tangent=[2])
         assert isinstance(runs[0], SimulationError) and str(runs[0]) == str(alone.value)
         np.testing.assert_array_equal(
             runs[1].positions, simulate(initial, coeffs, replace(cfg, eps=1e-4), noise).positions)
@@ -785,6 +795,64 @@ class TestReplicaPacks:
                 continue
             np.testing.assert_array_equal(got.positions, want.positions)
             np.testing.assert_array_equal(got.times, want.times)
+            assert (got.eps, got.noise_meta) == (want.eps, want.noise_meta)
+
+
+@st.composite
+def carrier_packs(draw):
+    """1 to 12 replicas, each with eps runs on uniform weights (of one size
+    or mixed sizes) and a transport run of one size across the pack that
+    carries its replica's tangents, at a drawn place among its runs, on the
+    network or the synthetic instance; one run of one replica, the carrier
+    or an eps run, starts from an atom at inf."""
+    n_eps = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    sizes = (draw(st.lists(st.integers(1, 30), min_size=n_eps, max_size=n_eps)) if draw(st.booleans())
+             else [n] * n_eps)
+    eps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), min_size=n_eps, max_size=n_eps))
+    n_rep = draw(st.integers(1, 12))
+    return dict(sizes=sizes, eps=eps, n=n, carrier=draw(st.integers(0, n_eps)), n_rep=n_rep,
+                network=draw(st.booleans()), seed=draw(st.integers(0, 2**16)),
+                diverging=(draw(st.integers(0, n_rep - 1)), draw(st.one_of(st.none(), st.integers(0, n_eps - 1)))))
+
+
+class TestCarrierPacks:
+    @settings(max_examples=40, deadline=None)
+    @given(case=carrier_packs())
+    def test_a_packed_carrier_is_its_replicas_carrier(self, case):
+        """A pack that carries one tangent system per replica is each
+        replica's own one-carrier batch bit for bit: positions, tangents,
+        times, noise_meta and the error text of the diverging run; a
+        diverging carrier (``diverging`` run None) fails its replica alone."""
+        coeffs = REF_COEFFS if case["network"] else SYNTHETIC_1D
+        rng = np.random.default_rng(case["seed"])
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, snapshot_stride=2)
+        c = case["carrier"]
+        replicas = []
+        for r in range(case["n_rep"]):
+            runs = [(ParticleEnsemble.uniform(rng.uniform(-1, 1, size=(n, coeffs.dim))), e)
+                    for n, e in zip(case["sizes"], case["eps"])]
+            runs.insert(c, (ParticleEnsemble.uniform(rng.uniform(-1, 1, size=(case["n"], coeffs.dim))), 0.0))
+            replicas.append((runs, NoisePath(case["seed"] + r, 1e-2, 5, coeffs.n_channels)))
+        r, b = case["diverging"]
+        b = c if b is None else b + (b >= c)
+        replicas[r][0][b][0].positions[0] = inf
+        size = len(case["sizes"]) + 1
+        packed = simulate_coupled([run for runs, _ in replicas for run in runs], coeffs, cfg,
+                                  [noise for runs, noise in replicas for _ in runs],
+                                  tangent=[k * size + c for k in range(case["n_rep"])])
+        own = [run for runs, noise in replicas for run in simulate_coupled(runs, coeffs, cfg, noise, tangent=[c])]
+        assert isinstance(own[r * size + b], SimulationError)
+        for k, (got, want) in enumerate(zip(packed, own, strict=True)):
+            assert type(got) is type(want)
+            if isinstance(want, SimulationError):
+                assert str(got) == str(want)
+                continue
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.times, want.times)
+            assert (got.tangents is None) == (k % size != c)
+            if k % size == c:
+                np.testing.assert_array_equal(got.tangents, want.tangents)
             assert (got.eps, got.noise_meta) == (want.eps, want.noise_meta)
 
 

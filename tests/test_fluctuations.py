@@ -151,6 +151,21 @@ class TestEtaEps:
         with pytest.raises(ValueError):
             eta_eps(traj, transport_fine, 0.05)
 
+    def test_grids_that_differ_beyond_1e12_rejected(self):
+        """Snapshot times must agree within 1e-12 absolutely: times 2e-7 off
+        a grid of [0, 0.025, 0.05] are refused, not waved through by a
+        relative tolerance."""
+        initial = sample_initial(REF_SPEC, 10, 6)
+        noise = NoisePath(6, 0.005, 10, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=0.005, horizon=0.05, eps=0.05, snapshot_stride=5)
+        traj = simulate(initial, REF_COEFFS, cfg, noise)
+        transport = simulate_transport(initial, REF_COEFFS, cfg)
+        np.testing.assert_allclose(transport.times, [0.0, 0.025, 0.05], rtol=0, atol=1e-15)
+        shifted = replace(traj, times=np.array([0.0, 0.0250002, 0.0500002]))
+        with pytest.raises(ValueError, match="^snapshot grids of the two trajectories do not match$"):
+            eta_eps(shifted, transport, 0.05)
+        eta_eps(traj, transport, 0.05)   # the grids of the coupled runs agree
+
     def test_linearization_error_decreases_with_eps(self):
         """<phi, eta^eps_T> approaches the tangent pairing as eps drops."""
         seed, steps = 8, 50
@@ -205,6 +220,21 @@ class TestCltDistance:
         assert sobolev_neg_norm(f2, grid) == pytest.approx(
             2.0 * sobolev_neg_norm(f1, grid), rel=1e-12
         )
+
+    def test_grid_beyond_1e12_of_the_tangent_run_rejected(self):
+        """A fluctuation path whose snapshot times are 2e-7 off the tangent
+        run's [0, 0.025, 0.05] gets no distance."""
+        initial = sample_initial(REF_SPEC, 10, 11)
+        noise = NoisePath(11, 0.005, 10, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=0.005, horizon=0.05, snapshot_stride=5)
+        tangent = solve_tangent(initial.positions, REF_COEFFS, cfg, noise)
+        traj = simulate(initial, REF_COEFFS, replace(cfg, eps=0.01), noise)
+        path = eta_eps(traj, tangent, 0.01)
+        grid = SpectralGrid(r_box=6.0, k_max=32, j=5)
+        assert clt_distance([path], tangent, grid)[0][0] > 0
+        shifted = replace(path, times=np.array([0.0, 0.0250002, 0.0500002]))
+        with pytest.raises(ValueError, match="^snapshot grids do not match$"):
+            clt_distance([shifted], tangent, grid)
 
     def test_low_order_rejected(self):
         initial = sample_initial(REF_SPEC, 5, 11)

@@ -1,6 +1,7 @@
 """Harness: slope fits, config round trips, reproducibility, CLI surface."""
 
 import csv
+import ctypes
 import json
 import os
 import tempfile
@@ -253,6 +254,17 @@ def tiny_lln_config(**overrides):
     return reference_config(**base)
 
 
+def _blas_lib() -> list:
+    """numpy's bundled OpenBLAS, as the pool workers' BLAS pin finds it."""
+    return harness.glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                          "libscipy_openblas64_*.so"))
+
+
+def _blas_threads(_) -> int:
+    """The BLAS thread count of the process this runs in."""
+    return ctypes.CDLL(_blas_lib()[0]).scipy_openblas_get_num_threads64_()
+
+
 class TestLlnExperiment:
     def test_reproducible_rows(self):
         cfg = tiny_lln_config()
@@ -264,8 +276,10 @@ class TestLlnExperiment:
         """lln-rate, and sgd-compare, whose runs of three sizes step as one
         segmented batch inside each pool worker, on one pack or on packs
         split among 2 or 3 workers (3 take uneven shares of 10 replicas);
-        and particle-rate, whose 20 max(M) reference run is beyond the pack
-        budget, so each replica packs alone."""
+        clt-rate, whose packs of 10, 5 and 4 replicas carry one tangent
+        system each and whose workers run the spectral products on one BLAS
+        thread; and particle-rate, whose 20 max(M) reference run is beyond
+        the pack budget, so each replica packs alone."""
         cfg = tiny_lln_config()
         a = exp_lln_rate(cfg)
         for threads in (2, 3):
@@ -275,11 +289,29 @@ class TestLlnExperiment:
         a = exp_sgd_compare(sgd)
         for threads in (2, 3):
             assert exp_sgd_compare(replace(sgd, threads=threads)).rows == a.rows
+        clt = reference_config(n_particles=20, eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.1,
+                               clt_snapshot_stride=10, replicas=10, base_seed=14, k_max=32)
+        assert [len(p) for p in harness._replica_packs(replace(clt, threads=3), 10, [(0.0,)] * 4)] == [4, 4, 2]
+        a = exp_clt_rate(clt)
+        for threads in (2, 3):
+            b = exp_clt_rate(replace(clt, threads=threads))
+            assert b.rows == a.rows
+            assert [{**e, "config_hash": None} for e in b.summary] == [{**e, "config_hash": None} for e in a.summary]
         particle = ExperimentConfig(instance="synthetic-1d", mu0_kind="uniform", mu0_low=(-1.0,), mu0_high=(1.0,),
                                     m_grid=(10, 40, 210), dt=5e-3, horizon=0.05, snapshot_stride=5,
                                     replicas=10, base_seed=15)
         assert 20 * max(particle.m_grid) > harness._PACK_ROWS
         assert exp_particle_rate(particle).rows == exp_particle_rate(replace(particle, threads=2)).rows
+
+    @pytest.mark.skipif(not _blas_lib(), reason="numpy has no bundled OpenBLAS here")
+    def test_pool_workers_run_one_blas_thread(self):
+        assert harness._parallel(_blas_threads, range(4), 2) == [1] * 4
+
+    @pytest.mark.parametrize("libs", [[], ["no-such-library.so"], ["libc.so.6"]],
+                             ids=["no-library", "unloadable", "no-setter"])
+    def test_blas_pin_fails_soft(self, libs, monkeypatch):
+        monkeypatch.setattr(harness.glob, "glob", lambda pattern: libs)
+        assert harness._one_blas_thread() is None
 
     def test_slope_near_one_even_at_small_scale(self):
         table = exp_lln_rate(tiny_lln_config())
@@ -882,11 +914,11 @@ class TestFailureRecording:
         failed = {(r[1], r[2]) for r in table.rows if r[3] == "failed"}
         assert failed == {("10.0", cfg.base_seed + r) for r in range(cfg.replicas)}
 
-        def one_at_a_time(pairs, coeffs, base, noises, tangent=False):
+        def one_at_a_time(pairs, coeffs, base, noises, tangent=()):
             runs = []
             for b, ((initial, e), noise) in enumerate(zip(pairs, noises, strict=True)):
                 try:
-                    if tangent and b == len(pairs) - 1:
+                    if b in tangent:
                         runs.append(solve_tangent(initial.positions, coeffs, base, noise))
                     elif e:
                         runs.append(simulate(initial, coeffs, replace(base, eps=e), noise))

@@ -146,6 +146,17 @@ class TestW2:
         assert info["backend"] == "lp"
         assert val == pytest.approx(w2(mu_split, nu), rel=1e-9)
 
+    def test_weights_near_uniform_are_not_uniform(self):
+        """Weights 2e-6 off 1/4 are general weights: the LP serves them, not
+        the uniform assignment, whose value differs in the fifth digit."""
+        rng = np.random.default_rng(4)
+        xa, xb = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        weights = np.array([0.25 + 2e-6, 0.25 - 2e-6, 0.25 + 2e-6, 0.25 - 2e-6])
+        val, info = w2_detailed(EmpiricalMeasure(xa, weights), EmpiricalMeasure.uniform(xb))
+        assert info["backend"] == "lp"
+        assert val**2 == pytest.approx(_w2_lp(xa, weights, xb, np.full(4, 0.25)), rel=1e-9)
+        assert abs(val**2 - _w2_assignment(xa, xb)) > 1e-7
+
 
 _POINTS = st.floats(-3.0, 3.0)
 
