@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .measures import SignedAtomicField, write_field
+from .measures import SignedAtomicField, write_field, write_table
 from .diagnostics import (
     min_pairwise_distance,
     moment_track,
@@ -75,12 +75,11 @@ def _cmd_sgd(cfg: ExperimentConfig, out: str):
     steps = int(np.ceil(m * cfg.horizon))
     chain = run_sgd(coeffs, m, alpha=1.0 / m, batch_size=1, n_steps=steps,
                     seed=cfg.base_seed, initial=initial.positions)
-    with open(os.path.join(out, "sgd-chain.txt"), "w", encoding="utf-8") as fh:
-        fh.write("# columns: step pid x1..xd\n")
-        for k in range(chain.n_steps + 1):
-            for i in range(m):
-                coords = " ".join(f"{v:.17g}" for v in chain.positions[k, i])
-                fh.write(f"{k} {i} {coords}\n")
+    states = chain.n_steps + 1
+    write_table(os.path.join(out, "sgd-chain.txt"),
+                np.column_stack([np.repeat(np.arange(states), m), np.tile(np.arange(m), states),
+                                 chain.positions.reshape(states * m, -1)]),
+                "columns: step pid x1..xd")
     write_run_meta(cfg, out)
     print(f"wrote SGD chain ({chain.n_steps} steps, {m} particles) to {out}/sgd-chain.txt")
 

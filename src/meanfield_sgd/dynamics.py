@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import check_box, check_integer, check_real, check_weights
-from .measures import EmpiricalMeasure, SignedAtomicField, SortedAtoms, w2_sup
+from .measures import EmpiricalMeasure, SignedAtomicField, SortedAtoms, w2_sup, write_table
 
 __all__ = [
     "NoisePath",
@@ -314,7 +314,8 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     """The coupled ``runs``, (initial, eps) pairs, integrated as one batch.
 
     ``noise`` is the one NoisePath of every run, or one per run: runs of
-    several replicas (a pack) share a step, each on its own path's row.  Run
+    several replicas (a pack) share a step, each on its own path's row; the
+    paths read are stacked as one (steps, R, P) array, R = 1 included.  Run
     b is ``simulate(initial_b, coeffs, replace(cfg, eps=eps_b), noise_b)``
     (``noise_meta`` None at eps 0).  Runs of one size on one weight vector
     step as the (B, N, d) reshape of the batch and equal their own runs bit
@@ -345,12 +346,10 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
         raise ValueError(f"noise must be one NoisePath, or one per run (got {len(noises)} for {eps.size} runs)")
     reads = eps > 0.0   # the runs that read their path: the noisy ones and the carriers
     reads[carriers] = True
-    # the distinct paths read: one's rows, or several stacked (steps, R, P), run b on row paths[b]
+    # the R distinct paths read, stacked (steps, R, P) even when R = 1: run b reads row paths[b]
     distinct = list({id(noises[b]): noises[b] for b in np.flatnonzero(reads)}.values())
     rows, paths = None, None
-    if len(distinct) == 1:
-        rows = _noise_rows(distinct[0], cfg, coeffs)
-    elif distinct:
+    if distinct:
         rows = np.stack([_noise_rows(p, cfg, coeffs)[:cfg.n_steps] for p in distinct], axis=1)
         paths = np.array([next((r for r, p in enumerate(distinct) if p is path), 0) for path in noises])
     weights = [initial.weights for initial, _ in runs]
@@ -589,18 +588,15 @@ def write_trajectory(traj: Trajectory, path):
     """Columnar text: step, time, particle id, coordinates (and the tangent
     columns of a tangent solve).  The noise is referenced by metadata only:
     the seed, dt, step count and channel count that rebuild its NoisePath."""
-    tangents = traj.tangents
-    with open(path, "w", encoding="utf-8") as fh:
-        if traj.noise_meta is not None:
-            m = traj.noise_meta
-            fh.write(f"# noise seed={m['seed']} dt={m['dt']:.17g} steps={m['n_steps']} "
-                     f"channels={m['n_channels']}\n")
-        fh.write("# columns: step time pid x1..xd" + (" y1..yd" if tangents is not None else "") + "\n")
-        for s in range(traj.n_snapshots):
-            step = int(round(traj.times[s] / traj.dt))
-            for i in range(traj.positions.shape[1]):
-                coords = " ".join(f"{v:.17g}" for v in traj.positions[s, i])
-                row = f"{step} {traj.times[s]:.17g} {i} {coords}"
-                if tangents is not None:
-                    row += " " + " ".join(f"{v:.17g}" for v in tangents[s, i])
-                fh.write(row + "\n")
+    S, N, d = traj.positions.shape
+    columns = [np.repeat(np.rint(traj.times / traj.dt), N), np.repeat(traj.times, N), np.tile(np.arange(N), S),
+               traj.positions.reshape(S * N, d)]
+    header = "columns: step time pid x1..xd"
+    if traj.tangents is not None:
+        columns.append(traj.tangents.reshape(S * N, d))
+        header += " y1..yd"
+    if traj.noise_meta is not None:
+        m = traj.noise_meta
+        header = (f"noise seed={m['seed']} dt={m['dt']:.17g} steps={m['n_steps']} "
+                  f"channels={m['n_channels']}\n" + header)
+    write_table(path, np.column_stack(columns), header)

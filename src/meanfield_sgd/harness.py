@@ -467,11 +467,14 @@ def _one_blas_thread():
 
 
 def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
-    """``fn`` of every item, in order: in this process, or with ``threads`` > 1
-    in a pool of that many workers, each with one BLAS thread."""
+    """``fn`` of every item, in order: in this process, taking each item as
+    it comes, or with ``threads`` > 1 in a pool of that many workers, or one
+    per item if fewer (a pool forks all its workers at once), each with one
+    BLAS thread."""
     if threads <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as ex:
+    items = list(items)
+    with ProcessPoolExecutor(max_workers=min(threads, len(items)), initializer=_one_blas_thread) as ex:
         return list(ex.map(fn, items))
 
 
@@ -488,17 +491,12 @@ class Replica:
     run is named by the arguments of ``run``, a tuple (eps, n, per_m) whose
     tail may be left out.  Each run is computed once and kept in
     ``results``, a failed one as the error it raised, so a base run that
-    several cells share fails each of them.  The runs an experiment names
-    together in ``coupled`` are integrated as one batch (the one-replica
-    pack of ``_couple``), whatever their sizes: runs of one size as its
-    (B, N, d) reshape, bit for bit their own runs, and runs of different
-    sizes as one segmented batch, equal to their own runs to rounding
-    (``coupled_step``); the runner first integrates the runs an experiment
-    declares for a pack of consecutive replicas as one batch, each run on
-    its replica's noise path (``_run_replicas``), and clt-rate the eps runs
-    and tangent solves of a pack, one tangent system per replica.
-    Coefficients and noise are built on first use, in the process that
-    runs the cells.
+    several cells share fails each of them.  An experiment names its runs
+    once, and the runner integrates them for a pack of consecutive replicas
+    as one batch, each run on its replica's noise path (``_couple``), before
+    the cells read them; a run no pack integrated is integrated alone by
+    ``run``.  Coefficients and noise are built on first use, in the process
+    that runs the cells.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int, stride: int):
@@ -540,13 +538,9 @@ class Replica:
 
     def run(self, eps: float, n: int | None = None, per_m: bool = False) -> Trajectory:
         """The run at noise scale eps (0: the transport run) from
-        ``initial(n, per_m)``, integrated alone unless ``coupled`` kept it."""
-        self.coupled([(eps, n, per_m)])
+        ``initial(n, per_m)``, integrated alone unless a pack kept it."""
+        _couple([self], [(eps, n, per_m)])
         return self.shared(_run_key(self.config, eps, n, per_m), None)
-
-    def coupled(self, runs: Iterable[tuple], tangent: bool = False):
-        """``_couple`` of this replica alone."""
-        _couple([self], runs, tangent)
 
     def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
         """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
@@ -565,9 +559,9 @@ class Replica:
         return sup * sup
 
     def tangent(self) -> Trajectory:
-        """The transport run of the shared ensemble, with its tangents: the
-        tangent member of ``coupled``."""
-        self.coupled([], tangent=True)   # keeps the run, or its error, under ("tangent",)
+        """The transport run of the shared ensemble, with its tangents,
+        integrated alone unless a pack kept it."""
+        _couple([self], [], tangent=True)   # keeps the run, or its error, under ("tangent",)
         return self.shared(("tangent",), None)
 
 
@@ -576,7 +570,8 @@ def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = Fals
     for every ``a`` of ``runs`` that a replica of ``pack`` has not kept, each
     on its replica's noise path, and with ``tangent`` the tangent solve of
     every replica, each carrying its own tangent system.  Each is kept under
-    the key that ``run`` / ``tangent`` read, a diverged one as its own error."""
+    the key that ``run`` / ``tangent`` read, a diverged one as its own error;
+    runs a replica has kept are not integrated again."""
     runs, todo = list(runs), []   # todo: (replica, key, run arguments)
     for rep in pack:
         keys = {_run_key(rep.config, *a): a for a in runs}
@@ -615,11 +610,10 @@ def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int,
     rows.extend((experiment, param, seed, name, value) for name, value in zip(names, values, strict=True))
 
 
-def _pack_rows(experiment: str, cells: Callable, runs: Callable | None, pack: list) -> tuple[list, Counter, list]:
+def _pack_rows(experiment: str, cells: Callable, runs: list, pack: list) -> tuple[list, Counter, list]:
     """The rows, W2 backends and failures of the replicas of ``pack``, once
-    the runs ``runs(config)`` of them all are integrated as one batch."""
-    if runs is not None:
-        _couple(pack, runs(pack[0].config))
+    the ``runs`` of them all are integrated as one batch."""
+    _couple(pack, runs)
     rows, backends, failures = [], Counter(), []
     for rep in pack:
         for param, metric, fn in cells(rep):
@@ -628,39 +622,48 @@ def _pack_rows(experiment: str, cells: Callable, runs: Callable | None, pack: li
     return rows, backends, failures
 
 
-def _replica_packs(config: ExperimentConfig, stride: int, runs: list | None):
+def _replica_packs(config: ExperimentConfig, stride: int, runs: list):
     """Replica r on seed base_seed + r and snapshot ``stride``, consecutive
-    replicas in packs: as many as keep the particle rows of ``runs`` within
-    _PACK_ROWS, and at least one pack per worker; without ``runs``, one a
-    pack."""
-    size = 1
-    if runs is not None:
-        rows = sum(_run_key(config, *a)[2] for a in runs)
-        size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
+    replicas in packs, each pack made when it is asked for: as many as keep
+    the particle rows of ``runs`` within _PACK_ROWS (at least one), and at
+    least one pack per worker."""
+    rows = sum(_run_key(config, *a)[2] for a in runs)
+    size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
     return ([Replica(config, config.base_seed + r, stride) for r in range(start, min(start + size, config.replicas))]
             for start in range(0, config.replicas, size))
 
 
-def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig,
-                  runs: Callable | None = None, replicas: Iterable[Replica] | None = None) -> "ResultTable":
+def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig, runs: list,
+                  packs: Iterable[list] | None = None) -> "ResultTable":
     """A table of every replica's rows, in seed order.
 
-    ``cells(rep)`` lists the (param, metric, thunk) grid cells of replica
-    ``rep``, a cell of several metrics as a tuple of names, and each becomes
-    rows through _guarded_cell.  ``runs(config)`` lists the runs the cells
-    name first in ``coupled``.  Replicas pack as ``_replica_packs`` makes
-    them, with the snapshot stride of the config (given ``replicas``, one a
-    pack); a pack integrates its runs as one batch and runs its cells before
-    the next is made.  Neither the packs nor the worker count change a number.
+    ``runs`` lists the runs of every replica, named once for the
+    experiment; ``cells(rep)`` lists the (param, metric, thunk) grid cells
+    of replica ``rep``, which read those runs, a cell of several metrics as
+    a tuple of names, and each becomes rows through _guarded_cell.  Replicas
+    pack as ``_replica_packs`` makes them, with the snapshot stride of the
+    config, or come in the given ``packs``; a pack integrates its runs as
+    one batch (a no-op for runs it has kept) and runs its cells before the
+    next is made, so memory holds one pack at a time.  Neither the packs
+    nor the worker count change a number.
     """
-    if replicas is None:
-        packs = _replica_packs(config, config.snapshot_stride, None if runs is None else runs(config))
-    else:
-        packs = ([rep] for rep in replicas)
+    if packs is None:
+        packs = _replica_packs(config, config.snapshot_stride, runs)
     per_pack = _parallel(partial(_pack_rows, experiment, cells, runs), packs, config.threads)
     return ResultTable(config, [row for rows, _, _ in per_pack for row in rows],
                        w2_backends=sum((backends for _, backends, _ in per_pack), Counter()),
                        failures=[f for _, _, failures in per_pack for f in failures])
+
+
+def _mean_row(column: np.ndarray, stderr: bool = True) -> dict:
+    """The mean (and stderr) of one summary cell over the replicas of
+    ``column``: nan mean with none, nan stderr below two, and no numpy
+    warning on either."""
+    n = column.size
+    row = {"mean": column.mean() if n else np.nan}
+    if stderr:
+        row["stderr"] = column.std(ddof=1) / np.sqrt(n) if n > 1 else np.nan
+    return row
 
 
 def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
@@ -673,10 +676,8 @@ def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
         table.add_summary(experiment=experiment, **fit_row, all_cells_failed=True)
         return None
     for k, param in enumerate(params):
-        column = matrix[:, k]
-        spread = {"stderr": column.std(ddof=1) / np.sqrt(matrix.shape[0])} if stderr else {}
         table.add_summary(experiment=experiment, param=str(param), metric=metric,
-                          mean=column.mean(), **spread)
+                          **_mean_row(matrix[:, k], stderr))
     return matrix
 
 
@@ -704,7 +705,6 @@ def _lln_runs(config: ExperimentConfig) -> list:
 
 
 def _lln_cells(rep: Replica) -> list:
-    rep.coupled(_lln_runs(rep.config))
     return [(eps, "sup_w2_sq", partial(rep.sup_w2_sq, (float(eps),), (0.0,)))
             for eps in rep.config.eps_grid]
 
@@ -731,7 +731,7 @@ def _eps_rate_summary(table: ResultTable, experiment: str, metric: str,
 
 def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
-    table = _run_replicas("lln-rate", _lln_cells, config, _lln_runs)
+    table = _run_replicas("lln-rate", _lln_cells, config, _lln_runs(config))
     return _eps_rate_summary(table, "lln-rate", "sup_w2_sq", w2_backends=table.w2_backend_counts())
 
 
@@ -746,7 +746,6 @@ def _particle_runs(eps: float, n_ref: int, config: ExperimentConfig) -> list:
 
 def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
     low, high = float(rep.config.mu0_low[0]), float(rep.config.mu0_high[0])
-    rep.coupled(_particle_runs(eps, n_ref, rep.config))
     ref = rep.initial(n_ref).as_measure()
 
     def amplification(m: int, gap: float) -> float:
@@ -773,7 +772,7 @@ def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
                          f"uniform one (got mu0_low={config.mu0_low!r}, mu0_high={config.mu0_high!r})")
     n_ref = 20 * int(max(config.m_grid))
     table = _run_replicas("particle-rate", partial(_particle_cells, _PARTICLE_RATE_EPS, n_ref), config,
-                          partial(_particle_runs, _PARTICLE_RATE_EPS, n_ref))
+                          _particle_runs(_PARTICLE_RATE_EPS, n_ref, config))
     m_grid = [int(m) for m in config.m_grid]
     static = table.matrix([("w2_sq_initial", m) for m in m_grid])
     fit = fit_slope(m_grid, static)
@@ -781,12 +780,9 @@ def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
                       intercept=fit.intercept, ci_low=fit.ci_low, ci_high=fit.ci_high)
     for k, m in enumerate(m_grid):
         amps = table.matrix([("amplification", m)])[:, 0]   # the replicas whose cell ran
-        table.add_summary(experiment="particle-rate", param=str(m), metric="amplification",
-                          mean=float(amps.mean()) if amps.size else np.nan,
-                          stderr=float(amps.std(ddof=1) / np.sqrt(amps.size)) if amps.size > 1 else np.nan)
+        table.add_summary(experiment="particle-rate", param=str(m), metric="amplification", **_mean_row(amps))
         table.add_summary(experiment="particle-rate", param=str(m), metric="w2_sq_initial",
-                          mean=float(static[:, k].mean()),
-                          stderr=float(static[:, k].std(ddof=1) / np.sqrt(static.shape[0])))
+                          **_mean_row(static[:, k]))
     return table
 
 
@@ -839,22 +835,22 @@ def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
     _check_sobolev_order("sobolev_j", config.sobolev_j, len(config.mu0_low))
     runs = [(eps,) for eps in config.eps_grid]
-    # the tangent solve is a transport run: it packs as the rows of run (0.0,)
+    # the tangent solve is a transport run: it packs as the rows of run (0.0,);
+    # every pack is integrated before the box is sized, then runs its cells
     packs = list(_replica_packs(config, config.clt_snapshot_stride, [*runs, (0.0,)]))
     for pack, kept in zip(packs, _parallel(partial(_clt_pack, runs), packs, config.threads)):
         for rep, results in zip(pack, kept):
             rep.results = results
-    replicas = [rep for pack in packs for rep in pack]
     if config.r_box is not None:
         r_box = float(config.r_box)
     else:
         # global bounding box over every kept run, the tangent solve included,
         # 20% margin; nan when every run failed, and then no cell reaches the grid
         r_box = 1.2 * max((float(np.max(np.abs(run.positions)))
-                           for rep in replicas for run in rep.results.values()
+                           for pack in packs for rep in pack for run in rep.results.values()
                            if isinstance(run, Trajectory)), default=np.nan)
     grid = None if np.isnan(r_box) else SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
-    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, replicas=replicas)
+    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, runs, packs)
     return _eps_rate_summary(table, "clt-rate", "sup_hneg_sq", r_box=r_box)
 
 
@@ -896,7 +892,6 @@ def _sgd_runs(config: ExperimentConfig) -> list:
 def _sgd_cells(rep: Replica) -> list:
     """One cell per M, naming its metrics ``kind:phi:snapshot`` in the order
     of _sgd_values."""
-    rep.coupled(_sgd_runs(rep.config))
     panel = _sgd_phi_panel(rep.coeffs.dim)
     metrics = tuple(f"{kind}:{phi.name}:{s}" for s in _sgd_snapshots(rep.config)
                     for phi in panel for kind in ("smfe", "sgd"))
@@ -921,7 +916,7 @@ def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> n
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs)
+    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs(config))
     names = [phi.name for phi in _sgd_phi_panel(len(config.mu0_low))]
     for m in map(int, config.m_grid):
         # one read per M, so a replica that failed at this M drops out here only
@@ -985,10 +980,12 @@ def _commute_runs(n_ref: int, config: ExperimentConfig) -> list:
 def _commute_cells(n_ref: int, rep: Replica) -> list:
     cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
     alpha_min = float(min(rep.config.alpha_grid))
-    rep.coupled(_commute_runs(n_ref, rep.config))
     cells = []
     for m in map(int, rep.config.m_grid):
-        rep.coupled([(alpha, m, True) for alpha in (*rep.config.alpha_grid, 0.0)])
+        # the one integration made in a cell: each M's runs are a batch of
+        # their own, since declared with the reference pair they would step
+        # as one segmented batch of mixed sizes, equal to these only to rounding
+        _couple([rep], [(alpha, m, True) for alpha in (*rep.config.alpha_grid, 0.0)])
         cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M
@@ -1001,7 +998,7 @@ def _commute_cells(n_ref: int, rep: Replica) -> list:
 def exp_commute(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
     n_ref = 5 * int(max(config.m_grid))
-    table = _run_replicas("commute", partial(_commute_cells, n_ref), config, partial(_commute_runs, n_ref))
+    table = _run_replicas("commute", partial(_commute_cells, n_ref), config, _commute_runs(n_ref, config))
     m_grid = [int(m) for m in config.m_grid]
     alphas = [float(a) for a in config.alpha_grid]
     matrix = _grid_summary(table, "commute", "sup_w2_sq",

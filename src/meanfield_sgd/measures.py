@@ -492,15 +492,15 @@ def pair(field: SignedAtomicField, phi) -> float:
 # --------------------------------------------------------------------------
 
 
-def write_field(field: SignedAtomicField, path):
-    """Columnar text: a tag line, then one row per atom."""
+def write_table(path, table: np.ndarray, header: str):
+    """Columnar text: each line of ``header`` as a ``# `` comment, then one
+    line per row of ``table``, its values in ``%.17g`` (which round-trip)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# field kind={field.kind} dim={field.dim}\n")
-        for i in range(field.atoms.shape[0]):
-            coords = " ".join(f"{v:.17g}" for v in field.atoms[i])
-            if field.kind == "atomic":
-                fh.write(f"{coords} {field.payload[i]:.17g}\n")
-            else:
-                tang = " ".join(f"{v:.17g}" for v in field.payload[i])
-                fh.write(f"{coords} {tang}\n")
+        np.savetxt(fh, table, fmt="%.17g", header=header, comments="# ")
 
+
+def write_field(field: SignedAtomicField, path):
+    """Columnar text: a tag line, then one row per atom, its coordinates and
+    its mass (atomic) or tangent vector (tangent)."""
+    write_table(path, np.column_stack([field.atoms, field.payload]),
+                f"field kind={field.kind} dim={field.dim}")

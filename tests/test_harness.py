@@ -2,10 +2,12 @@
 
 import csv
 import ctypes
+import gc
 import json
 import os
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -18,7 +20,7 @@ import paper_forms
 from meanfield_sgd import harness
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import SyntheticCoefficients
-from meanfield_sgd.dynamics import SimulationError, simulate, simulate_transport
+from meanfield_sgd.dynamics import SimulationError, simulate, simulate_coupled, simulate_transport
 from meanfield_sgd.fluctuations import solve_tangent
 from meanfield_sgd.harness import (
     ExperimentConfig,
@@ -634,7 +636,7 @@ class TestSgdCompareExperiment:
 def oracle_sgd_cells(rep: Replica) -> list:
     """The sgd-compare cells as one cell per (replica, M, metric), each
     reading its value from the replica's shared (replica, M) result."""
-    rep.coupled([(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
+    harness._couple([rep], [(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
     panel = harness._sgd_phi_panel(rep.coeffs.dim)
     metrics = [f"{kind}:{phi.name}:{s}" for s in harness._sgd_snapshots(rep.config)
                for phi in panel for kind in ("smfe", "sgd")]
@@ -663,7 +665,8 @@ class TestSgdCellsOracle:
         for cells in (oracle_sgd_cells, harness._sgd_cells):
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
-                tables.append(harness._run_replicas("sgd-compare", cells, FAILING_CFG))
+                tables.append(harness._run_replicas("sgd-compare", cells, FAILING_CFG,
+                                                    harness._sgd_runs(FAILING_CFG)))
             caught.append([str(w.message) for w in record])
         want, got = tables
         assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
@@ -672,6 +675,127 @@ class TestSgdCellsOracle:
         assert caught[1] == caught[0]
         # every metric of each failed (replica, M) cell: 2 test functions x 2 kinds x 3 snapshots
         assert len(got.failures) == 12 * sum(map(len, FAILING.values()))
+
+
+def _particle_config(**overrides) -> ExperimentConfig:
+    return ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,), dt=5e-3,
+                            horizon=0.05, snapshot_stride=5, replicas=10, base_seed=21, **overrides)
+
+
+class TestReplicaRunner:
+    """What the runner promises: one batch per pack (commute adds one per
+    (replica, M)), one pack in memory at a time, no more workers than packs,
+    and summary rows that stay quiet however few replicas survive."""
+
+    # (experiment, config, packs, extra batches); packs from the 4096-row
+    # budget over the named runs of a replica (threads 1):
+    CASES = {
+        # 4 runs x 400 particles: 2 replicas a pack
+        "lln-rate": (exp_lln_rate, tiny_lln_config(n_particles=400, horizon=0.05), 5, 0),
+        # 100 + 200 + 400 rows: 5 replicas a pack
+        "sgd-compare": (exp_sgd_compare, reference_config(
+            m_grid=(100, 200, 400), dt=5e-3, horizon=0.05, snapshot_stride=5, replicas=10,
+            base_seed=22), 2, 0),
+        # 10 + 20 + 40 rows and the 800-atom reference: 4 replicas a pack
+        "particle-rate": (exp_particle_rate, _particle_config(m_grid=(10, 20, 40)), 3, 0),
+        # 3 eps runs and the tangent solve of 400 particles: 2 replicas a pack
+        "clt-rate": (exp_clt_rate, reference_config(
+            n_particles=400, eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.05, clt_snapshot_stride=5,
+            replicas=10, base_seed=23, k_max=16), 5, 0),
+        # the 1000-atom reference pair: 2 replicas a pack; each (replica, M)
+        # integrates its own batch in its cells
+        "commute": (exp_commute, _particle_config(m_grid=(10, 20, 200)), 5, 10 * 3),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_one_batch_per_pack(self, name, monkeypatch):
+        run, cfg, packs, extra = self.CASES[name]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return simulate_coupled(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_coupled", counted)
+        table = run(cfg)
+        assert table.values("failed").size == 0
+        assert len(calls) == packs + extra
+
+    @pytest.mark.parametrize("name", ["lln-rate", "sgd-compare"])
+    def test_a_pack_is_freed_before_the_next_integrates(self, name, monkeypatch):
+        """weakrefs to a pack's replicas are dead by reference counting
+        alone (the cycle collector off) once the next pack integrates."""
+        run, cfg, packs, _ = self.CASES[name]
+        made, alive = [], []   # made: (batches so far, weakref) per replica
+        real_init = Replica.__init__
+
+        def init(rep, *args, **kwargs):
+            real_init(rep, *args, **kwargs)
+            made.append((len(alive), weakref.ref(rep)))
+
+        def watched(*args, **kwargs):
+            alive.append(sum(ref() is not None for when, ref in made if when < len(alive)))
+            return simulate_coupled(*args, **kwargs)
+
+        monkeypatch.setattr(Replica, "__init__", init)
+        monkeypatch.setattr(harness, "simulate_coupled", watched)
+        gc.disable()
+        try:
+            run(cfg)
+        finally:
+            gc.enable()
+        assert len(made) == cfg.replicas
+        assert alive == [0] * packs
+
+    def test_a_pool_forks_no_more_workers_than_packs(self, monkeypatch):
+        """a fake pool records its worker count and maps in this process, so
+        no process starts."""
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer=None):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        assert harness._parallel(str, range(3), 64) == ["0", "1", "2"]
+        assert harness._parallel(str, range(3), 2) == ["0", "1", "2"]
+        cfg = tiny_lln_config()
+        table = exp_lln_rate(replace(cfg, threads=64))   # packs of one replica
+        assert workers == [3, 2, cfg.replicas]
+        assert table.rows == exp_lln_rate(cfg).rows
+
+    def test_one_surviving_replica_gives_a_nan_stderr_quietly(self):
+        """9 of 10 replicas failed at every eps: the survivor's values are the
+        means, the stderr is nan, and numpy warns of nothing."""
+        cfg = tiny_lln_config()
+        table = ResultTable(cfg)
+        for r in range(cfg.replicas):
+            table.rows += [("lln-rate", str(eps), cfg.base_seed + r, "sup_w2_sq", eps if r == 3 else np.nan)
+                           for eps in cfg.eps_grid]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            harness._grid_summary(table, "lln-rate", "sup_w2_sq", cfg.eps_grid, {})
+        assert [str(w.message) for w in record] == ["excluding 9 replica(s) with failed cells"]
+        assert [e["mean"] for e in table.summary] == list(cfg.eps_grid)
+        assert all(np.isnan(e["stderr"]) for e in table.summary)
+
+    def test_mean_row_below_two_replicas(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            none, one, two = (harness._mean_row(np.arange(n, dtype=float)) for n in (0, 1, 2))
+        assert np.isnan(none["mean"]) and np.isnan(none["stderr"])
+        assert one["mean"] == 0.0 and np.isnan(one["stderr"])
+        assert two == {"mean": 0.5, "stderr": np.std([0.0, 1.0], ddof=1) / np.sqrt(2)}
+        assert harness._mean_row(np.ones(3), stderr=False) == {"mean": 1.0}
 
 
 class TestCommuteExperiment:

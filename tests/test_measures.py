@@ -371,6 +371,17 @@ class TestSerialization:
         np.testing.assert_array_equal(g.atoms, atoms)
         np.testing.assert_array_equal(g.payload, payload)
 
+    def test_table_text_is_the_17g_text_of_each_value(self, tmp_path):
+        """one ``%.17g`` text per value, as ``format(v, ".17g")`` writes it:
+        signed zero, subnormals, whole numbers and nan included."""
+        table = np.array([[0.0, -0.0, 1e-300, 5e-324], [3.0, 1e16 + 2, np.nan, -0.1]])
+        path = tmp_path / "table.txt"
+        measures.write_table(path, table, "first line\nsecond line")
+        lines = ["# first line", "# second line"] + [" ".join(f"{v:.17g}" for v in row) for row in table]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert lines[2:] == ["0 -0 1e-300 4.9406564584124654e-324",
+                             "3 10000000000000002 nan -0.10000000000000001"]
+
     def test_tangent_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         f = SignedAtomicField.tangent(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
