@@ -16,7 +16,6 @@ from .coefficients import (
     Dataset,
     NetworkCoefficients,
     SyntheticCoefficients,
-    pack_param,
 )
 from .diagnostics import (
     BudgetExceeded,
@@ -27,7 +26,6 @@ from .diagnostics import (
     moment_track,
     qv_check,
     qv_check_panel,
-    smfe_weak_residual,
     smfe_weak_residual_panel,
     standard_panel,
     trig_wave,

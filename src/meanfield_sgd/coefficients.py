@@ -34,7 +34,6 @@ __all__ = [
     "Dataset",
     "Activation",
     "ACTIVATIONS",
-    "pack_param",
     "NetworkCoefficients",
     "SyntheticCoefficients",
     "CoefficientError",
@@ -172,11 +171,6 @@ ACTIVATIONS: dict[str, Activation] = {
 }
 
 
-def pack_param(c: float, u: Sequence[float]) -> np.ndarray:
-    """Pack (output weight, input weights) into one parameter vector."""
-    return np.concatenate([[float(c)], np.atleast_1d(np.asarray(u, dtype=float))])
-
-
 class NetworkCoefficients:
     """Coefficients derived from a shallow network and a finite data measure.
 
@@ -274,25 +268,11 @@ class NetworkCoefficients:
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:
-        sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V, for one
-        increment row (P,) or rows (R, P).  The rows' dot products are one
-        stacked (1, P) @ (P, 1) product, which rounds each as the one-row dot
-        does (``dB @ sqrt_w`` and its sum and einsum forms do not)."""
-        if dB.ndim == 1:
-            return self._sqrt_w * dB - self._w * float(self._sqrt_w @ dB)
+        sqrt(w_p) dB_p - w_p <sqrt(w), dB>, from G = r grad Phi - V, for
+        increment rows (B, P), one per run.  The rows' dot products are one
+        stacked (1, P) @ (P, 1) product, which rounds each row as it rounds
+        alone (``dB @ sqrt_w`` and its sum and einsum forms do not)."""
         return self._sqrt_w * dB - self._w * (dB[..., None, :] @ self._sqrt_w[:, None])[..., 0]
-
-    def _step_kappa(self, dt: float, eps: Sequence[float], noise: np.ndarray | None) -> np.ndarray:
-        """w_p dt + sqrt(eps) noise_p, one row per noise scale of ``eps``, with
-        ``noise`` the ``_noise_kappa`` of each run's increment row (B, P) or of
-        the one row every run reads (P,); a run at eps = 0 keeps w dt and
-        reads no noise."""
-        eps, base = np.asarray(eps, dtype=float), self._w * dt
-        if not eps.any():
-            return np.array([base] * eps.size)
-        kappa = base + np.sqrt(eps)[:, None] * noise
-        kappa[eps == 0.0] = base
-        return kappa
 
     # --- features ----------------------------------------------------------
 
@@ -335,24 +315,25 @@ class NetworkCoefficients:
         kappa_p = r_p (w_p dt + sqrt(eps) (sqrt(w_p) dB_p - w_p <sqrt(w), dB>));
         ``dB`` is only read when eps > 0.
         """
-        kappa = self._step_kappa(dt, [eps], self._noise_kappa(dB) if eps > 0.0 else None)[0]
+        kappa = self._w * dt
+        if eps > 0.0:
+            kappa = kappa + np.sqrt(eps) * self._noise_kappa(dB[None])[0]
         return self._contract(X, self.residuals(measure) * kappa)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
-                     dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None,
-                     carriers: Sequence[int] | None = None):
+                     dB: np.ndarray, Y: np.ndarray | None = None, offsets: np.ndarray | None = None,
+                     carriers: Sequence[int] = ()):
         """One Euler-Maruyama step of B coupled runs; returns the new X (and Y).
 
         The runs form a segmented batch: ``X`` (T, d) concatenates them on the
         particle axis, run b on rows ``offsets[b]:offsets[b + 1]`` (B + 1
         offsets, the last T), each on its own particle ``weights`` (T,) and
-        its own environment, at the B noise scales ``eps``, each driven by one
-        increment row (read only where eps > 0): the one row ``dB`` (P,), or
-        with ``paths`` (B,) row ``paths[b]`` of the rows ``dB`` (R, P) of R
-        noise paths.  Run b moves by the ``increment`` in its own measure; one
-        pre-activation and one jet serve the residuals and the contraction of
-        every run.  Its residuals are a segment sum
+        its own environment, at the B noise scales ``eps``, run b driven by
+        its own increment row ``dB[b]`` of ``dB`` (B, P) (zeros for a run
+        that reads no path).  Run b moves by the ``increment`` in its own
+        measure, with kappa = w dt + sqrt(eps_b) noise_b, which is w dt bit
+        for bit at eps 0; one pre-activation and one jet serve the residuals
+        and the contraction of every run.  Its residuals are a segment sum
         (``np.add.reduceat``) and each particle's kappa is its run's row, so
         a run agrees with its own step to rounding: the segment sums
         reassociate its dot products, which moves it by at most 1e-15 of its
@@ -363,10 +344,9 @@ class NetworkCoefficients:
         ``offsets``: their sums are then per-run matmuls, in the order of the
         one-run step, and every run is its own step bit for bit.
 
-        With tangent vectors ``Y`` (K, N, d) the runs ``carriers`` (K,
-        indices, by default the last run, whose tangents may then come as one
-        (N, d) array) must be transport runs (eps 0) of N particles: Y_k moves
-        by (grad_x V . Y_k + (1/N) sum_j grad_y Vtilde . Y_kj) dt +
+        With tangent vectors ``Y`` (K, N, d) the K runs ``carriers`` must be
+        transport runs (eps 0) of N particles: Y_k moves by
+        (grad_x V . Y_k + (1/N) sum_j grad_y Vtilde . Y_kj) dt +
         sum_p G_p sqrt(w_p) dB_p, read at carrier k from the same jet, here of
         order 2, on the carrier's own residuals and increment row.  The
         carriers' terms are stacked (K, ...) products, each carrier's slice
@@ -376,12 +356,8 @@ class NetworkCoefficients:
         jet = self.activation.jet(z, 1 if Y is None else 2)
         phi, dphi = jet[0], jet[1]
         row_u = c[..., None] * dphi
-        eps = np.asarray(eps, dtype=float)
-        # the noise rows, made once: (P,) the one row of every run, or (B, P) a run's own
-        noise = None
-        if Y is not None or eps.any():
-            noise = self._noise_kappa(dB) if paths is None else self._noise_kappa(dB)[paths]
-        kappa = self._step_kappa(dt, eps, noise)
+        noise = self._noise_kappa(dB)
+        kappa = self._w * dt + np.sqrt(eps)[:, None] * noise
         if offsets is None:
             r = self._f - weights @ (c[..., None] * phi)    # (B, P) residuals
             kappa = r * kappa
@@ -391,17 +367,16 @@ class NetworkCoefficients:
         newX = X + self._assemble(phi, row_u, kappa)
         if Y is None:
             return newX
-        carriers = [eps.size - 1] if carriers is None else list(carriers)
-        Ys = Y.reshape(len(carriers), *Y.shape[-2:])
+        carriers = list(carriers)
         # each carrier's rows of the batch, (K, N) leading axes
-        rows = carriers if offsets is None else offsets[carriers][:, None] + np.arange(Ys.shape[1])
+        rows = carriers if offsets is None else offsets[carriers][:, None] + np.arange(Y.shape[1])
         c, phi, dphi, d2phi, row_u = c[rows], phi[rows], dphi[rows], jet[2][rows], row_u[rows]
         r = r[carriers]
-        yc, s = self._preactivation(Ys)
+        yc, s = self._preactivation(Y)
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
         inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
-        forcing = self._assemble(phi, row_u, r * (noise if paths is None else noise[carriers]))
-        return newX, (Ys + (jac + inter) * dt + forcing).reshape(Y.shape)
+        forcing = self._assemble(phi, row_u, r * noise[carriers])
+        return newX, Y + (jac + inter) * dt + forcing
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
                       hess: np.ndarray | None = None):
@@ -460,7 +435,7 @@ class NetworkCoefficients:
         Uses G = r_p grad Phi - V, so the sum is one contraction with
         kappa_p = r_p (sqrt(w_p) dB_p - w_p <sqrt(w), dB>).
         """
-        return self._contract(X, self.residuals(measure) * self._noise_kappa(dB))
+        return self._contract(X, self.residuals(measure) * self._noise_kappa(dB[None])[0])
 
     # --- derivatives used by the tangent (fluctuation) system ---------------
 
@@ -602,19 +577,17 @@ class SyntheticCoefficients:
         return out
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
-                     dB: np.ndarray | None, Y: np.ndarray | None = None,
-                     offsets: np.ndarray | None = None, paths: np.ndarray | None = None,
-                     carriers: Sequence[int] | None = None):
+                     dB: np.ndarray, Y: np.ndarray | None = None, offsets: np.ndarray | None = None,
+                     carriers: Sequence[int] = ()):
         """``NetworkCoefficients.coupled_step`` through the hooks: run b
         moves by its own ``increment`` in its own environment, on its own
-        increment row, and so does the tangent of each carrier, so every run
-        is its own step bit for bit.  A (B, N, d) batch is read as its
-        (B N, d) reshape."""
+        increment row ``dB[b]``, and so does the tangent of each carrier, so
+        every run is its own step bit for bit.  A (B, N, d) batch is read as
+        its (B N, d) reshape."""
         shape = X.shape
         if offsets is None:
             B, N = shape[:2]
             X, weights, offsets = X.reshape(B * N, -1), np.tile(weights, B), range(0, B * N + 1, N)
-        dB = [dB] * len(eps) if paths is None else dB[paths]   # one row per run
         newX = np.empty(X.shape)
         for b, e in enumerate(eps):
             rows = slice(offsets[b], offsets[b + 1])
@@ -623,16 +596,14 @@ class SyntheticCoefficients:
         newX = newX.reshape(shape)
         if Y is None:
             return newX
-        carriers = [len(eps) - 1] if carriers is None else list(carriers)
-        Ys = Y.reshape(len(carriers), *Y.shape[-2:])
-        newY = np.empty(Ys.shape)
+        newY = np.empty(Y.shape)
         for k, b in enumerate(carriers):
             x = X[offsets[b]:offsets[b + 1]]
             mu = (x, weights[offsets[b]:offsets[b + 1]])
-            jac = self.drift_jacobian_apply(x, Ys[k], mu)
-            inter = self.vtilde_y_apply(x, x, Ys[k])
-            newY[k] = Ys[k] + (jac + inter) * dt + self.noise_increment(x, mu, dB[b])
-        return newX, newY.reshape(Y.shape)
+            jac = self.drift_jacobian_apply(x, Y[k], mu)
+            inter = self.vtilde_y_apply(x, x, Y[k])
+            newY[k] = Y[k] + (jac + inter) * dt + self.noise_increment(x, mu, dB[b])
+        return newX, newY
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
                       hess: np.ndarray | None = None):

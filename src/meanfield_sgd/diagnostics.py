@@ -20,7 +20,6 @@ from .measures import EmpiricalMeasure
 __all__ = [
     "TestFunction",
     "standard_panel",
-    "smfe_weak_residual",
     "smfe_weak_residual_panel",
     "qv_check",
     "qv_check_panel",
@@ -316,12 +315,6 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
         integral += np.sqrt(eps) * np.einsum("sfp,sp->f", channels, dB)
     res = values[-1] - values[0] - integral
     return {phi.name: float(r) for phi, r in zip(phis, res)}
-
-
-def smfe_weak_residual(traj: Trajectory, noise: NoisePath | None, coeffs,
-                       eps: float, phi: TestFunction) -> float:
-    """Single-test-function form of :func:`smfe_weak_residual_panel`."""
-    return smfe_weak_residual_panel(traj, noise, coeffs, eps, [phi])[phi.name]
 
 
 # --------------------------------------------------------------------------

@@ -218,7 +218,9 @@ def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
             raise SimulationError(
                 f"increment row has {dB.shape} channels, expected ({coeffs.n_channels},)"
             )
-    (newX,) = coeffs.coupled_step(ens.positions[None], ens.weights, cfg.dt, [cfg.eps], dB)
+    else:
+        dB = np.zeros(coeffs.n_channels)
+    (newX,) = coeffs.coupled_step(ens.positions[None], ens.weights, cfg.dt, [cfg.eps], dB[None])
     t = ens.time + cfg.dt
     _check_finite(newX, step=int(round(t / cfg.dt)), time=t)
     return ParticleEnsemble(newX, ens.weights, t)
@@ -299,7 +301,7 @@ def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
         dt=cfg.dt,
         eps=cfg.eps,
         snapshot_stride=cfg.snapshot_stride,
-        noise_meta=noise.meta if noise is not None else None,
+        noise_meta=noise.meta if rows is not None else None,
     )
 
 
@@ -314,12 +316,12 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     """The coupled ``runs``, (initial, eps) pairs, integrated as one batch.
 
     ``noise`` is the one NoisePath of every run, or one per run: runs of
-    several replicas (a pack) share a step, each on its own path's row; the
-    paths read are stacked as one (steps, R, P) array, R = 1 included.  Run
-    b is ``simulate(initial_b, coeffs, replace(cfg, eps=eps_b), noise_b)``
-    (``noise_meta`` None at eps 0).  Runs of one size on one weight vector
-    step as the (B, N, d) reshape of the batch and equal their own runs bit
-    for bit; runs of different sizes step as one segmented batch (see
+    several replicas (a pack) share a step, each on its own path; each step
+    hands ``coupled_step`` one increment row per run, zeros for a run that
+    reads no path.  Run b is ``simulate(initial_b, coeffs, replace(cfg,
+    eps=eps_b), noise_b)``.  Runs of one size on one weight vector step as
+    the (B, N, d) reshape of the batch and equal their own runs bit for bit;
+    runs of different sizes step as one segmented batch (see
     ``coupled_step``) and equal them to rounding.  ``tangent`` names the
     runs, by index, that carry tangents: each must be at eps 0, all of one
     size, and each is the one ``solve_tangent`` returns on its own path for
@@ -346,12 +348,9 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
         raise ValueError(f"noise must be one NoisePath, or one per run (got {len(noises)} for {eps.size} runs)")
     reads = eps > 0.0   # the runs that read their path: the noisy ones and the carriers
     reads[carriers] = True
-    # the R distinct paths read, stacked (steps, R, P) even when R = 1: run b reads row paths[b]
-    distinct = list({id(noises[b]): noises[b] for b in np.flatnonzero(reads)}.values())
-    rows, paths = None, None
-    if distinct:
-        rows = np.stack([_noise_rows(p, cfg, coeffs)[:cfg.n_steps] for p in distinct], axis=1)
-        paths = np.array([next((r for r, p in enumerate(distinct) if p is path), 0) for path in noises])
+    rows = np.zeros((cfg.n_steps, eps.size, coeffs.n_channels))   # (steps, B, P): run b reads column b
+    for b in np.flatnonzero(reads):
+        rows[:, b] = _noise_rows(noises[b], cfg, coeffs)[:cfg.n_steps]
     weights = [initial.weights for initial, _ in runs]
     offsets = np.concatenate([[0], np.cumsum([w.size for w in weights])])
     # runs of one size on one weight vector keep the per-run sums of a (B, N, d) batch
@@ -367,8 +366,7 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
         if None not in out:   # every run has failed
             return state
         t = t + cfg.dt
-        moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps, None if rows is None else rows[step],
-                                    Y, segments, paths, carriers or None)
+        moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps, rows[step], Y, segments, carriers)
         X, Y = moved if carriers else (moved, None)
         X = X.reshape(offsets[-1], -1)
         if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):

@@ -73,9 +73,9 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
         )
     X = tens.base
     n = X.shape[0]
-    newX, newY = coeffs.coupled_step(X[None], np.full(n, 1.0 / n), cfg.dt, [0.0], dB,
-                                     tens.tangents)
-    newX = newX[0]
+    newX, newY = coeffs.coupled_step(X[None], np.full(n, 1.0 / n), cfg.dt, [0.0], dB[None],
+                                     tens.tangents[None], carriers=[0])
+    newX, newY = newX[0], newY[0]
     t = tens.time + cfg.dt
     for state in (newX, newY):
         _check_finite(state, step=int(round(t / cfg.dt)), time=t)

@@ -6,7 +6,16 @@ report.  Each line ends with its margin: how far the measured value sits
 inside its gate (negative outside), so a change that moves a gate shows
 before it breaks.  Tolerances and replica counts are pinned here and nowhere else.
 Expected wall-clock is a few minutes on two cores.
+
+After its gate, each criterion compares the numbers behind its line with
+the ones recorded in ``data/acceptance_numbers.json``, at rel 1e-9 / abs
+1e-15, so a change that moves a reported number fails even where every gate
+still holds.  A change that moves a number on purpose records the file anew
+and says which numbers moved and why.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,8 +62,25 @@ REF_SPEC = build_initial_spec(REF)
 REF_EPS = 1e-2
 
 
+NUMBERS = Path(__file__).parent / "data" / "acceptance_numbers.json"
+
+
 def report(k: int, name: str, ok: bool, detail: str, margin: str):
     print(f"\n[criterion {k:2d}] {'PASS' if ok else 'FAIL'}  {name}: {detail}, {margin}")
+
+
+def check_numbers(k: int, **numbers):
+    """Criterion k's ``numbers`` against the recorded ones, at the replica
+    oracle's tolerance; floats are compared, not printed digits, so a
+    rounding-level change of numpy or scipy does not flip a digit into a
+    failure."""
+    recorded = json.loads(NUMBERS.read_text())[f"criterion {k}"]
+    assert sorted(numbers) == sorted(recorded), \
+        f"criterion {k} reports {sorted(numbers)}, recorded {sorted(recorded)}"
+    for name, value in numbers.items():
+        got, want = np.asarray(value, dtype=float), np.asarray(recorded[name], dtype=float)
+        if got.shape != want.shape or not np.allclose(got, want, rtol=1e-9, atol=1e-15):
+            pytest.fail(f"criterion {k}: {name} moved: {got.tolist()!r}, recorded {want.tolist()!r}")
 
 
 # Criteria 1, 2 (at dt = 1e-3), 3 and 8 all read the same run of a seed: N =
@@ -95,6 +121,7 @@ def test_criterion_01_mass_conservation():
            f"<1, mu_t> constant at {w0.sum()!r}",
            f"margin {1e-12 - abs(w0.sum() - 1.0):.4g} to |<1, mu_0> - 1| <= 1e-12")
     assert ok
+    check_numbers(1, weight_sum=w0.sum())
 
 
 def test_criterion_02_weak_residual_order():
@@ -117,6 +144,7 @@ def test_criterion_02_weak_residual_order():
            f"slope {slope:.3f} in [0.7, 1.3]; mean |R| = {means}",
            f"margin {min(slope - 0.7, 1.3 - slope):.3f}")
     assert ok
+    check_numbers(2, slope=slope, mean_abs_residual=means)
 
 
 def test_criterion_03_quadratic_variation():
@@ -132,6 +160,7 @@ def test_criterion_03_quadratic_variation():
            f"mean realized/predicted = {mean_ratio:.4f} (gate 1 +- 0.2, 50 seeds)",
            f"margin {0.2 - abs(mean_ratio - 1.0):.4f}")
     assert ok
+    check_numbers(3, mean_ratio=mean_ratio)
 
 
 def test_criterion_04_lln_rate():
@@ -144,6 +173,7 @@ def test_criterion_04_lln_rate():
            f"bootstrap CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}]",
            f"margin {0.25 - abs(fit['slope'] - 1.0):.4f}")
     assert ok
+    check_numbers(4, slope=fit["slope"], ci=[fit["ci_low"], fit["ci_high"]])
 
 
 def test_criterion_05_sampling_rate_and_amplification():
@@ -168,6 +198,7 @@ def test_criterion_05_sampling_rate_and_amplification():
            f"margins: slope {0.2 - abs(fit['slope'] + 1.0):.4f}, "
            f"amplification {3.0 * min(amps) - max(amps):.3f} (3 min - max)")
     assert ok
+    check_numbers(5, slope=fit["slope"], amplification=amps)
 
 
 def test_criterion_06_clt_rate():
@@ -181,6 +212,7 @@ def test_criterion_06_clt_rate():
            f"CI [{fit['ci_low']:.3f}, {fit['ci_high']:.3f}], box {fit['r_box']:.3f}",
            f"margin {0.3 - abs(fit['slope'] - 1.0):.4f}")
     assert ok
+    check_numbers(6, slope=fit["slope"], ci=[fit["ci_low"], fit["ci_high"]], r_box=fit["r_box"])
 
 
 def test_criterion_07_fluctuation_gaussianity_and_variance():
@@ -222,6 +254,7 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
     ok = True
     lines = []
     margins = {"|z|": np.inf, "skew": np.inf, "exkurt": np.inf}
+    numbers = {"z": [], "skew": [], "exkurt": []}
     for p in panel:
         s = samples[p.name]
         v_emp = s.var(ddof=1)
@@ -232,10 +265,13 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
         ok &= abs(z) < 3 and abs(sk) <= 0.35 and abs(ku) <= 0.7
         for key, gap in (("|z|", 3 - abs(z)), ("skew", 0.35 - abs(sk)), ("exkurt", 0.7 - abs(ku))):
             margins[key] = min(margins[key], gap)
+        for key, value in (("z", z), ("skew", sk), ("exkurt", ku)):
+            numbers[key].append(value)
         lines.append(f"{p.name}: z={z:+.2f} skew={sk:+.3f} exkurt={ku:+.3f}")
     report(7, "fluctuation Gaussianity and variance", ok, "; ".join(lines),
            "margins: " + ", ".join(f"{key} {gap:.3f}" for key, gap in margins.items()))
     assert ok
+    check_numbers(7, **numbers)
 
 
 def test_criterion_08_no_collision_and_atomic_invariance():
@@ -257,6 +293,7 @@ def test_criterion_08_no_collision_and_atomic_invariance():
            f"worst min-distance ratio {worst:.3e} > 1e-6; F_3(2 atoms) == 0: {f3_ok}",
            f"margin {worst - 1e-6:.3e}")
     assert ok
+    check_numbers(8, worst_ratio=worst)
 
 
 def test_criterion_09_picard_contraction():
@@ -279,6 +316,7 @@ def test_criterion_09_picard_contraction():
            f"fixed point vs direct sup W2 = {sup:.2e} < {2 * tol:.0e}",
            f"margins: ratio {0.9 - max(ratios, default=0.0):.3f}, sup W2 {2 * tol - sup:.2e}")
     assert ok
+    check_numbers(9, gaps=result.gaps, ratios=ratios, sup_w2=sup)
 
 
 def test_criterion_10_sgd_approximation_trend():
@@ -290,15 +328,18 @@ def test_criterion_10_sgd_approximation_trend():
     ok = True
     details = []
     lows = []
+    numbers = {}
     for phi_name in ("bump0", "bump1"):
         gate_ok, intervals = sgd_trend_gate(table, phi_name, cfg.m_grid)
         ok &= gate_ok
         lows += [lo for _, lo, _ in intervals]
         seq = [s["sqrt_m_g"] for s in table.summary
                if s.get("metric") == f"g:{phi_name}"]
+        numbers[f"sqrt_m_g {phi_name}"], numbers[f"intervals {phi_name}"] = seq, intervals
         details.append(f"{phi_name}: sqrt(M)g = {[f'{v:.4f}' for v in seq]} gate={gate_ok}")
     # the gate fails when an increment's CI lies above zero: the margin is
     # how far the highest lower CI end sits below zero
     report(10, "SGD approximation trend", ok, "; ".join(details),
            f"margin {-max(lows, default=np.nan):.4f} (0 - highest CI lower end)")
     assert ok
+    check_numbers(10, **numbers)

@@ -18,7 +18,6 @@ from meanfield_sgd.coefficients import (
     Dataset,
     NetworkCoefficients,
     SyntheticCoefficients,
-    pack_param,
 )
 from meanfield_sgd.dynamics import ParticleEnsemble
 from meanfield_sgd.harness import build_coefficients, reference_config
@@ -113,13 +112,13 @@ class TestFeature:
     def test_identity_unit_case(self):
         """identity phi, theta=1, x=(c=1,u=1): Phi=1 and grad=(1,1)."""
         coeffs = single_atom_identity()
-        x = pack_param(1.0, [1.0])
+        x = np.array([1.0, 1.0])
         assert pf.feature(coeffs, x, 0)[0] == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(pf.feature(coeffs, x, 0)[1:], [1.0, 1.0], atol=1e-15)
 
     def test_zero_output_weight_kills_u_gradient(self):
         coeffs = reference_like()
-        x = pack_param(0.0, [0.7])
+        x = np.array([0.0, 0.7])
         g = pf.feature(coeffs, x, 2)[1:]
         assert g[0] == pytest.approx(np.tanh(0.7 * coeffs.dataset.atoms[2, 0]), abs=1e-14)
         np.testing.assert_allclose(g[1:], 0.0, atol=1e-15)
@@ -128,7 +127,7 @@ class TestFeature:
         """tanh phi, theta=(0.5), x=(2, 0.4): finite-difference oracle."""
         data = Dataset(atoms=[[0.5]], weights=[1.0], labels=[0.3])
         coeffs = NetworkCoefficients(data, ACTIVATIONS["tanh"])
-        x = pack_param(2.0, [0.4])
+        x = np.array([2.0, 0.4])
         h = 1e-6
         fd = np.empty(2)
         for k in range(2):
@@ -150,7 +149,7 @@ class TestPotentialAndKernel:
     def test_single_atom_unit_values(self):
         """single atom, identity phi, f=1, x=(1,1), theta=1: F=1 and K(x,x)=1."""
         coeffs = single_atom_identity()
-        x = pack_param(1.0, [1.0])
+        x = np.array([1.0, 1.0])
         # oracle: direct summation over the (single) data atom
         phi_val = 1.0 * (1.0 * 1.0)
         assert pf.potential(coeffs, x)[0] == pytest.approx(1.0 * 1.0 * phi_val, abs=1e-15)
@@ -399,7 +398,7 @@ class TestBiasFlag:
         coeffs = NetworkCoefficients(Dataset(atoms=[[theta, 1.0]], weights=[1.0], labels=[0.3]),
                                      ACTIVATIONS["tanh"])
         assert coeffs.dim == 3
-        x = pack_param(1.5, [0.4, 0.2])
+        x = np.array([1.5, 0.4, 0.2])
         h = 1e-6
         fd = np.empty(3)
         for k in range(3):

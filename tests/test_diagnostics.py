@@ -19,7 +19,6 @@ from meanfield_sgd.diagnostics import (
     moment_track,
     qv_check,
     qv_check_panel,
-    smfe_weak_residual,
     smfe_weak_residual_panel,
     standard_panel,
     trig_wave,
@@ -149,7 +148,7 @@ class TestWeakResidual:
     def test_constant_is_exactly_zero(self):
         traj, noise = full_run(0.05)
         phi = [p for p in standard_panel(2) if p.name == "const"][0]
-        assert smfe_weak_residual(traj, noise, REF_COEFFS, 0.05, phi) == 0.0
+        assert smfe_weak_residual_panel(traj, noise, REF_COEFFS, 0.05, [phi])[phi.name] == 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_run_of_no_step_has_zero_residual(self, eps):
@@ -169,7 +168,7 @@ class TestWeakResidual:
         cfg = IntegratorConfig(dt=0.05, horizon=0.5, snapshot_stride=1)
         traj = simulate_transport(initial, coeffs, cfg)
         phi = [p for p in standard_panel(2) if p.name == "x1"][0]
-        r = smfe_weak_residual(traj, None, coeffs, 0.0, phi)
+        r = smfe_weak_residual_panel(traj, None, coeffs, 0.0, [phi])[phi.name]
         assert r == pytest.approx(0.0, abs=1e-13)
 
     def test_residual_order_in_dt(self):
@@ -183,7 +182,7 @@ class TestWeakResidual:
             for dt, noise in ((0.02, fine.coarsened(2)), (0.01, fine)):
                 cfg = IntegratorConfig(dt=dt, horizon=0.5, eps=eps, snapshot_stride=1)
                 traj = simulate(initial, REF_COEFFS, cfg, noise)
-                sums[dt] += abs(smfe_weak_residual(traj, noise, REF_COEFFS, eps, phi))
+                sums[dt] += abs(smfe_weak_residual_panel(traj, noise, REF_COEFFS, eps, [phi])[phi.name])
         ratio = sums[0.01] / sums[0.02]
         assert 0.5 * 0.65 <= ratio <= 0.5 * 1.35
 
@@ -192,7 +191,7 @@ class TestWeakResidual:
         other = NoisePath(777, noise.dt, noise.n_steps, noise.n_channels)
         phi = gaussian_bump([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            smfe_weak_residual(traj, other, REF_COEFFS, 0.05, phi)
+            smfe_weak_residual_panel(traj, other, REF_COEFFS, 0.05, [phi])
 
     @pytest.mark.parametrize("eps, matching_noise", [(0.2, True), (0.0, False), (0.05 + 1e-12, True)])
     def test_eps_mismatch_rejected(self, eps, matching_noise):
@@ -200,7 +199,7 @@ class TestWeakResidual:
         traj, noise = full_run(0.05, seed=2)
         phi = gaussian_bump([0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="eps"):
-            smfe_weak_residual(traj, noise if matching_noise else None, REF_COEFFS, eps, phi)
+            smfe_weak_residual_panel(traj, noise if matching_noise else None, REF_COEFFS, eps, [phi])
 
     def test_needs_full_resolution(self):
         initial = sample_initial(REF_SPEC, 10, 3)
@@ -209,7 +208,7 @@ class TestWeakResidual:
         traj = simulate(initial, REF_COEFFS, cfg, noise)
         phi = gaussian_bump([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            smfe_weak_residual(traj, noise, REF_COEFFS, 0.05, phi)
+            smfe_weak_residual_panel(traj, noise, REF_COEFFS, 0.05, [phi])
 
 
 class TestQvCheck:

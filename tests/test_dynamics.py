@@ -15,7 +15,6 @@ from meanfield_sgd.coefficients import (
     Dataset,
     NetworkCoefficients,
     SyntheticCoefficients,
-    pack_param,
 )
 from meanfield_sgd.diagnostics import gaussian_bump, qv_check, trig_wave
 from meanfield_sgd.dynamics import (
@@ -165,6 +164,19 @@ class TestSimulate:
         cfg = IntegratorConfig(dt=1e-2, horizon=0.5, eps=0.1)
         with pytest.raises(SimulationError):
             simulate(initial, REF_COEFFS, cfg, noise)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_noise_meta_only_when_the_path_is_read(self, eps):
+        """simulate and the one-run simulate_coupled record the same
+        noise_meta: the path's at eps > 0, None at eps 0, where no row of
+        the path is read."""
+        initial = sample_initial(REF_SPEC, 6, 0)
+        noise = NoisePath(4, 1e-2, 5, REF_COEFFS.n_channels)
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, eps=eps)
+        alone = simulate(initial, REF_COEFFS, cfg, noise)
+        (coupled,) = simulate_coupled([(initial, eps)], REF_COEFFS, cfg, noise)
+        assert alone.noise_meta == coupled.noise_meta == (noise.meta if eps else None)
+        np.testing.assert_array_equal(alone.positions, coupled.positions)
 
     def test_strong_order_richardson(self):
         """coupled self-comparison: the refinement gap halves (within 30%)

@@ -335,16 +335,17 @@ class TestActivationCalls:
         activation, calls = counting_activation("tanh")
         coeffs = make_coeffs(activation, False)
         X = np.repeat(ensemble(coeffs, 20).positions[None], 6, axis=0)
-        dB = np.random.default_rng(12).normal(0, 0.1, size=coeffs.n_channels)
+        dB = np.random.default_rng(12).normal(0, 0.1, size=(6, coeffs.n_channels))
         coeffs.coupled_step(X, np.full(20, 1 / 20), 0.01, np.array([0.1, 0.03, 0.01, 3e-3, 1e-3, 0.0]),
-                            dB, 0.1 * X[-1])
+                            dB, 0.1 * X[-1:], carriers=[5])
         assert len(calls) == 1
 
 
 @st.composite
 def coupled_batches(draw):
     """A random batch: activation, bias, B runs of N particles with their
-    own positions, noise scales with a 0 among them, and one increment row."""
+    own positions and noise scales with a 0 among them (each run is drawn
+    its own increment row below)."""
     b = draw(st.integers(1, 6))
     eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=b - 1, max_size=b - 1))
     eps.insert(draw(st.integers(0, b - 1)), 0.0)
@@ -353,7 +354,8 @@ def coupled_batches(draw):
 
 
 class TestCoupledStepMatchesPerRunSteps:
-    """The batched step is the per-run steps, bit for bit."""
+    """The batched step is the per-run steps, each on its own increment row,
+    bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=coupled_batches())
@@ -364,26 +366,31 @@ class TestCoupledStepMatchesPerRunSteps:
         X = rng.normal(size=(eps.size, n, coeffs.dim))
         weights = rng.uniform(0.5, 1.5, size=n)
         weights /= weights.sum()
-        dB = rng.normal(0, 0.1, size=coeffs.n_channels)
+        dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
         got = coeffs.coupled_step(X, weights, 0.01, eps, dB)
-        want = np.stack([oracle_step(x, weights, coeffs, 0.01, e, dB) for x, e in zip(X, eps)])
+        want = np.stack([oracle_step(x, weights, coeffs, 0.01, e, row) for x, e, row in zip(X, eps, dB)])
         np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=coupled_batches())
-    def test_fused_tangent_step_equals_the_per_run_one(self, case):
+    @given(case=coupled_batches(), n_carriers=st.integers(1, 3))
+    def test_fused_tangent_step_equals_the_per_run_one(self, case, n_carriers):
+        """the transport runs at the end of the batch carry tangents, each
+        on its own row, and every run is its own step."""
         coeffs = make_coeffs(case["activation"], case["bias"], seed=case["seed"])
         rng = np.random.default_rng(case["seed"])
-        eps, n = np.append(case["eps"][case["eps"] > 0], 0.0), case["n"]
+        eps, n = np.append(case["eps"][case["eps"] > 0], np.zeros(n_carriers)), case["n"]
+        carriers = list(range(eps.size - n_carriers, eps.size))
         X = rng.normal(size=(eps.size, n, coeffs.dim))
-        Y = rng.normal(size=(n, coeffs.dim))
-        dB = rng.normal(0, 0.1, size=coeffs.n_channels)
-        newX, newY = coeffs.coupled_step(X, np.full(n, 1.0 / n), 0.01, eps, dB, Y)
-        base, tangents = oracle_tangent_step(X[-1], Y, coeffs, 0.01, dB)
-        np.testing.assert_array_equal(newY, tangents)
-        np.testing.assert_array_equal(newX[-1], base)
-        for x, e, got in zip(X[:-1], eps[:-1], newX[:-1]):
-            np.testing.assert_array_equal(got, oracle_step(x, np.full(n, 1.0 / n), coeffs, 0.01, e, dB))
+        Y = rng.normal(size=(n_carriers, n, coeffs.dim))
+        dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
+        weights = np.full(n, 1.0 / n)
+        newX, newY = coeffs.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers)
+        for k, b in enumerate(carriers):
+            base, tangents = oracle_tangent_step(X[b], Y[k], coeffs, 0.01, dB[b])
+            np.testing.assert_array_equal(newY[k], tangents)
+            np.testing.assert_array_equal(newX[b], base)
+        for x, e, row, got in zip(X[:carriers[0]], eps, dB, newX):
+            np.testing.assert_array_equal(got, oracle_step(x, weights, coeffs, 0.01, e, row))
 
     @activation_cases
     @bias_cases
