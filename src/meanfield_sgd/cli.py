@@ -23,7 +23,7 @@ from .diagnostics import (
     standard_panel,
     write_report,
 )
-from .dynamics import run_sgd, sample_initial, write_trajectory
+from .dynamics import embedded_step, run_sgd, sample_initial, write_trajectory
 from .harness import (
     SLOPE_LEVEL,
     TREND_LEVEL,
@@ -72,8 +72,7 @@ def _cmd_sgd(cfg: ExperimentConfig, out: str):
     coeffs = build_coefficients(cfg)
     m = cfg.n_particles
     initial = sample_initial(build_initial_spec(cfg), m, cfg.base_seed)
-    steps = int(np.ceil(m * cfg.horizon))
-    chain = run_sgd(coeffs, m, alpha=1.0 / m, batch_size=1, n_steps=steps,
+    chain = run_sgd(coeffs, m, alpha=1.0 / m, batch_size=1, n_steps=int(embedded_step(m, cfg.horizon, up=True)),
                     seed=cfg.base_seed, initial=initial.positions)
     states = chain.n_steps + 1
     write_table(os.path.join(out, "sgd-chain.txt"),

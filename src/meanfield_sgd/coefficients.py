@@ -260,11 +260,14 @@ class NetworkCoefficients:
     def sgd_step(self, X: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """X + sum_p scale_p r_p grad Phi(x_i, theta_p), r the residuals at
         the uniform measure on the N rows of X; one jet serves both (a
-        mini-batch SGD step has scale_p = (alpha / B) count_p)."""
+        mini-batch SGD step has scale_p = (alpha / B) count_p).  X (..., N, d)
+        may lead with a run axis, one scale row (..., P) per run: each run's
+        sums are the stacked slices of the same products, so a run steps as
+        it steps alone, bit for bit."""
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        r = self._f - np.full(X.shape[0], 1.0 / X.shape[0]) @ (c[:, None] * phi)
-        return X + self._assemble(phi, c[:, None] * dphi, scale * r)
+        r = self._f - np.full(X.shape[-2], 1.0 / X.shape[-2]) @ (c[..., None] * phi)
+        return X + self._assemble(phi, c[..., None] * dphi, scale * r)
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:

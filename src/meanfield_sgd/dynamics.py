@@ -37,6 +37,7 @@ __all__ = [
     "simulate_coupled",
     "run_sgd",
     "SgdChain",
+    "embedded_step",
     "picard_solve",
     "PicardResult",
     "sample_initial",
@@ -416,13 +417,16 @@ class SgdChain:
     """Discrete parameter chain with its measure-path embedding.
 
     ``positions[k]`` is the parameter state after k steps; the embedded
-    measure path evaluates the chain at step floor(M t).
+    measure path evaluates the chain at step floor(M t) (``embedded_step``).
+    B chains run in lockstep hold their states on a second axis,
+    ``positions[k, b]`` the state of the chain of ``seed[b]``; ``chains``
+    splits them.
     """
 
-    positions: np.ndarray  # (steps+1, M, d)
+    positions: np.ndarray  # (steps+1, M, d), or (steps+1, B, M, d) for B chains
     alpha: float
     batch_size: int
-    seed: int
+    seed: int | tuple
 
     @property
     def n_steps(self) -> int:
@@ -430,18 +434,35 @@ class SgdChain:
 
     @property
     def n_particles(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-2]
+
+    def chains(self) -> list:
+        """Each chain of a lockstep batch, or the SimulationError of its first
+        non-finite step: a coordinate that is not finite stays so (x + dx),
+        so that is the chain's first non-finite state after its start."""
+        failed = ~np.isfinite(self.positions[1:]).all(axis=(2, 3))   # (steps, B)
+        return [SimulationError(f"SGD diverged at step {failed[:, b].argmax() + 1}") if failed[:, b].any() else
+                SgdChain(self.positions[:, b], self.alpha, self.batch_size, seed)
+                for b, seed in enumerate(self.seed)]
 
     def state_at_step(self, k: int) -> np.ndarray:
         return self.positions[min(max(k, 0), self.n_steps)]
 
     def measure_at_time(self, t: float) -> EmpiricalMeasure:
-        k = int(np.floor(self.n_particles * t))
-        return EmpiricalMeasure.uniform(self.state_at_step(k))
+        return EmpiricalMeasure.uniform(self.state_at_step(int(embedded_step(self.n_particles, t))))
+
+
+def embedded_step(m: int, t, up: bool = False):
+    """The SGD step floor(M t) (with ``up`` ceil(M t)) that the time embedding
+    t = step / M reads at time(s) t, taken as a whole step when within 1e-9
+    of one, as IntegratorConfig takes its step count: at M = 50 time 0.58 is
+    step 29, though 50 * 0.58 = 28.999999999999996."""
+    x = np.multiply(m, t)
+    return (np.ceil(x - 1e-9) if up else np.floor(x + 1e-9)).astype(int)
 
 
 def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: int,
-            seed: int, initial: np.ndarray) -> SgdChain:
+            seed: int | Sequence[int], initial: np.ndarray) -> SgdChain:
     """Mini-batch SGD on the empirical risk in the mean-field normalization.
 
     The per-sample update for particle i is
@@ -451,6 +472,13 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     Each step is one channel contraction with kappa_p = (alpha / B) count_p r_p,
     count_p the draws of atom p in the batch of B.  Full-batch gradient
     descent is the transport run: ``simulate_transport`` at dt = alpha.
+
+    ``initial`` (M, d) and an int ``seed`` run one chain, which raises
+    SimulationError at its first non-finite step.  ``initial`` (B, M, d) and
+    a sequence of B seeds run B chains in lockstep, one ``sgd_step`` of the
+    batch per step, chain b on the batches of seed b: each is its one-chain
+    run bit for bit, and a chain that goes non-finite fails alone, its
+    error given by ``SgdChain.chains`` in its place.
     """
     check_integer("n_particles", n_particles, 1)
     check_real("alpha", alpha)
@@ -458,26 +486,26 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     check_integer("n_steps", n_steps, 0)
     if coeffs.mode != "network":
         raise ValueError("coeffs must be network-mode coefficients for run_sgd")
-    X = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
-    if X.shape != (n_particles, coeffs.dim):
+    X = np.array(initial, dtype=float)
+    one = X.ndim < 3
+    if one:
+        X, seed = np.atleast_2d(X)[None], (seed,)
+    elif not (isinstance(seed, Sequence) and len(seed) == X.shape[0]):
+        raise ValueError(f"seed must be {X.shape[0]} seeds, one per chain of initial (got {seed!r})")
+    if X.shape[1:] != (n_particles, coeffs.dim):
         raise ValueError(f"initial parameters must have shape ({n_particles}, {coeffs.dim})")
-    # every step's batch in one draw, the stream of one draw per step
-    n_ch = coeffs.n_channels
-    batches = seeded_rng(seed, "sgd-batches").choice(n_ch, size=(n_steps, batch_size),
-                                                     p=coeffs.channel_weights)
-    counts = np.bincount((batches + n_ch * np.arange(n_steps)[:, None]).ravel(),
-                         minlength=n_steps * n_ch).reshape(n_steps, n_ch)
+    # every step's batch in one draw per chain, the stream of one draw per step
+    batches = np.stack([seeded_rng(s, "sgd-batches").choice(coeffs.n_channels, size=(n_steps, batch_size),
+                                                            p=coeffs.channel_weights) for s in seed], 1)
+    counts = (batches[..., None] == np.arange(coeffs.n_channels)).sum(axis=2)   # (steps, B, P)
     scales = alpha * (counts / batch_size)
-
-    def advance(X, step):
-        X = coeffs.sgd_step(X, scales[step])
-        if not np.all(np.isfinite(X)):
-            raise SimulationError(f"SGD diverged at step {step + 1}")
-        return X
-
     with np.errstate(over="ignore", invalid="ignore"):   # a diverging chain fails as SimulationError
-        (out,) = _integrate(X, advance, n_steps, 1, lambda X: (X,))
-    return SgdChain(out, alpha=alpha, batch_size=batch_size, seed=seed)
+        (out,) = _integrate(X, lambda X, step: coeffs.sgd_step(X, scales[step]), n_steps, 1, lambda X: (X,))
+    batch = SgdChain(out, alpha=alpha, batch_size=batch_size, seed=tuple(seed))
+    (chain,) = batch.chains() if one else (batch,)
+    if isinstance(chain, SimulationError):
+        raise chain
+    return chain
 
 
 # --------------------------------------------------------------------------

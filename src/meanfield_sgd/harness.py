@@ -15,6 +15,7 @@ import csv
 import ctypes
 import glob
 import hashlib
+import itertools
 import json
 import os
 import warnings
@@ -35,9 +36,11 @@ from .dynamics import (
     InitialSpec,
     IntegratorConfig,
     NoisePath,
+    SgdChain,
     SimulationError,
     Trajectory,
     _record_indices,
+    embedded_step,
     run_sgd,
     sample_initial,
     seeded_rng,
@@ -353,8 +356,14 @@ class ResultTable:
         with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULTS_HEADER)
-            for row in self.rows:
-                writer.writerow([row[0], row[1], row[2], row[3], f"{row[4]:.17g}"])
+            # every row in one formatting pass, unless a field holds a comma,
+            # quote or line break and so needs csv's quoting
+            n = len(self.rows)
+            text = ("%s,%s,%d,%s,%.17g\r\n" * n) % tuple(itertools.chain.from_iterable(self.rows))
+            if '"' in text or text.count(",") > 4 * n or text.count("\r") > n or text.count("\n") > n:
+                writer.writerows([*row[:4], f"{row[4]:.17g}"] for row in self.rows)
+            else:
+                fh.write(text)
         keys = list(dict.fromkeys(k for entry in self.summary for k in entry))
         with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -495,8 +504,9 @@ class Replica:
     once, and the runner integrates them for a pack of consecutive replicas
     as one batch, each run on its replica's noise path (``_couple``), before
     the cells read them; a run no pack integrated is integrated alone by
-    ``run``.  Coefficients and noise are built on first use, in the process
-    that runs the cells.
+    ``run``.  The SGD chain of M atoms (``chain``) is kept the same way,
+    a pack's chains of one M run in lockstep.  Coefficients and noise are
+    built on first use, in the process that runs the cells.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int, stride: int):
@@ -564,30 +574,50 @@ class Replica:
         _couple([self], [], tangent=True)   # keeps the run, or its error, under ("tangent",)
         return self.shared(("tangent",), None)
 
+    def chain(self, m: int) -> SgdChain:
+        """The SGD chain from ``initial(m, per_m=True)`` at alpha = 1/M and
+        batch size 1, over ceil(M T) steps on the batches of ``seed``, run
+        alone unless a pack kept it."""
+        _couple([self], [], chains=[m])   # keeps the chain, or its error, under ("chain", M)
+        return self.shared(("chain", int(m)), None)
 
-def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = False):
+
+def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = False, chains: Iterable[int] = ()):
     """Integrate as one batch (``simulate_coupled``) the runs ``run(*a)``
     for every ``a`` of ``runs`` that a replica of ``pack`` has not kept, each
     on its replica's noise path, and with ``tangent`` the tangent solve of
-    every replica, each carrying its own tangent system.  Each is kept under
-    the key that ``run`` / ``tangent`` read, a diverged one as its own error;
-    runs a replica has kept are not integrated again."""
+    every replica, each carrying its own tangent system; then, for each M of
+    ``chains``, run the SGD chains ``chain(M)`` of those replicas in one
+    lockstep ``run_sgd`` call, each on its replica's batch stream.  Each is
+    kept under the key that ``run`` / ``tangent`` / ``chain`` read, a
+    diverged one as its own error; what a replica has kept is not
+    integrated again."""
     runs, todo = list(runs), []   # todo: (replica, key, run arguments)
     for rep in pack:
         keys = {_run_key(rep.config, *a): a for a in runs}
         if tangent:
             keys[("tangent",)] = (0.0,)
         todo += [(rep, key, a) for key, a in keys.items() if key not in rep.results]
-    if not todo:
-        return
-    try:
-        integrated = simulate_coupled([(rep.initial(*a[1:]), a[0]) for rep, _, a in todo],
-                                      pack[0].coeffs, pack[0].base, [rep.noise for rep, _, _ in todo],
-                                      tangent=[b for b, (_, key, _) in enumerate(todo) if key == ("tangent",)])
-    except _CELL_ERRORS as exc:
-        integrated = [exc] * len(todo)
-    for (rep, key, _), result in zip(todo, integrated):
-        rep.results[key] = result
+    if todo:
+        try:
+            integrated = simulate_coupled([(rep.initial(*a[1:]), a[0]) for rep, _, a in todo],
+                                          pack[0].coeffs, pack[0].base, [rep.noise for rep, _, _ in todo],
+                                          tangent=[b for b, (_, key, _) in enumerate(todo) if key == ("tangent",)])
+        except _CELL_ERRORS as exc:
+            integrated = [exc] * len(todo)
+        for (rep, key, _), result in zip(todo, integrated):
+            rep.results[key] = result
+    # the chains come after the runs' batch is freed: before it, a pack's
+    # chains (0.9 MB at the sgd-compare benchmark config) add to its peak
+    for m in map(int, chains):
+        todo = [rep for rep in pack if ("chain", m) not in rep.results]
+        if todo:
+            batch = run_sgd(pack[0].coeffs, m, alpha=1.0 / m, batch_size=1,
+                            n_steps=int(embedded_step(m, pack[0].config.horizon, up=True)),
+                            seed=[rep.seed for rep in todo],
+                            initial=np.stack([rep.initial(m, per_m=True).positions for rep in todo]))
+            for rep, kept in zip(todo, batch.chains()):
+                rep.results[("chain", m)] = kept
 
 
 def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric, fn):
@@ -610,10 +640,11 @@ def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int,
     rows.extend((experiment, param, seed, name, value) for name, value in zip(names, values, strict=True))
 
 
-def _pack_rows(experiment: str, cells: Callable, runs: list, pack: list) -> tuple[list, Counter, list]:
+def _pack_rows(experiment: str, cells: Callable, runs: list, chains: list, pack: list) -> tuple[list, Counter, list]:
     """The rows, W2 backends and failures of the replicas of ``pack``, once
-    the ``runs`` of them all are integrated as one batch."""
-    _couple(pack, runs)
+    the ``runs`` of them all are integrated as one batch, and their
+    ``chains`` as one batch per M."""
+    _couple(pack, runs, chains=chains)
     rows, backends, failures = [], Counter(), []
     for rep in pack:
         for param, metric, fn in cells(rep):
@@ -634,22 +665,23 @@ def _replica_packs(config: ExperimentConfig, stride: int, runs: list):
 
 
 def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig, runs: list,
-                  packs: Iterable[list] | None = None) -> "ResultTable":
+                  packs: Iterable[list] | None = None, chains: Sequence[int] = ()) -> "ResultTable":
     """A table of every replica's rows, in seed order.
 
-    ``runs`` lists the runs of every replica, named once for the
-    experiment; ``cells(rep)`` lists the (param, metric, thunk) grid cells
-    of replica ``rep``, which read those runs, a cell of several metrics as
-    a tuple of names, and each becomes rows through _guarded_cell.  Replicas
-    pack as ``_replica_packs`` makes them, with the snapshot stride of the
-    config, or come in the given ``packs``; a pack integrates its runs as
-    one batch (a no-op for runs it has kept) and runs its cells before the
-    next is made, so memory holds one pack at a time.  Neither the packs
+    ``runs`` lists the runs of every replica, and ``chains`` the M of its
+    SGD chains, named once for the experiment; ``cells(rep)`` lists the
+    (param, metric, thunk) grid cells of replica ``rep``, which read those
+    runs and chains, a cell of several metrics as a tuple of names, and each
+    becomes rows through _guarded_cell.  Replicas pack as ``_replica_packs``
+    makes them, with the snapshot stride of the config, or come in the given
+    ``packs``; a pack integrates its runs as one batch and its chains as one
+    batch per M (a no-op for what it has kept), then runs its cells before
+    the next is made, so memory holds one pack at a time.  Neither the packs
     nor the worker count change a number.
     """
     if packs is None:
         packs = _replica_packs(config, config.snapshot_stride, runs)
-    per_pack = _parallel(partial(_pack_rows, experiment, cells, runs), packs, config.threads)
+    per_pack = _parallel(partial(_pack_rows, experiment, cells, runs, list(chains)), packs, config.threads)
     return ResultTable(config, [row for rows, _, _ in per_pack for row in rows],
                        w2_backends=sum((backends for _, backends, _ in per_pack), Counter()),
                        failures=[f for _, _, failures in per_pack for f in failures])
@@ -871,13 +903,12 @@ def _sgd_snapshots(config: ExperimentConfig) -> range:
 
 def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
     """<phi, mu_t> of the eps = 1/M stochastic mean-field run and <phi, nu_t>
-    of SGD with alpha = 1/M, P = 1 and time embedding floor(M t), both from
-    the same M atoms, per snapshot and phi (smfe first)."""
-    chain = run_sgd(rep.coeffs, m, alpha=1.0 / m, batch_size=1,
-                    n_steps=int(np.ceil(m * rep.config.horizon)), seed=rep.seed,
-                    initial=rep.initial(m, per_m=True).positions)
-    traj = rep.run(1.0 / m, m, per_m=True)
-    steps = np.minimum(np.floor(m * traj.times).astype(int), chain.n_steps)
+    of its SGD chain (``Replica.chain``: alpha = 1/M, P = 1) at the step
+    floor(M t) of the time embedding, both from the same M atoms, per
+    snapshot and phi (smfe first).  It only reads the run and the chain,
+    which the pack integrated."""
+    chain, traj = rep.chain(m), rep.run(1.0 / m, m, per_m=True)
+    steps = np.minimum(embedded_step(m, traj.times), chain.n_steps)
     positions = np.stack([traj.positions, chain.positions[steps]])    # (2, S, M, d)
     atoms = positions.reshape(-1, positions.shape[-1])
     values = np.stack([phi.value(atoms).reshape(positions.shape[:-1]) @ traj.weights
@@ -887,6 +918,10 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
 
 def _sgd_runs(config: ExperimentConfig) -> list:
     return [(1.0 / m, m, True) for m in map(int, config.m_grid)]
+
+
+def _sgd_chains(config: ExperimentConfig) -> list:
+    return [int(m) for m in config.m_grid]
 
 
 def _sgd_cells(rep: Replica) -> list:
@@ -916,7 +951,7 @@ def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> n
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs(config))
+    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs(config), chains=_sgd_chains(config))
     names = [phi.name for phi in _sgd_phi_panel(len(config.mu0_low))]
     for m in map(int, config.m_grid):
         # one read per M, so a replica that failed at this M drops out here only

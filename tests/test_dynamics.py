@@ -24,6 +24,7 @@ from meanfield_sgd.dynamics import (
     ParticleEnsemble,
     SimulationError,
     Trajectory,
+    embedded_step,
     picard_solve,
     run_sgd,
     sample_initial,
@@ -278,6 +279,26 @@ class TestRunSgd:
                         initial=initial)
         mu = chain.measure_at_time(0.5)  # floor(8 * 0.5) = step 4
         np.testing.assert_array_equal(mu.atoms, chain.positions[4])
+
+    @pytest.mark.parametrize("seed", [0, [0], (0, 1, 2), [0, 1.5], "ab"], ids=["int", "one", "three", "fractional",
+                                                                          "string"])
+    def test_lockstep_chains_take_one_integer_seed_each(self, seed):
+        """two chains, initial (2, 3, d), take a sequence of two integer seeds."""
+        with pytest.raises(ValueError, match="^seed must"):
+            run_sgd(REF_COEFFS, 3, alpha=0.1, batch_size=1, n_steps=2, seed=seed, initial=np.zeros((2, 3, 2)))
+
+    def test_time_embedding_takes_whole_steps(self):
+        """t = 0.29 and 0.58 are steps 29 and 58 at M = 100, 0.58 step 29 at
+        M = 50 and 0.29 step 58 at M = 200, though their float products fall
+        just below; the chain to T = 1.1 at M = 50 takes 55 steps, not 56."""
+        assert 50 * 0.58 < 29 and 100 * 0.29 < 29 and 200 * 0.29 < 58 and 50 * 1.1 > 55
+        np.testing.assert_array_equal(embedded_step(100, np.array([0.0, 0.29, 0.58, 1.0])), [0, 29, 58, 100])
+        assert (embedded_step(50, 0.58), embedded_step(200, 0.29)) == (29, 58)
+        assert (embedded_step(50, 1.1, up=True), embedded_step(50, 0.999, up=True)) == (55, 50)
+        assert (embedded_step(50, 0.0199), embedded_step(50, 0.02)) == (0, 1)
+        chain = run_sgd(REF_COEFFS, 50, alpha=1 / 50, batch_size=1, n_steps=30, seed=0,
+                        initial=sample_initial(REF_SPEC, 50, 3).positions)
+        np.testing.assert_array_equal(chain.measure_at_time(0.58).atoms, chain.positions[29])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")

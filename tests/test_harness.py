@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paper_forms
@@ -191,6 +191,40 @@ class TestResultsCsv:
         assert [tuple(r[:2]) + (int(r[2]), r[3]) for r in back] == [r[:4] for r in rows]
         values = np.array([float(r[4]) for r in back])
         np.testing.assert_array_equal(values, np.array([r[4] for r in rows], dtype=float))
+
+
+def oracle_results_csv(rows, out_dir):
+    """results.csv as ``ResultTable.write`` wrote it before its one
+    formatting pass: one csv.writer row per result row."""
+    with open(os.path.join(out_dir, "results.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("experiment", "param", "seed", "metric", "value"))
+        for row in rows:
+            writer.writerow([row[0], row[1], row[2], row[3], f"{row[4]:.17g}"])
+
+
+class TestResultsCsvOracle:
+    EDGE_ROWS = [("sgd-compare", "50", 7, "sgd:bump0:3", v)
+                 for v in (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1 / 3, 1e300)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.text(), st.text(), st.integers(0, 2**63), st.text(),
+        st.floats(allow_nan=True, allow_infinity=True)), max_size=8))
+    @example(rows=EDGE_ROWS)
+    @example(rows=[*EDGE_ROWS[:2], ("a,b", "1", 3, "m", 1.0)])
+    @example(rows=[("e", 'say "hi"', 3, "m", 1.0), *EDGE_ROWS[2:4]])
+    @example(rows=[*EDGE_ROWS[4:], ("e", "1", 3, "line\nbreak", 2.0), ("e", "1", 3, "cr\r", 2.0)])
+    @example(rows=[])
+    def test_text_is_the_csv_writer_text(self, rows):
+        """the one-pass text is the per-row csv.writer text byte for byte:
+        nan, infinities, -0.0 and subnormals included, and with csv's
+        quoting when a field holds a comma, quote or line break."""
+        with tempfile.TemporaryDirectory() as got, tempfile.TemporaryDirectory() as want:
+            ResultTable(reference_config(), list(rows)).write(got)
+            oracle_results_csv(rows, want)
+            with open(os.path.join(got, "results.csv"), "rb") as a, open(os.path.join(want, "results.csv"), "rb") as b:
+                assert a.read() == b.read()
 
 
 class TestUniformQuantileOracle:
@@ -520,16 +554,16 @@ class TestSgdCompareExperiment:
         """a diverged SGD chain becomes failed rows; the summary and the trend
         gate go on over the other replicas."""
         from meanfield_sgd import harness
-        from meanfield_sgd.dynamics import SimulationError
 
         real_run_sgd = harness.run_sgd
 
         failing_seeds = {13}
 
-        def flaky_run_sgd(coeffs, n_particles, *args, seed, **kwargs):
-            if n_particles == 20 and seed in failing_seeds:
-                raise SimulationError("SGD diverged")
-            return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+        def flaky_run_sgd(coeffs, n_particles, *args, seed, initial, **kwargs):
+            # the chain of a failing seed starts at nan: it diverges at its first step
+            failing = np.isin(seed, list(failing_seeds) if n_particles == 20 else [])[:, None, None]
+            return real_run_sgd(coeffs, n_particles, *args, seed=seed, initial=np.where(failing, np.nan, initial),
+                                **kwargs)
 
         monkeypatch.setattr(harness, "run_sgd", flaky_run_sgd)
         cfg = reference_config(m_grid=(10, 20), dt=5e-3, horizon=0.1, snapshot_stride=10,
@@ -614,6 +648,23 @@ class TestSgdCompareExperiment:
                 0, n_rep, size=(harness._TREND_BOOT, n_rep))
             np.testing.assert_array_equal(at_once, per_resample)
 
+    def test_cells_read_the_chain_at_each_snapshot_step(self):
+        """at dt 5e-3 the snapshot t = 0.05 accumulates to 0.049999999999999996,
+        whose float product with M = 20 falls below 1: the cell reads the
+        chain at step floor(M t) = 1 there, and at 2 at t = 0.1."""
+        cfg = reference_config(m_grid=(20,), dt=5e-3, horizon=0.1, snapshot_stride=10, replicas=10,
+                               base_seed=13)
+        rep = Replica(cfg, cfg.base_seed, cfg.snapshot_stride)
+        panel = harness._sgd_phi_panel(2)
+        values = harness._sgd_values(rep, 20, panel).reshape(3, len(panel), 2)   # (snapshot, phi, smfe|sgd)
+        run, chain = rep.run(1 / 20, 20, True), rep.chain(20)
+        assert np.floor(20 * run.times[1]) == 0 and chain.n_steps == 2
+        means = np.array([[phi.value(x) @ run.weights for phi in panel] for x in chain.positions])
+        np.testing.assert_allclose(values[:, :, 1], means, rtol=1e-14)
+        assert np.all(np.abs(means[1] - means[0]) > 1e-6)   # step 0 would read apart
+        np.testing.assert_allclose(values[:, :, 0], [[phi.value(x) @ run.weights for phi in panel]
+                                                     for x in run.positions], rtol=1e-14)
+
     def test_frozen_instance_gives_zero_gap(self):
         """f = 0 labels and zero output weights freeze both processes."""
         cfg = reference_config(
@@ -655,10 +706,11 @@ class TestSgdCellsOracle:
     def test_rows_failures_and_warnings_match(self, monkeypatch):
         real_run_sgd = harness.run_sgd
 
-        def flaky_run_sgd(coeffs, n_particles, *args, seed, **kwargs):
-            if seed in FAILING[n_particles]:
-                raise SimulationError("SGD diverged")
-            return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+        def flaky_run_sgd(coeffs, n_particles, *args, seed, initial, **kwargs):
+            # the chain of a failing seed starts at nan: it diverges at its first step
+            failing = np.isin(seed, list(FAILING[n_particles]))[:, None, None]
+            return real_run_sgd(coeffs, n_particles, *args, seed=seed, initial=np.where(failing, np.nan, initial),
+                                **kwargs)
 
         monkeypatch.setattr(harness, "run_sgd", flaky_run_sgd)
         tables, caught = [], []
@@ -666,7 +718,8 @@ class TestSgdCellsOracle:
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 tables.append(harness._run_replicas("sgd-compare", cells, FAILING_CFG,
-                                                    harness._sgd_runs(FAILING_CFG)))
+                                                    harness._sgd_runs(FAILING_CFG),
+                                                    chains=harness._sgd_chains(FAILING_CFG)))
             caught.append([str(w.message) for w in record])
         want, got = tables
         assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
@@ -720,6 +773,31 @@ class TestReplicaRunner:
         table = run(cfg)
         assert table.values("failed").size == 0
         assert len(calls) == packs + extra
+
+    def test_one_sgd_call_per_pack_and_m(self, monkeypatch):
+        """each pack runs its replicas' chains of one M in one lockstep
+        run_sgd call, before its cells; no cell runs a chain."""
+        run, cfg, packs, _ = self.CASES["sgd-compare"]
+        calls, per_cell = [], []
+        real_run_sgd, real_guarded_cell = harness.run_sgd, harness._guarded_cell
+
+        def counted(coeffs, n_particles, *args, seed, **kwargs):
+            calls.append((n_particles, tuple(seed)))
+            return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+
+        def guarded_cell(*args):
+            before = len(calls)
+            real_guarded_cell(*args)
+            per_cell.append(len(calls) - before)
+
+        monkeypatch.setattr(harness, "run_sgd", counted)
+        monkeypatch.setattr(harness, "_guarded_cell", guarded_cell)
+        table = run(cfg)
+        assert table.values("failed").size == 0
+        size = cfg.replicas // packs
+        assert calls == [(m, tuple(range(cfg.base_seed + start, cfg.base_seed + start + size)))
+                         for start in range(0, cfg.replicas, size) for m in cfg.m_grid]
+        assert per_cell == [0] * cfg.replicas * len(cfg.m_grid)
 
     @pytest.mark.parametrize("name", ["lln-rate", "sgd-compare"])
     def test_a_pack_is_freed_before_the_next_integrates(self, name, monkeypatch):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from meanfield_sgd import harness
-from meanfield_sgd.dynamics import SimulationError, seeded_rng
+from meanfield_sgd.dynamics import seeded_rng
 from meanfield_sgd.harness import _sgd_series, _sgd_snapshots, exp_sgd_compare, reference_config, sgd_trend_gate
 
 CFG = reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.1, snapshot_stride=10,
@@ -83,10 +83,11 @@ def oracle_gate(table, phi_name: str, m_grid: Sequence[int],
 def table():
     real_run_sgd = harness.run_sgd
 
-    def flaky_run_sgd(coeffs, n_particles, *args, seed, **kwargs):
-        if seed in FAILING[n_particles]:
-            raise SimulationError("SGD diverged")
-        return real_run_sgd(coeffs, n_particles, *args, seed=seed, **kwargs)
+    def flaky_run_sgd(coeffs, n_particles, *args, seed, initial, **kwargs):
+        # the chain of a failing seed starts at nan: it diverges at its first step
+        failing = np.isin(seed, list(FAILING[n_particles]))[:, None, None]
+        return real_run_sgd(coeffs, n_particles, *args, seed=seed, initial=np.where(failing, np.nan, initial),
+                            **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "run_sgd", flaky_run_sgd)

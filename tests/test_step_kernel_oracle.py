@@ -12,7 +12,9 @@ The batched step (``coupled_step``: B coupled runs on one leading axis, and
 the tangent system fused onto the transport run) is checked against the
 per-run ``increment``, ``step_interacting`` and ``tangent_step`` as they
 were before it, ``oracle_step`` and ``oracle_tangent_step``: it follows
-their operation order, so it must agree with them bit for bit.
+their operation order, so it must agree with them bit for bit.  So is
+``run_sgd`` on B chains in lockstep against the one-chain ``run_sgd`` and
+``sgd_step`` as they were before it, ``oracle_run_sgd_one_chain``.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from meanfield_sgd.coefficients import ACTIVATIONS, Activation, Dataset, Network
 from meanfield_sgd.dynamics import (
     IntegratorConfig,
     ParticleEnsemble,
+    SimulationError,
     run_sgd,
     seeded_rng,
     simulate_transport,
@@ -127,6 +130,35 @@ def oracle_run_sgd_two_jets(coeffs, alpha, batch_size, n_steps, seed, initial):
         r = coeffs.residuals(ParticleEnsemble.uniform(X))
         X = X + coeffs._contract(X, alpha * share * r)
         out.append(X)
+    return np.array(out)
+
+
+def oracle_sgd_step(coeffs, X, scale):
+    """``sgd_step`` as it was before it took a run axis: one chain (N, d)."""
+    c, z = coeffs._preactivation(X)
+    phi, dphi = coeffs.activation.jet(z, 1)
+    r = coeffs._f - np.full(X.shape[0], 1.0 / X.shape[0]) @ (c[:, None] * phi)
+    return X + coeffs._assemble(phi, c[:, None] * dphi, scale * r)
+
+
+def oracle_run_sgd_one_chain(coeffs, alpha, batch_size, n_steps, seed, initial):
+    """``run_sgd`` as it was before it ran chains in lockstep: one chain,
+    every step's batch in one draw, one ``sgd_step`` per step, and
+    SimulationError at the first non-finite state."""
+    X = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    n_ch = coeffs.n_channels
+    batches = seeded_rng(seed, "sgd-batches").choice(n_ch, size=(n_steps, batch_size),
+                                                     p=coeffs.channel_weights)
+    counts = np.bincount((batches + n_ch * np.arange(n_steps)[:, None]).ravel(),
+                         minlength=n_steps * n_ch).reshape(n_steps, n_ch)
+    scales = alpha * (counts / batch_size)
+    out = [X]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            X = oracle_sgd_step(coeffs, X, scales[step])
+            if not np.all(np.isfinite(X)):
+                raise SimulationError(f"SGD diverged at step {step + 1}")
+            out.append(X)
     return np.array(out)
 
 
@@ -330,6 +362,14 @@ class TestActivationCalls:
         run_sgd(coeffs, 20, 0.1, 4, 10, seed=3, initial=ensemble(coeffs, 20).positions)
         assert calls == [1] * 10
 
+    def test_sgd_chains_in_lockstep_make_one(self):
+        """five chains share each step's jet."""
+        activation, calls = counting_activation("tanh")
+        coeffs = make_coeffs(activation, False)
+        initial = np.stack([ensemble(coeffs, 20, seed=s).positions for s in range(5)])
+        run_sgd(coeffs, 20, 0.1, 4, 10, seed=list(range(5)), initial=initial)
+        assert calls == [1] * 10
+
     def test_coupled_batch_with_tangents_makes_one(self):
         """six runs and the tangent system on the last: one jet per step."""
         activation, calls = counting_activation("tanh")
@@ -409,3 +449,73 @@ class TestCoupledStepMatchesPerRunSteps:
         base, tangents = oracle_tangent_step(ens.positions, Y, coeffs, 0.01, dB)
         np.testing.assert_array_equal(new.base, base)
         np.testing.assert_array_equal(new.tangents, tangents)
+
+
+@st.composite
+def sgd_chains(draw):
+    """B chains of N particles on a random network, at most one of them
+    starting from a state that diverges: a non-finite output weight, or (on
+    the identity activation) a scale at which the residuals overflow within
+    two steps."""
+    b = draw(st.integers(1, 12))
+    return dict(activation=draw(st.sampled_from(["tanh", "sigmoid", "identity"])), bias=draw(st.booleans()),
+                b=b, n=draw(st.integers(1, 30)), batch_size=draw(st.integers(1, 4)),
+                n_steps=draw(st.integers(0, 8)), seed=draw(st.integers(0, 2**16)),
+                diverging=draw(st.one_of(st.none(), st.integers(0, b - 1))),
+                blowup=draw(st.sampled_from([np.inf, 1e100])))
+
+
+def sgd_coeffs(activation, bias, seed):
+    """A random 2-input network on 4 atoms, with a bias coordinate if asked,
+    on any activation (the identity's derivative is unbounded)."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-1, 1, size=(4, 2))
+    w = rng.uniform(0.5, 1.5, size=4)
+    data = Dataset(np.hstack([thetas, np.ones((4, 1))]) if bias else thetas, w / w.sum(),
+                   np.sin(np.pi * thetas[:, 0]) * 0.5)
+    return NetworkCoefficients(data, ACTIVATIONS[activation], allow_unbounded=True)
+
+
+class TestSgdChainsMatchOneChainRuns:
+    """B chains in lockstep are the one-chain runs of the old ``run_sgd``,
+    each on its own seed, bit for bit; a diverging chain fails alone, with
+    the error text of its one-chain run."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=sgd_chains())
+    def test_lockstep_chains_equal_the_one_chain_runs(self, case):
+        coeffs = sgd_coeffs(case["activation"], case["bias"], case["seed"])
+        rng = np.random.default_rng(case["seed"])
+        initial = rng.normal(size=(case["b"], case["n"], coeffs.dim))
+        if case["diverging"] is not None:
+            if np.isinf(case["blowup"]):
+                initial[case["diverging"], 0, 0] = np.inf
+            else:
+                initial[case["diverging"]] *= case["blowup"]
+        seeds = [case["seed"] + k for k in range(case["b"])]
+        args = (0.1, case["batch_size"], case["n_steps"])
+        batch = run_sgd(coeffs, case["n"], *args, seed=seeds, initial=initial)
+        assert batch.n_steps == case["n_steps"] and batch.seed == tuple(seeds)
+        for seed, start, got in zip(seeds, initial, batch.chains(), strict=True):
+            try:
+                want = oracle_run_sgd_one_chain(coeffs, *args, seed, start)
+            except SimulationError as exc:
+                assert isinstance(got, SimulationError) and str(got) == str(exc)
+                continue
+            np.testing.assert_array_equal(got.positions, want)
+            assert got.seed == seed
+        if case["diverging"] is not None and np.isinf(case["blowup"]) and case["n_steps"]:
+            assert str(batch.chains()[case["diverging"]]) == "SGD diverged at step 1"
+
+    @activation_cases
+    def test_one_chain_call_is_the_old_run(self, activation):
+        """the (M, d), int-seed call returns the old chain, and raises its
+        error when it diverges."""
+        coeffs = make_coeffs(activation, False, n_atoms=3)
+        initial = ensemble(coeffs, 9).positions
+        chain = run_sgd(coeffs, 9, 0.1, 2, 6, seed=4, initial=initial)
+        np.testing.assert_array_equal(chain.positions, oracle_run_sgd_one_chain(coeffs, 0.1, 2, 6, 4, initial))
+        assert chain.seed == 4 and chain.positions.shape == (7, 9, coeffs.dim)
+        initial[3, 0] = np.inf
+        with pytest.raises(SimulationError, match=r"^SGD diverged at step 1$"):
+            run_sgd(coeffs, 9, 0.1, 2, 6, seed=4, initial=initial)
