@@ -234,6 +234,12 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return idx
 
 
+def _record_times(start: float, cfg: IntegratorConfig) -> np.ndarray:
+    """The times of the recorded steps of a run from ``start``, each its
+    step count times dt, not a running sum of dt."""
+    return start + _record_indices(cfg.n_steps, cfg.snapshot_stride) * cfg.dt
+
+
 def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig, coeffs) -> np.ndarray:
     """The increment rows of ``noise``, after checking that it can drive ``cfg``
     on the channels of ``coeffs``."""
@@ -292,11 +298,11 @@ def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     # a diverging run raises SimulationError at its first non-finite state;
     # numpy's overflow warnings on the way there add nothing to that
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, times = _integrate(
+        (positions,) = _integrate(
             ens, lambda e, k: step_interacting(e, coeffs, cfg, None if rows is None else rows[k]),
-            cfg.n_steps, cfg.snapshot_stride, lambda e: (e.positions, e.time))
+            cfg.n_steps, cfg.snapshot_stride, lambda e: (e.positions,))
     return Trajectory(
-        times=times,
+        times=_record_times(initial.time, cfg),
         positions=positions,
         weights=initial.weights.copy(),
         dt=cfg.dt,
@@ -363,16 +369,15 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     carried = dict(zip(carriers, range(len(carriers))))   # run -> its tangents' row of Y
 
     def advance(state, step):
-        X, Y, t = state
+        X, Y = state
         if None not in out:   # every run has failed
             return state
-        t = t + cfg.dt
         moved = coeffs.coupled_step(X.reshape(shape), W, cfg.dt, eps, rows[step], Y, segments, carriers)
         X, Y = moved if carriers else (moved, None)
         X = X.reshape(offsets[-1], -1)
         if np.isfinite(X).all() and (Y is None or np.isfinite(Y).all()):
-            return X, Y, t
-        at = int(round(t / cfg.dt))
+            return X, Y
+        at, t = step + 1, runs[0][0].time + (step + 1) * cfg.dt
         for b in range(eps.size):
             run, k = X[offsets[b]:offsets[b + 1]], carried.get(b)
             out[b] = out[b] or _divergence(run, at, t) or (None if k is None else _divergence(Y[k], at, t))
@@ -380,26 +385,21 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
                 run[:] = np.nan
                 if k is not None:
                     Y[k] = np.nan
-        return X, Y, t
-
-    def snapshot(state):
-        X, Y, t = state
-        return (X, t, Y) if carriers else (X, t)
+        return X, Y
 
     # the tangents ride on their carriers, from zero
     state = (np.concatenate([initial.positions for initial, _ in runs]),
-             np.zeros((len(carriers), *runs[carriers[0]][0].positions.shape)) if carriers else None,
-             runs[0][0].time)
+             np.zeros((len(carriers), *runs[carriers[0]][0].positions.shape)) if carriers else None)
     # a diverging run fails at its first non-finite state; numpy's overflow
     # warnings on the way there add nothing to its error
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, times, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
-                                                 snapshot)
+        positions, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
+                                          lambda state: state if carriers else state[:1])
     for b, e in enumerate(eps):
         if out[b] is None:
             k = carried.get(b)
             out[b] = Trajectory(
-                times=times.copy(),
+                times=_record_times(runs[0][0].time, cfg),
                 positions=np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]]),
                 weights=weights[b].copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
                 noise_meta=noises[b].meta if reads[b] else None,
@@ -566,10 +566,9 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
         if gap < tol:
             converged = True
             break
-    record = _record_indices(n_steps, cfg.snapshot_stride)
     traj = Trajectory(
-        times=record * cfg.dt,
-        positions=current[record],
+        times=_record_times(initial.time, cfg),
+        positions=current[_record_indices(n_steps, cfg.snapshot_stride)],
         weights=weights,
         dt=cfg.dt,
         eps=cfg.eps,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._checks import check_real
 from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, Trajectory,
-                       _check_finite, _integrate, _noise_rows)
+                       _check_finite, _integrate, _noise_rows, _record_times)
 from .diagnostics import check_panel, pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
 from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
@@ -93,12 +93,12 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
     # a diverging run raises SimulationError at its first non-finite base
     # point or tangent, as in simulate
     with np.errstate(over="ignore", invalid="ignore"):
-        base, tangents, times = _integrate(
+        base, tangents = _integrate(
             TangentEnsemble.at_rest(initial_base), lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
-            cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents, t.time))
+            cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents))
     n = base.shape[1]
-    return Trajectory(times=times, positions=base, weights=np.full(n, 1.0 / n), dt=cfg.dt, eps=0.0,
-                      snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta, tangents=tangents)
+    return Trajectory(times=_record_times(0.0, cfg), positions=base, weights=np.full(n, 1.0 / n), dt=cfg.dt,
+                      eps=0.0, snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta, tangents=tangents)
 
 
 # --------------------------------------------------------------------------

@@ -487,8 +487,11 @@ def _parallel(fn: Callable, items: Iterable, threads: int) -> list:
         return list(ex.map(fn, items))
 
 
-def _run_key(config: ExperimentConfig, eps: float, n: int | None = None, per_m: bool = False) -> tuple:
-    return ("run", float(eps), config.n_particles if n is None else int(n), bool(per_m))
+def _run_key(config: ExperimentConfig, eps: float, n: int | None = None, per_m: bool = False,
+             kind: str = "run") -> tuple:
+    """The key of the run ``Replica.run(eps, n, per_m)``, or with ``kind``
+    "tangent" (eps 0, n_particles) of the tangent solve."""
+    return (kind, float(eps), config.n_particles if n is None else int(n), bool(per_m))
 
 
 class Replica:
@@ -496,17 +499,17 @@ class Replica:
 
     Every run consumes the one NoisePath of ``seed``, and runs of the same
     particle count start from the same atoms: ``seed`` draws the shared
-    ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.  A
-    run is named by the arguments of ``run``, a tuple (eps, n, per_m) whose
-    tail may be left out.  Each run is computed once and kept in
-    ``results``, a failed one as the error it raised, so a base run that
-    several cells share fails each of them.  An experiment names its runs
-    once, and the runner integrates them for a pack of consecutive replicas
-    as one batch, each run on its replica's noise path (``_couple``), before
-    the cells read them; a run no pack integrated is integrated alone by
-    ``run``.  The SGD chain of M atoms (``chain``) is kept the same way,
-    a pack's chains of one M run in lockstep.  Coefficients and noise are
-    built on first use, in the process that runs the cells.
+    ensemble, ``seed * 1000003 + M`` the ensemble of an M-particle run.
+    What a replica integrates is named by its key in ``results``: a run
+    ``("run", eps, n, per_m)`` (``_run_key``), the tangent solve
+    ``("tangent", 0.0, n_particles, False)`` and the SGD chain of M atoms
+    ``("chain", M)``.  Each is computed once and kept there, a failed one as
+    the error it raised, so a base run that several cells share fails each
+    of them.  An experiment names its keys once, as a list, and the runner
+    integrates them for a pack of consecutive replicas (``_couple``) before
+    the cells read them through ``kept``; a key no pack integrated is
+    integrated alone.  Coefficients and noise are built on first use, in the
+    process that runs the cells.
     """
 
     def __init__(self, config: ExperimentConfig, seed: int, stride: int):
@@ -546,11 +549,16 @@ class Replica:
         return self.shared(("initial", n, per_m),
                            lambda: sample_initial(build_initial_spec(self.config), n, seed))
 
+    def kept(self, key: tuple):
+        """What ``key`` names, integrated alone unless a pack kept it; its
+        failure is raised."""
+        _couple([self], [key])
+        return self.shared(key, None)
+
     def run(self, eps: float, n: int | None = None, per_m: bool = False) -> Trajectory:
         """The run at noise scale eps (0: the transport run) from
-        ``initial(n, per_m)``, integrated alone unless a pack kept it."""
-        _couple([self], [(eps, n, per_m)])
-        return self.shared(_run_key(self.config, eps, n, per_m), None)
+        ``initial(n, per_m)``."""
+        return self.kept(_run_key(self.config, eps, n, per_m))
 
     def snapshots(self, eps: float, n: int | None = None, per_m: bool = False) -> SortedAtoms:
         """The snapshots of ``run(eps, n, per_m)``, checked and sorted once for
@@ -569,55 +577,45 @@ class Replica:
         return sup * sup
 
     def tangent(self) -> Trajectory:
-        """The transport run of the shared ensemble, with its tangents,
-        integrated alone unless a pack kept it."""
-        _couple([self], [], tangent=True)   # keeps the run, or its error, under ("tangent",)
-        return self.shared(("tangent",), None)
+        """The transport run of the shared ensemble, with its tangents."""
+        return self.kept(_run_key(self.config, 0.0, kind="tangent"))
 
     def chain(self, m: int) -> SgdChain:
         """The SGD chain from ``initial(m, per_m=True)`` at alpha = 1/M and
-        batch size 1, over ceil(M T) steps on the batches of ``seed``, run
-        alone unless a pack kept it."""
-        _couple([self], [], chains=[m])   # keeps the chain, or its error, under ("chain", M)
-        return self.shared(("chain", int(m)), None)
+        batch size 1, over ceil(M T) steps on the batches of ``seed``."""
+        return self.kept(("chain", int(m)))
 
 
-def _couple(pack: Sequence[Replica], runs: Iterable[tuple], tangent: bool = False, chains: Iterable[int] = ()):
-    """Integrate as one batch (``simulate_coupled``) the runs ``run(*a)``
-    for every ``a`` of ``runs`` that a replica of ``pack`` has not kept, each
-    on its replica's noise path, and with ``tangent`` the tangent solve of
-    every replica, each carrying its own tangent system; then, for each M of
-    ``chains``, run the SGD chains ``chain(M)`` of those replicas in one
-    lockstep ``run_sgd`` call, each on its replica's batch stream.  Each is
-    kept under the key that ``run`` / ``tangent`` / ``chain`` read, a
-    diverged one as its own error; what a replica has kept is not
-    integrated again."""
-    runs, todo = list(runs), []   # todo: (replica, key, run arguments)
-    for rep in pack:
-        keys = {_run_key(rep.config, *a): a for a in runs}
-        if tangent:
-            keys[("tangent",)] = (0.0,)
-        todo += [(rep, key, a) for key, a in keys.items() if key not in rep.results]
+def _couple(pack: Sequence[Replica], keys: Sequence[tuple]):
+    """Integrate the ``keys`` that the replicas of ``pack`` have not kept:
+    the run and tangent keys of them all as one ``simulate_coupled`` batch,
+    each on its replica's noise path, the tangent solves carrying one
+    tangent system each; then the chain keys of each M as one lockstep
+    ``run_sgd`` call, each chain on its replica's batch stream.  Each is
+    kept under its key, a diverged one as its own error."""
+    todo = [(rep, key) for rep in pack for key in keys if key[0] != "chain" and key not in rep.results]
     if todo:
         try:
-            integrated = simulate_coupled([(rep.initial(*a[1:]), a[0]) for rep, _, a in todo],
-                                          pack[0].coeffs, pack[0].base, [rep.noise for rep, _, _ in todo],
-                                          tangent=[b for b, (_, key, _) in enumerate(todo) if key == ("tangent",)])
+            integrated = simulate_coupled([(rep.initial(*key[2:]), key[1]) for rep, key in todo],
+                                          pack[0].coeffs, pack[0].base, [rep.noise for rep, _ in todo],
+                                          tangent=[b for b, (_, key) in enumerate(todo) if key[0] == "tangent"])
         except _CELL_ERRORS as exc:
             integrated = [exc] * len(todo)
-        for (rep, key, _), result in zip(todo, integrated):
+        for (rep, key), result in zip(todo, integrated):
             rep.results[key] = result
     # the chains come after the runs' batch is freed: before it, a pack's
-    # chains (0.9 MB at the sgd-compare benchmark config) add to its peak
-    for m in map(int, chains):
-        todo = [rep for rep in pack if ("chain", m) not in rep.results]
+    # chains (0.9 MB at the sgd-compare benchmark config) add to its peak;
+    # every run and tangent key is kept by now
+    for key in keys:
+        todo = [rep for rep in pack if key not in rep.results]
         if todo:
+            m = key[1]
             batch = run_sgd(pack[0].coeffs, m, alpha=1.0 / m, batch_size=1,
                             n_steps=int(embedded_step(m, pack[0].config.horizon, up=True)),
                             seed=[rep.seed for rep in todo],
                             initial=np.stack([rep.initial(m, per_m=True).positions for rep in todo]))
-            for rep, kept in zip(todo, batch.chains()):
-                rep.results[("chain", m)] = kept
+            for rep, chain in zip(todo, batch.chains()):
+                rep.results[key] = chain
 
 
 def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int, metric, fn):
@@ -640,11 +638,10 @@ def _guarded_cell(rows: list, failures: list, experiment: str, param, seed: int,
     rows.extend((experiment, param, seed, name, value) for name, value in zip(names, values, strict=True))
 
 
-def _pack_rows(experiment: str, cells: Callable, runs: list, chains: list, pack: list) -> tuple[list, Counter, list]:
+def _pack_rows(experiment: str, cells: Callable, keys: list, pack: list) -> tuple[list, Counter, list]:
     """The rows, W2 backends and failures of the replicas of ``pack``, once
-    the ``runs`` of them all are integrated as one batch, and their
-    ``chains`` as one batch per M."""
-    _couple(pack, runs, chains=chains)
+    their ``keys`` are integrated (``_couple``)."""
+    _couple(pack, keys)
     rows, backends, failures = [], Counter(), []
     for rep in pack:
         for param, metric, fn in cells(rep):
@@ -653,35 +650,34 @@ def _pack_rows(experiment: str, cells: Callable, runs: list, chains: list, pack:
     return rows, backends, failures
 
 
-def _replica_packs(config: ExperimentConfig, stride: int, runs: list):
+def _replica_packs(config: ExperimentConfig, stride: int, keys: list):
     """Replica r on seed base_seed + r and snapshot ``stride``, consecutive
     replicas in packs, each pack made when it is asked for: as many as keep
-    the particle rows of ``runs`` within _PACK_ROWS (at least one), and at
-    least one pack per worker."""
-    rows = sum(_run_key(config, *a)[2] for a in runs)
+    the particle rows of the run and tangent ``keys`` within _PACK_ROWS (at
+    least one), and at least one pack per worker."""
+    rows = sum(key[2] for key in keys if key[0] != "chain")
     size = max(1, min(_PACK_ROWS // rows, -(-config.replicas // config.threads)))
     return ([Replica(config, config.base_seed + r, stride) for r in range(start, min(start + size, config.replicas))]
             for start in range(0, config.replicas, size))
 
 
-def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig, runs: list,
-                  packs: Iterable[list] | None = None, chains: Sequence[int] = ()) -> "ResultTable":
+def _run_replicas(experiment: str, cells: Callable, config: ExperimentConfig, keys: list,
+                  packs: Iterable[list] | None = None) -> "ResultTable":
     """A table of every replica's rows, in seed order.
 
-    ``runs`` lists the runs of every replica, and ``chains`` the M of its
-    SGD chains, named once for the experiment; ``cells(rep)`` lists the
-    (param, metric, thunk) grid cells of replica ``rep``, which read those
-    runs and chains, a cell of several metrics as a tuple of names, and each
-    becomes rows through _guarded_cell.  Replicas pack as ``_replica_packs``
-    makes them, with the snapshot stride of the config, or come in the given
-    ``packs``; a pack integrates its runs as one batch and its chains as one
-    batch per M (a no-op for what it has kept), then runs its cells before
-    the next is made, so memory holds one pack at a time.  Neither the packs
-    nor the worker count change a number.
+    ``keys`` lists what every replica integrates (see ``Replica``), named
+    once for the experiment; ``cells(rep)`` lists the (param, metric, thunk)
+    grid cells of replica ``rep``, which only read what those keys name, a
+    cell of several metrics as a tuple of names, and each becomes rows
+    through _guarded_cell.  Replicas pack as ``_replica_packs`` makes them,
+    with the snapshot stride of the config, or come in the given ``packs``;
+    a pack integrates its keys (``_couple``, a no-op for what it has kept),
+    then runs its cells before the next is made, so memory holds one pack at
+    a time.  Neither the packs nor the worker count change a number.
     """
     if packs is None:
-        packs = _replica_packs(config, config.snapshot_stride, runs)
-    per_pack = _parallel(partial(_pack_rows, experiment, cells, runs, list(chains)), packs, config.threads)
+        packs = _replica_packs(config, config.snapshot_stride, keys)
+    per_pack = _parallel(partial(_pack_rows, experiment, cells, keys), packs, config.threads)
     return ResultTable(config, [row for rows, _, _ in per_pack for row in rows],
                        w2_backends=sum((backends for _, backends, _ in per_pack), Counter()),
                        failures=[f for _, _, failures in per_pack for f in failures])
@@ -733,7 +729,7 @@ def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
 
 
 def _lln_runs(config: ExperimentConfig) -> list:
-    return [(eps,) for eps in (*config.eps_grid, 0.0)]
+    return [_run_key(config, eps) for eps in (*config.eps_grid, 0.0)]
 
 
 def _lln_cells(rep: Replica) -> list:
@@ -773,7 +769,7 @@ def exp_lln_rate(config: ExperimentConfig) -> ResultTable:
 
 
 def _particle_runs(eps: float, n_ref: int, config: ExperimentConfig) -> list:
-    return [*((eps, m, True) for m in map(int, config.m_grid)), (eps, n_ref)]
+    return [*(_run_key(config, eps, m, True) for m in config.m_grid), _run_key(config, eps, n_ref)]
 
 
 def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
@@ -823,12 +819,12 @@ def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
 # --------------------------------------------------------------------------
 
 
-def _clt_pack(runs: list, pack: list) -> list:
+def _clt_pack(keys: list, pack: list) -> list:
     """The ``results`` of each replica of a clt-rate ``pack`` once its eps
-    ``runs`` and tangent solves (the transport runs) are integrated as one
-    batch, each run kept, or the error it raised, for the box and then the
-    norms."""
-    _couple(pack, runs, tangent=True)
+    runs and tangent solves (the transport runs), its ``keys``, are
+    integrated as one batch, each run kept, or the error it raised, for the
+    box and then the norms."""
+    _couple(pack, keys)
     return [rep.results for rep in pack]
 
 
@@ -866,11 +862,10 @@ def _clt_cells(grid: SpectralGrid | None, rep: Replica) -> list:
 def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("eps_grid")
     _check_sobolev_order("sobolev_j", config.sobolev_j, len(config.mu0_low))
-    runs = [(eps,) for eps in config.eps_grid]
-    # the tangent solve is a transport run: it packs as the rows of run (0.0,);
+    keys = [*(_run_key(config, eps) for eps in config.eps_grid), _run_key(config, 0.0, kind="tangent")]
     # every pack is integrated before the box is sized, then runs its cells
-    packs = list(_replica_packs(config, config.clt_snapshot_stride, [*runs, (0.0,)]))
-    for pack, kept in zip(packs, _parallel(partial(_clt_pack, runs), packs, config.threads)):
+    packs = list(_replica_packs(config, config.clt_snapshot_stride, keys))
+    for pack, kept in zip(packs, _parallel(partial(_clt_pack, keys), packs, config.threads)):
         for rep, results in zip(pack, kept):
             rep.results = results
     if config.r_box is not None:
@@ -882,7 +877,7 @@ def exp_clt_rate(config: ExperimentConfig) -> ResultTable:
                            for pack in packs for rep in pack for run in rep.results.values()
                            if isinstance(run, Trajectory)), default=np.nan)
     grid = None if np.isnan(r_box) else SpectralGrid(r_box=r_box, k_max=config.k_max, j=config.sobolev_j)
-    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, runs, packs)
+    table = _run_replicas("clt-rate", partial(_clt_cells, grid), config, keys, packs)
     return _eps_rate_summary(table, "clt-rate", "sup_hneg_sq", r_box=r_box)
 
 
@@ -917,11 +912,9 @@ def _sgd_values(rep: Replica, m: int, panel: list) -> np.ndarray:
 
 
 def _sgd_runs(config: ExperimentConfig) -> list:
-    return [(1.0 / m, m, True) for m in map(int, config.m_grid)]
-
-
-def _sgd_chains(config: ExperimentConfig) -> list:
-    return [int(m) for m in config.m_grid]
+    """The eps = 1/M run at each M, then the SGD chain at each M."""
+    m_grid = [int(m) for m in config.m_grid]
+    return [*(_run_key(config, 1.0 / m, m, True) for m in m_grid), *(("chain", m) for m in m_grid)]
 
 
 def _sgd_cells(rep: Replica) -> list:
@@ -951,7 +944,7 @@ def _sgd_series(table: "ResultTable", phi_name: str, m_grid: Sequence[int]) -> n
 
 def exp_sgd_compare(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates()
-    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs(config), chains=_sgd_chains(config))
+    table = _run_replicas("sgd-compare", _sgd_cells, config, _sgd_runs(config))
     names = [phi.name for phi in _sgd_phi_panel(len(config.mu0_low))]
     for m in map(int, config.m_grid):
         # one read per M, so a replica that failed at this M drops out here only
@@ -1009,7 +1002,10 @@ def sgd_trend_gate(table: ResultTable, phi_name: str, m_grid: Sequence[int]) -> 
 
 
 def _commute_runs(n_ref: int, config: ExperimentConfig) -> list:
-    return [(float(min(config.alpha_grid)), n_ref), (0.0, n_ref)]
+    """The runs of the alpha grid and alpha = 0 at each M, then the smallest
+    alpha and alpha = 0 at the reference size."""
+    return [*(_run_key(config, alpha, m, True) for m in config.m_grid for alpha in (*config.alpha_grid, 0.0)),
+            _run_key(config, min(config.alpha_grid), n_ref), _run_key(config, 0.0, n_ref)]
 
 
 def _commute_cells(n_ref: int, rep: Replica) -> list:
@@ -1017,10 +1013,6 @@ def _commute_cells(n_ref: int, rep: Replica) -> list:
     alpha_min = float(min(rep.config.alpha_grid))
     cells = []
     for m in map(int, rep.config.m_grid):
-        # the one integration made in a cell: each M's runs are a batch of
-        # their own, since declared with the reference pair they would step
-        # as one segmented batch of mixed sizes, equal to these only to rounding
-        _couple([rep], [(alpha, m, True) for alpha in (*rep.config.alpha_grid, 0.0)])
         cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
                   for alpha in rep.config.alpha_grid]
         # alpha -> 0 edge at this M

@@ -179,6 +179,34 @@ class TestSimulate:
         assert alone.noise_meta == coupled.noise_meta == (noise.meta if eps else None)
         np.testing.assert_array_equal(alone.positions, coupled.positions)
 
+    @pytest.mark.parametrize("integrate", [
+        lambda ini, cfg, noise: simulate(ini, REF_COEFFS, cfg, noise),
+        lambda ini, cfg, noise: simulate_coupled([(ini, 0.05), (ini, 0.0)], REF_COEFFS, cfg, noise)[0],
+        lambda ini, cfg, noise: simulate_coupled([(ini, 0.0)], REF_COEFFS, cfg, noise, tangent=[0])[0],
+        lambda ini, cfg, noise: solve_tangent(ini.positions, REF_COEFFS, cfg, noise),
+        lambda ini, cfg, noise: picard_solve(ini, REF_COEFFS, cfg, noise, tol=1e-6, max_iter=2).trajectory,
+    ], ids=["simulate", "simulate_coupled", "simulate_coupled-tangent", "solve_tangent", "picard_solve"])
+    def test_recorded_times_are_whole_steps_of_dt(self, integrate):
+        """a snapshot's time is its step count times dt, not a running sum of
+        dt: 10 steps of 5e-3 are 0.05 and 580 steps of 1e-3 are 0.58, where
+        the sums read 0.049999999999999996 and 0.5800000000000004."""
+        ini = sample_initial(REF_SPEC, 4, 0)
+        for dt, n_steps, stride, index, time in ((5e-3, 10, 1, 10, 0.05), (1e-3, 580, 20, 29, 0.58)):
+            cfg = IntegratorConfig(dt=dt, horizon=n_steps * dt, eps=0.05, snapshot_stride=stride)
+            traj = integrate(ini, cfg, NoisePath(1, dt, n_steps, REF_COEFFS.n_channels))
+            assert traj.times[index] == time
+            np.testing.assert_array_equal(traj.times, np.arange(0, n_steps + 1, stride) * dt)
+
+    def test_picard_starts_at_the_initial_time(self):
+        """picard_solve records its times from the initial ensemble's clock,
+        as simulate does."""
+        ini = sample_initial(REF_SPEC, 4, 0)
+        ini.time = 1.0
+        cfg = IntegratorConfig(dt=1e-2, horizon=5e-2)
+        np.testing.assert_array_equal(picard_solve(ini, REF_COEFFS, cfg, None, tol=1e-6).trajectory.times,
+                                      simulate(ini, REF_COEFFS, cfg, None).times)
+        assert simulate(ini, REF_COEFFS, cfg, None).times[-1] == 1.0 + 5 * 1e-2
+
     def test_strong_order_richardson(self):
         """coupled self-comparison: the refinement gap halves (within 30%)
         when dt halves, averaged over seeds."""

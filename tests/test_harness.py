@@ -327,7 +327,8 @@ class TestLlnExperiment:
             assert exp_sgd_compare(replace(sgd, threads=threads)).rows == a.rows
         clt = reference_config(n_particles=20, eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.1,
                                clt_snapshot_stride=10, replicas=10, base_seed=14, k_max=32)
-        assert [len(p) for p in harness._replica_packs(replace(clt, threads=3), 10, [(0.0,)] * 4)] == [4, 4, 2]
+        packs = harness._replica_packs(replace(clt, threads=3), 10, [harness._run_key(clt, 0.0)] * 4)
+        assert [len(p) for p in packs] == [4, 4, 2]
         a = exp_clt_rate(clt)
         for threads in (2, 3):
             b = exp_clt_rate(replace(clt, threads=threads))
@@ -649,16 +650,16 @@ class TestSgdCompareExperiment:
             np.testing.assert_array_equal(at_once, per_resample)
 
     def test_cells_read_the_chain_at_each_snapshot_step(self):
-        """at dt 5e-3 the snapshot t = 0.05 accumulates to 0.049999999999999996,
-        whose float product with M = 20 falls below 1: the cell reads the
-        chain at step floor(M t) = 1 there, and at 2 at t = 0.1."""
+        """at dt 5e-3 and M = 20 the cell reads the chain at step
+        floor(M t) = 1 at the snapshot t = 0.05, recorded as 10 dt exactly,
+        and at 2 at t = 0.1."""
         cfg = reference_config(m_grid=(20,), dt=5e-3, horizon=0.1, snapshot_stride=10, replicas=10,
                                base_seed=13)
         rep = Replica(cfg, cfg.base_seed, cfg.snapshot_stride)
         panel = harness._sgd_phi_panel(2)
         values = harness._sgd_values(rep, 20, panel).reshape(3, len(panel), 2)   # (snapshot, phi, smfe|sgd)
         run, chain = rep.run(1 / 20, 20, True), rep.chain(20)
-        assert np.floor(20 * run.times[1]) == 0 and chain.n_steps == 2
+        assert run.times[1] == 0.05 and chain.n_steps == 2
         means = np.array([[phi.value(x) @ run.weights for phi in panel] for x in chain.positions])
         np.testing.assert_allclose(values[:, :, 1], means, rtol=1e-14)
         assert np.all(np.abs(means[1] - means[0]) > 1e-6)   # step 0 would read apart
@@ -687,7 +688,7 @@ class TestSgdCompareExperiment:
 def oracle_sgd_cells(rep: Replica) -> list:
     """The sgd-compare cells as one cell per (replica, M, metric), each
     reading its value from the replica's shared (replica, M) result."""
-    harness._couple([rep], [(1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
+    harness._couple([rep], [harness._run_key(rep.config, 1.0 / m, m, True) for m in map(int, rep.config.m_grid)])
     panel = harness._sgd_phi_panel(rep.coeffs.dim)
     metrics = [f"{kind}:{phi.name}:{s}" for s in harness._sgd_snapshots(rep.config)
                for phi in panel for kind in ("smfe", "sgd")]
@@ -718,8 +719,7 @@ class TestSgdCellsOracle:
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
                 tables.append(harness._run_replicas("sgd-compare", cells, FAILING_CFG,
-                                                    harness._sgd_runs(FAILING_CFG),
-                                                    chains=harness._sgd_chains(FAILING_CFG)))
+                                                    harness._sgd_runs(FAILING_CFG)))
             caught.append([str(w.message) for w in record])
         want, got = tables
         assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
@@ -735,34 +735,79 @@ def _particle_config(**overrides) -> ExperimentConfig:
                             horizon=0.05, snapshot_stride=5, replicas=10, base_seed=21, **overrides)
 
 
-class TestReplicaRunner:
-    """What the runner promises: one batch per pack (commute adds one per
-    (replica, M)), one pack in memory at a time, no more workers than packs,
-    and summary rows that stay quiet however few replicas survive."""
+def oracle_commute_cells(n_ref: int, rep: Replica) -> list:
+    """The commute cells as they were when each M's runs, its alpha grid and
+    alpha = 0, were integrated as a batch of their own while the cells were
+    listed, and only the reference pair was named to the runner."""
+    cell = partial(rep.sup_w2_sq, b=(0.0, n_ref))
+    alpha_min = float(min(rep.config.alpha_grid))
+    cells = []
+    for m in map(int, rep.config.m_grid):
+        harness._couple([rep], [harness._run_key(rep.config, alpha, m, True)
+                                for alpha in (*rep.config.alpha_grid, 0.0)])
+        cells += [(f"{m}:{alpha}", "sup_w2_sq", partial(cell, (float(alpha), m, True)))
+                  for alpha in rep.config.alpha_grid]
+        cells.append((f"{m}:0", "sup_w2_sq", partial(cell, (0.0, m, True))))
+    cells.append((f"ref:{alpha_min}", "sup_w2_sq", partial(cell, (alpha_min, n_ref, False))))
+    return cells
 
-    # (experiment, config, packs, extra batches); packs from the 4096-row
-    # budget over the named runs of a replica (threads 1):
+
+class TestCommuteCellsOracle:
+    """Commute's per-M runs named with the reference pair, against the
+    in-cell batches they replaced: bit for bit on the synthetic instance,
+    whose step takes one run at a time, and to rounding on the network,
+    whose runs of mixed sizes step as one segmented batch."""
+
+    @pytest.mark.parametrize("cfg, rtol", [
+        (_particle_config(m_grid=(10, 20, 40)), 0.0),
+        (reference_config(m_grid=(10, 20, 40), dt=5e-3, horizon=0.05, snapshot_stride=5, replicas=10,
+                          base_seed=24), 1e-12),
+    ], ids=["synthetic-1d", "network"])
+    def test_rows_match_the_in_cell_batches(self, cfg, rtol):
+        n_ref = 5 * max(cfg.m_grid)
+        want = harness._run_replicas("commute", partial(oracle_commute_cells, n_ref), cfg,
+                                     [harness._run_key(cfg, min(cfg.alpha_grid), n_ref),
+                                      harness._run_key(cfg, 0.0, n_ref)])
+        got = harness._run_replicas("commute", partial(harness._commute_cells, n_ref), cfg,
+                                    harness._commute_runs(n_ref, cfg))
+        assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
+        values = np.array([r[4] for r in got.rows])
+        assert values.size == 10 * (3 * 4 + 1) and np.all(values > 0)
+        if rtol:
+            np.testing.assert_allclose(values, [r[4] for r in want.rows], rtol=rtol, atol=0)
+        else:
+            assert got.rows == want.rows
+        assert got.w2_backends == want.w2_backends
+
+
+class TestReplicaRunner:
+    """What the runner promises: one batch per pack and none in a cell, one
+    pack in memory at a time, no more workers than packs, and summary rows
+    that stay quiet however few replicas survive."""
+
+    # (experiment, config, packs); packs from the 4096-row budget over the
+    # run and tangent keys of a replica (threads 1):
     CASES = {
         # 4 runs x 400 particles: 2 replicas a pack
-        "lln-rate": (exp_lln_rate, tiny_lln_config(n_particles=400, horizon=0.05), 5, 0),
+        "lln-rate": (exp_lln_rate, tiny_lln_config(n_particles=400, horizon=0.05), 5),
         # 100 + 200 + 400 rows: 5 replicas a pack
         "sgd-compare": (exp_sgd_compare, reference_config(
             m_grid=(100, 200, 400), dt=5e-3, horizon=0.05, snapshot_stride=5, replicas=10,
-            base_seed=22), 2, 0),
+            base_seed=22), 2),
         # 10 + 20 + 40 rows and the 800-atom reference: 4 replicas a pack
-        "particle-rate": (exp_particle_rate, _particle_config(m_grid=(10, 20, 40)), 3, 0),
+        "particle-rate": (exp_particle_rate, _particle_config(m_grid=(10, 20, 40)), 3),
         # 3 eps runs and the tangent solve of 400 particles: 2 replicas a pack
         "clt-rate": (exp_clt_rate, reference_config(
             n_particles=400, eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.05, clt_snapshot_stride=5,
-            replicas=10, base_seed=23, k_max=16), 5, 0),
-        # the 1000-atom reference pair: 2 replicas a pack; each (replica, M)
-        # integrates its own batch in its cells
-        "commute": (exp_commute, _particle_config(m_grid=(10, 20, 200)), 5, 10 * 3),
+            replicas=10, base_seed=23, k_max=16), 5),
+        # 4 runs at each M of 10 + 20 + 200 rows and the 1000-atom reference
+        # pair: one replica a pack
+        "commute": (exp_commute, _particle_config(m_grid=(10, 20, 200)), 10),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_one_batch_per_pack(self, name, monkeypatch):
-        run, cfg, packs, extra = self.CASES[name]
+        run, cfg, packs = self.CASES[name]
         calls = []
 
         def counted(*args, **kwargs):
@@ -772,12 +817,43 @@ class TestReplicaRunner:
         monkeypatch.setattr(harness, "simulate_coupled", counted)
         table = run(cfg)
         assert table.values("failed").size == 0
-        assert len(calls) == packs + extra
+        assert len(calls) == packs
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_no_cell_integrates(self, name, monkeypatch):
+        """no simulate_coupled or run_sgd call is made while a replica's cells
+        are listed or run (_guarded_cell): the packs integrate what the
+        experiment names before its cells read it."""
+        run, cfg, _ = self.CASES[name]
+        calls, per_cell = [], []
+        real_pack_rows = harness._pack_rows
+
+        def counted(real):
+            return lambda *args, **kwargs: calls.append(real) or real(*args, **kwargs)
+
+        def counting(fn):
+            """fn, appending to per_cell the integrations made while it runs."""
+            def wrapped(*args):
+                before = len(calls)
+                out = fn(*args)
+                per_cell.append(len(calls) - before)
+                return out
+            return wrapped
+
+        for integrator in ("simulate_coupled", "run_sgd"):
+            monkeypatch.setattr(harness, integrator, counted(getattr(harness, integrator)))
+        monkeypatch.setattr(harness, "_guarded_cell", counting(harness._guarded_cell))
+        monkeypatch.setattr(harness, "_pack_rows", lambda experiment, cells, *rest:
+                            real_pack_rows(experiment, counting(cells), *rest))
+        table = run(cfg)
+        assert table.values("failed").size == 0
+        assert calls and len(per_cell) > cfg.replicas
+        assert per_cell == [0] * len(per_cell)
 
     def test_one_sgd_call_per_pack_and_m(self, monkeypatch):
         """each pack runs its replicas' chains of one M in one lockstep
         run_sgd call, before its cells; no cell runs a chain."""
-        run, cfg, packs, _ = self.CASES["sgd-compare"]
+        run, cfg, packs = self.CASES["sgd-compare"]
         calls, per_cell = [], []
         real_run_sgd, real_guarded_cell = harness.run_sgd, harness._guarded_cell
 
@@ -803,7 +879,7 @@ class TestReplicaRunner:
     def test_a_pack_is_freed_before_the_next_integrates(self, name, monkeypatch):
         """weakrefs to a pack's replicas are dead by reference counting
         alone (the cycle collector off) once the next pack integrates."""
-        run, cfg, packs, _ = self.CASES[name]
+        run, cfg, packs = self.CASES[name]
         made, alive = [], []   # made: (batches so far, weakref) per replica
         real_init = Replica.__init__
 
@@ -1085,8 +1161,7 @@ class TestFailureRecording:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             table = experiment(cfg)
-        if experiment in (exp_clt_rate, exp_particle_rate):
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         failed = [r for r in table.rows if r[3] == "failed"]
         assert failed, "expected recorded failure rows"
         fit_rows = [s for s in table.summary if s.get("metric") == fit_metric]
