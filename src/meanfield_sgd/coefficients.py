@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,16 +47,27 @@ class CoefficientError(ValueError):
 
 def _as_measure(measure) -> tuple[np.ndarray, np.ndarray]:
     """Accept an EmpiricalMeasure / ParticleEnsemble / (atoms, weights) pair."""
-    if isinstance(measure, tuple):
-        atoms, weights = measure
-    else:
-        atoms = getattr(measure, "atoms", None)
-        if atoms is None:
-            atoms = measure.positions
-        weights = measure.weights
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    return atoms, weights
+    atoms, weights = measure if isinstance(measure, tuple) else (measure.atoms, measure.weights)
+    return np.atleast_2d(np.asarray(atoms, dtype=float)), np.asarray(weights, dtype=float)
+
+
+def _points(X, dim: int) -> np.ndarray:
+    """``X`` as float points (..., dim); points of another dimension raise
+    CoefficientError."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[-1] != dim:
+        raise CoefficientError(f"parameter dimension {X.shape[-1]} != expected {dim}")
+    return X
+
+
+def _zeros(X, *_) -> np.ndarray:
+    """The hook of a term left out: zero at every point of ``X``."""
+    return np.zeros(X.shape)
+
+
+def _zero_channels(n_channels: int, X, *_) -> np.ndarray:
+    """The noise hook left out: zero in every channel, (N, P, d)."""
+    return np.zeros((X.shape[0], n_channels, X.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,7 @@ class Dataset:
                 warnings.warn(f"data weights sum to {total:.6f}; renormalizing to 1", stacklevel=2)
                 weights = weights / total
             else:
-                raise CoefficientError(f"weights must sum to 1, or to within [0.99, 1.01] (got {total!r})")
+                raise CoefficientError(f"weights must sum to 1, or to within [0.99, 1.01] (got {float(total)!r})")
         return cls(atoms=atoms, weights=weights, labels=labels)
 
     @classmethod
@@ -216,11 +228,7 @@ class NetworkCoefficients:
         return self._w
 
     def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[-1] != self.dim:
-            raise CoefficientError(
-                f"parameter dimension {X.shape[-1]} != expected {self.dim}"
-            )
+        X = _points(X, self.dim)
         return X[..., 0], X[..., 1:]
 
     def _preactivation(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,6 +499,7 @@ class NetworkCoefficients:
         preds = self.feature_matrix(params).mean(axis=0)
         return float(self._w @ (self._f - preds) ** 2)
 
+
 class SyntheticCoefficients:
     """User-supplied batch evaluators for degenerate or analytic cases.
 
@@ -509,8 +518,10 @@ class SyntheticCoefficients:
     * ``vtilde_y_apply(X, base, tangents)`` -- (1/N) sum_j
       grad_y Vtilde(x_i, base_j) . tangent_j, (N, d).
 
-    The last two are the linearisations the tangent system needs; the
-    methods of the same names only turn the measure into (atoms, weights).
+    The last two are the linearisations the tangent system needs.  The
+    public methods check their points (of dimension ``dim``, or
+    CoefficientError) and turn the measure into (atoms, weights); the step
+    and the pairings hand the hooks each run's arrays as they are.
     ``loss`` needs a network and is rejected.
     """
 
@@ -533,11 +544,11 @@ class SyntheticCoefficients:
             channel_weights = np.full(self._n_channels, 1.0 / self._n_channels)
         self._weights = check_weights("channel_weights", channel_weights, self._n_channels, CoefficientError)
         self._sqrt_w = np.sqrt(self._weights)
-        self._v_bar_batch = v_bar_batch
-        self._v_tilde_mean_batch = v_tilde_mean_batch
-        self._g_batch = g_batch
-        self._drift_jacobian_apply = drift_jacobian_apply
-        self._vtilde_y_apply = vtilde_y_apply
+        self._v_bar_batch = v_bar_batch or _zeros
+        self._v_tilde_mean_batch = v_tilde_mean_batch or _zeros
+        self._g_batch = g_batch or partial(_zero_channels, self._n_channels)
+        self._drift_jacobian_apply = drift_jacobian_apply or _zeros
+        self._vtilde_y_apply = vtilde_y_apply or _zeros
 
     @property
     def dim(self) -> int:
@@ -551,39 +562,52 @@ class SyntheticCoefficients:
     def channel_weights(self) -> np.ndarray:
         return self._weights
 
-    def drift(self, X: np.ndarray, measure) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros((X.shape[0], self._dim))
-        if self._v_bar_batch is not None:
-            out += np.asarray(self._v_bar_batch(X), dtype=float)
-        if self._v_tilde_mean_batch is not None:
-            atoms, weights = _as_measure(measure)
-            out += np.asarray(self._v_tilde_mean_batch(X, atoms, weights), dtype=float)
+    # --- array evaluators: points X (N, d) in the environment (atoms, weights)
+
+    def _drift(self, X, atoms, weights) -> np.ndarray:
+        return np.add(self._v_bar_batch(X), self._v_tilde_mean_batch(X, atoms, weights), dtype=float)
+
+    def _noise_matrix(self, X, atoms, weights) -> np.ndarray:
+        return np.asarray(self._g_batch(X, atoms, weights), dtype=float)
+
+    def _noise_increment(self, X, atoms, weights, dB) -> np.ndarray:
+        return np.einsum("npd,p->nd", self._noise_matrix(X, atoms, weights), self._sqrt_w * dB)
+
+    def _increment(self, X, atoms, weights, dt, eps, dB) -> np.ndarray:
+        out = self._drift(X, atoms, weights) * dt
+        if eps > 0.0:
+            out = out + np.sqrt(eps) * self._noise_increment(X, atoms, weights, dB)
         return out
 
+    # --- point methods -------------------------------------------------------
+
+    def drift(self, X: np.ndarray, measure) -> np.ndarray:
+        return self._drift(_points(X, self._dim), *_as_measure(measure))
+
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._g_batch is None:
-            return np.zeros((X.shape[0], self._n_channels, self._dim))
-        return np.asarray(self._g_batch(X, *_as_measure(measure)), dtype=float)
+        return self._noise_matrix(_points(X, self._dim), *_as_measure(measure))
 
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
-        G = self.noise_matrix(X, measure)
-        return np.einsum("npd,p->nd", G, self._sqrt_w * dB)
+        return self._noise_increment(_points(X, self._dim), *_as_measure(measure), dB)
 
     def increment(self, X: np.ndarray, measure, dt: float, eps: float,
                   dB: np.ndarray | None) -> np.ndarray:
         """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p."""
-        out = self.drift(X, measure) * dt
-        if eps > 0.0:
-            out = out + np.sqrt(eps) * self.noise_increment(X, measure, dB)
-        return out
+        return self._increment(_points(X, self._dim), *_as_measure(measure), dt, eps, dB)
+
+    def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
+        return np.asarray(self._drift_jacobian_apply(_points(X, self._dim), _points(Y, self._dim),
+                                                     *_as_measure(measure)), dtype=float)
+
+    def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+        return np.asarray(self._vtilde_y_apply(*(_points(a, self._dim) for a in (X, base, tangents))),
+                          dtype=float)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray, Y: np.ndarray | None = None, offsets: np.ndarray | None = None,
                      carriers: Sequence[int] = ()):
         """``NetworkCoefficients.coupled_step`` through the hooks: run b
-        moves by its own ``increment`` in its own environment, on its own
+        moves by its own increment in its own environment, on its own
         increment row ``dB[b]``, and so does the tangent of each carrier, so
         every run is its own step bit for bit.  A (B, N, d) batch is read as
         its (B N, d) reshape."""
@@ -595,17 +619,16 @@ class SyntheticCoefficients:
         for b, e in enumerate(eps):
             rows = slice(offsets[b], offsets[b + 1])
             x = X[rows]
-            newX[rows] = x + self.increment(x, (x, weights[rows]), dt, e, dB[b])
+            newX[rows] = x + self._increment(x, x, weights[rows], dt, e, dB[b])
         newX = newX.reshape(shape)
         if Y is None:
             return newX
         newY = np.empty(Y.shape)
         for k, b in enumerate(carriers):
-            x = X[offsets[b]:offsets[b + 1]]
-            mu = (x, weights[offsets[b]:offsets[b + 1]])
-            jac = self.drift_jacobian_apply(x, Y[k], mu)
-            inter = self.vtilde_y_apply(x, x, Y[k])
-            newY[k] = Y[k] + (jac + inter) * dt + self.noise_increment(x, mu, dB[b])
+            rows = slice(offsets[b], offsets[b + 1])
+            x, w = X[rows], weights[rows]
+            jac, inter = self._drift_jacobian_apply(x, Y[k], x, w), self._vtilde_y_apply(x, x, Y[k])
+            newY[k] = Y[k] + np.add(jac, inter, dtype=float) * dt + self._noise_increment(x, x, w, dB[b])
         return newX, newY
 
     def weak_pairings(self, X: np.ndarray, weights: np.ndarray, grads: np.ndarray,
@@ -615,30 +638,14 @@ class SyntheticCoefficients:
         F, S, N, d = grads.shape
         drift, channels, ito = np.empty((S, F)), np.empty((S, F, self._n_channels)), np.empty((S, F))
         for s, x in enumerate(X):
-            mu = (x, weights)
-            drift[s] = grads[:, s].reshape(F, -1) @ (weights[:, None] * self.drift(x, mu)).reshape(-1)
+            drift[s] = grads[:, s].reshape(F, -1) @ (weights[:, None] * self._drift(x, x, weights)).reshape(-1)
             if hess is None:
                 continue
-            G = self.noise_matrix(x, mu)                                    # (N, P, d)
+            G = self._noise_matrix(x, x, weights)                           # (N, P, d)
             wG = weights[:, None, None] * G
             channels[s] = np.tensordot(grads[:, s], wG, axes=([1, 2], [0, 2]))
             ito[s] = hess[:, s].reshape(F, -1) @ np.einsum("npk,p,npl->nkl", wG, self._weights, G).reshape(-1)
         return (drift, None, None) if hess is None else (drift, channels, ito)
-
-    def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self._drift_jacobian_apply is None:
-            return np.zeros_like(Y)
-        return np.asarray(self._drift_jacobian_apply(X, Y, *_as_measure(measure)), dtype=float)
-
-    def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._vtilde_y_apply is None:
-            return np.zeros((X.shape[0], self._dim))
-        base = np.atleast_2d(np.asarray(base, dtype=float))
-        tangents = np.atleast_2d(np.asarray(tangents, dtype=float))
-        return np.asarray(self._vtilde_y_apply(X, base, tangents), dtype=float)
 
     def loss(self, params):
         raise CoefficientError("loss requires network mode coefficients")

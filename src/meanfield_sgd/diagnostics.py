@@ -333,7 +333,7 @@ def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
     (the whole run by default) must hold a step.
     """
     if not traj.is_full_resolution:
-        raise ValueError("qv check needs a full-resolution trajectory")
+        raise ValueError(f"traj must be a full-resolution trajectory (got snapshot_stride {traj.snapshot_stride})")
     phis = check_panel(panel)
     dt = traj.dt
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
@@ -455,7 +455,7 @@ def min_pairwise_distance(traj: Trajectory) -> tuple[np.ndarray, float]:
 def moment_track(traj: Trajectory, p: int) -> tuple[float, float]:
     """sup over snapshots of <|x|^p, mu_t> and its ratio to 1 + initial."""
     if p not in (2, 4):
-        raise ValueError("moment order p must be 2 or 4")
+        raise ValueError(f"p must be 2 or 4 (got {p!r})")
     norms2 = np.einsum("snd,snd->sn", traj.positions, traj.positions)
     moments = (norms2 if p == 2 else norms2**2) @ traj.weights     # (S,)
     sup = float(moments.max())

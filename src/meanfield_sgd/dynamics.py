@@ -107,7 +107,8 @@ class ParticleEnsemble:
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.positions.shape[0],):
-            raise ValueError("one weight per particle required")
+            raise ValueError(f"weights must be one per particle (got shape {self.weights.shape} "
+                             f"for {self.positions.shape[0]} particles)")
 
     @classmethod
     def uniform(cls, positions: np.ndarray) -> "ParticleEnsemble":
@@ -116,14 +117,6 @@ class ParticleEnsemble:
             raise ValueError(f"positions must be at least one point (got shape {positions.shape})")
         n = positions.shape[0]
         return cls(positions, np.full(n, 1.0 / n))
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
 
     def as_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.positions, self.weights)
@@ -213,7 +206,7 @@ def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     and the same increment row (common noise).  A one-run ``coupled_step``."""
     if cfg.eps > 0.0:
         if dB is None:
-            raise SimulationError("eps > 0 requires a noise increment row")
+            raise SimulationError("dB must be a noise increment row when eps > 0")
         dB = np.asarray(dB, dtype=float)
         if dB.shape != (coeffs.n_channels,):
             raise SimulationError(
@@ -244,7 +237,7 @@ def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig, coeffs) -> np.nd
     """The increment rows of ``noise``, after checking that it can drive ``cfg``
     on the channels of ``coeffs``."""
     if noise is None:
-        raise SimulationError("a noisy run requires a NoisePath")
+        raise SimulationError("noise must be a NoisePath for a noisy run")
     if noise.n_channels != coeffs.n_channels:
         raise SimulationError(
             f"noise path has {noise.n_channels} channels, expected {coeffs.n_channels}"
@@ -493,7 +486,7 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
     elif not (isinstance(seed, Sequence) and len(seed) == X.shape[0]):
         raise ValueError(f"seed must be {X.shape[0]} seeds, one per chain of initial (got {seed!r})")
     if X.shape[1:] != (n_particles, coeffs.dim):
-        raise ValueError(f"initial parameters must have shape ({n_particles}, {coeffs.dim})")
+        raise ValueError(f"initial must be of shape ({n_particles}, {coeffs.dim}) per chain (got {X.shape[1:]})")
     # every step's batch in one draw per chain, the stream of one draw per step
     batches = np.stack([seeded_rng(s, "sgd-batches").choice(coeffs.n_channels, size=(n_steps, batch_size),
                                                             p=coeffs.channel_weights) for s in seed], 1)
@@ -524,15 +517,17 @@ class PicardResult:
 def _solve_frozen(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
                   rows: np.ndarray | None, frozen: np.ndarray,
                   frozen_weights: np.ndarray) -> np.ndarray:
-    """Linear solve with the measure path frozen to ``frozen[step]``."""
+    """Linear solve with the measure path frozen to ``frozen[step]``; a
+    diverging solve raises SimulationError at its first non-finite state."""
 
     def advance(X, step):
         dB = None if rows is None else rows[step]
         newX = X + coeffs.increment(X, (frozen[step], frozen_weights), cfg.dt, cfg.eps, dB)
-        _check_finite(newX, step + 1, (step + 1) * cfg.dt)
+        _check_finite(newX, step + 1, initial.time + (step + 1) * cfg.dt)
         return newX
 
-    (path,) = _integrate(initial.positions, advance, cfg.n_steps, 1, lambda X: (X,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (path,) = _integrate(initial.positions, advance, cfg.n_steps, 1, lambda X: (X,))
     return path
 
 

@@ -47,7 +47,7 @@ class TangentEnsemble:
         self.base = np.atleast_2d(np.asarray(self.base, dtype=float))
         self.tangents = np.atleast_2d(np.asarray(self.tangents, dtype=float))
         if self.base.shape != self.tangents.shape:
-            raise ValueError("base points and tangents must have matching shape")
+            raise ValueError(f"tangents must be of the shape of base {self.base.shape} (got {self.tangents.shape})")
 
     @classmethod
     def at_rest(cls, base: np.ndarray) -> "TangentEnsemble":
@@ -142,9 +142,9 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     ):
         raise ValueError("snapshot grids of the two trajectories do not match")
     if abs(traj_eps.dt - traj_zero.dt) > 1e-15:
-        raise ValueError("trajectories use different time steps")
+        raise ValueError(f"traj_zero must have the time step of traj_eps (got {traj_zero.dt!r} and {traj_eps.dt!r})")
     if not np.array_equal(traj_eps.positions[0], traj_zero.positions[0]):
-        raise ValueError("trajectories do not share initial atoms")
+        raise ValueError("traj_zero must start from the initial atoms of traj_eps")
     return FluctuationPath(times=traj_eps.times.copy(), positions=traj_eps.positions,
                            reference=traj_zero.positions, eps=eps)
 
@@ -173,7 +173,7 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
     since the coupled runs share their atoms and the tangents start at rest.
     """
     if not eta_paths:
-        raise ValueError("clt_distance needs at least one fluctuation path")
+        raise ValueError("eta_paths must be at least one fluctuation path")
     transport, tangents = tangent_traj.positions, tangent_traj.tangents
     if tangents is None:
         raise ValueError("tangents must be set: clt_distance reads a solve_tangent trajectory")
@@ -227,7 +227,8 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
     if tangent_traj.tangents is None:
         raise ValueError("tangents must be set: weak_residual_linear reads a solve_tangent trajectory")
     if tangent_traj.snapshot_stride != 1:
-        raise ValueError("weak residual needs a full-resolution tangent trajectory")
+        raise ValueError(f"tangent_traj must be a full-resolution trajectory (got snapshot_stride "
+                         f"{tangent_traj.snapshot_stride})")
     if tangent_traj.noise_meta != noise.meta:
         raise ValueError("noise does not match the trajectory provenance")
     n_steps = tangent_traj.n_snapshots - 1

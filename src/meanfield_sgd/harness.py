@@ -132,9 +132,6 @@ class ExperimentConfig:
                 and len({kv[0] for kv in params}) == len(params)):
             raise ValueError(f"synthetic_params must be (name, finite number) pairs with distinct names "
                              f"from {list(_SYNTHETIC_PARAMS)} (got {params!r})")
-        if self.instance == "network" and not (self.dataset_rows or self.dataset_file):
-            raise ValueError("dataset_rows must be non-empty, or dataset_file given, "
-                             "for a network instance")
         for name in ("eps_grid", "m_grid", "alpha_grid", "mu0_low", "mu0_high"):
             grid = getattr(self, name)
             if not (isinstance(grid, (tuple, list)) and all(map(is_real, grid))):
@@ -151,18 +148,9 @@ class ExperimentConfig:
         if not (isinstance(rows, (tuple, list))
                 and all(isinstance(row, (tuple, list)) and all(map(is_real, row)) for row in rows)):
             raise ValueError(f"dataset_rows must be a sequence of rows of numbers (got {rows!r})")
-        lengths = {len(row) for row in rows}
-        if len(lengths) > 1 or min(lengths, default=3) < 3:
-            raise ValueError("dataset_rows must be rows of one length >= 3: theta.., weight, label")
         check_box(self.mu0_low, self.mu0_high, ("mu0_low", "mu0_high"))
-        # the parameter dimension: 1, or the data's width minus its weight and
-        # label columns, plus the output weight
-        if self.instance == "synthetic-1d":
-            dim = 1
-        elif self.dataset_file:
-            dim = _read_dataset_file(self.dataset_file).input_dim + 1
-        else:
-            dim = lengths.pop() - 1
+        # the parameter dimension: 1, or the data's input width plus the output weight
+        dim = 1 if self.instance == "synthetic-1d" else _dataset(self).input_dim + 1
         if len(self.mu0_low) != dim:
             raise ValueError(f"mu0_low must be of length {dim}, the parameter dimension "
                              f"(got {len(self.mu0_low)})")
@@ -225,25 +213,22 @@ def reference_config(**overrides) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _read_dataset_file(path: str) -> Dataset:
-    """The dataset of a delimited text file; one that cannot be read, or is
-    no table of (theta.., weight, label) rows, raises ValueError naming
-    dataset_file."""
+def _dataset(cfg: ExperimentConfig) -> Dataset:
+    """The dataset of ``dataset_file``, else of ``dataset_rows``; one that
+    cannot be read, or is no table of (theta.., weight, label) rows whose
+    weights sum to 1, raises ValueError naming the field it came from."""
+    name, read = ("dataset_file", Dataset.from_file) if cfg.dataset_file else ("dataset_rows", Dataset.from_rows)
     try:
-        return Dataset.from_file(path)
+        return read(getattr(cfg, name))
     except (OSError, ValueError) as exc:
-        raise ValueError(f"dataset_file must be a readable table of rows (theta.., weight, label) "
-                         f"of numbers (got {path!r}: {exc})") from exc
+        raise ValueError(f"{name} must be a table of rows (theta.., weight, label) of numbers "
+                         f"(got {getattr(cfg, name)!r}: {exc})") from exc
 
 
 def build_coefficients(cfg: ExperimentConfig):
     if cfg.instance == "synthetic-1d":
         return _synthetic_1d(**dict(cfg.synthetic_params))
-    if cfg.dataset_file:
-        data = _read_dataset_file(cfg.dataset_file)
-    else:
-        data = Dataset.from_rows(np.asarray(cfg.dataset_rows, dtype=float))
-    return NetworkCoefficients(data, ACTIVATIONS[cfg.activation])
+    return NetworkCoefficients(_dataset(cfg), ACTIVATIONS[cfg.activation])
 
 
 def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoefficients:
@@ -422,7 +407,7 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
     params = np.asarray(params, dtype=float)
     matrix = np.atleast_2d(np.asarray(values, dtype=float))
     if matrix.shape[1] != params.size:
-        raise ValueError("values do not match the parameter grid")
+        raise ValueError(f"values must be one column per parameter (got {matrix.shape[1]} for {params.size})")
     means = matrix.mean(axis=0)
     mask = means > 0
     if not np.all(mask):
@@ -794,7 +779,8 @@ def _particle_cells(eps: float, n_ref: int, rep: Replica) -> list:
 def exp_particle_rate(config: ExperimentConfig) -> ResultTable:
     config.validate_for_rates("m_grid")
     if config.instance != "synthetic-1d":
-        raise ValueError("the particle-rate experiment runs on the 1-d synthetic instance")
+        raise ValueError(f"instance must be synthetic-1d: the particle-rate experiment runs on the 1-d "
+                         f"synthetic instance (got {config.instance!r})")
     if np.any(np.asarray(config.mu0_high) <= np.asarray(config.mu0_low)):
         raise ValueError(f"mu0_high must be > mu0_low: the initial law is compared with a "
                          f"uniform one (got mu0_low={config.mu0_low!r}, mu0_high={config.mu0_high!r})")

@@ -93,17 +93,17 @@ class SignedAtomicField:
 
     def __init__(self, kind: str, atoms: np.ndarray, payload: np.ndarray):
         if kind not in ("atomic", "tangent"):
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise ValueError(f"kind must be 'atomic' or 'tangent' (got {kind!r})")
         self.kind = kind
         self.atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         payload = np.asarray(payload, dtype=float)
         if kind == "atomic":
             if payload.shape != (self.atoms.shape[0],):
-                raise ValueError("atomic field needs one signed weight per atom")
+                raise ValueError(f"payload must be one signed weight per atom (got shape {payload.shape})")
         else:
             payload = np.atleast_2d(payload)
             if payload.shape != self.atoms.shape:
-                raise ValueError("tangent field needs one tangent vector per base point")
+                raise ValueError(f"payload must be one tangent vector per base point (got shape {payload.shape})")
         self.payload = payload
 
     @classmethod
@@ -302,7 +302,7 @@ def w2_sup(a: SortedAtoms, b: SortedAtoms) -> tuple[float, str]:
 def moment(mu: EmpiricalMeasure, p: int) -> float:
     """<|x|^p, mu> for p in {2, 4}."""
     if p not in (2, 4):
-        raise ValueError("moment order p must be 2 or 4")
+        raise ValueError(f"p must be 2 or 4 (got {p!r})")
     norms2 = np.einsum("nd,nd->n", mu.atoms, mu.atoms)
     return float(mu.weights @ (norms2 if p == 2 else norms2**2))
 
@@ -462,7 +462,7 @@ def sobolev_neg_norm_diff(
 ) -> float:
     """H^{-J} norm of field_a - field_b without forming the combined field."""
     if field_a.dim != field_b.dim:
-        raise ValueError("field dimension mismatch")
+        raise ValueError(f"field_b must be of the dimension of field_a (got {field_b.dim} and {field_a.dim})")
     lattice = HalfLattice(grid, field_a.dim)
     lattice.warn_tail()
     return float(lattice.norms(lattice.coefficients(field_a) - lattice.coefficients(field_b)))

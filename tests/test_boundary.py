@@ -27,13 +27,15 @@ from hypothesis import strategies as st
 from meanfield_sgd import dynamics
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import CoefficientError, Dataset, SyntheticCoefficients
-from meanfield_sgd.diagnostics import f_n_functional, gaussian_bump, standard_panel, trig_wave
+from meanfield_sgd.diagnostics import (f_n_functional, gaussian_bump, moment_track, qv_check_panel, standard_panel,
+                                       trig_wave)
 from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError,
-                                    picard_solve, run_sgd, sample_initial, simulate, simulate_coupled)
-from meanfield_sgd.fluctuations import eta_eps
+                                    picard_solve, run_sgd, sample_initial, simulate, simulate_coupled,
+                                    step_interacting)
+from meanfield_sgd.fluctuations import TangentEnsemble, clt_distance, eta_eps, weak_residual_linear
 from meanfield_sgd.harness import (ExperimentConfig, Replica, build_coefficients, build_initial_spec,
-                                   reference_config)
-from meanfield_sgd.measures import EmpiricalMeasure, SpectralGrid
+                                   exp_particle_rate, fit_slope, reference_config)
+from meanfield_sgd.measures import EmpiricalMeasure, SignedAtomicField, SpectralGrid, sobolev_neg_norm_diff
 
 nan, inf = float("nan"), float("inf")
 
@@ -262,6 +264,33 @@ def test_direct_call_succeeds_or_names_its_argument(call):
     (lambda: gaussian_bump([0.0, 0.0], 1e-200), "width", ValueError),
     (lambda: IntegratorConfig(dt=0.01, horizon=1e-12), "horizon", ValueError),
     (lambda: IntegratorConfig(dt=1e308, horizon=0.02), "horizon", ValueError),
+    (lambda: Dataset(atoms=[[0.0], [1.0]], weights=[1.0], labels=[0.0, 0.0]), "weights", CoefficientError),
+    (lambda: Dataset(atoms=[[0.0], [1.0]], weights=[0.5, 0.5], labels=[0.0]), "labels", CoefficientError),
+    (lambda: ParticleEnsemble(np.zeros((3, 2)), np.full(2, 0.5)), "weights", ValueError),
+    (lambda: step_interacting(ENS, COEFFS, replace(CFG, eps=0.01), None), "dB", SimulationError),
+    (lambda: simulate(ENS, COEFFS, replace(CFG, eps=0.01), None), "noise", SimulationError),
+    (lambda: simulate_coupled([(ENS, 0.01), (ENS, 0.0)], COEFFS, CFG, [NOISE]), "noise", ValueError),
+    (lambda: run_sgd(SyntheticCoefficients(dim=2), 3, 0.1, 1, 2, 0, ENS.positions), "coeffs", ValueError),
+    (lambda: run_sgd(COEFFS, 4, 0.1, 1, 2, 0, ENS.positions), "initial", ValueError),
+    (lambda: TangentEnsemble(np.zeros((3, 2)), np.zeros((2, 2))), "tangents", ValueError),
+    (lambda: eta_eps(RUN, replace(RUN0, dt=0.02), 0.01), "traj_zero", ValueError),
+    (lambda: eta_eps(RUN, replace(RUN0, positions=RUN0.positions + 1.0), 0.01), "traj_zero", ValueError),
+    (lambda: clt_distance([], RUN0, SpectralGrid(2.0, 8, 5)), "eta_paths", ValueError),
+    (lambda: weak_residual_linear(replace(RUN0, tangents=np.zeros_like(RUN0.positions), snapshot_stride=2),
+                                  COEFFS, NOISE, standard_panel(2)), "tangent_traj", ValueError),
+    (lambda: qv_check_panel(replace(RUN, snapshot_stride=2), COEFFS, standard_panel(2)), "traj", ValueError),
+    (lambda: moment_track(RUN, 3), "p", ValueError),
+    (lambda: SignedAtomicField("signed", np.zeros((2, 2)), np.zeros(2)), "kind", ValueError),
+    (lambda: SignedAtomicField.atomic(np.zeros((3, 2)), np.zeros(2)), "payload", ValueError),
+    (lambda: SignedAtomicField.tangent(np.zeros((3, 2)), np.zeros((2, 2))), "payload", ValueError),
+    (lambda: sobolev_neg_norm_diff(SignedAtomicField.atomic(np.zeros((1, 2)), [1.0]),
+                                   SignedAtomicField.atomic(np.zeros((1, 1)), [1.0]), SpectralGrid(2.0, 8, 5)),
+     "field_b", ValueError),
+    (lambda: fit_slope([1.0, 2.0, 3.0], [1.0, 2.0]), "values", ValueError),
+    (lambda: exp_particle_rate(reference_config(replicas=10)), "instance", ValueError),
+    (lambda: reference_config(dataset_rows=((0.0, 2.0, 1.0),)), "dataset_rows", ValueError),
+    (lambda: reference_config(dataset_rows=((0.0, 1.0, nan),)), "dataset_rows", ValueError),
+    (lambda: reference_config(dataset_rows=((0.0, 0.5, 1.0), (1.0, 0.5))), "dataset_rows", ValueError),
 ], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
         "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
         "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
@@ -269,7 +298,15 @@ def test_direct_call_succeeds_or_names_its_argument(call):
         "picard-string-tol", "integrator-step-count-overflow", "config-horizon-off-the-grid",
         "config-int-dataset-file", "sgd-negative-seed", "ragged-rows", "weight-above-one",
         "rows-beyond-float", "bump-width-squared-overflows", "bump-width-squared-underflows",
-        "integrator-horizon-below-one-step", "integrator-dt-beyond-the-horizon"])
+        "integrator-horizon-below-one-step", "integrator-dt-beyond-the-horizon", "dataset-one-weight-two-atoms",
+        "dataset-one-label-two-atoms", "ensemble-two-weights-three-particles", "step-noisy-without-increments",
+        "simulate-noisy-without-path", "coupled-one-path-two-runs", "sgd-synthetic-coefficients",
+        "sgd-initial-of-another-size", "tangents-of-another-shape", "eta-different-time-steps",
+        "eta-different-initial-atoms", "clt-distance-no-paths", "weak-linear-subsampled-tangents",
+        "qv-subsampled-run", "moment-track-odd-order", "field-unknown-kind", "atomic-field-weight-count",
+        "tangent-field-vector-count", "norm-diff-of-two-dimensions", "slope-values-off-the-grid",
+        "particle-rate-on-a-network", "config-rows-weights-sum-to-2", "config-rows-nan-label",
+        "config-ragged-rows"])
 def test_fault_is_refused_naming_its_argument(make, field, error):
     with pytest.raises(error, match=rf"^{field} must"):
         make()
@@ -330,6 +367,28 @@ def test_cli_simulate_refuses_a_negative_eps(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("meanfield-sgd simulate: error: eps must")
     assert not (tmp_path / "out" / "trajectory.txt").exists()
+
+
+def test_cli_refuses_rows_weighing_2_before_any_output(tmp_path, capsys):
+    """rows whose weights sum to 2 are refused naming dataset_rows when the
+    config is built, before the output directory is made; they used to
+    build a config and fail at the first coefficient build naming weights."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_rows": [[0.0, 2.0, 1.0]], "n_particles": 3, "horizon": 0.01}))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("meanfield-sgd simulate: error: dataset_rows must") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_rows_are_renormalized_when_the_config_is_built():
+    """rows and a file weigh alike: a sum in [0.99, 1.01] warns and is
+    renormalized when the config is built."""
+    with pytest.warns(UserWarning, match="renormalizing to 1"):
+        cfg = reference_config(dataset_rows=((-1.0, 0.5, 0.0), (1.0, 0.499, 0.5)))
+    with pytest.warns(UserWarning, match="renormalizing to 1"):
+        weights = build_coefficients(cfg).channel_weights
+    np.testing.assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-15)
 
 
 def test_positive_horizon_of_zero_steps_is_refused():

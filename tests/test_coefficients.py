@@ -5,6 +5,9 @@ else is checked against an independent oracle (finite differences or a
 direct re-summation written differently from the library path).
 """
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import paper_forms as pf
+from meanfield_sgd import coefficients
 from meanfield_sgd.coefficients import (
     ACTIVATIONS,
     CoefficientError,
@@ -19,8 +23,10 @@ from meanfield_sgd.coefficients import (
     NetworkCoefficients,
     SyntheticCoefficients,
 )
-from meanfield_sgd.dynamics import ParticleEnsemble
-from meanfield_sgd.harness import build_coefficients, reference_config
+from meanfield_sgd.diagnostics import smfe_weak_residual_panel, standard_panel
+from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, ParticleEnsemble, sample_initial,
+                                    simulate_coupled)
+from meanfield_sgd.harness import _synthetic_1d, build_coefficients, reference_config
 
 
 def single_atom_identity():
@@ -409,3 +415,77 @@ class TestBiasFlag:
                      - minus[0] * np.tanh(minus[1] * theta + minus[2])) / (2 * h)
         np.testing.assert_allclose(coeffs.grad_feature_matrix(x)[0, 0], fd, rtol=1e-6)
         np.testing.assert_allclose(pf.feature(coeffs, x, 0)[1:], fd, rtol=1e-6)
+
+
+SYNTHETIC_1D = build_coefficients(reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,)))
+POINT_METHODS = {
+    "drift": lambda c, X, mu: c.drift(X, mu),
+    "noise_matrix": lambda c, X, mu: c.noise_matrix(X, mu),
+    "noise_increment": lambda c, X, mu: c.noise_increment(X, mu, np.full(c.n_channels, 0.1)),
+    "increment": lambda c, X, mu: c.increment(X, mu, 0.01, 0.1, np.full(c.n_channels, 0.1)),
+    "drift_jacobian_apply": lambda c, X, mu: c.drift_jacobian_apply(X, X, mu),
+    "vtilde_y_apply": lambda c, X, mu: c.vtilde_y_apply(X, mu.atoms, mu.atoms),
+}
+
+
+def _zero_hook(X, *_):
+    return np.zeros(X.shape)
+
+
+class TestPointBoundary:
+    @pytest.mark.parametrize("method", sorted(POINT_METHODS))
+    @pytest.mark.parametrize("coeffs", [build_coefficients(reference_config()), SYNTHETIC_1D],
+                             ids=["network", "synthetic-1d"])
+    def test_points_of_another_dimension_are_refused(self, coeffs, method):
+        """Every point method of both classes refuses points of another
+        dimension with one error; synthetic-1d's noise_increment on (3, 2)
+        points returned (3, 1) before."""
+        rng = np.random.default_rng(0)
+        d = coeffs.dim
+        mu = random_measure(rng, 4, d)
+        call = POINT_METHODS[method]
+        assert call(coeffs, rng.normal(size=(3, d)), mu).shape[0] == 3
+        with pytest.raises(CoefficientError, match=rf"^parameter dimension {d + 1} != expected {d}$"):
+            call(coeffs, rng.normal(size=(3, d + 1)), mu)
+
+    def test_hooks_left_out_are_zero_and_pickle(self):
+        """A hook left out is zero, of the hook's shape; the stand-ins are
+        module-level functions, so an instance whose hooks pickle pickles."""
+        coeffs = pickle.loads(pickle.dumps(SyntheticCoefficients(dim=2, n_channels=3, v_bar_batch=_zero_hook)))
+        rng = np.random.default_rng(1)
+        X, mu = rng.normal(size=(4, 2)), random_measure(rng, 5, 2)
+        assert np.array_equal(coeffs.drift(X, mu), np.zeros((4, 2)))
+        assert np.array_equal(coeffs.noise_matrix(X, mu), np.zeros((4, 3, 2)))
+        assert np.array_equal(coeffs.noise_increment(X, mu, np.ones(3)), np.zeros((4, 2)))
+        assert np.array_equal(coeffs.drift_jacobian_apply(X, X, mu), np.zeros((4, 2)))
+        assert np.array_equal(coeffs.vtilde_y_apply(X, mu.atoms, mu.atoms), np.zeros((4, 2)))
+
+    def test_step_and_pairings_hand_the_hooks_plain_arrays(self, monkeypatch):
+        """A synthetic simulate_coupled (runs of two sizes, a tangent carrier,
+        noise) and its weak-residual pairings make no public point-method,
+        ``_as_measure``, ``_points`` or ``atleast_2d`` call in the
+        coefficients module: the hooks get each run's (x, x, w) arrays."""
+        coeffs = _synthetic_1d()
+        cfg = IntegratorConfig(dt=0.01, horizon=0.05)
+        noise = NoisePath(0, 0.01, 5, coeffs.n_channels)
+        spec = InitialSpec(low=(-1.0,), high=(1.0,))
+        small, large = sample_initial(spec, 4, 0), sample_initial(spec, 6, 1)
+        calls, hooks = [], []
+        for owner, names in ((coeffs, POINT_METHODS), (coefficients, ("_as_measure", "_points"))):
+            for name in names:
+                method = getattr(owner, name)
+                monkeypatch.setattr(owner, name, lambda *a, _f=method, _name=name: calls.append(_name) or _f(*a))
+        atleast_2d = np.atleast_2d
+
+        def counted(*arrays):
+            if sys._getframe(1).f_globals is vars(coefficients):
+                calls.append("atleast_2d")
+            return atleast_2d(*arrays)
+
+        monkeypatch.setattr(np, "atleast_2d", counted)
+        g_batch = coeffs._g_batch
+        monkeypatch.setattr(coeffs, "_g_batch", lambda *a: hooks.append(a) or g_batch(*a))
+        runs = simulate_coupled([(small, 0.0), (large, 0.1), (small, 0.0)], coeffs, cfg, noise, tangent=[0])
+        smfe_weak_residual_panel(runs[1], noise, coeffs, 0.1, standard_panel(1))
+        assert calls == []
+        assert hooks and all(X is atoms for X, atoms, _ in hooks)

@@ -381,6 +381,19 @@ class TestPicard:
         with pytest.raises(SimulationError, match="dt"):
             picard_solve(initial, REF_COEFFS, cfg, noise, tol=1e-6)
 
+    @pytest.mark.parametrize("dt, k", [(0.01, 2), (0.05, 5)])
+    def test_divergence_reports_its_own_time(self, dt, k):
+        """A run from time 0.5 whose solve goes non-finite at step k reports
+        t = 0.5 + k dt, where it reported k dt, with no overflow warning on
+        the way (the suite turns one into an error)."""
+        # the particle at 0 moves at speed 1 until it passes (k - 1.5) dt,
+        # then its drift overflows to inf
+        coeffs = SyntheticCoefficients(
+            dim=1, v_bar_batch=lambda X: np.where(X > (k - 1.5) * dt, X * 1e300 * 1e300, 1.0))
+        initial = ParticleEnsemble(np.array([[0.0], [-1.0]]), np.array([0.5, 0.5]), time=0.5)
+        with pytest.raises(SimulationError, match=rf"^non-finite state at step {k} \(t={0.5 + k * dt:.6g}\)"):
+            picard_solve(initial, coeffs, IntegratorConfig(dt=dt, horizon=10 * dt), None, tol=1e-6)
+
     def test_failure_reported_with_gap_log(self):
         initial = sample_initial(REF_SPEC, 10, 8)
         noise = NoisePath(8, 1e-2, 20, REF_COEFFS.n_channels)
@@ -695,6 +708,9 @@ def _own_run(initial, coeffs, cfg, eps, noise, carries=False):
 class TestCoupledRuns:
     """simulate_coupled is the runs it batches: bit for bit on one size and
     weight vector, to rounding on runs of different sizes."""
+
+    def test_no_runs_is_no_trajectories(self):
+        assert simulate_coupled([], REF_COEFFS, IntegratorConfig(dt=1e-2, horizon=5e-2), None) == []
 
     @settings(max_examples=40, deadline=None)
     @given(case=segmented_batches())

@@ -1169,6 +1169,27 @@ class TestFailureRecording:
         for row in fit_rows:
             assert row.get("all_cells_failed") or np.isnan(row.get("slope", row.get("mean")))
 
+    def test_a_batch_that_raises_fails_every_replica_of_its_pack(self, monkeypatch):
+        """A ``simulate_coupled`` that raises for its whole batch, rather
+        than giving each run its result, fails every cell of every replica
+        of the pack with its error, and the experiment completes."""
+        def raising(*args, **kwargs):
+            raise SimulationError("the batch raised")
+
+        monkeypatch.setattr(harness, "simulate_coupled", raising)
+        cfg = ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,), n_particles=5,
+                               eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.05, snapshot_stride=5,
+                               replicas=10, base_seed=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = exp_lln_rate(cfg)
+        seeds = range(cfg.base_seed, cfg.base_seed + cfg.replicas)
+        assert {(r[1], r[2]) for r in table.rows if r[3] == "failed"} == {
+            (str(e), seed) for e in cfg.eps_grid for seed in seeds}
+        assert all(np.isnan(r[4]) for r in table.rows if r[3] != "failed")
+        assert {f["error"] for f in table.failures} == {"the batch raised"}
+        assert [s["all_cells_failed"] for s in table.summary if s.get("metric") == "slope"] == [True]
+
     @pytest.mark.parametrize("experiment", [exp_lln_rate, exp_clt_rate], ids=["lln-rate", "clt-rate"])
     def test_a_diverged_member_fails_only_its_cells(self, experiment, monkeypatch, tmp_path):
         """Only the largest eps run blows up (G = +-50 x^2, no drift): its cells
