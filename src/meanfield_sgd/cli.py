@@ -60,10 +60,17 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _first_file(out: str, name: str) -> str:
+    """The path of ``name`` in ``out``, made when a command writes its
+    first file, so that a refused command leaves no directory."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def _cmd_simulate(cfg: ExperimentConfig, out: str):
     eps = float(cfg.eps_grid[0]) if cfg.eps_grid else 0.0
     traj = Replica(cfg, cfg.base_seed, cfg.snapshot_stride).run(eps)
-    write_trajectory(traj, os.path.join(out, "trajectory.txt"))
+    write_trajectory(traj, _first_file(out, "trajectory.txt"))
     write_run_meta(cfg, out)
     print(f"wrote {traj.n_snapshots} snapshots to {out}/trajectory.txt (eps={eps})")
 
@@ -75,7 +82,7 @@ def _cmd_sgd(cfg: ExperimentConfig, out: str):
     chain = run_sgd(coeffs, m, alpha=1.0 / m, batch_size=1, n_steps=int(embedded_step(m, cfg.horizon, up=True)),
                     seed=cfg.base_seed, initial=initial.positions)
     states = chain.n_steps + 1
-    write_table(os.path.join(out, "sgd-chain.txt"),
+    write_table(_first_file(out, "sgd-chain.txt"),
                 np.column_stack([np.repeat(np.arange(states), m), np.tile(np.arange(m), states),
                                  chain.positions.reshape(states * m, -1)]),
                 "columns: step pid x1..xd")
@@ -125,7 +132,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, out: str):
         sup, rel = moment_track(traj, p)
         rows.append(("-", cfg.base_seed, f"moment{p}_sup", sup))
         rows.append(("-", cfg.base_seed, f"moment{p}_ratio", rel))
-    write_report(rows, os.path.join(out, "diagnostics.txt"))
+    write_report(rows, _first_file(out, "diagnostics.txt"))
     # signed displacement field mu_T - mu_0, in the columnar field format
     field = SignedAtomicField.atomic(
         np.concatenate([traj.positions[-1], traj.positions[0]]),
@@ -166,9 +173,7 @@ def main(argv=None) -> int:
     # or a file that cannot be read or written ends the run with one line
     try:
         cfg = _load_config(args)
-        out = cfg.out_dir or "out"
-        os.makedirs(out, exist_ok=True)
-        commands[args.command](cfg, out)
+        commands[args.command](cfg, cfg.out_dir or "out")
     except (ValueError, OSError) as exc:
         print(f"meanfield-sgd {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -51,12 +51,12 @@ def _as_measure(measure) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_2d(np.asarray(atoms, dtype=float)), np.asarray(weights, dtype=float)
 
 
-def _points(X, dim: int) -> np.ndarray:
+def _points(X, dim: int, name: str = "X") -> np.ndarray:
     """``X`` as float points (..., dim); points of another dimension raise
-    CoefficientError."""
+    CoefficientError naming ``name``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[-1] != dim:
-        raise CoefficientError(f"parameter dimension {X.shape[-1]} != expected {dim}")
+        raise CoefficientError(f"{name} must be points of dimension {dim} (got {X.shape[-1]})")
     return X
 
 
@@ -227,14 +227,11 @@ class NetworkCoefficients:
     def channel_weights(self) -> np.ndarray:
         return self._w
 
-    def _split(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        X = _points(X, self.dim)
-        return X[..., 0], X[..., 1:]
-
-    def _preactivation(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Output weights c (..., N) and pre-activations u . theta_p (..., N, P)."""
-        c, u = self._split(X)
-        return c, u @ self._theta.T
+    def _preactivation(self, X: np.ndarray, name: str = "X") -> tuple[np.ndarray, np.ndarray]:
+        """Output weights c (..., N) and pre-activations u . theta_p (..., N, P)
+        of the points ``X``, refused naming ``name`` if of another dimension."""
+        X = _points(X, self.dim, name)
+        return X[..., 0], X[..., 1:] @ self._theta.T
 
     def _assemble(self, row_c: np.ndarray, row_u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
         """sum_p kappa_p (row_c, row_u theta_p) in (c, u) components.
@@ -383,7 +380,7 @@ class NetworkCoefficients:
         rows = carriers if offsets is None else offsets[carriers][:, None] + np.arange(Y.shape[1])
         c, phi, dphi, d2phi, row_u = c[rows], phi[rows], dphi[rows], jet[2][rows], row_u[rows]
         r = r[carriers]
-        yc, s = self._preactivation(Y)
+        yc, s = self._preactivation(Y, "Y")
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
         inter = self._assemble(phi, row_u, -self._w * self._beta(c, phi, dphi, yc, s))
         forcing = self._assemble(phi, row_u, r * noise[carriers])
@@ -453,7 +450,7 @@ class NetworkCoefficients:
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
         """grad_x V(x_i, mu) . Y_i, with mu held fixed (includes Vbar and Vtilde parts)."""
         c, z = self._preactivation(X)
-        yc, s = self._preactivation(Y)
+        yc, s = self._preactivation(Y, "Y")
         _, dphi, d2phi = self.activation.jet(z, 2)
         return self._jacobian(c, dphi, d2phi, yc, s, self.residuals(measure))
 
@@ -477,8 +474,8 @@ class NetworkCoefficients:
         so the pair sum factorizes through the data channels: a contraction
         with kappa_p = -w_p beta_p, beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j.
         """
-        c, z = self._preactivation(base)
-        tc, s = self._preactivation(tangents)   # t_c and theta . t_u
+        c, z = self._preactivation(base, "base")
+        tc, s = self._preactivation(tangents, "tangents")   # t_c and theta . t_u
         phi, dphi = self.activation.jet(z, 1)
         return self._contract(X, -self._w * self._beta(c, phi, dphi, tc, s))
 
@@ -495,7 +492,7 @@ class NetworkCoefficients:
         """Empirical risk sum_p w_p |f_p - mean_i Phi(x_i, theta_p)|^2."""
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if params.shape[0] == 0:
-            raise CoefficientError("loss of an empty parameter list")
+            raise CoefficientError("params must be at least one parameter point")
         preds = self.feature_matrix(params).mean(axis=0)
         return float(self._w @ (self._f - preds) ** 2)
 
@@ -596,11 +593,12 @@ class SyntheticCoefficients:
         return self._increment(_points(X, self._dim), *_as_measure(measure), dt, eps, dB)
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
-        return np.asarray(self._drift_jacobian_apply(_points(X, self._dim), _points(Y, self._dim),
+        return np.asarray(self._drift_jacobian_apply(_points(X, self._dim), _points(Y, self._dim, "Y"),
                                                      *_as_measure(measure)), dtype=float)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-        return np.asarray(self._vtilde_y_apply(*(_points(a, self._dim) for a in (X, base, tangents))),
+        return np.asarray(self._vtilde_y_apply(*(_points(a, self._dim, name) for a, name in
+                                                 ((X, "X"), (base, "base"), (tangents, "tangents")))),
                           dtype=float)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],

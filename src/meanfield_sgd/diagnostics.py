@@ -252,6 +252,16 @@ def check_panel(panel: Iterable[TestFunction]) -> list[TestFunction]:
     return phis
 
 
+def check_record(name: str, traj: Trajectory, noise: NoisePath | None = None, driven: bool = False):
+    """Refuse the trajectory ``traj``, named ``name``, unless it records
+    every step and, when ``driven``, was driven by the NoisePath ``noise``."""
+    if not traj.is_full_resolution:
+        raise ValueError(f"{name} must be a full-resolution trajectory (got snapshot_stride {traj.snapshot_stride})")
+    if driven and (noise is None or traj.noise_meta != noise.meta):
+        raise ValueError(f"noise must be the NoisePath {name} was driven by, {traj.noise_meta} "
+                         f"(got {noise if noise is None else noise.meta})")
+
+
 def _pairings(coeffs, positions: np.ndarray, omega: np.ndarray, eps: float,
               phis: Sequence[TestFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The weak-form pairings of a whole panel over K + 1 snapshots
@@ -300,13 +310,9 @@ def smfe_weak_residual_panel(traj: Trajectory, noise: NoisePath | None, coeffs,
     ``eps`` must be the noise scale the trajectory was run at.  The pairings
     of every step come from ``_pairings``, chunk by chunk of snapshots.
     """
-    if not traj.is_full_resolution:
-        raise ValueError("weak residual needs a full-resolution trajectory")
     if eps != traj.eps:
-        raise ValueError(f"eps={eps!r} does not match the trajectory's eps={traj.eps!r}")
-    if eps > 0.0:
-        if noise is None or traj.noise_meta != noise.meta:
-            raise ValueError("noise does not match the trajectory provenance")
+        raise ValueError(f"eps must be the noise scale traj was run at, {traj.eps!r} (got {eps!r})")
+    check_record("traj", traj, noise, driven=eps > 0.0)
     phis = check_panel(panel)
     values, drift, channels = _pairings(coeffs, traj.positions, traj.weights, eps, phis)
     integral = drift.sum(0) * traj.dt
@@ -332,8 +338,7 @@ def qv_check_panel(traj: Trajectory, coeffs, panel: Iterable[TestFunction],
     (the channel form of the double integral against Atilde).  The window
     (the whole run by default) must hold a step.
     """
-    if not traj.is_full_resolution:
-        raise ValueError(f"traj must be a full-resolution trajectory (got snapshot_stride {traj.snapshot_stride})")
+    check_record("traj", traj)
     phis = check_panel(panel)
     dt = traj.dt
     lo, hi = window if window is not None else (traj.times[0], traj.times[-1])
@@ -430,7 +435,7 @@ def min_pairwise_distance(traj: Trajectory) -> tuple[np.ndarray, float]:
     d0 = pdist(positions[0])
     mask = d0 > 0.0
     if not np.any(mask):
-        raise ValueError("no initially distinct pairs to monitor")
+        raise ValueError("traj must start with two distinct particles, a pair to monitor")
     curve = np.empty(n_snapshots)
     length = chunk_length(n)
     for lo in range(0, n_snapshots, length):

@@ -89,7 +89,7 @@ class NoisePath:
         """Sum consecutive increments in groups of ``factor`` (same Brownian path)."""
         check_integer("factor", factor, 1)
         if self.n_steps % factor != 0:
-            raise ValueError("coarsening factor must divide the number of steps")
+            raise ValueError(f"factor must divide the number of steps {self.n_steps} (got {factor})")
         agg = self.increments.reshape(self.n_steps // factor, factor, self.n_channels).sum(axis=1)
         return NoisePath(self.seed, self.dt * factor, self.n_steps // factor,
                          self.n_channels, _increments=agg)
@@ -200,20 +200,27 @@ def _check_finite(X: np.ndarray, step: int, time: float):
         raise error
 
 
+def _check_points(name: str, X: np.ndarray, coeffs):
+    """Refuse the array ``X`` unless it is at least one point of the
+    dimension of ``coeffs``; its shape only, so a step can afford it."""
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != coeffs.dim:
+        raise ValueError(f"{name} must be at least one point of dimension {coeffs.dim} (got shape {X.shape})")
+
+
+def _increment_row(dB, coeffs) -> np.ndarray:
+    """``dB`` as floats, once checked one increment per channel of ``coeffs``."""
+    row = np.asarray(dB, dtype=float)
+    if row.shape != (coeffs.n_channels,):
+        raise SimulationError(f"dB must be an increment row of shape ({coeffs.n_channels},) (got shape {row.shape})")
+    return row
+
+
 def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
                      dB: np.ndarray | None) -> ParticleEnsemble:
     """One Euler-Maruyama step; every particle reads the pre-step ensemble
     and the same increment row (common noise).  A one-run ``coupled_step``."""
-    if cfg.eps > 0.0:
-        if dB is None:
-            raise SimulationError("dB must be a noise increment row when eps > 0")
-        dB = np.asarray(dB, dtype=float)
-        if dB.shape != (coeffs.n_channels,):
-            raise SimulationError(
-                f"increment row has {dB.shape} channels, expected ({coeffs.n_channels},)"
-            )
-    else:
-        dB = np.zeros(coeffs.n_channels)
+    _check_points("positions", ens.positions, coeffs)
+    dB = _increment_row(dB, coeffs) if cfg.eps > 0.0 else np.zeros(coeffs.n_channels)
     (newX,) = coeffs.coupled_step(ens.positions[None], ens.weights, cfg.dt, [cfg.eps], dB[None])
     t = ens.time + cfg.dt
     _check_finite(newX, step=int(round(t / cfg.dt)), time=t)
@@ -227,35 +234,26 @@ def _record_indices(n_steps: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _record_times(start: float, cfg: IntegratorConfig) -> np.ndarray:
-    """The times of the recorded steps of a run from ``start``, each its
-    step count times dt, not a running sum of dt."""
-    return start + _record_indices(cfg.n_steps, cfg.snapshot_stride) * cfg.dt
-
-
 def _noise_rows(noise: NoisePath | None, cfg: IntegratorConfig, coeffs) -> np.ndarray:
     """The increment rows of ``noise``, after checking that it can drive ``cfg``
     on the channels of ``coeffs``."""
     if noise is None:
         raise SimulationError("noise must be a NoisePath for a noisy run")
     if noise.n_channels != coeffs.n_channels:
-        raise SimulationError(
-            f"noise path has {noise.n_channels} channels, expected {coeffs.n_channels}"
-        )
+        raise SimulationError(f"noise must have {coeffs.n_channels} channels, one per data atom "
+                              f"(got {noise.n_channels})")
     if noise.n_steps < cfg.n_steps:
-        raise SimulationError("noise path shorter than the time horizon")
+        raise SimulationError(f"noise must cover the {cfg.n_steps} steps of the run (got {noise.n_steps})")
     if abs(noise.dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
-        raise SimulationError("noise path dt differs from integrator dt")
+        raise SimulationError(f"noise must have the integrator's dt {cfg.dt!r} (got {noise.dt!r})")
     return noise.increments
 
 
 def _check_runs(initials: Sequence[ParticleEnsemble], coeffs):
     """Refuse, once before the first step, runs that cannot step together."""
     for initial in initials:
-        shape = initial.positions.shape
-        if len(shape) != 2 or shape[0] == 0 or shape[1] != coeffs.dim:
-            raise ValueError(f"positions must be at least one point of dimension {coeffs.dim} (got shape {shape})")
-        check_weights("weights", initial.weights, shape[0])
+        _check_points("positions", initial.positions, coeffs)
+        check_weights("weights", initial.weights, initial.positions.shape[0])
     if len({initial.time for initial in initials}) > 1:
         raise ValueError(f"time must be one start time for every coupled run (got {[i.time for i in initials]})")
 
@@ -265,7 +263,10 @@ def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.n
 
     ``snapshot(state)`` is a tuple of arrays (or scalars) recorded at the
     ``_record_indices`` steps, the initial state included; returns one array
-    per tuple entry with the recorded snapshots along its first axis.
+    per tuple entry with the recorded snapshots along its first axis.  A
+    diverging run fails as its integrator's SimulationError at its first
+    non-finite state; numpy's overflow warnings on the way there add nothing
+    to that, so the loop runs without them.
     """
     record = _record_indices(n_steps, stride)
     first = snapshot(state)
@@ -273,13 +274,25 @@ def _integrate(state, advance, n_steps: int, stride: int, snapshot) -> list[np.n
     for frame, a in zip(frames, first):
         frame[0] = a
     out = 1
-    for step in range(n_steps):
-        state = advance(state, step)
-        if record[out] == step + 1:
-            for frame, a in zip(frames, snapshot(state)):
-                frame[out] = a
-            out += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            state = advance(state, step)
+            if record[out] == step + 1:
+                for frame, a in zip(frames, snapshot(state)):
+                    frame[out] = a
+                out += 1
     return frames
+
+
+def _trajectory(start: float, cfg: IntegratorConfig, positions: np.ndarray, weights: np.ndarray, eps: float,
+                noise: NoisePath | None = None, tangents: np.ndarray | None = None) -> Trajectory:
+    """The record of a run from time ``start`` under ``cfg``: ``positions``
+    at its recorded steps, each at its step count times dt (not a running
+    sum of dt), driven by ``noise`` (None for a run that read no path)."""
+    times = start + _record_indices(cfg.n_steps, cfg.snapshot_stride) * cfg.dt
+    return Trajectory(times=times, positions=positions, weights=weights, dt=cfg.dt, eps=eps,
+                      snapshot_stride=cfg.snapshot_stride, noise_meta=None if noise is None else noise.meta,
+                      tangents=tangents)
 
 
 def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
@@ -287,22 +300,12 @@ def simulate(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     """Integrate the interacting system; deterministic in (initial, seed, cfg)."""
     _check_runs([initial], coeffs)
     rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
-    ens = ParticleEnsemble(initial.positions.copy(), initial.weights.copy(), initial.time)
-    # a diverging run raises SimulationError at its first non-finite state;
-    # numpy's overflow warnings on the way there add nothing to that
-    with np.errstate(over="ignore", invalid="ignore"):
-        (positions,) = _integrate(
-            ens, lambda e, k: step_interacting(e, coeffs, cfg, None if rows is None else rows[k]),
-            cfg.n_steps, cfg.snapshot_stride, lambda e: (e.positions,))
-    return Trajectory(
-        times=_record_times(initial.time, cfg),
-        positions=positions,
-        weights=initial.weights.copy(),
-        dt=cfg.dt,
-        eps=cfg.eps,
-        snapshot_stride=cfg.snapshot_stride,
-        noise_meta=noise.meta if rows is not None else None,
-    )
+    # a diverging run raises SimulationError at its first non-finite state
+    (positions,) = _integrate(
+        initial, lambda e, k: step_interacting(e, coeffs, cfg, None if rows is None else rows[k]),
+        cfg.n_steps, cfg.snapshot_stride, lambda e: (e.positions,))
+    return _trajectory(initial.time, cfg, positions, initial.weights.copy(), cfg.eps,
+                       noise if rows is not None else None)
 
 
 def simulate_transport(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig) -> Trajectory:
@@ -383,20 +386,15 @@ def simulate_coupled(runs: Sequence[tuple[ParticleEnsemble, float]], coeffs, cfg
     # the tangents ride on their carriers, from zero
     state = (np.concatenate([initial.positions for initial, _ in runs]),
              np.zeros((len(carriers), *runs[carriers[0]][0].positions.shape)) if carriers else None)
-    # a diverging run fails at its first non-finite state; numpy's overflow
-    # warnings on the way there add nothing to its error
-    with np.errstate(over="ignore", invalid="ignore"):
-        positions, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
-                                          lambda state: state if carriers else state[:1])
+    positions, *tangents = _integrate(state, advance, cfg.n_steps, cfg.snapshot_stride,
+                                      lambda state: state if carriers else state[:1])
     for b, e in enumerate(eps):
         if out[b] is None:
             k = carried.get(b)
-            out[b] = Trajectory(
-                times=_record_times(runs[0][0].time, cfg),
-                positions=np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]]),
-                weights=weights[b].copy(), dt=cfg.dt, eps=float(e), snapshot_stride=cfg.snapshot_stride,
-                noise_meta=noises[b].meta if reads[b] else None,
-                tangents=None if k is None else np.ascontiguousarray(tangents[0][:, k]))
+            run = np.ascontiguousarray(positions[:, offsets[b]:offsets[b + 1]])
+            out[b] = _trajectory(runs[0][0].time, cfg, run, weights[b].copy(), float(e),
+                                 noises[b] if reads[b] else None,
+                                 None if k is None else np.ascontiguousarray(tangents[0][:, k]))
     return out
 
 
@@ -492,8 +490,7 @@ def run_sgd(coeffs, n_particles: int, alpha: float, batch_size: int, n_steps: in
                                                             p=coeffs.channel_weights) for s in seed], 1)
     counts = (batches[..., None] == np.arange(coeffs.n_channels)).sum(axis=2)   # (steps, B, P)
     scales = alpha * (counts / batch_size)
-    with np.errstate(over="ignore", invalid="ignore"):   # a diverging chain fails as SimulationError
-        (out,) = _integrate(X, lambda X, step: coeffs.sgd_step(X, scales[step]), n_steps, 1, lambda X: (X,))
+    (out,) = _integrate(X, lambda X, step: coeffs.sgd_step(X, scales[step]), n_steps, 1, lambda X: (X,))
     batch = SgdChain(out, alpha=alpha, batch_size=batch_size, seed=tuple(seed))
     (chain,) = batch.chains() if one else (batch,)
     if isinstance(chain, SimulationError):
@@ -526,8 +523,7 @@ def _solve_frozen(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
         _check_finite(newX, step + 1, initial.time + (step + 1) * cfg.dt)
         return newX
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        (path,) = _integrate(initial.positions, advance, cfg.n_steps, 1, lambda X: (X,))
+    (path,) = _integrate(initial.positions, advance, cfg.n_steps, 1, lambda X: (X,))
     return path
 
 
@@ -543,6 +539,7 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
     """
     check_real("tol", tol)
     check_integer("max_iter", max_iter, 1)
+    _check_runs([initial], coeffs)
     n_steps = cfg.n_steps
     rows = _noise_rows(noise, cfg, coeffs) if cfg.eps > 0.0 else None
     weights = initial.weights.copy()
@@ -561,15 +558,8 @@ def picard_solve(initial: ParticleEnsemble, coeffs, cfg: IntegratorConfig,
         if gap < tol:
             converged = True
             break
-    traj = Trajectory(
-        times=_record_times(initial.time, cfg),
-        positions=current[_record_indices(n_steps, cfg.snapshot_stride)],
-        weights=weights,
-        dt=cfg.dt,
-        eps=cfg.eps,
-        snapshot_stride=cfg.snapshot_stride,
-        noise_meta=noise.meta if noise is not None else None,
-    )
+    traj = _trajectory(initial.time, cfg, current[_record_indices(n_steps, cfg.snapshot_stride)], weights, cfg.eps,
+                       noise)
     return PicardResult(trajectory=traj, gaps=gaps, converged=converged, iterations=len(gaps))
 
 

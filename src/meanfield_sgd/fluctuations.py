@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import check_real
-from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError, Trajectory,
-                       _check_finite, _integrate, _noise_rows, _record_times)
-from .diagnostics import check_panel, pair_panel, stack_panel
+from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, Trajectory, _check_finite, _check_points,
+                       _increment_row, _integrate, _noise_rows, _trajectory)
+from .diagnostics import check_panel, check_record, pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
 from .measures import sobolev_neg_norm_diff  # noqa: F401  perfbench/tracer.py traces it at this name
 
@@ -66,12 +66,9 @@ def tangent_step(tens: TangentEnsemble, coeffs, cfg: IntegratorConfig,
     jet: the transport run of a one-run ``coupled_step``.  The increment row
     must be the one driving the coupled noisy run.
     """
-    dB = np.asarray(dB, dtype=float)
-    if dB.shape != (coeffs.n_channels,):
-        raise SimulationError(
-            f"increment row has shape {dB.shape}, expected ({coeffs.n_channels},)"
-        )
     X = tens.base
+    _check_points("base", X, coeffs)
+    dB = _increment_row(dB, coeffs)
     n = X.shape[0]
     newX, newY = coeffs.coupled_step(X[None], np.full(n, 1.0 / n), cfg.dt, [0.0], dB[None],
                                      tens.tangents[None], carriers=[0])
@@ -89,16 +86,15 @@ def solve_tangent(initial_base: np.ndarray, coeffs, cfg: IntegratorConfig,
     bit for bit, with its ``tangents``; the one-run
     ``simulate_coupled([(initial, 0.0)], tangent=[0])``, the one-carrier
     case of a batch that carries a tangent system on several transport runs."""
+    rest = TangentEnsemble.at_rest(initial_base)
+    _check_points("initial_base", rest.base, coeffs)
     rows = _noise_rows(noise, cfg, coeffs)
     # a diverging run raises SimulationError at its first non-finite base
     # point or tangent, as in simulate
-    with np.errstate(over="ignore", invalid="ignore"):
-        base, tangents = _integrate(
-            TangentEnsemble.at_rest(initial_base), lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
-            cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents))
+    base, tangents = _integrate(rest, lambda t, k: tangent_step(t, coeffs, cfg, rows[k]),
+                                cfg.n_steps, cfg.snapshot_stride, lambda t: (t.base, t.tangents))
     n = base.shape[1]
-    return Trajectory(times=_record_times(0.0, cfg), positions=base, weights=np.full(n, 1.0 / n), dt=cfg.dt,
-                      eps=0.0, snapshot_stride=cfg.snapshot_stride, noise_meta=noise.meta, tangents=tangents)
+    return _trajectory(0.0, cfg, base, np.full(n, 1.0 / n), 0.0, noise, tangents)
 
 
 # --------------------------------------------------------------------------
@@ -137,16 +133,23 @@ def eta_eps(traj_eps, traj_zero, eps: float) -> FluctuationPath:
     the zero-initial-fluctuation coupling).
     """
     eps = check_real("eps", eps)
-    if traj_eps.n_snapshots != traj_zero.n_snapshots or not np.allclose(
-        traj_eps.times, traj_zero.times, rtol=0, atol=1e-12
-    ):
-        raise ValueError("snapshot grids of the two trajectories do not match")
+    _check_grid("traj_zero", traj_zero, traj_eps)
     if abs(traj_eps.dt - traj_zero.dt) > 1e-15:
         raise ValueError(f"traj_zero must have the time step of traj_eps (got {traj_zero.dt!r} and {traj_eps.dt!r})")
     if not np.array_equal(traj_eps.positions[0], traj_zero.positions[0]):
         raise ValueError("traj_zero must start from the initial atoms of traj_eps")
     return FluctuationPath(times=traj_eps.times.copy(), positions=traj_eps.positions,
                            reference=traj_zero.positions, eps=eps)
+
+
+def _check_grid(name: str, record, reference):
+    """Refuse ``record``, named ``name``, unless its snapshots are at the
+    times of the snapshots of ``reference``."""
+    if record.n_snapshots != reference.n_snapshots or not np.allclose(record.times, reference.times,
+                                                                      rtol=0, atol=1e-12):
+        raise ValueError(f"{name} must be recorded on the snapshot grid of the run it is compared with "
+                         f"({reference.n_snapshots} snapshots from {reference.times[0]:g} to "
+                         f"{reference.times[-1]:g})")
 
 
 def _check_sobolev_order(name: str, j: int, dim: int):
@@ -178,12 +181,9 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
     if tangents is None:
         raise ValueError("tangents must be set: clt_distance reads a solve_tangent trajectory")
     for path in eta_paths:
-        if path.n_snapshots != tangent_traj.n_snapshots or not np.allclose(
-            path.times, tangent_traj.times, rtol=0, atol=1e-12
-        ):
-            raise ValueError("snapshot grids do not match")
+        _check_grid("eta_paths", path, tangent_traj)
         if not np.array_equal(path.reference, transport):
-            raise ValueError("fluctuation paths must be taken against the tangent trajectory's transport run")
+            raise ValueError("eta_paths must be taken against the transport run of tangent_traj")
     n, dim = transport.shape[1:]
     _check_sobolev_order("sobolev order j", grid.j, dim)
     lattice = HalfLattice(grid, dim)
@@ -226,11 +226,7 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
     """
     if tangent_traj.tangents is None:
         raise ValueError("tangents must be set: weak_residual_linear reads a solve_tangent trajectory")
-    if tangent_traj.snapshot_stride != 1:
-        raise ValueError(f"tangent_traj must be a full-resolution trajectory (got snapshot_stride "
-                         f"{tangent_traj.snapshot_stride})")
-    if tangent_traj.noise_meta != noise.meta:
-        raise ValueError("noise does not match the trajectory provenance")
+    check_record("tangent_traj", tangent_traj, noise, driven=True)
     n_steps = tangent_traj.n_snapshots - 1
     dt = tangent_traj.dt
     phis = check_panel(panel)

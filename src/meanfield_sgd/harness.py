@@ -199,7 +199,7 @@ class ExperimentConfig:
             raise ValueError(f"{slope_grid} must be at least 3 points to fit a slope "
                              f"(got {list(getattr(self, slope_grid))})")
         if self.replicas < 10:
-            raise ValueError("rate experiments need at least 10 replicas")
+            raise ValueError(f"replicas must be at least 10 for a rate experiment (got {self.replicas})")
 
 
 _REFERENCE_DATASET = tuple(
@@ -413,7 +413,8 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
     if not np.all(mask):
         warnings.warn(f"excluding {int((~mask).sum())} nonpositive metric value(s) from the fit")
     if mask.sum() < 3:
-        raise ValueError("need at least 3 positive grid points to fit a slope")
+        raise ValueError(f"values must have a positive mean at 3 grid points or more to fit a slope "
+                         f"(got {int(mask.sum())})")
     logx = np.log(params[mask])
     slope, intercept = np.polyfit(logx, np.log(means[mask]), 1)
     ci_low = ci_high = None

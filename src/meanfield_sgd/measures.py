@@ -240,7 +240,7 @@ def w2_detailed(mu, nu) -> tuple[float, dict]:
     a, b = (m if isinstance(m, SortedAtoms) else SortedAtoms.of(m.atoms, m.weights) for m in (mu, nu))
     dim = a.atoms.shape[1]
     if dim != b.atoms.shape[1]:
-        raise ValueError(f"dimension mismatch: {dim} vs {b.atoms.shape[1]}")
+        raise ValueError(f"nu must be of the dimension of mu, {dim} (got {b.atoms.shape[1]})")
     if dim == 1:
         val, backend = _w2_quantile_1d(a.atoms[:, 0], a.weights, b.atoms[:, 0], b.weights), "quantile"
     elif a.uniform and b.uniform and math.lcm(a.atoms.shape[0], b.atoms.shape[0]) <= _ASSIGNMENT_MAX:
@@ -286,9 +286,9 @@ def w2_sup(a: SortedAtoms, b: SortedAtoms) -> tuple[float, str]:
     """
     n_snap = a.given.shape[0]
     if n_snap != b.given.shape[0]:
-        raise ValueError(f"snapshot count mismatch: {n_snap} vs {b.given.shape[0]}")
+        raise ValueError(f"b must have the snapshot count of a, {n_snap} (got {b.given.shape[0]})")
     if n_snap == 0:
-        raise ValueError("w2_sup needs at least one snapshot")
+        raise ValueError("a must be at least one snapshot")
     bound = _index_bound(a, b)
     order = np.argsort(-bound, kind="stable")
     best, info = w2_detailed(a.at(order[0]), b.at(order[0]))

@@ -27,15 +27,17 @@ from hypothesis import strategies as st
 from meanfield_sgd import dynamics
 from meanfield_sgd.cli import main as cli_main
 from meanfield_sgd.coefficients import CoefficientError, Dataset, SyntheticCoefficients
-from meanfield_sgd.diagnostics import (f_n_functional, gaussian_bump, moment_track, qv_check_panel, standard_panel,
-                                       trig_wave)
+from meanfield_sgd.diagnostics import (f_n_functional, gaussian_bump, min_pairwise_distance, moment_track,
+                                       qv_check_panel, smfe_weak_residual_panel, standard_panel, trig_wave)
 from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError,
                                     picard_solve, run_sgd, sample_initial, simulate, simulate_coupled,
                                     step_interacting)
-from meanfield_sgd.fluctuations import TangentEnsemble, clt_distance, eta_eps, weak_residual_linear
+from meanfield_sgd.fluctuations import (TangentEnsemble, clt_distance, eta_eps, solve_tangent, tangent_step,
+                                        weak_residual_linear)
 from meanfield_sgd.harness import (ExperimentConfig, Replica, build_coefficients, build_initial_spec,
-                                   exp_particle_rate, fit_slope, reference_config)
-from meanfield_sgd.measures import EmpiricalMeasure, SignedAtomicField, SpectralGrid, sobolev_neg_norm_diff
+                                   exp_lln_rate, exp_particle_rate, fit_slope, reference_config)
+from meanfield_sgd.measures import (EmpiricalMeasure, SignedAtomicField, SortedAtoms, SpectralGrid,
+                                    sobolev_neg_norm_diff, w2_detailed, w2_sup)
 
 nan, inf = float("nan"), float("inf")
 
@@ -47,6 +49,10 @@ NOISE = NoisePath(0, 0.01, 2, COEFFS.n_channels)
 RUN = simulate(ENS, COEFFS, replace(CFG, eps=0.01), NOISE)
 RUN0 = simulate(ENS, COEFFS, CFG, None)
 MU = EmpiricalMeasure.uniform(np.arange(6.0).reshape(3, 2))
+TANGENT = solve_tangent(ENS.positions, COEFFS, CFG, NOISE)
+PATH = eta_eps(RUN, TANGENT, 0.01)
+SYNTHETIC_1D = build_coefficients(reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,)))
+NOISE_1D = NoisePath(0, 0.01, 2, SYNTHETIC_1D.n_channels)
 
 # wrong in type, sign, finiteness or shape for every argument drawn here
 WRONG = [True, False, "x", "0.1", None, nan, inf, -inf, -1, 0, -0.5, 2.5, 1e308, [], [0.5], [[1, 2]],
@@ -291,6 +297,47 @@ def test_direct_call_succeeds_or_names_its_argument(call):
     (lambda: reference_config(dataset_rows=((0.0, 2.0, 1.0),)), "dataset_rows", ValueError),
     (lambda: reference_config(dataset_rows=((0.0, 1.0, nan),)), "dataset_rows", ValueError),
     (lambda: reference_config(dataset_rows=((0.0, 0.5, 1.0), (1.0, 0.5))), "dataset_rows", ValueError),
+    (lambda: smfe_weak_residual_panel(replace(RUN, snapshot_stride=2), NOISE, COEFFS, 0.01, standard_panel(2)),
+     "traj", ValueError),
+    (lambda: smfe_weak_residual_panel(RUN, NOISE, COEFFS, 0.02, standard_panel(2)), "eps", ValueError),
+    (lambda: smfe_weak_residual_panel(RUN, NoisePath(1, 0.01, 2, COEFFS.n_channels), COEFFS, 0.01,
+                                      standard_panel(2)), "noise", ValueError),
+    (lambda: smfe_weak_residual_panel(RUN, None, COEFFS, 0.01, standard_panel(2)), "noise", ValueError),
+    (lambda: min_pairwise_distance(replace(RUN, positions=np.zeros_like(RUN.positions))), "traj", ValueError),
+    (lambda: NOISE.coarsened(3), "factor", ValueError),
+    (lambda: simulate(ENS, COEFFS, replace(CFG, eps=0.01), NoisePath(0, 0.01, 2, 3)), "noise", SimulationError),
+    (lambda: simulate(ENS, COEFFS, replace(CFG, eps=0.01), NoisePath(0, 0.01, 1, COEFFS.n_channels)), "noise",
+     SimulationError),
+    (lambda: simulate(ENS, COEFFS, replace(CFG, eps=0.01), NoisePath(0, 0.02, 2, COEFFS.n_channels)), "noise",
+     SimulationError),
+    (lambda: eta_eps(RUN, replace(RUN0, times=RUN0.times + 0.5), 0.01), "traj_zero", ValueError),
+    (lambda: clt_distance([replace(PATH, times=PATH.times + 0.5)], TANGENT, SpectralGrid(4.0, 8, 5)), "eta_paths",
+     ValueError),
+    (lambda: clt_distance([replace(PATH, reference=PATH.reference + 1.0)], TANGENT, SpectralGrid(4.0, 8, 5)),
+     "eta_paths", ValueError),
+    (lambda: weak_residual_linear(TANGENT, COEFFS, NoisePath(1, 0.01, 2, COEFFS.n_channels), standard_panel(2)),
+     "noise", ValueError),
+    (lambda: exp_lln_rate(reference_config(replicas=5)), "replicas", ValueError),
+    (lambda: fit_slope([1.0, 2.0], [1.0, 2.0]), "values", ValueError),
+    (lambda: w2_detailed(MU, EmpiricalMeasure.uniform(np.zeros((2, 1)))), "nu", ValueError),
+    (lambda: w2_sup(*(SortedAtoms.of(np.zeros((s, 3, 2)), np.full(3, 1 / 3)) for s in (2, 3))), "b", ValueError),
+    (lambda: w2_sup(*(SortedAtoms.of(np.zeros((0, 3, 2)), np.full(3, 1 / 3)) for _ in range(2))), "a", ValueError),
+    (lambda: COEFFS.drift(np.zeros((3, 3)), MU), "X", CoefficientError),
+    (lambda: COEFFS.drift_jacobian_apply(np.zeros((3, 2)), np.zeros((3, 3)), MU), "Y", CoefficientError),
+    (lambda: COEFFS.loss(np.zeros((0, 2))), "params", CoefficientError),
+    (lambda: solve_tangent(np.zeros((0, 2)), COEFFS, CFG, NOISE), "initial_base", ValueError),
+    (lambda: solve_tangent(np.zeros((2, 3, 2)), COEFFS, CFG, NOISE), "initial_base", ValueError),
+    (lambda: solve_tangent(np.zeros((4, 2)), SYNTHETIC_1D, CFG, NOISE_1D), "initial_base", ValueError),
+    (lambda: tangent_step(TangentEnsemble.at_rest(np.zeros((0, 2))), COEFFS, CFG, NOISE.increments[0]), "base",
+     ValueError),
+    (lambda: tangent_step(TangentEnsemble.at_rest(np.zeros((4, 2))), SYNTHETIC_1D, CFG, NOISE_1D.increments[0]),
+     "base", ValueError),
+    (lambda: step_interacting(ParticleEnsemble(np.empty((0, 2)), np.empty(0)), COEFFS, CFG, None), "positions",
+     ValueError),
+    (lambda: step_interacting(ParticleEnsemble.uniform(np.zeros((4, 2))), SYNTHETIC_1D, CFG, None), "positions",
+     ValueError),
+    (lambda: picard_solve(ParticleEnsemble.uniform(np.zeros((3, 3))), COEFFS, CFG, None, tol=1e-6), "positions",
+     ValueError),
 ], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
         "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
         "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
@@ -306,17 +353,58 @@ def test_direct_call_succeeds_or_names_its_argument(call):
         "qv-subsampled-run", "moment-track-odd-order", "field-unknown-kind", "atomic-field-weight-count",
         "tangent-field-vector-count", "norm-diff-of-two-dimensions", "slope-values-off-the-grid",
         "particle-rate-on-a-network", "config-rows-weights-sum-to-2", "config-rows-nan-label",
-        "config-ragged-rows"])
-def test_fault_is_refused_naming_its_argument(make, field, error):
+        "config-ragged-rows", "weak-subsampled-run", "weak-eps-of-another-run", "weak-noise-of-another-run",
+        "weak-noisy-without-path", "collision-no-distinct-pair", "noise-coarsened-off-its-steps",
+        "noise-of-another-channel-count", "noise-shorter-than-the-run", "noise-of-another-dt",
+        "eta-shifted-grid", "clt-distance-shifted-grid", "clt-distance-other-transport-run",
+        "weak-linear-noise-of-another-run", "rate-five-replicas", "slope-two-points", "w2-of-two-dimensions",
+        "w2-sup-snapshot-counts", "w2-sup-no-snapshot", "coefficients-points-of-another-dimension",
+        "coefficients-tangents-of-another-dimension", "loss-of-no-parameters", "tangent-empty-base",
+        "tangent-base-of-three-axes", "tangent-2d-base-synthetic-1d", "tangent-step-empty-base",
+        "tangent-step-2d-base-synthetic-1d", "step-empty-ensemble", "step-2d-points-synthetic-1d",
+        "picard-3d-points"])
+def test_fault_is_refused_naming_its_argument(monkeypatch, make, field, error):
+    """Each fault is refused where it enters, before the coefficients step a
+    point: an integrator or a one-step function refuses points of another
+    dimension, or none, before its first step."""
+    steps = []
+    for coeffs in (COEFFS, SYNTHETIC_1D):
+        for name in ("coupled_step", "increment"):
+            monkeypatch.setattr(coeffs, name, lambda *a, **k: steps.append(a))
     with pytest.raises(error, match=rf"^{field} must"):
         make()
+    assert steps == []
 
 
-def test_diverging_sgd_chain_fails_without_numpy_warnings():
-    """Under the suite's error::RuntimeWarning, an overflow on the way to a
-    non-finite state would escape as a RuntimeWarning."""
-    with pytest.raises(SimulationError, match="^SGD diverged"):
-        run_sgd(COEFFS, 3, 1e100, 1, 5, 0, ENS.positions)
+# an exploding drift: a run from these points goes non-finite at step 83
+EXPLODING = build_coefficients(reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,),
+                                                synthetic_params=(("kappa", -1e6),)))
+EXPLODING_CFG = IntegratorConfig(dt=5e-3, horizon=0.5)
+EXPLODING_NOISE = NoisePath(0, 5e-3, 100, EXPLODING.n_channels)
+EXPLODING_ENS = ParticleEnsemble.uniform(np.linspace(-1.0, 1.0, 3)[:, None])
+
+
+@pytest.mark.parametrize("integrate, message", [
+    (lambda: solve_tangent(EXPLODING_ENS.positions, EXPLODING, EXPLODING_CFG, EXPLODING_NOISE),
+     "^non-finite state"),
+    (lambda: simulate_coupled([(EXPLODING_ENS, 0.01), (EXPLODING_ENS, 0.0)], EXPLODING, EXPLODING_CFG,
+                              EXPLODING_NOISE, tangent=[1]), "^non-finite state"),
+    (lambda: simulate(EXPLODING_ENS, EXPLODING, EXPLODING_CFG, None), "^non-finite state"),
+    (lambda: picard_solve(EXPLODING_ENS, EXPLODING, EXPLODING_CFG, None, tol=1e-6), "^non-finite state"),
+    (lambda: run_sgd(COEFFS, 3, 1e100, 1, 5, 0, ENS.positions), "^SGD diverged"),
+], ids=["solve_tangent", "simulate_coupled", "simulate", "picard_solve", "run_sgd"])
+def test_diverging_integrators_fail_without_numpy_warnings(integrate, message):
+    """Every integrator's loop is ``_integrate``'s, which alone silences
+    numpy's overflow warnings: a diverging run ends in its own SimulationError
+    (each entry of a coupled batch), where an overflow on the way would
+    escape under the error filter as a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = integrate()
+        except SimulationError as exc:
+            out = [exc]
+    assert all(isinstance(run, SimulationError) and re.match(message, str(run)) for run in out), out
 
 
 def test_coupled_eps_checked_before_any_step(monkeypatch):
@@ -367,6 +455,22 @@ def test_cli_simulate_refuses_a_negative_eps(tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("meanfield-sgd simulate: error: eps must")
     assert not (tmp_path / "out" / "trajectory.txt").exists()
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("lln-rate", {"n_particles": 10, "replicas": 5}, "replicas"),
+    ("simulate", {"n_particles": 3, "eps_grid": [-0.5]}, "eps"),
+], ids=["rate-five-replicas", "simulate-negative-eps"])
+def test_refused_command_leaves_no_output_directory(tmp_path, capsys, command, overrides, field):
+    """A command refused before it writes a file exits 2 with one line naming
+    the field and makes no output directory: the directory is made with the
+    first file, where it used to be made before the command ran."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_rows": ROWS_2D, "horizon": 0.05, **overrides}))
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"meanfield-sgd {command}: error: {field} must") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_refuses_rows_weighing_2_before_any_output(tmp_path, capsys):

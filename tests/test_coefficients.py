@@ -445,7 +445,7 @@ class TestPointBoundary:
         mu = random_measure(rng, 4, d)
         call = POINT_METHODS[method]
         assert call(coeffs, rng.normal(size=(3, d)), mu).shape[0] == 3
-        with pytest.raises(CoefficientError, match=rf"^parameter dimension {d + 1} != expected {d}$"):
+        with pytest.raises(CoefficientError, match=rf"^X must be points of dimension {d} \(got {d + 1}\)$"):
             call(coeffs, rng.normal(size=(3, d + 1)), mu)
 
     def test_hooks_left_out_are_zero_and_pickle(self):

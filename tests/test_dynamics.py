@@ -623,7 +623,7 @@ class TestBoundaryValidation:
     def test_misshapen_list_increment_row_names_channels(self, row):
         ens = sample_initial(REF_SPEC, 6, 0)
         cfg = IntegratorConfig(dt=1e-2, horizon=1e-2, eps=0.05)
-        with pytest.raises(SimulationError, match=r"^increment row has .* channels, expected \(5,\)"):
+        with pytest.raises(SimulationError, match=r"^dB must be an increment row of shape \(5,\)"):
             step_interacting(ens, REF_COEFFS, cfg, row)
 
     @pytest.mark.parametrize("integrate", [
@@ -641,7 +641,7 @@ class TestBoundaryValidation:
         ini = sample_initial(REF_SPEC, 6, 0)
         cfg = IntegratorConfig(dt=1e-2, horizon=5e-2, eps=0.05)
         noise = NoisePath(0, 1e-2, 5, 3)
-        with pytest.raises(SimulationError, match=r"^noise path has 3 channels, expected 5$"):
+        with pytest.raises(SimulationError, match=r"^noise must have 5 channels, one per data atom \(got 3\)$"):
             integrate(ini, cfg, noise)
         assert steps == []
 

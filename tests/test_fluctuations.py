@@ -162,7 +162,7 @@ class TestEtaEps:
         transport = simulate_transport(initial, REF_COEFFS, cfg)
         np.testing.assert_allclose(transport.times, [0.0, 0.025, 0.05], rtol=0, atol=1e-15)
         shifted = replace(traj, times=np.array([0.0, 0.0250002, 0.0500002]))
-        with pytest.raises(ValueError, match="^snapshot grids of the two trajectories do not match$"):
+        with pytest.raises(ValueError, match="^traj_zero must be recorded on the snapshot grid"):
             eta_eps(shifted, transport, 0.05)
         eta_eps(traj, transport, 0.05)   # the grids of the coupled runs agree
 
@@ -233,7 +233,7 @@ class TestCltDistance:
         grid = SpectralGrid(r_box=6.0, k_max=32, j=5)
         assert clt_distance([path], tangent, grid)[0][0] > 0
         shifted = replace(path, times=np.array([0.0, 0.0250002, 0.0500002]))
-        with pytest.raises(ValueError, match="^snapshot grids do not match$"):
+        with pytest.raises(ValueError, match="^eta_paths must be recorded on the snapshot grid"):
             clt_distance([shifted], tangent, grid)
 
     def test_low_order_rejected(self):

@@ -55,14 +55,20 @@ def ensemble(coeffs, n, seed=1):
     return ParticleEnsemble.uniform(np.random.default_rng(seed).normal(size=(n, coeffs.dim)))
 
 
+def _split(X):
+    """Points (..., 1 + D) as their output weights c and input weights u."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return X[..., 0], X[..., 1:]
+
+
 def _z(coeffs, X):
-    return coeffs._split(X)[1] @ coeffs._theta.T
+    return _split(X)[1] @ coeffs._theta.T
 
 
 def oracle_drift(coeffs, X, measure):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = coeffs.residuals(measure)
-    c, _ = coeffs._split(X)
+    c, _ = _split(X)
     z = _z(coeffs, X)
     phi, dphi = coeffs.activation.jet(z, 1)
     common = coeffs._w * r
@@ -77,7 +83,7 @@ def oracle_noise_increment(coeffs, X, measure, dB):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     r = coeffs.residuals(measure)
     kappa = r * coeffs._sqrt_w * dB
-    c, _ = coeffs._split(X)
+    c, _ = _split(X)
     z = _z(coeffs, X)
     phi, dphi = coeffs.activation.jet(z, 1)
     out = np.empty((X.shape[0], coeffs.dim))
@@ -194,7 +200,7 @@ def oracle_assemble(coeffs, row_c, row_u, kappa):
 
 
 def oracle_contract(coeffs, X, kappa):
-    c, _ = coeffs._split(X)
+    c, _ = _split(X)
     phi, dphi = coeffs.activation.jet(_z(coeffs, X), 1)
     return oracle_assemble(coeffs, phi, c[:, None] * dphi, kappa)
 
@@ -217,8 +223,8 @@ def oracle_tangent_step(X, Y, coeffs, dt, dB):
     transport terms each from their own evaluator calls (eight jets)."""
     mu = ParticleEnsemble.uniform(X)
     r = coeffs.residuals(mu)
-    c, _ = coeffs._split(X)
-    yc, _ = coeffs._split(Y)
+    c, _ = _split(X)
+    yc, _ = _split(Y)
     s = _z(coeffs, Y)
     _, dphi, d2phi = coeffs.activation.jet(_z(coeffs, X), 2)
     hu = dphi * yc[:, None] + c[:, None] * d2phi * s

@@ -175,7 +175,8 @@ def test_coupled_pair_solves_fewer_snapshots(monkeypatch):
     assert len(calls) == 11
 
 
-@pytest.mark.parametrize("sizes, message", [((2, 3), "snapshot count"), ((0, 0), "at least one")])
+@pytest.mark.parametrize("sizes, message", [((2, 3), "^b must have the snapshot count of a"),
+                                            ((0, 0), "^a must be at least one snapshot")])
 def test_snapshot_counts_must_match_and_be_positive(sizes, message):
     w = np.full(3, 1.0 / 3)
     a, b = (SortedAtoms.of(np.zeros((s, 3, 2)), w) for s in sizes)
