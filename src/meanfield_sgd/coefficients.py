@@ -200,11 +200,13 @@ class NetworkCoefficients:
         allow_unbounded: bool = False,
     ):
         if isinstance(activation, str):
+            if activation not in ACTIVATIONS:
+                raise CoefficientError(f"activation must be one of {list(ACTIVATIONS)} (got {activation!r})")
             activation = ACTIVATIONS[activation]
         if activation.unbounded_derivative and not allow_unbounded:
             raise CoefficientError(
-                f"activation {activation.name!r} has unbounded derivatives; "
-                "pass allow_unbounded=True to use it in analytic test setups"
+                f"activation must have bounded derivatives unless allow_unbounded=True, "
+                f"for analytic test setups (got {activation.name!r})"
             )
         self.dataset = dataset
         self.activation = activation
@@ -228,27 +230,40 @@ class NetworkCoefficients:
         return self._w
 
     def _preactivation(self, X: np.ndarray, name: str = "X") -> tuple[np.ndarray, np.ndarray]:
-        """Output weights c (..., N) and pre-activations u . theta_p (..., N, P)
-        of the points ``X``, refused naming ``name`` if of another dimension."""
+        """Output weights c (..., N) and pre-activations theta_p . u (..., P, N)
+        of the points ``X``, refused naming ``name`` if of another dimension.
+
+        The rows are channel-first: each channel's N values are contiguous,
+        so every elementwise op of a step runs over long contiguous rows.
+        One input coordinate (n0 = 1) makes them a broadcast product, the
+        bits of the K = 1 matmul at less cost."""
         X = _points(X, self.dim, name)
-        return X[..., 0], X[..., 1:] @ self._theta.T
+        u = np.swapaxes(X[..., 1:], -1, -2)                 # (..., n0, N)
+        return X[..., 0], (self._theta * u if self._theta.shape[1] == 1 else self._theta @ u)
+
+    def _residuals(self, c: np.ndarray, phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """f_p - sum_i weights_i c_i phi_pi, (..., P), from rows phi (..., P, N):
+        one stacked (P, N) @ (N, 1) product per leading index."""
+        return self._f - (phi @ (weights * c)[..., None])[..., 0]
 
     def _assemble(self, row_c: np.ndarray, row_u: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """sum_p kappa_p (row_c, row_u theta_p) in (c, u) components.
+        """sum_p kappa_p (row_c, row_u theta_p) in (c, u) components, (..., N, d).
 
         With row_c = phi and row_u = c phi' this is sum_p kappa_p grad Phi;
-        with the Hessian rows of ``drift_jacobian_apply`` it is the jacobian.
-        Rows (..., N, P) may lead with a run axis, with one kappa (..., P) per
-        run: each run's sums are the stacked slices of the same products.
-        Rows (T, P) of a segmented batch take one kappa row per particle.
+        with the Hessian rows of ``_jacobian`` it is the jacobian.  Rows
+        (..., P, N) may lead with a run axis, with one kappa (..., P) per run:
+        the sums are two stacked matmuls, kappa (..., 1, P) @ row_c and
+        row_u^T @ (kappa theta) (..., P, n0), so each run's slice is the
+        one-run product.  Rows (P, T) of a segmented batch take one kappa
+        column per particle, kappa (P, T).
         """
-        out = np.empty(row_c.shape[:-1] + (self.dim,))
+        out = np.empty(row_c.shape[:-2] + (row_c.shape[-1], self.dim))
         if kappa.ndim == row_c.ndim:
-            out[:, 0] = np.einsum("tp,tp->t", row_c, kappa)
-            out[:, 1:] = (row_u * kappa) @ self._theta
+            out[:, 0] = np.einsum("pt,pt->t", row_c, kappa)
+            out[:, 1:] = (row_u * kappa).T @ self._theta
             return out
-        out[..., 0] = (row_c @ kappa[..., None])[..., 0]
-        out[..., 1:] = (row_u * kappa[..., None, :]) @ self._theta
+        out[..., 0] = (kappa[..., None, :] @ row_c)[..., 0, :]
+        out[..., 1:] = np.swapaxes(row_u, -1, -2) @ (kappa[..., None] * self._theta)
         return out
 
     def _contract(self, X: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -260,7 +275,7 @@ class NetworkCoefficients:
         """
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        return self._assemble(phi, c[..., None] * dphi, kappa)
+        return self._assemble(phi, c[..., None, :] * dphi, kappa)
 
     def sgd_step(self, X: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """X + sum_p scale_p r_p grad Phi(x_i, theta_p), r the residuals at
@@ -271,8 +286,8 @@ class NetworkCoefficients:
         it steps alone, bit for bit."""
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        r = self._f - np.full(X.shape[-2], 1.0 / X.shape[-2]) @ (c[..., None] * phi)
-        return X + self._assemble(phi, c[..., None] * dphi, scale * r)
+        r = self._residuals(c, phi, np.full(X.shape[-2], 1.0 / X.shape[-2]))
+        return X + self._assemble(phi, c[..., None, :] * dphi, scale * r)
 
     def _noise_kappa(self, dB: np.ndarray) -> np.ndarray:
         """Per-channel weight of the common noise before the residual factor:
@@ -287,16 +302,16 @@ class NetworkCoefficients:
     def feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """Phi(x_i, theta_p) for a batch of parameters; shape (N, P)."""
         c, z = self._preactivation(X)
-        return c[:, None] * self.activation.jet(z, 0)[0]
+        return (c * self.activation.jet(z, 0)[0]).T
 
     def grad_feature_matrix(self, X: np.ndarray) -> np.ndarray:
         """grad_x Phi(x_i, theta_p); shape (N, P, d)."""
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        N, P = z.shape
+        P, N = z.shape
         out = np.empty((N, P, self.dim))
-        out[:, :, 0] = phi
-        out[:, :, 1:] = (c[:, None] * dphi)[:, :, None] * self._theta[None, :, :]
+        out[:, :, 0] = phi.T
+        out[:, :, 1:] = (c * dphi).T[:, :, None] * self._theta
         return out
 
     # --- measure-dependent coefficients -------------------------------------
@@ -340,8 +355,9 @@ class NetworkCoefficients:
         its own increment row ``dB[b]`` of ``dB`` (B, P) (zeros for a run
         that reads no path).  Run b moves by the ``increment`` in its own
         measure, with kappa = w dt + sqrt(eps_b) noise_b, which is w dt bit
-        for bit at eps 0; one pre-activation and one jet serve the residuals
-        and the contraction of every run.  Its residuals are a segment sum
+        for bit at eps 0; one pre-activation and one jet, on channel-first
+        rows (P, T), serve the residuals and the contraction of every run.
+        Its residuals are a segment sum along the particle axis
         (``np.add.reduceat``) and each particle's kappa is its run's row, so
         a run agrees with its own step to rounding: the segment sums
         reassociate its dot products, which moves it by at most 1e-15 of its
@@ -349,8 +365,9 @@ class NetworkCoefficients:
 
         Runs of one size N on one weight vector come as the (B, N, d)
         reshape of the same arrays, on ``weights`` (N,) and without
-        ``offsets``: their sums are then per-run matmuls, in the order of the
-        one-run step, and every run is its own step bit for bit.
+        ``offsets``: the rows are (B, P, N) and their sums stacked per-run
+        matmuls, each run's slice the one-run product, so every run is its
+        own one-run step bit for bit.
 
         With tangent vectors ``Y`` (K, N, d) the K runs ``carriers`` must be
         transport runs (eps 0) of N particles: Y_k moves by
@@ -363,22 +380,25 @@ class NetworkCoefficients:
         c, z = self._preactivation(X)
         jet = self.activation.jet(z, 1 if Y is None else 2)
         phi, dphi = jet[0], jet[1]
-        row_u = c[..., None] * dphi
+        row_u = c[..., None, :] * dphi
         noise = self._noise_kappa(dB)
         kappa = self._w * dt + np.sqrt(eps)[:, None] * noise
         if offsets is None:
-            r = self._f - weights @ (c[..., None] * phi)    # (B, P) residuals
+            r = self._residuals(c, phi, weights)           # (B, P)
             kappa = r * kappa
         else:
-            r = self._f - np.add.reduceat((weights * c)[:, None] * phi, offsets[:-1])
-            kappa = np.repeat(r * kappa, offsets[1:] - offsets[:-1], axis=0)
+            r = self._f - np.add.reduceat(phi * (weights * c), offsets[:-1], axis=-1).T
+            kappa = np.repeat((r * kappa).T, np.diff(offsets), axis=-1)    # (P, T)
         newX = X + self._assemble(phi, row_u, kappa)
         if Y is None:
             return newX
         carriers = list(carriers)
-        # each carrier's rows of the batch, (K, N) leading axes
-        rows = carriers if offsets is None else offsets[carriers][:, None] + np.arange(Y.shape[1])
-        c, phi, dphi, d2phi, row_u = c[rows], phi[rows], dphi[rows], jet[2][rows], row_u[rows]
+        rows = (c, phi, dphi, jet[2], row_u)
+        if offsets is None:
+            c, phi, dphi, d2phi, row_u = (a[carriers] for a in rows)
+        else:   # each carrier's columns of the batch, as (K, N) and (K, P, N)
+            cols = offsets[carriers][:, None] + np.arange(Y.shape[1])
+            c, phi, dphi, d2phi, row_u = (np.moveaxis(a[..., cols], -2, 0) for a in rows)
         r = r[carriers]
         yc, s = self._preactivation(Y, "Y")
         jac = self._jacobian(c, dphi, d2phi, yc, s, r)
@@ -397,7 +417,7 @@ class NetworkCoefficients:
         channel pairings <grad phi . G_p, mu_s> (S, F, P) and the Ito pairings
         <D2 phi : A, mu_s> (S, F) (else None and None).
 
-        One jet on the (S, N, P) rows serves all three.  With
+        One jet on the channel-first (S, P, N) rows serves all three.  With
         q_p = r_p <grad phi . grad Phi_p, mu_s>, the drift is sum_p w_p q_p and
         the channels are q_p minus it (G_p = r_p grad Phi_p - V).
         A = sum_p w_p r_p^2 grad Phi_p grad Phi_p^T - V V^T is assembled from
@@ -405,12 +425,12 @@ class NetworkCoefficients:
         """
         c, z = self._preactivation(X)
         phi, dphi = self.activation.jet(z, 1)
-        r = self._f - weights @ (c[..., None] * phi)       # (S, P) residuals
-        row_u = c[..., None] * dphi
+        r = self._residuals(c, phi, weights)               # (S, P)
+        row_u = c[:, None, :] * dphi
         # <grad phi . grad Phi_p, mu_s>: the c-component against phi, the
         # u-components against row_u, then theta_p
-        pair_c = np.matmul(grads[..., 0].transpose(1, 0, 2), weights[:, None] * phi)
-        pair_u = np.matmul(grads[..., 1:].transpose(1, 0, 3, 2), (weights[:, None] * row_u)[:, None])
+        pair_c = np.matmul(grads[..., 0].transpose(1, 0, 2), (weights * phi).swapaxes(-1, -2))
+        pair_u = np.matmul(grads[..., 1:].transpose(1, 0, 3, 2), (weights * row_u)[:, None].swapaxes(-1, -2))
         q = r[:, None, :] * (pair_c + (pair_u * self._theta.T).sum(-2))     # (S, F, P)
         drift = q @ self._w
         if hess is None:
@@ -419,11 +439,11 @@ class NetworkCoefficients:
         outer = (self._theta[:, :, None] * self._theta[:, None, :]).reshape(self.n_channels, -1)
         V = self._assemble(phi, row_u, self._w * r)        # (S, N, d)
         A = -V[..., :, None] * V[..., None, :]
-        A[..., 0, 0] += ((phi * phi) @ rho)[..., 0]
-        cross = (phi * row_u) @ (rho * self._theta)
+        A[..., 0, 0] += (rho.swapaxes(-1, -2) @ (phi * phi))[:, 0]
+        cross = (phi * row_u).swapaxes(-1, -2) @ (rho * self._theta)
         A[..., 0, 1:] += cross
         A[..., 1:, 0] += cross
-        A[..., 1:, 1:] += ((row_u * row_u) @ (rho * outer)).reshape(A[..., 1:, 1:].shape)
+        A[..., 1:, 1:] += ((row_u * row_u).swapaxes(-1, -2) @ (rho * outer)).reshape(A[..., 1:, 1:].shape)
         S, N, d = X.shape
         ito = np.einsum("fsk,sk->sf", hess.reshape(-1, S, N * d * d),
                         (weights[:, None, None] * A).reshape(S, -1))
@@ -461,10 +481,11 @@ class NetworkCoefficients:
         D^2 Phi(x_i, theta_p) . Y_i has rank structure: with s = theta_p . Y_u
         its c-component is phi' s and its u-component is
         (phi' Y_c + c phi'' s) times theta_p, so the channel sum is
-        an ``_assemble`` without (N, P, d, d) storage.  The jet (..., N, P)
-        may lead with a carrier axis, one residual row r (..., P) per carrier.
+        an ``_assemble`` without (N, P, d, d) storage.  The jet rows
+        (..., P, N) may lead with a carrier axis, one residual row r (..., P)
+        per carrier.
         """
-        hu = dphi * yc[..., None] + c[..., None] * d2phi * s
+        hu = dphi * yc[..., None, :] + c[..., None, :] * d2phi * s
         return self._assemble(dphi * s, hu, self._w * r)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -482,9 +503,8 @@ class NetworkCoefficients:
     @staticmethod
     def _beta(c, phi, dphi, tc, s) -> np.ndarray:
         """beta_p = (1/N) sum_j grad Phi(base_j, theta_p) . tangent_j from the jet at the base,
-        (..., P) from a jet (..., N, P) that may lead with a carrier axis."""
-        return ((tc[..., None, :] @ phi)[..., 0, :]
-                + np.einsum("...j,...jp,...jp->...p", c, dphi, s)) / phi.shape[-2]
+        (..., P) from jet rows (..., P, N) that may lead with a carrier axis."""
+        return ((phi @ tc[..., None]) + (dphi * s) @ c[..., None])[..., 0] / phi.shape[-1]
 
     # --- loss ----------------------------------------------------------------
 
@@ -646,4 +666,4 @@ class SyntheticCoefficients:
         return (drift, None, None) if hess is None else (drift, channels, ito)
 
     def loss(self, params):
-        raise CoefficientError("loss requires network mode coefficients")
+        raise CoefficientError("coeffs must be network mode coefficients for the loss (got synthetic)")

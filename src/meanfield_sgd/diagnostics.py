@@ -72,8 +72,8 @@ def _zero_hess(X: np.ndarray) -> np.ndarray:
 def _check_dim(name: str, d: int, X: np.ndarray) -> None:
     """Refuse points of another dimension than the test function's, naming both."""
     if X.shape[1] != d:
-        raise ValueError(f"test function {name} is {d}-dimensional but the points are "
-                         f"{X.shape[1]}-dimensional")
+        raise ValueError(f"X must be points of dimension {d}, that of test function {name} "
+                         f"(got {X.shape[1]})")
 
 
 def _constant(d: int) -> TestFunction:
@@ -377,7 +377,7 @@ def f_n_functional(mu: EmpiricalMeasure, n: int) -> float:
         raise BudgetExceeded(f"n must be at most 4 (got {n})")
     N = mu.n_atoms
     if n == 4 and N > 200:
-        raise BudgetExceeded(f"n = 4 allows at most 200 atoms (got {N})")
+        raise BudgetExceeded(f"mu must have at most 200 atoms for n = 4 (got {N})")
     w = mu.weights
     diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
     D = np.einsum("ijk,ijk->ij", diff, diff)

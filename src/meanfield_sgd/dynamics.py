@@ -208,11 +208,16 @@ def _check_points(name: str, X: np.ndarray, coeffs):
 
 
 def _increment_row(dB, coeffs) -> np.ndarray:
-    """``dB`` as floats, once checked one increment per channel of ``coeffs``."""
-    row = np.asarray(dB, dtype=float)
-    if row.shape != (coeffs.n_channels,):
-        raise SimulationError(f"dB must be an increment row of shape ({coeffs.n_channels},) (got shape {row.shape})")
-    return row
+    """``dB`` as floats, once checked one number per channel of ``coeffs``."""
+    try:
+        row = np.asarray(dB)
+    except ValueError:   # a ragged nesting
+        row = np.asarray(None)
+    numbers = row.dtype.kind in "iuf"
+    if not (numbers and row.shape == (coeffs.n_channels,)):
+        got = f"shape {row.shape}" if numbers else repr(dB)
+        raise SimulationError(f"dB must be an increment row of shape ({coeffs.n_channels},) (got {got})")
+    return row.astype(float, copy=False)
 
 
 def step_interacting(ens: ParticleEnsemble, coeffs, cfg: IntegratorConfig,

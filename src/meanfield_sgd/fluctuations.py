@@ -157,7 +157,7 @@ def _check_sobolev_order(name: str, j: int, dim: int):
     distance needs in d dimensions."""
     min_j = int(np.ceil(dim / 2)) + 4
     if j < min_j:
-        raise ValueError(f"{name} must be at least ceil(d/2)+4={min_j} for d={dim} (got {j})")
+        raise ValueError(f"{name} must be of Sobolev order j >= ceil(d/2)+4={min_j} for d={dim} (got j={j})")
 
 
 def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
@@ -185,7 +185,7 @@ def clt_distance(eta_paths: Sequence[FluctuationPath], tangent_traj: Trajectory,
         if not np.array_equal(path.reference, transport):
             raise ValueError("eta_paths must be taken against the transport run of tangent_traj")
     n, dim = transport.shape[1:]
-    _check_sobolev_order("sobolev order j", grid.j, dim)
+    _check_sobolev_order("grid", grid.j, dim)
     lattice = HalfLattice(grid, dim)
     lattice.warn_tail()
     curves = np.zeros((len(eta_paths), tangent_traj.n_snapshots))

@@ -444,8 +444,10 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
 # outside a fixed spectral box
 _CELL_ERRORS = (SimulationError, SpectralBoxError)
 # particle rows a pack of replicas integrates as one batch: a step of one
-# sgd-compare replica's 350 rows is mostly call overhead, 57-97 us alone and
-# 28-42 us a replica when 5 to 11 share it (2-core Xeon host)
+# sgd-compare replica's 350 rows is mostly call overhead, 39 us alone and
+# 14-18 us a replica when 5 to 11 share it; a step of lln-rate's runs costs
+# 45 / 34 / 31 / 68 ns a row at 1200 / 3600 / 6000 / 9600 rows.  6144 ran
+# lln-rate 5% faster and sgd-compare 2% slower (2-core Xeon host)
 _PACK_ROWS = 4096
 
 

@@ -12,9 +12,14 @@ the ones recorded in ``data/acceptance_numbers.json``, at rel 1e-9 / abs
 1e-15, so a change that moves a reported number fails even where every gate
 still holds.  A change that moves a number on purpose records the file anew
 and says which numbers moved and why.
+
+The run writes ``out/acceptance.json`` at the repository root: for each
+criterion that ran, whether it passed (its gate held and its numbers were
+the recorded ones), its gate, its margin line and its wall time.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +68,32 @@ REF_EPS = 1e-2
 
 
 NUMBERS = Path(__file__).parent / "data" / "acceptance_numbers.json"
+RESULTS = Path(__file__).resolve().parents[1] / "out" / "acceptance.json"
+_OUTCOMES: dict = {}   # criterion -> its entry of RESULTS
+
+
+@pytest.fixture(scope="module", autouse=True)
+def acceptance_record():
+    """Write the outcome of every criterion that ran to RESULTS."""
+    yield
+    RESULTS.parent.mkdir(exist_ok=True)
+    RESULTS.write_text(json.dumps([_OUTCOMES[k] for k in sorted(_OUTCOMES)], indent=1) + "\n")
+
+
+@pytest.fixture(autouse=True)
+def criterion_outcome(request):
+    """Criterion k's entry: failed until ``check_numbers`` completes, which
+    each criterion does last; ``report`` adds the gate and the margin."""
+    k = int(request.node.name.split("_")[2])
+    _OUTCOMES[k] = {"criterion": k, "test": request.node.name, "passed": False}
+    start = time.perf_counter()
+    yield
+    _OUTCOMES[k]["wall_s"] = round(time.perf_counter() - start, 3)
 
 
 def report(k: int, name: str, ok: bool, detail: str, margin: str):
     print(f"\n[criterion {k:2d}] {'PASS' if ok else 'FAIL'}  {name}: {detail}, {margin}")
+    _OUTCOMES[k].update(name=name, gate=bool(ok), margin=margin)
 
 
 def check_numbers(k: int, **numbers):
@@ -81,6 +108,7 @@ def check_numbers(k: int, **numbers):
         got, want = np.asarray(value, dtype=float), np.asarray(recorded[name], dtype=float)
         if got.shape != want.shape or not np.allclose(got, want, rtol=1e-9, atol=1e-15):
             pytest.fail(f"criterion {k}: {name} moved: {got.tolist()!r}, recorded {want.tolist()!r}")
+    _OUTCOMES[k]["passed"] = True
 
 
 # Criteria 1, 2 (at dt = 1e-3), 3 and 8 all read the same run of a seed: N =

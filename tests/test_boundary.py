@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from meanfield_sgd import dynamics
 from meanfield_sgd.cli import main as cli_main
-from meanfield_sgd.coefficients import CoefficientError, Dataset, SyntheticCoefficients
+from meanfield_sgd.coefficients import CoefficientError, Dataset, NetworkCoefficients, SyntheticCoefficients
 from meanfield_sgd.diagnostics import (f_n_functional, gaussian_bump, min_pairwise_distance, moment_track,
                                        qv_check_panel, smfe_weak_residual_panel, standard_panel, trig_wave)
 from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, ParticleEnsemble, SimulationError,
@@ -53,6 +53,7 @@ TANGENT = solve_tangent(ENS.positions, COEFFS, CFG, NOISE)
 PATH = eta_eps(RUN, TANGENT, 0.01)
 SYNTHETIC_1D = build_coefficients(reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,)))
 NOISE_1D = NoisePath(0, 0.01, 2, SYNTHETIC_1D.n_channels)
+RAGGED_ROW = [[0.1] * COEFFS.n_channels, [0.1]]
 
 # wrong in type, sign, finiteness or shape for every argument drawn here
 WRONG = [True, False, "x", "0.1", None, nan, inf, -inf, -1, 0, -0.5, 2.5, 1e308, [], [0.5], [[1, 2]],
@@ -338,6 +339,16 @@ def test_direct_call_succeeds_or_names_its_argument(call):
      ValueError),
     (lambda: picard_solve(ParticleEnsemble.uniform(np.zeros((3, 3))), COEFFS, CFG, None, tol=1e-6), "positions",
      ValueError),
+    (lambda: step_interacting(ENS, COEFFS, replace(CFG, eps=0.01), RAGGED_ROW), "dB", SimulationError),
+    (lambda: step_interacting(ENS, COEFFS, replace(CFG, eps=0.01), "x"), "dB", SimulationError),
+    (lambda: tangent_step(TangentEnsemble.at_rest(ENS.positions), COEFFS, CFG, RAGGED_ROW), "dB", SimulationError),
+    (lambda: tangent_step(TangentEnsemble.at_rest(ENS.positions), COEFFS, CFG, "x"), "dB", SimulationError),
+    (lambda: NetworkCoefficients(COEFFS.dataset, "relu"), "activation", CoefficientError),
+    (lambda: NetworkCoefficients(COEFFS.dataset, "identity"), "activation", CoefficientError),
+    (lambda: SYNTHETIC_1D.loss(np.zeros((3, 1))), "coeffs", CoefficientError),
+    (lambda: gaussian_bump([0.0, 0.0, 0.0], 1.0).value(np.zeros((4, 2))), "X", ValueError),
+    (lambda: f_n_functional(EmpiricalMeasure.uniform(np.arange(201.0)[:, None]), 4), "mu", ValueError),
+    (lambda: clt_distance([PATH], TANGENT, SpectralGrid(4.0, 8, 4)), "grid", ValueError),
 ], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
         "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
         "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
@@ -362,7 +373,10 @@ def test_direct_call_succeeds_or_names_its_argument(call):
         "coefficients-tangents-of-another-dimension", "loss-of-no-parameters", "tangent-empty-base",
         "tangent-base-of-three-axes", "tangent-2d-base-synthetic-1d", "tangent-step-empty-base",
         "tangent-step-2d-base-synthetic-1d", "step-empty-ensemble", "step-2d-points-synthetic-1d",
-        "picard-3d-points"])
+        "picard-3d-points", "step-ragged-increment-row", "step-string-increment-row",
+        "tangent-step-ragged-increment-row", "tangent-step-string-increment-row", "network-unknown-activation",
+        "network-unbounded-activation", "loss-on-synthetic-coefficients", "test-function-of-another-dimension",
+        "f-n-four-beyond-its-budget", "clt-distance-sobolev-order-too-low"])
 def test_fault_is_refused_naming_its_argument(monkeypatch, make, field, error):
     """Each fault is refused where it enters, before the coefficients step a
     point: an integrator or a one-step function refuses points of another

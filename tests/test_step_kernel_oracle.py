@@ -1,20 +1,22 @@
 """The channel-contraction step kernel against the formulas it replaced.
 
 Every Euler, SGD, frozen-measure and tangent step is now one contraction
-sum_p kappa_p grad Phi(x_i, theta_p).  The functions prefixed ``oracle_``
-are the drift, the ``r grad Phi - V`` noise increment, the per-sample SGD
-loop and the ``vtilde_y_apply`` einsum as they were written before, kept
-here verbatim (up to reading the coefficient internals from outside) as
-the reference.  The kernel only reassociates sums, so it must agree with
-them to 1e-13.
+sum_p kappa_p grad Phi(x_i, theta_p), taken on channel-first jet rows
+(..., P, N).  The functions prefixed ``oracle_`` are the drift, the
+``r grad Phi - V`` noise increment, the per-sample SGD loop, the
+``vtilde_y_apply`` einsum and the per-run steps as they were written
+before, kept here verbatim (up to reading the coefficient internals from
+outside) as the reference; ``rows_last_kernel`` keeps the kernel as it was
+on particle-major rows (..., N, P).  The kernel only reassociates sums, so
+it must agree with both to 1e-13 (``TOL``), and the particle-major kernel
+is, bit for bit, the per-run oracles.
 
-The batched step (``coupled_step``: B coupled runs on one leading axis, and
-the tangent system fused onto the transport run) is checked against the
-per-run ``increment``, ``step_interacting`` and ``tangent_step`` as they
-were before it, ``oracle_step`` and ``oracle_tangent_step``: it follows
-their operation order, so it must agree with them bit for bit.  So is
-``run_sgd`` on B chains in lockstep against the one-chain ``run_sgd`` and
-``sgd_step`` as they were before it, ``oracle_run_sgd_one_chain``.
+Batching is exact.  The batched step (``coupled_step``: B coupled runs on
+one leading axis, and the tangent system fused onto the transport runs)
+is each run's own one-run, one-carrier call of the same kernel bit for
+bit, and so are ``step_interacting`` and ``tangent_step``; ``run_sgd`` on
+B chains in lockstep is each chain's own one-chain run.  A segmented batch
+(runs of several sizes) agrees with its runs' own steps to 1e-13.
 """
 
 import numpy as np
@@ -34,16 +36,17 @@ from meanfield_sgd.dynamics import (
     step_interacting,
 )
 from meanfield_sgd.fluctuations import TangentEnsemble, tangent_step
+from rows_last_kernel import rows_last
 
 TOL = dict(rtol=1e-13, atol=1e-13)
 ACTS = ["tanh", "sigmoid", "smoothed-relu"]
 
 
-def make_coeffs(activation, bias, n_atoms=5, seed=0):
-    """A random 2-input network; with ``bias`` its atoms gain a constant
-    coordinate, whose input weight is the bias (d = n0 + 2)."""
+def make_coeffs(activation, bias, n_atoms=5, seed=0, n_inputs=2):
+    """A random network of ``n_inputs`` inputs; with ``bias`` its atoms gain
+    a constant coordinate, whose input weight is the bias (d = n0 + 2)."""
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-1, 1, size=(n_atoms, 2))
+    thetas = rng.uniform(-1, 1, size=(n_atoms, n_inputs))
     w = rng.uniform(0.5, 1.5, size=n_atoms)
     w /= w.sum()
     labels = np.sin(np.pi * thetas[:, 0]) * 0.5
@@ -237,6 +240,30 @@ def oracle_tangent_step(X, Y, coeffs, dt, dB):
     return X + oracle_increment(coeffs, X, mu, dt, 0.0, None), newY
 
 
+def one_run(coeffs, X, weights, dt, eps, dB):
+    """The kernel's one-run step: run X (N, d) as a batch of one."""
+    return coeffs.coupled_step(X[None], weights, dt, np.array([eps]), dB[None])[0]
+
+
+def one_carrier(coeffs, X, Y, weights, dt, dB):
+    """The kernel's one-carrier step: the transport run X (N, d) carrying Y."""
+    newX, newY = coeffs.coupled_step(X[None], weights, dt, np.zeros(1), dB[None], Y[None], carriers=[0])
+    return newX[0], newY[0]
+
+
+def kernel_run_sgd_one_chain(coeffs, alpha, batch_size, n_steps, seed, initial):
+    """``oracle_run_sgd_one_chain`` on the kernel's own one-chain ``sgd_step``."""
+    X = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    n_ch = coeffs.n_channels
+    out = [X]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in seeded_rng(seed, "sgd-batches").choice(n_ch, size=(n_steps, batch_size),
+                                                            p=coeffs.channel_weights):
+            X = coeffs.sgd_step(X, alpha * (np.bincount(batch, minlength=n_ch) / batch_size))
+            out.append(X)
+    return np.array(out)
+
+
 kernel_cases = pytest.mark.parametrize("n", [1, 7, 200])
 activation_cases = pytest.mark.parametrize("activation", ACTS)
 bias_cases = pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
@@ -304,24 +331,49 @@ class TestKernelMatchesOracle:
         np.testing.assert_allclose(chain.positions, oracle, **TOL)
 
     @pytest.mark.parametrize("batch_size", [1, 8], ids=["batch1", "batch8-repeats"])
-    def test_run_sgd_is_the_two_jet_chain(self, activation, bias, n, batch_size):
-        """one jet per step and one batch draw per chain: bit for bit the
-        chain of two jets and one draw per step."""
+    def test_run_sgd_is_the_one_step_chain(self, activation, bias, n, batch_size):
+        """one batch draw per chain: bit for bit the kernel's own chain of
+        one ``sgd_step`` per step."""
         coeffs = make_coeffs(activation, bias, n_atoms=3)
         initial = ensemble(coeffs, n).positions
         chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
         np.testing.assert_array_equal(
-            chain.positions, oracle_run_sgd_two_jets(coeffs, 0.1, batch_size, 6, 9, initial))
+            chain.positions, kernel_run_sgd_one_chain(coeffs, 0.1, batch_size, 6, 9, initial))
 
-    def test_gradient_descent_is_the_transport_run(self, activation, bias, n):
+    @pytest.mark.parametrize("batch_size", [1, 8], ids=["batch1", "batch8-repeats"])
+    def test_run_sgd_is_the_two_jet_chain(self, activation, bias, n, batch_size):
+        """one jet per step and one batch draw per chain: the particle-major
+        chain of two jets and one draw per step, to the kernel tolerance."""
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
+        initial = ensemble(coeffs, n).positions
+        chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
+        np.testing.assert_allclose(
+            chain.positions, oracle_run_sgd_two_jets(rows_last(coeffs), 0.1, batch_size, 6, 9, initial), **TOL)
+
+    def test_gradient_descent_is_the_full_batch_sgd_step(self, activation, bias, n):
         """Deterministic gradient descent at rate alpha is simulate_transport
-        at dt = alpha: bit for bit the full-batch run_sgd it replaces, and the
-        full-batch formula to the kernel tolerance."""
+        at dt = alpha: bit for bit the kernel's ``sgd_step`` at the full-batch
+        scale alpha w."""
         coeffs = make_coeffs(activation, bias, n_atoms=3)
         initial = ensemble(coeffs, n)
         run = simulate_transport(initial, coeffs, IntegratorConfig(dt=0.1, horizon=0.6))
-        np.testing.assert_array_equal(
-            run.positions, oracle_gradient_descent_contraction(coeffs, 0.1, 6, initial.positions))
+        X = initial.positions
+        want = [X]
+        for _ in range(6):
+            X = coeffs.sgd_step(X, 0.1 * coeffs.channel_weights)
+            want.append(X)
+        np.testing.assert_array_equal(run.positions, np.array(want))
+
+    def test_gradient_descent_is_the_transport_run(self, activation, bias, n):
+        """Deterministic gradient descent at rate alpha is simulate_transport
+        at dt = alpha: the particle-major full-batch run_sgd it replaces and
+        the full-batch formula, to the kernel tolerance."""
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
+        initial = ensemble(coeffs, n)
+        run = simulate_transport(initial, coeffs, IntegratorConfig(dt=0.1, horizon=0.6))
+        np.testing.assert_allclose(
+            run.positions, oracle_gradient_descent_contraction(rows_last(coeffs), 0.1, 6, initial.positions),
+            **TOL)
         np.testing.assert_allclose(run.positions, oracle_gradient_descent(coeffs, 0.1, 6, initial.positions),
                                    **TOL)
 
@@ -388,61 +440,116 @@ class TestActivationCalls:
 
 
 @st.composite
+def networks(draw):
+    """A random network: activation, bias, 1 to 3 inputs, 1 to 8 atoms; the
+    reference network is the bias-free one of one input (d = 2)."""
+    return dict(activation=draw(st.sampled_from(ACTS)), bias=draw(st.booleans()),
+                n_inputs=draw(st.integers(1, 3)), n_atoms=draw(st.integers(1, 8)),
+                seed=draw(st.integers(0, 2**16)))
+
+
+def network_coeffs(case):
+    return make_coeffs(case["activation"], case["bias"], n_atoms=case["n_atoms"], seed=case["seed"],
+                       n_inputs=case["n_inputs"])
+
+
+def draw_eps(draw, b):
+    """B noise scales with a 0 among them."""
+    eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=b - 1, max_size=b - 1))
+    eps.insert(draw(st.integers(0, b - 1)), 0.0)
+    return np.array(eps)
+
+
+@st.composite
 def coupled_batches(draw):
-    """A random batch: activation, bias, B runs of N particles with their
+    """A random batch: a random network, B runs of N particles with their
     own positions and noise scales with a 0 among them (each run is drawn
     its own increment row below)."""
     b = draw(st.integers(1, 6))
-    eps = draw(st.lists(st.floats(1e-4, 1.0), min_size=b - 1, max_size=b - 1))
-    eps.insert(draw(st.integers(0, b - 1)), 0.0)
-    return dict(activation=draw(st.sampled_from(ACTS)), bias=draw(st.booleans()),
-                n=draw(st.integers(1, 40)), eps=np.array(eps), seed=draw(st.integers(0, 2**16)))
+    return dict(draw(networks()), n=draw(st.integers(1, 40)), eps=draw_eps(draw, b))
+
+
+def equal_size_batch(case):
+    """The network of ``case`` and its runs: X (B, N, d), weights (N,), dB (B, P)."""
+    coeffs = network_coeffs(case)
+    rng = np.random.default_rng(case["seed"])
+    eps, n = case["eps"], case["n"]
+    X = rng.normal(size=(eps.size, n, coeffs.dim))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    weights /= weights.sum()
+    dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
+    return coeffs, X, weights, dB
+
+
+def tangent_batch(case, n_carriers):
+    """The network of ``case``, its noisy runs followed by ``n_carriers``
+    transport runs that carry tangents: eps, carriers, X, Y, dB, weights."""
+    coeffs = network_coeffs(case)
+    rng = np.random.default_rng(case["seed"])
+    eps, n = np.append(case["eps"][case["eps"] > 0], np.zeros(n_carriers)), case["n"]
+    carriers = list(range(eps.size - n_carriers, eps.size))
+    X = rng.normal(size=(eps.size, n, coeffs.dim))
+    Y = rng.normal(size=(n_carriers, n, coeffs.dim))
+    dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
+    return coeffs, eps, carriers, X, Y, dB, np.full(n, 1.0 / n)
 
 
 class TestCoupledStepMatchesPerRunSteps:
-    """The batched step is the per-run steps, each on its own increment row,
-    bit for bit."""
+    """The batched step is the kernel's own one-run steps, each on its own
+    increment row, bit for bit, and the per-run steps as they were written
+    before to the kernel tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=coupled_batches())
+    def test_batch_equals_its_one_run_steps(self, case):
+        coeffs, X, weights, dB = equal_size_batch(case)
+        got = coeffs.coupled_step(X, weights, 0.01, case["eps"], dB)
+        for x, e, row, run in zip(X, case["eps"], dB, got, strict=True):
+            np.testing.assert_array_equal(run, one_run(coeffs, x, weights, 0.01, e, row))
 
     @settings(max_examples=60, deadline=None)
     @given(case=coupled_batches())
     def test_batch_equals_sequential_steps(self, case):
-        coeffs = make_coeffs(case["activation"], case["bias"], seed=case["seed"])
-        rng = np.random.default_rng(case["seed"])
-        eps, n = case["eps"], case["n"]
-        X = rng.normal(size=(eps.size, n, coeffs.dim))
-        weights = rng.uniform(0.5, 1.5, size=n)
-        weights /= weights.sum()
-        dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
-        got = coeffs.coupled_step(X, weights, 0.01, eps, dB)
-        want = np.stack([oracle_step(x, weights, coeffs, 0.01, e, row) for x, e, row in zip(X, eps, dB)])
-        np.testing.assert_array_equal(got, want)
+        coeffs, X, weights, dB = equal_size_batch(case)
+        old = rows_last(coeffs)
+        got = coeffs.coupled_step(X, weights, 0.01, case["eps"], dB)
+        want = np.stack([oracle_step(x, weights, old, 0.01, e, row) for x, e, row in zip(X, case["eps"], dB)])
+        np.testing.assert_allclose(got, want, **TOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=coupled_batches(), n_carriers=st.integers(1, 3))
+    def test_fused_tangent_step_equals_its_one_carrier_steps(self, case, n_carriers):
+        """the transport runs at the end of the batch carry tangents, each
+        on its own row, and every run is its own one-run or one-carrier call."""
+        coeffs, eps, carriers, X, Y, dB, weights = tangent_batch(case, n_carriers)
+        newX, newY = coeffs.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers)
+        for k, b in enumerate(carriers):
+            base, tangents = one_carrier(coeffs, X[b], Y[k], weights, 0.01, dB[b])
+            np.testing.assert_array_equal(newY[k], tangents)
+            np.testing.assert_array_equal(newX[b], base)
+        for x, e, row, got in zip(X[:carriers[0]], eps, dB, newX):
+            np.testing.assert_array_equal(got, one_run(coeffs, x, weights, 0.01, e, row))
 
     @settings(max_examples=60, deadline=None)
     @given(case=coupled_batches(), n_carriers=st.integers(1, 3))
     def test_fused_tangent_step_equals_the_per_run_one(self, case, n_carriers):
         """the transport runs at the end of the batch carry tangents, each
         on its own row, and every run is its own step."""
-        coeffs = make_coeffs(case["activation"], case["bias"], seed=case["seed"])
-        rng = np.random.default_rng(case["seed"])
-        eps, n = np.append(case["eps"][case["eps"] > 0], np.zeros(n_carriers)), case["n"]
-        carriers = list(range(eps.size - n_carriers, eps.size))
-        X = rng.normal(size=(eps.size, n, coeffs.dim))
-        Y = rng.normal(size=(n_carriers, n, coeffs.dim))
-        dB = rng.normal(0, 0.1, size=(eps.size, coeffs.n_channels))
-        weights = np.full(n, 1.0 / n)
+        coeffs, eps, carriers, X, Y, dB, weights = tangent_batch(case, n_carriers)
+        old = rows_last(coeffs)
         newX, newY = coeffs.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers)
         for k, b in enumerate(carriers):
-            base, tangents = oracle_tangent_step(X[b], Y[k], coeffs, 0.01, dB[b])
-            np.testing.assert_array_equal(newY[k], tangents)
-            np.testing.assert_array_equal(newX[b], base)
+            base, tangents = oracle_tangent_step(X[b], Y[k], old, 0.01, dB[b])
+            np.testing.assert_allclose(newY[k], tangents, **TOL)
+            np.testing.assert_allclose(newX[b], base, **TOL)
         for x, e, row, got in zip(X[:carriers[0]], eps, dB, newX):
-            np.testing.assert_array_equal(got, oracle_step(x, weights, coeffs, 0.01, e, row))
+            np.testing.assert_allclose(got, oracle_step(x, weights, old, 0.01, e, row), **TOL)
 
     @activation_cases
     @bias_cases
-    def test_single_run_entry_points(self, activation, bias):
-        """step_interacting and tangent_step are the one-run batch, and so the
-        per-run steps they were."""
+    def test_single_run_entry_points_are_one_run_calls(self, activation, bias):
+        """step_interacting and tangent_step are the kernel's one-run and
+        one-carrier calls."""
         coeffs = make_coeffs(activation, bias)
         ens = ensemble(coeffs, 30)
         Y = ensemble(coeffs, 30, seed=13).positions
@@ -450,68 +557,227 @@ class TestCoupledStepMatchesPerRunSteps:
         for eps in (0.0, 0.05):
             cfg = IntegratorConfig(dt=0.01, horizon=0.01, eps=eps)
             np.testing.assert_array_equal(step_interacting(ens, coeffs, cfg, dB).positions,
-                                          oracle_step(ens.positions, ens.weights, coeffs, 0.01, eps, dB))
+                                          one_run(coeffs, ens.positions, ens.weights, 0.01, eps, dB))
         new = tangent_step(TangentEnsemble(ens.positions, Y), coeffs, cfg, dB)
-        base, tangents = oracle_tangent_step(ens.positions, Y, coeffs, 0.01, dB)
+        base, tangents = one_carrier(coeffs, ens.positions, Y, ens.weights, 0.01, dB)
         np.testing.assert_array_equal(new.base, base)
         np.testing.assert_array_equal(new.tangents, tangents)
+
+    @activation_cases
+    @bias_cases
+    def test_single_run_entry_points(self, activation, bias):
+        """step_interacting and tangent_step are the one-run batch, and so the
+        per-run steps they were."""
+        coeffs = make_coeffs(activation, bias)
+        old = rows_last(coeffs)
+        ens = ensemble(coeffs, 30)
+        Y = ensemble(coeffs, 30, seed=13).positions
+        dB = np.random.default_rng(14).normal(0, 0.1, size=coeffs.n_channels)
+        for eps in (0.0, 0.05):
+            cfg = IntegratorConfig(dt=0.01, horizon=0.01, eps=eps)
+            np.testing.assert_allclose(step_interacting(ens, coeffs, cfg, dB).positions,
+                                       oracle_step(ens.positions, ens.weights, old, 0.01, eps, dB), **TOL)
+        new = tangent_step(TangentEnsemble(ens.positions, Y), coeffs, cfg, dB)
+        base, tangents = oracle_tangent_step(ens.positions, Y, old, 0.01, dB)
+        np.testing.assert_allclose(new.base, base, **TOL)
+        np.testing.assert_allclose(new.tangents, tangents, **TOL)
+
+
+@st.composite
+def segmented_batches(draw):
+    """A random network and B runs of their own sizes, each on its own
+    particle weights, the last K of them transport runs of one size that
+    carry tangents (K may be 0)."""
+    b = draw(st.integers(1, 5))
+    n_carriers = draw(st.integers(0, min(b, 2)))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=b - n_carriers, max_size=b - n_carriers))
+    sizes += [draw(st.integers(1, 30))] * n_carriers
+    eps = draw_eps(draw, b)
+    eps[b - n_carriers:] = 0.0
+    return dict(draw(networks()), sizes=sizes, eps=eps, carriers=list(range(b - n_carriers, b)))
+
+
+def segmented_batch(case):
+    """The network of ``case`` and its runs concatenated: X (T, d), their
+    particle weights (T,), offsets (B + 1,), dB (B, P) and the carriers'
+    tangents Y (K, N, d) (None without carriers)."""
+    coeffs = network_coeffs(case)
+    rng = np.random.default_rng(case["seed"])
+    offsets = np.concatenate([[0], np.cumsum(case["sizes"])])
+    X = rng.normal(size=(offsets[-1], coeffs.dim))
+    weights = np.concatenate([w / w.sum() for w in (rng.uniform(0.5, 1.5, size=n) for n in case["sizes"])])
+    dB = rng.normal(0, 0.1, size=(len(case["sizes"]), coeffs.n_channels))
+    carriers = case["carriers"]
+    Y = rng.normal(size=(len(carriers), case["sizes"][-1], coeffs.dim)) if carriers else None
+    return coeffs, X, weights, offsets, dB, Y
+
+
+class TestSegmentedBatchMatchesItsRuns:
+    """Runs of several sizes step as one segmented batch: each run, and each
+    carrier's tangents, is its own one-run call to the kernel tolerance (the
+    segment sums reassociate its dot products)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=segmented_batches())
+    def test_each_run_is_its_own_step(self, case):
+        coeffs, X, weights, offsets, dB, Y = segmented_batch(case)
+        eps, carriers = case["eps"], case["carriers"]
+        moved = coeffs.coupled_step(X, weights, 0.01, eps, dB, Y, offsets, carriers)
+        newX, newY = moved if carriers else (moved, None)
+        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            np.testing.assert_allclose(newX[lo:hi], one_run(coeffs, X[lo:hi], weights[lo:hi], 0.01, eps[b], dB[b]),
+                                       **TOL)
+        for k, b in enumerate(carriers):
+            lo, hi = offsets[b], offsets[b + 1]
+            _, tangents = one_carrier(coeffs, X[lo:hi], Y[k], weights[lo:hi], 0.01, dB[b])
+            np.testing.assert_allclose(newY[k], tangents, **TOL)
+
+
+class TestKernelMatchesRowsLastKernel:
+    """The channel-first kernel is the particle-major one it replaced to the
+    kernel tolerance, on every batch shape; and the particle-major copy is
+    the per-run oracles bit for bit, as it was."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=coupled_batches(), n_carriers=st.integers(1, 3))
+    def test_coupled_step(self, case, n_carriers):
+        coeffs, eps, carriers, X, Y, dB, weights = tangent_batch(case, n_carriers)
+        old = rows_last(coeffs)
+        for got, want in zip(coeffs.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers),
+                             old.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers), strict=True):
+            np.testing.assert_allclose(got, want, **TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=segmented_batches())
+    def test_segmented_coupled_step(self, case):
+        coeffs, X, weights, offsets, dB, Y = segmented_batch(case)
+        args = (X, weights, 0.01, case["eps"], dB, Y, offsets, case["carriers"])
+        got, want = coeffs.coupled_step(*args), rows_last(coeffs).coupled_step(*args)
+        for a, b in zip(*((got, want) if case["carriers"] else ((got,), (want,))), strict=True):
+            np.testing.assert_allclose(a, b, **TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=coupled_batches())
+    def test_sgd_step(self, case):
+        coeffs, X, _, dB = equal_size_batch(case)
+        np.testing.assert_allclose(coeffs.sgd_step(X, dB), rows_last(coeffs).sgd_step(X, dB), **TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=coupled_batches(), n_functions=st.integers(1, 3))
+    def test_weak_pairings(self, case, n_functions):
+        coeffs, X, weights, _ = equal_size_batch(case)
+        rng = np.random.default_rng(case["seed"] + 1)
+        grads = rng.normal(size=(n_functions,) + X.shape)
+        hess = rng.normal(size=grads.shape + (coeffs.dim,))
+        for got, want in zip(coeffs.weak_pairings(X, weights, grads, hess),
+                             rows_last(coeffs).weak_pairings(X, weights, grads, hess), strict=True):
+            np.testing.assert_allclose(got, want, **TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=coupled_batches(), n_carriers=st.integers(1, 3))
+    def test_rows_last_kernel_is_the_per_run_oracle(self, case, n_carriers):
+        coeffs, eps, carriers, X, Y, dB, weights = tangent_batch(case, n_carriers)
+        old = rows_last(coeffs)
+        newX, newY = old.coupled_step(X, weights, 0.01, eps, dB, Y, carriers=carriers)
+        for k, b in enumerate(carriers):
+            base, tangents = oracle_tangent_step(X[b], Y[k], old, 0.01, dB[b])
+            np.testing.assert_array_equal(newY[k], tangents)
+            np.testing.assert_array_equal(newX[b], base)
+        for x, e, row, got in zip(X[:carriers[0]], eps, dB, newX):
+            np.testing.assert_array_equal(got, oracle_step(x, weights, old, 0.01, e, row))
 
 
 @st.composite
 def sgd_chains(draw):
-    """B chains of N particles on a random network, at most one of them
-    starting from a state that diverges: a non-finite output weight, or (on
-    the identity activation) a scale at which the residuals overflow within
-    two steps."""
+    """B chains of N particles on a random network of 1 to 3 inputs and 1 to
+    8 atoms, at most one of them starting from a state that diverges: a
+    non-finite output weight, or (on the identity activation) a scale at
+    which the residuals overflow within two steps."""
     b = draw(st.integers(1, 12))
     return dict(activation=draw(st.sampled_from(["tanh", "sigmoid", "identity"])), bias=draw(st.booleans()),
+                n_inputs=draw(st.integers(1, 3)), n_atoms=draw(st.integers(1, 8)),
                 b=b, n=draw(st.integers(1, 30)), batch_size=draw(st.integers(1, 4)),
                 n_steps=draw(st.integers(0, 8)), seed=draw(st.integers(0, 2**16)),
                 diverging=draw(st.one_of(st.none(), st.integers(0, b - 1))),
                 blowup=draw(st.sampled_from([np.inf, 1e100])))
 
 
-def sgd_coeffs(activation, bias, seed):
-    """A random 2-input network on 4 atoms, with a bias coordinate if asked,
-    on any activation (the identity's derivative is unbounded)."""
+def sgd_coeffs(activation, bias, seed, n_inputs=2, n_atoms=4):
+    """A random network of ``n_inputs`` inputs on ``n_atoms`` atoms, with a
+    bias coordinate if asked, on any activation (the identity's derivative
+    is unbounded)."""
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-1, 1, size=(4, 2))
-    w = rng.uniform(0.5, 1.5, size=4)
-    data = Dataset(np.hstack([thetas, np.ones((4, 1))]) if bias else thetas, w / w.sum(),
+    thetas = rng.uniform(-1, 1, size=(n_atoms, n_inputs))
+    w = rng.uniform(0.5, 1.5, size=n_atoms)
+    data = Dataset(np.hstack([thetas, np.ones((n_atoms, 1))]) if bias else thetas, w / w.sum(),
                    np.sin(np.pi * thetas[:, 0]) * 0.5)
     return NetworkCoefficients(data, ACTIVATIONS[activation], allow_unbounded=True)
 
 
+def sgd_case(case):
+    """The network of ``case``, its chains' seeds and starting states."""
+    coeffs = sgd_coeffs(case["activation"], case["bias"], case["seed"], case["n_inputs"], case["n_atoms"])
+    rng = np.random.default_rng(case["seed"])
+    initial = rng.normal(size=(case["b"], case["n"], coeffs.dim))
+    if case["diverging"] is not None:
+        if np.isinf(case["blowup"]):
+            initial[case["diverging"], 0, 0] = np.inf
+        else:
+            initial[case["diverging"]] *= case["blowup"]
+    return coeffs, [case["seed"] + k for k in range(case["b"])], initial
+
+
 class TestSgdChainsMatchOneChainRuns:
-    """B chains in lockstep are the one-chain runs of the old ``run_sgd``,
-    each on its own seed, bit for bit; a diverging chain fails alone, with
-    the error text of its one-chain run."""
+    """B chains in lockstep are their own one-chain runs, each on its own
+    seed, bit for bit, and the one-chain runs of the old ``run_sgd`` to the
+    kernel tolerance; a diverging chain fails alone, with the error text of
+    its one-chain run."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=sgd_chains())
-    def test_lockstep_chains_equal_the_one_chain_runs(self, case):
-        coeffs = sgd_coeffs(case["activation"], case["bias"], case["seed"])
-        rng = np.random.default_rng(case["seed"])
-        initial = rng.normal(size=(case["b"], case["n"], coeffs.dim))
-        if case["diverging"] is not None:
-            if np.isinf(case["blowup"]):
-                initial[case["diverging"], 0, 0] = np.inf
-            else:
-                initial[case["diverging"]] *= case["blowup"]
-        seeds = [case["seed"] + k for k in range(case["b"])]
+    def test_lockstep_chains_equal_their_one_chain_runs(self, case):
+        coeffs, seeds, initial = sgd_case(case)
         args = (0.1, case["batch_size"], case["n_steps"])
         batch = run_sgd(coeffs, case["n"], *args, seed=seeds, initial=initial)
         assert batch.n_steps == case["n_steps"] and batch.seed == tuple(seeds)
         for seed, start, got in zip(seeds, initial, batch.chains(), strict=True):
             try:
-                want = oracle_run_sgd_one_chain(coeffs, *args, seed, start)
+                want = run_sgd(coeffs, case["n"], *args, seed=seed, initial=start)
             except SimulationError as exc:
                 assert isinstance(got, SimulationError) and str(got) == str(exc)
                 continue
-            np.testing.assert_array_equal(got.positions, want)
+            np.testing.assert_array_equal(got.positions, want.positions)
             assert got.seed == seed
         if case["diverging"] is not None and np.isinf(case["blowup"]) and case["n_steps"]:
             assert str(batch.chains()[case["diverging"]]) == "SGD diverged at step 1"
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=sgd_chains())
+    def test_lockstep_chains_equal_the_one_chain_runs(self, case):
+        coeffs, seeds, initial = sgd_case(case)
+        old = rows_last(coeffs)
+        args = (0.1, case["batch_size"], case["n_steps"])
+        batch = run_sgd(coeffs, case["n"], *args, seed=seeds, initial=initial)
+        assert batch.n_steps == case["n_steps"] and batch.seed == tuple(seeds)
+        for seed, start, got in zip(seeds, initial, batch.chains(), strict=True):
+            try:
+                want = oracle_run_sgd_one_chain(old, *args, seed, start)
+            except SimulationError as exc:
+                assert isinstance(got, SimulationError) and str(got) == str(exc)
+                continue
+            np.testing.assert_allclose(got.positions, want, **TOL)
+            assert got.seed == seed
+        if case["diverging"] is not None and np.isinf(case["blowup"]) and case["n_steps"]:
+            assert str(batch.chains()[case["diverging"]]) == "SGD diverged at step 1"
+
+    @activation_cases
+    def test_one_chain_call_is_the_one_step_chain(self, activation):
+        """the (M, d), int-seed call returns the kernel's own chain of one
+        ``sgd_step`` per step."""
+        coeffs = make_coeffs(activation, False, n_atoms=3)
+        initial = ensemble(coeffs, 9).positions
+        chain = run_sgd(coeffs, 9, 0.1, 2, 6, seed=4, initial=initial)
+        np.testing.assert_array_equal(chain.positions, kernel_run_sgd_one_chain(coeffs, 0.1, 2, 6, 4, initial))
 
     @activation_cases
     def test_one_chain_call_is_the_old_run(self, activation):
@@ -520,7 +786,8 @@ class TestSgdChainsMatchOneChainRuns:
         coeffs = make_coeffs(activation, False, n_atoms=3)
         initial = ensemble(coeffs, 9).positions
         chain = run_sgd(coeffs, 9, 0.1, 2, 6, seed=4, initial=initial)
-        np.testing.assert_array_equal(chain.positions, oracle_run_sgd_one_chain(coeffs, 0.1, 2, 6, 4, initial))
+        np.testing.assert_allclose(chain.positions,
+                                   oracle_run_sgd_one_chain(rows_last(coeffs), 0.1, 2, 6, 4, initial), **TOL)
         assert chain.seed == 4 and chain.positions.shape == (7, 9, coeffs.dim)
         initial[3, 0] = np.inf
         with pytest.raises(SimulationError, match=r"^SGD diverged at step 1$"):
