@@ -316,14 +316,13 @@ class NetworkCoefficients:
 
     # --- measure-dependent coefficients -------------------------------------
 
-    def predictions(self, measure) -> np.ndarray:
-        """<Phi(., theta_p), mu> for every data atom; shape (P,)."""
-        atoms, weights = _as_measure(measure)
-        return weights @ self.feature_matrix(atoms)
-
     def residuals(self, measure) -> np.ndarray:
-        """f_p - <Phi(., theta_p), mu>; the per-data-atom fit residuals."""
-        return self._f - self.predictions(measure)
+        """f_p - <Phi(., theta_p), mu>; the per-data-atom fit residuals, by
+        the step kernel's own product (``_residuals``), so a frozen step at
+        a run's own measure reads that run's residual bits."""
+        atoms, weights = _as_measure(measure)
+        c, z = self._preactivation(atoms)
+        return self._residuals(c, self.activation.jet(z, 0)[0], weights)
 
     def drift(self, X: np.ndarray, measure) -> np.ndarray:
         """V(x_i, mu) = sum_p w_p (f_p - <Phi(., theta_p), mu>) grad Phi(x_i, theta_p)."""
@@ -450,12 +449,10 @@ class NetworkCoefficients:
         return drift, q - drift[..., None], ito
 
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
-        """G(x_i, mu, theta_p) for all particles and channels; shape (N, P, d)."""
+        """G(x_i, mu, theta_p) = r_p grad Phi(x_i, theta_p) - V(x_i, mu) for all
+        particles and channels, V the drift's own contraction; shape (N, P, d)."""
         r = self.residuals(measure)
-        grad = self.grad_feature_matrix(X)  # (N, P, d)
-        raw = r[None, :, None] * grad
-        mean = np.einsum("p,npd->nd", self._w, raw)
-        return raw - mean[:, None, :]
+        return r[:, None] * self.grad_feature_matrix(X) - self._contract(X, self._w * r)[:, None, :]
 
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
         """sum_p G(x_i, mu, theta_p) sqrt(w_p) dB_p without materializing G.
@@ -509,12 +506,13 @@ class NetworkCoefficients:
     # --- loss ----------------------------------------------------------------
 
     def loss(self, params: np.ndarray) -> float:
-        """Empirical risk sum_p w_p |f_p - mean_i Phi(x_i, theta_p)|^2."""
+        """Empirical risk sum_p w_p r_p^2, r the residuals at the uniform
+        measure on ``params``."""
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if params.shape[0] == 0:
             raise CoefficientError("params must be at least one parameter point")
-        preds = self.feature_matrix(params).mean(axis=0)
-        return float(self._w @ (self._f - preds) ** 2)
+        r = self.residuals((params, np.full(params.shape[0], 1.0 / params.shape[0])))
+        return float(self._w @ r ** 2)
 
 
 class SyntheticCoefficients:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import check_real
-from .dynamics import (IntegratorConfig, NoisePath, ParticleEnsemble, Trajectory, _check_finite, _check_points,
+from .dynamics import (IntegratorConfig, NoisePath, Trajectory, _check_finite, _check_points,
                        _increment_row, _integrate, _noise_rows, _trajectory)
 from .diagnostics import check_panel, check_record, pair_panel, stack_panel
 from .measures import HalfLattice, SignedAtomicField, SpectralGrid
@@ -239,7 +239,7 @@ def weak_residual_linear(tangent_traj: Trajectory, coeffs, noise: NoisePath,
     for s in range(n_steps):
         X = base[s]
         Y = tangents[s]
-        mu = ParticleEnsemble.uniform(X)
+        mu = (X, tangent_traj.weights)
         v = coeffs.drift(X, mu)                      # (N, d)
         jac_v_y = coeffs.drift_jacobian_apply(X, Y, mu)
         inter = coeffs.vtilde_y_apply(X, X, Y)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__ as code_version
-from ._checks import check_box, check_integer, check_real, is_real
+from ._checks import check_box, check_integer, check_real, check_vector, is_real
 from .coefficients import ACTIVATIONS, Dataset, NetworkCoefficients, SyntheticCoefficients
 from .diagnostics import TestFunction, gaussian_bump
 from .dynamics import (
@@ -179,7 +179,10 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """The hash of the results' config: the worker count and the output
+        directory change no number, so they are hashed at their defaults."""
+        data = {**asdict(self), "threads": 1, "out_dir": None}
+        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
     def validate_for_rates(self, slope_grid: str | None = None):
         """Check the grids of a replicated experiment before any run; the
@@ -401,17 +404,21 @@ def fit_slope(params: Sequence[float], values) -> SlopeFit:
     """Ordinary least squares on log-log, bootstrap CI (level SLOPE_LEVEL)
     over replicas.
 
+    ``params`` must be finite, strictly positive and free of repeats.
     ``values`` is either a vector of per-parameter means or a (replicas,
-    n_params) matrix; nonpositive means are excluded with a warning.
+    n_params) matrix; nonpositive or non-finite means are excluded with a
+    warning.
     """
-    params = np.asarray(params, dtype=float)
+    params = check_vector("params", params)
+    if np.any(params <= 0) or np.unique(params).size < params.size:
+        raise ValueError(f"params must be strictly positive and free of repeats (got {params.tolist()})")
     matrix = np.atleast_2d(np.asarray(values, dtype=float))
     if matrix.shape[1] != params.size:
         raise ValueError(f"values must be one column per parameter (got {matrix.shape[1]} for {params.size})")
     means = matrix.mean(axis=0)
-    mask = means > 0
+    mask = np.isfinite(means) & (means > 0)
     if not np.all(mask):
-        warnings.warn(f"excluding {int((~mask).sum())} nonpositive metric value(s) from the fit")
+        warnings.warn(f"excluding {int((~mask).sum())} nonpositive or non-finite metric value(s) from the fit")
     if mask.sum() < 3:
         raise ValueError(f"values must have a positive mean at 3 grid points or more to fit a slope "
                          f"(got {int(mask.sum())})")

@@ -3,17 +3,18 @@
 ``RowsLastCoefficients`` is ``NetworkCoefficients`` with the methods whose
 operation order the channel-first layout changed copied back verbatim:
 the pre-activation, ``_assemble``, ``_contract``, the two feature matrices,
-``sgd_step``, ``coupled_step``, ``weak_pairings``, ``_jacobian`` and
-``_beta``.  It is the oracle of the kernel that replaced them: that kernel
-only reassociates sums, so it agrees with this one to 1e-13, and this one
-is, bit for bit, the per-run steps it was checked against before.
+``predictions`` and ``residuals`` (through the feature matrix), ``sgd_step``,
+``coupled_step``, ``weak_pairings``, ``_jacobian`` and ``_beta``.  It is the
+oracle of the kernel that replaced them: that kernel only reassociates sums,
+so it agrees with this one to 1e-13, and this one is, bit for bit, the
+per-run steps it was checked against before.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from meanfield_sgd.coefficients import NetworkCoefficients, _points
+from meanfield_sgd.coefficients import NetworkCoefficients, _as_measure, _points
 
 
 def rows_last(coeffs: NetworkCoefficients) -> "RowsLastCoefficients":
@@ -83,6 +84,15 @@ class RowsLastCoefficients(NetworkCoefficients):
         out[:, :, 0] = phi
         out[:, :, 1:] = (c[:, None] * dphi)[:, :, None] * self._theta[None, :, :]
         return out
+
+    def predictions(self, measure) -> np.ndarray:
+        """<Phi(., theta_p), mu> for every data atom; shape (P,)."""
+        atoms, weights = _as_measure(measure)
+        return weights @ self.feature_matrix(atoms)
+
+    def residuals(self, measure) -> np.ndarray:
+        """f_p - <Phi(., theta_p), mu>; the per-data-atom fit residuals."""
+        return self._f - self.predictions(measure)
 
     def coupled_step(self, X: np.ndarray, weights: np.ndarray, dt: float, eps: Sequence[float],
                      dB: np.ndarray, Y: np.ndarray | None = None, offsets: np.ndarray | None = None,

@@ -320,6 +320,11 @@ def test_direct_call_succeeds_or_names_its_argument(call):
      "noise", ValueError),
     (lambda: exp_lln_rate(reference_config(replicas=5)), "replicas", ValueError),
     (lambda: fit_slope([1.0, 2.0], [1.0, 2.0]), "values", ValueError),
+    (lambda: fit_slope([0.0, 1.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "params", ValueError),
+    (lambda: fit_slope([-1.0, 1.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "params", ValueError),
+    (lambda: fit_slope([1.0, 2.0, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "params", ValueError),
+    (lambda: fit_slope([1.0, nan, 2.0, 4.0], [1.0, 2.0, 3.0, 4.0]), "params", ValueError),
+    (lambda: fit_slope([1.0, 2.0, inf, 4.0], [1.0, 2.0, 3.0, 4.0]), "params", ValueError),
     (lambda: w2_detailed(MU, EmpiricalMeasure.uniform(np.zeros((2, 1)))), "nu", ValueError),
     (lambda: w2_sup(*(SortedAtoms.of(np.zeros((s, 3, 2)), np.full(3, 1 / 3)) for s in (2, 3))), "b", ValueError),
     (lambda: w2_sup(*(SortedAtoms.of(np.zeros((0, 3, 2)), np.full(3, 1 / 3)) for _ in range(2))), "a", ValueError),
@@ -368,7 +373,9 @@ def test_direct_call_succeeds_or_names_its_argument(call):
         "weak-noisy-without-path", "collision-no-distinct-pair", "noise-coarsened-off-its-steps",
         "noise-of-another-channel-count", "noise-shorter-than-the-run", "noise-of-another-dt",
         "eta-shifted-grid", "clt-distance-shifted-grid", "clt-distance-other-transport-run",
-        "weak-linear-noise-of-another-run", "rate-five-replicas", "slope-two-points", "w2-of-two-dimensions",
+        "weak-linear-noise-of-another-run", "rate-five-replicas", "slope-two-points",
+        "slope-zero-param", "slope-negative-param", "slope-repeated-param", "slope-nan-param", "slope-inf-param",
+        "w2-of-two-dimensions",
         "w2-sup-snapshot-counts", "w2-sup-no-snapshot", "coefficients-points-of-another-dimension",
         "coefficients-tangents-of-another-dimension", "loss-of-no-parameters", "tangent-empty-base",
         "tangent-base-of-three-axes", "tangent-2d-base-synthetic-1d", "tangent-step-empty-base",

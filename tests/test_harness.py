@@ -66,6 +66,13 @@ class TestFitSlope:
             fit = fit_slope(x, y)
         assert fit.slope == pytest.approx(2.0, abs=1e-9)
 
+    def test_non_finite_excluded_with_warning(self):
+        x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        y = np.array([1.0, 4.0, np.inf, 64.0, np.nan])
+        with pytest.warns(UserWarning, match="nonpositive or non-finite"):
+            fit = fit_slope(x, y)
+        assert fit.slope == pytest.approx(2.0, abs=1e-9)
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_slope([1.0, 2.0], [1.0, 2.0])
@@ -333,7 +340,7 @@ class TestLlnExperiment:
         for threads in (2, 3):
             b = exp_clt_rate(replace(clt, threads=threads))
             assert b.rows == a.rows
-            assert [{**e, "config_hash": None} for e in b.summary] == [{**e, "config_hash": None} for e in a.summary]
+            assert b.summary == a.summary
         particle = ExperimentConfig(instance="synthetic-1d", mu0_kind="uniform", mu0_low=(-1.0,), mu0_high=(1.0,),
                                     m_grid=(10, 40, 210), dt=5e-3, horizon=0.05, snapshot_stride=5,
                                     replicas=10, base_seed=15)
@@ -1067,6 +1074,22 @@ class TestCli:
         ResultTable(ExperimentConfig.from_file(cfg_path)).write(tmp_path / "table")
         meta_table = json.loads((tmp_path / "table" / "run-meta.json").read_text())
         assert meta_a.keys() == meta_table.keys()
+
+    def test_threads_and_out_dir_keep_the_hash(self, tmp_path):
+        """the config hash names the results: one config at one worker and
+        at two, into two directories, carries one hash and writes the same
+        summary.csv byte for byte."""
+        cfg = reference_config(n_particles=10, eps_grid=(3e-2, 1e-2, 3e-3), dt=5e-3, horizon=0.1,
+                               clt_snapshot_stride=10, replicas=10, base_seed=33, k_max=16)
+        cfg_path = tmp_path / "clt.json"
+        cfg_path.write_text(cfg.to_json())
+        for threads, out in (("1", "a"), ("2", "b")):
+            assert cli_main(["clt-rate", "--config", str(cfg_path), "--threads", threads,
+                             "--out", str(tmp_path / out)]) == 0
+        meta_a, meta_b = (json.loads((tmp_path / out / "run-meta.json").read_text()) for out in "ab")
+        assert meta_a["config"]["threads"] == 1 and meta_b["config"]["threads"] == 2
+        assert meta_a["config_hash"] == meta_b["config_hash"] == cfg.config_hash()
+        assert (tmp_path / "a" / "summary.csv").read_bytes() == (tmp_path / "b" / "summary.csv").read_bytes()
 
     def test_remaining_experiment_subcommands(self, tmp_path):
         """clt-rate, particle-rate, sgd-compare and commute all produce the

@@ -17,6 +17,9 @@ is each run's own one-run, one-carrier call of the same kernel bit for
 bit, and so are ``step_interacting`` and ``tangent_step``; ``run_sgd`` on
 B chains in lockstep is each chain's own one-chain run.  A segmented batch
 (runs of several sizes) agrees with its runs' own steps to 1e-13.
+
+The frozen-measure evaluators read the kernel's own residual product, so a
+frozen step at a run's own measure is that run's step bit for bit.
 """
 
 import numpy as np
@@ -28,14 +31,18 @@ import paper_forms as pf
 from meanfield_sgd.coefficients import ACTIVATIONS, Activation, Dataset, NetworkCoefficients
 from meanfield_sgd.dynamics import (
     IntegratorConfig,
+    NoisePath,
     ParticleEnsemble,
     SimulationError,
+    _solve_frozen,
     run_sgd,
     seeded_rng,
+    simulate,
     simulate_transport,
     step_interacting,
 )
 from meanfield_sgd.fluctuations import TangentEnsemble, tangent_step
+from meanfield_sgd.harness import build_coefficients, reference_config
 from rows_last_kernel import rows_last
 
 TOL = dict(rtol=1e-13, atol=1e-13)
@@ -349,6 +356,16 @@ class TestKernelMatchesOracle:
         chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
         np.testing.assert_allclose(
             chain.positions, oracle_run_sgd_two_jets(rows_last(coeffs), 0.1, batch_size, 6, 9, initial), **TOL)
+
+    @pytest.mark.parametrize("batch_size", [1, 8], ids=["batch1", "batch8-repeats"])
+    def test_run_sgd_is_its_own_two_jet_chain(self, activation, bias, n, batch_size):
+        """one jet per step and one batch draw per chain: bit for bit the
+        chain of two jets and one draw per step on the same coefficients,
+        ``residuals`` being the kernel's own residual product."""
+        coeffs = make_coeffs(activation, bias, n_atoms=3)
+        initial = ensemble(coeffs, n).positions
+        chain = run_sgd(coeffs, n, 0.1, batch_size, 6, seed=9, initial=initial)
+        np.testing.assert_array_equal(chain.positions, oracle_run_sgd_two_jets(coeffs, 0.1, batch_size, 6, 9, initial))
 
     def test_gradient_descent_is_the_full_batch_sgd_step(self, activation, bias, n):
         """Deterministic gradient descent at rate alpha is simulate_transport
@@ -685,6 +702,68 @@ class TestKernelMatchesRowsLastKernel:
             np.testing.assert_array_equal(newX[b], base)
         for x, e, row, got in zip(X[:carriers[0]], eps, dB, newX):
             np.testing.assert_array_equal(got, oracle_step(x, weights, old, 0.01, e, row))
+
+
+SYNTHETIC_1D = build_coefficients(reference_config(instance="synthetic-1d", mu0_low=(-1.0,), mu0_high=(1.0,)))
+
+
+@st.composite
+def own_measure_runs(draw):
+    """One run of 1 to 200 particles on its own weights, on a random network
+    or on synthetic-1d, at a noise scale that may be 0."""
+    return dict(draw(networks()), synthetic=draw(st.booleans()), n=draw(st.integers(1, 200)),
+                eps=draw(st.sampled_from([0.0, 0.05])))
+
+
+def own_measure_run(case):
+    """The coefficients of ``case``, its run's ensemble and an increment row."""
+    coeffs = SYNTHETIC_1D if case["synthetic"] else network_coeffs(case)
+    rng = np.random.default_rng(case["seed"])
+    weights = rng.uniform(0.5, 1.5, size=case["n"])
+    ens = ParticleEnsemble(rng.normal(size=(case["n"], coeffs.dim)), weights / weights.sum())
+    return coeffs, ens, rng.normal(0, 0.1, size=coeffs.n_channels)
+
+
+class TestFrozenStepAtItsOwnMeasureIsTheStep:
+    """The frozen-measure evaluators read the step kernel's own residual
+    product, so frozen at a run's own measure they are that run's step bit
+    for bit (the tangent forcing and linearisation to rounding)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=own_measure_runs())
+    def test_increment_at_its_own_measure_is_the_step(self, case):
+        coeffs, ens, dB = own_measure_run(case)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.01, eps=case["eps"])
+        X = ens.positions
+        np.testing.assert_array_equal(X + coeffs.increment(X, (X, ens.weights), cfg.dt, cfg.eps, dB),
+                                      step_interacting(ens, coeffs, cfg, dB).positions)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=own_measure_runs())
+    def test_frozen_solve_on_the_direct_path_is_the_direct_path(self, case):
+        """Picard's fixed point is the direct solve: the linear solve frozen
+        to the measure path of ``simulate`` returns that path."""
+        coeffs, ens, _ = own_measure_run(case)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.05, eps=case["eps"])
+        noise = NoisePath(case["seed"], cfg.dt, cfg.n_steps, coeffs.n_channels)
+        run = simulate(ens, coeffs, cfg, noise)
+        rows = noise.increments if cfg.eps > 0.0 else None
+        np.testing.assert_array_equal(_solve_frozen(ens, coeffs, cfg, rows, run.positions, ens.weights),
+                                      run.positions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=own_measure_runs())
+    def test_point_methods_at_its_own_measure_are_the_tangent_step(self, case):
+        coeffs, ens, dB = own_measure_run(case)
+        cfg = IntegratorConfig(dt=0.01, horizon=0.01)
+        X = ens.positions
+        Y = np.random.default_rng(case["seed"] + 1).normal(size=X.shape)
+        mu = ParticleEnsemble.uniform(X)
+        new = tangent_step(TangentEnsemble(X, Y), coeffs, cfg, dB)
+        np.testing.assert_array_equal(new.base, X + coeffs.increment(X, mu, cfg.dt, 0.0, None))
+        want = Y + (coeffs.drift_jacobian_apply(X, Y, mu) + coeffs.vtilde_y_apply(X, X, Y)) * cfg.dt \
+            + coeffs.noise_increment(X, mu, dB)
+        np.testing.assert_allclose(new.tangents, want, rtol=1e-15, atol=1e-15)
 
 
 @st.composite
