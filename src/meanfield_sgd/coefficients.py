@@ -14,9 +14,9 @@ in the package:
 All expectations over the data measure are exact finite sums.  A synthetic
 coefficient set realizes the degenerate cases (``G = 0``, constant drift,
 ...) needed by tests and rate experiments from one user-supplied batch
-evaluator per term: ``v_bar_batch``, ``v_tilde_mean_batch``, ``g_batch``
-and the two linearisations ``drift_jacobian_apply`` and ``vtilde_y_apply``
-(shapes in ``SyntheticCoefficients``).
+evaluator per term: ``v_bar_batch``, ``v_tilde_mean_batch``, the noise
+contraction ``g_apply`` and the two linearisations ``drift_jacobian_apply``
+and ``vtilde_y_apply`` (shapes in ``SyntheticCoefficients``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,10 +44,17 @@ class CoefficientError(ValueError):
     """Raised on invalid coefficient construction or misuse of a mode."""
 
 
-def _as_measure(measure) -> tuple[np.ndarray, np.ndarray]:
-    """Accept an EmpiricalMeasure / ParticleEnsemble / (atoms, weights) pair."""
+def _as_measure(measure, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Accept an EmpiricalMeasure / ParticleEnsemble / (atoms, weights) pair
+    as atoms (M, dim) and weights (M,); any other shape raises
+    CoefficientError naming ``measure``.  Shapes only: a frozen solve reads
+    a measure at every step."""
     atoms, weights = measure if isinstance(measure, tuple) else (measure.atoms, measure.weights)
-    return np.atleast_2d(np.asarray(atoms, dtype=float)), np.asarray(weights, dtype=float)
+    atoms, weights = np.atleast_2d(np.asarray(atoms, dtype=float)), np.asarray(weights, dtype=float)
+    if atoms.ndim != 2 or atoms.shape[1] != dim or weights.shape != atoms.shape[:1]:
+        raise CoefficientError(f"measure must be atoms of dimension {dim}, one weight per atom "
+                               f"(got atoms of shape {atoms.shape}, weights of shape {weights.shape})")
+    return atoms, weights
 
 
 def _points(X, dim: int, name: str = "X") -> np.ndarray:
@@ -63,11 +69,6 @@ def _points(X, dim: int, name: str = "X") -> np.ndarray:
 def _zeros(X, *_) -> np.ndarray:
     """The hook of a term left out: zero at every point of ``X``."""
     return np.zeros(X.shape)
-
-
-def _zero_channels(n_channels: int, X, *_) -> np.ndarray:
-    """The noise hook left out: zero in every channel, (N, P, d)."""
-    return np.zeros((X.shape[0], n_channels, X.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,7 @@ class NetworkCoefficients:
         """f_p - <Phi(., theta_p), mu>; the per-data-atom fit residuals, by
         the step kernel's own product (``_residuals``), so a frozen step at
         a run's own measure reads that run's residual bits."""
-        atoms, weights = _as_measure(measure)
+        atoms, weights = _as_measure(measure, self.dim)
         c, z = self._preactivation(atoms)
         return self._residuals(c, self.activation.jet(z, 0)[0], weights)
 
@@ -508,7 +509,7 @@ class NetworkCoefficients:
     def loss(self, params: np.ndarray) -> float:
         """Empirical risk sum_p w_p r_p^2, r the residuals at the uniform
         measure on ``params``."""
-        params = np.atleast_2d(np.asarray(params, dtype=float))
+        params = _points(params, self.dim, "params")
         if params.shape[0] == 0:
             raise CoefficientError("params must be at least one parameter point")
         r = self.residuals((params, np.full(params.shape[0], 1.0 / params.shape[0])))
@@ -525,7 +526,8 @@ class SyntheticCoefficients:
     * ``v_bar_batch(X)`` -- Vbar at every particle, (N, d);
     * ``v_tilde_mean_batch(X, atoms, weights)`` -- <Vtilde(x_i, .), mu>,
       (N, d); the drift is the sum of the two;
-    * ``g_batch(X, atoms, weights)`` -- the per-channel noise G, (N, P, d),
+    * ``g_apply(X, atoms, weights, c)`` -- the noise contracted with a
+      channel row c (P,), sum_p c_p G_p(x_i, mu), (N, d), linear in c; G is
       centered under the channel weights: that is the caller's contract,
       and nothing checks it;
     * ``drift_jacobian_apply(X, Y, atoms, weights)`` -- grad_x V(x_i, mu) . Y_i
@@ -533,10 +535,13 @@ class SyntheticCoefficients:
     * ``vtilde_y_apply(X, base, tangents)`` -- (1/N) sum_j
       grad_y Vtilde(x_i, base_j) . tangent_j, (N, d).
 
-    The last two are the linearisations the tangent system needs.  The
-    public methods check their points (of dimension ``dim``, or
-    CoefficientError) and turn the measure into (atoms, weights); the step
-    and the pairings hand the hooks each run's arrays as they are.
+    The last two are the linearisations the tangent system needs.  Every
+    noise term is one ``g_apply`` call on c = sqrt(w) dB, as the network
+    applies its noise; G itself (``noise_matrix``, ``weak_pairings``) is
+    the contraction on the P unit rows.  The public methods check their
+    points (of dimension ``dim``, or CoefficientError) and turn the measure
+    into (atoms, weights); the step and the pairings hand the hooks each
+    run's arrays as they are.
     ``loss`` needs a network and is rejected.
     """
 
@@ -549,7 +554,7 @@ class SyntheticCoefficients:
         channel_weights: np.ndarray | None = None,
         v_bar_batch: Callable | None = None,
         v_tilde_mean_batch: Callable | None = None,
-        g_batch: Callable | None = None,
+        g_apply: Callable | None = None,
         drift_jacobian_apply: Callable | None = None,
         vtilde_y_apply: Callable | None = None,
     ):
@@ -561,7 +566,7 @@ class SyntheticCoefficients:
         self._sqrt_w = np.sqrt(self._weights)
         self._v_bar_batch = v_bar_batch or _zeros
         self._v_tilde_mean_batch = v_tilde_mean_batch or _zeros
-        self._g_batch = g_batch or partial(_zero_channels, self._n_channels)
+        self._g_apply = g_apply or _zeros
         self._drift_jacobian_apply = drift_jacobian_apply or _zeros
         self._vtilde_y_apply = vtilde_y_apply or _zeros
 
@@ -583,10 +588,11 @@ class SyntheticCoefficients:
         return np.add(self._v_bar_batch(X), self._v_tilde_mean_batch(X, atoms, weights), dtype=float)
 
     def _noise_matrix(self, X, atoms, weights) -> np.ndarray:
-        return np.asarray(self._g_batch(X, atoms, weights), dtype=float)
+        """G (N, P, d): channel p is the contraction on the unit row e_p."""
+        return np.stack([self._g_apply(X, atoms, weights, e) for e in np.eye(self._n_channels)], axis=1)
 
     def _noise_increment(self, X, atoms, weights, dB) -> np.ndarray:
-        return np.einsum("npd,p->nd", self._noise_matrix(X, atoms, weights), self._sqrt_w * dB)
+        return np.asarray(self._g_apply(X, atoms, weights, self._sqrt_w * dB), dtype=float)
 
     def _increment(self, X, atoms, weights, dt, eps, dB) -> np.ndarray:
         out = self._drift(X, atoms, weights) * dt
@@ -597,22 +603,22 @@ class SyntheticCoefficients:
     # --- point methods -------------------------------------------------------
 
     def drift(self, X: np.ndarray, measure) -> np.ndarray:
-        return self._drift(_points(X, self._dim), *_as_measure(measure))
+        return self._drift(_points(X, self._dim), *_as_measure(measure, self._dim))
 
     def noise_matrix(self, X: np.ndarray, measure) -> np.ndarray:
-        return self._noise_matrix(_points(X, self._dim), *_as_measure(measure))
+        return self._noise_matrix(_points(X, self._dim), *_as_measure(measure, self._dim))
 
     def noise_increment(self, X: np.ndarray, measure, dB: np.ndarray) -> np.ndarray:
-        return self._noise_increment(_points(X, self._dim), *_as_measure(measure), dB)
+        return self._noise_increment(_points(X, self._dim), *_as_measure(measure, self._dim), dB)
 
     def increment(self, X: np.ndarray, measure, dt: float, eps: float,
                   dB: np.ndarray | None) -> np.ndarray:
         """One Euler-Maruyama increment V dt + sqrt(eps) sum_p G_p sqrt(w_p) dB_p."""
-        return self._increment(_points(X, self._dim), *_as_measure(measure), dt, eps, dB)
+        return self._increment(_points(X, self._dim), *_as_measure(measure, self._dim), dt, eps, dB)
 
     def drift_jacobian_apply(self, X: np.ndarray, Y: np.ndarray, measure) -> np.ndarray:
         return np.asarray(self._drift_jacobian_apply(_points(X, self._dim), _points(Y, self._dim, "Y"),
-                                                     *_as_measure(measure)), dtype=float)
+                                                     *_as_measure(measure, self._dim)), dtype=float)
 
     def vtilde_y_apply(self, X: np.ndarray, base: np.ndarray, tangents: np.ndarray) -> np.ndarray:
         return np.asarray(self._vtilde_y_apply(*(_points(a, self._dim, name) for a, name in

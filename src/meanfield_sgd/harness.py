@@ -238,18 +238,12 @@ def _synthetic_1d(kappa=0.5, gamma=0.5, g_amp=0.5, g_freq=1.0) -> SyntheticCoeff
     """V(x, mu) = -kappa x + gamma (<y, mu> - x), G_p = +-g_amp sin(g_freq x)
     on two equal channels, with the exact linearisations of V."""
     kappa, gamma, g_amp, g_freq = (float(v) for v in (kappa, gamma, g_amp, g_freq))
-    signs = np.array([1.0, -1.0])
-
-    def g_batch(X, atoms, weights):
-        vals = g_amp * np.sin(g_freq * X[:, 0])
-        return vals[:, None, None] * signs[None, :, None]
-
     return SyntheticCoefficients(
         dim=1,
         n_channels=2,
         v_bar_batch=lambda X: -kappa * X,
         v_tilde_mean_batch=lambda X, atoms, weights: gamma * ((weights @ atoms)[None, :] - X),
-        g_batch=g_batch,
+        g_apply=lambda X, atoms, weights, c: g_amp * np.sin(g_freq * X) * (c[0] - c[1]),
         drift_jacobian_apply=lambda X, Y, atoms, weights: -(kappa + gamma) * Y,
         vtilde_y_apply=lambda X, base, tangents: np.full(X.shape, gamma * tangents.mean(axis=0)),
     )
@@ -705,10 +699,13 @@ def _grid_summary(table: "ResultTable", experiment: str, metric: str, params,
 
 
 def w2_sq_to_uniform_1d(samples: np.ndarray, low: float, high: float) -> float:
-    """Exact squared W2 between an empirical measure and Uniform[low, high]."""
-    if not high > low:
-        raise ValueError(f"high must be > low for a uniform law (got low={low!r}, high={high!r})")
-    x = np.sort(np.asarray(samples, dtype=float).ravel())
+    """Exact squared W2 between an empirical measure, its finite ``samples``,
+    and Uniform[low, high] for finite bounds."""
+    x = np.sort(check_vector("samples", samples))
+    if not is_real(low, finite=True):
+        raise ValueError(f"low must be a finite real (got {low!r})")
+    if not (is_real(high, finite=True) and high > low):
+        raise ValueError(f"high must be > low, and finite, for a uniform law (got low={low!r}, high={high!r})")
     m = x.size
     c = high - low
     q = np.arange(m + 1) / m

@@ -87,7 +87,7 @@ class RowsLastCoefficients(NetworkCoefficients):
 
     def predictions(self, measure) -> np.ndarray:
         """<Phi(., theta_p), mu> for every data atom; shape (P,)."""
-        atoms, weights = _as_measure(measure)
+        atoms, weights = _as_measure(measure, self.dim)
         return weights @ self.feature_matrix(atoms)
 
     def residuals(self, measure) -> np.ndarray:

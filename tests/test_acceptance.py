@@ -249,18 +249,13 @@ def test_criterion_07_fluctuation_gaussianity_and_variance():
     kurtosis within +-0.7, over >= 200 seeds."""
     amp = 0.8
 
-    def g_batch(X, atoms, w):
-        # four centered channels with two independent spatial profiles
-        out = np.zeros((X.shape[0], 4, X.shape[1]))
-        s1 = amp * np.sin(X[:, 0])
-        c2 = amp * np.cos(X[:, 1])
-        out[:, 0, 0] = s1
-        out[:, 1, 0] = -s1
-        out[:, 2, 1] = c2
-        out[:, 3, 1] = -c2
-        return out
+    def g_apply(X, atoms, w, c):
+        # four centered channels with two independent spatial profiles:
+        # G_0 = -G_1 = amp sin(x_1) e_1 and G_2 = -G_3 = amp cos(x_2) e_2
+        return np.column_stack([amp * np.sin(X[:, 0]) * (c[0] - c[1]),
+                                amp * np.cos(X[:, 1]) * (c[2] - c[3])])
 
-    coeffs = SyntheticCoefficients(dim=2, n_channels=4, g_batch=g_batch)
+    coeffs = SyntheticCoefficients(dim=2, n_channels=4, g_apply=g_apply)
     spec = InitialSpec(low=[-1.0, -1.0], high=[1.0, 1.0])
     base = sample_initial(spec, 100, seed=555)
     dt, horizon = 2e-3, 0.5

@@ -35,7 +35,8 @@ from meanfield_sgd.dynamics import (InitialSpec, IntegratorConfig, NoisePath, Pa
 from meanfield_sgd.fluctuations import (TangentEnsemble, clt_distance, eta_eps, solve_tangent, tangent_step,
                                         weak_residual_linear)
 from meanfield_sgd.harness import (ExperimentConfig, Replica, build_coefficients, build_initial_spec,
-                                   exp_lln_rate, exp_particle_rate, fit_slope, reference_config)
+                                   exp_lln_rate, exp_particle_rate, fit_slope, reference_config,
+                                   w2_sq_to_uniform_1d)
 from meanfield_sgd.measures import (EmpiricalMeasure, SignedAtomicField, SortedAtoms, SpectralGrid,
                                     sobolev_neg_norm_diff, w2_detailed, w2_sup)
 
@@ -331,6 +332,7 @@ def test_direct_call_succeeds_or_names_its_argument(call):
     (lambda: COEFFS.drift(np.zeros((3, 3)), MU), "X", CoefficientError),
     (lambda: COEFFS.drift_jacobian_apply(np.zeros((3, 2)), np.zeros((3, 3)), MU), "Y", CoefficientError),
     (lambda: COEFFS.loss(np.zeros((0, 2))), "params", CoefficientError),
+    (lambda: COEFFS.loss(np.zeros((3, 3))), "params", CoefficientError),
     (lambda: solve_tangent(np.zeros((0, 2)), COEFFS, CFG, NOISE), "initial_base", ValueError),
     (lambda: solve_tangent(np.zeros((2, 3, 2)), COEFFS, CFG, NOISE), "initial_base", ValueError),
     (lambda: solve_tangent(np.zeros((4, 2)), SYNTHETIC_1D, CFG, NOISE_1D), "initial_base", ValueError),
@@ -354,6 +356,10 @@ def test_direct_call_succeeds_or_names_its_argument(call):
     (lambda: gaussian_bump([0.0, 0.0, 0.0], 1.0).value(np.zeros((4, 2))), "X", ValueError),
     (lambda: f_n_functional(EmpiricalMeasure.uniform(np.arange(201.0)[:, None]), 4), "mu", ValueError),
     (lambda: clt_distance([PATH], TANGENT, SpectralGrid(4.0, 8, 4)), "grid", ValueError),
+    (lambda: w2_sq_to_uniform_1d(np.empty(0), -1.0, 1.0), "samples", ValueError),
+    (lambda: w2_sq_to_uniform_1d(np.array([0.5, np.nan]), -1.0, 1.0), "samples", ValueError),
+    (lambda: w2_sq_to_uniform_1d(np.array([0.5]), -np.inf, 1.0), "low", ValueError),
+    (lambda: w2_sq_to_uniform_1d(np.array([0.5]), 0.0, np.inf), "high", ValueError),
 ], ids=["coupled-negative-eps", "coupled-nan-eps", "synthetic-nan-weights", "synthetic-no-channels",
         "synthetic-fractional-dim", "synthetic-bool-dim", "f-n-fractional-n", "integrator-bool-dt",
         "noise-bool-dt", "grid-bool-r-box", "eta-bool-eps", "sgd-bool-alpha", "picard-bool-tol",
@@ -377,13 +383,15 @@ def test_direct_call_succeeds_or_names_its_argument(call):
         "slope-zero-param", "slope-negative-param", "slope-repeated-param", "slope-nan-param", "slope-inf-param",
         "w2-of-two-dimensions",
         "w2-sup-snapshot-counts", "w2-sup-no-snapshot", "coefficients-points-of-another-dimension",
-        "coefficients-tangents-of-another-dimension", "loss-of-no-parameters", "tangent-empty-base",
+        "coefficients-tangents-of-another-dimension", "loss-of-no-parameters",
+        "loss-of-another-dimension", "tangent-empty-base",
         "tangent-base-of-three-axes", "tangent-2d-base-synthetic-1d", "tangent-step-empty-base",
         "tangent-step-2d-base-synthetic-1d", "step-empty-ensemble", "step-2d-points-synthetic-1d",
         "picard-3d-points", "step-ragged-increment-row", "step-string-increment-row",
         "tangent-step-ragged-increment-row", "tangent-step-string-increment-row", "network-unknown-activation",
         "network-unbounded-activation", "loss-on-synthetic-coefficients", "test-function-of-another-dimension",
-        "f-n-four-beyond-its-budget", "clt-distance-sobolev-order-too-low"])
+        "f-n-four-beyond-its-budget", "clt-distance-sobolev-order-too-low", "uniform-w2-no-samples",
+        "uniform-w2-nan-sample", "uniform-w2-infinite-low", "uniform-w2-infinite-high"])
 def test_fault_is_refused_naming_its_argument(monkeypatch, make, field, error):
     """Each fault is refused where it enters, before the coefficients step a
     point: an integrator or a one-step function refuses points of another

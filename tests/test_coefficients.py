@@ -284,6 +284,47 @@ class TestNoise:
         np.testing.assert_allclose(coeffs.noise_increment(X, mu, dB), expected, atol=1e-13)
 
 
+def oracle_noise_increment(G, channel_weights, dB):
+    """The synthetic noise as the tensor contraction of the (N, P, d) G it
+    was before the contraction hook."""
+    return np.einsum("npd,p->nd", G, np.sqrt(channel_weights) * dB)
+
+
+def assert_rel_close(got, want, rtol=1e-15):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestNoiseContraction:
+    """A synthetic instance's noise is one ``g_apply`` contraction; an
+    instance that contracts a tensor G gives that G back, and every noise
+    term the tensor path gave."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(P=st.integers(1, 4), d=st.integers(1, 2), N=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_a_contracted_tensor_is_the_tensor_path(self, P, d, N, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(N, P, d))
+        w = rng.uniform(0.1, 1.0, size=P)
+        w /= w.sum()
+        coeffs = SyntheticCoefficients(dim=d, n_channels=P, channel_weights=w,
+                                       g_apply=lambda X, atoms, weights, c: np.einsum("npd,p->nd", G, c))
+        X = rng.normal(size=(N, d))
+        mu = (X, np.full(N, 1.0 / N))
+        dB = rng.normal(scale=0.1, size=(2, P))
+        dt, eps = 0.01, 0.3
+        assert np.array_equal(coeffs.noise_matrix(X, mu), G)
+        assert_rel_close(coeffs.noise_increment(X, mu, dB[0]), oracle_noise_increment(G, w, dB[0]))
+        assert_rel_close(coeffs.increment(X, mu, dt, eps, dB[0]),
+                         np.sqrt(eps) * oracle_noise_increment(G, w, dB[0]))
+        # one step of a noisy run and a transport run carrying a tangent
+        Y = rng.normal(size=(1, N, d))
+        newX, newY = coeffs.coupled_step(np.stack([X, X]), mu[1], dt, [eps, 0.0], dB, Y, carriers=[1])
+        assert_rel_close(newX[0], X + np.sqrt(eps) * oracle_noise_increment(G, w, dB[0]))
+        assert np.array_equal(newX[1], X)
+        assert_rel_close(newY[0], Y[0] + oracle_noise_increment(G, w, dB[1]))
+
+
 class TestTangentDerivatives:
     """The drift jacobian and the interaction derivative feed the tangent
     solver; both are checked against finite differences."""
@@ -424,8 +465,20 @@ POINT_METHODS = {
     "noise_increment": lambda c, X, mu: c.noise_increment(X, mu, np.full(c.n_channels, 0.1)),
     "increment": lambda c, X, mu: c.increment(X, mu, 0.01, 0.1, np.full(c.n_channels, 0.1)),
     "drift_jacobian_apply": lambda c, X, mu: c.drift_jacobian_apply(X, X, mu),
-    "vtilde_y_apply": lambda c, X, mu: c.vtilde_y_apply(X, mu.atoms, mu.atoms),
+    "vtilde_y_apply": lambda c, X, mu: c.vtilde_y_apply(X, mu[0], mu[0]),
 }
+BOTH_CLASSES = pytest.mark.parametrize("coeffs", [build_coefficients(reference_config()), SYNTHETIC_1D],
+                                       ids=["network", "synthetic-1d"])
+# a measure (atoms, weights) of 4 atoms of dimension d, made faulty
+MEASURE_FAULTS = {
+    "atoms-of-another-dimension": lambda d: (np.zeros((4, d + 1)), np.full(4, 0.25)),
+    "weights-not-one-per-atom": lambda d: (np.zeros((4, d)), np.full(5, 0.2)),
+}
+# vtilde_y_apply reads the measure's atoms as its base and tangents and no
+# weights, so its refusal names the base
+MEASURE_REFUSALS = [(method, fault, "base" if method == "vtilde_y_apply" else "measure")
+                    for method in sorted(POINT_METHODS) for fault in sorted(MEASURE_FAULTS)
+                    if (method, fault) != ("vtilde_y_apply", "weights-not-one-per-atom")]
 
 
 def _zero_hook(X, *_):
@@ -434,19 +487,31 @@ def _zero_hook(X, *_):
 
 class TestPointBoundary:
     @pytest.mark.parametrize("method", sorted(POINT_METHODS))
-    @pytest.mark.parametrize("coeffs", [build_coefficients(reference_config()), SYNTHETIC_1D],
-                             ids=["network", "synthetic-1d"])
+    @BOTH_CLASSES
     def test_points_of_another_dimension_are_refused(self, coeffs, method):
         """Every point method of both classes refuses points of another
         dimension with one error; synthetic-1d's noise_increment on (3, 2)
         points returned (3, 1) before."""
         rng = np.random.default_rng(0)
         d = coeffs.dim
-        mu = random_measure(rng, 4, d)
+        ens = random_measure(rng, 4, d)
+        mu = ens.atoms, ens.weights
         call = POINT_METHODS[method]
         assert call(coeffs, rng.normal(size=(3, d)), mu).shape[0] == 3
         with pytest.raises(CoefficientError, match=rf"^X must be points of dimension {d} \(got {d + 1}\)$"):
             call(coeffs, rng.normal(size=(3, d + 1)), mu)
+
+    @pytest.mark.parametrize("method, fault, name", MEASURE_REFUSALS)
+    @BOTH_CLASSES
+    def test_a_measure_of_another_shape_is_refused(self, coeffs, method, fault, name):
+        """Every point method of both classes refuses a measure whose atoms
+        are of another dimension, or whose weights are not one per atom,
+        naming the measure: synthetic-1d returned a (3, 2) drift on (4, 2)
+        atoms before, and the network named X or failed in numpy's
+        broadcast."""
+        X = np.random.default_rng(3).normal(size=(3, coeffs.dim))
+        with pytest.raises(CoefficientError, match=rf"^{name} must"):
+            POINT_METHODS[method](coeffs, X, MEASURE_FAULTS[fault](coeffs.dim))
 
     def test_hooks_left_out_are_zero_and_pickle(self):
         """A hook left out is zero, of the hook's shape; the stand-ins are
@@ -464,7 +529,10 @@ class TestPointBoundary:
         """A synthetic simulate_coupled (runs of two sizes, a tangent carrier,
         noise) and its weak-residual pairings make no public point-method,
         ``_as_measure``, ``_points`` or ``atleast_2d`` call in the
-        coefficients module: the hooks get each run's (x, x, w) arrays."""
+        coefficients module: the hooks get each run's (x, x, w) arrays.  The
+        step makes one ``g_apply`` call per noisy run and one per carrier,
+        each an (N, d) contraction; only the pairings ask it for G, on the
+        unit rows."""
         coeffs = _synthetic_1d()
         cfg = IntegratorConfig(dt=0.01, horizon=0.05)
         noise = NoisePath(0, 0.01, 5, coeffs.n_channels)
@@ -483,9 +551,21 @@ class TestPointBoundary:
             return atleast_2d(*arrays)
 
         monkeypatch.setattr(np, "atleast_2d", counted)
-        g_batch = coeffs._g_batch
-        monkeypatch.setattr(coeffs, "_g_batch", lambda *a: hooks.append(a) or g_batch(*a))
+        g_apply = coeffs._g_apply
+
+        def counted_g_apply(*args):
+            hooks.append((args, g_apply(*args)))
+            return hooks[-1][1]
+
+        monkeypatch.setattr(coeffs, "_g_apply", counted_g_apply)
         runs = simulate_coupled([(small, 0.0), (large, 0.1), (small, 0.0)], coeffs, cfg, noise, tangent=[0])
+        # the noisy run and the carrier, at each of the 5 steps
+        assert len(hooks) == 2 * cfg.n_steps
+        assert all(out.shape == X.shape for (X, *_), out in hooks)
+        in_steps = len(hooks)
         smfe_weak_residual_panel(runs[1], noise, coeffs, 0.1, standard_panel(1))
+        assert len(hooks) > in_steps
+        assert all(np.array_equal(c, np.eye(coeffs.n_channels)[k % coeffs.n_channels])
+                   for k, ((*_, c), _) in enumerate(hooks[in_steps:]))
         assert calls == []
-        assert hooks and all(X is atoms for X, atoms, _ in hooks)
+        assert all(X is atoms for (X, atoms, *_), _ in hooks)

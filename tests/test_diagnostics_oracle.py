@@ -232,17 +232,17 @@ _GAMMA = 0.3
 
 def synthetic():
     """Linear confinement plus mean attraction, noise a_p f(x) with f nonlinear,
-    every evaluator batched (``g_batch``) and the Jacobians the tangent run needs."""
+    every evaluator batched (the noise contraction ``g_apply``) and the
+    Jacobians the tangent run needs."""
 
-    def g_batch(X, atoms, weights):
-        f = np.column_stack([np.sin(X[:, 0]), X[:, 0] * np.cos(X[:, 1])])
-        return _A[None, :, None] * f[:, None, :]
+    def g_apply(X, atoms, weights, c):
+        return (_A @ c) * np.column_stack([np.sin(X[:, 0]), X[:, 0] * np.cos(X[:, 1])])
 
     return SyntheticCoefficients(
         dim=2, n_channels=3, channel_weights=_W,
         v_bar_batch=lambda X: -X @ _K.T,
         v_tilde_mean_batch=lambda X, atoms, weights: _GAMMA * (weights @ atoms - X),
-        g_batch=g_batch,
+        g_apply=g_apply,
         drift_jacobian_apply=lambda X, Y, atoms, weights: -Y @ _K.T - _GAMMA * Y,
         vtilde_y_apply=lambda X, base, tangents: np.full(X.shape, _GAMMA * tangents.mean(axis=0)),
     )

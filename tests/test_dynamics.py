@@ -344,8 +344,7 @@ class TestPicard:
         coeffs = SyntheticCoefficients(
             dim=1, n_channels=2,
             v_bar_batch=lambda X: -0.5 * X,
-            g_batch=lambda X, atoms, w: np.stack(
-                [np.ones_like(X), -np.ones_like(X)], axis=1) * 0.3,
+            g_apply=lambda X, atoms, w, c: np.ones_like(X) * 0.3 * (c[0] - c[1]),
         )
         initial = ParticleEnsemble.uniform(np.array([[0.5], [-0.25], [1.0]]))
         noise = NoisePath(4, 0.01, 50, 2)
@@ -666,10 +665,10 @@ class TestBoundaryValidation:
 def _diverging_noise():
     """Zero drift and a per-particle noise G_p = +-50 x^2: a run blows up
     within a few steps at eps = 10 and stays bounded at small eps."""
-    def g_batch(X, atoms, weights):
-        return 50.0 * X[:, None, :] ** 2 * np.array([1.0, -1.0])[None, :, None]
+    def g_apply(X, atoms, weights, c):
+        return 50.0 * X ** 2 * (c[0] - c[1])
 
-    return SyntheticCoefficients(dim=1, n_channels=2, g_batch=g_batch)
+    return SyntheticCoefficients(dim=1, n_channels=2, g_apply=g_apply)
 
 
 SYNTHETIC_1D = harness.build_coefficients(ExperimentConfig(instance="synthetic-1d", mu0_low=(-1.0,),

@@ -32,14 +32,12 @@ REF_SPEC = build_initial_spec(REF)
 def noise_only_coeffs(amp=0.4):
     """Vbar = Vtilde = 0, two centered channels driving +-amp*sin(x1)."""
 
-    def g_batch(X, atoms, w):
-        vals = amp * np.sin(X[:, 0])
-        out = np.zeros((X.shape[0], 2, X.shape[1]))
-        out[:, 0, 0] = vals
-        out[:, 1, 0] = -vals
+    def g_apply(X, atoms, w, c):
+        out = np.zeros(X.shape)
+        out[:, 0] = amp * np.sin(X[:, 0]) * (c[0] - c[1])
         return out
 
-    return SyntheticCoefficients(dim=2, n_channels=2, g_batch=g_batch)
+    return SyntheticCoefficients(dim=2, n_channels=2, g_apply=g_apply)
 
 
 class TestTangentStep:

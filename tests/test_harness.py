@@ -1218,11 +1218,11 @@ class TestFailureRecording:
         """Only the largest eps run blows up (G = +-50 x^2, no drift): its cells
         alone fail, with the error text of its own run, and every other row
         is the one the runs integrated one at a time give."""
-        def g_batch(X, atoms, weights):
-            return 50.0 * X[:, None, :] ** 2 * np.array([1.0, -1.0])[None, :, None]
+        def g_apply(X, atoms, weights, c):
+            return 50.0 * X ** 2 * (c[0] - c[1])
 
         monkeypatch.setattr(harness, "build_coefficients",
-                            lambda cfg: SyntheticCoefficients(dim=1, n_channels=2, g_batch=g_batch))
+                            lambda cfg: SyntheticCoefficients(dim=1, n_channels=2, g_apply=g_apply))
         cfg = ExperimentConfig(
             instance="synthetic-1d", mu0_low=(-0.5,), mu0_high=(0.5,), n_particles=8,
             eps_grid=(10.0, 1e-3, 1e-4), dt=1e-2, horizon=0.2, snapshot_stride=5,
